@@ -223,13 +223,12 @@ impl ShmQueue {
             .next
             .store(node.raw(), Ordering::Release);
         hdr.tail.store(node.raw(), Ordering::Relaxed);
-        // Release, paired with the Acquire load in `is_empty`/`len`: a
-        // reader that observes the incremented count also observes the
-        // link store above, so "saw non-empty" really implies a
-        // following `dequeue` can find the node. (A Relaxed increment
-        // would let the count become visible before the link — a
-        // spinner could see `len() == 1` yet dequeue `None`.)
-        hdr.count.fetch_add(1, Ordering::Release);
+        // The commit point (see `is_empty`): SeqCst so it is ordered
+        // against the consumer's `awake` clear, and (being at least
+        // Release) a reader that observes the incremented count also
+        // observes the link store above — "saw non-empty" implies a
+        // following `dequeue` finds the node.
+        hdr.count.fetch_add(1, Ordering::SeqCst);
         hdr.tail_lock.unlock();
         false
     }
@@ -271,8 +270,16 @@ impl ShmQueue {
     }
 
     /// Removes the oldest element, or `None` if the queue is empty.
+    ///
+    /// Emptiness is decided by the `count` pre-check of [`Self::is_empty`]
+    /// *before* the head lock is touched: a miss costs one load of a
+    /// shared line, not a lock round trip, and a poller never bounces the
+    /// lock line under a consumer that is mid-dequeue.
     pub fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
         let hdr = arena.get(self.header);
+        if hdr.count.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
         hdr.head_lock.lock();
         self.dequeue_locked(arena, hdr)
     }
@@ -297,6 +304,9 @@ impl ShmQueue {
         max_yields: u32,
     ) -> Result<Option<u64>, HeadLockBusy> {
         let hdr = arena.get(self.header);
+        if hdr.count.load(Ordering::SeqCst) == 0 {
+            return Ok(None); // same pre-check as `dequeue`
+        }
         let mut yields = 0u32;
         let mut spins = 0u32;
         while !hdr.head_lock.try_lock() {
@@ -327,9 +337,9 @@ impl ShmQueue {
         // M&S: read the value from the node that becomes the new dummy.
         let value = arena.get(next).value().value.load(Ordering::Relaxed);
         hdr.head.store(next_off, Ordering::Relaxed);
-        // Release for symmetry with `enqueue`: an `is_empty` reader that
-        // sees the decremented count also sees the head advance.
-        hdr.count.fetch_sub(1, Ordering::Release);
+        // An `is_empty` reader that sees the decremented count also sees
+        // the head advance.
+        hdr.count.fetch_sub(1, Ordering::SeqCst);
         hdr.head_lock.unlock();
         self.pool.free(arena, dummy);
         Some(value)
@@ -337,9 +347,13 @@ impl ShmQueue {
 
     /// Cheap emptiness poll — the `empty(Q)` test in the BSLS spin loop.
     ///
-    /// **Advisory contract.** The count is a single `AtomicU32` (no torn
-    /// reads), updated with `Release` under the respective lock and read
-    /// here with `Acquire`, which buys exactly two guarantees and no more:
+    /// **Contract.** The count is a single `AtomicU32` (no torn reads),
+    /// incremented *after* the link store and decremented after the head
+    /// advance, each under its lock, all `SeqCst` — as is the load here and
+    /// the identical pre-check [`Self::dequeue`] and
+    /// [`Self::dequeue_bounded`] make before taking the head lock. The
+    /// increment is therefore the enqueue's *commit point*, and three
+    /// guarantees follow:
     ///
     /// 1. *Non-empty is actionable*: if this returns `false`, the enqueue
     ///    that made it so happens-before this load, so an immediately
@@ -347,12 +361,26 @@ impl ShmQueue {
     ///    (unless another consumer takes it first).
     /// 2. *Monotone per producer/consumer*: the value is never torn and
     ///    never runs ahead of the operations that produced it.
+    /// 3. *The Fig. 5 re-check still closes the sleep race.* The consumer
+    ///    clears `awake` (a `SeqCst` store) and then re-checks the queue,
+    ///    which now reads `count`; the producer increments `count` and
+    ///    then test-and-sets `awake` (a `SeqCst` swap). All four accesses
+    ///    are `SeqCst`, so they fall in one total order: if the consumer's
+    ///    load misses the increment, the increment — and hence the
+    ///    producer's `tas` — comes after the consumer's clear, so the
+    ///    `tas` reads 0 and the producer posts the `V`. Either the
+    ///    re-check sees the message or the wake-up is sent; with a weaker
+    ///    load both sides could read the other's old value (store
+    ///    buffering) and the consumer would sleep on a non-empty queue.
     ///
     /// It is still a snapshot: concurrent enqueues/dequeues may change the
     /// answer before the caller acts on it. Spin loops must re-test; a
-    /// `true` here never proves the queue *stays* empty.
+    /// `true` here never proves the queue *stays* empty. A node a dead
+    /// producer linked but never counted is invisible to `dequeue` until
+    /// [`Self::fsck`] repairs the count, so dequeuing never takes `count`
+    /// below zero.
     pub fn is_empty(&self, arena: &ShmArena) -> bool {
-        arena.get(self.header).count.load(Ordering::Acquire) == 0
+        arena.get(self.header).count.load(Ordering::SeqCst) == 0
     }
 
     /// Current number of elements. Same advisory contract as
@@ -361,7 +389,7 @@ impl ShmQueue {
     /// for backlog heuristics (work-stealing thresholds, spin/block
     /// decisions) but not for an if-then-act without re-checking.
     pub fn len(&self, arena: &ShmArena) -> usize {
-        arena.get(self.header).count.load(Ordering::Acquire) as usize
+        arena.get(self.header).count.load(Ordering::SeqCst) as usize
     }
 
     /// Segment fsck for the two-lock queue: audits and repairs every
@@ -381,10 +409,9 @@ impl ShmQueue {
     ///    count (M&S dequeue follows links, not the tail).
     /// 3. *Tail repair*: the tail pointer is re-aimed at the last chain
     ///    node (a corpse at abandonment step 3 left it one node behind).
-    /// 4. *Count repair*: `count` is rewritten to the exact linked length.
-    ///    This also heals the underflow a dequeue of a linked-but-uncounted
-    ///    node would cause (`fetch_sub` on 0 wraps to `u32::MAX`, which
-    ///    reads as "full" forever).
+    /// 4. *Count repair*: `count` is rewritten to the exact linked length,
+    ///    which is what makes a linked-but-uncounted node dequeueable
+    ///    again (the `count` pre-check hides it until then).
     /// 5. *Node-pool reclaim*: slots neither free nor chain-reachable were
     ///    allocated by producers that died before linking (abandonment
     ///    steps 1–2) — **uncommitted**, reclaimed to the free list.
@@ -423,9 +450,7 @@ impl ShmQueue {
             hdr.count.store(linked, Ordering::Relaxed);
             report.count_repaired = true;
         }
-        let audit = self.pool.audit_reclaim(arena, &reachable);
-        report.nodes_reclaimed = audit.reclaimed;
-        report.pool_in_use_fixed = audit.in_use_fixed;
+        report.nodes_reclaimed = self.pool.audit_reclaim(arena, &reachable).reclaimed;
         report
     }
 }
@@ -445,8 +470,6 @@ pub struct TwoLockFsck {
     /// Pool slots that were neither free nor chain-reachable (allocated by
     /// producers that died before linking) and were reclaimed.
     pub nodes_reclaimed: u32,
-    /// The pool's `in_use` statistic disagreed and was rewritten.
-    pub pool_in_use_fixed: bool,
     /// The committed values, in FIFO order, left in place in the queue.
     pub values: Vec<u64>,
 }
@@ -464,7 +487,6 @@ impl TwoLockFsck {
             + self.tail_repaired as u32
             + self.count_repaired as u32
             + self.nodes_reclaimed
-            + self.pool_in_use_fixed as u32
     }
 }
 
@@ -648,6 +670,27 @@ mod tests {
         a.get(q.header).head_lock.unlock();
         assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(7)));
         assert_eq!(q.dequeue_bounded(&a, 10), Ok(None));
+    }
+
+    /// The `count` pre-check decides emptiness without the head lock: a
+    /// poll of an empty queue returns at once even under a lock a corpse
+    /// abandoned, and a node a dead producer linked but never counted
+    /// stays out of sight — instead of being dequeued and driving `count`
+    /// below zero — until fsck commits it.
+    #[test]
+    fn empty_is_decided_by_count_before_the_head_lock() {
+        let (a, q) = queue(8);
+        a.get(q.header).head_lock.lock(); // the corpse's lock
+        assert_eq!(q.dequeue(&a), None, "must not wait for the lock");
+        assert_eq!(q.dequeue_bounded(&a, 10), Ok(None));
+        a.get(q.header).head_lock.unlock();
+
+        assert!(q.enqueue_abandoned_at(&a, 666, 4), "linked, not counted");
+        assert!(q.is_empty(&a));
+        assert_eq!(q.dequeue(&a), None, "uncounted means uncommitted");
+        assert!(q.fsck(&a, true).count_repaired);
+        assert_eq!(q.dequeue(&a), Some(666));
+        assert_eq!(q.len(&a), 0, "count never went below zero");
     }
 
     /// The producer-side abandoned-lock drill: a producer "dies" holding

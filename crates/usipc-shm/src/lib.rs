@@ -72,32 +72,38 @@ pub unsafe trait ShmSafe: Sized + 'static {}
 /// A monotonic timestamp in nanoseconds on the *host-wide* axis every
 /// cooperating process shares.
 ///
-/// On Linux this is a raw `clock_gettime(CLOCK_MONOTONIC)`: two processes
-/// reading it at the same instant see the same value, which is what makes
-/// the arena's [`clock epoch`](ShmArena::clock_epoch) a common time origin
-/// for cross-process traces and telemetry. On other targets (where the heap
-/// backing is the only one and all readers share one address space) it
-/// falls back to a process-local monotonic clock.
+/// On Linux the axis is `CLOCK_MONOTONIC`: two processes reading it at the
+/// same instant see the same value, which is what makes the arena's
+/// [`clock epoch`](ShmArena::clock_epoch) a common time origin for
+/// cross-process traces and telemetry. The raw `clock_gettime` syscall is
+/// made **once per process**, paired with one [`Instant`]; every later
+/// read is that anchor plus `Instant::elapsed`, which the vDSO serves
+/// without entering the kernel. `Instant` counts the same clock, so the
+/// result stays on the host-wide axis to within the few dozen nanoseconds
+/// between the two anchoring reads — and a forked child inherits its
+/// parent's anchor, so the two agree exactly. On other targets (where the
+/// heap backing is the only one and all readers share one address space)
+/// the anchor is zero: a process-local monotonic clock.
+///
+/// [`Instant`]: std::time::Instant
 pub fn monotonic_nanos() -> u64 {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        sys::clock_monotonic_nanos()
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        use std::sync::OnceLock;
-        static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
-        EPOCH
-            .get_or_init(std::time::Instant::now)
-            .elapsed()
-            .as_nanos() as u64
-    }
+    use std::sync::OnceLock;
+    use std::time::Instant;
+    static ANCHOR: OnceLock<(u64, Instant)> = OnceLock::new();
+    let (raw, at) = ANCHOR.get_or_init(|| {
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))]
+        let raw = sys::clock_monotonic_nanos();
+        #[cfg(not(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        )))]
+        let raw = 0;
+        (raw, Instant::now())
+    });
+    raw + at.elapsed().as_nanos() as u64
 }
 
 macro_rules! impl_shm_safe {

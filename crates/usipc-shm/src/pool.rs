@@ -6,11 +6,18 @@
 //! slots are the same size and live in the arena, allocation is a single
 //! tagged compare-and-swap on a Treiber free stack — no heap, no system
 //! calls, and safe against the ABA recycling hazard via modification tags.
+//!
+//! That CAS is the *only* read-modify-write `alloc` or `free` performs.
+//! The pool keeps no checked-out counter: the free list is the single
+//! source of truth, and [`SlotPool::in_use`] derives the number on demand
+//! as `capacity − free-list length` with a bounded walk. A derived number
+//! cannot disagree with the list, so there is nothing for a crash to leave
+//! inconsistent and nothing for fsck to rewrite.
 
 use crate::arena::{ShmArena, ShmError};
 use crate::ptr::{ShmPtr, ShmSlice, TaggedAtomicPtr, TaggedPtr};
 use crate::ShmSafe;
-use core::sync::atomic::{AtomicU32, Ordering};
+use core::sync::atomic::Ordering;
 
 /// One pool slot: an intrusive free-list link plus the payload.
 ///
@@ -43,8 +50,6 @@ impl<T> PoolSlot<T> {
 pub struct SlotPoolHeader {
     /// Top of the Treiber free stack (tagged against ABA).
     free: TaggedAtomicPtr,
-    /// Number of slots currently checked out (statistics only).
-    in_use: AtomicU32,
     /// Total number of slots.
     capacity: u32,
 }
@@ -97,7 +102,6 @@ impl<T: ShmSafe> SlotPool<T> {
         }
         let header = arena.alloc(SlotPoolHeader {
             free: TaggedAtomicPtr::new(TaggedPtr::new(slots.at(0).raw(), 0)),
-            in_use: AtomicU32::new(0),
             capacity: capacity as u32,
         })?;
         Ok(SlotPool { header, slots })
@@ -119,9 +123,13 @@ impl<T: ShmSafe> SlotPool<T> {
         arena.get(self.header).capacity as usize
     }
 
-    /// Slots currently checked out (approximate under concurrency).
+    /// Slots currently checked out: `capacity − free-list length`, by a
+    /// walk of the free list bounded at `capacity` hops. A diagnostic, not
+    /// a hot-path call — exact when the pool is quiescent, a best-effort
+    /// snapshot while peers `alloc`/`free` (see
+    /// [`Self::free_list_offsets`]).
     pub fn in_use(&self, arena: &ShmArena) -> usize {
-        arena.get(self.header).in_use.load(Ordering::Relaxed) as usize
+        self.capacity(arena) - self.free_list_offsets(arena).len()
     }
 
     /// Pops a free slot, or `None` if the pool is exhausted.
@@ -146,7 +154,6 @@ impl<T: ShmSafe> SlotPool<T> {
                 )
                 .is_ok()
             {
-                hdr.in_use.fetch_add(1, Ordering::Relaxed);
                 return Some(node_ptr);
             }
         }
@@ -175,7 +182,6 @@ impl<T: ShmSafe> SlotPool<T> {
                 )
                 .is_ok()
             {
-                hdr.in_use.fetch_sub(1, Ordering::Relaxed);
                 return;
             }
         }
@@ -230,9 +236,6 @@ pub struct PoolAudit {
     /// Slots that were neither free nor reachable — leaked by a dead
     /// holder — and were returned to the free list.
     pub reclaimed: u32,
-    /// Whether the `in_use` statistic disagreed with the post-audit truth
-    /// and was rewritten.
-    pub in_use_fixed: bool,
 }
 
 impl<T: ShmSafe> SlotPool<T> {
@@ -242,8 +245,7 @@ impl<T: ShmSafe> SlotPool<T> {
     /// out — e.g. every node a queue's link chain can still reach. Any
     /// slot that is neither on the free list nor in `reachable` was
     /// checked out by a holder that died before publishing or returning
-    /// it; such slots are reclaimed onto the free list. The `in_use`
-    /// statistic is then rewritten to the exact surviving checkout count.
+    /// it; such slots are reclaimed onto the free list.
     ///
     /// **Requires quiescence** (see [`Self::free_list_offsets`]): run it
     /// only while no peer can be mid-`alloc`/`free` — the recovery window
@@ -254,25 +256,14 @@ impl<T: ShmSafe> SlotPool<T> {
             self.free_list_offsets(arena).into_iter().collect();
         let mut audit = PoolAudit {
             free: free.len() as u32,
-            ..PoolAudit::default()
+            reclaimed: 0,
         };
-        let mut live = 0u32;
         for i in 0..self.slots.len() {
             let p = self.slots.at(i);
-            if free.contains(&p.raw()) {
-                continue;
-            }
-            if reachable.contains(&p.raw()) {
-                live += 1;
-            } else {
+            if !free.contains(&p.raw()) && !reachable.contains(&p.raw()) {
                 self.free(arena, p);
                 audit.reclaimed += 1;
             }
-        }
-        let hdr = arena.get(self.header);
-        if hdr.in_use.load(Ordering::Relaxed) != live {
-            hdr.in_use.store(live, Ordering::Relaxed);
-            audit.in_use_fixed = true;
         }
         audit
     }
@@ -299,6 +290,8 @@ mod tests {
         }
         assert!(pool.alloc(&arena).is_none());
         assert_eq!(pool.in_use(&arena), 4);
+        pool.free(&arena, got[2]);
+        assert_eq!(pool.in_use(&arena), 3, "derived from the free list");
         // Distinct slots.
         let mut raws: Vec<_> = got.iter().map(|p| p.raw()).collect();
         raws.sort_unstable();
@@ -372,7 +365,14 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        // The derived count and the list it is derived from: every slot
+        // is back on the free list exactly once.
         assert_eq!(pool.in_use(&arena), 0);
+        let mut free = pool.free_list_offsets(&arena);
+        free.sort_unstable();
+        free.dedup();
+        assert_eq!(free.len(), 16, "free list incomplete or cyclic");
+        assert!(free.iter().all(|&off| pool.owns(ShmPtr::from_raw(off))));
         // All 16 slots recoverable.
         let mut all = Vec::new();
         while let Some(s) = pool.alloc(&arena) {

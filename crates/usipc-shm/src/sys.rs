@@ -255,6 +255,24 @@ mod tests {
         assert!(b >= a, "monotonic clock went backwards");
     }
 
+    /// `monotonic_nanos` makes this syscall once and serves later reads
+    /// from `Instant`: they must stay on the raw clock's axis (not a
+    /// process-local one) and never step backwards.
+    #[test]
+    fn anchored_reads_stay_on_the_raw_axis() {
+        let mut last = crate::monotonic_nanos();
+        for _ in 0..10_000 {
+            let raw = clock_monotonic_nanos();
+            let served = crate::monotonic_nanos();
+            assert!(served >= last, "anchored clock went backwards");
+            assert!(
+                raw.abs_diff(served) < 50_000_000,
+                "anchored read {served} is off the CLOCK_MONOTONIC axis ({raw})"
+            );
+            last = served;
+        }
+    }
+
     #[test]
     fn errors_are_negative_errno() {
         // EBADF from ftruncate on a closed fd.

@@ -169,7 +169,7 @@ impl DuplexChannel {
         if rq.is_poisoned() || reply.is_poisoned() {
             return Err(IpcError::Poisoned);
         }
-        let deadline = Deadline::new(os, timeout);
+        let deadline = Deadline::new(timeout);
         enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
         rq.wake_consumer(os);
         let mut spincnt = 0;
@@ -263,7 +263,7 @@ impl DuplexChannel {
                 os.poll_pause();
                 spincnt += 1;
             }
-            let deadline = Deadline::new(os, heartbeat);
+            let deadline = Deadline::new(heartbeat);
             let m = match blocking_dequeue_deadline(&rq, os, &deadline, || {}) {
                 Ok(m) => m,
                 Err(IpcError::Timeout) => {
@@ -286,7 +286,7 @@ impl DuplexChannel {
             }
             let mut ans = handler(m);
             ans.channel = c;
-            let reply_deadline = Deadline::new(os, heartbeat);
+            let reply_deadline = Deadline::new(heartbeat);
             match enqueue_or_sleep_deadline(&reply, os, ans, &reply_deadline) {
                 Ok(()) => reply.wake_consumer(os),
                 Err(_) => {

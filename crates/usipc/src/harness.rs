@@ -2692,7 +2692,9 @@ mod proc_harness {
         let mut recovery = None;
         if has_doomed {
             let t_detect = Instant::now();
-            let tk = crate::recover::take_over(&channel, &os.task(0));
+            // As the parent's own task: task 0 is the successor thread's,
+            // and a metrics sink has one writer thread.
+            let tk = crate::recover::take_over(&channel, &monitor);
             recovery = Some(t_detect.elapsed());
             takeover = Some(tk);
         }
@@ -2897,7 +2899,9 @@ mod proc_harness {
         // right now; wait for them to park again.
         quiesce("after the half-recovery");
 
-        let takeover = crate::recover::take_over(&channel, &os.task(0));
+        // As the parent's own task: task 0 is the successor thread's, and
+        // a metrics sink has one writer thread.
+        let takeover = crate::recover::take_over(&channel, &os.task(1 + n_clients as u32));
         let recovery = t_detect.elapsed();
         let final_generation = arena.generation();
         let server_run = {

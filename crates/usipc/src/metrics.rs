@@ -1,5 +1,5 @@
-//! Protocol-event metrics: lock-free per-endpoint counters and round-trip
-//! latency histograms.
+//! Protocol-event metrics: single-writer per-endpoint counters and
+//! round-trip latency histograms.
 //!
 //! The paper's entire argument is an *accounting* argument — BSW loses
 //! because it pays "four system calls per round trip" (Fig. 6, Table 1),
@@ -7,15 +7,29 @@
 //! of the time (Fig. 10). This module makes that accounting live
 //! instrumentation instead of hand-counting: every protocol-visible event
 //! (queue ops, semaphore calls, yields, spins, blocks, stray wake-ups,
-//! hand-offs) increments a `Relaxed` atomic counter on the endpoint's
-//! [`EndpointMetrics`], and synchronous round trips feed a log₂-bucketed
-//! latency histogram.
+//! hand-offs) increments a counter on the endpoint's [`EndpointMetrics`],
+//! and synchronous round trips feed a log₂-bucketed latency histogram.
 //!
-//! Cost model: recording one event is a single uncontended `fetch_add`
-//! with `Relaxed` ordering (one `lock xadd` on x86, no fence on ARM); when
-//! metrics are disabled the sink is `None` and the entire path folds to a
-//! branch on an `Option` discriminant. Counters are per-*task*, so there
-//! is no cross-thread cache-line ping-pong on the hot path.
+//! ## The single-writer contract
+//!
+//! A sink belongs to one *task*, and a task is one thread: **only one
+//! thread ever records into a given [`EndpointMetrics`] or
+//! [`LatencyHistogram`]**. Any number of threads may read it (snapshots,
+//! registry aggregation) at any time. That is what lets recording be a
+//! `Relaxed` load followed by a `Relaxed` store — a plain `add` to memory,
+//! no `lock` prefix — instead of a `fetch_add`: with one writer no
+//! increment can be lost, and because each counter is one aligned atomic
+//! word a concurrent reader sees some value the writer actually stored,
+//! never a torn one, so successive snapshots of a live sink never go
+//! backwards. Two threads recording into one sink *would* lose counts
+//! silently; debug builds therefore remember the first recording thread
+//! and panic when a second one shows up, so a shared task id fails the
+//! test suite instead of skewing a budget.
+//!
+//! Cost model: recording one event is that unlocked load + add + store;
+//! when metrics are disabled the sink is `None` and the entire path folds
+//! to a branch on an `Option` discriminant. Counters are per-*task*, so
+//! there is no cross-thread cache-line ping-pong on the hot path.
 //!
 //! The cheap read side is [`MetricsSnapshot`]: a plain-`u64` copy of the
 //! counters at an instant, with [`MetricsSnapshot::diff`] for windowed
@@ -216,13 +230,58 @@ const EVENTS: [ProtoEvent; N_EVENTS] = ProtoEvent::ALL;
 /// `[2^i, 2^(i+1))` nanoseconds, the last bucket absorbs everything ≥ ~9 s.
 pub const N_LATENCY_BUCKETS: usize = 34;
 
-/// Lock-free event counters and a latency histogram for one endpoint
-/// (task). All writes are `Relaxed` `fetch_add`s; reads produce a
-/// [`MetricsSnapshot`].
+/// `counter += by` for a counter with a single writer: no `lock` prefix,
+/// and readers still only ever observe values the writer stored.
+#[inline]
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(by),
+        Ordering::Relaxed,
+    );
+}
+
+/// Debug-build enforcement of the single-writer contract (module docs):
+/// the first thread to record claims the sink, any other recording thread
+/// panics. Compiles to nothing in release builds.
+#[derive(Debug, Default)]
+struct WriterCheck {
+    #[cfg(debug_assertions)]
+    owner: AtomicU64,
+}
+
+impl WriterCheck {
+    #[inline]
+    fn assert_sole_writer(&self) {
+        #[cfg(debug_assertions)]
+        {
+            static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
+            thread_local! {
+                static TOKEN: u64 = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
+            }
+            let me = TOKEN.with(|t| *t);
+            // Unclaimed (0): the first recorder wins; anyone else sees the
+            // winner's token and fails the assertion.
+            let owner = self
+                .owner
+                .compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed)
+                .map_or_else(|winner| winner, |_| me);
+            assert_eq!(
+                owner, me,
+                "single-writer metrics sink recorded into by two threads \
+                 (is a task id shared between threads?)"
+            );
+        }
+    }
+}
+
+/// Event counters and a latency histogram for one endpoint (task).
+/// **Single-writer** (see the module docs): one thread records, any
+/// thread reads; reads produce a [`MetricsSnapshot`].
 #[derive(Debug, Default)]
 pub struct EndpointMetrics {
     counters: [AtomicU64; N_EVENTS],
     latency: LatencyHistogram,
+    writer: WriterCheck,
 }
 
 impl EndpointMetrics {
@@ -231,13 +290,15 @@ impl EndpointMetrics {
         Self::default()
     }
 
-    /// Records one event (a single `Relaxed` `fetch_add`).
+    /// Records one event (an unlocked `Relaxed` load + store). Only the
+    /// sink's one writer thread may call this.
     #[inline]
     pub fn record(&self, e: ProtoEvent) {
-        self.counters[e as usize].fetch_add(1, Ordering::Relaxed);
+        self.writer.assert_sole_writer();
+        bump(&self.counters[e as usize], 1);
     }
 
-    /// Records a synchronous round-trip latency.
+    /// Records a synchronous round-trip latency (writer thread only).
     #[inline]
     pub fn record_latency_nanos(&self, nanos: u64) {
         self.latency.record(nanos);
@@ -258,11 +319,13 @@ impl EndpointMetrics {
     }
 }
 
-/// A log₂-bucketed histogram of nanosecond samples (lock-free, `Relaxed`).
+/// A log₂-bucketed histogram of nanosecond samples. Single-writer, like
+/// [`EndpointMetrics`]: one thread records, any thread snapshots.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; N_LATENCY_BUCKETS],
     sum: AtomicU64,
+    writer: WriterCheck,
 }
 
 impl Default for LatencyHistogram {
@@ -270,6 +333,7 @@ impl Default for LatencyHistogram {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
+            writer: WriterCheck::default(),
         }
     }
 }
@@ -280,11 +344,12 @@ fn bucket_of(nanos: u64) -> usize {
 }
 
 impl LatencyHistogram {
-    /// Records one sample.
+    /// Records one sample (writer thread only).
     #[inline]
     pub fn record(&self, nanos: u64) {
-        self.buckets[bucket_of(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
+        self.writer.assert_sole_writer();
+        bump(&self.buckets[bucket_of(nanos)], 1);
+        bump(&self.sum, nanos);
     }
 
     /// Point-in-time copy.

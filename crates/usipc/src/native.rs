@@ -87,8 +87,10 @@ pub struct NativeConfig {
     /// Queue-full back-off. The paper sleeps a full second; tests and
     /// benches usually shorten this.
     pub full_backoff: Duration,
-    /// Collect per-task protocol-event metrics (one `Relaxed` `fetch_add`
-    /// per event when on; a single `Option` branch per event when off).
+    /// Collect per-task protocol-event metrics (one unlocked `Relaxed`
+    /// load + store per event when on; a single `Option` branch per event
+    /// when off). Each task id must then belong to one thread: see the
+    /// single-writer contract in [`metrics`](crate::metrics).
     pub collect_metrics: bool,
     /// Per-task event-trace ring capacity in records; `None` disables
     /// tracing (one `Option` branch per event). When on, each task keeps
@@ -236,7 +238,10 @@ impl NativeOs {
         Self::from_store(&cfg, SemStore::Shared { arena, sems })
     }
 
-    /// A per-thread view implementing [`OsServices`].
+    /// A per-thread view implementing [`OsServices`]. One thread per
+    /// `task_id`: the id names the task's metrics sink, which has a single
+    /// writer (handles for the same id share it; debug builds panic when
+    /// a second thread records through one).
     pub fn task(self: &Arc<Self>, task_id: u32) -> NativeTask {
         NativeTask {
             metrics: self.metrics.as_ref().map(|r| r.for_task(task_id)),

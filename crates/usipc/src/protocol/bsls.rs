@@ -70,7 +70,7 @@ pub fn send_deadline<O: OsServices>(
     max_spin: u32,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     enqueue_or_sleep_deadline(&srv, os, msg, &deadline)?;
     srv.wake_consumer(os);
@@ -87,7 +87,7 @@ pub fn receive_deadline<O: OsServices>(
     max_spin: u32,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     limited_spin(&srv, os, max_spin);
     blocking_dequeue_deadline(&srv, os, &deadline, || {})
@@ -101,7 +101,7 @@ pub fn reply_deadline<O: OsServices>(
     msg: Message,
     timeout: Duration,
 ) -> Result<(), IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let rq = ch.reply_queue(client);
     enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
     rq.wake_consumer(os);

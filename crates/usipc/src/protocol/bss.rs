@@ -58,7 +58,7 @@ pub fn send_deadline<O: OsServices>(
     msg: Message,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     spin_enqueue_deadline(&srv, os, msg, &deadline)?;
     let rq = ch.reply_queue(client);
@@ -71,7 +71,7 @@ pub fn receive_deadline<O: OsServices>(
     os: &O,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     spin_dequeue_deadline(&srv, os, &deadline)
 }
@@ -84,7 +84,7 @@ pub fn reply_deadline<O: OsServices>(
     msg: Message,
     timeout: Duration,
 ) -> Result<(), IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let rq = ch.reply_queue(client);
     spin_enqueue_deadline(&rq, os, msg, &deadline)
 }

@@ -51,7 +51,7 @@ pub fn send_deadline<O: OsServices>(
     msg: Message,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     enqueue_or_sleep_deadline(&srv, os, msg, &deadline)?;
     srv.wake_consumer(os);
@@ -65,7 +65,7 @@ pub fn receive_deadline<O: OsServices>(
     os: &O,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     blocking_dequeue_deadline(&srv, os, &deadline, || {})
 }
@@ -78,7 +78,7 @@ pub fn reply_deadline<O: OsServices>(
     msg: Message,
     timeout: Duration,
 ) -> Result<(), IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let rq = ch.reply_queue(client);
     enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
     rq.wake_consumer(os);

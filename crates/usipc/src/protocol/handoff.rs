@@ -63,7 +63,7 @@ pub fn send_deadline<O: OsServices>(
     msg: Message,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     enqueue_or_sleep_deadline(&srv, os, msg, &deadline)?;
     if !srv.tas_awake(os) {
@@ -81,7 +81,7 @@ pub fn receive_deadline<O: OsServices>(
     os: &O,
     timeout: Duration,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     if let Some(m) = srv.try_dequeue(os) {
         return Ok(m);
@@ -98,7 +98,7 @@ pub fn reply_deadline<O: OsServices>(
     msg: Message,
     timeout: Duration,
 ) -> Result<(), IpcError> {
-    let deadline = Deadline::new(os, timeout);
+    let deadline = Deadline::new(timeout);
     let rq = ch.reply_queue(client);
     enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
     rq.wake_consumer(os);

@@ -26,6 +26,7 @@ use crate::metrics::ProtoEvent;
 use crate::msg::Message;
 use crate::platform::OsServices;
 use crate::trace::{Span, TracePoint};
+use core::cell::Cell;
 use core::time::Duration;
 
 /// Which sleep/wake-up protocol an endpoint runs.
@@ -215,33 +216,43 @@ pub(crate) fn enqueue_or_sleep<O: OsServices>(q: &QueueRef<'_>, os: &O, msg: Mes
     }
 }
 
-/// A deadline anchored at its creation time. Arithmetic runs on
-/// [`OsServices::now_nanos`] — host time on native, *virtual* time on the
-/// simulator — so simulated timeouts expire in simulated time. On a
-/// backend without a clock the anchor is `None` and [`Self::remaining`]
-/// never expires; the per-wait `sem_p_deadline` timeout is then the only
-/// bound.
+/// A deadline anchored at its *first slow-path check*: creating one reads
+/// no clock, so a bounded call that succeeds on its fast path (request
+/// enqueued, reply already waiting) never pays for a timestamp. The first
+/// [`Self::remaining`] call — made only once the caller is about to back
+/// off or block — captures the start, and the timeout counts from there;
+/// the fast-path work before it (a few queue operations) is the only time
+/// the bound does not cover.
+///
+/// Arithmetic runs on [`OsServices::now_nanos`] — host time on native,
+/// *virtual* time on the simulator — so simulated timeouts expire in
+/// simulated time. On a backend without a clock the anchor stays `None`
+/// and [`Self::remaining`] never expires; the per-wait `sem_p_deadline`
+/// timeout is then the only bound.
 pub(crate) struct Deadline {
-    start: Option<u64>,
+    start: Cell<Option<u64>>,
     timeout: Duration,
 }
 
 impl Deadline {
-    pub(crate) fn new<O: OsServices>(os: &O, timeout: Duration) -> Self {
+    pub(crate) fn new(timeout: Duration) -> Self {
         Deadline {
-            start: os.now_nanos(),
+            start: Cell::new(None),
             timeout,
         }
     }
 
     /// Time left before expiry; `None` once expired.
     pub(crate) fn remaining<O: OsServices>(&self, os: &O) -> Option<Duration> {
-        match (self.start, os.now_nanos()) {
-            (Some(t0), Some(t1)) => self
-                .timeout
-                .checked_sub(Duration::from_nanos(t1.saturating_sub(t0))),
-            _ => Some(self.timeout),
-        }
+        let Some(now) = os.now_nanos() else {
+            return Some(self.timeout);
+        };
+        let start = self.start.get().unwrap_or_else(|| {
+            self.start.set(Some(now));
+            now
+        });
+        self.timeout
+            .checked_sub(Duration::from_nanos(now.saturating_sub(start)))
     }
 }
 

@@ -227,7 +227,6 @@ impl FsckReport {
         self.receive.repairs()
             + self.replies.iter().map(QueueReport::repairs).sum::<u32>()
             + self.pool.reclaimed
-            + u32::from(self.pool.in_use_fixed)
     }
 
     /// Stray semaphore credits absorbed across every queue.
@@ -255,7 +254,7 @@ impl FsckReport {
         format!(
             "{{\"generation\":{},\"repairs\":{},\"credits_absorbed\":{},\
              \"holes_retired\":{},\"clean\":{},\"receive\":{},\"replies\":[{}],\
-             \"pool\":{{\"free\":{},\"reclaimed\":{},\"in_use_fixed\":{}}},\
+             \"pool\":{{\"free\":{},\"reclaimed\":{}}},\
              \"ledger\":{}}}",
             self.generation,
             self.repairs(),
@@ -266,7 +265,6 @@ impl FsckReport {
             replies.join(","),
             self.pool.free,
             self.pool.reclaimed,
-            self.pool.in_use_fixed,
             self.ledger.to_json()
         )
     }
@@ -665,8 +663,10 @@ mod tests {
         let os = os_for(2);
 
         // Client 0's request is committed; the client parks in the real
-        // BSW wait loop on its reply queue.
-        let t0 = os.task(1);
+        // BSW wait loop on its reply queue. (This thread plays client 0
+        // under its own task id: task 1 belongs to the parked thread, and
+        // a metrics sink has exactly one writer thread.)
+        let t0 = os.task(3);
         assert!(ch.receive_queue().try_enqueue(&t0, Message::echo(0, 5.0)));
         ch.receive_queue().wake_consumer(&t0);
         let parked = {

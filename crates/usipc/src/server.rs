@@ -271,19 +271,29 @@ pub fn run_echo_server<O: OsServices>(ch: &Channel, os: &O, strategy: WaitStrate
 ///
 /// Replies are enqueued immediately (so spinning clients proceed without
 /// any kernel help), but the wake-up `V` for clients that may have gone to
-/// sleep is deferred onto a FIFO list, and the list is drained — at most
-/// `wake_batch` per receive iteration — **only while the receive queue
-/// shows no backlog**. That is the admission control: while already-awake
-/// clients keep the server saturated, sleepers stay asleep instead of
-/// joining the spin contest; the moment the backlog clears (including the
-/// everyone-asleep case, where the queue is empty), wake-ups flow again.
+/// sleep is deferred onto a FIFO list, and the list is drained **only
+/// while the receive queue shows no backlog**: at most `wake_batch`
+/// entries per receive iteration while one request is still queued, the
+/// *whole* list once the queue is empty. That is the admission control:
+/// while already-awake clients keep the server saturated, sleepers stay
+/// asleep instead of joining the spin contest; as the backlog clears,
+/// wake-ups flow again, a batch at a time while there is still work to
+/// interleave them with.
 ///
-/// Starvation-freedom: the deferral list is FIFO, a backlogged server
-/// drains it as soon as the backlog clears (which it must, since no new
-/// clients are being woken), and the BSW-family wait loop tolerates late
-/// or unnecessary wake-ups by construction — the `tas`-guarded `P`
-/// absorbs stray credits. The Fig. 11 ablation (`figures throttle`) shows
-/// this removes the BSLS cliff entirely.
+/// Starvation-freedom: the server never blocks with a wake-up still
+/// deferred. An empty receive queue means the server is about to sleep in
+/// `receive`, and nothing but a client can wake it — so before it does,
+/// it flushes every deferred entry, not just a batch. (A batch is not
+/// enough: `wake_consumer` on a client that already collected its reply
+/// by spinning is a no-op, so a list headed by such stale entries would
+/// spend the whole batch waking nobody while the one real sleeper behind
+/// them — possibly the only client left — waits forever.) The batch bound
+/// therefore only paces wake-ups while requests keep arriving; the
+/// BSW-family wait loop tolerates late or unnecessary wake-ups by
+/// construction — the `tas`-guarded `P` absorbs stray credits. The
+/// Fig. 11 ablation (`figures throttle`) shows this removes the BSLS
+/// cliff at `wake_batch = 2` and shrinks it at 1, where the flush on an
+/// empty queue lets sleepers re-enter together (EXPERIMENTS.md).
 pub fn run_throttled_server<O: OsServices>(
     ch: &Channel,
     os: &O,
@@ -304,17 +314,22 @@ pub fn run_throttled_server<O: OsServices>(
     while live > 0 || !pending_wakes.is_empty() {
         // Admission control: while the receive queue shows backlog, the
         // awake clients already keep the server saturated — leave the
-        // sleepers asleep. Once the backlog clears (which also covers the
-        // everyone-is-asleep case, where the queue is empty), drain the
-        // deferred wake-ups oldest-first, bounded per cycle.
-        let overloaded = live > 0 && ch.receive_queue().queued_len() >= 2;
-        if !overloaded {
-            for _ in 0..wake_batch {
-                match pending_wakes.pop_front() {
-                    Some(c) => ch.reply_queue(c).wake_consumer(os),
-                    None => break,
-                }
-            }
+        // sleepers asleep. With one request left, drain the deferred
+        // wake-ups oldest-first, a batch per cycle. With none, the next
+        // `receive` may block, so every deferred wake-up goes out first:
+        // stale entries ahead of a real sleeper must not use up the cycle.
+        let backlog = if live > 0 {
+            ch.receive_queue().queued_len()
+        } else {
+            0
+        };
+        let budget = match backlog {
+            0 => pending_wakes.len(),
+            1 => wake_batch.min(pending_wakes.len()),
+            _ => 0,
+        };
+        for c in pending_wakes.drain(..budget) {
+            ch.reply_queue(c).wake_consumer(os);
         }
         if live == 0 {
             continue;

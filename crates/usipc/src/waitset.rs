@@ -9,9 +9,10 @@
 //! semaphore serving many waiters without thundering herds:
 //!
 //! * [`WaitSetRoot`] — an arena-resident aggregation object: one
-//!   cache-line-aligned **ready word** per source plus a shared **pending
-//!   latch**, all plain `AtomicU32`s so the structure works across
-//!   address spaces exactly like the queues it multiplexes.
+//!   `AtomicU64` **ready bitmap word per 64 sources** (bit `s % 64` of word
+//!   `s / 64` is source `s`) plus a shared **pending latch**, all plain
+//!   atomics so the structure works across address spaces exactly like the
+//!   queues it multiplexes.
 //! * A single **doorbell** — a platform semaphore index (a
 //!   [`FutexSem`](crate::sem::FutexSem)-backed
 //!   [`CountingSem`](crate::CountingSem) on the native Linux backend) the
@@ -25,24 +26,44 @@
 //! with their first BSW version, at fan-in scale. Instead a producer's
 //! [`notify`](WaitSet::notify) is **edge-triggered twice over**:
 //!
-//! 1. `swap(1)` on its source's ready word — only the quiescent→ready
-//!    edge proceeds (a level held high is free), and
+//! 1. one `fetch_or` of its bit into its ready word — only a notify that
+//!    finds the *whole word* zero (the word's 0→non-zero edge) proceeds;
+//!    a bit already set, or any neighbour bit set, is free, and
 //! 2. `swap(1)` on the shared `pending` latch — only the first edge of a
 //!    wake cycle actually Vs the doorbell.
 //!
 //! The waiter clears `pending` immediately after its `P` completes and
-//! then drains ready words round-robin, so however many sources became
+//! then drains ready bits round-robin, so however many sources became
 //! ready while it slept, the cycle cost exactly one `V` and one `P`. The
 //! invariant is machine-checked (`doorbells_rung ≤ waitset_wakes + 1`,
 //! the `+1` being the last credit still banked at shutdown) by
 //! `tests/waitset_mux.rs`.
 //!
-//! Lost wake-ups are impossible for the same reason they are in the
-//! Fig. 5 protocol: the producer sets its ready word *before* testing the
-//! latch, the waiter clears the latch *before* scanning, and both
-//! operations are `SeqCst` swaps — whichever side's swap lands second
-//! sees the other's write, so either the producer observes `pending == 0`
-//! and rings, or the waiter's next scan observes the ready word.
+//! ## Why no wake-up is lost
+//!
+//! [`poll`](WaitSet::poll) *loads* each word and claims a single bit with
+//! `fetch_and`, so a scan that finds nothing writes nothing: a miss costs
+//! one load per 64 sources (plus one: the word under the cursor is read
+//! again, in full, when the scan wraps around). Every access named here
+//! is `SeqCst`, so all of them fall in one total order. Two facts carry
+//! the argument (DESIGN.md §8 has it step by step):
+//!
+//! * **A scan that returns `None` last saw every word entirely zero.**
+//!   That is why the wrap-around re-reads the cursor's word unmasked
+//!   instead of looking only at the bits below the cursor.
+//! * **Only `notify` sets bits.** Claims (the waiter's or a thief's) only
+//!   clear them. ([`fsck`](WaitSet::fsck) does both, but runs only once
+//!   the waiter is dead.)
+//!
+//! A bit set before the waiter's final scan loaded its word was either
+//! seen or claimed, and whoever claimed it drains that source. After that
+//! load the *first* `fetch_or` on the word finds it zero, so its notifier
+//! goes on to the latch — which the waiter cleared before the scan began —
+//! and the earliest latch swap after that clear reads 0 and posts the `V`
+//! the committed `P` consumes. The rescan then finds every bit set
+//! meanwhile, including those of notifiers that saw a non-zero word and
+//! stayed silent. This is the Fig. 5 argument (set ready, then test the
+//! latch; clear the latch, then scan) applied per word.
 //!
 //! On top of the primitive, [`ShardedServer`] routes clients to K shards
 //! (multiplicative hash), runs one worker + WaitSet per shard with the
@@ -52,7 +73,7 @@
 //! lets an idle worker steal a ready source from a sibling whose backlog
 //! exceeds a threshold.
 
-use core::sync::atomic::{AtomicU32, Ordering};
+use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,10 +105,11 @@ pub struct WaitSetRoot {
     /// outstanding. Producers `swap(1)` and only the winner Vs; the
     /// waiter clears it right after its `P` completes.
     pending: CacheAligned<AtomicU32>,
-    /// One ready word per source, each on its own cache line so N
-    /// producers never contend on each other's edges (same rationale as
-    /// the per-client `awake` flags).
-    ready: ShmSlice<CacheAligned<AtomicU32>>,
+    /// The ready bitmap: bit `s % 64` of word `s / 64` is set while
+    /// source `s` has notified and not yet been claimed. Words are packed
+    /// (eight to a cache line): a saturated waiter wants one line to scan,
+    /// and producers of one word already serialize on it by design.
+    ready: ShmSlice<AtomicU64>,
     /// Platform semaphore index of the doorbell.
     doorbell_sem: u32,
     /// Number of sources.
@@ -95,6 +117,9 @@ pub struct WaitSetRoot {
 }
 
 unsafe impl ShmSafe for WaitSetRoot {}
+
+/// Sources per ready word.
+const WORD_BITS: usize = u64::BITS as usize;
 
 impl WaitSetRoot {
     /// Allocates a WaitSet for `n_sources` sources inside `arena`, with
@@ -111,7 +136,8 @@ impl WaitSetRoot {
         doorbell_sem: u32,
     ) -> Result<ShmPtr<WaitSetRoot>, ShmError> {
         assert!(n_sources >= 1, "a waitset needs at least one source");
-        let ready = arena.alloc_slice(n_sources, |_| CacheAligned::new(AtomicU32::new(0)))?;
+        assert!(n_sources <= u32::MAX as usize, "waitset too large");
+        let ready = arena.alloc_slice(n_sources.div_ceil(WORD_BITS), |_| AtomicU64::new(0))?;
         arena.alloc(WaitSetRoot {
             pending: CacheAligned::new(AtomicU32::new(0)),
             ready,
@@ -123,8 +149,8 @@ impl WaitSetRoot {
     /// Arena bytes [`Self::create_in`] needs for `n_sources` sources
     /// (worst-case alignment slack included).
     pub fn bytes_needed(n_sources: usize) -> usize {
-        n_sources * core::mem::size_of::<CacheAligned<AtomicU32>>()
-            + core::mem::align_of::<CacheAligned<AtomicU32>>()
+        n_sources.div_ceil(WORD_BITS) * core::mem::size_of::<AtomicU64>()
+            + core::mem::align_of::<AtomicU64>()
             + core::mem::size_of::<WaitSetRoot>()
             + core::mem::align_of::<WaitSetRoot>()
     }
@@ -134,18 +160,35 @@ impl WaitSetRoot {
 /// the waiter waits on. Cheap to build, `Copy`-free but borrow-only —
 /// mirrors [`QueueRef`](crate::QueueRef).
 pub struct WaitSet<'a> {
-    arena: &'a ShmArena,
     root: &'a WaitSetRoot,
+    /// The ready bitmap, resolved (and bounds-checked) once at attach.
+    words: &'a [AtomicU64],
 }
 
 impl<'a> WaitSet<'a> {
     /// Resolves `root` inside `arena` (the attach side of
-    /// [`WaitSetRoot::create_in`]; bounds/alignment are validated by the
-    /// arena on first dereference).
+    /// [`WaitSetRoot::create_in`]; the arena validates bounds and
+    /// alignment of the root and of its bitmap here, once).
+    ///
+    /// # Panics
+    ///
+    /// If the root is not a well-formed WaitSet: no sources, or more
+    /// sources than its bitmap has bits.
     pub fn attach(arena: &'a ShmArena, root: ShmPtr<WaitSetRoot>) -> WaitSet<'a> {
+        let root = arena.get(root);
+        let words = arena.get_slice(root.ready);
+        // `n_sources` was read out of shared memory: check it against the
+        // bitmap now rather than index past the slice later.
+        let n_words = (root.n_sources as usize).div_ceil(WORD_BITS);
+        assert!(
+            (1..=words.len()).contains(&n_words),
+            "waitset root names {} sources but has {} ready words",
+            root.n_sources,
+            words.len()
+        );
         WaitSet {
-            arena,
-            root: arena.get(root),
+            root,
+            words: &words[..n_words],
         }
     }
 
@@ -159,8 +202,9 @@ impl<'a> WaitSet<'a> {
         self.root.doorbell_sem
     }
 
-    fn ready_word(&self, source: usize) -> &AtomicU32 {
-        self.arena.get(self.root.ready.at(source)).get()
+    /// The ready word holding `source`'s bit, and that bit's mask.
+    fn ready_bit(&self, source: usize) -> (&'a AtomicU64, u64) {
+        (&self.words[source / WORD_BITS], 1 << (source % WORD_BITS))
     }
 
     /// Producer side: marks `source` ready and rings the doorbell **only
@@ -169,6 +213,9 @@ impl<'a> WaitSet<'a> {
     /// how many messages per source) become ready. Call *after* the
     /// message is enqueued, exactly like `wake_consumer` in the
     /// single-queue protocols.
+    ///
+    /// One `fetch_or`; the shared latch is touched only when that found
+    /// the source's whole word zero (module docs: why the skip is safe).
     ///
     /// # Panics
     ///
@@ -180,7 +227,8 @@ impl<'a> WaitSet<'a> {
             self.n_sources()
         );
         os.charge(Cost::Tas);
-        if self.ready_word(source).swap(1, Ordering::SeqCst) == 0 {
+        let (word, bit) = self.ready_bit(source);
+        if word.fetch_or(bit, Ordering::SeqCst) == 0 {
             os.charge(Cost::Tas);
             if self.root.pending.swap(1, Ordering::SeqCst) == 0 {
                 os.record(ProtoEvent::DoorbellRung);
@@ -196,17 +244,39 @@ impl<'a> WaitSet<'a> {
     /// cursor past it — so a chatty low-numbered source cannot starve the
     /// rest. Returns `None` when no source is ready.
     ///
-    /// Claiming swaps the ready word back to 0: the caller owns the
-    /// source's backlog and must drain it (a message enqueued *after* the
-    /// swap re-raises the word via its own `notify`, so nothing is lost).
+    /// The scan only *loads* words (one per 64 sources; a miss writes
+    /// nothing) and claims exactly one bit with `fetch_and`: the caller
+    /// owns that source's backlog and must drain it (a message enqueued
+    /// *after* the claim re-raises the bit via its own `notify`, so
+    /// nothing is lost). Because a claim never takes more than the one
+    /// bit it returns, a thief polling through a temporary handle cannot
+    /// strand sources it claimed but never got to drain.
     pub fn poll(&self, cursor: &mut usize) -> Option<usize> {
         let n = self.n_sources();
-        for i in 0..n {
-            let s = (*cursor + i) % n;
-            if self.ready_word(s).swap(0, Ordering::SeqCst) == 1 {
-                *cursor = (s + 1) % n;
-                return Some(s);
+        let start = if *cursor < n { *cursor } else { 0 };
+        let (first, offset) = (start / WORD_BITS, start % WORD_BITS);
+        let n_words = self.words.len();
+        // Round-robin from `start`: the start word's bits at-or-after the
+        // cursor, every other word in order, then the start word again —
+        // *unmasked*, so that a scan which finds nothing has seen every
+        // word entirely zero on its last look (the no-lost-wake-up
+        // argument in the module docs rests on exactly that).
+        let mut w = first;
+        for step in 0..=n_words {
+            let mask = if step == 0 { !0u64 << offset } else { !0 };
+            let word = &self.words[w];
+            let mut seen = word.load(Ordering::SeqCst) & mask;
+            while seen != 0 {
+                let bit = seen & seen.wrapping_neg();
+                // A thief may have claimed the bit since the load.
+                if word.fetch_and(!bit, Ordering::SeqCst) & bit != 0 {
+                    let source = w * WORD_BITS + bit.trailing_zeros() as usize;
+                    *cursor = if source + 1 == n { 0 } else { source + 1 };
+                    return Some(source);
+                }
+                seen &= !bit;
             }
+            w = if w + 1 == n_words { 0 } else { w + 1 };
         }
         None
     }
@@ -229,7 +299,7 @@ impl<'a> WaitSet<'a> {
     }
 
     /// Recovery-time rebuild of the waitset's wake state (the WaitSet leg
-    /// of [`recover`](crate::recover)): re-derives every ready word from
+    /// of [`recover`](crate::recover)): re-derives every ready bit from
     /// the *actual* backlog of its source, then re-establishes the
     /// latch/credit invariant — any source ready ⇒ pending latch held and
     /// exactly one doorbell credit banked; none ⇒ latch clear, zero
@@ -259,18 +329,17 @@ impl<'a> WaitSet<'a> {
         for s in 0..self.n_sources() {
             let want = backlog(s);
             any_ready |= want;
-            let w = self.ready_word(s);
-            let have = w.load(Ordering::SeqCst) != 0;
+            let (word, bit) = self.ready_bit(s);
+            let have = word.load(Ordering::SeqCst) & bit != 0;
             if want && !have {
-                // The dead waiter claimed the edge (swapped it to 0) but
-                // never drained the source: re-raise it or the backlog is
-                // invisible forever.
-                w.store(1, Ordering::SeqCst);
+                // The dead waiter claimed the bit but never drained the
+                // source: re-raise it or the backlog is invisible forever.
+                word.fetch_or(bit, Ordering::SeqCst);
                 r.ready_raised += 1;
             } else if !want && have {
-                // Stale edge over an empty source (a thief drained it):
-                // clear, so the successor does not burn a scan on it.
-                w.store(0, Ordering::SeqCst);
+                // Stale bit over an empty source (a thief drained it):
+                // clear, so the successor does not burn a claim on it.
+                word.fetch_and(!bit, Ordering::SeqCst);
                 r.ready_cleared += 1;
             }
         }
@@ -312,7 +381,7 @@ impl<'a> WaitSet<'a> {
         cursor: &mut usize,
         timeout: Duration,
     ) -> Result<usize, IpcError> {
-        let deadline = Deadline::new(os, timeout);
+        let deadline = Deadline::new(timeout);
         loop {
             if let Some(s) = self.poll(cursor) {
                 return Ok(s);
@@ -339,10 +408,10 @@ impl<'a> WaitSet<'a> {
 /// a consistent waitset reports the `Default` (all-zero) value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitSetFsck {
-    /// Ready words re-raised: the dead waiter had claimed the edge but
-    /// never drained the source's backlog.
+    /// Ready bits re-raised: the dead waiter had claimed the source but
+    /// never drained its backlog.
     pub ready_raised: u32,
-    /// Ready words cleared: stale edges over sources with no backlog.
+    /// Ready bits cleared: stale bits over sources with no backlog.
     pub ready_cleared: u32,
     /// Stray doorbell credits absorbed (beyond the single credit a ready
     /// cycle is entitled to).
@@ -597,7 +666,7 @@ impl ShardedServer {
         if rq.is_poisoned() {
             return Err(IpcError::Poisoned);
         }
-        let deadline = Deadline::new(os, self.cfg.heartbeat);
+        let deadline = Deadline::new(self.cfg.heartbeat);
         enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
         rq.wake_consumer(os);
         Ok(())
@@ -760,21 +829,32 @@ impl ShardedServer {
         let ws = self.waitset(s);
         let mut cursor = 0usize;
         publish(&run);
-        while self.live_members(s) > 0 {
-            match ws.wait_deadline(os, &mut cursor, self.cfg.heartbeat) {
+        // The member scan is off the per-message path: a member leaves
+        // only through a disconnect or a reap, which this worker counts —
+        // except when a thief retires it on this shard's behalf, and the
+        // recount on every heartbeat expiry catches that.
+        let mut live = self.live_members(s);
+        while live > 0 {
+            let gone = (run.disconnects, run.reaped);
+            let idle = match ws.wait_deadline(os, &mut cursor, self.cfg.heartbeat) {
                 Ok(slot) => {
                     let before = run.processed;
                     self.drain_source(os, s, slot, &mut handler, &mut run);
                     if run.processed / 64 != before / 64 {
                         publish(&run);
                     }
+                    false
                 }
                 Err(IpcError::Timeout) => {
                     self.scan_shard(os, s, &mut run);
                     self.try_steal(os, s, &mut handler, &mut run);
                     publish(&run);
+                    true
                 }
                 Err(_) => break,
+            };
+            if idle || (run.disconnects, run.reaped) != gone {
+                live = self.live_members(s);
             }
         }
         run.metrics = os
@@ -871,7 +951,7 @@ impl<O: OsServices> MuxClient<'_, O> {
         if srv_q.is_poisoned() || rq.is_poisoned() {
             return Err(IpcError::Poisoned);
         }
-        let deadline = Deadline::new(self.os, timeout);
+        let deadline = Deadline::new(timeout);
         enqueue_or_sleep_deadline(&srv_q, self.os, msg, &deadline)?;
         self.srv
             .waitset(shard as usize)
@@ -1166,6 +1246,44 @@ mod tests {
         // credit survived the absorption.
         assert_eq!(ws.fsck(&os, |_| false), WaitSetFsck::default());
         close(false);
+    }
+
+    /// The same rebuild on a three-word set: repairs land on the right
+    /// bit of the right word (first word, a word boundary, the partial
+    /// last word), neighbours in a repaired word are left alone, and the
+    /// rebuilt cycle hands the sources out in round-robin order.
+    #[test]
+    fn waitset_fsck_rebuilds_a_multi_word_set() {
+        const N: usize = 130;
+        let arena = ShmArena::new(WaitSetRoot::bytes_needed(N)).unwrap();
+        let root = WaitSetRoot::create_in(&arena, N, 0).unwrap();
+        let ws = WaitSet::attach(&arena, root);
+        let os = native(1).task(0);
+
+        // Stale bits over drained sources 3, 64 and 129; source 65 is
+        // ready and really backlogged; sources 63 and 128 are backlogged
+        // but their bits were claimed by the dead waiter.
+        for s in [3, 64, 65, 129] {
+            ws.notify(&os, s);
+        }
+        let backlog = |s: usize| [63, 65, 128].contains(&s);
+        let r = ws.fsck(&os, backlog);
+        assert_eq!(
+            r,
+            WaitSetFsck {
+                ready_raised: 2,
+                ready_cleared: 3,
+                ..WaitSetFsck::default()
+            },
+            "latch held and one credit banked: only the bits were wrong"
+        );
+        assert_eq!(ws.fsck(&os, backlog), WaitSetFsck::default(), "idempotent");
+
+        let mut cursor = 64;
+        assert_eq!(ws.wait(&os, &mut cursor), 65);
+        assert_eq!(ws.poll(&mut cursor), Some(128));
+        assert_eq!(ws.poll(&mut cursor), Some(63));
+        assert_eq!(ws.poll(&mut cursor), None);
     }
 
     fn native_for(srv: &ShardedServer) -> Arc<NativeOs> {

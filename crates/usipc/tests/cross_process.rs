@@ -31,6 +31,7 @@ const MSGS: u64 = 200;
 /// kill-at-every-site sweeps — sequentially.
 #[test]
 fn cross_process_protocols_and_faults() {
+    segment_clock_agrees_across_fork();
     two_process_echo_per_protocol();
     bsw_is_exactly_four_sem_ops_per_rt_uniprocessor();
     shared_futex_credits_conserve_across_fork();
@@ -46,6 +47,46 @@ fn cross_process_protocols_and_faults() {
     storm_mass_client_death_is_reaped_and_poisoned();
     storm_with_server_kill_takes_over_and_reaps();
     relay_takeover_survives_a_killed_recoverer();
+}
+
+/// `ShmArena::now_nanos` is served from a per-process anchor instead of a
+/// syscall per read; the axis must still be the segment's. A child stamps
+/// the segment clock through its own mapping, and the stamp has to fall
+/// between two parent readings that bracket the child's whole life — an
+/// axis private to either process (or an anchor lost in the fork) would
+/// put it outside.
+fn segment_clock_agrees_across_fork() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let arena = Arc::new(ShmArena::new_memfd(4096).expect("arena"));
+    let cell = arena.alloc(AtomicU64::new(0)).expect("cell fits");
+    arena.publish_root(cell);
+    let fd = arena.backing_fd().expect("memfd");
+
+    let before = arena.now_nanos();
+    let child = ChildProc::spawn(move || {
+        let arena = match ShmArena::attach_memfd(fd) {
+            Ok(a) => a,
+            Err(_) => return 2,
+        };
+        let cell = match arena.root::<AtomicU64>() {
+            Some(p) => p,
+            None => return 3,
+        };
+        // `max(1)`: 0 means "never stamped" to the parent.
+        arena
+            .get(cell)
+            .store(arena.now_nanos().max(1), Ordering::Release);
+        0
+    })
+    .expect("fork");
+    assert!(child.wait().expect("reap").success());
+    let after = arena.now_nanos();
+
+    let stamped = arena.get(cell).load(Ordering::Acquire);
+    assert!(
+        before <= stamped && stamped <= after,
+        "child stamped {stamped} outside the parent's bracket [{before}, {after}]"
+    );
 }
 
 /// The paper's five wait strategies, each over a real fork: parent

@@ -6,7 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use usipc::{Message, NativeConfig, NativeOs, ServerRun, ShardedConfig, ShardedServer};
+use usipc::{
+    Message, NativeConfig, NativeOs, ServerRun, ShardedConfig, ShardedServer, WaitSet, WaitSetRoot,
+};
+use usipc_shm::ShmArena;
 
 fn native_for(srv: &ShardedServer) -> Arc<NativeOs> {
     let mut cfg = NativeConfig::for_clients(0);
@@ -288,5 +291,73 @@ fn dead_source_is_reaped_and_survivors_finish() {
     assert!(
         m.peer_deaths_detected >= 1,
         "the scan must observe the death"
+    );
+}
+
+/// Four producers hammer a three-word WaitSet while one waiter sleeps on
+/// the doorbell whenever it runs dry. Each "message" is a bump of its
+/// source's counter followed by a `notify`; the waiter drains a claimed
+/// source by swapping the counter out. The waiter only finishes once it
+/// has collected every message, so a wake-up lost to the word-edge latch
+/// skip — a notifier that stayed silent when nobody else had rung — would
+/// leave it asleep with work pending and trip the wait's deadline.
+#[test]
+fn four_producers_one_waiter_lose_no_wakeup() {
+    const SOURCES: usize = 130;
+    const PRODUCERS: usize = 4;
+    const PER_PRODUCER: u64 = 50_000;
+
+    let arena = ShmArena::new(WaitSetRoot::bytes_needed(SOURCES)).expect("arena");
+    let root = WaitSetRoot::create_in(&arena, SOURCES, 0).expect("waitset");
+    let mut cfg = NativeConfig::for_clients(0);
+    cfg.n_sems = 1;
+    let os = NativeOs::new(cfg);
+    let queued: Vec<AtomicU64> = (0..SOURCES).map(|_| AtomicU64::new(0)).collect();
+    let start = std::sync::Barrier::new(PRODUCERS + 1);
+
+    let collected = std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let (arena, os, queued, start) = (&arena, &os, &queued, &start);
+            s.spawn(move || {
+                let ws = WaitSet::attach(arena, root);
+                let task = os.task(1 + p as u32);
+                // Every producer walks all three words, so neighbours in a
+                // word race each other for its 0→non-zero edge.
+                let mut source = p;
+                start.wait();
+                for _ in 0..PER_PRODUCER {
+                    queued[source].fetch_add(1, Ordering::SeqCst);
+                    ws.notify(&task, source);
+                    source = (source + 7) % SOURCES;
+                }
+            });
+        }
+        let ws = WaitSet::attach(&arena, root);
+        let task = os.task(0);
+        let (mut cursor, mut collected) = (0usize, 0u64);
+        start.wait();
+        while collected < PRODUCERS as u64 * PER_PRODUCER {
+            let source = ws
+                .wait_deadline(&task, &mut cursor, Duration::from_secs(20))
+                .expect("waiter slept through a pending notification");
+            collected += queued[source].swap(0, Ordering::SeqCst);
+        }
+        collected
+    });
+
+    assert_eq!(collected, PRODUCERS as u64 * PER_PRODUCER);
+    let reg = os.metrics().expect("metrics on");
+    let producers = reg.aggregate(|id| id != 0);
+    let waiter = reg.task_snapshot(0);
+    assert_eq!(
+        producers.doorbells_rung + producers.doorbells_coalesced,
+        collected,
+        "every notify either rang or coalesced"
+    );
+    assert!(
+        producers.doorbells_rung <= waiter.waitset_wakes + 1,
+        "doorbell budget: {} rung, {} wakes",
+        producers.doorbells_rung,
+        waiter.waitset_wakes
     );
 }

@@ -152,3 +152,76 @@ fn disabling_metrics_yields_empty_snapshots() {
     assert!(os.metrics().is_none());
     assert!(client_os.metrics().is_none());
 }
+
+/// The single-writer sink under a live writer: exact totals at the end
+/// (unlocked load + store loses nothing with one writer), and a reader on
+/// another thread never sees a counter or a latency bucket go backwards.
+#[test]
+fn single_writer_counts_are_exact_and_monotone_for_readers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use usipc::{EndpointMetrics, ProtoEvent};
+
+    const ROUNDS: u64 = 200_000;
+    let sink = EndpointMetrics::new();
+    let done = AtomicBool::new(false);
+    let snapshots = std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..ROUNDS {
+                sink.record(ProtoEvent::QueueOp);
+                sink.record(ProtoEvent::QueueOp);
+                sink.record(ProtoEvent::SemV);
+                sink.record_latency_nanos(1_000 + i % 7);
+            }
+            done.store(true, Ordering::Release);
+        });
+        let mut seen = 0u64;
+        let (mut last, mut last_lat) = (sink.snapshot(), sink.latency_snapshot());
+        while !done.load(Ordering::Acquire) {
+            let (now, lat) = (sink.snapshot(), sink.latency_snapshot());
+            let went_back = now
+                .to_array()
+                .iter()
+                .zip(last.to_array())
+                .any(|(n, l)| *n < l);
+            assert!(!went_back, "{last:?} then {now:?}");
+            assert!(lat.count() >= last_lat.count() && lat.sum_nanos >= last_lat.sum_nanos);
+            (last, last_lat) = (now, lat);
+            seen += 1;
+        }
+        seen
+    });
+    assert!(snapshots > 0, "the reader never overlapped the writer");
+
+    let total = sink.snapshot();
+    assert_eq!(total.queue_ops, 2 * ROUNDS);
+    assert_eq!(total.sem_v, ROUNDS);
+    assert_eq!(
+        total.sem_ops() + total.queue_ops,
+        3 * ROUNDS,
+        "nothing else"
+    );
+    let lat = sink.latency_snapshot();
+    assert_eq!(lat.count(), ROUNDS);
+    let sum: u64 = (0..ROUNDS).map(|i| 1_000 + i % 7).sum();
+    assert_eq!(lat.sum_nanos, sum);
+}
+
+/// Two threads recording into one sink would silently lose counts; debug
+/// builds (which is what tier-1 runs) turn that into a panic.
+#[cfg(debug_assertions)]
+#[test]
+fn debug_builds_catch_a_second_writer_thread() {
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+    let mine = os.task(1);
+    mine.yield_now(); // this thread is now task 1's writer
+    let shared_id = std::thread::spawn({
+        let os = std::sync::Arc::clone(&os);
+        move || os.task(1).yield_now()
+    });
+    assert!(
+        shared_id.join().is_err(),
+        "a second thread recorded under task 1"
+    );
+    let own_id = std::thread::spawn(move || os.task(2).yield_now());
+    assert!(own_id.join().is_ok(), "a task id of its own is fine");
+}

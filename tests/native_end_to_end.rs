@@ -213,6 +213,72 @@ fn throttled_server_serves_everyone_native() {
 }
 
 #[test]
+fn two_hundred_thousand_blocking_round_trips_never_hang() {
+    // Both blocking protocols decide "empty" from the two-lock queue's
+    // `count` word in the Fig. 5 clear-`awake`-then-re-check step. A
+    // re-check that could miss a committed message would put one side to
+    // sleep with nobody left to wake it; the harness watchdog turns that
+    // into a failure. BSLS with a short spin takes both the spin path and
+    // the sleep path.
+    for strategy in [WaitStrategy::Bsw, WaitStrategy::Bsls { max_spin: 4 }] {
+        let r = run_native_experiment(Mechanism::UserLevel(strategy), 1, 100_000);
+        assert_eq!(r.messages, 100_000, "{}", strategy.name());
+    }
+}
+
+#[test]
+fn throttled_server_flushes_stale_deferrals_before_it_blocks() {
+    // Regression for the tier-1 wedge: with `wake_batch = 1` the server
+    // used to pop one deferred wake-up per cycle even when the popped
+    // client needed none, then block in `receive` with a real sleeper
+    // still on the list. Built deterministically: this thread plays both
+    // clients through the raw queue layer, and everything is queued
+    // before the server starts.
+    //
+    //   receive queue: [a (client 0), b (client 0), m (client 1)]
+    //   client 0 never sleeps (its `awake` stays 1: its entries are stale)
+    //   client 1 has committed to sleep (`awake` = 0, no credit banked)
+    //
+    // Cycles 1–2 see a backlog and defer [0, 0]; cycle 3 (one request
+    // left) spends its batch on a stale 0 and defers client 1 → [0, 1];
+    // cycle 4 finds the queue empty. The old server popped the stale 0
+    // and slept forever; the fixed one flushes the list first.
+    let channel = Channel::create(&ChannelConfig::new(2)).unwrap();
+    let os = NativeOs::new(NativeConfig::for_clients(2));
+    let me = os.task(1);
+    let (srv_q, sleeper_q) = (channel.receive_queue(), channel.reply_queue(1));
+    for m in [
+        Message::echo(0, 1.0),
+        Message::echo(0, 2.0),
+        Message::echo(1, 3.0),
+    ] {
+        assert!(srv_q.try_enqueue(&me, m));
+    }
+    sleeper_q.clear_awake(&me);
+
+    let server = {
+        let ch = channel.clone();
+        let os = os.task(0);
+        std::thread::spawn(move || usipc::run_throttled_server(&ch, &os, 4, 1))
+    };
+
+    assert!(
+        me.sem_p_deadline(sleeper_q.sem(), std::time::Duration::from_secs(10)),
+        "the sleeping client behind a stale deferral was never woken"
+    );
+    assert_eq!(sleeper_q.try_dequeue(&me).map(|m| m.value), Some(3.0));
+    sleeper_q.set_awake(&me);
+
+    // Both clients say goodbye; the server is asleep on an empty queue.
+    for c in 0..2 {
+        assert!(srv_q.try_enqueue(&me, Message::disconnect(c)));
+        srv_q.wake_consumer(&me);
+    }
+    let run = server.join().unwrap();
+    assert_eq!((run.processed, run.disconnects), (5, 2));
+}
+
+#[test]
 fn attach_finds_the_channel_through_the_published_root() {
     // The cross-process bootstrap path: a peer holding only the arena
     // rediscovers the channel via the published root offset.
@@ -247,9 +313,10 @@ fn malformed_channel_index_is_dropped_not_a_panic() {
 
     // Plant the malformed request before the server starts so its first
     // receive finds the queue non-empty (no wake-up protocol needed for a
-    // raw enqueue).
+    // raw enqueue). Task 2 is this thread's own: 0 and 1 belong to the
+    // server and client threads below.
     {
-        let t = os.task(0);
+        let t = os.task(2);
         assert!(channel
             .receive_queue()
             .try_enqueue(&t, Message::echo(99, 13.0)));

@@ -5,9 +5,10 @@
 //! dependency, so the suite builds with a cold registry). Every failure
 //! message includes the case seed, which reproduces the exact sequence.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
+use std::time::Duration;
 use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
-use usipc::{Message, WaitStrategy};
+use usipc::{IpcError, Message, NativeConfig, NativeOs, WaitSet, WaitSetRoot, WaitStrategy};
 use usipc_queue::{MpmcRing, MsQueue, ShmFifo, ShmQueue, SpscRing};
 use usipc_shm::{ShmArena, TaggedAtomicPtr, TaggedPtr};
 use usipc_sim::{MachineModel, PolicyKind, VDur};
@@ -278,5 +279,123 @@ fn semaphore_credits_never_accumulate_in_bsw() {
             );
             assert_eq!(s.waiting, 0, "case {case}: no one left blocked");
         }
+    }
+}
+
+/// Reference model of one WaitSet driven from a single thread: the ready
+/// set, the pending latch, the doorbell credits, and the three counters
+/// the doorbell budget is stated in.
+#[derive(Default)]
+struct WaitSetModel {
+    ready: BTreeSet<usize>,
+    latch: bool,
+    credits: u64,
+    rung: u64,
+    coalesced: u64,
+    wakes: u64,
+}
+
+impl WaitSetModel {
+    fn notify(&mut self, s: usize) {
+        // Only the 0→non-zero edge of the source's 64-bit word reaches the
+        // latch, and only a free latch rings.
+        let word_idle = self.ready.range(s / 64 * 64..(s / 64 + 1) * 64).count() == 0;
+        self.ready.insert(s);
+        if word_idle && !self.latch {
+            self.latch = true;
+            self.credits += 1;
+            self.rung += 1;
+        } else {
+            self.coalesced += 1;
+        }
+    }
+
+    /// Round-robin: the first ready source at-or-after the cursor, else
+    /// the lowest one.
+    fn poll(&mut self, cursor: usize) -> Option<usize> {
+        let s = self
+            .ready
+            .range(cursor..)
+            .next()
+            .or_else(|| self.ready.iter().next())
+            .copied()?;
+        self.ready.remove(&s);
+        Some(s)
+    }
+
+    /// A zero-length bounded wait: polls, and failing that absorbs a
+    /// banked doorbell credit (closing the wake cycle) before timing out.
+    fn wait_zero(&mut self, cursor: usize) -> Option<usize> {
+        let got = self.poll(cursor);
+        if got.is_none() && self.credits > 0 {
+            self.credits -= 1;
+            self.wakes += 1;
+            self.latch = false;
+        }
+        got
+    }
+}
+
+#[test]
+fn waitset_bitmap_matches_model() {
+    // Sizes on both sides of every word boundary: 1 word (partly and
+    // exactly full), 2 words (one bit and all bits in the second), 3.
+    for (tag, n) in [1usize, 64, 65, 128, 130].into_iter().enumerate() {
+        let seed = 0x5753_0000 + tag as u64;
+        let mut rng = Rng::new(seed);
+        let arena = ShmArena::new(WaitSetRoot::bytes_needed(n)).unwrap();
+        let ws = WaitSet::attach(&arena, WaitSetRoot::create_in(&arena, n, 0).unwrap());
+        let mut cfg = NativeConfig::for_clients(0);
+        cfg.n_sems = 1;
+        let os = NativeOs::new(cfg);
+        let task = os.task(0);
+        let mut model = WaitSetModel::default();
+        let (mut cursor, mut notifies) = (0usize, 0u64);
+
+        for step in 0..4_000 {
+            let ctx = format!("n {n} seed {seed:#x} step {step}");
+            match rng.range(0, 10) {
+                0..=4 => {
+                    let s = rng.range(0, n as u64) as usize;
+                    ws.notify(&task, s);
+                    model.notify(s);
+                    notifies += 1;
+                }
+                5..=7 => {
+                    let want = model.poll(cursor);
+                    assert_eq!(ws.poll(&mut cursor), want, "{ctx}: poll");
+                }
+                8 => {
+                    let want = model.wait_zero(cursor).ok_or(IpcError::Timeout);
+                    let got = ws.wait_deadline(&task, &mut cursor, Duration::ZERO);
+                    assert_eq!(got, want, "{ctx}: wait_deadline");
+                }
+                _ => {
+                    // Everyone ready, then a full rotation from wherever
+                    // the cursor stands: fairness across word boundaries.
+                    for s in 0..n {
+                        ws.notify(&task, s);
+                        model.notify(s);
+                        notifies += 1;
+                    }
+                    let start = cursor;
+                    for i in 0..n {
+                        let want = model.poll(cursor);
+                        assert_eq!(want, Some((start + i) % n), "{ctx}: model order");
+                        assert_eq!(ws.poll(&mut cursor), want, "{ctx}: rotation");
+                    }
+                    assert_eq!(ws.poll(&mut cursor), None, "{ctx}: drained");
+                }
+            }
+            let m = os.metrics().unwrap().task_snapshot(0);
+            assert_eq!(
+                (m.doorbells_rung, m.doorbells_coalesced, m.waitset_wakes),
+                (model.rung, model.coalesced, model.wakes),
+                "{ctx}: counters"
+            );
+            assert_eq!(m.doorbells_rung + m.doorbells_coalesced, notifies, "{ctx}");
+            assert!(m.doorbells_rung <= m.waitset_wakes + 1, "{ctx}: budget");
+        }
+        assert_eq!(u64::from(os.sem_finals()[0].count), model.credits, "n {n}");
     }
 }
