@@ -6,6 +6,7 @@
 //! workload code runs on both.
 
 use crate::platform::OsServices;
+use crate::protocol::PollLoop;
 use core::sync::atomic::{AtomicU32, Ordering};
 use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe};
 
@@ -48,8 +49,9 @@ impl BarrierRef {
             b.arrived.store(0, Ordering::Relaxed);
             b.generation.fetch_add(1, Ordering::Release);
         } else {
+            let mut poll = PollLoop::new(os);
             while b.generation.load(Ordering::Acquire) == gen {
-                os.busy_wait();
+                poll.pause();
             }
         }
     }

@@ -18,7 +18,7 @@ use crate::msg::{opcode, Message, MsgSlot};
 use crate::platform::{Cost, OsServices};
 use crate::protocol::{
     blocking_dequeue, blocking_dequeue_deadline, enqueue_or_sleep, enqueue_or_sleep_deadline,
-    Deadline,
+    Deadline, PollLoop,
 };
 use std::sync::Arc;
 use usipc_queue::{QueueKind, RingMode};
@@ -141,11 +141,7 @@ impl DuplexChannel {
         enqueue_or_sleep(&rq, os, msg);
         rq.wake_consumer(os);
         let reply = self.reply_queue(c);
-        let mut spincnt = 0;
-        while spincnt < max_spin && reply.is_empty(os) {
-            os.poll_pause();
-            spincnt += 1;
-        }
+        PollLoop::new(os).pause_while(max_spin, || reply.is_empty(os));
         blocking_dequeue(&reply, os, || {})
     }
 
@@ -172,11 +168,7 @@ impl DuplexChannel {
         let deadline = Deadline::new(timeout);
         enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
         rq.wake_consumer(os);
-        let mut spincnt = 0;
-        while spincnt < max_spin && reply.is_empty(os) {
-            os.poll_pause();
-            spincnt += 1;
-        }
+        PollLoop::new(os).pause_while(max_spin, || reply.is_empty(os));
         match blocking_dequeue_deadline(&reply, os, &deadline, || {}) {
             Ok(m) => Ok(m),
             Err(IpcError::Timeout) => {
@@ -218,11 +210,7 @@ impl DuplexChannel {
         let reply = self.reply_queue(c);
         let mut processed = 0;
         loop {
-            let mut spincnt = 0;
-            while spincnt < max_spin && rq.is_empty(os) {
-                os.poll_pause();
-                spincnt += 1;
-            }
+            PollLoop::new(os).pause_while(max_spin, || rq.is_empty(os));
             let m = blocking_dequeue(&rq, os, || {});
             os.charge(Cost::Request);
             processed += 1;
@@ -258,11 +246,7 @@ impl DuplexChannel {
         let mut processed = 0;
         loop {
             rq.beat();
-            let mut spincnt = 0;
-            while spincnt < max_spin && rq.is_empty(os) {
-                os.poll_pause();
-                spincnt += 1;
-            }
+            PollLoop::new(os).pause_while(max_spin, || rq.is_empty(os));
             let deadline = Deadline::new(heartbeat);
             let m = match blocking_dequeue_deadline(&rq, os, &deadline, || {}) {
                 Ok(m) => m,

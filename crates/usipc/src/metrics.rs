@@ -70,7 +70,7 @@ pub enum ProtoEvent {
     /// A `handoff` system call (or its yield fallback).
     Handoff,
     /// One `busy_wait`/`poll_queue` pacing step (a yield on uniprocessors,
-    /// a ~25 µs spin on multiprocessors).
+    /// a spin of at most ~25 µs on multiprocessors).
     SpinIteration,
     /// A queue-full back-off (`sleep(1)` in the paper).
     QueueFullBackoff,

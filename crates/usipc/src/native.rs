@@ -11,7 +11,7 @@
 
 use crate::metrics::{EndpointMetrics, MetricsRegistry, ProtoEvent};
 use crate::platform::{Cost, HandoffHint, OsServices};
-use crate::sem::CountingSem;
+use crate::sem::{CountingSem, P_SPIN_BOUND};
 use crate::telemetry::{FlightHandle, FlightRecorder};
 use crate::trace::{TracePoint, TraceRegistry, TraceRing};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -78,11 +78,11 @@ pub struct NativeConfig {
     pub n_msgqs: usize,
     /// Capacity of each kernel message queue.
     pub msgq_capacity: usize,
-    /// `true` on a multiprocessor: `busy_wait` spins ~25 µs instead of
-    /// yielding (§2.1/§5). [`NativeOs::new`] clamps this against
-    /// [`std::thread::available_parallelism`]: when the host has fewer
-    /// cores than runnable tasks, spinning only starves the peer being
-    /// waited on, so `busy_wait` degrades to `yield_now` regardless.
+    /// `true` on a multiprocessor: `busy_wait` (a flat 25 µs) and
+    /// `poll_pause` (80 ns ramping up to it) spin instead of yielding
+    /// (§2.1/§5). [`NativeOs::new`] clamps this against the CPUs its
+    /// building thread may run on: with fewer than runnable tasks, spinning
+    /// only starves the awaited peer, so both degrade to `yield_now`.
     pub multiprocessor: bool,
     /// Queue-full back-off. The paper sleeps a full second; tests and
     /// benches usually shorten this.
@@ -105,9 +105,7 @@ impl NativeConfig {
             n_sems: 1 + n_clients,
             n_msgqs: 1 + n_clients,
             msgq_capacity: 64,
-            multiprocessor: std::thread::available_parallelism()
-                .map(|p| p.get() > 1)
-                .unwrap_or(false),
+            multiprocessor: cpus_allowed() > 1,
             full_backoff: Duration::from_millis(1),
             collect_metrics: true,
             trace_capacity: None,
@@ -156,6 +154,9 @@ pub struct NativeOs {
     sems: SemStore,
     msgqs: Vec<NativeMsgq>,
     multiprocessor: bool,
+    /// Pre-sleep retries `sem_p` allows the semaphore: 0 if the builder had
+    /// one CPU, else its own bound — whatever `multiprocessor` ([`crate::sem`]).
+    p_spin: u32,
     full_backoff: Duration,
     metrics: Option<MetricsRegistry>,
     traces: Option<TraceRegistry>,
@@ -163,26 +164,22 @@ pub struct NativeOs {
 }
 
 impl NativeOs {
-    /// Spinning in `busy_wait` pays off only if the awaited peer can run
-    /// *while* we spin. By the platform convention there is one task per
-    /// semaphore, so `n_sems` approximates the runnable-task count; with
-    /// fewer cores than that (e.g. an 8-way config on a 2-core CI
-    /// runner) a ~25 µs spin merely starves the producer of the event
-    /// being awaited, so degrade to yielding.
-    fn clamp_multiprocessor(cfg: &NativeConfig) -> bool {
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        cfg.multiprocessor && cores >= cfg.n_sems.max(1)
-    }
-
     fn from_store(cfg: &NativeConfig, sems: SemStore) -> Arc<Self> {
+        // The building thread decides: pinned to one CPU, a uniprocessor.
+        let cpus = cpus_allowed();
         Arc::new(NativeOs {
             sems,
             msgqs: (0..cfg.n_msgqs)
                 .map(|_| NativeMsgq::new(cfg.msgq_capacity))
                 .collect(),
-            multiprocessor: Self::clamp_multiprocessor(cfg),
+            // Spinning between polls pays off only if the awaited peer can
+            // run *while* we spin. By the platform convention there is one
+            // task per semaphore, so `n_sems` approximates the runnable-task
+            // count; with fewer CPUs than that (an 8-way config on a 2-core
+            // CI runner) a spin merely starves the producer of the event
+            // being awaited, so degrade to yielding.
+            multiprocessor: cfg.multiprocessor && cpus >= cfg.n_sems.max(1),
+            p_spin: if cpus == 1 { 0 } else { P_SPIN_BOUND },
             full_backoff: cfg.full_backoff,
             metrics: cfg.collect_metrics.then(MetricsRegistry::new),
             traces: cfg.trace_capacity.map(TraceRegistry::new),
@@ -282,9 +279,9 @@ impl NativeOs {
         }
     }
 
-    /// Whether `busy_wait` actually spins: the configured `multiprocessor`
-    /// flag after the clamp against the host's core count (see
-    /// [`NativeConfig::multiprocessor`]).
+    /// Whether `busy_wait` and `poll_pause` actually spin: the configured
+    /// `multiprocessor` flag after the clamp against the building thread's
+    /// CPU count (see [`NativeConfig::multiprocessor`]).
     pub fn effective_multiprocessor(&self) -> bool {
         self.multiprocessor
     }
@@ -335,6 +332,32 @@ impl NativeOs {
     }
 }
 
+/// CPUs the calling thread may run on.
+fn cpus_allowed() -> usize {
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    if let Some(n) = crate::proc::cpus_allowed() {
+        return n;
+    }
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// §5's 25 µs poll delay: `busy_wait`'s flat pause, `poll_pause`'s cap.
+const PAUSE_NANOS: u64 = 25_000;
+
+/// Nominal cost of one `spin_loop` hint (x86 `PAUSE`: 3–45 ns across parts).
+const HINT_NANOS: u64 = 10;
+
+/// Nominal pause after `attempt` earlier ones in the same wait: 80 ns,
+/// doubling every other attempt, [`PAUSE_NANOS`] from attempt 18 on. A
+/// reply that lands after *t* is seen within ≈ 2*t*, and `MAX_SPIN` = 50
+/// still spans ≈ 0.9 ms (32 capped pauses) before BSLS blocks.
+fn poll_pause_nanos(attempt: u32) -> u64 {
+    ((8 * HINT_NANOS) << (attempt / 2).min(16)).min(PAUSE_NANOS)
+}
+
 /// Nanoseconds since a process-wide epoch (first use). Monotonic, shared
 /// by every task so latency windows from different threads compare.
 fn host_nanos() -> u64 {
@@ -361,36 +384,30 @@ impl OsServices for NativeTask {
     fn busy_wait(&self) {
         self.record(ProtoEvent::SpinIteration);
         if self.os.multiprocessor {
-            // ~25 µs calibrated-by-intent spin (precision is irrelevant;
-            // only the order of magnitude matters). The clock is read only
-            // once per batch of spin hints: on hosts without a vDSO,
-            // `Instant::now()` is itself a syscall, and reading it every
-            // iteration would turn the "spin" into a syscall loop.
-            const SPIN_BATCH: u32 = 64;
-            let start = std::time::Instant::now();
-            loop {
-                for _ in 0..SPIN_BATCH {
-                    core::hint::spin_loop();
-                }
-                if start.elapsed() >= Duration::from_micros(25) {
-                    return;
-                }
-            }
+            self.compute(PAUSE_NANOS);
         } else {
             std::thread::yield_now();
         }
     }
 
-    fn poll_pause(&self) {
-        self.busy_wait();
+    fn poll_pause(&self, attempt: u32) {
+        let nanos = poll_pause_nanos(attempt);
+        if self.os.multiprocessor && nanos < PAUSE_NANOS {
+            // Counted hints, no clock: a read costs as much as a first step.
+            self.record(ProtoEvent::SpinIteration);
+            for _ in 0..nanos / HINT_NANOS {
+                core::hint::spin_loop();
+            }
+        } else {
+            self.busy_wait(); // the capped pause, or the uniprocessor yield
+        }
     }
 
     fn sem_p(&self, sem: u32) {
         self.record(ProtoEvent::SemP);
         // `SemP` keeps the paper's protocol-level syscall accounting;
-        // `SemKernelWait` counts the *actual* host kernel entries — zero on
-        // the futex fast path when a credit is already banked.
-        let entered = self.os.sem(sem).p_counted();
+        // `SemKernelWait` counts actual kernel entries (none: credit banked).
+        let (_, entered) = self.os.sem(sem).acquire(None, self.os.p_spin);
         for _ in 0..entered {
             self.record(ProtoEvent::SemKernelWait);
         }
@@ -398,7 +415,7 @@ impl OsServices for NativeTask {
 
     fn sem_p_deadline(&self, sem: u32, timeout: Duration) -> bool {
         self.record(ProtoEvent::SemP);
-        let (taken, entered) = self.os.sem(sem).p_timeout_counted(timeout);
+        let (taken, entered) = self.os.sem(sem).acquire(Some(timeout), self.os.p_spin);
         for _ in 0..entered {
             self.record(ProtoEvent::SemKernelWait);
         }
@@ -451,7 +468,7 @@ impl OsServices for NativeTask {
     }
 
     fn compute(&self, nanos: u64) {
-        // Same batching as `busy_wait`: on hosts without a vDSO,
+        // Only the order of magnitude matters. On hosts without a vDSO
         // `Instant::now()` is itself a syscall, so the clock is read once
         // per batch of spin hints rather than every iteration.
         const SPIN_BATCH: u32 = 64;
@@ -558,9 +575,7 @@ mod tests {
     fn multiprocessor_clamped_to_available_cores() {
         // More runnable tasks than any host has cores: spinning must
         // degrade to yielding no matter what the config claims.
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        let cores = cpus_allowed();
         let mut cfg = NativeConfig::for_clients(4 * cores);
         cfg.multiprocessor = true;
         assert!(!NativeOs::new(cfg).effective_multiprocessor());
@@ -568,6 +583,18 @@ mod tests {
         let mut cfg = NativeConfig::for_clients(0);
         cfg.multiprocessor = true;
         assert!(NativeOs::new(cfg).effective_multiprocessor());
+    }
+
+    #[test]
+    fn poll_schedule_ramps_to_the_papers_pause_and_keeps_the_budget() {
+        let steps: Vec<u64> = (0..50).map(poll_pause_nanos).collect();
+        assert!(steps.windows(2).all(|w| w[0] <= w[1]), "{steps:?}");
+        assert!(steps[0] * 100 <= PAUSE_NANOS, "first step ≤ 1 % of the cap");
+        assert_eq!(steps[49], PAUSE_NANOS);
+        assert_eq!(poll_pause_nanos(u32::MAX), PAUSE_NANOS, "capped for good");
+        // MAX_SPIN = 50 keeps roughly the 50 × 25 µs it always bought.
+        let budget: u64 = steps.iter().sum();
+        assert!((500_000..=1_250_000).contains(&budget), "{budget} ns");
     }
 
     #[test]

@@ -60,14 +60,19 @@ pub trait OsServices {
     /// `sched_yield()`.
     fn yield_now(&self);
 
-    /// The `busy_wait()` of Figs. 1/7: a yield on a uniprocessor, a short
-    /// spin delay on a multiprocessor (§2.1: "On uniprocessors `busy_wait`
-    /// should be implemented as a `yield()` system call").
+    /// The `busy_wait()` of Figs. 1/7: a yield on a uniprocessor (§2.1: "On
+    /// uniprocessors `busy_wait` should be implemented as a `yield()` system
+    /// call"), one flat delay — §5's 25 µs — on a multiprocessor.
     fn busy_wait(&self);
 
-    /// One pacing step of the BSLS `poll_queue` loop (§5: a 25 µs busy-wait
-    /// on the multiprocessor; a yield on uniprocessors).
-    fn poll_pause(&self);
+    /// One pacing step of a poll loop that has paused `attempt` times in
+    /// this wait already (`protocol::PollLoop` owns the counter). By default
+    /// the flat [`busy_wait`](Self::busy_wait) whatever the attempt (the
+    /// simulator); the native multiprocessor backend ramps up to it.
+    fn poll_pause(&self, attempt: u32) {
+        let _ = attempt;
+        self.busy_wait();
+    }
 
     /// Counting-semaphore down on the conventional semaphore index.
     fn sem_p(&self, sem: u32);

@@ -44,6 +44,7 @@ mod sys {
         pub const PIDFD_SEND_SIGNAL: usize = 424;
         pub const CLOSE: usize = 3;
         pub const SCHED_SETAFFINITY: usize = 203;
+        pub const SCHED_GETAFFINITY: usize = 204;
         pub const SCHED_SETSCHEDULER: usize = 144;
     }
 
@@ -59,6 +60,7 @@ mod sys {
         pub const PIDFD_SEND_SIGNAL: usize = 424;
         pub const CLOSE: usize = 57;
         pub const SCHED_SETAFFINITY: usize = 122;
+        pub const SCHED_GETAFFINITY: usize = 123;
         pub const SCHED_SETSCHEDULER: usize = 119;
     }
 
@@ -224,6 +226,29 @@ pub fn pin_to_cpu(cpu: usize) -> Result<(), ProcError> {
         return Err(err("sched_setaffinity", ret));
     }
     Ok(())
+}
+
+/// How many CPUs the **calling thread** may run on: the popcount of its
+/// `sched_getaffinity(2)` mask (≈ 0.3 µs), `None` if the kernel refuses
+/// the 1024-CPU buffer. Unlike [`std::thread::available_parallelism`]
+/// (≈ 12 µs) it ignores the cgroup CPU quota, on purpose: that caps CPU
+/// *time*, not placement, and "can my peer run while I spin" is all
+/// [`NativeOs`](crate::NativeOs) asks of this number.
+pub fn cpus_allowed() -> Option<usize> {
+    let mut mask = [0u64; 16];
+    // SAFETY: `mask` is live and writable for the stated size; pid 0 = self.
+    let ret = unsafe {
+        syscall5(
+            nr::SCHED_GETAFFINITY,
+            0,
+            core::mem::size_of_val(&mask),
+            mask.as_mut_ptr() as usize,
+            0,
+            0,
+        )
+    };
+    // The raw call returns the number of mask bytes it wrote.
+    (ret > 0).then(|| mask.iter().map(|w| w.count_ones() as usize).sum())
 }
 
 /// Puts the **calling thread** under `SCHED_BATCH`

@@ -1,8 +1,8 @@
 //! **Both Sides Limited Spin** (Fig. 9): poll before blocking.
 //!
-//! Both sides poll the queue up to `MAX_SPIN` times (`poll_queue`: a yield
-//! on uniprocessors, a 25 µs busy-wait with an `empty` check per iteration
-//! on the multiprocessor, §5) and only then enter the BSW blocking path.
+//! Both sides poll the queue up to `MAX_SPIN` times (an `empty` check per
+//! [`OsServices::poll_pause`]: a yield on uniprocessors, §5's 25 µs on the
+//! multiprocessor — native ramps up to it) and only then enter the BSW path.
 //! Fig. 10 shows the uniprocessor sensitivity to `MAX_SPIN` — at 20, a
 //! single client blocks only 3 % of the time — and Fig. 11 shows the
 //! multiprocessor cliff: once one client out-spins its budget, waking it
@@ -11,17 +11,16 @@
 use crate::channel::{Channel, QueueRef};
 use crate::msg::Message;
 use crate::platform::OsServices;
-use crate::protocol::{blocking_dequeue, enqueue_or_sleep};
+use crate::protocol::{blocking_dequeue, enqueue_or_sleep, PollLoop};
 use crate::trace::{Span, TracePoint};
 
-/// The limited-spin prologue: `while (empty(Q) && spincnt++ < MAX_SPIN)
-/// poll_queue(Q);`.
+/// The limited-spin prologue of Fig. 9: `while (empty(Q) && spincnt++ <
+/// MAX_SPIN) poll_queue(Q);`.
 fn limited_spin<O: OsServices>(q: &QueueRef<'_>, os: &O, max_spin: u32) {
     os.trace(TracePoint::Begin(Span::Spin));
-    let mut spincnt = 0;
-    while q.is_empty(os) && spincnt < max_spin {
-        os.poll_pause();
-        spincnt += 1;
+    let mut poll = PollLoop::new(os);
+    while q.is_empty(os) && poll.attempt < max_spin {
+        poll.pause();
     }
     os.trace(TracePoint::End(Span::Spin));
 }

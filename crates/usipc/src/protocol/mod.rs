@@ -156,6 +156,33 @@ impl WaitStrategy {
     }
 }
 
+/// The pacing of every poll loop: counts the pauses of one wait and hands
+/// each index to [`OsServices::poll_pause`], so a backend can pace by how
+/// long *this* wait has lasted. A new wait starts a new `PollLoop`.
+pub(crate) struct PollLoop<'a, O> {
+    os: &'a O,
+    attempt: u32,
+}
+
+impl<'a, O: OsServices> PollLoop<'a, O> {
+    pub(crate) fn new(os: &'a O) -> Self {
+        PollLoop { os, attempt: 0 }
+    }
+
+    /// One pacing step between two checks of the awaited condition.
+    pub(crate) fn pause(&mut self) {
+        self.os.poll_pause(self.attempt);
+        self.attempt = self.attempt.saturating_add(1);
+    }
+
+    /// At most `max` pauses while `waiting` holds (budget checked first).
+    pub(crate) fn pause_while(mut self, max: u32, mut waiting: impl FnMut() -> bool) {
+        while self.attempt < max && waiting() {
+            self.pause();
+        }
+    }
+}
+
 /// The blocking consumer skeleton shared by BSW, BSWY and BSLS (the wait
 /// loops of Figs. 5/7/9):
 ///
@@ -341,14 +368,15 @@ fn restore_awake_absorbing_stray<O: OsServices>(q: &QueueRef<'_>, os: &O) {
 
 /// Deadline-aware producer enqueue: fails fast with
 /// [`IpcError::Poisoned`] — a plain shared-memory load, no kernel entry —
-/// and bounds the queue-full back-off by the deadline
+/// and bounds the retries, `backoff` apart, by the deadline
 /// ([`IpcError::QueueFull`]; nothing is in flight, so it is safe to
 /// retry).
-pub(crate) fn enqueue_or_sleep_deadline<O: OsServices>(
+pub(crate) fn enqueue_deadline<O: OsServices>(
     q: &QueueRef<'_>,
     os: &O,
     msg: Message,
     deadline: &Deadline,
+    mut backoff: impl FnMut(),
 ) -> Result<(), IpcError> {
     loop {
         if q.is_poisoned() {
@@ -360,8 +388,18 @@ pub(crate) fn enqueue_or_sleep_deadline<O: OsServices>(
         if deadline.remaining(os).is_none() {
             return Err(IpcError::QueueFull);
         }
-        os.sleep_full();
+        backoff();
     }
+}
+
+/// [`enqueue_deadline`] with the paper's queue-full back-off, `sleep(1)`.
+pub(crate) fn enqueue_or_sleep_deadline<O: OsServices>(
+    q: &QueueRef<'_>,
+    os: &O,
+    msg: Message,
+    deadline: &Deadline,
+) -> Result<(), IpcError> {
+    enqueue_deadline(q, os, msg, deadline, || os.sleep_full())
 }
 
 /// BSS-side deadline dequeue: the Fig. 1 spin loop with poison and expiry
@@ -371,6 +409,7 @@ pub(crate) fn spin_dequeue_deadline<O: OsServices>(
     os: &O,
     deadline: &Deadline,
 ) -> Result<Message, IpcError> {
+    let mut poll = PollLoop::new(os);
     loop {
         if let Some(m) = q.try_dequeue(os) {
             return Ok(m);
@@ -381,27 +420,6 @@ pub(crate) fn spin_dequeue_deadline<O: OsServices>(
         if deadline.remaining(os).is_none() {
             return Err(IpcError::Timeout);
         }
-        os.busy_wait();
-    }
-}
-
-/// BSS-side deadline enqueue: spin on full, fail fast on poison/expiry.
-pub(crate) fn spin_enqueue_deadline<O: OsServices>(
-    q: &QueueRef<'_>,
-    os: &O,
-    msg: Message,
-    deadline: &Deadline,
-) -> Result<(), IpcError> {
-    loop {
-        if q.is_poisoned() {
-            return Err(IpcError::Poisoned);
-        }
-        if q.try_enqueue(os, msg) {
-            return Ok(());
-        }
-        if deadline.remaining(os).is_none() {
-            return Err(IpcError::QueueFull);
-        }
-        os.busy_wait();
+        poll.pause();
     }
 }

@@ -8,9 +8,8 @@
 //!   `AtomicU32`; an uncontended `P` or `V` is a single user-space
 //!   compare-and-swap with **zero kernel entries**, and the kernel is
 //!   involved — via raw `futex(2)` syscalls, no libc — only when a `P`
-//!   actually has to sleep or a `V` sees a registered sleeper. A short
-//!   BSLS-style bounded spin runs before committing to `futex_wait`, so a
-//!   credit that arrives within the spin window never pays for a sleep.
+//!   actually has to sleep or a `V` sees a registered sleeper. Before it
+//!   sleeps, `P` may retry for a caller-given bound (see below).
 //!   This is the "Semaphores Augmented with a Waiting Array" idea the paper
 //!   cites, in its modern futex form: the wait queue lives in the kernel,
 //!   keyed by the user-space word's address.
@@ -21,12 +20,26 @@
 //! [`CountingSem`] is the platform-selected alias the backend uses.
 //!
 //! Both report how often they *actually* entered the host kernel
-//! ([`kernel-wait`/`kernel-wake` counts](FutexSem::p_counted)), which the
+//! ([`kernel-wait`/`kernel-wake` counts](FutexSem::acquire)), which the
 //! native backend surfaces as
 //! [`ProtoEvent::SemKernelWait`](crate::metrics::ProtoEvent::SemKernelWait) /
 //! [`SemKernelWake`](crate::metrics::ProtoEvent::SemKernelWake) — distinct
 //! from the protocol-level `SemP`/`SemV` accounting, which deliberately
 //! keeps the paper's "four system calls per round trip" currency stable.
+//!
+//! ## Spin only where it can pay
+//!
+//! Retrying before `futex_wait` is §4.2's limited spin applied to the
+//! semaphore, under §2.1's condition: the `V` lands during the spin only if
+//! its caller runs *meanwhile*. Bare [`FutexSem::p`]/[`FutexSem::p_timeout`]
+//! know no regime and retry 64 times; [`NativeOs`](crate::NativeOs) asks by
+//! the CPUs its building thread may run on (EXPERIMENTS.md, same title):
+//!
+//! | CPUs | retries before `futex_wait` | `poll_pause` between polls |
+//! |---|---|---|
+//! | 1 | 0 — 64 cost 0.7 µs per sleep; the `V`'s caller cannot run | `yield` |
+//! | ≥ 2, fewer than tasks (oversubscribed) | 64 — still catch arrivals | `yield` |
+//! | ≥ 2, one per task (multiprocessor) | 64 | 80 ns doubling to §5's 25 µs |
 //!
 //! ## Why a lost wake-up is impossible
 //!
@@ -42,11 +55,9 @@
 
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Bounded spin before a `P` commits to a kernel sleep: a few dozen
-/// user-level retries cost far less than one `futex_wait` round trip, and
-/// in a ping-pong workload the credit usually lands within this window
-/// (the §4.2 limited-spinning argument applied to the semaphore itself).
-const P_SPIN_BOUND: u32 = 64;
+/// Retries before a `P` without a caller-given bound commits to a kernel
+/// sleep: ≈ 0.7 µs of `PAUSE`, far less than one `futex_wait` round trip.
+pub(crate) const P_SPIN_BOUND: u32 = 64;
 
 /// The platform-selected counting semaphore used by
 /// [`NativeOs`](crate::NativeOs): futex-backed where raw futexes are
@@ -139,19 +150,37 @@ mod futex {
         ret
     }
 
-    /// Sleeps until `word` is woken, provided `*word == expected` at sleep
-    /// time (the kernel re-validates atomically; `EAGAIN` otherwise). May
-    /// also return early on a signal — callers must re-check their
-    /// condition in a loop either way.
-    pub fn wait(word: &AtomicU32, expected: u32, shared: bool) {
-        // timeout = NULL: block indefinitely; the V side guarantees a wake.
+    /// The kernel's timespec layout for the futex timeout argument.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+
+    /// Sleeps until `word` is woken or the relative `CLOCK_MONOTONIC`
+    /// `timeout` (`None` = forever) runs out, provided `*word == expected` at
+    /// sleep time (the kernel re-validates atomically; `EAGAIN` otherwise).
+    /// May also return early on a signal — callers re-check in a loop.
+    pub fn wait(
+        word: &AtomicU32,
+        expected: u32,
+        timeout: Option<core::time::Duration>,
+        shared: bool,
+    ) {
+        let ts = timeout.map(|t| Timespec {
+            tv_sec: t.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: i64::from(t.subsec_nanos()),
+        });
+        // A NULL timespec blocks indefinitely; the V side guarantees a wake.
+        let ts_ptr = ts.as_ref().map_or(0, |ts| core::ptr::from_ref(ts) as usize);
+        // SAFETY: `word` and `ts` outlive the call, which only reads them.
         unsafe {
             syscall4(
                 SYS_FUTEX,
                 word.as_ptr() as usize,
                 op(FUTEX_WAIT, shared),
                 expected as usize,
-                0,
+                ts_ptr,
             );
         }
     }
@@ -167,43 +196,6 @@ mod futex {
                 0,
             );
         }
-    }
-
-    /// `ETIMEDOUT`, as the raw syscall returns it.
-    const ETIMEDOUT: isize = -110;
-
-    /// The kernel's timespec layout for the futex timeout argument.
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-
-    /// [`wait`] with a relative timeout (`FUTEX_WAIT` timeouts are
-    /// relative, on `CLOCK_MONOTONIC`). Returns `true` iff the kernel
-    /// reported `ETIMEDOUT`; any other return — woken, `EAGAIN` (the word
-    /// changed before sleeping), or a signal — is `false`, and callers must
-    /// re-check their condition in a loop either way.
-    pub fn wait_timeout(
-        word: &AtomicU32,
-        expected: u32,
-        timeout: core::time::Duration,
-        shared: bool,
-    ) -> bool {
-        let ts = Timespec {
-            tv_sec: timeout.as_secs().min(i64::MAX as u64) as i64,
-            tv_nsec: i64::from(timeout.subsec_nanos()),
-        };
-        let ret = unsafe {
-            syscall4(
-                SYS_FUTEX,
-                word.as_ptr() as usize,
-                op(FUTEX_WAIT, shared),
-                expected as usize,
-                core::ptr::addr_of!(ts) as usize,
-            )
-        };
-        ret == ETIMEDOUT
     }
 }
 
@@ -321,7 +313,7 @@ impl FutexSem {
     /// One user-space attempt to take a credit.
     ///
     /// SeqCst is required, not decoration: the load must not be reorderable
-    /// before the `waiters` registration in [`Self::p_counted`] (the
+    /// before the `waiters` registration in [`Self::acquire`] (the
     /// store-buffer argument in the module docs).
     fn try_acquire(&self) -> bool {
         let mut c = self.count.load(Ordering::SeqCst);
@@ -339,34 +331,7 @@ impl FutexSem {
 
     /// `P`: block until a credit is available, then take it.
     pub fn p(&self) {
-        self.p_counted();
-    }
-
-    /// `P`, reporting how many times it entered the kernel (`futex_wait`
-    /// calls). `0` means the credit was taken entirely in user space — the
-    /// uncontended fast path the futex design exists for.
-    pub fn p_counted(&self) -> u32 {
-        // Fast path + bounded spin: worth far more than its cost whenever
-        // the matching V is less than a kernel round trip away.
-        for _ in 0..P_SPIN_BOUND {
-            if self.try_acquire() {
-                return 0;
-            }
-            core::hint::spin_loop();
-        }
-        // Slow path: register, re-check, sleep on the count word.
-        let mut entered = 0u32;
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        loop {
-            if self.try_acquire() {
-                break;
-            }
-            entered += 1;
-            self.kernel_waits.fetch_add(1, Ordering::Relaxed);
-            futex::wait(&self.count, 0, self.is_shared());
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        entered
+        self.acquire(None, P_SPIN_BOUND);
     }
 
     /// `P` with a deadline: block until a credit is available or `timeout`
@@ -375,48 +340,46 @@ impl FutexSem {
     /// was consumed**: a `V` racing the expiry leaves its credit banked for
     /// the next `P`.
     pub fn p_timeout(&self, timeout: core::time::Duration) -> bool {
-        self.p_timeout_counted(timeout).0
+        self.acquire(Some(timeout), P_SPIN_BOUND).0
     }
 
-    /// [`Self::p_timeout`], also reporting how many times it entered the
-    /// kernel (`futex_wait` calls), like [`Self::p_counted`].
-    pub fn p_timeout_counted(&self, timeout: core::time::Duration) -> (bool, u32) {
-        let deadline = match std::time::Instant::now().checked_add(timeout) {
-            Some(d) => d,
-            // A deadline past the end of Instant's range is "never".
-            None => return (true, self.p_counted()),
-        };
-        for _ in 0..P_SPIN_BOUND {
+    /// The one `P` loop behind [`Self::p`] and [`Self::p_timeout`]: one
+    /// attempt, up to `spin` more a `spin_loop` hint apart, then register,
+    /// re-check and sleep on the count word for at most `timeout` (`None`,
+    /// or a deadline past `Instant`'s range, is "never"). Returns whether a
+    /// credit was taken and the `futex_wait` calls made (0: the user-space
+    /// fast path). No clock is read before the slow path.
+    pub fn acquire(&self, timeout: Option<core::time::Duration>, spin: u32) -> (bool, u32) {
+        if self.try_acquire() {
+            return (true, 0);
+        }
+        for _ in 0..spin {
+            core::hint::spin_loop();
             if self.try_acquire() {
                 return (true, 0);
             }
-            core::hint::spin_loop();
         }
-        // Slow path: register, re-check, sleep with the remaining time.
+        let deadline = timeout.and_then(|t| std::time::Instant::now().checked_add(t));
         let mut entered = 0u32;
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let acquired = loop {
             if self.try_acquire() {
                 break true;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let left = deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
                 break false;
             }
             entered += 1;
             self.kernel_waits.fetch_add(1, Ordering::Relaxed);
-            futex::wait_timeout(&self.count, 0, deadline - now, self.is_shared());
+            futex::wait(&self.count, 0, left, self.is_shared());
         };
         self.waiters.fetch_sub(1, Ordering::SeqCst);
-        if acquired {
-            (true, entered)
-        } else {
-            // One final attempt after deregistering: a V that landed in the
-            // expiry window posted its credit before our re-check could run
-            // again. Taking it here converts the timeout into a success, so
-            // the V/timeout race can never strand or lose a credit.
-            (self.try_acquire(), entered)
-        }
+        // One final attempt after deregistering: a V that landed in the
+        // expiry window posted its credit before our re-check could run
+        // again. Taking it here converts the timeout into a success, so
+        // the V/timeout race can never strand or lose a credit.
+        (acquired || self.try_acquire(), entered)
     }
 
     /// `V`: add a credit and wake one waiter; `Err(limit)` if the credit
@@ -572,42 +535,27 @@ impl PortableSem {
 
     /// `P`: block until a credit is available, then take it.
     pub fn p(&self) {
-        self.p_counted();
-    }
-
-    /// `P`, reporting how many condvar waits it performed (the portable
-    /// analogue of [`FutexSem::p_counted`]'s kernel-entry count).
-    pub fn p_counted(&self) -> u32 {
-        let mut entered = 0u32;
-        let mut s = self.inner.lock().unwrap();
-        while s.count == 0 {
-            s.waiting += 1;
-            entered += 1;
-            self.kernel_waits.fetch_add(1, Ordering::Relaxed);
-            s = self.cv.wait(s).unwrap();
-            s.waiting -= 1;
-        }
-        s.count -= 1;
-        entered
+        self.acquire(None, 0);
     }
 
     /// `P` with a deadline: block until a credit is available or `timeout`
     /// elapses. Same no-credit-lost contract as [`FutexSem::p_timeout`].
     pub fn p_timeout(&self, timeout: core::time::Duration) -> bool {
-        self.p_timeout_counted(timeout).0
+        self.acquire(Some(timeout), 0).0
     }
 
-    /// [`Self::p_timeout`], reporting how many condvar waits it performed.
-    pub fn p_timeout_counted(&self, timeout: core::time::Duration) -> (bool, u32) {
-        let deadline = match std::time::Instant::now().checked_add(timeout) {
-            Some(d) => d,
-            None => return (true, self.p_counted()),
-        };
+    /// The one `P` loop, as [`FutexSem::acquire`] (condvar waits stand in
+    /// for kernel entries; `_spin` is ignored: a count behind a mutex has no
+    /// lock-free retry). No clock is read unless the count is 0.
+    pub fn acquire(&self, timeout: Option<core::time::Duration>, _spin: u32) -> (bool, u32) {
         let mut entered = 0u32;
         let mut s = self.inner.lock().unwrap();
+        let deadline = timeout
+            .filter(|_| s.count == 0)
+            .and_then(|t| std::time::Instant::now().checked_add(t));
         while s.count == 0 {
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let left = deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
                 // Still holding the lock: the count is provably 0, so
                 // returning false consumes nothing, and any racing V is
                 // serialized after this release and keeps its credit.
@@ -616,8 +564,10 @@ impl PortableSem {
             s.waiting += 1;
             entered += 1;
             self.kernel_waits.fetch_add(1, Ordering::Relaxed);
-            let (guard, _timed_out) = self.cv.wait_timeout(s, deadline - now).unwrap();
-            s = guard;
+            s = match left {
+                Some(left) => self.cv.wait_timeout(s, left).unwrap().0,
+                None => self.cv.wait(s).unwrap(),
+            };
             s.waiting -= 1;
         }
         s.count -= 1;
@@ -731,7 +681,11 @@ mod tests {
                 fn uncontended_ops_never_enter_the_kernel() {
                     let s = <$sem>::new(0);
                     assert!(!s.try_v_counted().unwrap(), "no sleeper to wake");
-                    assert_eq!(s.p_counted(), 0, "banked credit: pure user space");
+                    assert_eq!(
+                        s.acquire(None, 0),
+                        (true, 0),
+                        "banked credit: pure user space"
+                    );
                     assert_eq!(s.kernel_waits(), 0);
                     assert_eq!(s.kernel_wakes(), 0);
                 }
@@ -740,7 +694,7 @@ mod tests {
                 fn contended_p_blocks_in_the_kernel_and_v_wakes_it() {
                     let s = Arc::new(<$sem>::new(0));
                     let s2 = Arc::clone(&s);
-                    let t = std::thread::spawn(move || s2.p_counted());
+                    let t = std::thread::spawn(move || s2.acquire(None, 0));
                     // Wait until the P caller is registered as a sleeper so
                     // the V below must take the wake path.
                     while s.waiting() == 0 {
@@ -943,7 +897,7 @@ mod tests {
         assert!(s.is_shared());
         assert!(!FutexSem::new(0).is_shared());
         let s2 = Arc::clone(&s);
-        let t = std::thread::spawn(move || s2.p_counted());
+        let t = std::thread::spawn(move || s2.acquire(None, 0));
         while s.waiting() == 0 {
             std::thread::yield_now();
         }

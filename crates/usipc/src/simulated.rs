@@ -125,10 +125,6 @@ impl OsServices for SimOs<'_> {
         }
     }
 
-    fn poll_pause(&self) {
-        self.busy_wait();
-    }
-
     fn sem_p(&self, sem: u32) {
         self.record(ProtoEvent::SemP);
         self.sys.sem_p(self.ids.sems[sem as usize]);

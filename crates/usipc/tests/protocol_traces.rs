@@ -10,7 +10,8 @@ use usipc::{Channel, ChannelConfig, Cost, HandoffHint, Message, OsServices, Wait
 enum Call {
     Yield,
     BusyWait,
-    PollPause,
+    /// One paced poll step, with the attempt index the protocol handed over.
+    PollPause(u32),
     SemP(u32),
     SemV(u32),
     SleepFull,
@@ -114,8 +115,9 @@ impl OsServices for MockOs {
         };
         self.maybe_fire(Trigger::OnBusyWait(n));
     }
-    fn poll_pause(&self) {
-        self.log(Call::PollPause);
+    fn poll_pause(&self, attempt: u32) {
+        self.log(Call::PollPause(attempt));
+        std::thread::yield_now(); // lets a real peer thread run on one CPU
         let n = {
             let mut c = self.counters.borrow_mut();
             c.1 += 1;
@@ -179,12 +181,20 @@ fn bss_makes_no_kernel_calls_when_reply_is_ready() {
 fn bss_busy_waits_until_reply_arrives() {
     let ch = channel();
     let os = MockOs::new();
-    os.deliver(Trigger::OnBusyWait(3), &ch, 0, Message::echo(0, 9.0), false);
+    os.deliver(
+        Trigger::OnPollPause(3),
+        &ch,
+        0,
+        Message::echo(0, 9.0),
+        false,
+    );
     let ans = WaitStrategy::Bss.send(&ch, &os, 0, Message::echo(0, 1.0));
     assert_eq!(ans.value, 9.0);
+    // The enqueue succeeded at once (zero pauses); the reply wait is its
+    // own wait, so its attempts start at 0 and count up by one.
     assert_eq!(
         os.calls(),
-        vec![Call::BusyWait, Call::BusyWait, Call::BusyWait]
+        vec![Call::PollPause(0), Call::PollPause(1), Call::PollPause(2)]
     );
 }
 
@@ -193,7 +203,7 @@ fn bss_receive_spins_never_blocks() {
     let ch = channel();
     let os = MockOs::new();
     os.deliver(
-        Trigger::OnBusyWait(2),
+        Trigger::OnPollPause(2),
         &ch,
         u32::MAX,
         Message::echo(1, 3.0),
@@ -201,8 +211,27 @@ fn bss_receive_spins_never_blocks() {
     );
     let m = WaitStrategy::Bss.receive(&ch, &os);
     assert_eq!(m.value, 3.0);
-    assert_eq!(os.count_of(|c| matches!(c, Call::SemP(_))), 0);
-    assert_eq!(os.count_of(|c| matches!(c, Call::BusyWait)), 2);
+    assert_eq!(os.calls(), vec![Call::PollPause(0), Call::PollPause(1)]);
+    // The next wait restarts the schedule, and a waiting request costs
+    // zero pauses.
+    os.deliver(
+        Trigger::OnPollPause(3),
+        &ch,
+        u32::MAX,
+        Message::echo(1, 4.0),
+        false,
+    );
+    assert_eq!(WaitStrategy::Bss.receive(&ch, &os).value, 4.0);
+    assert_eq!(os.calls()[2..], [Call::PollPause(0)]);
+    os.deliver(
+        Trigger::Immediately,
+        &ch,
+        u32::MAX,
+        Message::echo(1, 5.0),
+        false,
+    );
+    assert_eq!(WaitStrategy::Bss.receive(&ch, &os).value, 5.0);
+    assert_eq!(os.calls().len(), 3, "non-empty queue: no pause");
 }
 
 // ---- BSW (Fig. 5) ----------------------------------------------------
@@ -346,11 +375,15 @@ fn bsls_polls_up_to_max_spin_then_blocks() {
     os.deliver(Trigger::OnSemP(1), &ch, 0, Message::echo(0, 3.0), true);
     let ans = WaitStrategy::Bsls { max_spin: 7 }.send(&ch, &os, 0, Message::echo(0, 1.0));
     assert_eq!(ans.value, 3.0);
+    let polls: Vec<_> = os
+        .calls()
+        .into_iter()
+        .filter(|c| matches!(c, Call::PollPause(_)))
+        .collect();
     assert_eq!(
-        os.count_of(|c| matches!(c, Call::PollPause)),
-        7,
-        "spin budget honoured exactly: {:?}",
-        os.calls()
+        polls,
+        (0..7).map(Call::PollPause).collect::<Vec<_>>(),
+        "spin budget honoured exactly, attempts 0..max_spin in order"
     );
     assert!(
         os.count_of(|c| matches!(c, Call::SemP(_))) >= 1,
@@ -371,7 +404,7 @@ fn bsls_stops_polling_as_soon_as_the_reply_lands() {
     );
     let ans = WaitStrategy::Bsls { max_spin: 50 }.send(&ch, &os, 0, Message::echo(0, 1.0));
     assert_eq!(ans.value, 3.5);
-    assert_eq!(os.count_of(|c| matches!(c, Call::PollPause)), 2);
+    assert_eq!(os.calls(), vec![Call::PollPause(0), Call::PollPause(1)]);
     assert_eq!(
         os.count_of(|c| matches!(c, Call::SemP(_))),
         0,
@@ -385,7 +418,54 @@ fn bsls_zero_spin_goes_straight_to_the_blocking_path() {
     let os = MockOs::new();
     os.deliver(Trigger::OnSemP(1), &ch, 0, Message::echo(0, 1.5), true);
     let _ = WaitStrategy::Bsls { max_spin: 0 }.send(&ch, &os, 0, Message::echo(0, 1.0));
-    assert_eq!(os.count_of(|c| matches!(c, Call::PollPause)), 0);
+    assert_eq!(os.count_of(|c| matches!(c, Call::PollPause(_))), 0);
+}
+
+#[test]
+fn bsls_receive_pays_no_pause_for_a_waiting_request() {
+    let ch = channel();
+    let os = MockOs::new();
+    os.deliver(
+        Trigger::Immediately,
+        &ch,
+        u32::MAX,
+        Message::echo(0, 2.0),
+        false,
+    );
+    let m = WaitStrategy::Bsls { max_spin: 50 }.receive(&ch, &os);
+    assert_eq!(m.value, 2.0);
+    assert!(os.calls().is_empty(), "{:?}", os.calls());
+}
+
+#[test]
+fn duplex_call_hands_over_fresh_attempt_indices_per_wait() {
+    // The serving thread is real (its own backend, a budget it never
+    // exhausts, so it polls and needs no wake-up from the mock); the
+    // calling side is the mock, so every index it is handed is on record.
+    const BUDGET: u32 = 5_000;
+    let ch = usipc::DuplexChannel::create(1, 4).unwrap();
+    let server = {
+        let ch = ch.clone();
+        let mut cfg = usipc::NativeConfig::for_clients(1);
+        cfg.multiprocessor = false; // pace by yielding: fine on one CPU too
+        let os = usipc::NativeOs::new(cfg);
+        std::thread::spawn(move || ch.serve_connection(&os.task(0), 0, u32::MAX, |m| m))
+    };
+    let os = MockOs::new();
+    for round in 0..3 {
+        let before = os.calls().len();
+        assert_eq!(ch.echo(&os, 0, f64::from(round), BUDGET), f64::from(round));
+        let calls = os.calls().split_off(before);
+        let n = calls.len() as u32;
+        assert_eq!(
+            calls,
+            (0..n).map(Call::PollPause).collect::<Vec<_>>(),
+            "round {round}: nothing but paced polls, from 0, up by one"
+        );
+        assert!(n < BUDGET, "round {round}: the budget was never reached");
+    }
+    ch.disconnect(&os, 0, BUDGET);
+    assert_eq!(server.join().unwrap(), 4);
 }
 
 // ---- handoff (§6) ----------------------------------------------------

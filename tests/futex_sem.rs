@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use usipc::{
     Channel, ChannelConfig, CountingSem, Message, NativeConfig, NativeOs, OsServices, QueueRef,
+    WaitStrategy,
 };
 
 /// N producers V-ing, M consumers P-ing, exact credit accounting at join:
@@ -181,4 +182,167 @@ fn uncontended_p_and_v_are_kernel_free() {
     assert_eq!(s.sem_kernel_wakes, 0, "no V entered the kernel");
     assert_eq!(os.sem(1).kernel_waits(), 0);
     assert_eq!(os.sem(1).kernel_wakes(), 0);
+}
+
+/// A backend built by a thread that may run on exactly one CPU hands the
+/// semaphore a spin bound of 0: one attempt, then register and sleep. The
+/// sleep/wake accounting must be what it always was — a blocked `P` is one
+/// kernel wait, and a BSW round trip under `SCHED_BATCH` is exactly 4
+/// semaphore calls of which 2 sleep and 2 wake.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+#[test]
+fn one_cpu_build_sleeps_without_spinning_and_keeps_the_bsw_budget() {
+    // Its own thread: the pin must not outlive the test. Threads spawned
+    // from it inherit the one-CPU mask.
+    std::thread::spawn(|| {
+        usipc::pin_to_cpu(0).expect("pin_to_cpu(0)");
+        assert_eq!(usipc::proc::cpus_allowed(), Some(1));
+
+        let os = NativeOs::new(NativeConfig::for_clients(1));
+        assert!(!os.effective_multiprocessor());
+        let sleeper = {
+            let t = os.task(1);
+            std::thread::spawn(move || t.sem_p(1))
+        };
+        while os.sem(1).waiting() == 0 {
+            std::thread::yield_now();
+        }
+        // Registered is a few instructions short of asleep; on one CPU the
+        // sleeper only gets those instructions while we are off it.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        os.task(0).sem_v(1);
+        sleeper.join().unwrap();
+        let reg = os.metrics().unwrap();
+        assert_eq!(reg.task_snapshot(1).sem_kernel_waits, 1, "one futex_wait");
+        assert_eq!(reg.task_snapshot(0).sem_kernel_wakes, 1, "one futex_wake");
+
+        // A preemption in the wake-to-sleep window (a tick, or another
+        // test's thread landing on CPU 0) legitimately elides a P/V pair or
+        // a sleep, so the totals are ceilings; every undisturbed round trip
+        // must hit them exactly. Other tests of this binary share the CPU
+        // at first, hence the retries.
+        const MSGS: u64 = 10_000;
+        let mut shares = Vec::new();
+        for _ in 0..10 {
+            let clean = pinned_bsw_round_trips(MSGS);
+            if clean * 100 >= MSGS * 99 {
+                return;
+            }
+            shares.push(clean);
+        }
+        panic!("round trips of exactly 4 sem ops / 2 sleeps / 2 wakes, of {MSGS}: {shares:?}");
+    })
+    .join()
+    .unwrap();
+}
+
+/// `msgs` BSW echoes plus the disconnect between two `SCHED_BATCH` threads
+/// of an already-pinned caller, checking values, order, the semaphores'
+/// final state and the 4 / 2 / 2 ceilings on the totals; returns how many
+/// echoes cost exactly 4 semaphore calls, 2 kernel waits and 2 kernel
+/// wakes over both sides.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn pinned_bsw_round_trips(msgs: u64) -> u64 {
+    let ch = Channel::create(&ChannelConfig::new(1)).expect("channel");
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+    let server = {
+        let (ch, os) = (ch.clone(), os.task(0));
+        std::thread::spawn(move || {
+            usipc::set_sched_batch().expect("set_sched_batch");
+            usipc::run_echo_server(&ch, &os, WaitStrategy::Bsw)
+        })
+    };
+    let client = {
+        let (ch, os) = (ch.clone(), Arc::clone(&os));
+        std::thread::spawn(move || {
+            usipc::set_sched_batch().expect("set_sched_batch");
+            let reg = os.metrics().unwrap();
+            let totals = || {
+                let t = reg.task_snapshot(0).add(&reg.task_snapshot(1));
+                (t.sem_ops(), t.sem_kernel_waits, t.sem_kernel_wakes)
+            };
+            let task = os.task(1);
+            let ep = ch.client(&task, 0, WaitStrategy::Bsw);
+            let mut clean = 0;
+            for i in 0..msgs {
+                let before = totals();
+                assert_eq!(ep.echo(i as f64), i as f64, "reply {i} out of order");
+                let after = totals();
+                let cost = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+                clean += u64::from(cost == (4, 2, 2));
+            }
+            ep.disconnect();
+            clean
+        })
+    };
+    let clean = client.join().unwrap();
+    assert_eq!(server.join().unwrap().processed, msgs + 1);
+    for (i, f) in os.sem_finals().iter().enumerate() {
+        assert_eq!((f.count, f.waiting), (0, 0), "sem {i} not clean");
+        assert!(f.max_count <= 1, "sem {i} banked {} credits", f.max_count);
+    }
+    let reg = os.metrics().unwrap();
+    let t = reg.task_snapshot(0).add(&reg.task_snapshot(1));
+    let rt = msgs + 1;
+    assert!(t.sem_ops() <= 4 * rt, "{} sem ops > 4/RT", t.sem_ops());
+    assert!(t.sem_kernel_waits <= 2 * rt && t.sem_kernel_wakes <= 2 * rt);
+    clean
+}
+
+/// A backend built with two CPUs visible keeps the pre-sleep spin: in a
+/// cross-CPU `V`/`P` ping-pong the credit lands while the waiter is still
+/// inside `P`, so most `P`s never reach `futex_wait`. The share depends on
+/// the host and is reported, not asserted; conservation is exact.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+#[test]
+fn two_cpu_build_keeps_the_spin_and_conserves_credits() {
+    if usipc::proc::cpus_allowed().unwrap_or(1) < 2 {
+        eprintln!("skipped: needs two CPUs in the affinity mask");
+        return;
+    }
+    const ROUNDS: u64 = 50_000;
+    let os = NativeOs::new(NativeConfig::for_clients(2));
+    let pong = {
+        let t = os.task(1);
+        std::thread::spawn(move || {
+            let _ = usipc::pin_to_cpu(1);
+            for _ in 0..ROUNDS {
+                t.sem_p(1);
+                t.sem_v(2);
+            }
+        })
+    };
+    let ping = {
+        let t = os.task(2);
+        std::thread::spawn(move || {
+            let _ = usipc::pin_to_cpu(0);
+            for _ in 0..ROUNDS {
+                t.sem_v(1);
+                t.sem_p(2);
+            }
+        })
+    };
+    ping.join().unwrap();
+    pong.join().unwrap();
+    let reg = os.metrics().unwrap();
+    let total = reg.task_snapshot(1).add(&reg.task_snapshot(2));
+    assert_eq!((total.sem_p, total.sem_v), (2 * ROUNDS, 2 * ROUNDS));
+    for f in &os.sem_finals()[1..] {
+        assert_eq!((f.count, f.waiting), (0, 0), "every V met exactly one P");
+    }
+    assert!(total.sem_kernel_waits <= total.sem_p);
+    eprintln!(
+        "two-CPU ping-pong: {:.1} % of {} Ps took their credit without a futex_wait",
+        100.0 * (total.sem_p - total.sem_kernel_waits) as f64 / total.sem_p as f64,
+        total.sem_p
+    );
 }
