@@ -17,7 +17,7 @@
 //! thread-vs-process round-trip cost is recorded side by side.
 //!
 //! Every thread-mode protocol is measured on **both queue kinds** — the
-//! pooled two-lock M&S queue and the wait-free arena ring
+//! pooled two-lock M&S queue and the lock-free arena ring
 //! (`"queue": "two_lock"` / `"queue": "ring"`) — so the queue-swap cost
 //! sits in the recorded matrix next to the protocol cost it rides under.
 //! This file is the repo's recorded perf trajectory; future PRs regress

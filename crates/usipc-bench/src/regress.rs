@@ -26,7 +26,7 @@
 //!   rings that land after the worker's final wake).
 //! * **Queue-kind band** — within the fresh file, each protocol's
 //!   `"ring"` row may not fall below its `"two_lock"` sibling's
-//!   throughput ÷ tolerance: the wait-free queue is allowed to be
+//!   throughput ÷ tolerance: the lock-free queue is allowed to be
 //!   noise-equal, never structurally slower than the lock-based one it
 //!   replaces on the hot path.
 //!
@@ -211,7 +211,7 @@ pub fn compare(baseline: &Json, fresh: &Json, tol: Tolerance) -> RegressReport {
             if ring_tp < lock_tp / tol.latency {
                 rep.violations.push(format!(
                     "{key}: ring throughput {ring_tp:.3} below two_lock {lock_tp:.3} ÷ {} = {:.3} \
-                     — the wait-free queue must not be structurally slower",
+                     — the lock-free queue must not be structurally slower",
                     tol.latency,
                     lock_tp / tol.latency
                 ));

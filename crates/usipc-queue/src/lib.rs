@@ -3,28 +3,23 @@
 //! The paper's communication substrate is "concurrent uni-directional queues
 //! implemented in shared memory", which its evaluation software realizes with
 //! "a common implementation of the Michael and Scott two-lock queue" (§2.2,
-//! citing \[9\] = Michael & Scott, PODC'96). This crate provides that queue —
-//! in both a generic heap form and the shared-memory (offset-based) form the
-//! IPC facility actually uses — plus the nonblocking Michael & Scott queue
-//! and two ring buffers used for design-choice ablations:
+//! citing \[9\] = Michael & Scott, PODC'96). This crate holds the two queues
+//! a channel can run on, both in shared-memory (offset-based) form, and the
+//! handle that selects between them:
 //!
-//! * [`TwoLockQueue`] — generic, heap-allocated M&S two-lock queue.
-//! * [`ShmQueue`] — the same algorithm inside a
+//! * [`ShmQueue`] — the M&S two-lock queue inside a
 //!   [`ShmArena`](usipc_shm::ShmArena): test-and-set spinlocks, node pool,
 //!   fixed capacity with flow control (`enqueue` returns `false` when full,
 //!   which is what triggers the paper's `sleep(1)` back-off).
 //! * [`ShmRing`] — lock-free bounded ring in the arena (per-slot sequence
 //!   numbers, SPSC and MPSC producer modes, crash-robust: a SIGKILLed
 //!   producer can never wedge survivors the way an abandoned spinlock
-//!   does). [`AnyShmFifo`] dispatches between it and [`ShmQueue`] at
-//!   runtime so channels select their queue kind per configuration.
-//! * [`MsQueue`] — nonblocking M&S queue with ABA-protected tagged offsets.
-//! * [`SpscRing`] — wait-free single-producer/single-consumer ring.
-//! * [`MpmcRing`] — bounded multi-producer/multi-consumer ring
-//!   (per-slot sequence numbers).
+//!   does).
+//! * [`AnyShmFifo`] — dispatches between the two at runtime so channels
+//!   select their queue kind per configuration.
 //! * [`SpinLock`] — the raw test-and-set lock used inside the arena.
 //!
-//! All shared-memory queues carry `u64` payloads: large messages travel as
+//! Both queues carry `u64` payloads: large messages travel as
 //! arena *offsets* into a [`SlotPool`](usipc_shm::SlotPool), exactly as the
 //! paper suggests for variable-sized data ("one of the fields of the fixed
 //! sized message \[points\] to a variable sized component in shared memory").
@@ -33,22 +28,14 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod dispatch;
-mod mpmc;
-mod ms_lockfree;
 mod shm_ring;
 mod shm_two_lock;
 mod spinlock;
-mod spsc;
-mod two_lock;
 
 pub use dispatch::{AnyShmFifo, EnqueueFlow, FifoFsck, QueueKind};
-pub use mpmc::MpmcRing;
-pub use ms_lockfree::MsQueue;
-pub use shm_ring::{MpscShmRing, RingFsck, RingMode, RingPush, RingReclaim, ShmRing, SpscShmRing};
+pub use shm_ring::{RingFsck, RingMode, RingPush, RingReclaim, ShmRing};
 pub use shm_two_lock::{HeadLockBusy, ShmQueue, TailLockBusy, TwoLockFsck, POOL_SLACK};
 pub use spinlock::SpinLock;
-pub use spsc::SpscRing;
-pub use two_lock::TwoLockQueue;
 
 /// The one bounded-lock yield budget every fault-path acquisition of an
 /// in-segment spinlock shares: `enqueue_bounded`/`dequeue_bounded` here,
@@ -67,23 +54,6 @@ pub use two_lock::TwoLockQueue;
 /// keeping them equal means every bounded acquisition in the stack gives
 /// up on the same evidence.
 pub const LOCK_BUDGET: u32 = 100;
-
-/// Common interface over the shared-memory queue variants, used by the
-/// ablation benches to swap implementations under the same protocol code.
-pub trait ShmFifo: Copy + Send + Sync + 'static {
-    /// Creates a queue with room for `capacity` elements.
-    fn create(arena: &usipc_shm::ShmArena, capacity: usize) -> Result<Self, usipc_shm::ShmError>
-    where
-        Self: Sized;
-    /// Attempts to enqueue; `false` means the queue is full (flow control).
-    fn enqueue(&self, arena: &usipc_shm::ShmArena, value: u64) -> bool;
-    /// Attempts to dequeue; `None` means the queue is empty.
-    fn dequeue(&self, arena: &usipc_shm::ShmArena) -> Option<u64>;
-    /// Cheap emptiness poll (the `empty(Q)` test of the BSLS algorithm).
-    fn is_empty(&self, arena: &usipc_shm::ShmArena) -> bool;
-    /// Number of elements currently queued (approximate under concurrency).
-    fn len(&self, arena: &usipc_shm::ShmArena) -> usize;
-}
 
 #[cfg(test)]
 mod tests {

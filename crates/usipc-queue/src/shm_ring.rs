@@ -33,7 +33,6 @@
 //! Flow control matches the two-lock queue: a full ring refuses the
 //! enqueue, which is what triggers the paper's `sleep(1)` back-off.
 
-use crate::ShmFifo;
 use core::sync::atomic::{AtomicU64, Ordering};
 use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
@@ -163,8 +162,11 @@ unsafe impl ShmSafe for ShmRing {}
 
 impl ShmRing {
     /// Creates an empty ring; `capacity` is rounded up to a power of two
-    /// with a minimum of 2 (see [`ShmRing::effective_capacity`] — the
-    /// 1-slot Vyukov hazard is the same as `MpmcRing`'s).
+    /// with a minimum of 2 (see [`ShmRing::effective_capacity`]). The
+    /// minimum is load-bearing: with a single slot the sequence scheme
+    /// cannot tell "free for this lap" (`seq == pos`) from "still holding
+    /// last lap's element" (`seq == pos - capacity + 1`), so an enqueue
+    /// would overwrite an unconsumed element.
     ///
     /// # Errors
     ///
@@ -539,40 +541,6 @@ impl ShmRing {
         value
     }
 }
-
-/// [`ShmRing`] fixed to [`RingMode::Spsc`], for code generic over
-/// [`ShmFifo`] (the property suite and the queue ablation benches).
-#[derive(Debug, Clone, Copy)]
-pub struct SpscShmRing(pub ShmRing);
-
-/// [`ShmRing`] fixed to [`RingMode::Mpsc`] (see [`SpscShmRing`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MpscShmRing(pub ShmRing);
-
-macro_rules! ring_fifo {
-    ($wrapper:ident, $mode:expr) => {
-        impl ShmFifo for $wrapper {
-            fn create(arena: &ShmArena, capacity: usize) -> Result<Self, ShmError> {
-                Ok($wrapper(ShmRing::create(arena, capacity, $mode)?))
-            }
-            fn enqueue(&self, arena: &ShmArena, value: u64) -> bool {
-                self.0.enqueue(arena, value)
-            }
-            fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
-                self.0.dequeue(arena)
-            }
-            fn is_empty(&self, arena: &ShmArena) -> bool {
-                self.0.is_empty(arena)
-            }
-            fn len(&self, arena: &ShmArena) -> usize {
-                self.0.len(arena)
-            }
-        }
-    };
-}
-
-ring_fifo!(SpscShmRing, RingMode::Spsc);
-ring_fifo!(MpscShmRing, RingMode::Mpsc);
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,6 @@
 //! which the paper's `sleep(1)`-on-full back-off is built.
 
 use crate::spinlock::SpinLock;
-use crate::ShmFifo;
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use usipc_shm::{
     CacheAligned, PoolSlot, ShmArena, ShmError, ShmPtr, ShmSafe, SlotPool, NULL_OFFSET,
@@ -487,24 +486,6 @@ impl TwoLockFsck {
             + self.tail_repaired as u32
             + self.count_repaired as u32
             + self.nodes_reclaimed
-    }
-}
-
-impl ShmFifo for ShmQueue {
-    fn create(arena: &ShmArena, capacity: usize) -> Result<Self, ShmError> {
-        ShmQueue::create(arena, capacity)
-    }
-    fn enqueue(&self, arena: &ShmArena, value: u64) -> bool {
-        ShmQueue::enqueue(self, arena, value)
-    }
-    fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
-        ShmQueue::dequeue(self, arena)
-    }
-    fn is_empty(&self, arena: &ShmArena) -> bool {
-        ShmQueue::is_empty(self, arena)
-    }
-    fn len(&self, arena: &ShmArena) -> usize {
-        ShmQueue::len(self, arena)
     }
 }
 

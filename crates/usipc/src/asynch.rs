@@ -13,7 +13,7 @@
 use crate::channel::Channel;
 use crate::msg::Message;
 use crate::platform::OsServices;
-use crate::protocol::blocking_dequeue;
+use crate::protocol::{blocking_dequeue, dead_channel, Deadline};
 
 /// Client-side batching endpoint.
 pub struct AsyncClient<'a, O: OsServices> {
@@ -63,13 +63,14 @@ impl<'a, O: OsServices> AsyncClient<'a, O> {
     ///
     /// # Panics
     ///
-    /// If nothing is outstanding, or if replies arrive out of order (which
+    /// If nothing is outstanding, if replies arrive out of order (which
     /// would indicate a queue FIFO violation — the property the integration
-    /// tests lean on).
+    /// tests lean on), or if the reply queue is poisoned under the wait.
     pub fn collect(&mut self) -> Message {
         assert!(self.outstanding() > 0, "collect without outstanding posts");
         let rq = self.ch.reply_queue(self.id);
-        let m = blocking_dequeue(&rq, self.os, || {});
+        let m = blocking_dequeue(&rq, self.os, &Deadline::never(), || {})
+            .unwrap_or_else(|e| dead_channel("collect", e));
         assert_eq!(
             m.aux, self.next_collect,
             "reply out of order: got seq {}, expected {}",

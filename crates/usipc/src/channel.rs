@@ -10,12 +10,13 @@
 //! the reply queue to be used for the response." That is exactly the layout
 //! of [`ChannelRoot`].
 
+use crate::fault::IpcError;
 use crate::metrics::ProtoEvent;
 use crate::msg::{Message, MsgSlot};
 use crate::platform::{client_sem, server_sem, Cost, OsServices};
-use crate::protocol::WaitStrategy;
-use crate::trace::{Span, TracePoint};
+use crate::protocol::{call_failed, dead_channel, round_trip, Deadline, WaitStrategy};
 use core::sync::atomic::{AtomicU32, Ordering};
+use core::time::Duration;
 use std::sync::Arc;
 use usipc_queue::{AnyShmFifo, EnqueueFlow, QueueKind, RingMode, RingReclaim, ShmRing};
 use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice, SlotPool};
@@ -614,9 +615,9 @@ impl QueueRef<'_> {
 
     // --- failure model (DESIGN.md, "Failure model") -----------------------
     //
-    // None of these appear on the infallible fast path: poisoning is
-    // checked at fallible-call entry and on slow paths only (block commit,
-    // queue-full back-off), so the BSW four-sem-ops-per-round-trip
+    // None of these cost a kernel entry or a virtual-time charge: poison
+    // is one load at bounded-call entry, before each enqueue attempt and
+    // after a failed dequeue, so the BSW four-sem-ops-per-round-trip
     // accounting is untouched.
 
     /// Whether the channel has been poisoned. A plain shared-memory load —
@@ -808,26 +809,22 @@ impl<O: OsServices> ClientEndpoint<'_, O> {
     }
 
     /// Synchronous `Send`: enqueue the request and wait for the reply under
-    /// the endpoint's wait strategy.
+    /// the endpoint's wait strategy — [`Self::call_deadline`]'s body with
+    /// no deadline (see [`protocol`](crate::protocol), "Infallible = no
+    /// deadline").
     ///
     /// When the backend collects metrics, each call feeds the endpoint's
     /// round-trip latency histogram (host time on native, virtual time on
     /// the simulator).
-    pub fn call(&self, mut msg: Message) -> Message {
-        msg.channel = self.id;
-        let start = match self.os.metrics() {
-            Some(_) => self.os.now_nanos(),
-            None => None,
-        };
-        self.os.trace(TracePoint::Begin(Span::RoundTrip));
-        let reply = self.strategy.send(self.ch, self.os, self.id, msg);
-        self.os.trace(TracePoint::End(Span::RoundTrip));
-        if let (Some(t0), Some(m)) = (start, self.os.metrics()) {
-            if let Some(t1) = self.os.now_nanos() {
-                m.record_latency_nanos(t1.saturating_sub(t0));
-            }
-        }
-        reply
+    ///
+    /// # Panics
+    ///
+    /// If the channel is poisoned under the call: the server died, or this
+    /// client's reply queue was given up on. The message names the
+    /// [`IpcError`].
+    pub fn call(&self, msg: Message) -> Message {
+        self.call_by(msg, &Deadline::never())
+            .unwrap_or_else(|e| dead_channel("call", e))
     }
 
     /// Fallible synchronous `Send`, bounded by `timeout` and aware of the
@@ -835,7 +832,7 @@ impl<O: OsServices> ClientEndpoint<'_, O> {
     ///
     /// * a handle stamped under a superseded segment incarnation — a
     ///   successor took over and bumped the generation — is rejected
-    ///   immediately with [`IpcError::StaleGeneration`](crate::fault::IpcError::StaleGeneration);
+    ///   immediately with [`IpcError::StaleGeneration`];
     ///   re-opt-in via [`Channel::revalidate`];
     /// * a poisoned channel is rejected **immediately** — one shared-memory
     ///   load, no kernel entry, no queue traffic ([`IpcError::Poisoned`]);
@@ -847,69 +844,31 @@ impl<O: OsServices> ClientEndpoint<'_, O> {
     ///   [`IpcError::Timeout`] — or [`IpcError::PeerDead`] when the
     ///   server's liveness word shows it died, in which case the shared
     ///   receive queue is poisoned too so every client fails fast.
-    pub fn call_deadline(
-        &self,
-        mut msg: Message,
-        timeout: core::time::Duration,
-    ) -> Result<Message, crate::fault::IpcError> {
-        use crate::fault::IpcError;
-        msg.channel = self.id;
+    pub fn call_deadline(&self, msg: Message, timeout: Duration) -> Result<Message, IpcError> {
         // Generation check first: after a takeover the old incarnation's
         // poison flags have been audited away, so a stale handle must not
         // read (or, worse, trust) any per-queue state. One load each side.
         if self.ch.is_stale() {
             return Err(IpcError::StaleGeneration);
         }
-        let srv = self.ch.receive_queue();
-        let rq = self.ch.reply_queue(self.id);
-        if srv.is_poisoned() || rq.is_poisoned() {
+        if self.ch.receive_queue().is_poisoned() || self.ch.reply_queue(self.id).is_poisoned() {
             return Err(IpcError::Poisoned);
         }
-        let start = match self.os.metrics() {
-            Some(_) => self.os.now_nanos(),
-            None => None,
-        };
-        self.os.trace(TracePoint::Begin(Span::RoundTrip));
-        let out = self
-            .strategy
-            .send_deadline(self.ch, self.os, self.id, msg, timeout);
-        self.os.trace(TracePoint::End(Span::RoundTrip));
-        match out {
-            Ok(reply) => {
-                if let (Some(t0), Some(m)) = (start, self.os.metrics()) {
-                    if let Some(t1) = self.os.now_nanos() {
-                        m.record_latency_nanos(t1.saturating_sub(t0));
-                    }
-                }
-                Ok(reply)
-            }
-            Err(IpcError::Timeout) => {
-                // The reply never came. Distinguish a dead server from a
-                // slow one via the liveness word, then poison what is now
-                // indeterminate: always our own reply channel, and the
-                // shared receive queue too when the server is gone.
-                if !srv.consumer_alive() {
-                    self.os.record(ProtoEvent::PeerDeathDetected);
-                    rq.poison(self.os);
-                    srv.poison(self.os);
-                    Err(IpcError::PeerDead)
-                } else {
-                    rq.poison(self.os);
-                    Err(IpcError::Timeout)
-                }
-            }
-            Err(IpcError::Poisoned) => {
-                // Poison raced in mid-call. If it stems from a marked
-                // death, report the root cause.
-                if !srv.consumer_alive() {
-                    self.os.record(ProtoEvent::PeerDeathDetected);
-                    Err(IpcError::PeerDead)
-                } else {
-                    Err(IpcError::Poisoned)
-                }
-            }
-            Err(e) => Err(e),
-        }
+        self.call_by(msg, &Deadline::new(timeout))
+    }
+
+    /// One round trip under `deadline`: the body of [`Self::call`] and
+    /// [`Self::call_deadline`].
+    fn call_by(&self, mut msg: Message, deadline: &Deadline) -> Result<Message, IpcError> {
+        msg.channel = self.id;
+        round_trip(self.os, || {
+            self.strategy
+                .send_by(self.ch, self.os, self.id, msg, deadline)
+        })
+        .map_err(|e| {
+            let (srv, rq) = (self.ch.receive_queue(), self.ch.reply_queue(self.id));
+            call_failed(self.os, &srv, &rq, e, true)
+        })
     }
 
     /// Convenience: ECHO round trip, returning the echoed value.
@@ -942,19 +901,22 @@ pub struct ServerEndpoint<'a, O: OsServices> {
 
 impl<O: OsServices> ServerEndpoint<'_, O> {
     /// Blocking `Receive` under the endpoint's wait strategy.
+    ///
+    /// # Panics
+    ///
+    /// If the receive queue is poisoned under the wait (see
+    /// [`protocol`](crate::protocol), "Infallible = no deadline").
     pub fn receive(&self) -> Message {
-        self.strategy.receive(self.ch, self.os)
+        self.receive_within(None)
+            .unwrap_or_else(|e| dead_channel("receive", e))
     }
 
-    /// `Reply` to client `c`. When `c` names no reply queue — a malformed
-    /// client-supplied channel number — the reply is dropped and counted
-    /// ([`ProtoEvent::MalformedRequest`]) instead of panicking the server.
+    /// `Reply` to client `c`. A reply that cannot be delivered — `c` names
+    /// no reply queue (a malformed client-supplied channel number), or the
+    /// client is dead or poisoned — is dropped and counted
+    /// ([`ProtoEvent::ReplyDropped`]) instead of panicking the server.
     pub fn reply(&self, c: u32, msg: Message) {
-        if c >= self.ch.n_clients() {
-            self.os.record(ProtoEvent::MalformedRequest);
-            return;
-        }
-        self.strategy.reply(self.ch, self.os, c, msg)
+        let _ = self.reply_within(c, msg, None);
     }
 
     /// Fallible `Receive`, bounded by `timeout`. Expiry is *normal* — no
@@ -963,39 +925,58 @@ impl<O: OsServices> ServerEndpoint<'_, O> {
     /// ([`Self::reap_dead_clients`]). Also bumps the receive queue's
     /// heartbeat word so watchers can tell a waiting server from a wedged
     /// one.
-    pub fn receive_deadline(
-        &self,
-        timeout: core::time::Duration,
-    ) -> Result<Message, crate::fault::IpcError> {
-        self.ch.receive_queue().beat();
-        self.strategy.receive_deadline(self.ch, self.os, timeout)
+    pub fn receive_deadline(&self, timeout: Duration) -> Result<Message, IpcError> {
+        self.receive_within(Some(timeout))
     }
 
-    /// Fallible `Reply` to client `c`: fails fast with
-    /// [`IpcError`](crate::fault::IpcError) instead of backing off forever
-    /// against a reply queue whose client died. Detecting a dead client
-    /// here poisons (only) that client's reply queue.
-    pub fn reply_deadline(
+    /// Fallible `Reply` to client `c`: fails fast with [`IpcError`]
+    /// instead of backing off forever against a reply queue whose client
+    /// died. Detecting a dead client here poisons (only) that client's
+    /// reply queue. Any `Err` means the reply was dropped, and counted.
+    pub fn reply_deadline(&self, c: u32, msg: Message, timeout: Duration) -> Result<(), IpcError> {
+        self.reply_within(c, msg, Some(timeout))
+    }
+
+    /// `Receive` bounded by `heartbeat`, or unbounded. Only a server that
+    /// has a heartbeat publishes one: the epoch word shares its cache line
+    /// with the poison flag every producer reads.
+    pub(crate) fn receive_within(&self, heartbeat: Option<Duration>) -> Result<Message, IpcError> {
+        if heartbeat.is_some() {
+            self.ch.receive_queue().beat();
+        }
+        self.strategy
+            .receive_by(self.ch, self.os, &Deadline::within(heartbeat))
+    }
+
+    /// `Reply` to client `c` bounded by `heartbeat`, or unbounded: the one
+    /// reply path of every channel server, and so the one place a reply
+    /// that was not delivered is counted.
+    pub(crate) fn reply_within(
         &self,
         c: u32,
         msg: Message,
-        timeout: core::time::Duration,
-    ) -> Result<(), crate::fault::IpcError> {
-        use crate::fault::IpcError;
-        let Some(rq) = self.ch.try_reply_queue(c) else {
-            self.os.record(ProtoEvent::MalformedRequest);
-            return Err(IpcError::QueueFull);
+        heartbeat: Option<Duration>,
+    ) -> Result<(), IpcError> {
+        let sent = match self.ch.try_reply_queue(c) {
+            None => {
+                self.os.record(ProtoEvent::MalformedRequest);
+                Err(IpcError::QueueFull)
+            }
+            Some(rq) if !rq.consumer_alive() => {
+                self.os.record(ProtoEvent::PeerDeathDetected);
+                rq.poison(self.os);
+                Err(IpcError::PeerDead)
+            }
+            Some(rq) if rq.is_poisoned() => Err(IpcError::Poisoned),
+            Some(rq) => {
+                let deadline = Deadline::within(heartbeat);
+                self.strategy.reply_by(&rq, self.os, msg, &deadline)
+            }
         };
-        if !rq.consumer_alive() {
-            self.os.record(ProtoEvent::PeerDeathDetected);
-            rq.poison(self.os);
-            return Err(IpcError::PeerDead);
+        if sent.is_err() {
+            self.os.record(ProtoEvent::ReplyDropped);
         }
-        if rq.is_poisoned() {
-            return Err(IpcError::Poisoned);
-        }
-        self.strategy
-            .reply_deadline(self.ch, self.os, c, msg, timeout)
+        sent
     }
 
     /// Scans every client's liveness word, poisoning (and draining) the

@@ -14,12 +14,13 @@
 
 use crate::channel::{QueueRef, WaitableQueue};
 use crate::fault::IpcError;
+use crate::metrics::ProtoEvent;
 use crate::msg::{opcode, Message, MsgSlot};
 use crate::platform::{Cost, OsServices};
 use crate::protocol::{
-    blocking_dequeue, blocking_dequeue_deadline, enqueue_or_sleep, enqueue_or_sleep_deadline,
-    Deadline, PollLoop,
+    blocking_dequeue, bsw, call_failed, dead_channel, enqueue_or_sleep, Deadline, PollLoop,
 };
+use core::time::Duration;
 use std::sync::Arc;
 use usipc_queue::{QueueKind, RingMode};
 use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice, SlotPool};
@@ -134,15 +135,12 @@ impl DuplexChannel {
     }
 
     /// Synchronous client call on connection `c` (BSW discipline with an
-    /// optional limited-spin prologue, as in BSLS).
-    pub fn call<O: OsServices>(&self, os: &O, c: u32, mut msg: Message, max_spin: u32) -> Message {
-        msg.channel = c;
-        let rq = self.request_queue(c);
-        enqueue_or_sleep(&rq, os, msg);
-        rq.wake_consumer(os);
-        let reply = self.reply_queue(c);
-        PollLoop::new(os).pause_while(max_spin, || reply.is_empty(os));
-        blocking_dequeue(&reply, os, || {})
+    /// optional limited-spin prologue, as in BSLS):
+    /// [`Self::call_deadline`]'s body with no deadline, so it panics
+    /// (naming the [`IpcError`]) if the connection is poisoned under it.
+    pub fn call<O: OsServices>(&self, os: &O, c: u32, msg: Message, max_spin: u32) -> Message {
+        self.call_by(os, c, msg, max_spin, &Deadline::never())
+            .unwrap_or_else(|e| dead_channel("call", e))
     }
 
     /// Fallible synchronous call on connection `c`, bounded by `timeout`
@@ -155,36 +153,33 @@ impl DuplexChannel {
         &self,
         os: &O,
         c: u32,
+        msg: Message,
+        max_spin: u32,
+        timeout: Duration,
+    ) -> Result<Message, IpcError> {
+        if self.request_queue(c).is_poisoned() || self.reply_queue(c).is_poisoned() {
+            return Err(IpcError::Poisoned);
+        }
+        self.call_by(os, c, msg, max_spin, &Deadline::new(timeout))
+    }
+
+    /// One round trip on connection `c` under `deadline`.
+    fn call_by<O: OsServices>(
+        &self,
+        os: &O,
+        c: u32,
         mut msg: Message,
         max_spin: u32,
-        timeout: core::time::Duration,
+        deadline: &Deadline,
     ) -> Result<Message, IpcError> {
         msg.channel = c;
         let rq = self.request_queue(c);
         let reply = self.reply_queue(c);
-        if rq.is_poisoned() || reply.is_poisoned() {
-            return Err(IpcError::Poisoned);
-        }
-        let deadline = Deadline::new(timeout);
-        enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
+        enqueue_or_sleep(&rq, os, msg, deadline)?;
         rq.wake_consumer(os);
         PollLoop::new(os).pause_while(max_spin, || reply.is_empty(os));
-        match blocking_dequeue_deadline(&reply, os, &deadline, || {}) {
-            Ok(m) => Ok(m),
-            Err(IpcError::Timeout) => {
-                if !rq.consumer_alive() {
-                    os.record(crate::metrics::ProtoEvent::PeerDeathDetected);
-                    reply.poison(os);
-                    rq.poison(os);
-                    Err(IpcError::PeerDead)
-                } else {
-                    reply.poison(os);
-                    Err(IpcError::Timeout)
-                }
-            }
-            Err(IpcError::Poisoned) if !rq.consumer_alive() => Err(IpcError::PeerDead),
-            Err(e) => Err(e),
-        }
+        blocking_dequeue(&reply, os, deadline, || {})
+            .map_err(|e| call_failed(os, &rq, &reply, e, true))
     }
 
     /// Convenience: ECHO round trip on connection `c`.
@@ -199,90 +194,91 @@ impl DuplexChannel {
 
     /// One server thread's loop: serve connection `c` until its client
     /// disconnects. Returns messages processed (including the disconnect).
+    /// [`Self::serve_connection_resilient`]'s loop with no heartbeat: it
+    /// never wakes to check on its client, but it does end — with the
+    /// count so far — when the connection is poisoned under it.
     pub fn serve_connection<O: OsServices>(
         &self,
         os: &O,
         c: u32,
         max_spin: u32,
-        mut handler: impl FnMut(Message) -> Message,
+        handler: impl FnMut(Message) -> Message,
     ) -> u64 {
-        let rq = self.request_queue(c);
-        let reply = self.reply_queue(c);
-        let mut processed = 0;
-        loop {
-            PollLoop::new(os).pause_while(max_spin, || rq.is_empty(os));
-            let m = blocking_dequeue(&rq, os, || {});
-            os.charge(Cost::Request);
-            processed += 1;
-            if m.opcode == opcode::DISCONNECT {
-                enqueue_or_sleep(&reply, os, m);
-                reply.wake_consumer(os);
-                return processed;
-            }
-            let mut ans = handler(m);
-            ans.channel = c;
-            enqueue_or_sleep(&reply, os, ans);
-            reply.wake_consumer(os);
-        }
+        self.serve(os, c, max_spin, None, handler).0
     }
 
     /// A server thread's loop that **survives its client dying**: every
     /// wait is bounded by `heartbeat`, and each expiry checks the
     /// client's liveness word. A detected death poisons both queues of
     /// the connection (freeing their slots) and returns
-    /// [`IpcError::PeerDead`] with the count of messages served so far in
-    /// tow via `Err` — the thread exits instead of blocking forever on a
-    /// request that will never come.
+    /// [`IpcError::PeerDead`] — the thread exits instead of blocking
+    /// forever on a request that will never come.
     pub fn serve_connection_resilient<O: OsServices>(
         &self,
         os: &O,
         c: u32,
         max_spin: u32,
-        heartbeat: core::time::Duration,
-        mut handler: impl FnMut(Message) -> Message,
+        heartbeat: Duration,
+        handler: impl FnMut(Message) -> Message,
     ) -> Result<u64, IpcError> {
+        let (processed, end) = self.serve(os, c, max_spin, Some(heartbeat), handler);
+        end.map(|()| processed)
+    }
+
+    /// The one per-connection Receive/Reply loop: messages processed, and
+    /// how it ended (`Ok` = the client disconnected). With no `heartbeat`
+    /// every wait is unbounded and no heartbeat word is published.
+    fn serve<O: OsServices>(
+        &self,
+        os: &O,
+        c: u32,
+        max_spin: u32,
+        heartbeat: Option<Duration>,
+        mut handler: impl FnMut(Message) -> Message,
+    ) -> (u64, Result<(), IpcError>) {
         let rq = self.request_queue(c);
         let reply = self.reply_queue(c);
         let mut processed = 0;
         loop {
-            rq.beat();
+            if heartbeat.is_some() {
+                rq.beat();
+            }
             PollLoop::new(os).pause_while(max_spin, || rq.is_empty(os));
-            let deadline = Deadline::new(heartbeat);
-            let m = match blocking_dequeue_deadline(&rq, os, &deadline, || {}) {
+            let m = match blocking_dequeue(&rq, os, &Deadline::within(heartbeat), || {}) {
                 Ok(m) => m,
                 Err(IpcError::Timeout) => {
                     if !reply.consumer_alive() {
-                        os.record(crate::metrics::ProtoEvent::PeerDeathDetected);
+                        os.record(ProtoEvent::PeerDeathDetected);
                         reply.poison(os);
                         rq.poison(os);
-                        return Err(IpcError::PeerDead);
+                        return (processed, Err(IpcError::PeerDead));
                     }
                     continue; // idle heartbeat: client alive, keep waiting
                 }
-                Err(e) => return Err(e),
+                Err(e) => return (processed, Err(e)),
             };
             os.charge(Cost::Request);
             processed += 1;
             if m.opcode == opcode::DISCONNECT {
-                enqueue_or_sleep(&reply, os, m);
-                reply.wake_consumer(os);
-                return Ok(processed);
+                // The farewell echo is not bounded: the client is waiting
+                // for exactly this message.
+                if bsw::reply(&reply, os, m, &Deadline::never()).is_err() {
+                    os.record(ProtoEvent::ReplyDropped);
+                }
+                return (processed, Ok(()));
             }
             let mut ans = handler(m);
             ans.channel = c;
-            let reply_deadline = Deadline::new(heartbeat);
-            match enqueue_or_sleep_deadline(&reply, os, ans, &reply_deadline) {
-                Ok(()) => reply.wake_consumer(os),
-                Err(_) => {
-                    // Reply queue poisoned or wedged full past the
-                    // deadline: the client is gone or unrecoverable.
-                    if !reply.consumer_alive() {
-                        os.record(crate::metrics::ProtoEvent::PeerDeathDetected);
-                    }
-                    reply.poison(os);
-                    rq.poison(os);
-                    return Err(IpcError::PeerDead);
+            if bsw::reply(&reply, os, ans, &Deadline::within(heartbeat)).is_err() {
+                // Reply queue poisoned or wedged full past the deadline:
+                // the client is gone or unrecoverable.
+                os.record(ProtoEvent::ReplyDropped);
+                if !reply.consumer_alive() {
+                    os.record(ProtoEvent::PeerDeathDetected);
                 }
+                reply.poison(os);
+                rq.poison(os);
+                return (processed, Err(IpcError::PeerDead));
             }
         }
     }

@@ -79,8 +79,10 @@ impl<O: OsServices> Drop for ServerDeathWatch<'_, O> {
 
 /// Why a fallible IPC operation failed.
 ///
-/// The infallible classic surface (`Channel::client`, `call`, …) cannot
-/// observe these; only the `*_deadline` variants return them.
+/// The `*_deadline` calls return these. The classic surface (`call`,
+/// `receive`, `reply`, …) is the same code with no deadline: it can only
+/// meet [`IpcError::Poisoned`] / [`IpcError::PeerDead`], and panics with
+/// it or drops the reply (see [`protocol`](crate::protocol)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpcError {
     /// The deadline expired before the operation completed. No semaphore

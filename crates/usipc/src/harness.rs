@@ -684,7 +684,7 @@ pub fn run_native_experiment(
 }
 
 /// [`run_native_experiment`] with an explicit channel queue
-/// representation ([`QueueKind::Ring`] for the wait-free arena rings,
+/// representation ([`QueueKind::Ring`] for the lock-free arena rings,
 /// [`QueueKind::TwoLock`] for the pooled linked queue). The protocol
 /// layer is untouched — this is how the bench matrix isolates the queue
 /// swap's cost.
@@ -848,7 +848,7 @@ const WATCHDOG_JOIN: std::time::Duration = std::time::Duration::from_secs(30);
 /// tracing is enabled — the last trace point it recorded before going
 /// quiet, which is usually enough to identify the lost sleep/wake-up race
 /// without re-running under a debugger.
-fn watchdog_join(
+pub fn watchdog_join(
     named: Vec<(String, u32, std::thread::JoinHandle<()>)>,
     timeout: std::time::Duration,
     traces: Option<&TraceRegistry>,

@@ -156,10 +156,16 @@ pub enum ProtoEvent {
     /// A ring hole (or stranded sub-cursor slot) retired by recovery —
     /// fsck's hole audit or the live `reclaim_stuck` path during takeover.
     HoleRetired,
+    /// A reply the server had computed was not delivered: its queue stayed
+    /// full past the server's bound, named no client, or belongs to a
+    /// client that is dead or poisoned. Every processed request ends in
+    /// exactly one of a reply enqueue or this event, so replies are never
+    /// lost silently.
+    ReplyDropped,
 }
 
 /// Number of distinct [`ProtoEvent`] kinds.
-pub const N_EVENTS: usize = 31;
+pub const N_EVENTS: usize = 32;
 
 impl ProtoEvent {
     /// Every event kind, in discriminant order (`ALL[e as usize] == e`).
@@ -197,6 +203,7 @@ impl ProtoEvent {
         ProtoEvent::FsckRepair,
         ProtoEvent::CreditAbsorbed,
         ProtoEvent::HoleRetired,
+        ProtoEvent::ReplyDropped,
     ];
 
     /// Inverse of `e as usize` (used by the trace codec); `None` when `i`
@@ -462,6 +469,7 @@ pub struct MetricsSnapshot {
     pub fsck_repairs: u64,
     pub credits_absorbed: u64,
     pub holes_retired: u64,
+    pub replies_dropped: u64,
 }
 
 impl MetricsSnapshot {
@@ -498,6 +506,7 @@ impl MetricsSnapshot {
             ProtoEvent::FsckRepair => &mut self.fsck_repairs,
             ProtoEvent::CreditAbsorbed => &mut self.credits_absorbed,
             ProtoEvent::HoleRetired => &mut self.holes_retired,
+            ProtoEvent::ReplyDropped => &mut self.replies_dropped,
         }
     }
 
@@ -534,6 +543,7 @@ impl MetricsSnapshot {
             ProtoEvent::FsckRepair => self.fsck_repairs,
             ProtoEvent::CreditAbsorbed => self.credits_absorbed,
             ProtoEvent::HoleRetired => self.holes_retired,
+            ProtoEvent::ReplyDropped => self.replies_dropped,
         }
     }
 

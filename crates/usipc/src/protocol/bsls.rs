@@ -9,9 +9,10 @@
 //! loads the server, pushing more clients over their budgets.
 
 use crate::channel::{Channel, QueueRef};
+use crate::fault::IpcError;
 use crate::msg::Message;
 use crate::platform::OsServices;
-use crate::protocol::{blocking_dequeue, enqueue_or_sleep, PollLoop};
+use crate::protocol::{blocking_dequeue, enqueue_or_sleep, Deadline, PollLoop};
 use crate::trace::{Span, TracePoint};
 
 /// The limited-spin prologue of Fig. 9: `while (empty(Q) && spincnt++ <
@@ -25,84 +26,33 @@ fn limited_spin<O: OsServices>(q: &QueueRef<'_>, os: &O, max_spin: u32) {
     os.trace(TracePoint::End(Span::Spin));
 }
 
-/// Synchronous `Send`: enqueue, wake, spin up to `max_spin`, then block.
+/// Synchronous `Send`: enqueue, wake, spin up to `max_spin`, then block
+/// for what is left of `deadline`.
 pub fn send<O: OsServices>(
     ch: &Channel,
     os: &O,
     client: u32,
     msg: Message,
     max_spin: u32,
-) -> Message {
+    deadline: &Deadline,
+) -> Result<Message, IpcError> {
     let srv = ch.receive_queue();
-    enqueue_or_sleep(&srv, os, msg);
+    enqueue_or_sleep(&srv, os, msg, deadline)?;
     srv.wake_consumer(os);
     let rq = ch.reply_queue(client);
     limited_spin(&rq, os, max_spin);
-    blocking_dequeue(&rq, os, || os.busy_wait() /* try to hand off */)
+    // Before each commit to sleep: try to hand off.
+    blocking_dequeue(&rq, os, deadline, || os.busy_wait())
 }
 
 /// `Receive`: spin up to `max_spin`, then block.
-pub fn receive<O: OsServices>(ch: &Channel, os: &O, max_spin: u32) -> Message {
-    let srv = ch.receive_queue();
-    limited_spin(&srv, os, max_spin);
-    blocking_dequeue(&srv, os, || {})
-}
-
-/// `Reply`: identical to BSW.
-pub fn reply<O: OsServices>(ch: &Channel, os: &O, client: u32, msg: Message) {
-    let rq = ch.reply_queue(client);
-    enqueue_or_sleep(&rq, os, msg);
-    rq.wake_consumer(os);
-}
-
-use crate::fault::IpcError;
-use crate::protocol::{blocking_dequeue_deadline, enqueue_or_sleep_deadline, Deadline};
-use core::time::Duration;
-
-/// Fallible `Send`: the Fig. 9 protocol — limited spin, then a bounded
-/// block — under an overall `timeout`.
-pub fn send_deadline<O: OsServices>(
-    ch: &Channel,
-    os: &O,
-    client: u32,
-    msg: Message,
-    max_spin: u32,
-    timeout: Duration,
-) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(timeout);
-    let srv = ch.receive_queue();
-    enqueue_or_sleep_deadline(&srv, os, msg, &deadline)?;
-    srv.wake_consumer(os);
-    let rq = ch.reply_queue(client);
-    limited_spin(&rq, os, max_spin);
-    blocking_dequeue_deadline(&rq, os, &deadline, || os.busy_wait())
-}
-
-/// Fallible `Receive`: spin up to `max_spin`, then block for at most the
-/// rest of `timeout`.
-pub fn receive_deadline<O: OsServices>(
+pub fn receive<O: OsServices>(
     ch: &Channel,
     os: &O,
     max_spin: u32,
-    timeout: Duration,
+    deadline: &Deadline,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     limited_spin(&srv, os, max_spin);
-    blocking_dequeue_deadline(&srv, os, &deadline, || {})
-}
-
-/// Fallible `Reply`: identical to BSW's.
-pub fn reply_deadline<O: OsServices>(
-    ch: &Channel,
-    os: &O,
-    client: u32,
-    msg: Message,
-    timeout: Duration,
-) -> Result<(), IpcError> {
-    let deadline = Deadline::new(timeout);
-    let rq = ch.reply_queue(client);
-    enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
-    rq.wake_consumer(os);
-    Ok(())
+    blocking_dequeue(&srv, os, deadline, || {})
 }

@@ -10,77 +10,49 @@
 //! calls per round trip — "there is no advantage to the shared memory
 //! solution at all" — which is what motivates BSWY and BSLS.
 
-use crate::channel::Channel;
+use crate::channel::{Channel, QueueRef};
+use crate::fault::IpcError;
 use crate::msg::Message;
 use crate::platform::OsServices;
-use crate::protocol::{blocking_dequeue, enqueue_or_sleep};
+use crate::protocol::{blocking_dequeue, enqueue_or_sleep, Deadline};
 
 /// Synchronous `Send`: enqueue, wake the server if sleeping, block for the
-/// reply.
-pub fn send<O: OsServices>(ch: &Channel, os: &O, client: u32, msg: Message) -> Message {
+/// reply. Expiry and poison never cost a semaphore credit.
+pub fn send<O: OsServices>(
+    ch: &Channel,
+    os: &O,
+    client: u32,
+    msg: Message,
+    deadline: &Deadline,
+) -> Result<Message, IpcError> {
     let srv = ch.receive_queue();
-    enqueue_or_sleep(&srv, os, msg);
+    enqueue_or_sleep(&srv, os, msg, deadline)?;
     srv.wake_consumer(os);
     let rq = ch.reply_queue(client);
-    blocking_dequeue(&rq, os, || {})
+    blocking_dequeue(&rq, os, deadline, || {})
 }
 
 /// `Receive`: block until a request arrives.
-pub fn receive<O: OsServices>(ch: &Channel, os: &O) -> Message {
-    let srv = ch.receive_queue();
-    blocking_dequeue(&srv, os, || {})
-}
-
-/// `Reply`: enqueue the response and wake the client if sleeping.
-pub fn reply<O: OsServices>(ch: &Channel, os: &O, client: u32, msg: Message) {
-    let rq = ch.reply_queue(client);
-    enqueue_or_sleep(&rq, os, msg);
-    rq.wake_consumer(os);
-}
-
-use crate::fault::IpcError;
-use crate::protocol::{blocking_dequeue_deadline, enqueue_or_sleep_deadline, Deadline};
-use core::time::Duration;
-
-/// Fallible `Send`: the Fig. 5 protocol bounded by `timeout`, failing fast
-/// on a poisoned channel and never losing a semaphore credit on expiry.
-pub fn send_deadline<O: OsServices>(
+pub fn receive<O: OsServices>(
     ch: &Channel,
     os: &O,
-    client: u32,
-    msg: Message,
-    timeout: Duration,
+    deadline: &Deadline,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
-    enqueue_or_sleep_deadline(&srv, os, msg, &deadline)?;
-    srv.wake_consumer(os);
-    let rq = ch.reply_queue(client);
-    blocking_dequeue_deadline(&rq, os, &deadline, || {})
+    blocking_dequeue(&srv, os, deadline, || {})
 }
 
-/// Fallible `Receive`: block for at most `timeout`.
-pub fn receive_deadline<O: OsServices>(
-    ch: &Channel,
+/// `Reply` on the client's reply queue `rq`: enqueue the response and wake
+/// the client if sleeping. BSWY, BSLS and the hand-off variant reply
+/// exactly like this, and so do the servers that resolve the queue
+/// themselves (the mux worker, the duplex server thread).
+pub fn reply<O: OsServices>(
+    rq: &QueueRef<'_>,
     os: &O,
-    timeout: Duration,
-) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(timeout);
-    let srv = ch.receive_queue();
-    blocking_dequeue_deadline(&srv, os, &deadline, || {})
-}
-
-/// Fallible `Reply`: enqueue bounded by `timeout`, then wake the client.
-pub fn reply_deadline<O: OsServices>(
-    ch: &Channel,
-    os: &O,
-    client: u32,
     msg: Message,
-    timeout: Duration,
+    deadline: &Deadline,
 ) -> Result<(), IpcError> {
-    let deadline = Deadline::new(timeout);
-    let rq = ch.reply_queue(client);
-    enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
+    enqueue_or_sleep(rq, os, msg, deadline)?;
     rq.wake_consumer(os);
     Ok(())
 }

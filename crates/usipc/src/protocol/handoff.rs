@@ -9,9 +9,10 @@
 //! portability story of the paper's proposal.
 
 use crate::channel::Channel;
+use crate::fault::IpcError;
 use crate::msg::Message;
 use crate::platform::{HandoffHint, OsServices};
-use crate::protocol::{blocking_dequeue, enqueue_or_sleep};
+use crate::protocol::{blocking_dequeue, enqueue_or_sleep, Deadline};
 
 fn handoff_to_server<O: OsServices>(ch: &Channel, os: &O) {
     let target = ch.server_task();
@@ -23,84 +24,33 @@ fn handoff_to_server<O: OsServices>(ch: &Channel, os: &O) {
 }
 
 /// Synchronous `Send` with directed hand-offs to the server.
-pub fn send<O: OsServices>(ch: &Channel, os: &O, client: u32, msg: Message) -> Message {
-    let srv = ch.receive_queue();
-    enqueue_or_sleep(&srv, os, msg);
-    if !srv.tas_awake(os) {
-        os.sem_v(srv.sem()); // wake-up server
-        handoff_to_server(ch, os); // and run it, now
-    }
-    let rq = ch.reply_queue(client);
-    blocking_dequeue(&rq, os, || handoff_to_server(ch, os))
-}
-
-/// `Receive`: `handoff(PID_ANY)` on first failure, then the blocking path.
-pub fn receive<O: OsServices>(ch: &Channel, os: &O) -> Message {
-    let srv = ch.receive_queue();
-    if let Some(m) = srv.try_dequeue(os) {
-        return m;
-    }
-    os.handoff(HandoffHint::Any); // let clients run
-    blocking_dequeue(&srv, os, || {})
-}
-
-/// `Reply`: identical to BSW.
-pub fn reply<O: OsServices>(ch: &Channel, os: &O, client: u32, msg: Message) {
-    let rq = ch.reply_queue(client);
-    enqueue_or_sleep(&rq, os, msg);
-    rq.wake_consumer(os);
-}
-
-use crate::fault::IpcError;
-use crate::protocol::{blocking_dequeue_deadline, enqueue_or_sleep_deadline, Deadline};
-use core::time::Duration;
-
-/// Fallible `Send`: directed hand-offs intact, bounded by `timeout`.
-pub fn send_deadline<O: OsServices>(
+pub fn send<O: OsServices>(
     ch: &Channel,
     os: &O,
     client: u32,
     msg: Message,
-    timeout: Duration,
+    deadline: &Deadline,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
-    enqueue_or_sleep_deadline(&srv, os, msg, &deadline)?;
+    enqueue_or_sleep(&srv, os, msg, deadline)?;
     if !srv.tas_awake(os) {
         os.sem_v(srv.sem()); // wake-up server
         handoff_to_server(ch, os); // and run it, now
     }
     let rq = ch.reply_queue(client);
-    blocking_dequeue_deadline(&rq, os, &deadline, || handoff_to_server(ch, os))
+    blocking_dequeue(&rq, os, deadline, || handoff_to_server(ch, os))
 }
 
-/// Fallible `Receive`: `handoff(PID_ANY)` on first failure, then the
-/// bounded blocking path.
-pub fn receive_deadline<O: OsServices>(
+/// `Receive`: `handoff(PID_ANY)` on first failure, then the blocking path.
+pub fn receive<O: OsServices>(
     ch: &Channel,
     os: &O,
-    timeout: Duration,
+    deadline: &Deadline,
 ) -> Result<Message, IpcError> {
-    let deadline = Deadline::new(timeout);
     let srv = ch.receive_queue();
     if let Some(m) = srv.try_dequeue(os) {
         return Ok(m);
     }
     os.handoff(HandoffHint::Any); // let clients run
-    blocking_dequeue_deadline(&srv, os, &deadline, || {})
-}
-
-/// Fallible `Reply`: identical to BSW's.
-pub fn reply_deadline<O: OsServices>(
-    ch: &Channel,
-    os: &O,
-    client: u32,
-    msg: Message,
-    timeout: Duration,
-) -> Result<(), IpcError> {
-    let deadline = Deadline::new(timeout);
-    let rq = ch.reply_queue(client);
-    enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
-    rq.wake_consumer(os);
-    Ok(())
+    blocking_dequeue(&srv, os, deadline, || {})
 }

@@ -674,7 +674,8 @@ mod tests {
             let os = std::sync::Arc::clone(&os);
             std::thread::spawn(move || {
                 let t = os.task(1);
-                crate::protocol::blocking_dequeue(&ch.reply_queue(0), &t, || {})
+                let never = crate::protocol::Deadline::never();
+                crate::protocol::blocking_dequeue(&ch.reply_queue(0), &t, &never, || {})
             })
         };
         // Quiescence: wait until the client has committed to sleeping
@@ -695,7 +696,7 @@ mod tests {
         // The parked client's reply arrives through the successor — this
         // join also proves the takeover completed, gating the fresh
         // client's traffic behind the fsck.
-        let reply = parked.join().unwrap();
+        let reply = parked.join().unwrap().expect("reply queue stays live");
         assert_eq!(reply.value, 5.0, "committed request survived the crash");
 
         let t2 = os.task(2);

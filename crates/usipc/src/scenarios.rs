@@ -594,7 +594,7 @@ impl PeerDeathScenario {
                 let os = SimOs::new(sys, ids2, costs, false, 0);
                 // Blocking receive (infallible BSW path), then die in the
                 // dequeue->reply window.
-                let _request = crate::protocol::bsw::receive(&ch, &os);
+                let _request = WaitStrategy::Bsw.receive(&ch, &os);
                 if poisoning {
                     ch.tombstone_server(&os);
                 }

@@ -24,13 +24,28 @@ pub struct ServerRun {
     /// Requests dropped because their client-supplied `channel` named no
     /// reply queue (see [`ProtoEvent::MalformedRequest`]).
     pub malformed: u64,
-    /// Clients reaped after dying mid-session instead of disconnecting
-    /// (only [`run_resilient_server`] can observe deaths; always zero for
-    /// the classic loops).
+    /// Clients reaped after dying mid-session instead of disconnecting: a
+    /// server with a heartbeat finds them by its liveness scan, one without
+    /// only when a reply to them fails.
     pub reaped: u32,
+    /// Replies computed and not delivered ([`ProtoEvent::ReplyDropped`]):
+    /// the reply queue stayed full past the heartbeat, or its client was
+    /// dead or poisoned. `processed` minus this is what clients can have
+    /// received.
+    pub replies_dropped: u64,
     /// Protocol events recorded by the server task during this run (all
     /// zero when the backend does not collect metrics).
     pub metrics: MetricsSnapshot,
+}
+
+impl ServerRun {
+    /// Accounts one reply that was computed and could not be delivered, for
+    /// the loops that enqueue replies themselves (channel servers count
+    /// the event in `ServerEndpoint::reply_within`).
+    pub(crate) fn reply_dropped<O: OsServices>(&mut self, os: &O) {
+        os.record(ProtoEvent::ReplyDropped);
+        self.replies_dropped += 1;
+    }
 }
 
 /// Snapshot of the calling task's counters, or zeros when collection is
@@ -45,41 +60,18 @@ fn task_snapshot<O: OsServices>(os: &O) -> MetricsSnapshot {
 /// handled internally (echoed back so the client's synchronous `Send`
 /// completes, then counted towards termination). The handler's cost is
 /// charged as [`Cost::Request`].
+///
+/// This is [`run_resilient_server`]'s loop with no heartbeat: it never
+/// wakes to scan for dead clients, but it does end — like the resilient
+/// server — when the receive queue is poisoned under it, and it drops and
+/// counts a reply whose client is dead or poisoned.
 pub fn run_server<O: OsServices>(
     ch: &Channel,
     os: &O,
     strategy: WaitStrategy,
-    mut handler: impl FnMut(Message) -> Message,
+    handler: impl FnMut(Message) -> Message,
 ) -> ServerRun {
-    ch.register_server_task(os.task_id());
-    let mut live = ch.n_clients();
-    let mut run = ServerRun::default();
-    let start = task_snapshot(os);
-    let server = ch.server(os, strategy);
-    while live > 0 {
-        let m = server.receive();
-        // `m.channel` crossed the shared-memory trust boundary: an
-        // out-of-range value names no reply queue, so drop and count it
-        // rather than let a buggy or hostile client kill the server.
-        if m.channel >= ch.n_clients() {
-            os.record(ProtoEvent::MalformedRequest);
-            run.malformed += 1;
-            continue;
-        }
-        os.charge(Cost::Request);
-        run.processed += 1;
-        if m.opcode == opcode::DISCONNECT {
-            run.disconnects += 1;
-            live -= 1;
-            server.reply(m.channel, m);
-        } else {
-            let mut ans = handler(m);
-            ans.channel = m.channel;
-            server.reply(m.channel, ans);
-        }
-    }
-    run.metrics = task_snapshot(os).diff(&start);
-    run
+    serve(ch, os, strategy, None, ServerObservability::none(), handler).0
 }
 
 /// Runs a request/reply server that **survives client death** (DESIGN.md,
@@ -151,6 +143,21 @@ pub fn run_resilient_server_observed<O: OsServices>(
     strategy: WaitStrategy,
     heartbeat: core::time::Duration,
     obs: ServerObservability<'_>,
+    handler: impl FnMut(Message) -> Message,
+) -> (ServerRun, Option<String>) {
+    serve(ch, os, strategy, Some(heartbeat), obs, handler)
+}
+
+/// The one Receive/Reply loop behind [`run_server`] (no `heartbeat`: every
+/// wait is unbounded, no heartbeat word is published, no liveness scan
+/// runs) and the resilient servers (every wait bounded by `heartbeat`,
+/// each expiry a liveness scan).
+fn serve<O: OsServices>(
+    ch: &Channel,
+    os: &O,
+    strategy: WaitStrategy,
+    heartbeat: Option<core::time::Duration>,
+    obs: ServerObservability<'_>,
     mut handler: impl FnMut(Message) -> Message,
 ) -> (ServerRun, Option<String>) {
     use crate::fault::IpcError;
@@ -193,7 +200,7 @@ pub fn run_resilient_server_observed<O: OsServices>(
     };
     publish(&run, live);
     while live > 0 {
-        let m = match server.receive_deadline(heartbeat) {
+        let m = match server.receive_within(heartbeat) {
             Ok(m) => m,
             Err(IpcError::Timeout) => {
                 // Liveness scan: reap clients whose death was marked (or
@@ -235,18 +242,20 @@ pub fn run_resilient_server_observed<O: OsServices>(
                 gone[m.channel as usize] = true;
                 live -= 1;
             }
-            let _ = server.reply_deadline(m.channel, m, heartbeat);
+            if server.reply_within(m.channel, m, heartbeat).is_err() {
+                run.replies_dropped += 1;
+            }
         } else {
             let mut ans = handler(m);
             ans.channel = m.channel;
-            match server.reply_deadline(m.channel, ans, heartbeat) {
-                Ok(()) => {}
-                Err(IpcError::PeerDead) | Err(IpcError::Poisoned) => {
+            if let Err(e) = server.reply_within(m.channel, ans, heartbeat) {
+                // Dropped (`reply_within` counted the event). QueueFull or
+                // Timeout: the client's own deadline machinery recovers.
+                run.replies_dropped += 1;
+                if matches!(e, IpcError::PeerDead | IpcError::Poisoned) {
                     dump(&mut postmortem);
                     reap(m.channel, &mut gone, &mut live, &mut run);
                 }
-                Err(_) => {} // QueueFull/Timeout: reply dropped, client's
-                             // own deadline machinery recovers
             }
         }
     }
@@ -300,7 +309,7 @@ pub fn run_throttled_server<O: OsServices>(
     max_spin: u32,
     wake_batch: usize,
 ) -> ServerRun {
-    use crate::protocol::{bsls, enqueue_or_sleep};
+    use crate::protocol::{bsls, enqueue_or_sleep, Deadline};
     use std::collections::VecDeque;
     assert!(
         wake_batch >= 1,
@@ -311,6 +320,7 @@ pub fn run_throttled_server<O: OsServices>(
     let mut run = ServerRun::default();
     let start = task_snapshot(os);
     let mut pending_wakes: VecDeque<u32> = VecDeque::new();
+    let never = Deadline::never();
     while live > 0 || !pending_wakes.is_empty() {
         // Admission control: while the receive queue shows backlog, the
         // awake clients already keep the server saturated — leave the
@@ -334,7 +344,12 @@ pub fn run_throttled_server<O: OsServices>(
         if live == 0 {
             continue;
         }
-        let m = bsls::receive(ch, os, max_spin);
+        // No heartbeat: like `run_server`, the loop ends only with its
+        // clients — or with the channel, when the receive queue is
+        // poisoned under it.
+        let Ok(m) = bsls::receive(ch, os, max_spin, &never) else {
+            break;
+        };
         if m.channel >= ch.n_clients() {
             os.record(ProtoEvent::MalformedRequest);
             run.malformed += 1;
@@ -342,17 +357,17 @@ pub fn run_throttled_server<O: OsServices>(
         }
         os.charge(Cost::Request);
         run.processed += 1;
+        let rq = ch.reply_queue(m.channel);
+        if enqueue_or_sleep(&rq, os, m, &never).is_err() {
+            run.reply_dropped(os);
+        }
         if m.opcode == opcode::DISCONNECT {
             run.disconnects += 1;
             live -= 1;
-            // Disconnects are replied and woken eagerly: the client is
-            // definitely waiting, and the session is ending anyway.
-            let rq = ch.reply_queue(m.channel);
-            enqueue_or_sleep(&rq, os, m);
+            // Disconnects are woken eagerly: the client is definitely
+            // waiting, and the session is ending anyway.
             rq.wake_consumer(os);
         } else {
-            let rq = ch.reply_queue(m.channel);
-            enqueue_or_sleep(&rq, os, m);
             // Defer the wake-up; a spinning (BSLS) client will usually
             // collect the reply before this V is ever needed.
             pending_wakes.push_back(m.channel);

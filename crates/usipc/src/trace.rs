@@ -417,6 +417,7 @@ fn proto_label(e: ProtoEvent) -> &'static str {
         ProtoEvent::FsckRepair => "fsck_repair",
         ProtoEvent::CreditAbsorbed => "credit_absorbed",
         ProtoEvent::HoleRetired => "hole_retired",
+        ProtoEvent::ReplyDropped => "reply_dropped",
     }
 }
 

@@ -83,8 +83,7 @@ use crate::metrics::ProtoEvent;
 use crate::msg::{opcode, Message};
 use crate::platform::{Cost, OsServices};
 use crate::protocol::{
-    blocking_dequeue, blocking_dequeue_deadline, enqueue_or_sleep, enqueue_or_sleep_deadline,
-    Deadline,
+    blocking_dequeue, call_failed, dead_channel, enqueue_or_sleep, round_trip, Deadline,
 };
 use crate::server::ServerRun;
 use crate::trace::{Span, TracePoint};
@@ -281,23 +280,6 @@ impl<'a> WaitSet<'a> {
         None
     }
 
-    /// Waiter side, blocking: polls, and if nothing is ready sleeps on
-    /// the doorbell; each completed `P` opens a new wake cycle (clears
-    /// the pending latch) and rescans. Returns the claimed source.
-    pub fn wait<O: OsServices>(&self, os: &O, cursor: &mut usize) -> usize {
-        loop {
-            if let Some(s) = self.poll(cursor) {
-                return s;
-            }
-            os.record(ProtoEvent::BlockEntered);
-            os.trace(TracePoint::Begin(Span::Block));
-            os.sem_p(self.root.doorbell_sem);
-            os.trace(TracePoint::End(Span::Block));
-            os.record(ProtoEvent::WaitSetWake);
-            self.root.pending.store(0, Ordering::SeqCst);
-        }
-    }
-
     /// Recovery-time rebuild of the waitset's wake state (the WaitSet leg
     /// of [`recover`](crate::recover)): re-derives every ready bit from
     /// the *actual* backlog of its source, then re-establishes the
@@ -365,7 +347,10 @@ impl<'a> WaitSet<'a> {
         r
     }
 
-    /// [`Self::wait`] bounded by `timeout`: expiry returns
+    /// Waiter side, blocking — the only doorbell wait: polls, and if
+    /// nothing is ready sleeps on the doorbell for at most `timeout`; each
+    /// completed `P` opens a new wake cycle (clears the pending latch) and
+    /// rescans. Returns the claimed source. Expiry returns
     /// [`IpcError::Timeout`] without consuming a doorbell credit (the
     /// [`sem_p_deadline`](OsServices::sem_p_deadline) no-credit-lost
     /// contract) and without touching the pending latch, so a `V` racing
@@ -391,7 +376,7 @@ impl<'a> WaitSet<'a> {
             };
             os.record(ProtoEvent::BlockEntered);
             os.trace(TracePoint::Begin(Span::Block));
-            let taken = os.sem_p_deadline(self.root.doorbell_sem, left);
+            let taken = left.sem_p(os, self.root.doorbell_sem);
             os.trace(TracePoint::End(Span::Block));
             if taken {
                 os.record(ProtoEvent::WaitSetWake);
@@ -460,7 +445,7 @@ pub struct ShardedConfig {
     pub heartbeat: Duration,
     /// Queue representation for every member channel (see
     /// [`ChannelConfig::queue_kind`]). [`QueueKind::Ring`] makes the
-    /// shard data path wait-free: a client SIGKILLed mid-enqueue can no
+    /// shard data path lock-free: a client SIGKILLed mid-enqueue can no
     /// longer wedge its shard's worker (or a thief) on an abandoned
     /// tail lock.
     pub queue_kind: QueueKind,
@@ -654,7 +639,8 @@ impl ShardedServer {
     }
 
     /// Fallible reply to client `c`, with the same peer-death handling as
-    /// the resilient server's reply path.
+    /// the resilient server's reply path. An `Err` is a dropped reply; the
+    /// caller counts it.
     fn reply_to<O: OsServices>(&self, os: &O, c: u32, msg: Message) -> Result<(), IpcError> {
         let ch = &self.channels[c as usize];
         let rq = ch.reply_queue(0);
@@ -667,7 +653,7 @@ impl ShardedServer {
             return Err(IpcError::Poisoned);
         }
         let deadline = Deadline::new(self.cfg.heartbeat);
-        enqueue_or_sleep_deadline(&rq, os, msg, &deadline)?;
+        enqueue_or_sleep(&rq, os, msg, &deadline)?;
         rq.wake_consumer(os);
         Ok(())
     }
@@ -706,7 +692,9 @@ impl ShardedServer {
                 if self.retire(c) {
                     run.disconnects += 1;
                 }
-                let _ = self.reply_to(os, c, m);
+                if self.reply_to(os, c, m).is_err() {
+                    run.reply_dropped(os);
+                }
             } else {
                 let mut ans = handler(m);
                 ans.channel = 0;
@@ -715,16 +703,16 @@ impl ShardedServer {
                 // reply to the attempt that asked for it — handlers
                 // answer in `opcode`/`value`.
                 ans.aux = m.aux;
-                match self.reply_to(os, c, ans) {
-                    Ok(()) => {}
-                    Err(IpcError::PeerDead) | Err(IpcError::Poisoned) => {
+                if let Err(e) = self.reply_to(os, c, ans) {
+                    // Dropped. QueueFull or Timeout: the client's own
+                    // deadline machinery recovers.
+                    run.reply_dropped(os);
+                    if matches!(e, IpcError::PeerDead | IpcError::Poisoned) {
                         if self.retire(c) {
                             run.reaped += 1;
                         }
                         return;
                     }
-                    Err(_) => {} // QueueFull/Timeout: reply dropped, the
-                                 // client's own deadline machinery recovers
                 }
             }
         }
@@ -883,30 +871,14 @@ impl<O: OsServices> MuxClient<'_, O> {
         self.c
     }
 
-    /// Synchronous `Send` through the client's shard. Feeds the
-    /// round-trip latency histogram when the backend collects metrics,
-    /// like [`ClientEndpoint::call`](crate::ClientEndpoint::call).
+    /// Synchronous `Send` through the client's shard:
+    /// [`Self::call_deadline`]'s body with no deadline, so it panics (naming
+    /// the [`IpcError`]) if the channel is poisoned under it, like
+    /// [`ClientEndpoint::call`](crate::ClientEndpoint::call).
     pub fn call(&self, mut msg: Message) -> Message {
         msg.channel = 0;
-        let ch = &self.srv.channels[self.c as usize];
-        let (shard, slot) = self.srv.route[self.c as usize];
-        let start = match self.os.metrics() {
-            Some(_) => self.os.now_nanos(),
-            None => None,
-        };
-        self.os.trace(TracePoint::Begin(Span::RoundTrip));
-        enqueue_or_sleep(&ch.receive_queue(), self.os, msg);
-        self.srv
-            .waitset(shard as usize)
-            .notify(self.os, slot as usize);
-        let reply = blocking_dequeue(&ch.reply_queue(0), self.os, || {});
-        self.os.trace(TracePoint::End(Span::RoundTrip));
-        if let (Some(t0), Some(m)) = (start, self.os.metrics()) {
-            if let Some(t1) = self.os.now_nanos() {
-                m.record_latency_nanos(t1.saturating_sub(t0));
-            }
-        }
-        reply
+        self.attempt(msg, &Deadline::never(), None, true)
+            .unwrap_or_else(|e| dead_channel("call", e))
     }
 
     /// Fallible synchronous `Send`, bounded by `timeout`, with the same
@@ -922,13 +894,29 @@ impl<O: OsServices> MuxClient<'_, O> {
     /// [`IpcError::Timeout`], or [`IpcError::PeerDead`] as above.
     pub fn call_deadline(&self, mut msg: Message, timeout: Duration) -> Result<Message, IpcError> {
         msg.channel = 0;
-        self.attempt(msg, timeout, None, true)
+        self.admit()?;
+        self.attempt(msg, &Deadline::new(timeout), None, true)
     }
 
-    /// One bounded call attempt — the shared body of [`Self::call_deadline`]
-    /// (which poisons on expiry, keeping its documented semantics) and
-    /// [`Self::call_retry`] (whose inner attempts must NOT poison: the
-    /// queue has to stay usable for the next attempt).
+    /// The fail-fast entry checks of a bounded call: a stale handle, then a
+    /// poisoned channel — loads only, no queue traffic.
+    fn admit(&self) -> Result<(), IpcError> {
+        let ch = &self.srv.channels[self.c as usize];
+        if ch.is_stale() {
+            return Err(IpcError::StaleGeneration);
+        }
+        if ch.receive_queue().is_poisoned() || ch.reply_queue(0).is_poisoned() {
+            return Err(IpcError::Poisoned);
+        }
+        Ok(())
+    }
+
+    /// One call attempt under `deadline` — the shared body of
+    /// [`Self::call`], [`Self::call_deadline`] (which poisons on expiry,
+    /// keeping its documented semantics) and [`Self::call_retry`] (whose
+    /// inner attempts must NOT poison: the queue has to stay usable for
+    /// the next attempt). Feeds the round-trip latency histogram when the
+    /// backend collects metrics.
     ///
     /// `want_aux` filters replies by correlation tag: a reply carrying a
     /// different tag is a late answer to an earlier, timed-out attempt —
@@ -937,7 +925,7 @@ impl<O: OsServices> MuxClient<'_, O> {
     fn attempt(
         &self,
         msg: Message,
-        timeout: Duration,
+        deadline: &Deadline,
         want_aux: Option<u64>,
         poison_on_timeout: bool,
     ) -> Result<Message, IpcError> {
@@ -945,49 +933,21 @@ impl<O: OsServices> MuxClient<'_, O> {
         let (shard, slot) = self.srv.route[self.c as usize];
         let srv_q = ch.receive_queue();
         let rq = ch.reply_queue(0);
-        if ch.is_stale() {
-            return Err(IpcError::StaleGeneration);
-        }
-        if srv_q.is_poisoned() || rq.is_poisoned() {
-            return Err(IpcError::Poisoned);
-        }
-        let deadline = Deadline::new(timeout);
-        enqueue_or_sleep_deadline(&srv_q, self.os, msg, &deadline)?;
-        self.srv
-            .waitset(shard as usize)
-            .notify(self.os, slot as usize);
-        loop {
-            return match blocking_dequeue_deadline(&rq, self.os, &deadline, || {}) {
-                Ok(reply) => {
-                    if want_aux.is_some_and(|w| reply.aux != w) {
-                        continue;
-                    }
-                    Ok(reply)
+        round_trip(self.os, || {
+            // An enqueue that fails left nothing in flight: nothing to
+            // poison, no death to look for.
+            enqueue_or_sleep(&srv_q, self.os, msg, deadline)?;
+            self.srv
+                .waitset(shard as usize)
+                .notify(self.os, slot as usize);
+            loop {
+                let reply = blocking_dequeue(&rq, self.os, deadline, || {})
+                    .map_err(|e| call_failed(self.os, &srv_q, &rq, e, poison_on_timeout))?;
+                if want_aux.is_none_or(|w| reply.aux == w) {
+                    return Ok(reply);
                 }
-                Err(IpcError::Timeout) => {
-                    if !srv_q.consumer_alive() {
-                        self.os.record(ProtoEvent::PeerDeathDetected);
-                        rq.poison(self.os);
-                        srv_q.poison(self.os);
-                        Err(IpcError::PeerDead)
-                    } else {
-                        if poison_on_timeout {
-                            rq.poison(self.os);
-                        }
-                        Err(IpcError::Timeout)
-                    }
-                }
-                Err(IpcError::Poisoned) => {
-                    if !srv_q.consumer_alive() {
-                        self.os.record(ProtoEvent::PeerDeathDetected);
-                        Err(IpcError::PeerDead)
-                    } else {
-                        Err(IpcError::Poisoned)
-                    }
-                }
-                Err(e) => Err(e),
-            };
-        }
+            }
+        })
     }
 
     /// [`Self::call_deadline`] with bounded, jittered-exponential-backoff
@@ -1054,7 +1014,8 @@ impl<O: OsServices> MuxClient<'_, O> {
                 std::thread::sleep(Duration::from_nanos(nanos / 2 + next_rand() % (nanos / 2)));
             }
             msg.aux = next_rand();
-            match self.attempt(msg, attempt_timeout, Some(msg.aux), false) {
+            self.admit()?;
+            match self.attempt(msg, &Deadline::new(attempt_timeout), Some(msg.aux), false) {
                 Err(IpcError::Timeout) => continue,
                 verdict => return verdict,
             }
@@ -1084,6 +1045,9 @@ mod tests {
     use super::*;
     use crate::{NativeConfig, NativeOs};
 
+    /// Bound for waits the test expects to be served at once.
+    const SOON: Duration = Duration::from_secs(5);
+
     fn native(n_sems: usize) -> Arc<NativeOs> {
         let mut cfg = NativeConfig::for_clients(0);
         cfg.n_sems = n_sems;
@@ -1108,10 +1072,10 @@ mod tests {
         assert_eq!(m.doorbells_rung, 1);
         assert_eq!(m.doorbells_coalesced, 3);
 
-        // One pass drains all three ready sources round-robin; `wait`
+        // One pass drains all three ready sources round-robin; the wait
         // polls before sleeping, so no kernel trip is needed at all.
         let mut cursor = 0;
-        assert_eq!(ws.wait(&os, &mut cursor), 1);
+        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(1));
         assert_eq!(ws.poll(&mut cursor), Some(2));
         assert_eq!(ws.poll(&mut cursor), Some(3));
         assert_eq!(ws.poll(&mut cursor), None);
@@ -1131,7 +1095,7 @@ mod tests {
         // The cycle closed: the next edge rings again and is found.
         ws.notify(&os, 0);
         assert_eq!(os.metrics().unwrap().snapshot().doorbells_rung, 2);
-        assert_eq!(ws.wait(&os, &mut cursor), 0);
+        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(0));
     }
 
     #[test]
@@ -1169,10 +1133,7 @@ mod tests {
         // The expiry consumed nothing: a subsequent notify still rings
         // and is still found.
         ws.notify(&os, 1);
-        assert_eq!(
-            ws.wait_deadline(&os, &mut cursor, Duration::from_secs(5)),
-            Ok(1)
-        );
+        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(1));
     }
 
     #[test]
@@ -1183,8 +1144,8 @@ mod tests {
         let os = native(1).task(0);
         // Fully closes a claimed wake cycle the way a live waiter loop
         // does across its next block: the `P` takes the banked credit and
-        // the post-wake store clears the latch. (`wait` polls first, so a
-        // claim of an already-ready source leaves both in place.)
+        // the post-wake store clears the latch. (The wait polls first, so
+        // a claim of an already-ready source leaves both in place.)
         let close = |expect_credit: bool| {
             assert_eq!(
                 os.sem_p_deadline(ws.doorbell_sem(), Duration::ZERO),
@@ -1202,7 +1163,7 @@ mod tests {
         ws.notify(&os, 2);
         assert_eq!(ws.fsck(&os, |s| s == 2), WaitSetFsck::default());
         let mut cursor = 0;
-        assert_eq!(ws.wait(&os, &mut cursor), 2);
+        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(2));
         close(true);
 
         // A waiter that died between claiming the edge (its wake `P` had
@@ -1210,7 +1171,7 @@ mod tests {
         // source: ready word down, latch clear, no credit — yet the
         // backlog is real. fsck must resurrect the whole cycle.
         ws.notify(&os, 1);
-        assert_eq!(ws.wait(&os, &mut cursor), 1);
+        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(1));
         close(true); // ...and the waiter "dies" here, backlog undrained
         let r = ws.fsck(&os, |s| s == 1);
         assert_eq!(
@@ -1223,7 +1184,7 @@ mod tests {
             }
         );
         assert_eq!(
-            ws.wait_deadline(&os, &mut cursor, Duration::from_secs(5)),
+            ws.wait_deadline(&os, &mut cursor, SOON),
             Ok(1),
             "resurrected cycle must wake a successor"
         );
@@ -1280,7 +1241,7 @@ mod tests {
         assert_eq!(ws.fsck(&os, backlog), WaitSetFsck::default(), "idempotent");
 
         let mut cursor = 64;
-        assert_eq!(ws.wait(&os, &mut cursor), 65);
+        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(65));
         assert_eq!(ws.poll(&mut cursor), Some(128));
         assert_eq!(ws.poll(&mut cursor), Some(63));
         assert_eq!(ws.poll(&mut cursor), None);
@@ -1320,6 +1281,42 @@ mod tests {
         let m = os.metrics().unwrap().task_snapshot(1);
         assert_eq!(m.retries_attempted, 0);
         assert_eq!(m.retries_exhausted, 0);
+    }
+
+    /// The mux worker's half of "no silent reply loss": a client that
+    /// never drains its two-deep reply queue costs the worker one
+    /// heartbeat per further reply, and every one is counted.
+    #[test]
+    fn worker_counts_the_replies_it_could_not_deliver() {
+        let cfg = ShardedConfig {
+            queue_capacity: 2,
+            heartbeat: Duration::from_millis(1),
+            ..ShardedConfig::new(1, 1)
+        };
+        let srv = Arc::new(ShardedServer::create(cfg).unwrap());
+        let os = native_for(&srv);
+        let worker = {
+            let srv = Arc::clone(&srv);
+            let os = os.task(0);
+            std::thread::spawn(move || srv.run_worker(&os, 0, |m| m))
+        };
+        let t1 = os.task(1);
+        let ch = srv.channel(0);
+        let post = |m: Message| {
+            assert!(ch.receive_queue().try_enqueue(&t1, m));
+            srv.waitset(0).notify(&t1, 0);
+        };
+        post(Message::echo(0, 1.0));
+        post(Message::echo(0, 2.0));
+        while ch.reply_queue(0).queued_len() < 2 {
+            std::thread::yield_now();
+        }
+        post(Message::echo(0, 3.0));
+        post(Message::disconnect(0));
+        let run = worker.join().unwrap();
+        assert_eq!((run.processed, run.disconnects), (4, 1));
+        assert_eq!(run.replies_dropped, 2, "the third echo and the farewell");
+        assert_eq!(run.metrics.replies_dropped, 2);
     }
 
     #[test]

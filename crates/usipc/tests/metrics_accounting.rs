@@ -92,7 +92,7 @@ fn bsw_still_exactly_four_sem_ops_with_telemetry_on() {
     );
 }
 
-/// The Fig. 6 pin on the *wait-free ring* queue kind: swapping the
+/// The Fig. 6 pin on the *lock-free ring* queue kind: swapping the
 /// two-lock M&S queue for the arena ring must be invisible on the
 /// protocol axis — same pinned uniprocessor regime, still exactly 4
 /// semaphore ops per BSW round trip. The queue lives below the

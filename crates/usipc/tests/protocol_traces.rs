@@ -3,7 +3,8 @@
 //! `OsServices` records every call and can inject a message at a chosen
 //! trigger point (standing in for the peer process).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::time::Duration;
 use usipc::{Channel, ChannelConfig, Cost, HandoffHint, Message, OsServices, WaitStrategy};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +41,10 @@ struct MockOs {
     calls: RefCell<Vec<Call>>,
     counters: RefCell<(u32, u32, u32)>, // busy_waits, polls, sem_ps
     script: RefCell<Option<Script>>,
+    /// `now_nanos` calls: what a deadline costs on its slow path.
+    clock_reads: Cell<u32>,
+    /// `sem_p_deadline` calls (each also logged, and served, as a `SemP`).
+    timed_ps: Cell<u32>,
 }
 
 impl MockOs {
@@ -48,6 +53,8 @@ impl MockOs {
             calls: RefCell::new(Vec::new()),
             counters: RefCell::new((0, 0, 0)),
             script: RefCell::new(None),
+            clock_reads: Cell::new(0),
+            timed_ps: Cell::new(0),
         }
     }
 
@@ -152,6 +159,15 @@ impl OsServices for MockOs {
     }
     fn task_id(&self) -> u32 {
         99
+    }
+    fn now_nanos(&self) -> Option<u64> {
+        self.clock_reads.set(self.clock_reads.get() + 1);
+        Some(u64::from(self.clock_reads.get())) // a nanosecond per read
+    }
+    fn sem_p_deadline(&self, sem: u32, _timeout: Duration) -> bool {
+        self.timed_ps.set(self.timed_ps.get() + 1);
+        self.sem_p(sem);
+        true
     }
 }
 
@@ -557,5 +573,86 @@ fn reply_wakes_only_a_sleeping_client() {
         assert_eq!(os3.count_of(|c| matches!(c, Call::SemV(_))), 0);
         assert!(ch.reply_queue(1).try_dequeue(&os3).is_some());
         let _ = os.calls(); // silence unused in release config
+    }
+}
+
+// ---- Infallible = no deadline ----------------------------------------
+
+/// The tests above pin what each unbounded front asks of the kernel. This
+/// one pins what it must *not* ask: under `Deadline::never` no strategy
+/// reads the clock or makes a timed `P`, on the slow path either — while
+/// the bounded front, the same body, makes the same calls in the same
+/// order and pays exactly those two extras.
+#[test]
+fn unbounded_fronts_read_no_clock_and_make_no_timed_p() {
+    const BOUND: Duration = Duration::from_secs(60);
+    for strategy in [
+        WaitStrategy::Bss,
+        WaitStrategy::Bsw,
+        WaitStrategy::Bswy,
+        WaitStrategy::Bsls { max_spin: 2 },
+        WaitStrategy::HandoffBswy,
+    ] {
+        // The peer's message lands only once the waiter is on its slow
+        // path: polling (BSS) or committed to its `P` (everyone else).
+        let late = match strategy {
+            WaitStrategy::Bss => Trigger::OnPollPause(2),
+            _ => Trigger::OnSemP(1),
+        };
+        // One Send, one Receive, one Reply, each under a fresh mock (its
+        // triggers count from the mock's creation); `bounded` picks the
+        // fronts. Returns every call made, clock reads, timed `P`s.
+        let run = |bounded: bool| {
+            let ch = channel();
+            let mut seen = (Vec::new(), 0, 0);
+            let mut tally = |os: &MockOs| {
+                seen.0.extend(os.calls());
+                seen.1 += os.clock_reads.get();
+                seen.2 += os.timed_ps.get();
+            };
+
+            let os = MockOs::new();
+            os.deliver(late, &ch, 0, Message::echo(0, 5.0), true);
+            let request = Message::echo(0, 1.0);
+            let reply = match bounded {
+                false => strategy.send(&ch, &os, 0, request),
+                true => strategy.send_deadline(&ch, &os, 0, request, BOUND).unwrap(),
+            };
+            assert_eq!(reply.value, 5.0, "{}", strategy.name());
+            assert!(ch.receive_queue().try_dequeue(&os).is_some());
+            tally(&os);
+
+            let os = MockOs::new();
+            os.deliver(late, &ch, u32::MAX, Message::echo(1, 6.0), true);
+            let got = match bounded {
+                false => strategy.receive(&ch, &os),
+                true => strategy.receive_deadline(&ch, &os, BOUND).unwrap(),
+            };
+            assert_eq!(got.value, 6.0, "{}", strategy.name());
+            tally(&os);
+
+            let os = MockOs::new();
+            match bounded {
+                false => strategy.reply(&ch, &os, 1, got),
+                true => strategy.reply_deadline(&ch, &os, 1, got, BOUND).unwrap(),
+            }
+            tally(&os);
+            seen
+        };
+        let (unbounded_calls, clock_reads, timed_ps) = run(false);
+        assert_eq!(
+            (clock_reads, timed_ps),
+            (0, 0),
+            "{}: an unbounded wait read the clock or made a timed P",
+            strategy.name()
+        );
+        let (bounded_calls, clock_reads, timed_ps) = run(true);
+        assert_eq!(bounded_calls, unbounded_calls, "{}", strategy.name());
+        let blocks = unbounded_calls
+            .iter()
+            .filter(|c| matches!(c, Call::SemP(_)))
+            .count() as u32;
+        assert_eq!(timed_ps, blocks, "{}", strategy.name());
+        assert!(clock_reads >= 2, "{}: one per slow path", strategy.name());
     }
 }

@@ -16,9 +16,12 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use usipc::harness::{run_native_fault_experiment, ClientFaultOutcome};
+use usipc::harness::{run_native_fault_experiment, watchdog_join, ClientFaultOutcome};
 use usipc::scenarios::{FaultScenario, PeerDeathScenario, NO_VICTIM};
-use usipc::{FaultPlan, IpcError, WaitStrategy};
+use usipc::{
+    run_echo_server, run_resilient_server, AsyncClient, Channel, ChannelConfig, FaultPlan,
+    IpcError, Message, NativeConfig, NativeOs, ServerRun, WaitStrategy,
+};
 use usipc_sim::{Explorer, Outcome};
 
 const HEARTBEAT: Duration = Duration::from_millis(30);
@@ -199,4 +202,121 @@ fn poison_never_set_mutant_deadlocks_with_replayable_counterexample() {
         sim.outcome
     );
     assert!(verdict.is_err());
+}
+
+/// How long a thread that must end may take before the watchdog calls it
+/// wedged.
+const MUST_END: Duration = Duration::from_secs(10);
+
+/// Spins until `os`'s semaphore `sem` has a sleeper registered.
+fn until_parked(os: &NativeOs, sem: u32) {
+    while os.sem(sem).waiting() == 0 {
+        std::thread::yield_now();
+    }
+}
+
+/// An unbounded wait still sees the one error it can meet. A `run_server`
+/// parked in `Receive` returns when the receive queue is poisoned under
+/// it, and a `call` parked on its reply panics naming the error when the
+/// server is declared dead — both slept forever before the infallible
+/// calls became the bounded ones under `Deadline::never`.
+#[test]
+fn unbounded_server_and_call_end_when_the_channel_is_poisoned_under_them() {
+    // The server: no client ever calls; poison is its only way out.
+    let ch = Channel::create(&ChannelConfig::new(1)).expect("channel");
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+    let (tx, rx) = std::sync::mpsc::channel::<ServerRun>();
+    let server = {
+        let (ch, t) = (ch.clone(), os.task(0));
+        std::thread::spawn(move || {
+            tx.send(run_echo_server(&ch, &t, WaitStrategy::Bsw))
+                .unwrap()
+        })
+    };
+    until_parked(&os, 0);
+    ch.receive_queue().poison(&os.task(2));
+    watchdog_join(vec![("server".into(), 0, server)], MUST_END, None);
+    let run = rx.recv().unwrap();
+    assert_eq!((run.processed, run.disconnects), (0, 0));
+
+    // The client: its request is queued, no server will ever answer it.
+    let ch = Channel::create(&ChannelConfig::new(1)).expect("channel");
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+    let (tx, rx) = std::sync::mpsc::channel::<String>();
+    let client = {
+        let (ch, t) = (ch.clone(), os.task(1));
+        std::thread::spawn(move || {
+            let ep = ch.client(&t, 0, WaitStrategy::Bsw);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ep.echo(1.0)))
+                .expect_err("a call on a dead channel must not return a reply");
+            tx.send(died.downcast_ref::<String>().cloned().unwrap_or_default())
+                .unwrap()
+        })
+    };
+    until_parked(&os, 1);
+    ch.tombstone_server(&os.task(2));
+    watchdog_join(vec![("client".into(), 1, client)], MUST_END, None);
+    let message = rx.recv().unwrap();
+    assert!(
+        message.contains("dead channel") && message.contains(&IpcError::PeerDead.to_string()),
+        "the panic must name the error, got {message:?}"
+    );
+    // The broadcast V that woke the client is the credit its P consumed.
+    let f = &os.sem_finals()[1];
+    assert_eq!(
+        (f.count, f.waiting),
+        (0, 0),
+        "the exit must conserve credits"
+    );
+}
+
+/// No silent reply loss. The client posts four requests and never drains
+/// its two-deep reply queue: the server delivers two replies, holds each
+/// of the other two for one heartbeat, then drops it — and says so, in
+/// `ServerRun::replies_dropped` and in the `ReplyDropped` event counter.
+/// Every processed request ends in exactly one of a reply enqueue or a
+/// counted drop.
+#[test]
+fn a_reply_the_client_never_drains_is_dropped_and_counted() {
+    let cfg = ChannelConfig {
+        queue_capacity: 2,
+        ..ChannelConfig::new(1)
+    };
+    let ch = Channel::create(&cfg).expect("channel");
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+    let (tx, rx) = std::sync::mpsc::channel::<ServerRun>();
+    let server = {
+        let (ch, t) = (ch.clone(), os.task(0));
+        std::thread::spawn(move || {
+            let beat = Duration::from_millis(1);
+            tx.send(run_resilient_server(
+                &ch,
+                &t,
+                WaitStrategy::Bsw,
+                beat,
+                |m| m,
+            ))
+            .unwrap()
+        })
+    };
+    let t = os.task(1);
+    let mut client = AsyncClient::new(&ch, &t, 0);
+    assert!(client.post(Message::echo(0, 1.0)) && client.post(Message::echo(0, 2.0)));
+    // Both answered: the reply queue is full, and stays full.
+    while ch.reply_queue(0).queued_len() < 2 {
+        std::thread::yield_now();
+    }
+    assert!(client.post(Message::echo(0, 3.0)) && client.post(Message::disconnect(0)));
+    watchdog_join(vec![("server".into(), 0, server)], MUST_END, None);
+
+    let run = rx.recv().unwrap();
+    assert_eq!((run.processed, run.disconnects), (4, 1));
+    assert_eq!(run.replies_dropped, 2, "the third echo and the farewell");
+    assert_eq!(run.metrics.replies_dropped, 2);
+    assert_eq!(
+        run.metrics.enqueues + run.metrics.replies_dropped,
+        run.processed,
+        "every processed request: one reply enqueued or one counted drop"
+    );
+    assert_eq!(ch.reply_queue(0).queued_len(), 2, "the delivered replies");
 }

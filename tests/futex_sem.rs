@@ -187,8 +187,9 @@ fn uncontended_p_and_v_are_kernel_free() {
 /// A backend built by a thread that may run on exactly one CPU hands the
 /// semaphore a spin bound of 0: one attempt, then register and sleep. The
 /// sleep/wake accounting must be what it always was — a blocked `P` is one
-/// kernel wait, and a BSW round trip under `SCHED_BATCH` is exactly 4
-/// semaphore calls of which 2 sleep and 2 wake.
+/// kernel wait, and a BSW round trip under `SCHED_BATCH` is at most 4
+/// semaphore calls of which 2 sleep and 2 wake, exactly that whenever the
+/// scheduler leaves the pair alone.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -219,36 +220,44 @@ fn one_cpu_build_sleeps_without_spinning_and_keeps_the_bsw_budget() {
         assert_eq!(reg.task_snapshot(1).sem_kernel_waits, 1, "one futex_wait");
         assert_eq!(reg.task_snapshot(0).sem_kernel_wakes, 1, "one futex_wake");
 
-        // A preemption in the wake-to-sleep window (a tick, or another
-        // test's thread landing on CPU 0) legitimately elides a P/V pair or
-        // a sleep, so the totals are ceilings; every undisturbed round trip
-        // must hit them exactly. Other tests of this binary share the CPU
-        // at first, hence the retries.
+        // What the code guarantees is checked inside; how often the host's
+        // scheduler lets a round trip cost exactly the budget is reported.
         const MSGS: u64 = 10_000;
-        let mut shares = Vec::new();
-        for _ in 0..10 {
-            let clean = pinned_bsw_round_trips(MSGS);
-            if clean * 100 >= MSGS * 99 {
-                return;
-            }
-            shares.push(clean);
-        }
-        panic!("round trips of exactly 4 sem ops / 2 sleeps / 2 wakes, of {MSGS}: {shares:?}");
+        let costs = pinned_bsw_round_trips(MSGS);
+        let clean = costs.get(&(4, 2, 2)).copied().unwrap_or(0);
+        eprintln!(
+            "pinned BSW: {clean} of {MSGS} round trips cost exactly 4 sem ops / 2 sleeps / \
+             2 wakes ({:.1} %); (sem ops, sleeps, wakes) -> round trips: {costs:?}",
+            100.0 * clean as f64 / MSGS as f64
+        );
+        assert!(clean > 0, "no round trip cost exactly 4 / 2 / 2: {costs:?}");
     })
     .join()
     .unwrap();
 }
 
 /// `msgs` BSW echoes plus the disconnect between two `SCHED_BATCH` threads
-/// of an already-pinned caller, checking values, order, the semaphores'
-/// final state and the 4 / 2 / 2 ceilings on the totals; returns how many
-/// echoes cost exactly 4 semaphore calls, 2 kernel waits and 2 kernel
-/// wakes over both sides.
+/// of an already-pinned caller, checking everything the code guarantees:
+/// values, order, the semaphores' final state, and the 4 / 2 / 2 ceilings
+/// on the *totals*. Returns the histogram of per-echo costs (semaphore
+/// calls, kernel waits, kernel wakes, over both sides).
+///
+/// Only the totals are a guarantee. When the peer woken by a `V` gets the
+/// CPU at that `V` — wake-up preemption, which `SCHED_BATCH` discourages
+/// and a third runnable thread on the CPU brings back — it runs its whole
+/// Receive/Reply cycle before the waker reaches its own dequeue: the waker
+/// finds its message without a `P`, and the peer found the waker's `awake`
+/// still set and posted no `V`. That round trip costs (2, 1, 1), below the
+/// budget, and a per-echo window can also lend one operation to its
+/// neighbour ((3, 1, 2) next to (3, 2, 1)). With the rest of this binary's
+/// tests competing for CPU 0, between 0.3 % and 48 % of the echoes read
+/// below the budget (EXPERIMENTS.md, "The pinned BSW pair's second
+/// schedule"); alone, under 0.1 %.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-fn pinned_bsw_round_trips(msgs: u64) -> u64 {
+fn pinned_bsw_round_trips(msgs: u64) -> std::collections::BTreeMap<(u64, u64, u64), u64> {
     let ch = Channel::create(&ChannelConfig::new(1)).expect("channel");
     let os = NativeOs::new(NativeConfig::for_clients(1));
     let server = {
@@ -269,19 +278,19 @@ fn pinned_bsw_round_trips(msgs: u64) -> u64 {
             };
             let task = os.task(1);
             let ep = ch.client(&task, 0, WaitStrategy::Bsw);
-            let mut clean = 0;
+            let mut costs = std::collections::BTreeMap::new();
             for i in 0..msgs {
                 let before = totals();
                 assert_eq!(ep.echo(i as f64), i as f64, "reply {i} out of order");
                 let after = totals();
                 let cost = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
-                clean += u64::from(cost == (4, 2, 2));
+                *costs.entry(cost).or_insert(0) += 1;
             }
             ep.disconnect();
-            clean
+            costs
         })
     };
-    let clean = client.join().unwrap();
+    let costs = client.join().unwrap();
     assert_eq!(server.join().unwrap().processed, msgs + 1);
     for (i, f) in os.sem_finals().iter().enumerate() {
         assert_eq!((f.count, f.waiting), (0, 0), "sem {i} not clean");
@@ -292,7 +301,15 @@ fn pinned_bsw_round_trips(msgs: u64) -> u64 {
     let rt = msgs + 1;
     assert!(t.sem_ops() <= 4 * rt, "{} sem ops > 4/RT", t.sem_ops());
     assert!(t.sem_kernel_waits <= 2 * rt && t.sem_kernel_wakes <= 2 * rt);
-    clean
+    assert!(t.sem_kernel_waits <= t.sem_p, "a kernel wait without a P");
+    // Which side's P/V pair the elided round trips lost: an elided server
+    // sleep is a server P and a client V short of `rt`, and vice versa.
+    let (s, c) = (reg.task_snapshot(0), reg.task_snapshot(1));
+    eprintln!(
+        "pinned BSW, {rt} round trips: server P {} V {} sleeps {}, client P {} V {} sleeps {}",
+        s.sem_p, s.sem_v, s.sem_kernel_waits, c.sem_p, c.sem_v, c.sem_kernel_waits
+    );
+    costs
 }
 
 /// A backend built with two CPUs visible keeps the pre-sleep spin: in a

@@ -9,7 +9,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
 use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::{IpcError, Message, NativeConfig, NativeOs, WaitSet, WaitSetRoot, WaitStrategy};
-use usipc_queue::{MpmcRing, MsQueue, ShmFifo, ShmQueue, SpscRing};
+use usipc_queue::{AnyShmFifo, EnqueueFlow, QueueKind, RingMode, LOCK_BUDGET};
 use usipc_shm::{ShmArena, TaggedAtomicPtr, TaggedPtr};
 use usipc_sim::{MachineModel, PolicyKind, VDur};
 
@@ -56,19 +56,24 @@ fn random_ops(rng: &mut Rng) -> Vec<Op> {
         .collect()
 }
 
-/// Runs an op sequence against both the real queue and a VecDeque model
+/// Runs an op sequence against both a real queue — through [`AnyShmFifo`],
+/// the handle every channel holds its queues by — and a VecDeque model
 /// with the same capacity; every observation must match.
-fn check_against_model<Q: ShmFifo>(capacity: usize, ops: &[Op]) {
+fn check_against_model(kind: QueueKind, mode: RingMode, capacity: usize, ops: &[Op]) {
     let arena = ShmArena::new(1 << 21).unwrap();
-    let q = Q::create(&arena, capacity).unwrap();
+    let q = AnyShmFifo::create(&arena, capacity, kind, mode).unwrap();
     let mut model: VecDeque<u64> = VecDeque::new();
     // Ring capacities may round up; learn the effective capacity lazily.
     let mut effective_cap = None;
     for &op in ops {
         match op {
             Op::Enqueue(v) => {
-                let accepted = q.enqueue(&arena, v);
-                if accepted {
+                let flow = q.try_enqueue(&arena, v, LOCK_BUDGET);
+                assert!(
+                    matches!(flow, EnqueueFlow::Queued | EnqueueFlow::Full),
+                    "single-threaded enqueue met a fault outcome: {flow:?}"
+                );
+                if flow == EnqueueFlow::Queued {
                     model.push_back(v);
                     assert!(
                         effective_cap.is_none_or(|c| model.len() <= c),
@@ -100,7 +105,7 @@ fn check_against_model<Q: ShmFifo>(capacity: usize, ops: &[Op]) {
 }
 
 /// 64 random (capacity, op-sequence) cases against the model.
-fn queue_matches_model<Q: ShmFifo>(tag: u64) {
+fn queue_matches_model(kind: QueueKind, mode: RingMode, tag: u64) {
     for case in 0..64u64 {
         let seed = tag ^ (case << 8);
         let mut rng = Rng::new(seed);
@@ -108,7 +113,7 @@ fn queue_matches_model<Q: ShmFifo>(tag: u64) {
         let ops = random_ops(&mut rng);
         // A panic inside carries the seed via this scope's message below.
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            check_against_model::<Q>(capacity, &ops)
+            check_against_model(kind, mode, capacity, &ops)
         }));
         if let Err(e) = r {
             panic!(
@@ -119,24 +124,22 @@ fn queue_matches_model<Q: ShmFifo>(tag: u64) {
     }
 }
 
-#[test]
-fn shm_two_lock_matches_model() {
-    queue_matches_model::<ShmQueue>(0x5157_0001);
-}
+// The two queues a channel can run on, the ring in both producer modes
+// (the shared receive queue is MPSC, a reply queue SPSC).
 
 #[test]
-fn ms_lockfree_matches_model() {
-    queue_matches_model::<MsQueue>(0x5157_0002);
+fn shm_two_lock_matches_model() {
+    queue_matches_model(QueueKind::TwoLock, RingMode::Spsc, 0x5157_0001);
 }
 
 #[test]
 fn spsc_ring_matches_model() {
-    queue_matches_model::<SpscRing>(0x5157_0003);
+    queue_matches_model(QueueKind::Ring, RingMode::Spsc, 0x5157_0003);
 }
 
 #[test]
-fn mpmc_ring_matches_model() {
-    queue_matches_model::<MpmcRing>(0x5157_0004);
+fn mpsc_ring_matches_model() {
+    queue_matches_model(QueueKind::Ring, RingMode::Mpsc, 0x5157_0004);
 }
 
 #[test]
