@@ -248,9 +248,11 @@ mod imp {
             .takeover
             .as_ref()
             .expect("a server kill forces a takeover");
+        // The storm and relay drills run on the default queue kind.
+        let default_queue = QueueKind::default().label();
         rows.push(row_from_takeover(
             "storm",
-            "two_lock",
+            default_queue,
             Some(msgs / 8),
             tk,
             combined.recovery.expect("recovery timed"),
@@ -272,7 +274,7 @@ mod imp {
             let retries: u64 = run.drop_retries.iter().sum();
             rows.push(row_from_takeover(
                 drill,
-                "two_lock",
+                default_queue,
                 Some(msgs / 10),
                 &run.takeover,
                 run.recovery,

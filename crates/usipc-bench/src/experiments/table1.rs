@@ -28,9 +28,9 @@ fn queue_pair_us(machine: &MachineModel) -> f64 {
         sys.mark(1);
         for i in 0..ITERS {
             sys.work(m.queue_op);
-            assert!(q.enqueue(&arena, i));
+            assert!(q.enqueue(&arena, [i, 0, 0]));
             sys.work(m.queue_op);
-            assert_eq!(q.dequeue(&arena), Some(i));
+            assert_eq!(q.dequeue(&arena), Some([i, 0, 0]));
         }
         sys.mark(2);
     });

@@ -9,22 +9,25 @@
 //! which costs one extra `arena.get` per operation — noise next to the
 //! cache-line traffic of the operation itself.
 
-use crate::shm_ring::{RingFsck, RingMode, RingPush, RingReclaim, ShmRing};
-use crate::shm_two_lock::{HeadLockBusy, ShmQueue, TailLockBusy, TwoLockFsck};
+use crate::shm_ring::{RingMode, RingPush, RingReclaim, ShmRing};
+use crate::shm_two_lock::{HeadLockBusy, ShmQueue, TailLockBusy};
+use crate::Elem;
 use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe};
 
 /// Which queue implementation a channel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// The Michael & Scott two-lock queue ([`ShmQueue`]) — the paper's
-    /// baseline. Locks live in the segment, so crash-robustness relies on
-    /// the *bounded* lock acquisitions (`dequeue_bounded`,
-    /// `enqueue_bounded`) to degrade instead of wedge.
-    #[default]
+    /// queue, kept as the paper-faithful baseline. Locks live in the
+    /// segment, so crash-robustness relies on the *bounded* lock
+    /// acquisitions (`dequeue_bounded`, `enqueue_bounded`) to degrade
+    /// instead of wedge.
     TwoLock,
-    /// The lock-free bounded ring ([`ShmRing`]) — nothing to abandon, so
-    /// a peer death can cost at most the messages the corpse had in
-    /// flight, never another process's progress.
+    /// The lock-free bounded ring ([`ShmRing`]), the default — nothing to
+    /// abandon, so a peer death can cost at most the messages the corpse
+    /// had in flight, never another process's progress; and no lock or
+    /// free-list head for two CPUs to bounce on the data path.
+    #[default]
     Ring,
 }
 
@@ -47,9 +50,9 @@ pub enum EnqueueFlow {
     /// Full: ordinary flow control, back off and retry.
     Full,
     /// Ring only: the claimed slot was reclaimed by a poison-drain before
-    /// the publish ([`RingPush::Dropped`]) — the value is gone, release
-    /// its resources. Semantically "enqueued, then drained with the rest
-    /// of the dead peer's queue".
+    /// the publish ([`RingPush::Dropped`]) — the element is gone.
+    /// Semantically "enqueued, then drained with the rest of the dead
+    /// peer's queue".
     Dropped,
     /// Two-lock only: the tail lock stayed busy past the bound
     /// ([`TailLockBusy`]) — an abandoned lock. Degrade like `Full`; the
@@ -134,22 +137,25 @@ impl AnyShmFifo {
         (self.kind == KIND_TWO_LOCK).then(|| arena.get(self.two_lock))
     }
 
-    fn as_ring<'a>(&self, arena: &'a ShmArena) -> Option<&'a ShmRing> {
+    /// The ring behind this handle (`None` on the two-lock kind): the way
+    /// to its stepped operations, for crash drills on a live channel.
+    #[doc(hidden)]
+    pub fn as_ring<'a>(&self, arena: &'a ShmArena) -> Option<&'a ShmRing> {
         (self.kind == KIND_RING).then(|| arena.get(self.ring))
     }
 
     /// Attempts to enqueue with full outcome reporting. `tail_yields`
     /// bounds the two-lock tail-lock acquisition (yield budget of
     /// [`ShmQueue::enqueue_bounded`]); the ring never waits.
-    pub fn try_enqueue(&self, arena: &ShmArena, value: u64, tail_yields: u32) -> EnqueueFlow {
+    pub fn try_enqueue_elem(&self, arena: &ShmArena, elem: Elem, tail_yields: u32) -> EnqueueFlow {
         if let Some(q) = self.as_two_lock(arena) {
-            match q.enqueue_bounded(arena, value, tail_yields) {
+            match q.enqueue_bounded(arena, elem, tail_yields) {
                 Ok(true) => EnqueueFlow::Queued,
                 Ok(false) => EnqueueFlow::Full,
                 Err(TailLockBusy) => EnqueueFlow::LockBusy,
             }
         } else {
-            match self.as_ring(arena).unwrap().try_push(arena, value) {
+            match self.as_ring(arena).unwrap().try_push(arena, elem) {
                 RingPush::Queued => EnqueueFlow::Queued,
                 RingPush::Full => EnqueueFlow::Full,
                 RingPush::Dropped => EnqueueFlow::Dropped,
@@ -157,14 +163,24 @@ impl AnyShmFifo {
         }
     }
 
+    /// [`Self::try_enqueue_elem`] of the one word `value`, zero-padded.
+    pub fn try_enqueue(&self, arena: &ShmArena, value: u64, tail_yields: u32) -> EnqueueFlow {
+        self.try_enqueue_elem(arena, [value, 0, 0], tail_yields)
+    }
+
     /// Removes the oldest element, or `None` if the queue is empty.
     /// Unbounded on the two-lock kind — live-path use only.
-    pub fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
+    pub fn dequeue_elem(&self, arena: &ShmArena) -> Option<Elem> {
         if let Some(q) = self.as_two_lock(arena) {
             q.dequeue(arena)
         } else {
             self.as_ring(arena).unwrap().dequeue(arena)
         }
+    }
+
+    /// [`Self::dequeue_elem`], returning the element's first word.
+    pub fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
+        self.dequeue_elem(arena).map(|e| e[0])
     }
 
     /// Fault-path dequeue: bounded on the two-lock kind, plain dequeue on
@@ -178,7 +194,7 @@ impl AnyShmFifo {
         &self,
         arena: &ShmArena,
         max_yields: u32,
-    ) -> Result<Option<u64>, HeadLockBusy> {
+    ) -> Result<Option<Elem>, HeadLockBusy> {
         if let Some(q) = self.as_two_lock(arena) {
             q.dequeue_bounded(arena, max_yields)
         } else {
@@ -220,59 +236,37 @@ impl AnyShmFifo {
     /// clean queues; see each implementation's docs for the repairs.
     pub fn fsck(&self, arena: &ShmArena, break_locks: bool) -> FifoFsck {
         if let Some(q) = self.as_two_lock(arena) {
-            FifoFsck::TwoLock(q.fsck(arena, break_locks))
+            let r = q.fsck(arena, break_locks);
+            FifoFsck {
+                repairs: r.repairs(),
+                holes_retired: 0,
+                nodes_reclaimed: r.nodes_reclaimed,
+                values: r.values,
+            }
         } else {
-            FifoFsck::Ring(self.as_ring(arena).unwrap().fsck(arena))
+            let r = self.as_ring(arena).unwrap().fsck(arena);
+            FifoFsck {
+                repairs: r.repairs(),
+                holes_retired: r.holes_retired,
+                nodes_reclaimed: 0,
+                values: r.values,
+            }
         }
     }
 }
 
-/// Outcome of [`AnyShmFifo::fsck`]: the kind-specific repair report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FifoFsck {
-    /// Two-lock report (locks, chain, count, node pool).
-    TwoLock(TwoLockFsck),
-    /// Ring report (holes, stranded claims).
-    Ring(RingFsck),
-}
-
-impl FifoFsck {
-    /// Whether the pass changed anything (a clean queue reports `false`).
-    pub fn repaired_anything(&self) -> bool {
-        self.repairs() > 0
-    }
-
-    /// Number of individual repairs performed (for the repair ledger).
-    pub fn repairs(&self) -> u32 {
-        match self {
-            FifoFsck::TwoLock(r) => r.repairs(),
-            FifoFsck::Ring(r) => r.repairs(),
-        }
-    }
-
-    /// Ring only: holes retired (0 on the two-lock kind, which has none).
-    pub fn holes_retired(&self) -> u32 {
-        match self {
-            FifoFsck::TwoLock(_) => 0,
-            FifoFsck::Ring(r) => r.holes_retired,
-        }
-    }
-
-    /// The committed values, in FIFO order, left in place in the queue.
-    pub fn values(&self) -> &[u64] {
-        match self {
-            FifoFsck::TwoLock(r) => &r.values,
-            FifoFsck::Ring(r) => &r.values,
-        }
-    }
-
-    /// Consumes the report, returning the committed values.
-    pub fn into_values(self) -> Vec<u64> {
-        match self {
-            FifoFsck::TwoLock(r) => r.values,
-            FifoFsck::Ring(r) => r.values,
-        }
-    }
+/// Outcome of [`AnyShmFifo::fsck`], in the terms both kinds share.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FifoFsck {
+    /// Individual repairs performed (0 on a clean queue): broken locks,
+    /// re-aimed tail, rewritten count, and the two classes below.
+    pub repairs: u32,
+    /// Ring: slots retired out of dead producers' unpublished tickets.
+    pub holes_retired: u32,
+    /// Two-lock: nodes a dead producer allocated and never linked.
+    pub nodes_reclaimed: u32,
+    /// The committed elements, in FIFO order, left in place in the queue.
+    pub values: Vec<Elem>,
 }
 
 #[cfg(test)]
@@ -302,6 +296,12 @@ mod tests {
             }
             assert_eq!(q.dequeue_bounded(&a, 10), Ok(None), "{kind:?}");
             assert_eq!(q.reclaim_stuck(&a), RingReclaim::Clean, "{kind:?}");
+            // The one-word fronts are the three-word calls, zero-padded.
+            assert_eq!(q.try_enqueue(&a, 7, 10), EnqueueFlow::Queued, "{kind:?}");
+            assert_eq!(q.dequeue_elem(&a), Some([7, 0, 0]), "{kind:?}");
+            let full = [1, u64::MAX, 3];
+            assert_eq!(q.try_enqueue_elem(&a, full, 10), EnqueueFlow::Queued);
+            assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(full)), "{kind:?}");
         }
     }
 

@@ -19,10 +19,13 @@
 //!   select their queue kind per configuration.
 //! * [`SpinLock`] — the raw test-and-set lock used inside the arena.
 //!
-//! Both queues carry `u64` payloads: large messages travel as
-//! arena *offsets* into a [`SlotPool`](usipc_shm::SlotPool), exactly as the
-//! paper suggests for variable-sized data ("one of the fields of the fixed
-//! sized message \[points\] to a variable sized component in shared memory").
+//! Both queues carry the message itself — an [`Elem`], the paper's 24-byte
+//! fixed message as three words — in their own nodes and slots: one
+//! allocation per message, taken from the queue's own storage (§2.2: the
+//! message comes out of a free pool and is linked into the FIFO). Larger
+//! payloads travel as an arena *offset* in one of the words, as the paper
+//! suggests for variable-sized data ("one of the fields of the fixed sized
+//! message \[points\] to a variable sized component in shared memory").
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -36,6 +39,31 @@ pub use dispatch::{AnyShmFifo, EnqueueFlow, FifoFsck, QueueKind};
 pub use shm_ring::{RingFsck, RingMode, RingPush, RingReclaim, ShmRing};
 pub use shm_two_lock::{HeadLockBusy, ShmQueue, TailLockBusy, TwoLockFsck, POOL_SLACK};
 pub use spinlock::SpinLock;
+
+use core::sync::atomic::{AtomicU64, Ordering};
+
+/// One FIFO element: three 64-bit words, the paper's 24-byte message.
+pub type Elem = [u64; 3];
+
+/// The in-segment form of an [`Elem`]. Stores and loads are `Relaxed`: a
+/// cell is written only by the producer that owns its node or slot and
+/// read only by the consumer that claimed it, and the queue's own
+/// publish/claim edge (Release/Acquire) orders the two.
+#[repr(C)]
+#[derive(Debug, Default)]
+pub(crate) struct ElemCell([AtomicU64; 3]);
+
+impl ElemCell {
+    pub(crate) fn store(&self, e: Elem) {
+        for (w, v) in self.0.iter().zip(e) {
+            w.store(v, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn load(&self) -> Elem {
+        [0, 1, 2].map(|i| self.0[i].load(Ordering::Relaxed))
+    }
+}
 
 /// The one bounded-lock yield budget every fault-path acquisition of an
 /// in-segment spinlock shares: `enqueue_bounded`/`dequeue_bounded` here,
@@ -55,8 +83,27 @@ pub use spinlock::SpinLock;
 /// up on the same evidence.
 pub const LOCK_BUDGET: u32 = 100;
 
+/// Three-word test elements shared by the queue suites.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::Elem;
+
+    /// Test element for `i`: three words that only belong together, so a
+    /// torn or mixed-up element fails [`unw`].
+    pub(crate) fn w(i: u64) -> Elem {
+        [i, !i, i.rotate_left(17)]
+    }
+
+    /// The `i` of an element, checked to be exactly `w(i)`.
+    pub(crate) fn unw(e: Elem) -> u64 {
+        assert_eq!(e, w(e[0]), "torn element");
+        e[0]
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::w;
     use super::*;
     use std::sync::Arc;
 
@@ -75,13 +122,13 @@ mod tests {
         let a2 = Arc::clone(&arena);
         let peer = std::thread::spawn(move || {
             for i in 0..20_000u64 {
-                let _ = q.enqueue(&a2, i);
+                let _ = q.enqueue(&a2, w(i));
                 let _ = q.dequeue(&a2);
             }
         });
         for i in 0..20_000u64 {
             assert!(
-                q.enqueue_bounded(&arena, i, LOCK_BUDGET).is_ok(),
+                q.enqueue_bounded(&arena, w(i), LOCK_BUDGET).is_ok(),
                 "live contention exhausted the budget"
             );
             assert!(
@@ -95,10 +142,10 @@ mod tests {
         // enqueue gives up — and does so promptly (the budget is yields,
         // not seconds).
         while q.dequeue(&arena).is_some() {}
-        assert!(q.enqueue_abandoned_at(&arena, 666, 2)); // dies holding tail lock
+        assert!(q.enqueue_abandoned_at(&arena, w(666), 2)); // dies holding tail lock
         let start = std::time::Instant::now();
         assert_eq!(
-            q.enqueue_bounded(&arena, 1, LOCK_BUDGET),
+            q.enqueue_bounded(&arena, w(1), LOCK_BUDGET),
             Err(TailLockBusy),
             "abandoned lock must be detected"
         );

@@ -28,11 +28,27 @@
 //! dequeue side also claims by CAS in both modes, because a poison-drain
 //! can race the queue's live consumer (e.g. the server tombstoning every
 //! reply queue while a client is still dequeuing its own) and two
-//! consumers handing the same offset to a slot pool would double-free.
+//! consumers would each deliver the same message.
+//!
+//! **The element rides in the slot.** A slot is its sequence word plus the
+//! three words of an [`Elem`] — 32 bytes, two to a cache line — so an
+//! enqueue allocates nothing beyond its ticket. The three words cannot
+//! tear: a producer writes them only between winning ticket `pos` (it
+//! observed `seq == pos`, i.e. the previous lap's consumer is done with
+//! the slot) and its publishing CAS (`Release`); a consumer reads them
+//! only after observing `seq == pos + 1` (`Acquire`) and winning the head
+//! CAS, and recycles the slot (`seq = pos + capacity`, `Release`) after
+//! the read. Every slot therefore has one writer, then one reader, per
+//! lap, with a release/acquire edge at each hand-over. (The one exception
+//! is deliberate: on a queue being poison-drained, a producer that lost
+//! its slot to [`ShmRing::reclaim_stuck`] may still be storing while the
+//! next lap's producer stores — the drain discards that queue's messages
+//! anyway.)
 //!
 //! Flow control matches the two-lock queue: a full ring refuses the
 //! enqueue, which is what triggers the paper's `sleep(1)` back-off.
 
+use crate::{Elem, ElemCell};
 use core::sync::atomic::{AtomicU64, Ordering};
 use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
@@ -60,11 +76,13 @@ const MODE_MPSC: u32 = 1;
 /// `seq == pos` — free for this lap (or claimed and not yet published);
 /// `seq == pos + 1` — published, ready to dequeue;
 /// `seq == pos + capacity` — consumed (free for the next lap's ticket).
-#[repr(C)]
+///
+/// 32 bytes, 32-aligned: two slots per cache line, none straddling one.
+#[repr(C, align(32))]
 #[derive(Debug)]
 pub struct RingSlot {
     seq: AtomicU64,
-    value: AtomicU64,
+    elem: ElemCell,
 }
 
 unsafe impl ShmSafe for RingSlot {}
@@ -91,8 +109,7 @@ pub enum RingPush {
     Full,
     /// The ticket was claimed but a poison-drain reclaimed the slot before
     /// this producer published ([`ShmRing::reclaim_stuck`] won the publish
-    /// CAS race). The value was *not* enqueued and never will be; the
-    /// caller must release any resources the value referenced. Only
+    /// CAS race). The element was *not* enqueued and never will be. Only
     /// possible on a queue that is being drained on a dead peer's behalf —
     /// losing the message there is exactly dead-peer semantics.
     Dropped,
@@ -105,14 +122,14 @@ pub enum RingReclaim {
     /// published and an ordinary dequeue will take it.
     Clean,
     /// A claimed-but-unpublished slot was reclaimed. Its producer died
-    /// mid-enqueue (the value is lost and any resource it referenced
-    /// leaks) — or, rarely, is alive and will observe
-    /// [`RingPush::Dropped`] and clean up itself.
+    /// mid-enqueue (its element is lost; the slot itself is back in
+    /// service, so nothing leaks) — or, rarely, is alive and will observe
+    /// [`RingPush::Dropped`].
     Leaked,
     /// The race resolved the other way: the slow producer published
     /// between our inspection and our reclaim CAS, so the element was
     /// *recovered* — the caller owns it now, exactly as if dequeued.
-    Recovered(u64),
+    Recovered(Elem),
 }
 
 /// What [`ShmRing::fsck`] found and repaired.
@@ -129,7 +146,7 @@ pub struct RingFsck {
     /// of the in-range values.
     pub claims_recovered: u32,
     /// The committed values, in FIFO order, left in place in the ring.
-    pub values: Vec<u64>,
+    pub values: Vec<Elem>,
 }
 
 impl RingFsck {
@@ -176,7 +193,7 @@ impl ShmRing {
         let cap = Self::effective_capacity(capacity);
         let slots = arena.alloc_slice(cap, |i| RingSlot {
             seq: AtomicU64::new(i as u64),
-            value: AtomicU64::new(0),
+            elem: ElemCell::default(),
         })?;
         let header = arena.alloc(RingHeader {
             enqueue_pos: CacheAligned::new(AtomicU64::new(0)),
@@ -191,9 +208,7 @@ impl ShmRing {
     }
 
     /// The capacity a ring created with `capacity` actually provides
-    /// (next power of two, minimum 2). Sizing code that pairs the ring
-    /// with per-element resources (e.g. a message slot pool) must budget
-    /// for this, not the requested figure.
+    /// (next power of two, minimum 2).
     pub fn effective_capacity(capacity: usize) -> usize {
         capacity.next_power_of_two().max(2)
     }
@@ -220,12 +235,17 @@ impl ShmRing {
         }
     }
 
+    /// The slot ticket `pos` lands in.
+    fn slot<'a>(&self, arena: &'a ShmArena, hdr: &RingHeader, pos: u64) -> &'a RingSlot {
+        arena.get(self.slots.at((pos & (hdr.capacity - 1)) as usize))
+    }
+
     /// Attempts to enqueue with the full outcome (see [`RingPush`]).
-    pub fn try_push(&self, arena: &ShmArena, value: u64) -> RingPush {
+    pub fn try_push(&self, arena: &ShmArena, elem: Elem) -> RingPush {
         let Some(pos) = self.step_enqueue_claim(arena) else {
             return RingPush::Full;
         };
-        if self.step_enqueue_publish(arena, pos, value) {
+        if self.step_enqueue_publish(arena, pos, elem) {
             RingPush::Queued
         } else {
             RingPush::Dropped
@@ -233,12 +253,11 @@ impl ShmRing {
     }
 
     /// Attempts to enqueue; `false` when the ring is full. A
-    /// [`RingPush::Dropped`] outcome reports `true`: the value was
-    /// accepted and then immediately lost to a poison-drain, which callers
-    /// that do not track per-value resources can treat as delivered-then-
-    /// discarded. Resource-tracking callers use [`Self::try_push`].
-    pub fn enqueue(&self, arena: &ShmArena, value: u64) -> bool {
-        self.try_push(arena, value) != RingPush::Full
+    /// [`RingPush::Dropped`] outcome reports `true`: the element was
+    /// accepted and then immediately lost to a poison-drain — delivered,
+    /// then discarded with the rest of the dead peer's queue.
+    pub fn enqueue(&self, arena: &ShmArena, elem: Elem) -> bool {
+        self.try_push(arena, elem) != RingPush::Full
     }
 
     /// Removes the oldest *published* element, or `None` if none is ready.
@@ -249,7 +268,7 @@ impl ShmRing {
     /// non-empty" actionable — and it is harmless for liveness, because
     /// the producer that eventually publishes the hole also runs the
     /// protocols' wake-up sequence.
-    pub fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
+    pub fn dequeue(&self, arena: &ShmArena) -> Option<Elem> {
         let pos = self.step_dequeue_claim(arena)?;
         Some(self.step_dequeue_finish(arena, pos))
     }
@@ -265,12 +284,8 @@ impl ShmRing {
     /// spinning on that signal would busy-loop on a corpse's claim.
     pub fn is_empty(&self, arena: &ShmArena) -> bool {
         let hdr = arena.get(self.header);
-        let mask = hdr.capacity - 1;
         let pos = hdr.dequeue_pos.load(Ordering::Acquire);
-        let seq = arena
-            .get(self.slots.at((pos & mask) as usize))
-            .seq
-            .load(Ordering::Acquire);
+        let seq = self.slot(arena, hdr, pos).seq.load(Ordering::Acquire);
         (seq as i64 - (pos + 1) as i64) < 0
     }
 
@@ -298,12 +313,11 @@ impl ShmRing {
     /// merely slow producer.
     pub fn reclaim_stuck(&self, arena: &ShmArena) -> RingReclaim {
         let hdr = arena.get(self.header);
-        let mask = hdr.capacity - 1;
         let pos = hdr.dequeue_pos.load(Ordering::Acquire);
         if hdr.enqueue_pos.load(Ordering::Acquire) <= pos {
             return RingReclaim::Clean; // no tickets in flight
         }
-        let slot = arena.get(self.slots.at((pos & mask) as usize));
+        let slot = self.slot(arena, hdr, pos);
         if slot.seq.load(Ordering::Acquire) != pos {
             return RingReclaim::Clean; // published (or already recycled)
         }
@@ -325,9 +339,9 @@ impl ShmRing {
             Ok(_) => RingReclaim::Leaked, // producer (if alive) sees Dropped
             Err(_) => {
                 // The producer published in the window: consume normally.
-                let value = slot.value.load(Ordering::Relaxed);
+                let elem = slot.elem.load();
                 slot.seq.store(pos + hdr.capacity, Ordering::Release);
-                RingReclaim::Recovered(value)
+                RingReclaim::Recovered(elem)
             }
         }
     }
@@ -336,16 +350,15 @@ impl ShmRing {
     /// ring, in ticket order, holes skipped. Pure reads — never repairs
     /// anything. Exact only under quiescence; under concurrency it is a
     /// recent-past snapshot like [`Self::len`].
-    pub fn snapshot_published(&self, arena: &ShmArena) -> Vec<u64> {
+    pub fn snapshot_published(&self, arena: &ShmArena) -> Vec<Elem> {
         let hdr = arena.get(self.header);
-        let mask = hdr.capacity - 1;
         let d = hdr.dequeue_pos.load(Ordering::Acquire);
         let e = hdr.enqueue_pos.load(Ordering::Acquire);
         let mut out = Vec::new();
         for pos in d..e {
-            let slot = arena.get(self.slots.at((pos & mask) as usize));
+            let slot = self.slot(arena, hdr, pos);
             if slot.seq.load(Ordering::Acquire) == pos + 1 {
-                out.push(slot.value.load(Ordering::Relaxed));
+                out.push(slot.elem.load());
             }
         }
         out
@@ -393,7 +406,7 @@ impl ShmRing {
         // which is exactly where the next enqueue lap expects to find
         // the slot (`e ≤ ticket + cap` always: no producer can lap past
         // an unrecycled slot).
-        let mut stranded: Vec<(u64, u64)> = Vec::new();
+        let mut stranded: Vec<(u64, Elem)> = Vec::new();
         for i in 0..cap {
             let slot = arena.get(self.slots.at(i as usize));
             let s = slot.seq.load(Ordering::Acquire);
@@ -404,7 +417,7 @@ impl ShmRing {
             } else if s >= 1 && s - 1 < d && ((s - 1) & mask) == i {
                 // Stranded claim: published ticket `s - 1`, cursor past,
                 // never finished — recover the value, retire the slot.
-                stranded.push((s - 1, slot.value.load(Ordering::Relaxed)));
+                stranded.push((s - 1, slot.elem.load()));
                 slot.seq.store(s - 1 + cap, Ordering::Release);
                 report.claims_recovered += 1;
             }
@@ -455,11 +468,10 @@ impl ShmRing {
     #[doc(hidden)]
     pub fn step_enqueue_claim(&self, arena: &ShmArena) -> Option<u64> {
         let hdr = arena.get(self.header);
-        let mask = hdr.capacity - 1;
         let spsc = hdr.mode == MODE_SPSC;
         let mut pos = hdr.enqueue_pos.load(Ordering::Relaxed);
         loop {
-            let slot = arena.get(self.slots.at((pos & mask) as usize));
+            let slot = self.slot(arena, hdr, pos);
             let seq = slot.seq.load(Ordering::Acquire);
             match seq as i64 - pos as i64 {
                 0 => {
@@ -484,15 +496,23 @@ impl ShmRing {
         }
     }
 
-    /// Publishes `value` under a claimed ticket. Second half of an
-    /// enqueue. `false` means a poison-drain reclaimed the slot first
-    /// ([`RingPush::Dropped`]): the value was not enqueued.
+    /// Writes `elem` into the slot of a claimed ticket without publishing
+    /// it: a process that dies after this step leaves the same hole as one
+    /// that died before it — the words are in the slot, invisible.
     #[doc(hidden)]
-    pub fn step_enqueue_publish(&self, arena: &ShmArena, pos: u64, value: u64) -> bool {
-        let hdr = arena.get(self.header);
-        let mask = hdr.capacity - 1;
-        let slot = arena.get(self.slots.at((pos & mask) as usize));
-        slot.value.store(value, Ordering::Relaxed);
+    pub fn step_enqueue_store(&self, arena: &ShmArena, pos: u64, elem: Elem) {
+        self.slot(arena, arena.get(self.header), pos)
+            .elem
+            .store(elem);
+    }
+
+    /// Stores and publishes `elem` under a claimed ticket. Second half of
+    /// an enqueue. `false` means a poison-drain reclaimed the slot first
+    /// ([`RingPush::Dropped`]): the element was not enqueued.
+    #[doc(hidden)]
+    pub fn step_enqueue_publish(&self, arena: &ShmArena, pos: u64, elem: Elem) -> bool {
+        let slot = self.slot(arena, arena.get(self.header), pos);
+        slot.elem.store(elem);
         // CAS, not a blind store: the one-winner race with `reclaim_stuck`.
         slot.seq
             .compare_exchange(pos, pos + 1, Ordering::Release, Ordering::Relaxed)
@@ -506,10 +526,9 @@ impl ShmRing {
     #[doc(hidden)]
     pub fn step_dequeue_claim(&self, arena: &ShmArena) -> Option<u64> {
         let hdr = arena.get(self.header);
-        let mask = hdr.capacity - 1;
         let mut pos = hdr.dequeue_pos.load(Ordering::Relaxed);
         loop {
-            let slot = arena.get(self.slots.at((pos & mask) as usize));
+            let slot = self.slot(arena, hdr, pos);
             let seq = slot.seq.load(Ordering::Acquire);
             match seq as i64 - (pos + 1) as i64 {
                 0 => {
@@ -529,22 +548,22 @@ impl ShmRing {
         }
     }
 
-    /// Reads the value of a claimed head slot and recycles the slot for
+    /// Reads the element of a claimed head slot and recycles the slot for
     /// the next lap. Second half of a dequeue.
     #[doc(hidden)]
-    pub fn step_dequeue_finish(&self, arena: &ShmArena, pos: u64) -> u64 {
+    pub fn step_dequeue_finish(&self, arena: &ShmArena, pos: u64) -> Elem {
         let hdr = arena.get(self.header);
-        let mask = hdr.capacity - 1;
-        let slot = arena.get(self.slots.at((pos & mask) as usize));
-        let value = slot.value.load(Ordering::Relaxed);
+        let slot = self.slot(arena, hdr, pos);
+        let elem = slot.elem.load();
         slot.seq.store(pos + hdr.capacity, Ordering::Release);
-        value
+        elem
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{unw, w};
     use std::sync::Arc;
 
     fn ring(capacity: usize, mode: RingMode) -> (Arc<ShmArena>, ShmRing) {
@@ -559,13 +578,13 @@ mod tests {
             let (a, q) = ring(4, mode);
             assert_eq!(q.mode(&a), mode);
             for i in 0..4u64 {
-                assert_eq!(q.try_push(&a, i), RingPush::Queued, "{mode:?} slot {i}");
+                assert_eq!(q.try_push(&a, w(i)), RingPush::Queued, "{mode:?} slot {i}");
             }
-            assert_eq!(q.try_push(&a, 99), RingPush::Full, "{mode:?}");
+            assert_eq!(q.try_push(&a, w(99)), RingPush::Full, "{mode:?}");
             assert_eq!(q.len(&a), 4);
             for i in 0..4u64 {
                 assert!(!q.is_empty(&a));
-                assert_eq!(q.dequeue(&a), Some(i), "{mode:?}");
+                assert_eq!(q.dequeue(&a), Some(w(i)), "{mode:?}");
             }
             assert_eq!(q.dequeue(&a), None);
             assert!(q.is_empty(&a));
@@ -580,9 +599,9 @@ mod tests {
         let (a, q) = ring(5, RingMode::Mpsc);
         assert_eq!(q.capacity(&a), 8);
         for i in 0..8u64 {
-            assert!(q.enqueue(&a, i), "slot {i}");
+            assert!(q.enqueue(&a, w(i)), "slot {i}");
         }
-        assert!(!q.enqueue(&a, 99));
+        assert!(!q.enqueue(&a, w(99)));
     }
 
     #[test]
@@ -590,8 +609,8 @@ mod tests {
         for mode in [RingMode::Spsc, RingMode::Mpsc] {
             let (a, q) = ring(2, mode);
             for i in 0..10_000u64 {
-                assert!(q.enqueue(&a, i), "{mode:?}");
-                assert_eq!(q.dequeue(&a), Some(i), "{mode:?}");
+                assert!(q.enqueue(&a, w(i)), "{mode:?}");
+                assert_eq!(q.dequeue(&a), Some(w(i)), "{mode:?}");
             }
         }
     }
@@ -603,7 +622,7 @@ mod tests {
         let ap = Arc::clone(&a);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                while !q.enqueue(&ap, i) {
+                while !q.enqueue(&ap, w(i)) {
                     std::thread::yield_now();
                 }
             }
@@ -611,7 +630,7 @@ mod tests {
         let mut expect = 0u64;
         while expect < N {
             if let Some(v) = q.dequeue(&a) {
-                assert_eq!(v, expect, "FIFO violated");
+                assert_eq!(unw(v), expect, "FIFO violated");
                 expect += 1;
             } else {
                 std::thread::yield_now();
@@ -631,7 +650,7 @@ mod tests {
                 let a = Arc::clone(&a);
                 std::thread::spawn(move || {
                     for i in 0..PER {
-                        while !q.enqueue(&a, p * PER + i) {
+                        while !q.enqueue(&a, w(p * PER + i)) {
                             std::thread::yield_now();
                         }
                     }
@@ -642,7 +661,7 @@ mod tests {
         let mut last_per_producer = vec![None::<u64>; PRODUCERS as usize];
         let mut got = 0u64;
         while got < PRODUCERS * PER {
-            if let Some(v) = q.dequeue(&a) {
+            if let Some(v) = q.dequeue(&a).map(unw) {
                 assert!(seen.insert(v), "duplicate {v}");
                 let p = (v / PER) as usize;
                 let i = v % PER;
@@ -668,7 +687,7 @@ mod tests {
         let ap = Arc::clone(&a);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                while !q.enqueue(&ap, i) {
+                while !q.enqueue(&ap, w(i)) {
                     std::thread::yield_now();
                 }
             }
@@ -679,7 +698,7 @@ mod tests {
             }
             assert_eq!(
                 q.dequeue(&a),
-                Some(i),
+                Some(w(i)),
                 "non-empty was observed but nothing was dequeueable"
             );
         }
@@ -699,9 +718,9 @@ mod tests {
         assert!(q.is_empty(&a), "hole must not read as dequeueable");
         assert_eq!(q.dequeue(&a), None);
         assert_eq!(q.len(&a), 1, "the ticket is in flight");
-        assert!(q.step_enqueue_publish(&a, pos, 42));
+        assert!(q.step_enqueue_publish(&a, pos, w(42)));
         assert!(!q.is_empty(&a));
-        assert_eq!(q.dequeue(&a), Some(42));
+        assert_eq!(q.dequeue(&a), Some(w(42)));
     }
 
     /// A hole behind a published element hides it (FIFO holds even across
@@ -710,19 +729,19 @@ mod tests {
     fn reclaim_unblocks_elements_behind_a_hole() {
         let (a, q) = ring(8, RingMode::Mpsc);
         let dead = q.step_enqueue_claim(&a).unwrap(); // ticket 0, never published
-        assert!(q.enqueue(&a, 7)); // ticket 1, published
+        assert!(q.enqueue(&a, w(7))); // ticket 1, published
         assert!(q.is_empty(&a), "hole at head hides ticket 1");
         assert_eq!(q.dequeue(&a), None);
         assert_eq!(q.reclaim_stuck(&a), RingReclaim::Leaked);
-        assert_eq!(q.dequeue(&a), Some(7), "reclaim re-exposed ticket 1");
+        assert_eq!(q.dequeue(&a), Some(w(7)), "reclaim re-exposed ticket 1");
         assert_eq!(q.reclaim_stuck(&a), RingReclaim::Clean);
         // The corpse's late publish (were it alive after all) is refused.
-        assert!(!q.step_enqueue_publish(&a, dead, 13));
+        assert!(!q.step_enqueue_publish(&a, dead, w(13)));
         assert_eq!(q.dequeue(&a), None);
         // The reclaimed slot is clean for the lap that next reaches it.
         for i in 0..20u64 {
-            assert!(q.enqueue(&a, i));
-            assert_eq!(q.dequeue(&a), Some(i));
+            assert!(q.enqueue(&a, w(i)));
+            assert_eq!(q.dequeue(&a), Some(w(i)));
         }
     }
 
@@ -730,9 +749,9 @@ mod tests {
     fn reclaim_on_live_or_empty_ring_is_clean() {
         let (a, q) = ring(4, RingMode::Mpsc);
         assert_eq!(q.reclaim_stuck(&a), RingReclaim::Clean, "empty");
-        assert!(q.enqueue(&a, 5));
+        assert!(q.enqueue(&a, w(5)));
         assert_eq!(q.reclaim_stuck(&a), RingReclaim::Clean, "published head");
-        assert_eq!(q.dequeue(&a), Some(5));
+        assert_eq!(q.dequeue(&a), Some(w(5)));
     }
 
     /// The publish/reclaim race has exactly one winner: across many rounds
@@ -756,7 +775,7 @@ mod tests {
                 if i % 7 == 0 {
                     std::thread::yield_now(); // widen the race window
                 }
-                if !q.step_enqueue_publish(&ap, pos, i) {
+                if !q.step_enqueue_publish(&ap, pos, w(i)) {
                     dropped += 1;
                 }
             }
@@ -798,21 +817,62 @@ mod tests {
             let _hole = q.step_enqueue_claim(&a).unwrap();
             // A surviving producer (Mpsc) — or the *next* producer after a
             // hand-over (Spsc) — still enqueues, a consumer still drains.
-            assert_eq!(q.try_push(&a, 1), RingPush::Queued, "{mode:?}");
+            assert_eq!(q.try_push(&a, w(1)), RingPush::Queued, "{mode:?}");
             assert_eq!(q.dequeue(&a), None, "{mode:?}: hole hides value 1");
             assert_eq!(q.reclaim_stuck(&a), RingReclaim::Leaked, "{mode:?}");
-            assert_eq!(q.dequeue(&a), Some(1), "{mode:?}");
+            assert_eq!(q.dequeue(&a), Some(w(1)), "{mode:?}");
 
             // Step 1: die after publishing — a complete enqueue; nothing
             // dangles, the element is simply there.
             let (a, q) = ring(8, mode);
             let pos = q.step_enqueue_claim(&a).unwrap();
-            assert!(q.step_enqueue_publish(&a, pos, 2));
-            assert_eq!(q.try_push(&a, 3), RingPush::Queued, "{mode:?}");
-            assert_eq!(q.dequeue(&a), Some(2), "{mode:?}");
-            assert_eq!(q.dequeue(&a), Some(3), "{mode:?}");
+            assert!(q.step_enqueue_publish(&a, pos, w(2)));
+            assert_eq!(q.try_push(&a, w(3)), RingPush::Queued, "{mode:?}");
+            assert_eq!(q.dequeue(&a), Some(w(2)), "{mode:?}");
+            assert_eq!(q.dequeue(&a), Some(w(3)), "{mode:?}");
             assert_eq!(q.reclaim_stuck(&a), RingReclaim::Clean, "{mode:?}");
         }
+    }
+
+    /// The new kill site the in-slot element opens: a producer that dies
+    /// after storing its three words and before publishing them. The words
+    /// sit in the slot, invisible — the same hole as a bare claim. Reclaim
+    /// (live drain) or fsck (takeover) retires it, the committed
+    /// neighbours keep all three of their words, and the slot serves later
+    /// laps as if the corpse had never written to it.
+    #[test]
+    fn words_stored_but_never_published_are_an_ordinary_hole() {
+        for use_fsck in [false, true] {
+            let (a, q) = ring(4, RingMode::Mpsc);
+            assert!(q.enqueue(&a, w(1)));
+            let pos = q.step_enqueue_claim(&a).unwrap();
+            q.step_enqueue_store(&a, pos, w(666)); // the corpse stops here
+            assert!(q.enqueue(&a, w(3)));
+            assert_eq!(q.snapshot_published(&a), [1, 3].map(w));
+            if use_fsck {
+                let report = q.fsck(&a);
+                assert_eq!((report.holes_retired, report.repairs()), (1, 1));
+                assert_eq!(report.values, [1, 3].map(w));
+                assert!(!q.fsck(&a).repaired_anything(), "second pass is clean");
+                assert_eq!(q.dequeue(&a), Some(w(1)));
+            } else {
+                assert_eq!(q.dequeue(&a), Some(w(1)));
+                assert_eq!(q.dequeue(&a), None, "the hole hides ticket 2");
+                assert_eq!(q.reclaim_stuck(&a), RingReclaim::Leaked);
+            }
+            assert_eq!(q.dequeue(&a), Some(w(3)), "fsck={use_fsck}");
+            assert_eq!(q.dequeue(&a), None, "the corpse's words never surface");
+            for i in 10..30u64 {
+                assert!(q.enqueue(&a, w(i)), "fsck={use_fsck}: slot back in service");
+                assert_eq!(q.dequeue(&a), Some(w(i)));
+            }
+        }
+    }
+
+    #[test]
+    fn slot_is_half_a_cache_line() {
+        assert_eq!(core::mem::size_of::<RingSlot>(), 32);
+        assert_eq!(core::mem::align_of::<RingSlot>(), 32);
     }
 
     /// A consumer abandoned between its two dequeue steps has already
@@ -826,15 +886,15 @@ mod tests {
     #[test]
     fn abandoned_dequeue_claim_degrades_to_flow_control() {
         let (a, q) = ring(2, RingMode::Mpsc);
-        assert!(q.enqueue(&a, 1));
+        assert!(q.enqueue(&a, w(1)));
         let _claimed = q.step_dequeue_claim(&a).unwrap(); // corpse stops here
                                                           // Survivors still move: the other slot keeps cycling.
-        assert!(q.enqueue(&a, 2));
-        assert_eq!(q.dequeue(&a), Some(2));
+        assert!(q.enqueue(&a, w(2)));
+        assert_eq!(q.dequeue(&a), Some(w(2)));
         // The next ticket lands on the corpse's un-recycled slot: full,
         // immediately and permanently — but every refusal returns at once.
-        assert_eq!(q.try_push(&a, 3), RingPush::Full);
-        assert_eq!(q.try_push(&a, 4), RingPush::Full);
+        assert_eq!(q.try_push(&a, w(3)), RingPush::Full);
+        assert_eq!(q.try_push(&a, w(4)), RingPush::Full);
         assert_eq!(q.dequeue(&a), None);
     }
 
@@ -844,14 +904,14 @@ mod tests {
     fn fsck_on_clean_ring_reports_nothing() {
         let (a, q) = ring(8, RingMode::Mpsc);
         for i in 0..5u64 {
-            assert!(q.enqueue(&a, i));
+            assert!(q.enqueue(&a, w(i)));
         }
-        assert_eq!(q.dequeue(&a), Some(0));
+        assert_eq!(q.dequeue(&a), Some(w(0)));
         let report = q.fsck(&a);
         assert!(!report.repaired_anything(), "{report:?}");
-        assert_eq!(report.values, vec![1, 2, 3, 4]);
+        assert_eq!(report.values, [1, 2, 3, 4].map(w));
         for i in 1..5u64 {
-            assert_eq!(q.dequeue(&a), Some(i));
+            assert_eq!(q.dequeue(&a), Some(w(i)));
         }
     }
 
@@ -861,20 +921,20 @@ mod tests {
     #[test]
     fn fsck_retires_mid_ring_hole_and_keeps_order() {
         let (a, q) = ring(8, RingMode::Mpsc);
-        assert!(q.enqueue(&a, 1));
+        assert!(q.enqueue(&a, w(1)));
         let _hole = q.step_enqueue_claim(&a).unwrap(); // corpse's ticket
-        assert!(q.enqueue(&a, 3));
-        assert!(q.enqueue(&a, 4));
+        assert!(q.enqueue(&a, w(3)));
+        assert!(q.enqueue(&a, w(4)));
         let report = q.fsck(&a);
         assert_eq!(report.holes_retired, 1);
-        assert_eq!(report.values, vec![1, 3, 4]);
+        assert_eq!(report.values, [1, 3, 4].map(w));
         assert!(!q.fsck(&a).repaired_anything(), "second pass must be clean");
-        assert_eq!(q.dequeue(&a), Some(1));
-        assert_eq!(q.dequeue(&a), Some(3));
-        assert_eq!(q.dequeue(&a), Some(4));
+        assert_eq!(q.dequeue(&a), Some(w(1)));
+        assert_eq!(q.dequeue(&a), Some(w(3)));
+        assert_eq!(q.dequeue(&a), Some(w(4)));
         assert_eq!(q.dequeue(&a), None);
         for i in 0..8u64 {
-            assert!(q.enqueue(&a, i), "capacity restored after retirement");
+            assert!(q.enqueue(&a, w(i)), "capacity restored after retirement");
         }
     }
 
@@ -886,20 +946,20 @@ mod tests {
     #[test]
     fn fsck_recovers_stranded_dequeue_claim() {
         let (a, q) = ring(2, RingMode::Mpsc);
-        assert!(q.enqueue(&a, 1));
+        assert!(q.enqueue(&a, w(1)));
         let _claimed = q.step_dequeue_claim(&a).unwrap(); // corpse stops here
-        assert!(q.enqueue(&a, 2));
-        assert_eq!(q.try_push(&a, 3), RingPush::Full, "stranded slot wedges");
+        assert!(q.enqueue(&a, w(2)));
+        assert_eq!(q.try_push(&a, w(3)), RingPush::Full, "stranded slot wedges");
         let report = q.fsck(&a);
         assert_eq!(report.claims_recovered, 1);
-        assert_eq!(report.values, vec![1, 2], "recovered value leads");
+        assert_eq!(report.values, [1, 2].map(w), "recovered value leads");
         assert!(!q.fsck(&a).repaired_anything(), "second pass must be clean");
-        assert_eq!(q.dequeue(&a), Some(1));
-        assert_eq!(q.dequeue(&a), Some(2));
+        assert_eq!(q.dequeue(&a), Some(w(1)));
+        assert_eq!(q.dequeue(&a), Some(w(2)));
         // The slot recycles again: the permanent-full wedge is gone.
         for i in 0..10u64 {
-            assert!(q.enqueue(&a, i));
-            assert_eq!(q.dequeue(&a), Some(i));
+            assert!(q.enqueue(&a, w(i)));
+            assert_eq!(q.dequeue(&a), Some(w(i)));
         }
     }
 
@@ -911,8 +971,8 @@ mod tests {
         let (a, q) = ring(2, RingMode::Mpsc);
         let hdr = a.get(q.header);
         let _hole = q.step_enqueue_claim(&a).unwrap(); // ticket 0, never published
-        assert!(q.enqueue(&a, 7)); // ticket 1
-                                   // Simulate the dying reclaimer: cursor advanced, seq CAS never ran.
+        assert!(q.enqueue(&a, w(7))); // ticket 1
+                                      // Simulate the dying reclaimer: cursor advanced, seq CAS never ran.
         assert_eq!(
             hdr.dequeue_pos
                 .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed),
@@ -920,24 +980,24 @@ mod tests {
         );
         let report = q.fsck(&a);
         assert_eq!(report.holes_retired, 1);
-        assert_eq!(report.values, vec![7]);
+        assert_eq!(report.values, [7].map(w));
         assert!(!q.fsck(&a).repaired_anything(), "second pass must be clean");
-        assert_eq!(q.dequeue(&a), Some(7));
+        assert_eq!(q.dequeue(&a), Some(w(7)));
         for i in 0..10u64 {
-            assert!(q.enqueue(&a, i), "slot {i} recycles");
-            assert_eq!(q.dequeue(&a), Some(i));
+            assert!(q.enqueue(&a, w(i)), "slot {i} recycles");
+            assert_eq!(q.dequeue(&a), Some(w(i)));
         }
     }
 
     #[test]
     fn snapshot_published_skips_holes_without_repairing() {
         let (a, q) = ring(8, RingMode::Mpsc);
-        assert!(q.enqueue(&a, 1));
+        assert!(q.enqueue(&a, w(1)));
         let _hole = q.step_enqueue_claim(&a).unwrap();
-        assert!(q.enqueue(&a, 3));
-        assert_eq!(q.snapshot_published(&a), vec![1, 3]);
+        assert!(q.enqueue(&a, w(3)));
+        assert_eq!(q.snapshot_published(&a), [1, 3].map(w));
         assert_eq!(q.len(&a), 3, "snapshot must not consume or repair");
-        assert_eq!(q.dequeue(&a), Some(1), "head still dequeues normally");
+        assert_eq!(q.dequeue(&a), Some(w(1)), "head still dequeues normally");
     }
 
     #[test]
@@ -946,8 +1006,8 @@ mod tests {
         let q = ShmRing::create(&arena, 8, RingMode::Mpsc).unwrap();
         let stored = arena.alloc(q).unwrap();
         let q2 = *arena.get(stored);
-        assert!(q2.enqueue(&arena, 7));
-        assert_eq!(q.dequeue(&arena), Some(7));
+        assert!(q2.enqueue(&arena, w(7)));
+        assert_eq!(q.dequeue(&arena), Some(w(7)));
     }
 
     #[test]
@@ -994,7 +1054,10 @@ mod tests {
                 match claimed {
                     None => *claimed = q.step_enqueue_claim(a), // None = full: retry later
                     Some(pos) => {
-                        assert!(q.step_enqueue_publish(a, *pos, *value), "no drain running");
+                        assert!(
+                            q.step_enqueue_publish(a, *pos, w(*value)),
+                            "no drain running"
+                        );
                         *done = true;
                     }
                 }
@@ -1002,7 +1065,7 @@ mod tests {
             Actor::Consumer { claimed } => match claimed {
                 None => *claimed = q.step_dequeue_claim(a), // None = empty poll
                 Some(pos) => {
-                    got.push(q.step_dequeue_finish(a, *pos));
+                    got.push(unw(q.step_dequeue_finish(a, *pos)));
                     *claimed = None;
                 }
             },
@@ -1079,7 +1142,7 @@ mod tests {
             }
         }
         while let Some(v) = q.dequeue(&arena) {
-            got.push(v);
+            got.push(unw(v));
         }
         assert!(
             actors[..producers.len()].iter().all(producer_done),
@@ -1167,7 +1230,7 @@ mod tests {
                     step(&q, &arena, &mut live, &mut got);
                     step(&q, &arena, &mut consumer, &mut got);
                     while let Some(v) = q.dequeue(&arena) {
-                        got.push(v);
+                        got.push(unw(v));
                     }
                     if q.reclaim_stuck(&arena) == RingReclaim::Leaked {
                         leaked += 1;

@@ -1,18 +1,21 @@
 //! The Michael & Scott two-lock queue in shared-memory (offset) form.
 //!
-//! This is the queue the IPC facility actually uses: the header, the locks,
-//! the node pool and the nodes all live in a [`ShmArena`], linked by offsets,
-//! so the whole structure is position independent. Capacity is fixed and
-//! `enqueue` reports fullness instead of growing — the flow-control signal on
-//! which the paper's `sleep(1)`-on-full back-off is built.
+//! The paper's queue (§2.2): the header, the locks, the node pool and the
+//! nodes all live in a [`ShmArena`], linked by offsets, so the whole
+//! structure is position independent. A node *is* the message — FIFO link
+//! plus the three words of an [`Elem`] — taken from the queue's one free
+//! pool. Capacity is fixed and `enqueue` reports fullness instead of
+//! growing — the flow-control signal on which the paper's
+//! `sleep(1)`-on-full back-off is built.
 
 use crate::spinlock::SpinLock;
-use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::{Elem, ElemCell};
+use core::sync::atomic::{AtomicU32, Ordering};
 use usipc_shm::{
     CacheAligned, PoolSlot, ShmArena, ShmError, ShmPtr, ShmSafe, SlotPool, NULL_OFFSET,
 };
 
-/// A queue node: FIFO link plus payload.
+/// A queue node: FIFO link plus the element.
 ///
 /// The link (`next`) is distinct from the pool's internal free-list link, so
 /// a consumer that reads a node which has just been recycled sees stale but
@@ -21,7 +24,7 @@ use usipc_shm::{
 #[derive(Debug)]
 pub struct QNode {
     next: AtomicU32,
-    value: AtomicU64,
+    elem: ElemCell,
 }
 
 unsafe impl ShmSafe for QNode {}
@@ -30,7 +33,7 @@ impl QNode {
     fn empty() -> Self {
         QNode {
             next: AtomicU32::new(NULL_OFFSET),
-            value: AtomicU64::new(0),
+            elem: ElemCell::default(),
         }
     }
 }
@@ -131,13 +134,13 @@ impl ShmQueue {
         arena.get(self.header).capacity as usize
     }
 
-    /// Attempts to enqueue `value`; returns `false` when the queue is full.
-    pub fn enqueue(&self, arena: &ShmArena, value: u64) -> bool {
+    /// Attempts to enqueue `elem`; returns `false` when the queue is full.
+    pub fn enqueue(&self, arena: &ShmArena, elem: Elem) -> bool {
         let hdr = arena.get(self.header);
         let Some(node) = self.pool.alloc(arena) else {
             return false; // all slack consumed: treat as full
         };
-        self.prepare_node(arena, node, value);
+        self.prepare_node(arena, node, elem);
         hdr.tail_lock.lock();
         let full = self.enqueue_locked(arena, hdr, node);
         if full {
@@ -168,14 +171,14 @@ impl ShmQueue {
     pub fn enqueue_bounded(
         &self,
         arena: &ShmArena,
-        value: u64,
+        elem: Elem,
         max_yields: u32,
     ) -> Result<bool, TailLockBusy> {
         let hdr = arena.get(self.header);
         let Some(node) = self.pool.alloc(arena) else {
             return Ok(false); // all slack consumed: treat as full
         };
-        self.prepare_node(arena, node, value);
+        self.prepare_node(arena, node, elem);
         let mut yields = 0u32;
         let mut spins = 0u32;
         while !hdr.tail_lock.try_lock() {
@@ -199,9 +202,9 @@ impl ShmQueue {
         Ok(!full)
     }
 
-    fn prepare_node(&self, arena: &ShmArena, node: NodePtr, value: u64) {
+    fn prepare_node(&self, arena: &ShmArena, node: NodePtr, elem: Elem) {
         let qn = arena.get(node).value();
-        qn.value.store(value, Ordering::Relaxed);
+        qn.elem.store(elem);
         qn.next.store(NULL_OFFSET, Ordering::Relaxed);
     }
 
@@ -241,13 +244,13 @@ impl ShmQueue {
     /// not offered; use [`Self::enqueue`].) Returns `false` if the pool
     /// had no free slot.
     #[doc(hidden)]
-    pub fn enqueue_abandoned_at(&self, arena: &ShmArena, value: u64, steps: u32) -> bool {
+    pub fn enqueue_abandoned_at(&self, arena: &ShmArena, elem: Elem, steps: u32) -> bool {
         assert!((1..=4).contains(&steps), "steps must be 1..=4");
         let hdr = arena.get(self.header);
         let Some(node) = self.pool.alloc(arena) else {
             return false;
         };
-        self.prepare_node(arena, node, value);
+        self.prepare_node(arena, node, elem);
         if steps < 2 {
             return true; // died between pool alloc and lock
         }
@@ -274,7 +277,7 @@ impl ShmQueue {
     /// *before* the head lock is touched: a miss costs one load of a
     /// shared line, not a lock round trip, and a poller never bounces the
     /// lock line under a consumer that is mid-dequeue.
-    pub fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
+    pub fn dequeue(&self, arena: &ShmArena) -> Option<Elem> {
         let hdr = arena.get(self.header);
         if hdr.count.load(Ordering::SeqCst) == 0 {
             return None;
@@ -301,7 +304,7 @@ impl ShmQueue {
         &self,
         arena: &ShmArena,
         max_yields: u32,
-    ) -> Result<Option<u64>, HeadLockBusy> {
+    ) -> Result<Option<Elem>, HeadLockBusy> {
         let hdr = arena.get(self.header);
         if hdr.count.load(Ordering::SeqCst) == 0 {
             return Ok(None); // same pre-check as `dequeue`
@@ -325,7 +328,7 @@ impl ShmQueue {
     }
 
     /// The dequeue body. The caller holds `head_lock`; released here.
-    fn dequeue_locked(&self, arena: &ShmArena, hdr: &QueueHeader) -> Option<u64> {
+    fn dequeue_locked(&self, arena: &ShmArena, hdr: &QueueHeader) -> Option<Elem> {
         let dummy: NodePtr = ShmPtr::from_raw(hdr.head.load(Ordering::Relaxed));
         let next_off = arena.get(dummy).value().next.load(Ordering::Acquire);
         if next_off == NULL_OFFSET {
@@ -333,15 +336,15 @@ impl ShmQueue {
             return None;
         }
         let next: NodePtr = ShmPtr::from_raw(next_off);
-        // M&S: read the value from the node that becomes the new dummy.
-        let value = arena.get(next).value().value.load(Ordering::Relaxed);
+        // M&S: read the element from the node that becomes the new dummy.
+        let elem = arena.get(next).value().elem.load();
         hdr.head.store(next_off, Ordering::Relaxed);
         // An `is_empty` reader that sees the decremented count also sees
         // the head advance.
         hdr.count.fetch_sub(1, Ordering::SeqCst);
         hdr.head_lock.unlock();
         self.pool.free(arena, dummy);
-        Some(value)
+        Some(elem)
     }
 
     /// Cheap emptiness poll — the `empty(Q)` test in the BSLS spin loop.
@@ -434,9 +437,7 @@ impl ShmQueue {
                 break;
             }
             let next: NodePtr = ShmPtr::from_raw(next_off);
-            report
-                .values
-                .push(arena.get(next).value().value.load(Ordering::Relaxed));
+            report.values.push(arena.get(next).value().elem.load());
             reachable.push(next_off);
             cur = next;
         }
@@ -470,7 +471,7 @@ pub struct TwoLockFsck {
     /// producers that died before linking) and were reclaimed.
     pub nodes_reclaimed: u32,
     /// The committed values, in FIFO order, left in place in the queue.
-    pub values: Vec<u64>,
+    pub values: Vec<Elem>,
 }
 
 impl TwoLockFsck {
@@ -492,6 +493,7 @@ impl TwoLockFsck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{unw, w};
     use std::sync::Arc;
 
     fn queue(capacity: usize) -> (Arc<ShmArena>, ShmQueue) {
@@ -504,11 +506,11 @@ mod tests {
     fn fifo_order() {
         let (a, q) = queue(64);
         for i in 0..50u64 {
-            assert!(q.enqueue(&a, i));
+            assert!(q.enqueue(&a, w(i)));
         }
         assert_eq!(q.len(&a), 50);
         for i in 0..50u64 {
-            assert_eq!(q.dequeue(&a), Some(i));
+            assert_eq!(q.dequeue(&a), Some(w(i)));
         }
         assert_eq!(q.dequeue(&a), None);
         assert!(q.is_empty(&a));
@@ -518,25 +520,25 @@ mod tests {
     fn capacity_enforced_exactly() {
         let (a, q) = queue(4);
         for i in 0..4u64 {
-            assert!(q.enqueue(&a, i), "slot {i} should fit");
+            assert!(q.enqueue(&a, w(i)), "slot {i} should fit");
         }
-        assert!(!q.enqueue(&a, 99), "fifth element must be refused");
+        assert!(!q.enqueue(&a, w(99)), "fifth element must be refused");
         assert_eq!(q.len(&a), 4);
-        assert_eq!(q.dequeue(&a), Some(0));
-        assert!(q.enqueue(&a, 99), "room again after a dequeue");
+        assert_eq!(q.dequeue(&a), Some(w(0)));
+        assert!(q.enqueue(&a, w(99)), "room again after a dequeue");
     }
 
     #[test]
     fn full_then_drain_then_reuse() {
         let (a, q) = queue(2);
-        assert!(q.enqueue(&a, 1) && q.enqueue(&a, 2));
-        assert!(!q.enqueue(&a, 3));
-        assert_eq!(q.dequeue(&a), Some(1));
-        assert_eq!(q.dequeue(&a), Some(2));
+        assert!(q.enqueue(&a, w(1)) && q.enqueue(&a, w(2)));
+        assert!(!q.enqueue(&a, w(3)));
+        assert_eq!(q.dequeue(&a), Some(w(1)));
+        assert_eq!(q.dequeue(&a), Some(w(2)));
         assert_eq!(q.dequeue(&a), None);
         for round in 0..100u64 {
-            assert!(q.enqueue(&a, round));
-            assert_eq!(q.dequeue(&a), Some(round));
+            assert!(q.enqueue(&a, w(round)));
+            assert_eq!(q.dequeue(&a), Some(w(round)));
         }
     }
 
@@ -547,7 +549,7 @@ mod tests {
         let ap = Arc::clone(&a);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                while !q.enqueue(&ap, i) {
+                while !q.enqueue(&ap, w(i)) {
                     std::thread::yield_now();
                 }
             }
@@ -555,7 +557,7 @@ mod tests {
         let mut expect = 0u64;
         while expect < N {
             if let Some(v) = q.dequeue(&a) {
-                assert_eq!(v, expect, "FIFO violated");
+                assert_eq!(unw(v), expect, "FIFO violated");
                 expect += 1;
             } else {
                 std::thread::yield_now();
@@ -575,7 +577,7 @@ mod tests {
                 let a = Arc::clone(&a);
                 std::thread::spawn(move || {
                     for i in 0..PER {
-                        while !q.enqueue(&a, p * PER + i) {
+                        while !q.enqueue(&a, w(p * PER + i)) {
                             std::thread::yield_now();
                         }
                     }
@@ -586,7 +588,7 @@ mod tests {
         let mut last_per_producer = vec![None::<u64>; PRODUCERS as usize];
         let mut got = 0u64;
         while got < PRODUCERS * PER {
-            if let Some(v) = q.dequeue(&a) {
+            if let Some(v) = q.dequeue(&a).map(unw) {
                 assert!(seen.insert(v), "duplicate {v}");
                 let p = (v / PER) as usize;
                 let i = v % PER;
@@ -617,7 +619,7 @@ mod tests {
         let ap = Arc::clone(&a);
         let producer = std::thread::spawn(move || {
             for i in 0..N {
-                while !q.enqueue(&ap, i) {
+                while !q.enqueue(&ap, w(i)) {
                     std::thread::yield_now();
                 }
             }
@@ -628,7 +630,7 @@ mod tests {
             }
             assert_eq!(
                 q.dequeue(&a),
-                Some(i),
+                Some(w(i)),
                 "non-empty was observed but the node was not dequeueable"
             );
         }
@@ -644,12 +646,12 @@ mod tests {
     #[test]
     fn dequeue_bounded_gives_up_on_abandoned_head_lock() {
         let (a, q) = queue(8);
-        assert!(q.enqueue(&a, 7));
+        assert!(q.enqueue(&a, w(7)));
         a.get(q.header).head_lock.lock(); // the corpse's lock
         assert_eq!(q.dequeue_bounded(&a, 10), Err(HeadLockBusy));
         assert_eq!(q.len(&a), 1, "giving up must consume nothing");
         a.get(q.header).head_lock.unlock();
-        assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(7)));
+        assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(w(7))));
         assert_eq!(q.dequeue_bounded(&a, 10), Ok(None));
     }
 
@@ -666,11 +668,11 @@ mod tests {
         assert_eq!(q.dequeue_bounded(&a, 10), Ok(None));
         a.get(q.header).head_lock.unlock();
 
-        assert!(q.enqueue_abandoned_at(&a, 666, 4), "linked, not counted");
+        assert!(q.enqueue_abandoned_at(&a, w(666), 4), "linked, not counted");
         assert!(q.is_empty(&a));
         assert_eq!(q.dequeue(&a), None, "uncounted means uncommitted");
         assert!(q.fsck(&a, true).count_repaired);
-        assert_eq!(q.dequeue(&a), Some(666));
+        assert_eq!(q.dequeue(&a), Some(w(666)));
         assert_eq!(q.len(&a), 0, "count never went below zero");
     }
 
@@ -683,10 +685,10 @@ mod tests {
     #[test]
     fn enqueue_bounded_gives_up_on_abandoned_tail_lock() {
         let (a, q) = queue(8);
-        assert!(q.enqueue(&a, 7));
+        assert!(q.enqueue(&a, w(7)));
         let free_before = q.pool.capacity(&a) - q.pool.in_use(&a);
         a.get(q.header).tail_lock.lock(); // the corpse's lock
-        assert_eq!(q.enqueue_bounded(&a, 8, 10), Err(TailLockBusy));
+        assert_eq!(q.enqueue_bounded(&a, w(8), 10), Err(TailLockBusy));
         assert_eq!(q.len(&a), 1, "giving up must enqueue nothing");
         assert_eq!(
             q.pool.capacity(&a) - q.pool.in_use(&a),
@@ -694,9 +696,9 @@ mod tests {
             "giving up must not leak the staged pool slot"
         );
         a.get(q.header).tail_lock.unlock();
-        assert_eq!(q.enqueue_bounded(&a, 8, 10), Ok(true));
-        assert_eq!(q.dequeue(&a), Some(7));
-        assert_eq!(q.dequeue(&a), Some(8));
+        assert_eq!(q.enqueue_bounded(&a, w(8), 10), Ok(true));
+        assert_eq!(q.dequeue(&a), Some(w(7)));
+        assert_eq!(q.dequeue(&a), Some(w(8)));
     }
 
     /// Every abandonment point `enqueue_abandoned_at` offers leaves the
@@ -707,20 +709,20 @@ mod tests {
     fn every_enqueue_abandonment_point_is_survivable() {
         for steps in 1..=4u32 {
             let (a, q) = queue(8);
-            assert!(q.enqueue(&a, 1), "step {steps}: pre-fill");
-            assert!(q.enqueue_abandoned_at(&a, 666, steps));
-            match q.enqueue_bounded(&a, 2, 10) {
+            assert!(q.enqueue(&a, w(1)), "step {steps}: pre-fill");
+            assert!(q.enqueue_abandoned_at(&a, w(666), steps));
+            match q.enqueue_bounded(&a, w(2), 10) {
                 Ok(true) => {
                     // Lock was free (died before seizing it): fully live.
                     assert!(steps < 2, "step {steps}: lock should be held");
-                    assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(1)));
-                    assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(2)));
+                    assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(w(1))));
+                    assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(w(2))));
                 }
                 Err(TailLockBusy) => {
                     // Lock abandoned: producers degrade, consumers drain
                     // what was fully published before the death.
                     assert!(steps >= 2, "step {steps}: lock should be free");
-                    assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(1)));
+                    assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(w(1))));
                 }
                 Ok(false) => panic!("step {steps}: queue cannot be full"),
             }
@@ -735,27 +737,27 @@ mod tests {
     fn fsck_repairs_every_enqueue_abandonment_point() {
         for steps in 1..=4u32 {
             let (a, q) = queue(8);
-            assert!(q.enqueue(&a, 1), "step {steps}: pre-fill");
-            assert!(q.enqueue_abandoned_at(&a, 666, steps));
+            assert!(q.enqueue(&a, w(1)), "step {steps}: pre-fill");
+            assert!(q.enqueue_abandoned_at(&a, w(666), steps));
             let report = q.fsck(&a, true);
             assert!(report.repaired_anything(), "step {steps}: must repair");
             if steps < 2 {
                 // Died before the lock: slot leaked, chain untouched.
                 assert_eq!(report.nodes_reclaimed, 1, "step {steps}");
                 assert!(!report.tail_lock_broken, "step {steps}");
-                assert_eq!(report.values, vec![1], "step {steps}");
+                assert_eq!(report.values, [1].map(w), "step {steps}");
             } else if steps < 3 {
                 // Died holding the lock, before linking: lock + leak.
                 assert!(report.tail_lock_broken, "step {steps}");
                 assert_eq!(report.nodes_reclaimed, 1, "step {steps}");
-                assert_eq!(report.values, vec![1], "step {steps}");
+                assert_eq!(report.values, [1].map(w), "step {steps}");
             } else {
                 // Linked: the value is committed; tail and/or count lagged.
                 assert!(report.tail_lock_broken, "step {steps}");
                 assert_eq!(report.nodes_reclaimed, 0, "step {steps}");
                 assert!(report.count_repaired, "step {steps}: count lagged");
                 assert_eq!(report.tail_repaired, steps < 4, "step {steps}");
-                assert_eq!(report.values, vec![1, 666], "step {steps}");
+                assert_eq!(report.values, [1, 666].map(w), "step {steps}");
             }
             // Idempotence: the second pass finds a clean queue.
             assert!(
@@ -763,15 +765,15 @@ mod tests {
                 "step {steps}: second pass must be a no-op"
             );
             // The repaired queue is fully live again.
-            let expect: Vec<u64> = report.values;
+            let expect: Vec<Elem> = report.values;
             for v in &expect {
                 assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(*v)), "step {steps}");
             }
             assert_eq!(q.dequeue_bounded(&a, 10), Ok(None), "step {steps}");
             for i in 0..8u64 {
-                assert!(q.enqueue(&a, i), "step {steps}: capacity restored");
+                assert!(q.enqueue(&a, w(i)), "step {steps}: capacity restored");
             }
-            assert!(!q.enqueue(&a, 99), "step {steps}: capacity exact");
+            assert!(!q.enqueue(&a, w(99)), "step {steps}: capacity exact");
         }
     }
 
@@ -781,14 +783,14 @@ mod tests {
     #[test]
     fn fsck_breaks_abandoned_head_lock() {
         let (a, q) = queue(8);
-        assert!(q.enqueue(&a, 1) && q.enqueue(&a, 2));
+        assert!(q.enqueue(&a, w(1)) && q.enqueue(&a, w(2)));
         a.get(q.header).head_lock.lock(); // the corpse's lock
         assert_eq!(q.dequeue_bounded(&a, 10), Err(HeadLockBusy));
         let report = q.fsck(&a, true);
         assert!(report.head_lock_broken);
-        assert_eq!(report.values, vec![1, 2]);
-        assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(1)));
-        assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(2)));
+        assert_eq!(report.values, [1, 2].map(w));
+        assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(w(1))));
+        assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(w(2))));
     }
 
     /// On a clean queue fsck is a strict no-op even with lock breaking
@@ -797,15 +799,15 @@ mod tests {
     fn fsck_on_clean_queue_reports_nothing() {
         let (a, q) = queue(8);
         for i in 0..5u64 {
-            assert!(q.enqueue(&a, i));
+            assert!(q.enqueue(&a, w(i)));
         }
-        assert_eq!(q.dequeue(&a), Some(0));
+        assert_eq!(q.dequeue(&a), Some(w(0)));
         let report = q.fsck(&a, true);
         assert!(!report.repaired_anything(), "{report:?}");
         assert_eq!(report.repairs(), 0);
-        assert_eq!(report.values, vec![1, 2, 3, 4]);
+        assert_eq!(report.values, [1, 2, 3, 4].map(w));
         for i in 1..5u64 {
-            assert_eq!(q.dequeue(&a), Some(i));
+            assert_eq!(q.dequeue(&a), Some(w(i)));
         }
     }
 
@@ -814,10 +816,10 @@ mod tests {
         let arena = ShmArena::new(1 << 20).unwrap();
         let q1 = ShmQueue::create(&arena, 8).unwrap();
         let q2 = ShmQueue::create(&arena, 8).unwrap();
-        assert!(q1.enqueue(&arena, 1));
-        assert!(q2.enqueue(&arena, 2));
-        assert_eq!(q1.dequeue(&arena), Some(1));
-        assert_eq!(q2.dequeue(&arena), Some(2));
+        assert!(q1.enqueue(&arena, w(1)));
+        assert!(q2.enqueue(&arena, w(2)));
+        assert_eq!(q1.dequeue(&arena), Some(w(1)));
+        assert_eq!(q2.dequeue(&arena), Some(w(2)));
     }
 
     #[test]
@@ -827,7 +829,7 @@ mod tests {
         let q = ShmQueue::create(&arena, 8).unwrap();
         let stored = arena.alloc(q).unwrap();
         let q2 = *arena.get(stored);
-        assert!(q2.enqueue(&arena, 7));
-        assert_eq!(q.dequeue(&arena), Some(7));
+        assert!(q2.enqueue(&arena, w(7)));
+        assert_eq!(q.dequeue(&arena), Some(w(7)));
     }
 }

@@ -1,6 +1,7 @@
 //! The shared-memory channel: server receive queue, per-client reply
-//! queues, message pool, and the `awake` flags of the sleep/wake-up
-//! protocols.
+//! queues, and the `awake` flags of the sleep/wake-up protocols. A message
+//! rides *in* its queue (the three words of [`Message::to_words`] are the
+//! FIFO element), so the channel owns no message storage of its own.
 //!
 //! §2.1: "The implementation ... uses two queues: a receive queue at the
 //! server for incoming messages, and a reply queue for responses back to
@@ -12,14 +13,14 @@
 
 use crate::fault::IpcError;
 use crate::metrics::ProtoEvent;
-use crate::msg::{Message, MsgSlot};
+use crate::msg::Message;
 use crate::platform::{client_sem, server_sem, Cost, OsServices};
 use crate::protocol::{call_failed, dead_channel, round_trip, Deadline, WaitStrategy};
 use core::sync::atomic::{AtomicU32, Ordering};
 use core::time::Duration;
 use std::sync::Arc;
-use usipc_queue::{AnyShmFifo, EnqueueFlow, QueueKind, RingMode, RingReclaim, ShmRing};
-use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice, SlotPool};
+use usipc_queue::{AnyShmFifo, EnqueueFlow, QueueKind, RingMode, RingReclaim};
+use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
 /// A FIFO queue plus the sleep/wake-up state of its single consumer: the
 /// `awake` flag the protocols test-and-set. The counting semaphore the
@@ -100,8 +101,6 @@ pub struct ChannelRoot {
     receive: WaitableQueue,
     /// One reply queue per client.
     reply: ShmSlice<WaitableQueue>,
-    /// Shared pool of fixed-size message slots.
-    pool: SlotPool<MsgSlot>,
     n_clients: u32,
     /// First platform semaphore index this channel uses (see
     /// [`ChannelConfig::with_sem_base`]); `server_sem()`/`client_sem(c)`
@@ -136,18 +135,21 @@ pub struct ChannelConfig {
     /// their semaphores never alias.
     pub sem_base: u32,
     /// Which queue implementation every queue of this channel uses:
-    /// [`QueueKind::TwoLock`] (the paper's baseline, the default) or
-    /// [`QueueKind::Ring`] (lock-free — a SIGKILLed producer can never
-    /// wedge survivors on an abandoned lock). The same protocol code runs
-    /// on both; flow-control signals are identical.
+    /// [`QueueKind::Ring`] (the default: lock-free — a SIGKILLed producer
+    /// can never wedge survivors on an abandoned lock) or
+    /// [`QueueKind::TwoLock`] (the paper's queue, kept as its baseline).
+    /// The same protocol code runs on both; flow-control signals are
+    /// identical.
     pub queue_kind: QueueKind,
-    /// Worst-case number of *concurrent dequeuers per queue* the
-    /// deployment can produce. The default of 2 covers every shipped
-    /// topology: a queue's single consumer plus one concurrent fault-path
-    /// drainer (poisoner or work-stealing thief). [`Channel::create`]
-    /// rejects values above [`usipc_queue::POOL_SLACK`], because the
-    /// two-lock queue's "full means full" exactness contract only holds
-    /// while dequeuers-in-flight cannot exhaust the node pool's slack.
+    /// Two-lock kind only: worst-case number of *concurrent dequeuers per
+    /// queue* the deployment can produce. The default of 2 covers every
+    /// shipped topology: a queue's single consumer plus one concurrent
+    /// fault-path drainer (poisoner or work-stealing thief).
+    /// [`Channel::create`] rejects values above
+    /// [`usipc_queue::POOL_SLACK`], because the two-lock queue's "full
+    /// means full" exactness contract only holds while
+    /// dequeuers-in-flight cannot exhaust the node pool's slack. The ring
+    /// has no node pool, and ignores this.
     pub max_dequeuers: usize,
 }
 
@@ -159,7 +161,7 @@ impl ChannelConfig {
             queue_capacity: 64,
             extra_bytes: 0,
             sem_base: 0,
-            queue_kind: QueueKind::TwoLock,
+            queue_kind: QueueKind::default(),
             max_dequeuers: 2,
         }
     }
@@ -192,23 +194,13 @@ impl ChannelConfig {
     /// a bootstrap root) can budget for a [`Channel::create_in`].
     ///
     /// Derived from the actual types, allocation by allocation (each
-    /// helper already includes its own worst-case alignment slack): the
-    /// message pool, one `ShmQueue` per queue, the reply-queue array, and
-    /// the root. No magic constants — a large config neither exhausts the
+    /// helper already includes its own worst-case alignment slack): one
+    /// queue of the configured kind per client plus the receive queue —
+    /// each holding its own messages — the reply-queue array, and the
+    /// root. No magic constants — a large config neither exhausts the
     /// arena nor over-allocates.
     pub fn bytes_needed(&self) -> usize {
-        let queues = self.n_clients + 1;
-        // Every in-flight message holds a pool slot; the worst case is all
-        // queues simultaneously full. The ring rounds its capacity up to a
-        // power of two and can really hold that many, so the pool must be
-        // budgeted against the *effective* capacity.
-        let per_queue_slots = match self.queue_kind {
-            QueueKind::TwoLock => self.queue_capacity,
-            QueueKind::Ring => ShmRing::effective_capacity(self.queue_capacity),
-        };
-        let pool_slots = queues * per_queue_slots + 8;
-        SlotPool::<MsgSlot>::bytes_needed(pool_slots)
-            + queues * AnyShmFifo::bytes_needed(self.queue_capacity, self.queue_kind)
+        (self.n_clients + 1) * AnyShmFifo::bytes_needed(self.queue_capacity, self.queue_kind)
             + self.n_clients * core::mem::size_of::<WaitableQueue>()
             + core::mem::align_of::<WaitableQueue>()
             + core::mem::size_of::<ChannelRoot>()
@@ -270,24 +262,18 @@ impl Channel {
     pub fn create_in(arena: Arc<ShmArena>, cfg: &ChannelConfig) -> Result<Channel, ShmError> {
         assert!(cfg.n_clients >= 1, "channel needs at least one client");
         assert!(cfg.queue_capacity >= 2, "queues need capacity >= 2");
-        // The POOL_SLACK exactness contract (see ChannelConfig::max_dequeuers):
-        // enforced here, at the only point that knows the deployment's
-        // concurrency, so "enqueue said full" always means full.
+        // The POOL_SLACK exactness contract (see ChannelConfig::max_dequeuers)
+        // is the two-lock node pool's: enforced here, at the only point
+        // that knows the deployment's concurrency, so "enqueue said full"
+        // always means full.
         assert!(
-            cfg.max_dequeuers >= 1 && cfg.max_dequeuers <= usipc_queue::POOL_SLACK,
+            cfg.queue_kind != QueueKind::TwoLock
+                || (1..=usipc_queue::POOL_SLACK).contains(&cfg.max_dequeuers),
             "max_dequeuers {} outside 1..={}: more concurrent dequeuers than \
              POOL_SLACK could exhaust the node pool and fake a full queue",
             cfg.max_dequeuers,
             usipc_queue::POOL_SLACK
         );
-        let queues = cfg.n_clients + 1;
-        let per_queue_slots = match cfg.queue_kind {
-            QueueKind::TwoLock => cfg.queue_capacity,
-            QueueKind::Ring => ShmRing::effective_capacity(cfg.queue_capacity),
-        };
-        let pool_slots = queues * per_queue_slots + 8;
-        let pool = SlotPool::create(&arena, pool_slots, |_| MsgSlot::default())?;
-
         let receive =
             WaitableQueue::create(&arena, cfg.queue_capacity, cfg.queue_kind, RingMode::Mpsc)?;
         let reply = arena.alloc_slice(cfg.n_clients, |_| {
@@ -297,7 +283,6 @@ impl Channel {
         let root = arena.alloc(ChannelRoot {
             receive,
             reply,
-            pool,
             n_clients: cfg.n_clients as u32,
             sem_base: cfg.sem_base,
             server_task: AtomicU32::new(u32::MAX),
@@ -335,12 +320,6 @@ impl Channel {
 
     fn root(&self) -> &ChannelRoot {
         self.arena.get(self.root)
-    }
-
-    /// The channel's message pool (recovery: free-list vs. reachability
-    /// audit across *all* queues at once).
-    pub(crate) fn msg_pool(&self) -> SlotPool<MsgSlot> {
-        self.root().pool
     }
 
     /// The shared arena (for applications that co-locate bulk data).
@@ -411,7 +390,6 @@ impl Channel {
         QueueRef {
             arena: &self.arena,
             wq: &root.receive,
-            pool: root.pool,
             sem: root.sem_base + server_sem(),
         }
     }
@@ -441,7 +419,6 @@ impl Channel {
         Some(QueueRef {
             arena: &self.arena,
             wq: self.arena.get(root.reply.at(c as usize)),
-            pool: root.pool,
             sem: root.sem_base + client_sem(c),
         })
     }
@@ -497,23 +474,12 @@ impl Channel {
 pub struct QueueRef<'a> {
     arena: &'a ShmArena,
     wq: &'a WaitableQueue,
-    pool: SlotPool<MsgSlot>,
     sem: u32,
 }
 
 impl<'a> QueueRef<'a> {
-    pub(crate) fn new(
-        arena: &'a ShmArena,
-        wq: &'a WaitableQueue,
-        pool: SlotPool<MsgSlot>,
-        sem: u32,
-    ) -> Self {
-        QueueRef {
-            arena,
-            wq,
-            pool,
-            sem,
-        }
+    pub(crate) fn new(arena: &'a ShmArena, wq: &'a WaitableQueue, sem: u32) -> Self {
+        QueueRef { arena, wq, sem }
     }
 }
 
@@ -527,44 +493,25 @@ impl QueueRef<'_> {
     /// bounded, so the old unbounded wedge cannot recur, and the fallible
     /// paths' deadline/poison machinery eventually declares the peer dead.
     /// The ring has no locks; a poison-drain racing this enqueue may eat
-    /// the claimed slot, which counts as enqueued-then-drained (dead-peer
-    /// semantics), so the caller still sees `true`.
+    /// the claimed slot (`Dropped`), which counts as enqueued-then-drained
+    /// (dead-peer semantics), so the caller still sees `true`.
     pub fn try_enqueue<O: OsServices>(&self, os: &O, m: Message) -> bool {
         os.charge(Cost::QueueOp);
-        let Some(slot) = self.pool.alloc(self.arena) else {
-            return false; // pool pressure equals queue-full for callers
-        };
-        self.arena.get(slot).value().store(m);
-        match self
-            .wq
-            .queue
-            .try_enqueue(self.arena, slot.raw() as u64, usipc_queue::LOCK_BUDGET)
-        {
-            EnqueueFlow::Queued => {
-                os.record(ProtoEvent::Enqueue);
-                true
-            }
-            EnqueueFlow::Dropped => {
-                // The message was accepted and immediately lost to a
-                // poison-drain; free our slot (the drain never saw it).
-                self.pool.free(self.arena, slot);
-                os.record(ProtoEvent::Enqueue);
-                true
-            }
-            EnqueueFlow::Full | EnqueueFlow::LockBusy => {
-                self.pool.free(self.arena, slot);
-                false
-            }
+        let fifo = &self.wq.queue;
+        let flow = fifo.try_enqueue_elem(self.arena, m.to_words(), usipc_queue::LOCK_BUDGET);
+        let accepted = matches!(flow, EnqueueFlow::Queued | EnqueueFlow::Dropped);
+        if accepted {
+            os.record(ProtoEvent::Enqueue);
         }
+        accepted
     }
 
-    /// `dequeue(Q, msg)`: `None` means the queue is empty.
+    /// `dequeue(Q, msg)`: `None` means the queue is empty. The words come
+    /// out of the queue's own slot and are decoded, not followed: nothing a
+    /// peer wrote is used as an offset.
     pub fn try_dequeue<O: OsServices>(&self, os: &O) -> Option<Message> {
         os.charge(Cost::QueueOp);
-        let off = self.wq.queue.dequeue(self.arena)?;
-        let slot: ShmPtr<usipc_shm::PoolSlot<MsgSlot>> = ShmPtr::from_raw(off as u32);
-        let m = self.arena.get(slot).value().load();
-        self.pool.free(self.arena, slot);
+        let m = Message::from_words(self.wq.queue.dequeue_elem(self.arena)?);
         os.record(ProtoEvent::Dequeue);
         Some(m)
     }
@@ -629,8 +576,8 @@ impl QueueRef<'_> {
     /// Poisons the queue: sets the sticky flag, force-wakes the consumer
     /// (awake flag raised *and* an unconditional `V`, so a consumer
     /// committed to blocking cannot sleep through its peer's death), and
-    /// drains in-flight messages back to the slot pool so no capacity
-    /// leaks. Idempotent; only the first call records
+    /// drains the in-flight messages so no queue capacity stays occupied.
+    /// Idempotent; only the first call records
     /// [`ProtoEvent::ChannelPoisoned`] and pays the broadcast.
     pub fn poison<O: OsServices>(&self, os: &O) {
         if self.wq.fault.poison.swap(1, Ordering::AcqRel) != 0 {
@@ -646,58 +593,41 @@ impl QueueRef<'_> {
         self.drain(os);
     }
 
-    /// Frees every queued message back to the slot pool (poisoned-channel
-    /// cleanup; the messages are lost, which is exactly the semantics of a
-    /// dead peer).
+    /// Discards every queued message (poisoned-channel cleanup; the
+    /// messages are lost, which is exactly the semantics of a dead peer).
     ///
     /// Best-effort: the drain is usually run *on behalf of a dead
     /// consumer* ([`Self::mark_consumer_dead`]), and a consumer that was
-    /// SIGKILLed inside its dequeue critical section left the queue's
-    /// head lock held in the segment forever. Each dequeue therefore
-    /// bounds its lock acquisition and the drain stops at an abandoned
-    /// lock, stranding the in-flight messages and their pool slots rather
-    /// than livelocking the poisoner — the channel is already poisoned,
-    /// so that capacity was unreachable either way. Every slot stranded
-    /// this way is *counted* ([`ProtoEvent::SlotLeaked`], surfaced as a
-    /// telemetry gauge and a `usipc-top` column) so segment attrition is
-    /// visible instead of silent. On the ring kind the drain additionally
-    /// reclaims holes left by producers that died between claim and
-    /// publish: a reclaimed-with-value hole is freed normally, a truly
-    /// dead one costs exactly one counted slot.
+    /// SIGKILLed inside its dequeue critical section left the two-lock
+    /// queue's head lock held in the segment forever. Each dequeue
+    /// therefore bounds its lock acquisition and the drain stops at an
+    /// abandoned lock, stranding the messages still queued behind it
+    /// rather than livelocking the poisoner — the channel is already
+    /// poisoned, so that capacity was unreachable either way. Every
+    /// message stranded this way is *counted* ([`ProtoEvent::SlotLeaked`],
+    /// surfaced as a telemetry gauge and a `usipc-top` column) so segment
+    /// attrition is visible instead of silent. On the ring kind nothing
+    /// can strand: the drain also retires holes left by producers that
+    /// died between claim and publish ([`ProtoEvent::HoleRetired`]) — the
+    /// slot goes back into service and only the corpse's own message is
+    /// lost.
     pub fn drain<O: OsServices>(&self, os: &O) {
+        let fifo = &self.wq.queue;
         loop {
             os.charge(Cost::QueueOp);
-            match self
-                .wq
-                .queue
-                .dequeue_bounded(self.arena, usipc_queue::LOCK_BUDGET)
-            {
-                Ok(Some(off)) => {
-                    let slot: ShmPtr<usipc_shm::PoolSlot<MsgSlot>> = ShmPtr::from_raw(off as u32);
-                    self.pool.free(self.arena, slot);
-                    os.record(ProtoEvent::Dequeue);
-                }
-                Ok(None) => match self.wq.queue.reclaim_stuck(self.arena) {
-                    RingReclaim::Recovered(off) => {
-                        // The "dead" producer published in the race window:
-                        // the message is real, recycle it like a dequeue.
-                        let slot: ShmPtr<usipc_shm::PoolSlot<MsgSlot>> =
-                            ShmPtr::from_raw(off as u32);
-                        self.pool.free(self.arena, slot);
-                        os.record(ProtoEvent::Dequeue);
-                    }
-                    RingReclaim::Leaked => {
-                        // A corpse's claimed-unpublished hole: its pool
-                        // slot is unreachable for good. Count and keep
-                        // draining whatever queued behind the hole.
-                        os.record(ProtoEvent::SlotLeaked);
-                    }
+            match fifo.dequeue_bounded(self.arena, usipc_queue::LOCK_BUDGET) {
+                Ok(Some(_)) => os.record(ProtoEvent::Dequeue),
+                Ok(None) => match fifo.reclaim_stuck(self.arena) {
+                    // The "dead" producer published in the race window:
+                    // the message is real, consumed like a dequeue.
+                    RingReclaim::Recovered(_) => os.record(ProtoEvent::Dequeue),
+                    RingReclaim::Leaked => os.record(ProtoEvent::HoleRetired),
                     RingReclaim::Clean => return,
                 },
                 Err(usipc_queue::HeadLockBusy) => {
                     // Two-lock only: everything still queued is stranded
                     // behind the abandoned head lock. Count it, then stop.
-                    for _ in 0..self.wq.queue.len(self.arena) {
+                    for _ in 0..fifo.len(self.arena) {
                         os.record(ProtoEvent::SlotLeaked);
                     }
                     return;
@@ -741,7 +671,8 @@ impl QueueRef<'_> {
 
     /// Structural fsck of the underlying FIFO: break provably-abandoned
     /// locks (two-lock), retire stranded ring slots, reclaim uncommitted
-    /// nodes, and return the committed message offsets in order.
+    /// nodes, and return the committed messages' words in order
+    /// ([`Message::from_words`] decodes them; they stay queued).
     pub(crate) fn fsck_fifo(&self, break_locks: bool) -> usipc_queue::FifoFsck {
         self.wq.queue.fsck(self.arena, break_locks)
     }
@@ -784,12 +715,12 @@ impl QueueRef<'_> {
         did
     }
 
-    /// Reads the message at pool offset `off` without dequeuing or freeing
-    /// it — fsck interprets committed queue entries for its conservation
-    /// ledger while leaving them queued for the successor to serve.
-    pub(crate) fn peek_message(&self, off: u64) -> Message {
-        let slot: ShmPtr<usipc_shm::PoolSlot<MsgSlot>> = ShmPtr::from_raw(off as u32);
-        self.arena.get(slot).value().load()
+    /// The underlying FIFO handle, for drills that must stop a producer or
+    /// consumer *inside* a queue operation (the ring's stepped ops) or
+    /// write words no well-behaved client would.
+    #[doc(hidden)]
+    pub fn fifo(&self) -> AnyShmFifo {
+        self.wq.queue
     }
 }
 
@@ -1080,28 +1011,38 @@ mod tests {
         }
     }
 
-    /// Regression for the POOL_SLACK exactness contract: a config that
-    /// admits more concurrent dequeuers than the node pool's slack could
-    /// make `enqueue` report a spurious "full", so creation must refuse it
-    /// loudly instead of letting the deployment discover it under load.
+    /// Regression for the POOL_SLACK exactness contract: a two-lock
+    /// config that admits more concurrent dequeuers than the node pool's
+    /// slack could make `enqueue` report a spurious "full", so creation
+    /// must refuse it loudly instead of letting the deployment discover it
+    /// under load.
     #[test]
     #[should_panic(expected = "max_dequeuers")]
     fn create_rejects_more_dequeuers_than_pool_slack() {
         let cfg = ChannelConfig {
             max_dequeuers: usipc_queue::POOL_SLACK + 1,
+            queue_kind: QueueKind::TwoLock,
             ..ChannelConfig::new(1)
         };
         let _ = Channel::create(&cfg);
     }
 
-    /// The full boundary stays exact at the configured limit.
+    /// The full boundary stays exact at the configured limit — and the
+    /// ring, which has no node pool to exhaust, has no limit to check.
     #[test]
     fn create_accepts_dequeuers_up_to_pool_slack() {
         let cfg = ChannelConfig {
             max_dequeuers: usipc_queue::POOL_SLACK,
+            queue_kind: QueueKind::TwoLock,
             ..ChannelConfig::new(1)
         };
         Channel::create(&cfg).expect("POOL_SLACK dequeuers are within contract");
+        let cfg = ChannelConfig {
+            max_dequeuers: usipc_queue::POOL_SLACK + 1,
+            queue_kind: QueueKind::Ring,
+            ..ChannelConfig::new(1)
+        };
+        Channel::create(&cfg).expect("the contract is the two-lock node pool's");
     }
 
     /// Generation fencing: bumping the segment generation strands every

@@ -15,7 +15,7 @@
 use crate::channel::{QueueRef, WaitableQueue};
 use crate::fault::IpcError;
 use crate::metrics::ProtoEvent;
-use crate::msg::{opcode, Message, MsgSlot};
+use crate::msg::{opcode, Message};
 use crate::platform::{Cost, OsServices};
 use crate::protocol::{
     blocking_dequeue, bsw, call_failed, dead_channel, enqueue_or_sleep, Deadline, PollLoop,
@@ -23,7 +23,7 @@ use crate::protocol::{
 use core::time::Duration;
 use std::sync::Arc;
 use usipc_queue::{QueueKind, RingMode};
-use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice, SlotPool};
+use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
 /// Semaphore index of the server thread serving client `c`.
 pub fn duplex_server_sem(c: u32) -> u32 {
@@ -50,7 +50,6 @@ unsafe impl ShmSafe for DuplexPair {}
 #[derive(Debug)]
 pub struct DuplexRoot {
     pairs: ShmSlice<DuplexPair>,
-    pool: SlotPool<MsgSlot>,
     n_clients: u32,
 }
 
@@ -74,9 +73,6 @@ impl DuplexChannel {
         assert!(queue_capacity >= 2);
         let bytes = 64 * 1024 + n_clients * queue_capacity * 400;
         let arena = Arc::new(ShmArena::new(bytes)?);
-        let pool = SlotPool::create(&arena, 2 * n_clients * queue_capacity + 8, |_| {
-            MsgSlot::default()
-        })?;
         // One server thread per connection: both directions are SPSC. The
         // duplex ablation stays on the two-lock baseline queue.
         let pairs = arena.alloc_slice(n_clients, |_| DuplexPair {
@@ -97,7 +93,6 @@ impl DuplexChannel {
         })?;
         let root = arena.alloc(DuplexRoot {
             pairs,
-            pool,
             n_clients: n_clients as u32,
         })?;
         arena.publish_root(root);
@@ -124,14 +119,14 @@ impl DuplexChannel {
         let root = self.root();
         assert!(c < root.n_clients);
         let pair = self.arena.get(root.pairs.at(c as usize));
-        QueueRef::new(&self.arena, &pair.request, root.pool, duplex_server_sem(c))
+        QueueRef::new(&self.arena, &pair.request, duplex_server_sem(c))
     }
 
     fn reply_queue(&self, c: u32) -> QueueRef<'_> {
         let root = self.root();
         assert!(c < root.n_clients);
         let pair = self.arena.get(root.pairs.at(c as usize));
-        QueueRef::new(&self.arena, &pair.reply, root.pool, duplex_client_sem(c))
+        QueueRef::new(&self.arena, &pair.reply, duplex_client_sem(c))
     }
 
     /// Synchronous client call on connection `c` (BSW discipline with an

@@ -85,7 +85,7 @@ pub use channel::{
 pub use duplex::{duplex_client_sem, duplex_server_sem, DuplexChannel, DuplexPair, DuplexRoot};
 pub use fault::{DeathWatch, FaultAction, FaultPlan, IpcError, ServerDeathWatch};
 pub use metrics::{EndpointMetrics, LatencySnapshot, MetricsRegistry, MetricsSnapshot, ProtoEvent};
-pub use msg::{opcode, Message, MsgSlot};
+pub use msg::{opcode, Message};
 pub use native::{NativeConfig, NativeMsgq, NativeOs, NativeTask};
 pub use platform::{Cost, HandoffHint, OsServices};
 #[cfg(all(

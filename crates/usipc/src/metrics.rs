@@ -128,15 +128,14 @@ pub enum ProtoEvent {
     /// A shard worker stole a ready source from an overloaded sibling
     /// shard and drained it locally.
     WorkStolen,
-    /// A message pool slot became permanently unreachable while draining a
-    /// poisoned queue: either the drain stopped at a lock a dead process
-    /// abandoned (two-lock queue — everything still queued behind it is
-    /// stranded, one event per stranded message), or a ring hole left by a
-    /// producer that died between claim and publish was reclaimed with its
-    /// slot lost. Segment attrition, surfaced so `usipc-top` shows it
-    /// instead of hiding it. Advisory upper bound: in the rare
-    /// reclaim-vs-slow-producer race the producer frees its own slot after
-    /// the event was already counted.
+    /// A queued message (and the queue node holding it) became
+    /// permanently unreachable while draining a poisoned two-lock queue:
+    /// the drain stopped at a head lock a dead process abandoned, and
+    /// everything still queued behind it is stranded — one event per
+    /// stranded message. Segment attrition, surfaced so `usipc-top` shows
+    /// it instead of hiding it. The ring cannot strand anything: a dead
+    /// producer's hole is retired ([`ProtoEvent::HoleRetired`]) and its
+    /// slot reused.
     SlotLeaked,
     /// A `call_retry` attempt was (re)issued after a timeout: the bounded
     /// jittered-backoff layer went around once more. First attempts are
@@ -154,7 +153,8 @@ pub enum ProtoEvent {
     /// no live waiter should ever consume).
     CreditAbsorbed,
     /// A ring hole (or stranded sub-cursor slot) retired by recovery —
-    /// fsck's hole audit or the live `reclaim_stuck` path during takeover.
+    /// fsck's hole audit or the live `reclaim_stuck` path of a
+    /// poisoned-queue drain.
     HoleRetired,
     /// A reply the server had computed was not delivered: its queue stayed
     /// full past the server's bound, named no client, or belongs to a

@@ -3,12 +3,13 @@
 //! §2.2: "Each message contains 24 bytes which include: an opcode to
 //! identify the request type; the channel on which to return the result;
 //! and a double precision floating point value that serves as an argument
-//! to the request." Fixed sizing is what permits the efficient free-pool
-//! management of [`SlotPool`](usipc_shm::SlotPool); variable-sized payloads
-//! travel as an arena offset in the third word.
+//! to the request." Fixed sizing is what lets the message ride *in* the
+//! queue — its three words ([`Message::to_words`]) are the FIFO element
+//! ([`usipc_queue::Elem`]), stored in the queue's own node or ring slot, so
+//! a message costs one allocation; variable-sized payloads travel as an
+//! arena offset in the third word.
 
-use core::sync::atomic::{AtomicU64, Ordering};
-use usipc_shm::ShmSafe;
+use usipc_queue::Elem;
 
 /// Well-known opcodes used by the built-in server runtime and examples.
 pub mod opcode {
@@ -68,60 +69,37 @@ impl Message {
         }
     }
 
-    /// Packs into kernel-message form for the SysV baseline.
-    pub fn to_kmsg(self) -> [u64; 4] {
+    /// Packs into the queue element: the 24 bytes, as three words.
+    pub fn to_words(self) -> Elem {
         [
             ((self.opcode as u64) << 32) | self.channel as u64,
             self.value.to_bits(),
             self.aux,
-            0,
         ]
+    }
+
+    /// Unpacks a queue element. Total: every bit pattern is *a* message
+    /// (an unknown opcode, an out-of-range `channel`, a NaN), so words a
+    /// peer wrote into shared memory are decoded, never dereferenced —
+    /// servers validate `channel` before use.
+    pub fn from_words(w: Elem) -> Self {
+        Message {
+            opcode: (w[0] >> 32) as u32,
+            channel: w[0] as u32,
+            value: f64::from_bits(w[1]),
+            aux: w[2],
+        }
+    }
+
+    /// Packs into kernel-message form for the SysV baseline.
+    pub fn to_kmsg(self) -> [u64; 4] {
+        let [head, value, aux] = self.to_words();
+        [head, value, aux, 0]
     }
 
     /// Unpacks from kernel-message form.
     pub fn from_kmsg(m: [u64; 4]) -> Self {
-        Message {
-            opcode: (m[0] >> 32) as u32,
-            channel: m[0] as u32,
-            value: f64::from_bits(m[1]),
-            aux: m[2],
-        }
-    }
-}
-
-/// The shared-memory resident form of a [`Message`]: three atomic words
-/// (24 bytes), written by the owner of a pool slot and published to the
-/// consumer through the queue's release/acquire edge.
-#[repr(C)]
-#[derive(Debug, Default)]
-pub struct MsgSlot {
-    head: AtomicU64,
-    value: AtomicU64,
-    aux: AtomicU64,
-}
-
-unsafe impl ShmSafe for MsgSlot {}
-
-impl MsgSlot {
-    /// Writes `m` into the slot (relaxed: the queue publish orders it).
-    pub fn store(&self, m: Message) {
-        self.head.store(
-            ((m.opcode as u64) << 32) | m.channel as u64,
-            Ordering::Relaxed,
-        );
-        self.value.store(m.value.to_bits(), Ordering::Relaxed);
-        self.aux.store(m.aux, Ordering::Relaxed);
-    }
-
-    /// Reads the slot contents.
-    pub fn load(&self) -> Message {
-        let head = self.head.load(Ordering::Relaxed);
-        Message {
-            opcode: (head >> 32) as u32,
-            channel: head as u32,
-            value: f64::from_bits(self.value.load(Ordering::Relaxed)),
-            aux: self.aux.load(Ordering::Relaxed),
-        }
+        Self::from_words([m[0], m[1], m[2]])
     }
 }
 
@@ -130,21 +108,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slot_is_24_bytes_like_the_paper() {
-        assert_eq!(core::mem::size_of::<MsgSlot>(), 24);
+    fn element_is_24_bytes_like_the_paper() {
+        assert_eq!(core::mem::size_of::<Elem>(), 24);
     }
 
     #[test]
-    fn slot_roundtrip() {
-        let s = MsgSlot::default();
+    fn words_roundtrip() {
         let m = Message {
             opcode: opcode::ECHO,
             channel: 3,
             value: -2.5,
             aux: 77,
         };
-        s.store(m);
-        assert_eq!(s.load(), m);
+        assert_eq!(Message::from_words(m.to_words()), m);
     }
 
     #[test]
@@ -160,8 +136,7 @@ mod tests {
 
     #[test]
     fn nan_value_survives() {
-        let s = MsgSlot::default();
-        s.store(Message::echo(0, f64::NAN));
-        assert!(s.load().value.is_nan());
+        let m = Message::from_words(Message::echo(0, f64::NAN).to_words());
+        assert!(m.value.is_nan());
     }
 }

@@ -9,8 +9,8 @@
 //! *generation* of the segment:
 //!
 //! 1. [`ArenaFsck`] walks one channel's worth of segment state — receive
-//!    queue, every reply queue, the message pool, the `awake` flags, the
-//!    semaphore credits — and repairs what a SIGKILL left torn, producing
+//!    queue, every reply queue, the `awake` flags, the semaphore
+//!    credits — and repairs what a SIGKILL left torn, producing
 //!    a typed [`FsckReport`] with a message-conservation [`Ledger`]:
 //!    committed (published) requests and replies survive in place,
 //!    uncommitted ones are reclaimed with exact counts, and every client
@@ -44,9 +44,13 @@
 //! the two-lock chain (even if the tail pointer or count was never
 //! updated), or published in the ring (sequence stamped), including
 //! values stranded under a dead consumer's half-finished dequeue.
-//! Everything else — a pool slot allocated but never linked, a ring
-//! ticket claimed but never published — is **uncommitted** and is
-//! reclaimed, never invented. Committed messages are left *in place*: the
+//! Everything else — a two-lock node allocated but never linked, a ring
+//! ticket claimed but never published (with or without its words already
+//! in the slot) — is **uncommitted** and is reclaimed, never invented.
+//! A message lives in its queue's own node or slot, so these two are the
+//! only allocations a message can strand: the queue-level fsck accounts
+//! for all of them (`nodes_reclaimed`, `holes_retired`) and there is no
+//! separate message store to audit. Committed messages are left *in place*: the
 //! successor serves them through the ordinary receive path, which is what
 //! keeps the paper's four-semaphore-ops-per-round-trip BSW accounting
 //! intact across a takeover.
@@ -70,7 +74,6 @@ use crate::protocol::WaitStrategy;
 use crate::server::{run_resilient_server, ServerRun};
 use core::time::Duration;
 use usipc_queue::FifoFsck;
-use usipc_shm::PoolAudit;
 
 /// Per-queue slice of a [`FsckReport`].
 ///
@@ -134,13 +137,10 @@ impl QueueReport {
 
 fn queue_report(f: &FifoFsck) -> QueueReport {
     QueueReport {
-        committed: f.values().len() as u32,
-        structural_repairs: f.repairs(),
-        holes_retired: f.holes_retired(),
-        nodes_reclaimed: match f {
-            FifoFsck::TwoLock(t) => t.nodes_reclaimed,
-            FifoFsck::Ring(_) => 0,
-        },
+        committed: f.values.len() as u32,
+        structural_repairs: f.repairs,
+        holes_retired: f.holes_retired,
+        nodes_reclaimed: f.nodes_reclaimed,
         ..QueueReport::default()
     }
 }
@@ -170,10 +170,9 @@ pub struct Ledger {
     pub requests_committed: u32,
     /// Committed replies surviving in reply queues (any client).
     pub replies_committed: u32,
-    /// Uncommitted queue nodes reclaimed across all queues.
+    /// Uncommitted two-lock queue nodes reclaimed across all queues (the
+    /// ring's uncommitted tickets are [`FsckReport::holes_retired`]).
     pub nodes_reclaimed: u32,
-    /// Message-pool slots reclaimed by the reachability audit.
-    pub pool_slots_reclaimed: u32,
 }
 
 impl Ledger {
@@ -188,8 +187,7 @@ impl Ledger {
         format!(
             "{{\"in_flight\":{},\"served_by_request\":{},\"served_by_reply\":{},\
              \"drop_notices\":{},\"unresolved\":{},\"requests_committed\":{},\
-             \"replies_committed\":{},\"nodes_reclaimed\":{},\
-             \"pool_slots_reclaimed\":{},\"balanced\":{}}}",
+             \"replies_committed\":{},\"nodes_reclaimed\":{},\"balanced\":{}}}",
             self.in_flight,
             self.served_by_request,
             self.served_by_reply,
@@ -198,7 +196,6 @@ impl Ledger {
             self.requests_committed,
             self.replies_committed,
             self.nodes_reclaimed,
-            self.pool_slots_reclaimed,
             self.balanced()
         )
     }
@@ -214,8 +211,6 @@ pub struct FsckReport {
     pub receive: QueueReport,
     /// One slice per reply queue, indexed by client id.
     pub replies: Vec<QueueReport>,
-    /// The message pool's free-list vs. reachability audit.
-    pub pool: PoolAudit,
     /// The conservation ledger.
     pub ledger: Ledger,
 }
@@ -224,9 +219,7 @@ impl FsckReport {
     /// Total individual repairs (segment structure only; absorbed credits
     /// are reported by [`Self::credits_absorbed`]).
     pub fn repairs(&self) -> u32 {
-        self.receive.repairs()
-            + self.replies.iter().map(QueueReport::repairs).sum::<u32>()
-            + self.pool.reclaimed
+        self.receive.repairs() + self.replies.iter().map(QueueReport::repairs).sum::<u32>()
     }
 
     /// Stray semaphore credits absorbed across every queue.
@@ -254,7 +247,6 @@ impl FsckReport {
         format!(
             "{{\"generation\":{},\"repairs\":{},\"credits_absorbed\":{},\
              \"holes_retired\":{},\"clean\":{},\"receive\":{},\"replies\":[{}],\
-             \"pool\":{{\"free\":{},\"reclaimed\":{}}},\
              \"ledger\":{}}}",
             self.generation,
             self.repairs(),
@@ -263,8 +255,6 @@ impl FsckReport {
             self.is_clean(),
             self.receive.to_json(),
             replies.join(","),
-            self.pool.free,
-            self.pool.reclaimed,
             self.ledger.to_json()
         )
     }
@@ -324,16 +314,14 @@ impl<'a, O: OsServices> ArenaFsck<'a, O> {
         };
 
         // 1. Receive queue: structural fsck. Committed requests stay
-        //    queued; remember which clients they belong to and which pool
-        //    slots they occupy.
+        //    queued; remember which clients they belong to.
         let rcv = ch.receive_queue();
         let rf = rcv.fsck_fifo(self.break_locks);
-        let mut reachable: Vec<u32> = rf.values().iter().map(|&v| v as u32).collect();
         let mut has_request = vec![false; n as usize];
-        for &off in rf.values() {
-            let m = rcv.peek_message(off);
-            if (m.channel as usize) < has_request.len() {
-                has_request[m.channel as usize] = true;
+        for &words in &rf.values {
+            // A client wrote `channel`: out of range is nobody's request.
+            if let Some(slot) = has_request.get_mut(Message::from_words(words).channel as usize) {
+                *slot = true;
             }
         }
         let mut rcv_rep = queue_report(&rf);
@@ -343,21 +331,13 @@ impl<'a, O: OsServices> ArenaFsck<'a, O> {
         // 2. Reply queues: structural fsck. Committed replies stay queued.
         let mut reply_reps = Vec::with_capacity(n as usize);
         for c in 0..n {
-            let f = ch.reply_queue(c).fsck_fifo(self.break_locks);
-            reachable.extend(f.values().iter().map(|&v| v as u32));
-            let qr = queue_report(&f);
+            let qr = queue_report(&ch.reply_queue(c).fsck_fifo(self.break_locks));
             report.ledger.replies_committed += qr.committed;
             report.ledger.nodes_reclaimed += qr.nodes_reclaimed;
             reply_reps.push(qr);
         }
 
-        // 3. Message pool: an allocated slot reachable from no queue is a
-        //    corpse's uncommitted allocation — reclaim it so capacity
-        //    cannot leak across incarnations.
-        report.pool = ch.msg_pool().audit_reclaim(arena, &reachable);
-        report.ledger.pool_slots_reclaimed = report.pool.reclaimed;
-
-        // 4. Receive-side wake state: with its consumer dead, every
+        // 3. Receive-side wake state: with its consumer dead, every
         //    banked credit on the server semaphore is a stray (absorbing
         //    them cannot deadlock the successor: the receive loop drains
         //    a non-empty queue *before* it ever blocks on a `P`). Then
@@ -371,7 +351,7 @@ impl<'a, O: OsServices> ArenaFsck<'a, O> {
         rcv_rep.fault_reset = rcv.reset_fault_state();
         report.receive = rcv_rep;
 
-        // 5. Per-client verdicts and reply-side wake state. A client with
+        // 4. Per-client verdicts and reply-side wake state. A client with
         //    its `awake` flag down is parked mid-call; conservation means
         //    it gets exactly one verdict.
         for c in 0..n {
@@ -715,6 +695,77 @@ mod tests {
             run.processed >= 3,
             "pre-crash echo + fresh echo + disconnects"
         );
+    }
+
+    /// The kill sites the in-slot message opens on the ring, at channel
+    /// level. A client dies between storing its request's words and
+    /// publishing them: fsck retires exactly one hole — the only repair,
+    /// nothing else was allocated that could leak — the parked client gets
+    /// its drop notice, and the committed requests on both sides of the
+    /// hole keep all three words. A server dies between claiming the head
+    /// request and finishing the dequeue: fsck hands the whole message
+    /// back, at the head of the queue, and its client is served from it.
+    #[test]
+    fn ring_crash_inside_an_enqueue_or_dequeue_costs_no_storage() {
+        let req = |c: u32, v: f64, aux: u64| Message {
+            opcode: opcode::ECHO,
+            channel: c,
+            value: v,
+            aux,
+        };
+        let (m0, m2) = (req(0, 1.5, u64::MAX), req(0, -2.5, 0xA5A5));
+
+        // Producer killed between payload store and publish.
+        let ch = Channel::create(&ChannelConfig::new(2).with_queue_kind(QueueKind::Ring)).unwrap();
+        let os = os_for(2).task(0);
+        let rcv = ch.receive_queue();
+        let ring = *rcv.fifo().as_ring(ch.arena()).expect("ring kind");
+        assert!(rcv.try_enqueue(&os, m0));
+        let pos = ring.step_enqueue_claim(ch.arena()).expect("room");
+        ring.step_enqueue_store(ch.arena(), pos, req(1, 6.66, 7).to_words());
+        ch.reply_queue(1).clear_awake(&os); // client 1 was parked mid-call
+        assert!(rcv.try_enqueue(&os, m2));
+
+        let report = ArenaFsck::new(&ch, &os).run();
+        assert_eq!(report.holes_retired(), 1);
+        assert_eq!(report.repairs(), 1, "the hole is the only repair");
+        assert_eq!(report.ledger.nodes_reclaimed, 0);
+        assert_eq!(report.ledger.requests_committed, 2);
+        assert_eq!(
+            (report.ledger.in_flight, report.ledger.drop_notices),
+            (1, 1)
+        );
+        assert!(report.ledger.balanced(), "{:?}", report.ledger);
+        assert_eq!(rcv.try_dequeue(&os), Some(m0));
+        assert_eq!(rcv.try_dequeue(&os), Some(m2));
+        assert_eq!(
+            rcv.try_dequeue(&os),
+            None,
+            "the corpse's words never surface"
+        );
+
+        // Consumer killed between claim and finish.
+        let ch = Channel::create(&ChannelConfig::new(1).with_queue_kind(QueueKind::Ring)).unwrap();
+        let rcv = ch.receive_queue();
+        let ring = *rcv.fifo().as_ring(ch.arena()).expect("ring kind");
+        assert!(rcv.try_enqueue(&os, m0));
+        assert!(rcv.try_enqueue(&os, m2));
+        ch.reply_queue(0).clear_awake(&os);
+        ring.step_dequeue_claim(ch.arena())
+            .expect("head is published");
+        assert_eq!(rcv.try_dequeue(&os), Some(m2), "the cursor moved past m0");
+        assert!(rcv.try_enqueue(&os, m2));
+
+        let report = ArenaFsck::new(&ch, &os).run();
+        assert_eq!(report.repairs(), 1, "one stranded claim recovered");
+        assert_eq!(report.ledger.requests_committed, 2);
+        assert_eq!(
+            (report.ledger.in_flight, report.ledger.served_by_request),
+            (1, 1)
+        );
+        assert!(report.ledger.balanced(), "{:?}", report.ledger);
+        assert_eq!(rcv.try_dequeue(&os), Some(m0), "whole, and first again");
+        assert_eq!(rcv.try_dequeue(&os), Some(m2));
     }
 
     /// The convergence property, swept over random crash states: seed a

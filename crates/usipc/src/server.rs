@@ -81,7 +81,7 @@ pub fn run_server<O: OsServices>(
 /// bounded by `heartbeat`: each expiry the server scans the per-client
 /// liveness words and *reaps* dead clients — records
 /// [`ProtoEvent::PeerDeathDetected`], poisons **only that client's reply
-/// queue** (sticky; in-flight slots drain back to the pool), and stops
+/// queue** (sticky; its in-flight messages are drained), and stops
 /// counting the client towards termination. Replies go out via the
 /// fallible path, so a client that dies with the server mid-`Reply` is
 /// reaped there instead of wedging the enqueue back-off. The loop ends

@@ -222,9 +222,9 @@ pub struct TelemetrySlot {
     waiters: AtomicU64,
     /// Live gauge: round trips completed (clients) / requests served.
     progress: AtomicU64,
-    /// Live gauge: message pool slots permanently stranded by poisoned-
-    /// queue drains that hit an abandoned lock or a dead producer's ring
-    /// hole — segment attrition (see `ProtoEvent::SlotLeaked`).
+    /// Live gauge: messages permanently stranded behind an abandoned
+    /// two-lock head lock by poisoned-queue drains — segment attrition
+    /// (see `ProtoEvent::SlotLeaked`).
     slots_leaked: AtomicU64,
     /// Sketch sample count (monotone).
     sketch_count: AtomicU64,
@@ -319,7 +319,7 @@ pub struct TelemetryReading {
     pub waiters: u64,
     /// Live progress count (round trips / requests).
     pub progress: u64,
-    /// Pool slots permanently stranded on this endpoint's watch (segment
+    /// Queue nodes permanently stranded on this endpoint's watch (segment
     /// attrition; see `ProtoEvent::SlotLeaked`).
     pub slots_leaked: u64,
     /// The streaming round-trip latency sketch.
@@ -541,8 +541,8 @@ impl TelemetryWriter {
     }
 
     /// Updates the stranded-slot gauge (segment attrition; fed from the
-    /// endpoint's `slots_leaked` counter so `usipc-top` shows pool decay
-    /// instead of hiding it).
+    /// endpoint's `slots_leaked` counter so `usipc-top` shows a two-lock
+    /// queue's decay instead of hiding it).
     pub fn set_slots_leaked(&self, leaked: u64) {
         self.slot().slots_leaked.store(leaked, Ordering::Relaxed);
     }

@@ -388,6 +388,18 @@ fn killed_child_is_detected_reaped_and_poisoned() {
     assert!(server_slot.snapshot.requests_served > 0);
 }
 
+/// Queue element for `i`: three words that only belong together, so a
+/// message torn or mixed up on its way through shared memory fails [`unw`].
+fn w(i: u64) -> [u64; 3] {
+    [i, !i, i.rotate_left(17)]
+}
+
+/// The `i` of an element, checked to be exactly `w(i)`.
+fn unw(e: [u64; 3]) -> u64 {
+    assert_eq!(e, w(e[0]), "torn element");
+    e[0]
+}
+
 /// The FIFO contract suite on the arena rings, across a real fork:
 /// order, credit (value) conservation, and observed-nonempty-is-
 /// dequeueable, all over a memfd segment the child attaches blind.
@@ -412,7 +424,7 @@ fn ring_fifo_contract_across_fork() {
             None => return 3,
         };
         for i in 0..N {
-            while !ring.enqueue(&arena, i) {
+            while !ring.enqueue(&arena, w(i)) {
                 std::thread::yield_now(); // flow control, the sleep(1) analogue
             }
         }
@@ -437,7 +449,7 @@ fn ring_fifo_contract_across_fork() {
         let v = ring
             .dequeue(&arena)
             .expect("nonempty observation must be dequeueable");
-        assert_eq!(v, expect, "FIFO order broken across the fork");
+        assert_eq!(unw(v), expect, "FIFO order broken across the fork");
         expect += 1;
     }
     assert_eq!(ring.dequeue(&arena), None, "exactly N values crossed");
@@ -465,7 +477,7 @@ fn ring_fifo_contract_across_fork() {
                     None => return 3,
                 };
                 for i in 0..PER {
-                    while !ring.enqueue(&arena, (p << 32) | i) {
+                    while !ring.enqueue(&arena, w((p << 32) | i)) {
                         std::thread::yield_now();
                     }
                 }
@@ -485,6 +497,7 @@ fn ring_fifo_contract_across_fork() {
         );
         match ring.dequeue(&arena) {
             Some(v) => {
+                let v = unw(v);
                 let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
                 assert!(p < 2, "corrupt tag {v:#x}");
                 assert_eq!(i, next[p], "producer {p}'s stream reordered");
@@ -571,9 +584,9 @@ fn two_lock_producer_kill_sweep() {
     for steps in 1..=4u32 {
         let arena = Arc::new(ShmArena::new_memfd(ShmQueue::bytes_needed(8) + 4096).expect("arena"));
         let q = ShmQueue::create(&arena, 8).expect("queue fits");
-        assert!(q.enqueue(&arena, 100), "pre-kill element");
+        assert!(q.enqueue(&arena, w(100)), "pre-kill element");
         kill_mid_operation(&arena, q, move |arena, q| {
-            q.enqueue_abandoned_at(&arena, 7, steps);
+            q.enqueue_abandoned_at(&arena, w(7), steps);
         });
 
         // Survivor producer: bounded, never wedged. Steps ≥ 2 leave the
@@ -581,7 +594,7 @@ fn two_lock_producer_kill_sweep() {
         // outcome is the TailLockBusy give-up; step 1 died before the
         // lock, so the enqueue must simply succeed.
         let t0 = Instant::now();
-        let r = q.enqueue_bounded(&arena, 200, 32);
+        let r = q.enqueue_bounded(&arena, w(200), 32);
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "step {steps}: enqueue_bounded blew its budget"
@@ -596,28 +609,33 @@ fn two_lock_producer_kill_sweep() {
         // dequeues proceed; the pre-kill element always comes out.
         assert_eq!(
             q.dequeue_bounded(&arena, 32),
-            Ok(Some(100)),
+            Ok(Some(w(100))),
             "step {steps}: head side must keep draining"
         );
     }
 }
 
 /// The ring half of the acceptance drill: SIGKILL a producer after each
-/// of its two micro-steps (ticket claimed / value published) and assert
-/// survivors make progress with zero spinning — enqueues land in later
-/// slots immediately, and the consumer either drains past the corpse's
-/// published value or reclaims its hole via `reclaim_stuck`. This is the
-/// structural fix: there is no lock to abandon.
+/// of its three micro-steps (1 = ticket claimed; 2 = + the element's words
+/// stored in the slot; 3 = + published) and assert survivors make
+/// progress with zero spinning — enqueues land in later slots
+/// immediately, and the consumer either drains past the corpse's
+/// published element or reclaims its hole via `reclaim_stuck`. Words
+/// stored and never published (step 2) are as invisible as no words at
+/// all. This is the structural fix: there is no lock to abandon.
 fn ring_producer_kill_sweep() {
-    for published in [false, true] {
+    for steps in 1..=3u32 {
+        let published = steps == 3;
         let arena = Arc::new(ShmArena::new_memfd(ShmRing::bytes_needed(8) + 4096).expect("arena"));
         let ring = ShmRing::create(&arena, 8, RingMode::Mpsc).expect("ring fits");
         kill_mid_operation(&arena, ring, move |arena, ring| {
             let pos = ring
                 .step_enqueue_claim(&arena)
                 .expect("empty ring has room");
-            if published {
-                assert!(ring.step_enqueue_publish(&arena, pos, 7));
+            if steps == 2 {
+                ring.step_enqueue_store(&arena, pos, w(7));
+            } else if published {
+                assert!(ring.step_enqueue_publish(&arena, pos, w(7)));
             }
         });
 
@@ -625,8 +643,8 @@ fn ring_producer_kill_sweep() {
         // or flow control, never a spin on the corpse's state.
         for v in 0..5u64 {
             assert!(
-                ring.enqueue(&arena, 10 + v),
-                "survivor enqueue {v} ({published})"
+                ring.enqueue(&arena, w(10 + v)),
+                "survivor enqueue {v} (step {steps})"
             );
         }
 
@@ -634,9 +652,9 @@ fn ring_producer_kill_sweep() {
         if published {
             // The victim completed its enqueue; its value leads the FIFO.
             while let Some(v) = ring.dequeue(&arena) {
-                got.push(v);
+                got.push(unw(v));
             }
-            assert_eq!(got, [7, 10, 11, 12, 13, 14], "published={published}");
+            assert_eq!(got, [7, 10, 11, 12, 13, 14], "step {steps}");
         } else {
             // The victim left a hole at the head: consumers read "empty"
             // (and would sleep — no lost wakeup, no spin), the reclaimer
@@ -650,9 +668,9 @@ fn ring_producer_kill_sweep() {
                 "the corpse's unpublished ticket is a leak, not a value"
             );
             while let Some(v) = ring.dequeue(&arena) {
-                got.push(v);
+                got.push(unw(v));
             }
-            assert_eq!(got, [10, 11, 12, 13, 14], "published={published}");
+            assert_eq!(got, [10, 11, 12, 13, 14], "step {steps}");
         }
         assert!(ring.is_empty(&arena), "fully drained");
     }

@@ -7,8 +7,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use usipc::{
-    Message, NativeConfig, NativeOs, ServerRun, ShardedConfig, ShardedServer, WaitSet, WaitSetRoot,
+    opcode, Message, NativeConfig, NativeOs, QueueKind, ServerRun, ShardedConfig, ShardedServer,
+    WaitSet, WaitSetRoot,
 };
+use usipc_queue::{EnqueueFlow, LOCK_BUDGET};
 use usipc_shm::ShmArena;
 
 fn native_for(srv: &ShardedServer) -> Arc<NativeOs> {
@@ -240,6 +242,62 @@ fn idle_worker_steals_from_an_overloaded_sibling() {
 /// detected by the heartbeat scan, reaped, and its reply queue poisoned —
 /// while every healthy member of the same shard finishes clean. The
 /// resilient-server semantics, applied per WaitSet source.
+/// Garbage in a member's receive queue is decoded, never dereferenced: a
+/// hostile client 1 writes raw words — all-ones, NaN bits under a `channel`
+/// its private channel does not have, an unknown opcode, then a well-formed
+/// DISCONNECT — rings the doorbell, and the worker counts the malformed
+/// ones, echoes the unknown opcode bit for bit (the handler's business),
+/// and serves honest client 0 throughout. Both queue kinds.
+#[test]
+fn garbage_words_from_one_member_are_counted_and_the_worker_keeps_serving() {
+    // Within a private single-client channel only `channel` 0 is real.
+    let unknown = [0xDEAD_BEEF_u64 << 32, f64::NAN.to_bits(), u64::MAX];
+    let planted = [
+        [u64::MAX; 3],
+        [(u64::from(opcode::ECHO) << 32) | 7, f64::NAN.to_bits(), 0],
+        unknown,
+        Message::disconnect(0).to_words(),
+    ];
+    for kind in [QueueKind::Ring, QueueKind::TwoLock] {
+        let srv = Arc::new(
+            ShardedServer::create(ShardedConfig {
+                queue_kind: kind,
+                ..ShardedConfig::new(2, 1)
+            })
+            .expect("topology"),
+        );
+        let os = native_for(&srv);
+        let hostile = os.task(2);
+        let ch = srv.channel(1);
+        for words in planted {
+            let flow = ch
+                .receive_queue()
+                .fifo()
+                .try_enqueue_elem(ch.arena(), words, LOCK_BUDGET);
+            assert_eq!(flow, EnqueueFlow::Queued, "{kind:?}");
+        }
+        let slot = srv.shard_members(0).iter().position(|&c| c == 1).unwrap();
+        srv.waitset(0).notify(&hostile, slot);
+
+        let worker = {
+            let srv = Arc::clone(&srv);
+            let os = os.task(0);
+            std::thread::spawn(move || srv.run_worker(&os, 0, |m| m))
+        };
+        drive_clients(&srv, &os, 1, &[0], 20);
+        let run = worker.join().expect("worker thread");
+
+        assert_eq!(run.malformed, 2, "{kind:?}");
+        assert_eq!(run.metrics.malformed_requests, 2, "{kind:?}");
+        assert_eq!(run.processed, 21 + 2, "{kind:?}: honest + planted");
+        assert_eq!((run.disconnects, run.reaped), (2, 0), "{kind:?}");
+        let rq = ch.reply_queue(0);
+        let echoed = rq.try_dequeue(&hostile).expect("unknown opcode echoed");
+        assert_eq!(echoed.to_words(), unknown, "{kind:?}: bit for bit");
+        assert_eq!(rq.try_dequeue(&hostile), Some(Message::disconnect(0)));
+    }
+}
+
 #[test]
 fn dead_source_is_reaped_and_survivors_finish() {
     const CLIENTS: usize = 4;

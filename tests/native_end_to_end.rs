@@ -5,8 +5,9 @@ use std::sync::Arc;
 use usipc::harness::{run_native_experiment, Mechanism};
 use usipc::{
     opcode, AsyncClient, BarrierRef, Channel, ChannelConfig, Message, NativeConfig, NativeOs,
-    OsServices, WaitStrategy,
+    OsServices, QueueKind, WaitStrategy,
 };
+use usipc_queue::{EnqueueFlow, LOCK_BUDGET};
 
 fn strategies() -> Vec<WaitStrategy> {
     vec![
@@ -354,4 +355,57 @@ fn malformed_channel_index_is_dropped_not_a_panic() {
         "5 echoes + DISCONNECT, malformed excluded"
     );
     assert_eq!(run.disconnects, 1);
+}
+
+#[test]
+fn garbage_words_in_the_queue_are_malformed_requests_not_ub() {
+    // The queue element *is* the message: whatever three words a hostile or
+    // corrupted peer stores in the receive queue are decoded, never used as
+    // an offset. Out-of-range `channel`s are dropped and counted; an
+    // unknown opcode on a real channel is the handler's business (the echo
+    // server echoes it, bit for bit); the honest client is served
+    // throughout. Client 1 is the hostile one: it only ever writes raw
+    // words, and this thread reads its reply queue afterwards.
+    let unknown = [(0xDEAD_BEEF_u64 << 32) | 1, f64::NAN.to_bits(), u64::MAX];
+    let garbage = [
+        [u64::MAX; 3],
+        [(u64::from(opcode::ECHO) << 32) | 99, f64::NAN.to_bits(), 0],
+        [2, 1, 0], // opcode 0, channel 2 of 2
+        unknown,
+        Message::disconnect(1).to_words(),
+    ];
+    for kind in [QueueKind::Ring, QueueKind::TwoLock] {
+        let channel = Channel::create(&ChannelConfig::new(2).with_queue_kind(kind)).unwrap();
+        let os = NativeOs::new(NativeConfig::for_clients(2));
+        let fifo = channel.receive_queue().fifo();
+        for words in garbage {
+            let flow = fifo.try_enqueue_elem(channel.arena(), words, LOCK_BUDGET);
+            assert_eq!(flow, EnqueueFlow::Queued, "{kind:?}");
+        }
+        let server = {
+            let ch = channel.clone();
+            let os = os.task(0);
+            std::thread::spawn(move || usipc::run_echo_server(&ch, &os, WaitStrategy::Bsw))
+        };
+        let t = os.task(1);
+        let ep = channel.client(&t, 0, WaitStrategy::Bsw);
+        for i in 0..5 {
+            assert_eq!(
+                ep.echo(f64::from(i)),
+                f64::from(i),
+                "{kind:?}: honest client served"
+            );
+        }
+        ep.disconnect();
+        let run = server.join().unwrap();
+
+        assert_eq!(run.malformed, 3, "{kind:?}: out-of-range channels dropped");
+        assert_eq!(run.metrics.malformed_requests, 3, "{kind:?}");
+        assert_eq!(run.processed, 2 + 6, "{kind:?}: planted + honest");
+        assert_eq!(run.disconnects, 2, "{kind:?}");
+        let rq = channel.reply_queue(1);
+        let echoed = rq.try_dequeue(&t).expect("unknown opcode was echoed");
+        assert_eq!(echoed.to_words(), unknown, "{kind:?}: bit for bit");
+        assert_eq!(rq.try_dequeue(&t), Some(Message::disconnect(1)), "{kind:?}");
+    }
 }

@@ -9,7 +9,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
 use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::{IpcError, Message, NativeConfig, NativeOs, WaitSet, WaitSetRoot, WaitStrategy};
-use usipc_queue::{AnyShmFifo, EnqueueFlow, QueueKind, RingMode, LOCK_BUDGET};
+use usipc_queue::{AnyShmFifo, Elem, EnqueueFlow, QueueKind, RingMode, LOCK_BUDGET};
 use usipc_shm::{ShmArena, TaggedAtomicPtr, TaggedPtr};
 use usipc_sim::{MachineModel, PolicyKind, VDur};
 
@@ -39,7 +39,7 @@ impl Rng {
 /// One step of a single-threaded queue workout.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Enqueue(u64),
+    Enqueue(Elem),
     Dequeue,
 }
 
@@ -48,7 +48,9 @@ fn random_ops(rng: &mut Rng) -> Vec<Op> {
     (0..len)
         .map(|_| {
             if rng.next().is_multiple_of(2) {
-                Op::Enqueue(rng.range(0, 1_000_000))
+                // Raw bit patterns in all three words: the queue carries
+                // them verbatim, whatever they would decode to.
+                Op::Enqueue([rng.next(), rng.next(), rng.next()])
             } else {
                 Op::Dequeue
             }
@@ -62,13 +64,13 @@ fn random_ops(rng: &mut Rng) -> Vec<Op> {
 fn check_against_model(kind: QueueKind, mode: RingMode, capacity: usize, ops: &[Op]) {
     let arena = ShmArena::new(1 << 21).unwrap();
     let q = AnyShmFifo::create(&arena, capacity, kind, mode).unwrap();
-    let mut model: VecDeque<u64> = VecDeque::new();
+    let mut model: VecDeque<Elem> = VecDeque::new();
     // Ring capacities may round up; learn the effective capacity lazily.
     let mut effective_cap = None;
     for &op in ops {
         match op {
             Op::Enqueue(v) => {
-                let flow = q.try_enqueue(&arena, v, LOCK_BUDGET);
+                let flow = q.try_enqueue_elem(&arena, v, LOCK_BUDGET);
                 assert!(
                     matches!(flow, EnqueueFlow::Queued | EnqueueFlow::Full),
                     "single-threaded enqueue met a fault outcome: {flow:?}"
@@ -91,7 +93,11 @@ fn check_against_model(kind: QueueKind, mode: RingMode, capacity: usize, ops: &[
                 }
             }
             Op::Dequeue => {
-                assert_eq!(q.dequeue(&arena), model.pop_front(), "FIFO order differs");
+                assert_eq!(
+                    q.dequeue_elem(&arena),
+                    model.pop_front(),
+                    "FIFO order differs"
+                );
             }
         }
         assert_eq!(q.len(&arena), model.len(), "length diverged");
@@ -99,9 +105,9 @@ fn check_against_model(kind: QueueKind, mode: RingMode, capacity: usize, ops: &[
     }
     // Drain and compare the tails.
     while let Some(expect) = model.pop_front() {
-        assert_eq!(q.dequeue(&arena), Some(expect));
+        assert_eq!(q.dequeue_elem(&arena), Some(expect));
     }
-    assert_eq!(q.dequeue(&arena), None);
+    assert_eq!(q.dequeue_elem(&arena), None);
 }
 
 /// 64 random (capacity, op-sequence) cases against the model.
@@ -140,6 +146,72 @@ fn spsc_ring_matches_model() {
 #[test]
 fn mpsc_ring_matches_model() {
     queue_matches_model(QueueKind::Ring, RingMode::Mpsc, 0x5157_0004);
+}
+
+/// No torn message, ever: a producer and a consumer on two threads push
+/// elements whose three words only belong together through queues so
+/// shallow (capacity 2 and 4) that every slot or node laps thousands of
+/// times. The consumer must see each enqueue's three words whole, in FIFO
+/// order. Meaningful under `--release`, where the words really race; CI
+/// runs it that way.
+#[test]
+fn no_torn_message_between_two_threads() {
+    let n: u64 = if cfg!(debug_assertions) {
+        40_000
+    } else {
+        400_000
+    };
+    let elem = |i: u64| -> Elem { [i, !i, i.rotate_left(17)] };
+    // A miss spins briefly, then yields: on one CPU the peer needs the core.
+    let pause = |misses: &mut u32| {
+        *misses += 1;
+        if misses.is_multiple_of(64) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    };
+    for (kind, mode) in [
+        (QueueKind::Ring, RingMode::Spsc),
+        (QueueKind::Ring, RingMode::Mpsc),
+        (QueueKind::TwoLock, RingMode::Spsc),
+    ] {
+        for capacity in [2usize, 4] {
+            let arena = ShmArena::new(1 << 16).unwrap();
+            let q = AnyShmFifo::create(&arena, capacity, kind, mode).unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut misses = 0;
+                    for i in 0..n {
+                        while q.try_enqueue_elem(&arena, elem(i), LOCK_BUDGET)
+                            != EnqueueFlow::Queued
+                        {
+                            pause(&mut misses);
+                        }
+                    }
+                });
+                // Keep consuming past a bad element — the producer needs
+                // the room to finish — and fail once both are done.
+                let (mut misses, mut first_bad) = (0, None);
+                for i in 0..n {
+                    let got = loop {
+                        match q.dequeue_elem(&arena) {
+                            Some(e) => break e,
+                            None => pause(&mut misses),
+                        }
+                    };
+                    if got != elem(i) {
+                        first_bad.get_or_insert((i, got));
+                    }
+                }
+                assert_eq!(
+                    first_bad, None,
+                    "{kind:?}/{mode:?} capacity {capacity}: (index, element) torn or out of order"
+                );
+            });
+            assert_eq!(q.dequeue_elem(&arena), None);
+        }
+    }
 }
 
 #[test]
