@@ -744,9 +744,10 @@ impl<O: OsServices> ClientEndpoint<'_, O> {
     /// no deadline (see [`protocol`](crate::protocol), "Infallible = no
     /// deadline").
     ///
-    /// When the backend collects metrics, each call feeds the endpoint's
-    /// round-trip latency histogram (host time on native, virtual time on
-    /// the simulator).
+    /// When the backend collects metrics, calls feed the endpoint's
+    /// round-trip latency histogram: every call in virtual time on the
+    /// simulator, one in [`OsServices::latency_sample_period`] in host
+    /// time on native.
     ///
     /// # Panics
     ///

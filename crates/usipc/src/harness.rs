@@ -658,7 +658,8 @@ pub struct NativeExperimentResult {
     /// Protocol events summed over every client thread.
     pub client_metrics: MetricsSnapshot,
     /// Round-trip latency histogram merged over every client thread
-    /// (host-time samples; empty for the SysV baseline).
+    /// (host time, one round trip in `latency_sample_period` sampled; empty
+    /// for the SysV baseline).
     pub client_latency: LatencySnapshot,
     /// Raw per-message round-trip samples in nanoseconds, merged over
     /// every client thread (unordered across clients). The histogram above
@@ -1693,6 +1694,59 @@ mod proc_harness {
         }
     }
 
+    /// Waits, under the watchdog, until each of `clients` has finished
+    /// or is parked for good against a dead server — the quiescence
+    /// [`take_over`](crate::take_over) requires. Parked means `awake` down,
+    /// no reply queued *and* the client registered on its semaphore:
+    /// `awake` alone is also down for a client descheduled between
+    /// clearing the flag and the re-check that finds a reply the server
+    /// delivered before dying, and flag plus empty queue for one that has
+    /// just taken that reply. Either sends its next request under the
+    /// fsck's feet, collects a `DROPPED` notice for a request that is
+    /// queued and fails on the duplicate reply.
+    fn await_parked(
+        os: &NativeOs,
+        channel: &Channel,
+        cells: &[ProcCell],
+        clients: core::ops::Range<u32>,
+        what: &str,
+    ) {
+        let deadline = Instant::now() + WATCHDOG_JOIN;
+        for c in clients {
+            let rq = channel.reply_queue(c);
+            while cells[c as usize].state.load(Ordering::Acquire) == 0
+                && !(rq.awake_down() && rq.queued_len() == 0 && os.sem(rq.sem()).waiting() > 0)
+            {
+                assert!(
+                    Instant::now() < deadline,
+                    "client {c} never quiesced {what}"
+                );
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Declares dead, to the successor, those of `clients` that
+    /// finished against the dead incarnation (a kill site past one client's
+    /// share of the barrage lets a fast client get there): they
+    /// disconnected from a server that no longer exists and will never
+    /// disconnect from this one, which would wait for them until the
+    /// watchdog. Call after [`await_parked`] (the cells are then stable) and
+    /// after the fsck, whose fault-state reset revives every liveness word;
+    /// the successor's first heartbeat scan reaps them.
+    fn mark_finished_dead(
+        channel: &Channel,
+        os: &crate::NativeTask,
+        cells: &[ProcCell],
+        clients: core::ops::Range<u32>,
+    ) {
+        for c in clients {
+            if cells[c as usize].state.load(Ordering::Acquire) != 0 {
+                channel.reply_queue(c).mark_consumer_dead(os);
+            }
+        }
+    }
+
     /// Reaps one child under the watchdog (kills it first if wedged, so
     /// a protocol bug fails the harness instead of leaking a process).
     fn reap_child(child: ChildProc, who: &str) -> ExitStatus {
@@ -2282,6 +2336,9 @@ mod proc_harness {
                     continue;
                 }
                 if reply.value != i as f64 {
+                    // It will never disconnect: tell the server, which
+                    // otherwise waits for it until the watchdog fires.
+                    ch.reply_queue(c).mark_consumer_dead(&task);
                     return EXIT_ECHO_CORRUPTED;
                 }
                 break;
@@ -2653,16 +2710,8 @@ mod proc_harness {
                 "doomed server never reached its kill site"
             );
             server_exit = Some(d.wait().expect("reap doomed server"));
-            let deadline = Instant::now() + WATCHDOG_JOIN;
-            for c in 0..n_clients as u32 {
-                while !channel.reply_queue(c).awake_down() {
-                    assert!(
-                        Instant::now() < deadline,
-                        "client {c} never quiesced after the server kill"
-                    );
-                    std::thread::yield_now();
-                }
-            }
+            let all = 0..n_clients as u32;
+            await_parked(&os, &channel, cells, all, "after the server kill");
         } else {
             // Live-server storm: let every victim make real progress
             // first, so the kills land mid-conversation.
@@ -2704,6 +2753,8 @@ mod proc_harness {
             channel.reply_queue(v).mark_consumer_dead(&monitor);
         }
         if has_doomed {
+            let survivors = n_victims as u32..n_clients as u32;
+            mark_finished_dead(&channel, &monitor, cells, survivors);
             let ch = channel.clone();
             let t0 = os.task(0);
             server_thread = Some(std::thread::spawn(move || {
@@ -2863,19 +2914,8 @@ mod proc_harness {
         let server_exit = doomed.wait().expect("reap first server");
 
         let quiesce = |what: &str| {
-            let deadline = Instant::now() + WATCHDOG_JOIN;
             let cells = arena.get_slice(pr.cells);
-            for c in 0..n_clients as u32 {
-                while cells[c as usize].state.load(Ordering::Acquire) == 0
-                    && !channel.reply_queue(c).awake_down()
-                {
-                    assert!(
-                        Instant::now() < deadline,
-                        "client {c} never quiesced {what}"
-                    );
-                    std::thread::yield_now();
-                }
-            }
+            await_parked(&os, &channel, cells, 0..n_clients as u32, what);
         };
         quiesce("after the first kill");
 
@@ -2901,9 +2941,12 @@ mod proc_harness {
 
         // As the parent's own task: task 0 is the successor thread's, and
         // a metrics sink has one writer thread.
-        let takeover = crate::recover::take_over(&channel, &os.task(1 + n_clients as u32));
+        let monitor = os.task(1 + n_clients as u32);
+        let takeover = crate::recover::take_over(&channel, &monitor);
         let recovery = t_detect.elapsed();
         let final_generation = arena.generation();
+        let cells = arena.get_slice(pr.cells);
+        mark_finished_dead(&channel, &monitor, cells, 0..n_clients as u32);
         let server_run = {
             let ch = channel.clone();
             let t0 = os.task(0);
@@ -3007,23 +3050,12 @@ mod proc_harness {
 
         // Quiescence: with the server dead no replies flow, so within a
         // bounded time every running client has committed its next
-        // request and parked in its reply wait (`awake` down) — after
-        // which its only remaining write is the `P` on its own
-        // semaphore, which the fsck leaves strictly alone for in-flight
-        // clients. The prober (if any) is parked on its gate.
-        let quiesce_deadline = Instant::now() + WATCHDOG_JOIN;
+        // request and parked in its reply wait — after which its only
+        // remaining write is the `P` on its own semaphore, which the
+        // fsck leaves strictly alone for in-flight clients. The prober
+        // (if any) is parked on its gate.
         let cells_ref = arena.get_slice(pr.cells);
-        for c in 0..normal as u32 {
-            while cells_ref[c as usize].state.load(Ordering::Acquire) == 0
-                && !channel.reply_queue(c).awake_down()
-            {
-                assert!(
-                    Instant::now() < quiesce_deadline,
-                    "client {c} never quiesced after the kill"
-                );
-                std::thread::yield_now();
-            }
-        }
+        await_parked(&os, &channel, cells_ref, 0..normal as u32, "after the kill");
 
         // A handle stamped under the dead generation, for the staleness
         // probe below.
@@ -3037,6 +3069,7 @@ mod proc_harness {
             let os0 = os.task(0);
             let pin = opts.pin_cpu;
             let heartbeat = opts.heartbeat;
+            let (arena, cells) = (Arc::clone(&arena), pr.cells);
             std::thread::spawn(move || {
                 if pin >= 0 {
                     crate::proc::pin_to_cpu(pin as usize).expect("pin successor");
@@ -3044,6 +3077,7 @@ mod proc_harness {
                 }
                 let takeover = crate::recover::take_over(&ch, &os0);
                 let fsck_done = Instant::now();
+                mark_finished_dead(&ch, &os0, arena.get_slice(cells), 0..normal as u32);
                 let _watch = crate::fault::ServerDeathWatch::arm(&ch, &os0);
                 let run =
                     crate::server::run_resilient_server(&ch, &os0, strategy, heartbeat, |m| m);

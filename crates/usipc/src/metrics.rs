@@ -8,7 +8,14 @@
 //! instrumentation instead of hand-counting: every protocol-visible event
 //! (queue ops, semaphore calls, yields, spins, blocks, stray wake-ups,
 //! hand-offs) increments a counter on the endpoint's [`EndpointMetrics`],
-//! and synchronous round trips feed a log₂-bucketed latency histogram.
+//! and synchronous round trips feed a log₂-bucketed latency histogram —
+//! every one on the simulator, where reading virtual time is free; on the
+//! native backend a sink's first and then one in
+//! [`latency_sample_period`](crate::platform::OsServices::latency_sample_period),
+//! because a host clock pair is a tenth of the shortest round trip. The
+//! native histogram therefore holds *samples*: its quantiles and mean
+//! estimate the round trip, its `count()` is not a round-trip count (the
+//! counters are).
 //!
 //! ## The single-writer contract
 //!
@@ -288,6 +295,9 @@ impl WriterCheck {
 pub struct EndpointMetrics {
     counters: [AtomicU64; N_EVENTS],
     latency: LatencyHistogram,
+    /// Round trips to let pass before the next one is timed (0 on a fresh
+    /// sink: its first is).
+    sample_skip: AtomicU64,
     writer: WriterCheck,
 }
 
@@ -305,7 +315,24 @@ impl EndpointMetrics {
         bump(&self.counters[e as usize], 1);
     }
 
-    /// Records a synchronous round-trip latency (writer thread only).
+    /// Whether the round trip now starting is the one in `period` to time:
+    /// a sink's first, then every `period`-th after it. Single-writer like
+    /// `record`, so the countdown is a load + store, not an RMW.
+    #[inline]
+    pub(crate) fn latency_sample_due(&self, period: u32) -> bool {
+        self.writer.assert_sole_writer();
+        let skip = self.sample_skip.load(Ordering::Relaxed);
+        let due = skip == 0;
+        let next = if due {
+            u64::from(period).saturating_sub(1)
+        } else {
+            skip - 1
+        };
+        self.sample_skip.store(next, Ordering::Relaxed);
+        due
+    }
+
+    /// Records the latency of a timed round trip (writer thread only).
     #[inline]
     pub fn record_latency_nanos(&self, nanos: u64) {
         self.latency.record(nanos);
@@ -372,7 +399,10 @@ impl LatencyHistogram {
     }
 }
 
-/// Plain-`u64` copy of a latency histogram.
+/// Plain-`u64` copy of a latency histogram. On the native backend the
+/// histogram holds one round trip in
+/// [`latency_sample_period`](crate::platform::OsServices::latency_sample_period),
+/// so [`count`](Self::count) counts samples, not round trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySnapshot {
     /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` ns.

@@ -79,10 +79,11 @@ pub struct NativeConfig {
     /// Capacity of each kernel message queue.
     pub msgq_capacity: usize,
     /// `true` on a multiprocessor: `busy_wait` (a flat 25 µs) and
-    /// `poll_pause` (80 ns ramping up to it) spin instead of yielding
-    /// (§2.1/§5). [`NativeOs::new`] clamps this against the CPUs its
-    /// building thread may run on: with fewer than runnable tasks, spinning
-    /// only starves the awaited peer, so both degrade to `yield_now`.
+    /// `poll_pause` (one `spin_loop` hint ramping up to it) spin instead
+    /// of yielding (§2.1/§5). [`NativeOs::new`] clamps this against the
+    /// CPUs its building thread may run on: with fewer than runnable tasks,
+    /// spinning only starves the awaited peer, so both degrade to
+    /// `yield_now`.
     pub multiprocessor: bool,
     /// Queue-full back-off. The paper sleeps a full second; tests and
     /// benches usually shorten this.
@@ -350,13 +351,21 @@ const PAUSE_NANOS: u64 = 25_000;
 /// Nominal cost of one `spin_loop` hint (x86 `PAUSE`: 3–45 ns across parts).
 const HINT_NANOS: u64 = 10;
 
-/// Nominal pause after `attempt` earlier ones in the same wait: 80 ns,
-/// doubling every other attempt, [`PAUSE_NANOS`] from attempt 18 on. A
-/// reply that lands after *t* is seen within ≈ 2*t*, and `MAX_SPIN` = 50
-/// still spans ≈ 0.9 ms (32 capped pauses) before BSLS blocks.
+/// Nominal pause after `attempt` earlier ones in the same wait: one hint —
+/// the cheapest pause the CPU has; the polled word is written only by the
+/// awaited peer, so a longer first step saves no traffic and only delays
+/// seeing the write — doubling every other attempt, [`PAUSE_NANOS`] from
+/// attempt 24 on. A reply that lands after *t* is seen within ≈ 2*t*, and
+/// `MAX_SPIN` = 50 still spans ≈ 0.73 ms (26 capped pauses) before BSLS
+/// blocks.
 fn poll_pause_nanos(attempt: u32) -> u64 {
-    ((8 * HINT_NANOS) << (attempt / 2).min(16)).min(PAUSE_NANOS)
+    (HINT_NANOS << (attempt / 2).min(16)).min(PAUSE_NANOS)
 }
+
+/// One round trip in this many is timed ([`OsServices::latency_sample_period`]).
+/// Prime, so the sample cannot lock onto a power-of-two cycle in the caller
+/// (the mux sweeps 64 messages at a time).
+const LATENCY_SAMPLE_PERIOD: u32 = 61;
 
 /// Nanoseconds since a process-wide epoch (first use). Monotonic, shared
 /// by every task so latency windows from different threads compare.
@@ -393,7 +402,7 @@ impl OsServices for NativeTask {
     fn poll_pause(&self, attempt: u32) {
         let nanos = poll_pause_nanos(attempt);
         if self.os.multiprocessor && nanos < PAUSE_NANOS {
-            // Counted hints, no clock: a read costs as much as a first step.
+            // Counted hints, no clock: a read costs more than the first steps.
             self.record(ProtoEvent::SpinIteration);
             for _ in 0..nanos / HINT_NANOS {
                 core::hint::spin_loop();
@@ -506,6 +515,10 @@ impl OsServices for NativeTask {
         }
     }
 
+    fn latency_sample_period(&self) -> u32 {
+        LATENCY_SAMPLE_PERIOD
+    }
+
     fn now_nanos(&self) -> Option<u64> {
         // With a shared semaphore store the segment's clock epoch is the
         // time origin, so two processes attached to one arena stamp
@@ -589,7 +602,7 @@ mod tests {
     fn poll_schedule_ramps_to_the_papers_pause_and_keeps_the_budget() {
         let steps: Vec<u64> = (0..50).map(poll_pause_nanos).collect();
         assert!(steps.windows(2).all(|w| w[0] <= w[1]), "{steps:?}");
-        assert!(steps[0] * 100 <= PAUSE_NANOS, "first step ≤ 1 % of the cap");
+        assert_eq!(steps[0], HINT_NANOS, "first step is one spin_loop hint");
         assert_eq!(steps[49], PAUSE_NANOS);
         assert_eq!(poll_pause_nanos(u32::MAX), PAUSE_NANOS, "capped for good");
         // MAX_SPIN = 50 keeps roughly the 50 × 25 µs it always bought.

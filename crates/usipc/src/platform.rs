@@ -162,6 +162,14 @@ pub trait OsServices {
     fn now_nanos(&self) -> Option<u64> {
         None
     }
+
+    /// One client round trip in this many is timed into the latency
+    /// histogram. 1 by default (the simulator: virtual time is free to
+    /// read); the native backend samples, because a host clock pair is a
+    /// tenth of its shortest round trip.
+    fn latency_sample_period(&self) -> u32 {
+        1
+    }
 }
 
 /// Semaphore index of the server receive queue.

@@ -210,21 +210,23 @@ pub(crate) fn dead_channel(op: &str, e: IpcError) -> ! {
 }
 
 /// One client round trip: runs `f` inside a [`Span::RoundTrip`] trace span
-/// and, when it succeeds and the backend collects metrics, feeds its
-/// duration to the endpoint's latency histogram (host time on native,
-/// virtual time on the simulator).
+/// and, when the backend collects metrics, times one call in
+/// [`OsServices::latency_sample_period`] — a sink's first, then every
+/// period-th — feeding the duration of a timed call that succeeds to the
+/// endpoint's latency histogram (host time on native, virtual time on the
+/// simulator, whose period is 1). An untimed call reads no clock.
 pub(crate) fn round_trip<O: OsServices>(
     os: &O,
     f: impl FnOnce() -> Result<Message, IpcError>,
 ) -> Result<Message, IpcError> {
-    let start = match os.metrics() {
-        Some(_) => os.now_nanos(),
-        None => None,
-    };
+    let sink = os
+        .metrics()
+        .filter(|m| m.latency_sample_due(os.latency_sample_period()));
+    let start = sink.and_then(|_| os.now_nanos());
     os.trace(TracePoint::Begin(Span::RoundTrip));
     let out = f();
     os.trace(TracePoint::End(Span::RoundTrip));
-    if let (Ok(_), Some(t0), Some(m)) = (&out, start, os.metrics()) {
+    if let (Ok(_), Some(t0), Some(m)) = (&out, start, sink) {
         if let Some(t1) = os.now_nanos() {
             m.record_latency_nanos(t1.saturating_sub(t0));
         }

@@ -39,7 +39,7 @@
 //! |---|---|---|
 //! | 1 | 0 — 64 cost 0.7 µs per sleep; the `V`'s caller cannot run | `yield` |
 //! | ≥ 2, fewer than tasks (oversubscribed) | 64 — still catch arrivals | `yield` |
-//! | ≥ 2, one per task (multiprocessor) | 64 | 80 ns doubling to §5's 25 µs |
+//! | ≥ 2, one per task (multiprocessor) | 64 | one `spin_loop` hint doubling to §5's 25 µs |
 //!
 //! ## Why a lost wake-up is impossible
 //!
@@ -405,7 +405,11 @@ impl FutexSem {
                 Err(now) => c = now,
             }
         }
-        self.max_count.fetch_max(c + 1, Ordering::Relaxed);
+        // Almost never a new high-water mark: spare the steady state the
+        // locked RMW (`fetch_max` still settles two racing raisers).
+        if c + 1 > self.max_count.load(Ordering::Relaxed) {
+            self.max_count.fetch_max(c + 1, Ordering::Relaxed);
+        }
         // Only pay the syscall when someone is (or may be about to be)
         // asleep. A spurious wake — the waiter grabbed the credit between
         // our store and this load — is harmless; a missed one is impossible

@@ -5,7 +5,9 @@
 
 use std::cell::{Cell, RefCell};
 use std::time::Duration;
-use usipc::{Channel, ChannelConfig, Cost, HandoffHint, Message, OsServices, WaitStrategy};
+use usipc::{
+    Channel, ChannelConfig, Cost, EndpointMetrics, HandoffHint, Message, OsServices, WaitStrategy,
+};
 
 #[derive(Debug, Clone, PartialEq)]
 enum Call {
@@ -45,6 +47,8 @@ struct MockOs {
     clock_reads: Cell<u32>,
     /// `sem_p_deadline` calls (each also logged, and served, as a `SemP`).
     timed_ps: Cell<u32>,
+    /// Metrics sink and latency sample period (`None`: collection off).
+    sink: Option<(EndpointMetrics, u32)>,
 }
 
 impl MockOs {
@@ -55,6 +59,15 @@ impl MockOs {
             script: RefCell::new(None),
             clock_reads: Cell::new(0),
             timed_ps: Cell::new(0),
+            sink: None,
+        }
+    }
+
+    /// A mock that collects metrics and times one round trip in `period`.
+    fn sampling(period: u32) -> Self {
+        MockOs {
+            sink: Some((EndpointMetrics::new(), period)),
+            ..Self::new()
         }
     }
 
@@ -168,6 +181,12 @@ impl OsServices for MockOs {
         self.timed_ps.set(self.timed_ps.get() + 1);
         self.sem_p(sem);
         true
+    }
+    fn metrics(&self) -> Option<&EndpointMetrics> {
+        self.sink.as_ref().map(|(m, _)| m)
+    }
+    fn latency_sample_period(&self) -> u32 {
+        self.sink.as_ref().map_or(1, |&(_, period)| period)
     }
 }
 
@@ -655,4 +674,36 @@ fn unbounded_fronts_read_no_clock_and_make_no_timed_p() {
         assert_eq!(timed_ps, blocks, "{}", strategy.name());
         assert!(clock_reads >= 2, "{}: one per slow path", strategy.name());
     }
+}
+
+// ---- the round-trip clock (`ClientEndpoint::call`) -------------------------
+
+/// One call with its reply already waiting; returns the clock reads it made.
+fn clock_reads_of_a_call(ch: &Channel, os: &MockOs, v: f64) -> u32 {
+    let before = os.clock_reads.get();
+    os.deliver(Trigger::Immediately, ch, 0, Message::echo(0, v), false);
+    let reply = ch
+        .client(os, 0, WaitStrategy::Bsw)
+        .call(Message::echo(0, v));
+    assert_eq!(reply.value, v);
+    assert!(ch.receive_queue().try_dequeue(os).is_some());
+    os.clock_reads.get() - before
+}
+
+#[test]
+fn a_call_reads_the_clock_only_when_it_is_the_sampled_one() {
+    let ch = channel();
+    // Collection off: no sink, so no call is ever timed.
+    let os = MockOs::new();
+    for i in 0..5 {
+        assert_eq!(clock_reads_of_a_call(&ch, &os, i as f64), 0);
+    }
+    // Collection on, one in four: the first call and every fourth after it
+    // pay a clock pair, the others none.
+    let os = MockOs::sampling(4);
+    for i in 0..9 {
+        let reads = clock_reads_of_a_call(&ch, &os, i as f64);
+        assert_eq!(reads, if i % 4 == 0 { 2 } else { 0 }, "call {i}");
+    }
+    assert_eq!(os.metrics().unwrap().latency_snapshot().count(), 3);
 }

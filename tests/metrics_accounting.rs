@@ -125,9 +125,42 @@ fn native_server_run_reports_its_counters() {
     // The registry view agrees with the embedded snapshot.
     let reg = os.metrics().expect("for_clients enables collection");
     assert_eq!(reg.task_snapshot(0).requests_served, 51);
-    // The client recorded a latency sample per call.
-    assert_eq!(reg.task_latency(1).count(), 51);
+    // The client made 51 round trips (it times only a sample of them).
+    assert_eq!(reg.task_snapshot(1).enqueues, 51);
     assert!(client_os.metrics().is_some());
+}
+
+/// The native round-trip clock is sampled: a sink's first call is timed,
+/// then every `latency_sample_period`-th, so *n* calls leave ⌈n / N⌉
+/// samples — and the counters still count every call.
+#[test]
+fn native_latency_histogram_holds_one_sample_per_period() {
+    let ch = usipc::Channel::create(&usipc::ChannelConfig::new(1)).unwrap();
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+    let server_ch = ch.clone();
+    let server_os = os.task(0);
+    let server = std::thread::spawn(move || {
+        usipc::run_echo_server(&server_ch, &server_os, WaitStrategy::Bsw)
+    });
+
+    let client_os = os.task(1);
+    let period = u64::from(client_os.latency_sample_period());
+    assert!(period > 1, "the native backend samples");
+    let client = ch.client(&client_os, 0, WaitStrategy::Bsw);
+    let latency = || os.metrics().unwrap().task_latency(1);
+
+    assert_eq!(client.echo(0.0), 0.0);
+    assert_eq!(latency().count(), 1, "a sink's first call is timed");
+    assert!(latency().mean_us() > 0.0);
+    for n in 2..=3 * period + 2 {
+        assert_eq!(client.echo(n as f64), n as f64);
+        assert_eq!(latency().count(), n.div_ceil(period), "after {n} calls");
+    }
+    client.disconnect();
+    server.join().unwrap();
+    let calls = 3 * period + 3;
+    assert_eq!(os.metrics().unwrap().task_snapshot(1).enqueues, calls);
+    assert_eq!(latency().count(), calls.div_ceil(period));
 }
 
 #[test]
