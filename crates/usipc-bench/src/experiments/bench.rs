@@ -232,7 +232,6 @@ struct LoadRow {
     /// `doorbells_rung / waitset_wakes` — the design's budget pins this
     /// at ≤ 1 (each wake is paid for by at most one `V`).
     doorbell_vs_per_wake: f64,
-    work_stolen: u64,
 }
 
 /// Runs one load-matrix cell. Offered load is scaled with the client
@@ -264,7 +263,6 @@ fn measure_load(clients: usize, opts_msgs: u64) -> Option<LoadRow> {
         doorbells_coalesced: cm.doorbells_coalesced,
         waitset_wakes: sm.waitset_wakes,
         doorbell_vs_per_wake: cm.doorbells_rung as f64 / sm.waitset_wakes.max(1) as f64,
-        work_stolen: sm.work_stolen,
     })
 }
 
@@ -286,7 +284,7 @@ fn to_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"usipc-bench-protocols/v5\",\n");
+    s.push_str("  \"schema\": \"usipc-bench-protocols/v6\",\n");
     s.push_str("  \"backend\": \"native\",\n");
     s.push_str("  \"quantiles\": \"exact\",\n");
     s.push_str(&format!("  \"clients\": {clients},\n"));
@@ -366,10 +364,9 @@ fn to_json(
         ));
         s.push_str(&format!("      \"waitset_wakes\": {},\n", r.waitset_wakes));
         s.push_str(&format!(
-            "      \"doorbell_vs_per_wake\": {},\n",
+            "      \"doorbell_vs_per_wake\": {}\n",
             num(r.doorbell_vs_per_wake)
         ));
-        s.push_str(&format!("      \"work_stolen\": {}\n", r.work_stolen));
         s.push_str(if i + 1 == load.len() {
             "    }\n"
         } else {
@@ -424,7 +421,6 @@ fn load_table(rows: &[LoadRow]) -> Table {
             "p999_us".into(),
             "msgs/ms".into(),
             "V/wake".into(),
-            "stolen".into(),
         ],
     );
     for r in rows {
@@ -437,7 +433,6 @@ fn load_table(rows: &[LoadRow]) -> Table {
                 r.p999_us,
                 r.throughput,
                 r.doorbell_vs_per_wake,
-                r.work_stolen as f64,
             ],
         );
     }
@@ -515,7 +510,7 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
     for r in &load_rows {
         notes.push(format!(
             "load {} clients / {} shards: p50 {:.2} µs, p99 {:.2} µs, p999 {:.2} µs, \
-             {:.2} doorbell V per wake ({} rung / {} coalesced), {} stolen",
+             {:.2} doorbell V per wake ({} rung / {} coalesced)",
             r.clients,
             r.shards,
             r.p50_us,
@@ -524,7 +519,6 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
             r.doorbell_vs_per_wake,
             r.doorbells_rung,
             r.doorbells_coalesced,
-            r.work_stolen,
         ));
     }
     if opts.load_max_clients == 0 {

@@ -24,7 +24,7 @@
 //!   in anger, generation 3.
 //!
 //! Results are spliced into `BENCH_protocols.json` as a `"chaos"`
-//! section (schema v5); `figures regress` gates every row's ledger.
+//! section (since schema v5); `figures regress` gates every row's ledger.
 //!
 //! Fork discipline: this experiment forks, so like `flight` it must run
 //! before any experiment that leaves threads behind — run it alone or
@@ -332,7 +332,7 @@ mod imp {
         let dir = opts.bench_dir.unwrap_or_else(|| PathBuf::from("results"));
         let path = dir.join("BENCH_protocols.json");
         let baseline = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-            "{\n  \"schema\": \"usipc-bench-protocols/v5\",\n  \"backend\": \"native\"\n}\n".into()
+            "{\n  \"schema\": \"usipc-bench-protocols/v6\",\n  \"backend\": \"native\"\n}\n".into()
         });
         let json = splice_chaos(&baseline, &chaos_json(msgs, &rows));
         match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {

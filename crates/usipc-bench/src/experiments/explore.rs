@@ -1,6 +1,7 @@
 //! Machine-checking the Fig. 4 races: drive the schedule-space explorer
-//! over the named race scenarios and the full protocols, and report
-//! schedules explored / distinct terminal states / counterexamples.
+//! over the named race scenarios, the full protocols and the mux worker,
+//! and report schedules explored / distinct terminal states /
+//! counterexamples.
 //!
 //! This is the CI teeth for the paper's §3 correctness argument: the stock
 //! protocol rows must report **zero** counterexamples over the exhaustively
@@ -16,7 +17,7 @@ use crate::table::Table;
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use usipc::scenarios::{
-    echo_scenario, ConsumerKind, Fig4Scenario, ProducerKind, ALL_INTERLEAVINGS,
+    echo_scenario, mux_scenario, ConsumerKind, Fig4Scenario, ProducerKind, ALL_INTERLEAVINGS,
 };
 use usipc::WaitStrategy;
 use usipc_sim::{ExploreReport, Explorer, ScenarioCheck, SimBuilder};
@@ -122,6 +123,16 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
                 ..Fig4Scenario::stock(1, 2)
             }
             .builder(),
+        ),
+        // The server loop over its WaitSet source (appended: the rows
+        // above keep their numbers): bitmap `notify` against the worker's
+        // poll-then-latch-then-`P`, exhaustively and by deep random walk.
+        explore("mux-2clients", Expect::Clean, &dfs(), mux_scenario(2, 1)),
+        explore(
+            "mux-2clients-walks",
+            Expect::Clean,
+            &Explorer::random(40, 0x3D0B, 150).sem_bound(1),
+            mux_scenario(2, 2),
         ),
     ];
 

@@ -320,7 +320,7 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
     let baseline = std::fs::read_to_string(&path).unwrap_or_else(|_| {
         // `bench` hasn't run into this directory yet: a minimal document
         // the splice can close.
-        "{\n  \"schema\": \"usipc-bench-protocols/v5\",\n  \"backend\": \"native\"\n}\n".into()
+        "{\n  \"schema\": \"usipc-bench-protocols/v6\",\n  \"backend\": \"native\"\n}\n".into()
     });
     let json = splice_faults(&baseline, &faults_json(msgs, &rows, &sweep));
     match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {

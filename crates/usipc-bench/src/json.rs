@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn reads_a_real_bench_file_shape() {
         let doc = r#"{
-          "schema": "usipc-bench-protocols/v5",
+          "schema": "usipc-bench-protocols/v6",
           "protocols": [
             {"name": "BSW", "mode": "threads", "p50_us": 1.25, "p99_us": null,
              "sem_ops_per_rt": 4.000}
@@ -339,7 +339,7 @@ mod tests {
           "load_matrix": []
         }"#;
         let v = Json::parse(doc).unwrap();
-        assert_eq!(v.str("schema"), Some("usipc-bench-protocols/v5"));
+        assert_eq!(v.str("schema"), Some("usipc-bench-protocols/v6"));
         let p = &v.get("protocols").unwrap().as_arr().unwrap()[0];
         assert_eq!(p.str("name"), Some("BSW"));
         assert_eq!(p.num("p50_us"), Some(1.25));

@@ -249,7 +249,7 @@ pub fn compare(baseline: &Json, fresh: &Json, tol: Tolerance) -> RegressReport {
         }
     }
 
-    // The chaos gate (schema v5): message conservation is an exact
+    // The chaos gate (since schema v5): message conservation is an exact
     // invariant, not a band — every recovery row in the fresh file must
     // have a balanced ledger and nothing unresolved, regardless of what
     // the baseline says. Recovery latency is banded against a matching
@@ -317,7 +317,7 @@ mod tests {
     fn doc(p50: f64, p99: f64, tp: f64, sem: f64, dbw: f64) -> Json {
         Json::parse(&format!(
             r#"{{
-              "schema": "usipc-bench-protocols/v5",
+              "schema": "usipc-bench-protocols/v6",
               "protocols": [
                 {{"name": "BSW", "mode": "threads", "queue": "two_lock",
                   "p50_us": {p50}, "p99_us": {p99},
@@ -391,7 +391,7 @@ mod tests {
     fn missing_row_and_null_metric_fail() {
         let b = doc(2.0, 10.0, 400.0, 4.0, 0.9);
         let f = Json::parse(
-            r#"{"schema": "usipc-bench-protocols/v5",
+            r#"{"schema": "usipc-bench-protocols/v6",
                 "protocols": [{"name": "BSW", "mode": "threads",
                   "queue": "two_lock", "p50_us": null, "p99_us": 1.0,
                   "throughput_msgs_per_ms": 400.0, "sem_ops_per_rt": 4.0}],
@@ -429,7 +429,7 @@ mod tests {
     fn skip_missing_demotes_coverage_gaps_only() {
         let b = doc(2.0, 10.0, 400.0, 4.0, 0.9);
         let f = Json::parse(
-            r#"{"schema": "usipc-bench-protocols/v5",
+            r#"{"schema": "usipc-bench-protocols/v6",
                 "protocols": [{"name": "BSW", "mode": "threads",
                   "queue": "two_lock", "p50_us": 2.0, "p99_us": 10.0,
                   "throughput_msgs_per_ms": 400.0, "sem_ops_per_rt": 4.3}],
@@ -466,7 +466,7 @@ mod tests {
     fn chaos_ledger_is_gated_exactly_and_latency_banded() {
         fn chaos_doc(balanced: bool, unresolved: u64, recovery_ms: f64) -> Json {
             Json::parse(&format!(
-                r#"{{"schema": "usipc-bench-protocols/v5",
+                r#"{{"schema": "usipc-bench-protocols/v6",
                     "protocols": [], "load_matrix": [],
                     "chaos": {{"msgs_per_client": 200, "recovery": [
                       {{"drill": "takeover", "queue": "two_lock", "kill_site": 7,
@@ -507,7 +507,7 @@ mod tests {
         // A brand-new drill row with no baseline sibling is not a latency
         // violation — only its ledger is gated.
         let no_chaos = Json::parse(
-            r#"{"schema": "usipc-bench-protocols/v5",
+            r#"{"schema": "usipc-bench-protocols/v6",
                 "protocols": [], "load_matrix": []}"#,
         )
         .unwrap();

@@ -4,8 +4,8 @@
 //! memfd path (`--attach /proc/<pid>/fd/<n>`) or inherited descriptor
 //! (`--fd N`) — and renders what the writers are publishing: per-slot
 //! counter snapshots, live gauges (queue depth, waiters, progress,
-//! leaked slots) and
-//! the streaming round-trip latency sketch. The reader performs **zero
+//! leaked slots), the replies a server computed and could not deliver,
+//! and the streaming round-trip latency sketch. The reader performs **zero
 //! writes** to the segment: seqlock'd snapshot reads plus relaxed gauge
 //! loads, so attaching a profiler to a production server perturbs
 //! nothing.
@@ -279,6 +279,7 @@ fn render_snapshot_frame(readings: &[usipc::TelemetryReading], now_nanos: u64) -
             "queue".into(),
             "waiters".into(),
             "leaked".into(),
+            "dropped".into(),
             "rt_total".into(),
             "p50_us".into(),
             "p99_us".into(),
@@ -298,6 +299,7 @@ fn render_snapshot_frame(readings: &[usipc::TelemetryReading], now_nanos: u64) -
                 r.queue_depth as f64,
                 r.waiters as f64,
                 r.slots_leaked as f64,
+                r.snapshot.replies_dropped as f64,
                 r.latency.count as f64,
                 r.latency.quantile_us(0.50),
                 r.latency.quantile_us(0.99),
@@ -331,6 +333,7 @@ fn render_rate_frame(
             "queue".into(),
             "waiters".into(),
             "leaked".into(),
+            "dropped".into(),
             "age_ms".into(),
         ],
     );
@@ -351,6 +354,7 @@ fn render_rate_frame(
                 r.queue_depth as f64,
                 r.waiters as f64,
                 r.slots_leaked as f64,
+                r.snapshot.replies_dropped as f64,
                 now_nanos.saturating_sub(r.published_at) as f64 / 1e6,
             ],
         );
@@ -381,7 +385,10 @@ mod tests {
                 Role::Client
             },
             published_at: 1_000_000,
-            snapshot: MetricsSnapshot::default(),
+            snapshot: MetricsSnapshot {
+                replies_dropped: 77,
+                ..MetricsSnapshot::default()
+            },
             queue_depth: 2,
             waiters: 1,
             progress,
@@ -397,6 +404,10 @@ mod tests {
         assert!(s.contains("telemetry snapshot"));
         assert!(s.contains("progress"));
         assert!(s.contains("repairs"), "recovery counters surfaced:\n{s}");
+        assert!(
+            s.contains("dropped") && s.contains("77.00"),
+            "undelivered replies surfaced:\n{s}"
+        );
         // Both task rows rendered (x column values 0 and 1).
         assert_eq!(s.lines().count(), 3 + 2, "title, header, rule, 2 rows");
     }
@@ -408,6 +419,10 @@ mod tests {
         let s = render_rate_frame(&prev, &cur, Duration::from_secs(2), 5_000_000);
         // Δprogress 200 over 2 s → 100 rt/s.
         assert!(s.contains("100.00"), "windowed rate rendered:\n{s}");
+        assert!(
+            s.contains("dropped") && s.contains("77.00"),
+            "undelivered replies surfaced:\n{s}"
+        );
     }
 
     #[test]

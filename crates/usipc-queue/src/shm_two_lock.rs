@@ -388,7 +388,7 @@ impl ShmQueue {
     /// Current number of elements. Same advisory contract as
     /// [`Self::is_empty`]: exact only when no enqueue/dequeue is in
     /// flight; under concurrency it is a recent-past snapshot, suitable
-    /// for backlog heuristics (work-stealing thresholds, spin/block
+    /// for backlog heuristics (admission control, spin/block
     /// decisions) but not for an if-then-act without re-checking.
     pub fn len(&self, arena: &ShmArena) -> usize {
         arena.get(self.header).count.load(Ordering::SeqCst) as usize

@@ -69,11 +69,8 @@ impl WaitableQueue {
     /// Creates a queue (with its `awake` flag initially set) in `arena`.
     /// `kind` selects the implementation; `mode` is the ring's producer
     /// topology (ignored for the two-lock kind): the shared receive queue
-    /// is multi-producer, a reply queue has one producer at a time (the
-    /// server — or a work-stealing thief, but hand-overs are ordered by
-    /// the client's own round-trip: the thief only holds the request
-    /// because it dequeued what the client enqueued *after* consuming the
-    /// previous reply).
+    /// is multi-producer, a reply queue has one producer (the server, or
+    /// the one worker of the client's shard).
     pub(crate) fn create(
         arena: &ShmArena,
         capacity: usize,
@@ -144,7 +141,7 @@ pub struct ChannelConfig {
     /// Two-lock kind only: worst-case number of *concurrent dequeuers per
     /// queue* the deployment can produce. The default of 2 covers every
     /// shipped topology: a queue's single consumer plus one concurrent
-    /// fault-path drainer (poisoner or work-stealing thief).
+    /// fault-path drainer (a poisoner).
     /// [`Channel::create`] rejects values above
     /// [`usipc_queue::POOL_SLACK`], because the two-lock queue's "full
     /// means full" exactness contract only holds while
@@ -368,6 +365,21 @@ impl Channel {
         self.stamp.load(Ordering::Acquire) != self.arena.generation()
     }
 
+    /// The fail-fast entry checks of a bounded call by client `c`: a stale
+    /// handle, then a poisoned channel — loads only, no kernel entry, no
+    /// queue traffic. Generation first: after a takeover the old
+    /// incarnation's poison flags have been audited away, so a stale handle
+    /// must not read (or, worse, trust) any per-queue state.
+    pub(crate) fn admit(&self, c: u32) -> Result<(), IpcError> {
+        if self.is_stale() {
+            return Err(IpcError::StaleGeneration);
+        }
+        if self.receive_queue().is_poisoned() || self.reply_queue(c).is_poisoned() {
+            return Err(IpcError::Poisoned);
+        }
+        Ok(())
+    }
+
     /// Accepts the segment's current incarnation: re-stamps this handle
     /// (and every clone sharing its stamp) with the live segment
     /// generation. Called by a successor after it bumps the generation,
@@ -385,6 +397,10 @@ impl Channel {
     /// over the same substrate (one of the paper's §1 motivations for
     /// user-level IPC); the shipped protocols in [`protocol`](crate::protocol)
     /// are all written against this interface.
+    // Inlined into the (caller-instantiated) server loop: returned through
+    // memory and copied into the loop's state, the view cost `mux_sat` a
+    // store-forwarding stall per message.
+    #[inline]
     pub fn receive_queue(&self) -> QueueRef<'_> {
         let root = self.root();
         QueueRef {
@@ -777,15 +793,7 @@ impl<O: OsServices> ClientEndpoint<'_, O> {
     ///   server's liveness word shows it died, in which case the shared
     ///   receive queue is poisoned too so every client fails fast.
     pub fn call_deadline(&self, msg: Message, timeout: Duration) -> Result<Message, IpcError> {
-        // Generation check first: after a takeover the old incarnation's
-        // poison flags have been audited away, so a stale handle must not
-        // read (or, worse, trust) any per-queue state. One load each side.
-        if self.ch.is_stale() {
-            return Err(IpcError::StaleGeneration);
-        }
-        if self.ch.receive_queue().is_poisoned() || self.ch.reply_queue(self.id).is_poisoned() {
-            return Err(IpcError::Poisoned);
-        }
+        self.ch.admit(self.id)?;
         self.call_by(msg, &Deadline::new(timeout))
     }
 
@@ -851,27 +859,12 @@ impl<O: OsServices> ServerEndpoint<'_, O> {
         let _ = self.reply_within(c, msg, None);
     }
 
-    /// Fallible `Receive`, bounded by `timeout`. Expiry is *normal* — no
-    /// client happened to call — and poisons nothing; resilient servers
-    /// use the period to scan client liveness
-    /// ([`Self::reap_dead_clients`]). Also bumps the receive queue's
-    /// heartbeat word so watchers can tell a waiting server from a wedged
-    /// one.
-    pub fn receive_deadline(&self, timeout: Duration) -> Result<Message, IpcError> {
-        self.receive_within(Some(timeout))
-    }
-
-    /// Fallible `Reply` to client `c`: fails fast with [`IpcError`]
-    /// instead of backing off forever against a reply queue whose client
-    /// died. Detecting a dead client here poisons (only) that client's
-    /// reply queue. Any `Err` means the reply was dropped, and counted.
-    pub fn reply_deadline(&self, c: u32, msg: Message, timeout: Duration) -> Result<(), IpcError> {
-        self.reply_within(c, msg, Some(timeout))
-    }
-
-    /// `Receive` bounded by `heartbeat`, or unbounded. Only a server that
-    /// has a heartbeat publishes one: the epoch word shares its cache line
-    /// with the poison flag every producer reads.
+    /// `Receive` bounded by `heartbeat`, or unbounded. Expiry is *normal* —
+    /// no client happened to call — and poisons nothing; the server loop
+    /// uses the period to scan client liveness. Only a server that has a
+    /// heartbeat publishes one (so watchers can tell a waiting server from a
+    /// wedged one): the epoch word shares its cache line with the poison
+    /// flag every producer reads.
     pub(crate) fn receive_within(&self, heartbeat: Option<Duration>) -> Result<Message, IpcError> {
         if heartbeat.is_some() {
             self.ch.receive_queue().beat();
@@ -881,15 +874,19 @@ impl<O: OsServices> ServerEndpoint<'_, O> {
     }
 
     /// `Reply` to client `c` bounded by `heartbeat`, or unbounded: the one
-    /// reply path of every channel server, and so the one place a reply
-    /// that was not delivered is counted.
+    /// reply path of every server loop, and so the one place a reply that
+    /// was not delivered is counted. It fails fast instead of backing off
+    /// forever against a reply queue whose client died; detecting a dead
+    /// client here poisons (only) that client's reply queue.
     pub(crate) fn reply_within(
         &self,
         c: u32,
         msg: Message,
         heartbeat: Option<Duration>,
     ) -> Result<(), IpcError> {
-        let sent = match self.ch.try_reply_queue(c) {
+        // By reference: binding `rq` by value copies the view out of the
+        // `Option`, a 16-byte load across two 8-byte stores on every reply.
+        let sent = match &self.ch.try_reply_queue(c) {
             None => {
                 self.os.record(ProtoEvent::MalformedRequest);
                 Err(IpcError::QueueFull)
@@ -902,30 +899,13 @@ impl<O: OsServices> ServerEndpoint<'_, O> {
             Some(rq) if rq.is_poisoned() => Err(IpcError::Poisoned),
             Some(rq) => {
                 let deadline = Deadline::within(heartbeat);
-                self.strategy.reply_by(&rq, self.os, msg, &deadline)
+                self.strategy.reply_by(rq, self.os, msg, &deadline)
             }
         };
         if sent.is_err() {
             self.os.record(ProtoEvent::ReplyDropped);
         }
         sent
-    }
-
-    /// Scans every client's liveness word, poisoning (and draining) the
-    /// reply queues of clients that died. Returns how many *newly* dead
-    /// clients were reaped. Cheap — one shared-memory load per client —
-    /// so resilient servers run it once per receive timeout.
-    pub fn reap_dead_clients(&self) -> u32 {
-        let mut reaped = 0;
-        for c in 0..self.ch.n_clients() {
-            let rq = self.ch.reply_queue(c);
-            if !rq.consumer_alive() && !rq.is_poisoned() {
-                self.os.record(ProtoEvent::PeerDeathDetected);
-                rq.poison(self.os);
-                reaped += 1;
-            }
-        }
-        reaped
     }
 
     /// The channel this endpoint serves.

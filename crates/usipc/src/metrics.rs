@@ -132,9 +132,6 @@ pub enum ProtoEvent {
     /// serving any number of ready sources). The denominator of the
     /// doorbell budget.
     WaitSetWake,
-    /// A shard worker stole a ready source from an overloaded sibling
-    /// shard and drained it locally.
-    WorkStolen,
     /// A queued message (and the queue node holding it) became
     /// permanently unreachable while draining a poisoned two-lock queue:
     /// the drain stopped at a head lock a dead process abandoned, and
@@ -172,7 +169,7 @@ pub enum ProtoEvent {
 }
 
 /// Number of distinct [`ProtoEvent`] kinds.
-pub const N_EVENTS: usize = 32;
+pub const N_EVENTS: usize = 31;
 
 impl ProtoEvent {
     /// Every event kind, in discriminant order (`ALL[e as usize] == e`).
@@ -192,8 +189,11 @@ impl ProtoEvent {
         ProtoEvent::BlockEntered,
         ProtoEvent::StrayWakeupAbsorbed,
         ProtoEvent::MalformedRequest,
-        // New kinds append here: the trace codec encodes events by index,
-        // so reordering would silently relabel old traces.
+        // New kinds append at the end: the trace codec and the telemetry
+        // slots encode events by index. A kind may still be *removed* (the
+        // work-stealing counter was, at index 24): no binary trace or
+        // telemetry slot outlives the segment it was recorded in, and the
+        // JSON exports carry labels, not indices.
         ProtoEvent::SemKernelWait,
         ProtoEvent::SemKernelWake,
         ProtoEvent::TimedOut,
@@ -203,7 +203,6 @@ impl ProtoEvent {
         ProtoEvent::DoorbellRung,
         ProtoEvent::DoorbellCoalesced,
         ProtoEvent::WaitSetWake,
-        ProtoEvent::WorkStolen,
         ProtoEvent::SlotLeaked,
         ProtoEvent::RetryAttempted,
         ProtoEvent::RetryExhausted,
@@ -492,7 +491,6 @@ pub struct MetricsSnapshot {
     pub doorbells_rung: u64,
     pub doorbells_coalesced: u64,
     pub waitset_wakes: u64,
-    pub work_stolen: u64,
     pub slots_leaked: u64,
     pub retries_attempted: u64,
     pub retries_exhausted: u64,
@@ -529,7 +527,6 @@ impl MetricsSnapshot {
             ProtoEvent::DoorbellRung => &mut self.doorbells_rung,
             ProtoEvent::DoorbellCoalesced => &mut self.doorbells_coalesced,
             ProtoEvent::WaitSetWake => &mut self.waitset_wakes,
-            ProtoEvent::WorkStolen => &mut self.work_stolen,
             ProtoEvent::SlotLeaked => &mut self.slots_leaked,
             ProtoEvent::RetryAttempted => &mut self.retries_attempted,
             ProtoEvent::RetryExhausted => &mut self.retries_exhausted,
@@ -566,7 +563,6 @@ impl MetricsSnapshot {
             ProtoEvent::DoorbellRung => self.doorbells_rung,
             ProtoEvent::DoorbellCoalesced => self.doorbells_coalesced,
             ProtoEvent::WaitSetWake => self.waitset_wakes,
-            ProtoEvent::WorkStolen => self.work_stolen,
             ProtoEvent::SlotLeaked => self.slots_leaked,
             ProtoEvent::RetryAttempted => self.retries_attempted,
             ProtoEvent::RetryExhausted => self.retries_exhausted,

@@ -44,8 +44,9 @@ pub fn receive<O: OsServices>(
 
 /// `Reply` on the client's reply queue `rq`: enqueue the response and wake
 /// the client if sleeping. BSWY, BSLS and the hand-off variant reply
-/// exactly like this, and so do the servers that resolve the queue
-/// themselves (the mux worker, the duplex server thread).
+/// exactly like this — the mux worker through them, its members'
+/// endpoints being BSW — and so does the duplex server thread, which
+/// resolves the queue itself.
 pub fn reply<O: OsServices>(
     rq: &QueueRef<'_>,
     os: &O,

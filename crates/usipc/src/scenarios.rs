@@ -25,11 +25,14 @@
 //! [`Sys::mark`]: usipc_sim::Sys::mark
 
 use crate::channel::{Channel, ChannelConfig};
+use crate::fault::{FaultAction, FaultPlan};
+use crate::metrics::{MetricsRegistry, ProtoEvent};
 use crate::msg::Message;
 use crate::platform::OsServices;
 use crate::protocol::WaitStrategy;
-use crate::server::run_echo_server;
+use crate::server::{channel_source, run_echo_server, serve, Next, ServerObservability, Source};
 use crate::simulated::{SimCosts, SimIds, SimOs};
+use crate::waitset::{ShardedConfig, ShardedServer};
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use usipc_sim::{MachineModel, ScenarioCheck, SimBuilder, SimReport};
@@ -305,6 +308,57 @@ impl Interleaving {
     }
 }
 
+/// The cast of every full-protocol scenario: one server task (platform
+/// task 0) and `n_clients` client tasks (task `1 + c`) over `n_sems` fresh
+/// semaphores, each on its own [`SimOs`] recording into the returned
+/// registry (metrics never move the simulated schedule).
+fn spawn_cast(
+    b: &mut SimBuilder,
+    n_sems: usize,
+    n_clients: u32,
+    multiprocessor: bool,
+    server: impl FnOnce(&SimOs<'_>) + Send + 'static,
+    client: impl Fn(&SimOs<'_>, u32) + Clone + Send + 'static,
+) -> Arc<MetricsRegistry> {
+    let ids = Arc::new(SimIds {
+        sems: (0..n_sems).map(|_| b.add_sem(0)).collect(),
+        ..SimIds::default()
+    });
+    let costs = SimCosts::from_machine(&MachineModel::explore());
+    let metrics = Arc::new(MetricsRegistry::new());
+    let (ids2, sink) = (Arc::clone(&ids), metrics.for_task(0));
+    b.spawn("server", move |sys| {
+        server(&SimOs::new(sys, ids2, costs, multiprocessor, 0).with_metrics(sink))
+    });
+    for c in 0..n_clients {
+        let (ids2, sink, client) = (Arc::clone(&ids), metrics.for_task(1 + c), client.clone());
+        b.spawn(format!("client{c}"), move |sys| {
+            let os = SimOs::new(sys, ids2, costs, multiprocessor, 1 + c).with_metrics(sink);
+            client(&os, c)
+        });
+    }
+    metrics
+}
+
+/// Client `c`'s session through `call`: `msgs` echoes — each must return
+/// its argument, each counted in `answered` — then the farewell.
+fn echo_session(answered: &AtomicU64, msgs: u32, c: u32, call: impl Fn(Message) -> Message) {
+    for i in 0..msgs {
+        let v = f64::from(c * 100 + i);
+        let reply = call(Message::echo(c, v));
+        assert_eq!(reply.value, v, "echo must return the argument");
+        answered.fetch_add(1, Ordering::Relaxed);
+    }
+    call(Message::disconnect(c));
+}
+
+fn answered_all(answered: &AtomicU64, total: u64) -> Result<(), String> {
+    match answered.load(Ordering::Relaxed) {
+        got if got == total => Ok(()),
+        got => Err(format!("answered {got} of {total} requests")),
+    }
+}
+
 /// A full-protocol scenario: one echo server and `n_clients` synchronous
 /// clients under `strategy`, with an answered-exactly-once check (every
 /// client call returned, with the right value, `msgs` times per client).
@@ -319,42 +373,69 @@ pub fn echo_scenario(
     msgs: u32,
 ) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
     move |b: &mut SimBuilder| {
-        let mut ids = SimIds::default();
-        for _ in 0..=n_clients {
-            ids.sems.push(b.add_sem(0)); // 0: server; 1+c: client c
-        }
-        let ids = Arc::new(ids);
-        let costs = SimCosts::from_machine(&MachineModel::explore());
-        let channel = Channel::create(&ChannelConfig::new(n_clients as usize)).unwrap();
-        let total = u64::from(n_clients * msgs);
+        let ch = Channel::create(&ChannelConfig::new(n_clients as usize)).unwrap();
         let answered = Arc::new(AtomicU64::new(0));
+        let (ch2, count) = (ch.clone(), Arc::clone(&answered));
+        spawn_cast(
+            b,
+            1 + n_clients as usize, // 0: server; 1+c: client c
+            n_clients,
+            false,
+            move |os| {
+                run_echo_server(&ch, os, strategy);
+            },
+            move |os, c| echo_session(&count, msgs, c, |m| ch2.client(os, c, strategy).call(m)),
+        );
+        Box::new(move |_r: &SimReport| answered_all(&answered, u64::from(n_clients * msgs)))
+    }
+}
 
-        let (ch, ids2) = (channel.clone(), Arc::clone(&ids));
-        b.spawn("server", move |sys| {
-            let os = SimOs::new(sys, ids2, costs, false, 0);
-            run_echo_server(&ch, &os, strategy);
-        });
-        for c in 0..n_clients {
-            let (ch, ids2, count) = (channel.clone(), Arc::clone(&ids), Arc::clone(&answered));
-            b.spawn(format!("client{c}"), move |sys| {
-                let os = SimOs::new(sys, ids2, costs, false, 1 + c);
-                let client = ch.client(&os, c, strategy);
-                for i in 0..msgs {
-                    let v = f64::from(c * 100 + i);
-                    assert_eq!(client.echo(v), v, "echo must return the argument");
-                    count.fetch_add(1, Ordering::Relaxed);
-                }
-                client.disconnect();
-            });
-        }
-
+/// The same server loop fed by its other source: one
+/// [`ShardedServer`] worker multiplexing `n_clients`
+/// [`MuxClient`](crate::MuxClient)s through a single WaitSet. What the
+/// explorer interleaves here is the bitmap [`notify`](crate::WaitSet::notify)
+/// (set the bit, then test the latch) against the worker's
+/// poll-then-sleep (clear the latch after `P`, then scan). A lost doorbell
+/// leaves the worker asleep over a queued request until its heartbeat —
+/// 10 ms here, far beyond any fault-free run — expires and the next poll
+/// finds the bit, so the check fails any run in which a worker wait timed
+/// out; it adds answered-exactly-once and the doorbell budget
+/// (`doorbells_rung ≤ waitset_wakes + 1`). Run it under
+/// [`usipc_sim::Explorer::sem_bound`]`(1)` and no semaphore — doorbell or
+/// reply — may ever bank two credits.
+pub fn mux_scenario(n_clients: u32, msgs: u32) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    move |b: &mut SimBuilder| {
+        let cfg = ShardedConfig {
+            heartbeat: core::time::Duration::from_millis(10),
+            ..ShardedConfig::new(n_clients as usize, 1)
+        };
+        let srv = Arc::new(ShardedServer::create(cfg).unwrap());
+        let answered = Arc::new(AtomicU64::new(0));
+        let (srv2, srv3, count) = (Arc::clone(&srv), Arc::clone(&srv), Arc::clone(&answered));
+        let metrics = spawn_cast(
+            b,
+            srv.config().n_sems(), // 0: doorbell; then 2 per channel
+            n_clients,
+            false,
+            move |os| {
+                srv2.run_worker(os, 0, |m| m);
+            },
+            move |os, c| echo_session(&count, msgs, c, |m| srv3.client(os, c).call(m)),
+        );
         Box::new(move |_r: &SimReport| {
-            let got = answered.load(Ordering::Relaxed);
-            if got == total {
-                Ok(())
-            } else {
-                Err(format!("answered {got} of {total} requests"))
+            answered_all(&answered, u64::from(n_clients * msgs))?;
+            let worker = metrics.task_snapshot(0);
+            if worker.timed_out > 0 {
+                return Err("lost doorbell: the worker was rescued by its heartbeat".into());
             }
+            let rung = metrics.aggregate(|t| t != 0).doorbells_rung;
+            if rung > worker.waitset_wakes + 1 {
+                return Err(format!(
+                    "doorbell budget: {rung} rung for {} wakes",
+                    worker.waitset_wakes
+                ));
+            }
+            Ok(())
         })
     }
 }
@@ -375,7 +456,7 @@ pub const NO_VICTIM: u32 = u32::MAX;
 /// A kill-at-op fault scenario over the **real fallible protocol paths**:
 /// `n_clients` clients call through
 /// [`call_deadline`](crate::ClientEndpoint::call_deadline) while the
-/// server runs the resilient receive/reap/reply loop, and the task named
+/// server runs the resilient server's own loop, and the task named
 /// `victim` (0 = server, `1 + c` = client `c`) dies at its `at_op`-th
 /// kill point. A dying task performs its native death rites — the server
 /// [`tombstone`](crate::Channel::tombstone_server)s the channel, a client
@@ -421,109 +502,66 @@ impl FaultScenario {
 
     /// A scenario closure for [`usipc_sim::Explorer::run`].
     pub fn builder(self) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
-        use crate::fault::{FaultAction, FaultPlan, IpcError};
         // On the 2-CPU BSS machine the spinner must burn virtual time
         // (`multiprocessor` spin pacing), or its deadline never expires.
         let mp = matches!(self.strategy, WaitStrategy::Bss);
         move |b: &mut SimBuilder| {
-            let mut ids = SimIds::default();
-            for _ in 0..=self.n_clients {
-                ids.sems.push(b.add_sem(0)); // 0: server; 1+c: client c
-            }
-            let ids = Arc::new(ids);
-            let costs = SimCosts::from_machine(&MachineModel::explore());
-            let channel = Channel::create(&ChannelConfig::new(self.n_clients as usize)).unwrap();
-            let total = u64::from(self.n_clients * self.msgs);
+            let ch = Channel::create(&ChannelConfig::new(self.n_clients as usize)).unwrap();
             let answered = Arc::new(AtomicU64::new(0));
             // Fresh plan per run: the explorer re-executes this builder for
             // every schedule, and the op counter must restart each time.
-            let plan = Arc::new(FaultPlan::kill(
-                if self.victim == NO_VICTIM {
-                    0
-                } else {
-                    self.victim
-                },
-                if self.victim == NO_VICTIM {
-                    u64::MAX // never fires
-                } else {
-                    self.at_op
-                },
-            ));
-
-            let (ch, ids2, plan2) = (channel.clone(), Arc::clone(&ids), Arc::clone(&plan));
-            let strategy = self.strategy;
-            b.spawn("server", move |sys| {
-                let os = SimOs::new(sys, ids2, costs, mp, 0);
-                let server = ch.server(&os, strategy);
-                ch.register_server_task(0);
-                let n = ch.n_clients();
-                let mut gone = vec![false; n as usize];
-                let mut live = n;
-                while live > 0 {
-                    // Kill point: about to commit to the next receive.
-                    if plan2.fire(0) == Some(FaultAction::Kill) {
-                        os.record(crate::metrics::ProtoEvent::FaultInjected);
-                        ch.tombstone_server(&os);
-                        return;
-                    }
-                    let m = match server.receive_deadline(FAULT_HEARTBEAT) {
-                        Ok(m) => m,
-                        Err(IpcError::Timeout) => {
-                            for c in 0..n {
-                                if gone[c as usize] {
-                                    continue;
-                                }
-                                let rq = ch.reply_queue(c);
-                                if !rq.consumer_alive() {
-                                    os.record(crate::metrics::ProtoEvent::PeerDeathDetected);
-                                    rq.poison(&os);
-                                    gone[c as usize] = true;
-                                    live -= 1;
-                                }
-                            }
-                            continue;
-                        }
-                        Err(_) => return,
-                    };
-                    // Kill point: the Fig. 5 window where the request has
-                    // been dequeued but not yet answered.
-                    if plan2.fire(0) == Some(FaultAction::Kill) {
-                        os.record(crate::metrics::ProtoEvent::FaultInjected);
-                        ch.tombstone_server(&os);
-                        return;
-                    }
-                    if m.opcode == crate::opcode::DISCONNECT {
-                        if !gone[m.channel as usize] {
-                            gone[m.channel as usize] = true;
-                            live -= 1;
-                        }
-                        let _ = server.reply_deadline(m.channel, m, FAULT_HEARTBEAT);
-                    } else {
-                        match server.reply_deadline(m.channel, m, FAULT_HEARTBEAT) {
-                            Err(IpcError::PeerDead) | Err(IpcError::Poisoned)
-                                if !gone[m.channel as usize] =>
-                            {
-                                gone[m.channel as usize] = true;
-                                live -= 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
+            let plan = Arc::new(match self.victim {
+                NO_VICTIM => FaultPlan::kill(0, u64::MAX), // never fires
+                victim => FaultPlan::kill(victim, self.at_op),
             });
-
-            for c in 0..self.n_clients {
-                let (ch, ids2, count) = (channel.clone(), Arc::clone(&ids), Arc::clone(&answered));
-                let plan2 = Arc::clone(&plan);
-                let (strategy, msgs) = (self.strategy, self.msgs);
-                b.spawn(format!("client{c}"), move |sys| {
-                    let os = SimOs::new(sys, ids2, costs, mp, 1 + c);
-                    let ep = ch.client(&os, c, strategy);
-                    for i in 0..msgs {
+            let (ch2, plan2, count) = (ch.clone(), Arc::clone(&plan), Arc::clone(&answered));
+            spawn_cast(
+                b,
+                1 + self.n_clients as usize, // 0: server; 1+c: client c
+                self.n_clients,
+                mp,
+                move |os| {
+                    // The server's kill points wrap the channel source:
+                    // before each receive commit, and in the Fig. 5 window
+                    // where a request has been dequeued but not yet
+                    // answered. A server killed there performs its death
+                    // rites and the source closes, so the real server loop
+                    // ends the way a dying server does.
+                    let killed = || {
+                        let hit = plan.fire(0) == Some(FaultAction::Kill);
+                        if hit {
+                            os.record(ProtoEvent::FaultInjected);
+                            ch.tombstone_server(os);
+                        }
+                        hit
+                    };
+                    let src = channel_source(&ch, os, self.strategy, Some(FAULT_HEARTBEAT));
+                    let mut receive = src.next;
+                    let next = || {
+                        if killed() {
+                            return Next::Closed;
+                        }
+                        match receive() {
+                            Next::Request(..) if killed() => Next::Closed,
+                            next => next,
+                        }
+                    };
+                    let doomed = Source {
+                        n_clients: src.n_clients,
+                        strategy: src.strategy,
+                        heartbeat: src.heartbeat,
+                        route: src.route,
+                        next,
+                    };
+                    serve(os, doomed, ServerObservability::none(), |m| m);
+                },
+                move |os, c| {
+                    let ep = ch2.client(os, c, self.strategy);
+                    for i in 0..self.msgs {
                         // Kill point: about to issue the next call.
                         if plan2.fire(1 + c) == Some(FaultAction::Kill) {
-                            os.record(crate::metrics::ProtoEvent::FaultInjected);
-                            ch.reply_queue(c).mark_consumer_dead(&os);
+                            os.record(ProtoEvent::FaultInjected);
+                            ch2.reply_queue(c).mark_consumer_dead(os);
                             return;
                         }
                         match ep.call_deadline(Message::echo(c, f64::from(i)), FAULT_CALL_DEADLINE)
@@ -538,17 +576,15 @@ impl FaultScenario {
                         }
                     }
                     let _ = ep.call_deadline(Message::disconnect(c), FAULT_CALL_DEADLINE);
-                });
-            }
-
-            let victim = self.victim;
+                },
+            );
+            let (victim, total) = (self.victim, u64::from(self.n_clients * self.msgs));
             Box::new(move |_r: &SimReport| {
                 // Deadlock / time-limit / panic are caught by the
                 // explorer's own invariants; the scenario only adds that a
                 // fault-free baseline must answer everything.
-                let got = answered.load(Ordering::Relaxed);
-                if victim == NO_VICTIM && got != total {
-                    return Err(format!("fault-free run answered {got} of {total}"));
+                if victim == NO_VICTIM {
+                    return answered_all(&answered, total).map_err(|e| format!("fault-free: {e}"));
                 }
                 Ok(())
             })
@@ -579,65 +615,55 @@ pub struct PeerDeathScenario {
 impl PeerDeathScenario {
     /// A scenario closure for [`usipc_sim::Explorer::run`].
     pub fn builder(self) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+        let poisoning = self.poisoning;
         move |b: &mut SimBuilder| {
-            let mut ids = SimIds::default();
-            ids.sems.push(b.add_sem(0)); // server
-            ids.sems.push(b.add_sem(0)); // client 0
-            let ids = Arc::new(ids);
-            let costs = SimCosts::from_machine(&MachineModel::explore());
-            let channel = Channel::create(&ChannelConfig::new(1)).unwrap();
+            let ch = Channel::create(&ChannelConfig::new(1)).unwrap();
             let detected = Arc::new(AtomicU64::new(0));
-
-            let (ch, ids2) = (channel.clone(), Arc::clone(&ids));
-            let poisoning = self.poisoning;
-            b.spawn("server", move |sys| {
-                let os = SimOs::new(sys, ids2, costs, false, 0);
+            let (ch2, saw) = (ch.clone(), Arc::clone(&detected));
+            let server = move |os: &SimOs<'_>| {
                 // Blocking receive (infallible BSW path), then die in the
                 // dequeue->reply window.
-                let _request = WaitStrategy::Bsw.receive(&ch, &os);
+                let _request = WaitStrategy::Bsw.receive(&ch, os);
                 if poisoning {
-                    ch.tombstone_server(&os);
+                    ch.tombstone_server(os);
                 }
                 // MUTANT (poisoning == false): die silently. No flag, no
                 // broadcast V — the client must deadlock somewhere in the
                 // schedule space.
-            });
-
-            let (ch, ids2, saw) = (channel.clone(), Arc::clone(&ids), Arc::clone(&detected));
-            b.spawn("client", move |sys| {
-                let os = SimOs::new(sys, ids2, costs, false, 1);
-                let srv = ch.receive_queue();
-                assert!(srv.try_enqueue(&os, Message::echo(0, 7.0)));
-                srv.wake_consumer(&os);
+            };
+            let client = move |os: &SimOs<'_>, _c: u32| {
+                let srv = ch2.receive_queue();
+                assert!(srv.try_enqueue(os, Message::echo(0, 7.0)));
+                srv.wake_consumer(os);
                 // Poison-aware infinite wait: the Fig. 5 wait loop with a
                 // poison check on every round and NO deadline — liveness
                 // rests entirely on the tombstone's broadcast V.
-                let rq = ch.reply_queue(0);
+                let rq = ch2.reply_queue(0);
                 loop {
-                    if rq.try_dequeue(&os).is_some() {
+                    if rq.try_dequeue(os).is_some() {
                         unreachable!("server dies before replying");
                     }
                     if rq.is_poisoned() {
                         saw.fetch_add(1, Ordering::Relaxed);
                         return;
                     }
-                    rq.clear_awake(&os);
-                    match rq.try_dequeue(&os) {
+                    rq.clear_awake(os);
+                    match rq.try_dequeue(os) {
                         Some(_) => unreachable!("server dies before replying"),
                         None => {
                             if rq.is_poisoned() {
-                                rq.set_awake(&os);
+                                rq.set_awake(os);
                                 saw.fetch_add(1, Ordering::Relaxed);
                                 return;
                             }
                             os.sem_p(rq.sem());
-                            rq.set_awake(&os);
+                            rq.set_awake(os);
                         }
                     }
                 }
-            });
+            };
+            spawn_cast(b, 2, 1, false, server, client); // sems: server, client 0
 
-            let poisoning = self.poisoning;
             Box::new(move |_r: &SimReport| {
                 if poisoning && detected.load(Ordering::Relaxed) != 1 {
                     return Err("death rites performed but client never saw the poison".into());

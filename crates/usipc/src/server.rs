@@ -8,18 +8,22 @@
 //! client disconnects.
 
 use crate::channel::Channel;
+use crate::fault::IpcError;
 use crate::metrics::{MetricsSnapshot, ProtoEvent};
 use crate::msg::{opcode, Message};
 use crate::platform::{Cost, OsServices};
 use crate::protocol::WaitStrategy;
 use crate::telemetry::{FlightRecorder, TelemetryWriter};
+use core::time::Duration;
 
 /// Statistics from one server run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerRun {
     /// Requests processed, including the final DISCONNECTs.
     pub processed: u64,
-    /// DISCONNECTs observed (equals the client count on a clean run).
+    /// Clients that disconnected, each counted once however many
+    /// DISCONNECTs it sent (equals the client count on a clean run).
+    /// `disconnects + reaped` is the number of clients gone at exit.
     pub disconnects: u32,
     /// Requests dropped because their client-supplied `channel` named no
     /// reply queue (see [`ProtoEvent::MalformedRequest`]).
@@ -36,16 +40,6 @@ pub struct ServerRun {
     /// Protocol events recorded by the server task during this run (all
     /// zero when the backend does not collect metrics).
     pub metrics: MetricsSnapshot,
-}
-
-impl ServerRun {
-    /// Accounts one reply that was computed and could not be delivered, for
-    /// the loops that enqueue replies themselves (channel servers count
-    /// the event in `ServerEndpoint::reply_within`).
-    pub(crate) fn reply_dropped<O: OsServices>(&mut self, os: &O) {
-        os.record(ProtoEvent::ReplyDropped);
-        self.replies_dropped += 1;
-    }
 }
 
 /// Snapshot of the calling task's counters, or zeros when collection is
@@ -71,7 +65,8 @@ pub fn run_server<O: OsServices>(
     strategy: WaitStrategy,
     handler: impl FnMut(Message) -> Message,
 ) -> ServerRun {
-    serve(ch, os, strategy, None, ServerObservability::none(), handler).0
+    let src = channel_source(ch, os, strategy, None);
+    serve(os, src, ServerObservability::none(), handler).0
 }
 
 /// Runs a request/reply server that **survives client death** (DESIGN.md,
@@ -96,22 +91,16 @@ pub fn run_resilient_server<O: OsServices>(
     ch: &Channel,
     os: &O,
     strategy: WaitStrategy,
-    heartbeat: core::time::Duration,
+    heartbeat: Duration,
     handler: impl FnMut(Message) -> Message,
 ) -> ServerRun {
-    run_resilient_server_observed(
-        ch,
-        os,
-        strategy,
-        heartbeat,
-        ServerObservability::none(),
-        handler,
-    )
-    .0
+    let src = channel_source(ch, os, strategy, Some(heartbeat));
+    serve(os, src, ServerObservability::none(), handler).0
 }
 
-/// Observability hooks for [`run_resilient_server_observed`]: both are
-/// optional, and both cost nothing when absent.
+/// Observability hooks for [`run_resilient_server_observed`] and
+/// [`ShardedServer::run_worker_observed`](crate::ShardedServer::run_worker_observed):
+/// both are optional, and both cost nothing when absent.
 #[derive(Default)]
 pub struct ServerObservability<'a> {
     /// Telemetry slot the server publishes into — each heartbeat expiry
@@ -141,43 +130,95 @@ pub fn run_resilient_server_observed<O: OsServices>(
     ch: &Channel,
     os: &O,
     strategy: WaitStrategy,
-    heartbeat: core::time::Duration,
+    heartbeat: Duration,
     obs: ServerObservability<'_>,
     handler: impl FnMut(Message) -> Message,
 ) -> (ServerRun, Option<String>) {
-    serve(ch, os, strategy, Some(heartbeat), obs, handler)
+    let src = channel_source(ch, os, strategy, Some(heartbeat));
+    serve(os, src, obs, handler)
 }
 
-/// The one Receive/Reply loop behind [`run_server`] (no `heartbeat`: every
-/// wait is unbounded, no heartbeat word is published, no liveness scan
-/// runs) and the resilient servers (every wait bounded by `heartbeat`,
-/// each expiry a liveness scan).
-fn serve<O: OsServices>(
-    ch: &Channel,
-    os: &O,
+/// What a [`Source`] hands the loop next.
+pub(crate) enum Next {
+    /// A well-formed request and the client (`0..n_clients`) it came from.
+    Request(u32, Message),
+    /// A message whose client-supplied `channel` names no reply queue:
+    /// dropped and counted, never followed.
+    Malformed,
+    /// The heartbeat expired with nothing to serve.
+    Idle,
+    /// The source as a whole is dead (poisoned under the server).
+    Closed,
+}
+
+/// Where [`serve`] gets its requests: one channel's shared receive queue
+/// ([`channel_source`]), or a shard's WaitSet over its members' private
+/// channels ([`ShardedServer::run_worker`](crate::ShardedServer::run_worker)).
+/// The source owns how the server *waits*; the loop owns everything that
+/// happens to a request once it has one.
+pub(crate) struct Source<R, N> {
+    /// Clients served, numbered `0..n_clients`.
+    pub n_clients: u32,
+    /// The protocol replies go out under.
+    pub strategy: WaitStrategy,
+    /// Bound on every wait and reply. `None`: unbounded, `next` never
+    /// returns [`Next::Idle`], so no liveness scan runs.
+    pub heartbeat: Option<Duration>,
+    /// Client → the channel it is served on and its reply-queue index
+    /// there (telemetry counts each channel's receive queue once, through
+    /// the client at index 0).
+    pub route: R,
+    /// The next request, waiting at most one heartbeat for it and
+    /// publishing the heartbeat words meanwhile.
+    pub next: N,
+}
+
+/// A channel as a [`Source`]: `Receive` on the shared queue, where the
+/// request's own `channel` field names its client. Registers the calling
+/// task as the channel's server.
+pub(crate) fn channel_source<'a, O: OsServices>(
+    ch: &'a Channel,
+    os: &'a O,
     strategy: WaitStrategy,
-    heartbeat: Option<core::time::Duration>,
+    heartbeat: Option<Duration>,
+) -> Source<impl Fn(u32) -> (&'a Channel, u32), impl FnMut() -> Next + 'a> {
+    ch.register_server_task(os.task_id());
+    let (server, n_clients) = (ch.server(os, strategy), ch.n_clients());
+    Source {
+        n_clients,
+        strategy,
+        heartbeat,
+        route: move |c| (ch, c),
+        next: move || match server.receive_within(heartbeat) {
+            Ok(m) if m.channel < n_clients => Next::Request(m.channel, m),
+            Ok(_) => Next::Malformed,
+            Err(IpcError::Timeout) => Next::Idle,
+            // The receive queue itself was poisoned: the channel as a
+            // whole is dead under us.
+            Err(_) => Next::Closed,
+        },
+    }
+}
+
+/// The one Receive/Reply loop: behind [`run_server`], the resilient
+/// servers and the mux worker alike. It runs until every client of `src`
+/// has disconnected or been reaped, or the source closes.
+pub(crate) fn serve<'a, O: OsServices>(
+    os: &O,
+    mut src: Source<impl Fn(u32) -> (&'a Channel, u32), impl FnMut() -> Next>,
     obs: ServerObservability<'_>,
     mut handler: impl FnMut(Message) -> Message,
 ) -> (ServerRun, Option<String>) {
-    use crate::fault::IpcError;
-    ch.register_server_task(os.task_id());
-    let n = ch.n_clients();
-    // A client is "gone" once disconnected *or* reaped; each decrements
-    // `live` exactly once, whichever order deaths and scans land in.
+    let n = src.n_clients;
+    // A client is "gone" once disconnected *or* reaped, and counts towards
+    // exactly one of the two — whichever the server saw first, however many
+    // farewells, deaths and scans follow — so `disconnects + reaped` is the
+    // number gone. `leave` is `true` the first time `c` does.
     let mut gone = vec![false; n as usize];
-    let mut live = n;
+    let leave = |c: u32, gone: &mut [bool]| !core::mem::replace(&mut gone[c as usize], true);
     let mut run = ServerRun::default();
     let mut postmortem: Option<String> = None;
     let start = task_snapshot(os);
-    let server = ch.server(os, strategy);
-    let reap = |c: u32, gone: &mut [bool], live: &mut u32, run: &mut ServerRun| {
-        if !gone[c as usize] {
-            gone[c as usize] = true;
-            *live -= 1;
-            run.reaped += 1;
-        }
-    };
     // The postmortem is cut at the *first* death: that is the instant the
     // victim's final events are freshest in its shared-memory ring, before
     // the survivors' continuing traffic overwrites context around them.
@@ -188,79 +229,85 @@ fn serve<O: OsServices>(
             }
         }
     };
-    let publish = |run: &ServerRun, live: u32| {
+    let publish = |run: &ServerRun| {
         if let Some(w) = obs.telemetry {
             let snap = task_snapshot(os).diff(&start);
-            w.set_queue_depth(ch.receive_queue().queued_len() as u64);
-            w.set_waiters(live as u64);
+            let channels = (0..n).map(&src.route).filter(|(_, i)| *i == 0);
+            w.set_queue_depth(
+                channels
+                    .map(|(ch, _)| ch.receive_queue().queued_len() as u64)
+                    .sum(),
+            );
+            w.set_waiters(u64::from(n - run.disconnects - run.reaped));
             w.set_progress(run.processed);
             w.set_slots_leaked(snap.slots_leaked);
             w.publish(&snap);
         }
     };
-    publish(&run, live);
-    while live > 0 {
-        let m = match server.receive_within(heartbeat) {
-            Ok(m) => m,
-            Err(IpcError::Timeout) => {
+    publish(&run);
+    while run.disconnects + run.reaped < n {
+        let (c, m) = match (src.next)() {
+            Next::Request(c, m) => (c, m),
+            Next::Malformed => {
+                os.record(ProtoEvent::MalformedRequest);
+                run.malformed += 1;
+                continue;
+            }
+            Next::Idle => {
                 // Liveness scan: reap clients whose death was marked (or
                 // whose queue someone already poisoned) since last pass.
                 for c in 0..n {
                     if gone[c as usize] {
                         continue;
                     }
-                    let rq = ch.reply_queue(c);
-                    if !rq.consumer_alive() {
+                    let (ch, i) = (src.route)(c);
+                    let replies = ch.reply_queue(i);
+                    let dead = !replies.consumer_alive();
+                    if dead {
                         os.record(ProtoEvent::PeerDeathDetected);
                         dump(&mut postmortem);
-                        rq.poison(os);
-                        reap(c, &mut gone, &mut live, &mut run);
-                    } else if rq.is_poisoned() {
-                        reap(c, &mut gone, &mut live, &mut run);
+                        replies.poison(os);
+                    }
+                    if dead || replies.is_poisoned() || ch.receive_queue().is_poisoned() {
+                        gone[c as usize] = true;
+                        run.reaped += 1;
                     }
                 }
-                publish(&run, live);
+                publish(&run);
                 continue;
             }
-            // The receive queue itself was poisoned: the channel as a
-            // whole is dead under us — stop serving.
-            Err(_) => break,
+            Next::Closed => break,
         };
-        if m.channel >= n {
-            os.record(ProtoEvent::MalformedRequest);
-            run.malformed += 1;
-            continue;
-        }
         os.charge(Cost::Request);
         run.processed += 1;
         if run.processed % 64 == 0 {
-            publish(&run, live);
+            publish(&run);
         }
-        if m.opcode == opcode::DISCONNECT {
-            run.disconnects += 1;
-            if !gone[m.channel as usize] {
-                gone[m.channel as usize] = true;
-                live -= 1;
-            }
-            if server.reply_within(m.channel, m, heartbeat).is_err() {
-                run.replies_dropped += 1;
-            }
+        let ans = if m.opcode == opcode::DISCONNECT {
+            // Echoed back so the client's synchronous `Send` completes.
+            run.disconnects += u32::from(leave(c, &mut gone));
+            m
         } else {
             let mut ans = handler(m);
             ans.channel = m.channel;
-            if let Err(e) = server.reply_within(m.channel, ans, heartbeat) {
-                // Dropped (`reply_within` counted the event). QueueFull or
-                // Timeout: the client's own deadline machinery recovers.
-                run.replies_dropped += 1;
-                if matches!(e, IpcError::PeerDead | IpcError::Poisoned) {
-                    dump(&mut postmortem);
-                    reap(m.channel, &mut gone, &mut live, &mut run);
-                }
+            ans
+        };
+        let (ch, i) = (src.route)(c);
+        if let Err(e) = ch
+            .server(os, src.strategy)
+            .reply_within(i, ans, src.heartbeat)
+        {
+            // Dropped (`reply_within` counted the event). QueueFull or
+            // Timeout: the client's own deadline machinery recovers.
+            run.replies_dropped += 1;
+            if matches!(e, IpcError::PeerDead | IpcError::Poisoned) {
+                dump(&mut postmortem);
+                run.reaped += u32::from(leave(c, &mut gone));
             }
         }
     }
     run.metrics = task_snapshot(os).diff(&start);
-    publish(&run, live);
+    publish(&run);
     (run, postmortem)
 }
 
@@ -359,7 +406,8 @@ pub fn run_throttled_server<O: OsServices>(
         run.processed += 1;
         let rq = ch.reply_queue(m.channel);
         if enqueue_or_sleep(&rq, os, m, &never).is_err() {
-            run.reply_dropped(os);
+            os.record(ProtoEvent::ReplyDropped);
+            run.replies_dropped += 1;
         }
         if m.opcode == opcode::DISCONNECT {
             run.disconnects += 1;

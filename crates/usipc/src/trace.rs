@@ -410,7 +410,6 @@ fn proto_label(e: ProtoEvent) -> &'static str {
         ProtoEvent::DoorbellRung => "doorbell_rung",
         ProtoEvent::DoorbellCoalesced => "doorbell_coalesced",
         ProtoEvent::WaitSetWake => "waitset_wake",
-        ProtoEvent::WorkStolen => "work_stolen",
         ProtoEvent::SlotLeaked => "slot_leaked",
         ProtoEvent::RetryAttempted => "retry_attempted",
         ProtoEvent::RetryExhausted => "retry_exhausted",

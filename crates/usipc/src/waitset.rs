@@ -51,9 +51,9 @@
 //! * **A scan that returns `None` last saw every word entirely zero.**
 //!   That is why the wrap-around re-reads the cursor's word unmasked
 //!   instead of looking only at the bits below the cursor.
-//! * **Only `notify` sets bits.** Claims (the waiter's or a thief's) only
-//!   clear them. ([`fsck`](WaitSet::fsck) does both, but runs only once
-//!   the waiter is dead.)
+//! * **Only `notify` sets bits.** The waiter's claims only clear them.
+//!   ([`fsck`](WaitSet::fsck) does both, but runs only once the waiter is
+//!   dead.)
 //!
 //! A bit set before the waiter's final scan loaded its word was either
 //! seen or claimed, and whoever claimed it drains that source. After that
@@ -66,26 +66,26 @@
 //! latch; clear the latch, then scan) applied per word.
 //!
 //! On top of the primitive, [`ShardedServer`] routes clients to K shards
-//! (multiplicative hash), runs one worker + WaitSet per shard with the
-//! failure semantics of
-//! [`run_resilient_server`](crate::run_resilient_server) applied per
-//! source (heartbeat scans, peer-death reaping, sticky poisoning), and
-//! lets an idle worker steal a ready source from a sibling whose backlog
-//! exceeds a threshold.
+//! (multiplicative hash) and runs one worker per shard: the Receive/Reply
+//! loop of [`run_resilient_server`](crate::run_resilient_server) itself
+//! (heartbeat scans, peer-death reaping, sticky poisoning, the
+//! first-death post-mortem), fed by the shard's WaitSet instead of one
+//! shared receive queue.
 
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::channel::{Channel, ChannelConfig};
+use crate::channel::{Channel, ChannelConfig, QueueRef};
 use crate::fault::IpcError;
 use crate::metrics::ProtoEvent;
-use crate::msg::{opcode, Message};
+use crate::msg::Message;
 use crate::platform::{Cost, OsServices};
 use crate::protocol::{
     blocking_dequeue, call_failed, dead_channel, enqueue_or_sleep, round_trip, Deadline,
+    WaitStrategy,
 };
-use crate::server::ServerRun;
+use crate::server::{serve, Next, ServerObservability, ServerRun, Source};
 use crate::trace::{Span, TracePoint};
 use usipc_queue::QueueKind;
 use usipc_shm::{monotonic_nanos, CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
@@ -247,9 +247,7 @@ impl<'a> WaitSet<'a> {
     /// nothing) and claims exactly one bit with `fetch_and`: the caller
     /// owns that source's backlog and must drain it (a message enqueued
     /// *after* the claim re-raises the bit via its own `notify`, so
-    /// nothing is lost). Because a claim never takes more than the one
-    /// bit it returns, a thief polling through a temporary handle cannot
-    /// strand sources it claimed but never got to drain.
+    /// nothing is lost).
     pub fn poll(&self, cursor: &mut usize) -> Option<usize> {
         let n = self.n_sources();
         let start = if *cursor < n { *cursor } else { 0 };
@@ -267,7 +265,7 @@ impl<'a> WaitSet<'a> {
             let mut seen = word.load(Ordering::SeqCst) & mask;
             while seen != 0 {
                 let bit = seen & seen.wrapping_neg();
-                // A thief may have claimed the bit since the load.
+                // The claim holds only if the bit was still set.
                 if word.fetch_and(!bit, Ordering::SeqCst) & bit != 0 {
                     let source = w * WORD_BITS + bit.trailing_zeros() as usize;
                     *cursor = if source + 1 == n { 0 } else { source + 1 };
@@ -319,8 +317,8 @@ impl<'a> WaitSet<'a> {
                 word.fetch_or(bit, Ordering::SeqCst);
                 r.ready_raised += 1;
             } else if !want && have {
-                // Stale bit over an empty source (a thief drained it):
-                // clear, so the successor does not burn a claim on it.
+                // Stale bit over a source the dead waiter had already
+                // drained: clear, so the successor does not burn a claim.
                 word.fetch_and(!bit, Ordering::SeqCst);
                 r.ready_cleared += 1;
             }
@@ -434,32 +432,24 @@ pub struct ShardedConfig {
     pub n_shards: usize,
     /// Per-queue capacity of each client channel.
     pub queue_capacity: usize,
-    /// A sibling shard whose queued backlog (messages across its live
-    /// sources) exceeds this is eligible to have one ready source stolen
-    /// by an idle worker.
-    pub steal_threshold: usize,
-    /// Bound on every worker wait: each expiry runs the per-source
-    /// liveness scan (reaping dead clients, exactly like
-    /// [`run_resilient_server`](crate::run_resilient_server)) and the
-    /// work-stealing check.
+    /// Bound on every worker wait and reply: each expiry runs the
+    /// per-source liveness scan (reaping dead clients, exactly like
+    /// [`run_resilient_server`](crate::run_resilient_server)).
     pub heartbeat: Duration,
     /// Queue representation for every member channel (see
     /// [`ChannelConfig::queue_kind`]). [`QueueKind::Ring`] makes the
     /// shard data path lock-free: a client SIGKILLed mid-enqueue can no
-    /// longer wedge its shard's worker (or a thief) on an abandoned
-    /// tail lock.
+    /// longer wedge its shard's worker on an abandoned tail lock.
     pub queue_kind: QueueKind,
 }
 
 impl ShardedConfig {
-    /// Defaults: 64-deep queues, steal past a 32-message backlog, 25 ms
-    /// heartbeat.
+    /// Defaults: 64-deep queues, 25 ms heartbeat.
     pub fn new(n_clients: usize, n_shards: usize) -> Self {
         ShardedConfig {
             n_clients,
             n_shards,
             queue_capacity: 64,
-            steal_threshold: 32,
             heartbeat: Duration::from_millis(25),
             queue_kind: QueueKind::default(),
         }
@@ -489,9 +479,9 @@ fn shard_of(client: u32, n_shards: usize) -> usize {
 /// [`sem_base`](ChannelConfig::sem_base)); a client's request path is
 /// enqueue + [`WaitSet::notify`] on its shard, and its reply path is the
 /// unchanged Fig. 5 discipline on its private reply queue. Workers run
-/// [`ShardedServer::run_worker`], which preserves
-/// [`run_resilient_server`](crate::run_resilient_server)'s failure
-/// semantics per source and steals from overloaded siblings when idle.
+/// [`ShardedServer::run_worker`]:
+/// [`run_resilient_server`](crate::run_resilient_server)'s loop over the
+/// shard's WaitSet.
 #[derive(Debug)]
 pub struct ShardedServer {
     cfg: ShardedConfig,
@@ -504,11 +494,6 @@ pub struct ShardedServer {
     members: Vec<Vec<u32>>,
     /// Client → (shard, slot within the shard's WaitSet).
     route: Vec<(u32, u32)>,
-    /// Client → session state: 0 live, 1 gone (disconnected or reaped).
-    /// Shared across workers because a *thief* may be the one to observe
-    /// a sibling's member disconnect; each transition is counted exactly
-    /// once via `swap`.
-    session: Vec<AtomicU32>,
 }
 
 impl ShardedServer {
@@ -552,7 +537,6 @@ impl ShardedServer {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let session = (0..cfg.n_clients).map(|_| AtomicU32::new(0)).collect();
         Ok(ShardedServer {
             cfg,
             control,
@@ -560,7 +544,6 @@ impl ShardedServer {
             channels,
             members,
             route,
-            session,
         })
     }
 
@@ -615,243 +598,85 @@ impl ShardedServer {
         MuxClient { srv: self, os, c }
     }
 
-    /// Queued request backlog across shard `s`'s live sources (the
-    /// overload signal work-stealing keys on).
-    pub fn shard_backlog(&self, s: usize) -> usize {
-        self.members[s]
-            .iter()
-            .filter(|&&c| self.session[c as usize].load(Ordering::Acquire) == 0)
-            .map(|&c| self.channels[c as usize].receive_queue().queued_len())
-            .sum()
-    }
-
-    /// Marks client `c` gone; `true` the first time (the one transition
-    /// that may decrement a worker's live count).
-    fn retire(&self, c: u32) -> bool {
-        self.session[c as usize].swap(1, Ordering::AcqRel) == 0
-    }
-
-    fn live_members(&self, s: usize) -> usize {
-        self.members[s]
-            .iter()
-            .filter(|&&c| self.session[c as usize].load(Ordering::Acquire) == 0)
-            .count()
-    }
-
-    /// Fallible reply to client `c`, with the same peer-death handling as
-    /// the resilient server's reply path. An `Err` is a dropped reply; the
-    /// caller counts it.
-    fn reply_to<O: OsServices>(&self, os: &O, c: u32, msg: Message) -> Result<(), IpcError> {
-        let ch = &self.channels[c as usize];
-        let rq = ch.reply_queue(0);
-        if !rq.consumer_alive() {
-            os.record(ProtoEvent::PeerDeathDetected);
-            rq.poison(os);
-            return Err(IpcError::PeerDead);
-        }
-        if rq.is_poisoned() {
-            return Err(IpcError::Poisoned);
-        }
-        let deadline = Deadline::new(self.cfg.heartbeat);
-        enqueue_or_sleep(&rq, os, msg, &deadline)?;
-        rq.wake_consumer(os);
-        Ok(())
-    }
-
-    /// Drains every queued request of one claimed source (shard `s`, slot
-    /// `slot`), replying per message. Called by the slot's owner after a
-    /// wait, or by a thief after stealing the slot.
-    fn drain_source<O: OsServices>(
-        &self,
-        os: &O,
-        s: usize,
-        slot: usize,
-        handler: &mut impl FnMut(Message) -> Message,
-        run: &mut ServerRun,
-    ) {
-        let c = self.members[s][slot];
-        let ch = &self.channels[c as usize];
-        let rcv = ch.receive_queue();
-        if rcv.is_poisoned() {
-            if self.retire(c) {
-                run.reaped += 1;
-            }
-            return;
-        }
-        while let Some(m) = rcv.try_dequeue(os) {
-            // `m.channel` crossed the trust boundary; within a private
-            // single-client channel only 0 is well-formed.
-            if m.channel != 0 {
-                os.record(ProtoEvent::MalformedRequest);
-                run.malformed += 1;
-                continue;
-            }
-            os.charge(Cost::Request);
-            run.processed += 1;
-            if m.opcode == opcode::DISCONNECT {
-                if self.retire(c) {
-                    run.disconnects += 1;
-                }
-                if self.reply_to(os, c, m).is_err() {
-                    run.reply_dropped(os);
-                }
-            } else {
-                let mut ans = handler(m);
-                ans.channel = 0;
-                // `aux` is the mux layer's correlation tag: it crosses
-                // the channel verbatim so a retrying client can match a
-                // reply to the attempt that asked for it — handlers
-                // answer in `opcode`/`value`.
-                ans.aux = m.aux;
-                if let Err(e) = self.reply_to(os, c, ans) {
-                    // Dropped. QueueFull or Timeout: the client's own
-                    // deadline machinery recovers.
-                    run.reply_dropped(os);
-                    if matches!(e, IpcError::PeerDead | IpcError::Poisoned) {
-                        if self.retire(c) {
-                            run.reaped += 1;
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The heartbeat liveness scan over shard `s`'s sources — the
-    /// per-source form of
-    /// [`run_resilient_server`](crate::run_resilient_server)'s reap pass.
-    fn scan_shard<O: OsServices>(&self, os: &O, s: usize, run: &mut ServerRun) {
-        for &c in &self.members[s] {
-            if self.session[c as usize].load(Ordering::Acquire) != 0 {
-                continue;
-            }
-            let ch = &self.channels[c as usize];
-            ch.receive_queue().beat();
-            let rq = ch.reply_queue(0);
-            if !rq.consumer_alive() {
-                os.record(ProtoEvent::PeerDeathDetected);
-                rq.poison(os);
-                if self.retire(c) {
-                    run.reaped += 1;
-                }
-            } else if (rq.is_poisoned() || ch.receive_queue().is_poisoned()) && self.retire(c) {
-                run.reaped += 1;
-            }
-        }
-    }
-
-    /// Idle-time work stealing: if a sibling shard's backlog exceeds the
-    /// threshold, claim one of its ready sources and drain it here.
-    /// Bounded to one steal per idle pass so a thief cannot wedge its own
-    /// shard's heartbeat duties.
-    fn try_steal<O: OsServices>(
-        &self,
-        os: &O,
-        me: usize,
-        handler: &mut impl FnMut(Message) -> Message,
-        run: &mut ServerRun,
-    ) {
-        let k = self.cfg.n_shards;
-        if k <= 1 {
-            return;
-        }
-        for d in 1..k {
-            let victim = (me + d) % k;
-            if self.shard_backlog(victim) <= self.cfg.steal_threshold {
-                continue;
-            }
-            let mut cursor = 0;
-            if let Some(slot) = self.waitset(victim).poll(&mut cursor) {
-                os.record(ProtoEvent::WorkStolen);
-                self.drain_source(os, victim, slot, handler, run);
-            }
-            return;
-        }
-    }
-
-    /// Runs shard `s`'s worker loop until every member has disconnected
-    /// or been reaped: wait on the shard's WaitSet (bounded by the
-    /// heartbeat), drain the claimed source, and on each expiry run the
-    /// liveness scan plus the work-stealing check. One worker per shard —
-    /// the WaitSet has a single-waiter contract (thieves only `poll`,
-    /// never sleep on a sibling's doorbell).
+    /// Runs shard `s`'s worker until every member has disconnected or been
+    /// reaped: the Receive/Reply loop of
+    /// [`run_resilient_server`](crate::run_resilient_server), its requests
+    /// drawn from the shard's WaitSet — drain the claimed source, then wait
+    /// on the doorbell for at most a heartbeat — and each expiry a liveness
+    /// scan over the members. One worker per shard: the WaitSet has a
+    /// single-waiter contract.
     pub fn run_worker<O: OsServices>(
         &self,
         os: &O,
         s: usize,
         handler: impl FnMut(Message) -> Message,
     ) -> ServerRun {
-        self.run_worker_observed(os, s, None, handler)
+        self.run_worker_observed(os, s, ServerObservability::none(), handler)
+            .0
     }
 
-    /// [`Self::run_worker`] publishing into a telemetry slot: each
-    /// heartbeat expiry and every 64th request the worker's counter
-    /// window, the shard's queued backlog (`queue_depth`), its live
-    /// member count (`waiters`), and its processed total (`progress`)
-    /// land in the slot — only the worker's own cache-line-padded slot
-    /// is written, so the hot path stays write-free for readers.
+    /// [`Self::run_worker`] with the observability plane attached, exactly
+    /// as [`run_resilient_server_observed`](crate::run_resilient_server_observed)
+    /// attaches it ([`ServerObservability`]; `queue_depth` is the shard's
+    /// queued backlog, `waiters` its live members), returning the
+    /// flight-recorder post-mortem cut at the first member death.
     pub fn run_worker_observed<O: OsServices>(
         &self,
         os: &O,
         s: usize,
-        telemetry: Option<&crate::telemetry::TelemetryWriter>,
+        obs: ServerObservability<'_>,
         mut handler: impl FnMut(Message) -> Message,
-    ) -> ServerRun {
-        let mut run = ServerRun::default();
-        let start = os.metrics().map(|m| m.snapshot()).unwrap_or_default();
-        for &c in &self.members[s] {
-            self.channels[c as usize].register_server_task(os.task_id());
+    ) -> (ServerRun, Option<String>) {
+        // The loop's client `c` is the shard's WaitSet slot `c`, served
+        // over that member's private single-client channel.
+        let members = &self.members[s];
+        let n_clients = members.len() as u32;
+        let channel = |slot: u32| &self.channels[members[slot as usize] as usize];
+        for slot in 0..n_clients {
+            channel(slot).register_server_task(os.task_id());
         }
-        let publish = |run: &ServerRun| {
-            if let Some(w) = telemetry {
-                let now = os.metrics().map(|m| m.snapshot()).unwrap_or_default();
-                let snap = now.diff(&start);
-                w.set_queue_depth(self.shard_backlog(s) as u64);
-                w.set_waiters(self.live_members(s) as u64);
-                w.set_progress(run.processed);
-                w.set_slots_leaked(snap.slots_leaked);
-                w.publish(&snap);
-            }
-        };
+        let heartbeat = self.cfg.heartbeat;
         let ws = self.waitset(s);
         let mut cursor = 0usize;
-        publish(&run);
-        // The member scan is off the per-message path: a member leaves
-        // only through a disconnect or a reap, which this worker counts —
-        // except when a thief retires it on this shard's behalf, and the
-        // recount on every heartbeat expiry catches that.
-        let mut live = self.live_members(s);
-        while live > 0 {
-            let gone = (run.disconnects, run.reaped);
-            let idle = match ws.wait_deadline(os, &mut cursor, self.cfg.heartbeat) {
-                Ok(slot) => {
-                    let before = run.processed;
-                    self.drain_source(os, s, slot, &mut handler, &mut run);
-                    if run.processed / 64 != before / 64 {
-                        publish(&run);
-                    }
-                    false
+        // The claimed slot and its request queue: drained until empty
+        // before the next wait, as a claim obliges ([`WaitSet::poll`]).
+        let mut claimed: Option<(u32, QueueRef<'_>)> = None;
+        let next = move || loop {
+            if let Some((slot, requests)) = &claimed {
+                match requests.try_dequeue(os) {
+                    // `m.channel` crossed the trust boundary; within a
+                    // private single-client channel only 0 is well-formed.
+                    Some(m) if m.channel == 0 => return Next::Request(*slot, m),
+                    Some(_) => return Next::Malformed,
+                    None => claimed = None,
                 }
-                Err(IpcError::Timeout) => {
-                    self.scan_shard(os, s, &mut run);
-                    self.try_steal(os, s, &mut handler, &mut run);
-                    publish(&run);
-                    true
-                }
-                Err(_) => break,
-            };
-            if idle || (run.disconnects, run.reaped) != gone {
-                live = self.live_members(s);
             }
-        }
-        run.metrics = os
-            .metrics()
-            .map(|m| m.snapshot())
-            .unwrap_or_default()
-            .diff(&start);
-        publish(&run);
-        run
+            match ws.wait_deadline(os, &mut cursor, heartbeat) {
+                Ok(slot) => claimed = Some((slot as u32, channel(slot as u32).receive_queue())),
+                // Expiry, the wait's only error: show every member's
+                // watcher a waiting worker, not a wedged one.
+                Err(_) => {
+                    for slot in 0..n_clients {
+                        channel(slot).receive_queue().beat();
+                    }
+                    return Next::Idle;
+                }
+            }
+        };
+        let src = Source {
+            n_clients,
+            strategy: WaitStrategy::Bsw,
+            heartbeat: Some(heartbeat),
+            route: |slot| (channel(slot), 0),
+            next,
+        };
+        // `aux` is the mux layer's correlation tag: it crosses the channel
+        // verbatim so a retrying client can match a reply to the attempt
+        // that asked for it — handlers answer in `opcode`/`value`.
+        serve(os, src, obs, move |m| Message {
+            aux: m.aux,
+            ..handler(m)
+        })
     }
 }
 
@@ -894,21 +719,8 @@ impl<O: OsServices> MuxClient<'_, O> {
     /// [`IpcError::Timeout`], or [`IpcError::PeerDead`] as above.
     pub fn call_deadline(&self, mut msg: Message, timeout: Duration) -> Result<Message, IpcError> {
         msg.channel = 0;
-        self.admit()?;
+        self.srv.channels[self.c as usize].admit(0)?;
         self.attempt(msg, &Deadline::new(timeout), None, true)
-    }
-
-    /// The fail-fast entry checks of a bounded call: a stale handle, then a
-    /// poisoned channel — loads only, no queue traffic.
-    fn admit(&self) -> Result<(), IpcError> {
-        let ch = &self.srv.channels[self.c as usize];
-        if ch.is_stale() {
-            return Err(IpcError::StaleGeneration);
-        }
-        if ch.receive_queue().is_poisoned() || ch.reply_queue(0).is_poisoned() {
-            return Err(IpcError::Poisoned);
-        }
-        Ok(())
     }
 
     /// One call attempt under `deadline` — the shared body of
@@ -1014,7 +826,7 @@ impl<O: OsServices> MuxClient<'_, O> {
                 std::thread::sleep(Duration::from_nanos(nanos / 2 + next_rand() % (nanos / 2)));
             }
             msg.aux = next_rand();
-            self.admit()?;
+            self.srv.channels[self.c as usize].admit(0)?;
             match self.attempt(msg, &Deadline::new(attempt_timeout), Some(msg.aux), false) {
                 Err(IpcError::Timeout) => continue,
                 verdict => return verdict,

@@ -1,14 +1,14 @@
 //! WaitSet multiplexing, metrics-pinned: one server task sleeping for 64
 //! client channels through a single doorbell semaphore, the sharded
-//! topology with work-stealing, and per-source failure handling.
+//! topology, and per-source failure handling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use usipc::{
-    opcode, Message, NativeConfig, NativeOs, QueueKind, ServerRun, ShardedConfig, ShardedServer,
-    WaitSet, WaitSetRoot,
+    opcode, Message, NativeConfig, NativeOs, QueueKind, ServerObservability, ServerRun,
+    ShardedConfig, ShardedServer, TelemetryPlane, WaitSet, WaitSetRoot,
 };
 use usipc_queue::{EnqueueFlow, LOCK_BUDGET};
 use usipc_shm::ShmArena;
@@ -106,8 +106,6 @@ fn one_task_multiplexes_64_channels_within_the_doorbell_budget() {
         clients.doorbells_coalesced > 0,
         "no coalescing under 64-way fan-in is implausible"
     );
-    // A single-shard topology never steals.
-    assert_eq!(server.work_stolen, 0);
 }
 
 /// The sharded topology end to end: 4 shards, hash-routed clients, every
@@ -171,77 +169,6 @@ fn sharded_server_serves_every_client_within_per_shard_budgets() {
     );
 }
 
-/// Work-stealing: a shard with no worker accumulates a backlog past the
-/// threshold; a sibling shard's idle worker steals the ready source and
-/// drains it.
-#[test]
-fn idle_worker_steals_from_an_overloaded_sibling() {
-    const CLIENTS: usize = 8;
-    let cfg = ShardedConfig {
-        steal_threshold: 2,
-        heartbeat: Duration::from_millis(5),
-        ..ShardedConfig::new(CLIENTS, 2)
-    };
-    let srv = Arc::new(ShardedServer::create(cfg).expect("topology"));
-    assert!(
-        !srv.shard_members(0).is_empty() && !srv.shard_members(1).is_empty(),
-        "hash left a shard empty at this size; widen the client count"
-    );
-    let os = native_for(&srv);
-
-    // Overload shard 0 (which gets NO worker): raw-enqueue a backlog onto
-    // its first member and notify, like an open-loop client burst.
-    let victim = srv.shard_members(0)[0];
-    let producer = os.task(10);
-    let rcv = srv.channel(victim).receive_queue();
-    const BACKLOG: u64 = 6;
-    for i in 0..BACKLOG {
-        assert!(rcv.try_enqueue(&producer, Message::echo(0, i as f64)));
-    }
-    srv.waitset(0).notify(&producer, 0);
-
-    // Shard 1's worker: its own shard is idle, so each heartbeat expiry
-    // runs the steal check against shard 0's backlog.
-    let worker = {
-        let srv = Arc::clone(&srv);
-        let os = os.task(0);
-        std::thread::spawn(move || srv.run_worker(&os, 1, |m| m))
-    };
-
-    // The stolen backlog drains without any shard-0 worker existing.
-    let t0 = Instant::now();
-    while srv.channel(victim).receive_queue().queued_len() > 0 {
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "backlog never stolen"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-
-    // Let the worker finish: disconnect its own members.
-    let client_os = os.task(11);
-    for &c in srv.shard_members(1) {
-        srv.client(&client_os, c).disconnect();
-    }
-    let run = worker.join().expect("worker thread");
-
-    let m = os.metrics().expect("metrics on").task_snapshot(0);
-    assert!(m.work_stolen >= 1, "the steal was never recorded");
-    assert!(
-        run.processed >= BACKLOG,
-        "stolen messages must be processed by the thief"
-    );
-    // The replies really landed on the victim's reply queue.
-    assert_eq!(
-        srv.channel(victim).reply_queue(0).queued_len() as u64,
-        BACKLOG
-    );
-}
-
-/// Per-source failure handling: a client that dies mid-session is
-/// detected by the heartbeat scan, reaped, and its reply queue poisoned —
-/// while every healthy member of the same shard finishes clean. The
-/// resilient-server semantics, applied per WaitSet source.
 /// Garbage in a member's receive queue is decoded, never dereferenced: a
 /// hostile client 1 writes raw words — all-ones, NaN bits under a `channel`
 /// its private channel does not have, an unknown opcode, then a well-formed
@@ -298,26 +225,56 @@ fn garbage_words_from_one_member_are_counted_and_the_worker_keeps_serving() {
     }
 }
 
+/// Per-source failure handling: a client that dies mid-session — SIGKILL
+/// style: its liveness word flips, nothing unwinds, no farewell — is
+/// detected by the heartbeat scan, reaped, and its reply queue poisoned,
+/// while every healthy member of the same shard finishes clean. The
+/// resilient-server loop over a WaitSet, post-mortem included: the worker
+/// cuts the flight-recorder dump at the death, with the victim's last
+/// events in it.
 #[test]
 fn dead_source_is_reaped_and_survivors_finish() {
     const CLIENTS: usize = 4;
+    const MONITOR: u32 = 1 + CLIENTS as u32;
     let cfg = ShardedConfig {
         heartbeat: Duration::from_millis(5),
         ..ShardedConfig::new(CLIENTS, 1)
     };
     let srv = Arc::new(ShardedServer::create(cfg).expect("topology"));
     let os = native_for(&srv);
+    let tasks = 2 + CLIENTS;
+    let arena = Arc::new(ShmArena::new(TelemetryPlane::bytes_needed(0, tasks, 64)).expect("arena"));
+    let plane = TelemetryPlane::create_in(&arena, 0, tasks, 64).expect("flight plane");
+    assert!(os.arm_flight(plane.flight().expect("flight rings")));
 
     let worker = {
-        let srv = Arc::clone(&srv);
-        let os = os.task(0);
-        std::thread::spawn(move || srv.run_worker(&os, 0, |m| m))
+        let (srv, os) = (Arc::clone(&srv), Arc::clone(&os));
+        std::thread::spawn(move || {
+            let mut task_names = vec![(0, "worker".to_string())];
+            task_names.extend((0..CLIENTS as u32).map(|c| (1 + c, format!("client{c}"))));
+            let obs = ServerObservability {
+                flight: os.flight(),
+                task_names,
+                ..ServerObservability::none()
+            };
+            srv.run_worker_observed(&os.task(0), 0, obs, |m| m)
+        })
     };
 
-    // Client 0 "dies": its liveness word flips without a disconnect.
+    // Client 0 talks, then "dies": its thread is gone and a monitor flips
+    // its liveness word, without a disconnect.
     let dead: u32 = 0;
-    let marker = os.task(1);
-    srv.channel(dead).reply_queue(0).mark_consumer_dead(&marker);
+    {
+        let (srv, os) = (Arc::clone(&srv), os.task(1 + dead));
+        std::thread::spawn(move || {
+            let victim = srv.client(&os, dead);
+            for i in 0..5u64 {
+                assert_eq!(victim.echo(i as f64), i as f64);
+            }
+        })
+        .join()
+        .expect("victim thread");
+    }
 
     // Survivors run full sessions.
     let done = Arc::new(AtomicU64::new(0));
@@ -336,19 +293,48 @@ fn dead_source_is_reaped_and_survivors_finish() {
             })
         })
         .collect();
+    srv.channel(dead)
+        .reply_queue(0)
+        .mark_consumer_dead(&os.task(MONITOR));
     for s in survivors {
         s.join().expect("survivor thread");
     }
-    let run = worker.join().expect("worker thread");
+    let (run, postmortem) = worker.join().expect("worker thread");
 
     assert_eq!(done.load(Ordering::SeqCst), (CLIENTS - 1) as u64);
     assert_eq!(run.reaped, 1, "exactly the dead client is reaped");
     assert_eq!(run.disconnects, (CLIENTS - 1) as u32);
+    assert_eq!(run.processed, 5 + (CLIENTS as u64 - 1) * 31);
+    assert_eq!((run.replies_dropped, run.malformed), (0, 0));
     assert!(srv.channel(dead).reply_queue(0).is_poisoned());
-    let m = os.metrics().expect("metrics on").task_snapshot(0);
+    for c in 1..CLIENTS as u32 {
+        let ch = srv.channel(c);
+        assert!(!ch.reply_queue(0).is_poisoned() && !ch.receive_queue().is_poisoned());
+    }
+    let reg = os.metrics().expect("metrics on");
+    let server = reg.task_snapshot(0);
     assert!(
-        m.peer_deaths_detected >= 1,
+        server.peer_deaths_detected >= 1,
         "the scan must observe the death"
+    );
+    let clients = reg.aggregate(|t| t != 0);
+    assert!(
+        clients.doorbells_rung <= server.waitset_wakes + 1,
+        "doorbell budget violated: {} rings for {} wakes",
+        clients.doorbells_rung,
+        server.waitset_wakes
+    );
+
+    let dump = postmortem.expect("a member's death must cut a flight-recorder dump");
+    assert!(
+        dump.starts_with("{\"traceEvents\":[") && dump.trim_end().ends_with('}'),
+        "dump is a Chrome/Perfetto JSON object"
+    );
+    assert!(dump.contains("\"client0\""), "the victim is named");
+    assert!(
+        dump.matches("\"cat\":\"span\",\"ph\":\"B\"").count() > 0
+            && dump.contains(&format!("\"pid\":0,\"tid\":{}}}", 1 + dead)),
+        "the victim's own last round trips are in the dump"
     );
 }
 

@@ -20,7 +20,8 @@ use usipc::harness::{run_native_fault_experiment, watchdog_join, ClientFaultOutc
 use usipc::scenarios::{FaultScenario, PeerDeathScenario, NO_VICTIM};
 use usipc::{
     run_echo_server, run_resilient_server, AsyncClient, Channel, ChannelConfig, FaultPlan,
-    IpcError, Message, NativeConfig, NativeOs, ServerRun, WaitStrategy,
+    IpcError, Message, NativeConfig, NativeOs, ServerRun, ShardedConfig, ShardedServer,
+    WaitStrategy,
 };
 use usipc_sim::{Explorer, Outcome};
 
@@ -319,4 +320,113 @@ fn a_reply_the_client_never_drains_is_dropped_and_counted() {
         "every processed request: one reply enqueued or one counted drop"
     );
     assert_eq!(ch.reply_queue(0).queued_len(), 2, "the delivered replies");
+}
+
+/// One Receive/Reply loop, two sources. The same session — four echo
+/// clients; one slips in a request whose `channel` names no reply queue,
+/// one dies mid-session without a farewell, one says DISCONNECT twice —
+/// runs against a channel server and against a mux worker, and both
+/// account it alike: a client counts as disconnected once however often it
+/// says so, `disconnects + reaped` is the clients gone at exit, the
+/// malformed request is dropped and counted, and no reply is lost.
+#[test]
+fn channel_server_and_mux_worker_account_the_same_session_alike() {
+    const N: u32 = 4;
+    const BEAT: Duration = Duration::from_millis(2);
+    fn session(
+        echo: impl Fn(u32, f64) -> f64,
+        disconnect: impl Fn(u32),
+        post_malformed: impl Fn(u32),
+        die: impl Fn(u32),
+    ) {
+        for c in 0..N {
+            for i in 0..3 {
+                assert_eq!(echo(c, f64::from(i)), f64::from(i));
+            }
+        }
+        post_malformed(0);
+        disconnect(2);
+        disconnect(2);
+        die(1);
+        disconnect(0);
+        disconnect(3);
+    }
+    fn ledger(run: &ServerRun) -> [u64; 7] {
+        [
+            run.processed,
+            u64::from(run.disconnects),
+            run.malformed,
+            u64::from(run.reaped),
+            run.replies_dropped,
+            run.metrics.malformed_requests,
+            run.metrics.peer_deaths_detected,
+        ]
+    }
+    let (tx, rx) = std::sync::mpsc::channel::<ServerRun>();
+
+    let ch = Channel::create(&ChannelConfig::new(N as usize)).expect("channel");
+    let os = NativeOs::new(NativeConfig::for_clients(N as usize));
+    let server = {
+        let (ch, t, tx) = (ch.clone(), os.task(0), tx.clone());
+        std::thread::spawn(move || {
+            tx.send(run_resilient_server(
+                &ch,
+                &t,
+                WaitStrategy::Bsw,
+                BEAT,
+                |m| m,
+            ))
+            .unwrap()
+        })
+    };
+    let t = os.task(1);
+    session(
+        |c, v| ch.client(&t, c, WaitStrategy::Bsw).echo(v),
+        |c| ch.client(&t, c, WaitStrategy::Bsw).disconnect(),
+        |_| {
+            let srv = ch.receive_queue();
+            assert!(srv.try_enqueue(&t, Message::echo(N + 7, 0.0)));
+            srv.wake_consumer(&t);
+        },
+        |c| ch.reply_queue(c).mark_consumer_dead(&t),
+    );
+    watchdog_join(vec![("server".into(), 0, server)], MUST_END, None);
+    let by_channel = rx.recv().unwrap();
+
+    let cfg = ShardedConfig {
+        heartbeat: BEAT,
+        ..ShardedConfig::new(N as usize, 1)
+    };
+    let srv = Arc::new(ShardedServer::create(cfg).expect("topology"));
+    let mut native = NativeConfig::for_clients(0);
+    native.n_sems = srv.config().n_sems();
+    let os = NativeOs::new(native);
+    let worker = {
+        let (srv, t) = (Arc::clone(&srv), os.task(0));
+        std::thread::spawn(move || tx.send(srv.run_worker(&t, 0, |m| m)).unwrap())
+    };
+    let t = os.task(1);
+    session(
+        |c, v| srv.client(&t, c).echo(v),
+        |c| srv.client(&t, c).disconnect(),
+        |c| {
+            // Within a private single-client channel only `channel` 0 is real.
+            assert!(srv
+                .channel(c)
+                .receive_queue()
+                .try_enqueue(&t, Message::echo(7, 0.0)));
+            let slot = srv.shard_members(0).iter().position(|&m| m == c).unwrap();
+            srv.waitset(0).notify(&t, slot);
+        },
+        |c| srv.channel(c).reply_queue(0).mark_consumer_dead(&t),
+    );
+    watchdog_join(vec![("worker".into(), 0, worker)], MUST_END, None);
+    let by_shard = rx.recv().unwrap();
+
+    assert_eq!(
+        ledger(&by_channel),
+        [12 + 4, 3, 1, 1, 0, 1, 1],
+        "{by_channel:?}"
+    );
+    assert_eq!(ledger(&by_shard), ledger(&by_channel), "{by_shard:?}");
 }

@@ -20,7 +20,8 @@
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use usipc::scenarios::{
-    echo_scenario, ConsumerKind, Fig4Scenario, Interleaving, ProducerKind, ALL_INTERLEAVINGS,
+    echo_scenario, mux_scenario, ConsumerKind, Fig4Scenario, Interleaving, ProducerKind,
+    ALL_INTERLEAVINGS,
 };
 use usipc::WaitStrategy;
 use usipc_sim::{Explorer, Outcome, ScenarioCheck, SimBuilder};
@@ -243,4 +244,24 @@ fn random_walks_deep_schedules_stay_clean_and_deterministic() {
     let b = run();
     assert_eq!(a.schedules, b.schedules);
     assert_eq!(a.distinct_states, b.distinct_states, "seed-deterministic");
+}
+
+/// The server loop over its WaitSet source: two mux clients, one worker.
+/// Every schedule at the bounded depth and every deep random walk ends
+/// with each request answered once, no lost doorbell (no worker wait ever
+/// runs into its heartbeat), at most one credit ever banked on the
+/// doorbell or a reply semaphore, and the doorbell budget held.
+#[test]
+fn mux_worker_two_clients_lose_no_doorbell_over_all_schedules() {
+    let r = Explorer::dfs(6).sem_bound(1).run(mux_scenario(2, 1));
+    assert!(r.ok(), "{}", r.summary());
+    assert!(
+        r.schedules > 100,
+        "space too small to mean much: {}",
+        r.summary()
+    );
+    let walks = Explorer::random(40, 0x3D0B, 150)
+        .sem_bound(1)
+        .run(mux_scenario(2, 2));
+    assert!(walks.ok(), "{}", walks.summary());
 }
