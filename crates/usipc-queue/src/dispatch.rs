@@ -5,11 +5,12 @@
 //! root, where a type parameter would infect every consumer).
 //!
 //! The inactive variant's handle is a null [`ShmPtr`]; the active one is
-//! *boxed in the arena* (the handles themselves are `ShmSafe` plain data),
-//! which costs one extra `arena.get` per operation — noise next to the
-//! cache-line traffic of the operation itself.
+//! *boxed in the arena* (the handles themselves are `ShmSafe` plain data).
+//! Looking up the box and the ring behind it is five checked resolutions —
+//! half a ring operation's time — so a holder that operates more than once
+//! runs on a [`FifoView`]; the handle's arena-taking methods resolve one per call.
 
-use crate::shm_ring::{RingMode, RingPush, RingReclaim, ShmRing};
+use crate::shm_ring::{RingMode, RingPush, RingReclaim, RingView, ShmRing};
 use crate::shm_two_lock::{HeadLockBusy, ShmQueue, TailLockBusy};
 use crate::Elem;
 use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe};
@@ -65,19 +66,13 @@ const KIND_RING: u32 = 1;
 
 /// A queue handle of either kind (see the module docs).
 #[repr(C)]
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct AnyShmFifo {
     kind: u32,
     two_lock: ShmPtr<ShmQueue>,
     ring: ShmPtr<ShmRing>,
 }
 
-impl Clone for AnyShmFifo {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for AnyShmFifo {}
 unsafe impl ShmSafe for AnyShmFifo {}
 
 impl AnyShmFifo {
@@ -133,10 +128,6 @@ impl AnyShmFifo {
         }
     }
 
-    fn as_two_lock<'a>(&self, arena: &'a ShmArena) -> Option<&'a ShmQueue> {
-        (self.kind == KIND_TWO_LOCK).then(|| arena.get(self.two_lock))
-    }
-
     /// The ring behind this handle (`None` on the two-lock kind): the way
     /// to its stepped operations, for crash drills on a live channel.
     #[doc(hidden)]
@@ -144,23 +135,26 @@ impl AnyShmFifo {
         (self.kind == KIND_RING).then(|| arena.get(self.ring))
     }
 
-    /// Attempts to enqueue with full outcome reporting. `tail_yields`
-    /// bounds the two-lock tail-lock acquisition (yield budget of
-    /// [`ShmQueue::enqueue_bounded`]); the ring never waits.
-    pub fn try_enqueue_elem(&self, arena: &ShmArena, elem: Elem, tail_yields: u32) -> EnqueueFlow {
-        if let Some(q) = self.as_two_lock(arena) {
-            match q.enqueue_bounded(arena, elem, tail_yields) {
-                Ok(true) => EnqueueFlow::Queued,
-                Ok(false) => EnqueueFlow::Full,
-                Err(TailLockBusy) => EnqueueFlow::LockBusy,
-            }
-        } else {
-            match self.as_ring(arena).unwrap().try_push(arena, elem) {
-                RingPush::Queued => EnqueueFlow::Queued,
-                RingPush::Full => EnqueueFlow::Full,
-                RingPush::Dropped => EnqueueFlow::Dropped,
-            }
+    /// Resolves the queue behind the handle **once** (see the module docs).
+    /// [`ShmError::BadSegment`] when `kind` is not one [`Self::create`]
+    /// writes, the boxed handle is outside the arena's allocated range or
+    /// misaligned, or the ring is malformed ([`ShmRing::view`]).
+    pub fn view<'a>(&self, arena: &'a ShmArena) -> Result<FifoView<'a>, ShmError> {
+        match self.kind {
+            KIND_RING => Ok(FifoView::Ring(arena.try_get(self.ring)?.view(arena)?)),
+            KIND_TWO_LOCK => Ok(FifoView::TwoLock(arena.try_get(self.two_lock)?, arena)),
+            _ => Err(ShmError::BadSegment),
         }
+    }
+
+    /// The per-call form of [`Self::view`]; panics on a malformed handle.
+    fn resolve<'a>(&self, arena: &'a ShmArena) -> FifoView<'a> {
+        self.view(arena).expect("malformed queue handle or header")
+    }
+
+    /// [`FifoView::try_enqueue_elem`], resolving per call.
+    pub fn try_enqueue_elem(&self, arena: &ShmArena, elem: Elem, tail_yields: u32) -> EnqueueFlow {
+        self.resolve(arena).try_enqueue_elem(elem, tail_yields)
     }
 
     /// [`Self::try_enqueue_elem`] of the one word `value`, zero-padded.
@@ -168,19 +162,50 @@ impl AnyShmFifo {
         self.try_enqueue_elem(arena, [value, 0, 0], tail_yields)
     }
 
-    /// Removes the oldest element, or `None` if the queue is empty.
-    /// Unbounded on the two-lock kind — live-path use only.
-    pub fn dequeue_elem(&self, arena: &ShmArena) -> Option<Elem> {
-        if let Some(q) = self.as_two_lock(arena) {
-            q.dequeue(arena)
-        } else {
-            self.as_ring(arena).unwrap().dequeue(arena)
+    /// The first word of [`FifoView::dequeue_elem`], resolving per call.
+    pub fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
+        self.resolve(arena).dequeue_elem().map(|e| e[0])
+    }
+}
+
+/// A queue of either kind, resolved by [`AnyShmFifo::view`]: the dispatch
+/// happens on this process-local tag.
+#[derive(Debug, Clone, Copy)]
+pub enum FifoView<'a> {
+    /// The lock-free ring, resolved and validated.
+    Ring(RingView<'a>),
+    /// The two-lock baseline, resolving its nodes per operation as ever.
+    TwoLock(&'a ShmQueue, &'a ShmArena),
+}
+
+impl FifoView<'_> {
+    /// Attempts to enqueue with full outcome reporting. `tail_yields`
+    /// bounds the two-lock tail-lock acquisition (yield budget of
+    /// [`ShmQueue::enqueue_bounded`]); the ring never waits.
+    #[inline]
+    pub fn try_enqueue_elem(&self, elem: Elem, tail_yields: u32) -> EnqueueFlow {
+        match *self {
+            FifoView::Ring(r) => match r.try_push(elem) {
+                RingPush::Queued => EnqueueFlow::Queued,
+                RingPush::Full => EnqueueFlow::Full,
+                RingPush::Dropped => EnqueueFlow::Dropped,
+            },
+            FifoView::TwoLock(q, arena) => match q.enqueue_bounded(arena, elem, tail_yields) {
+                Ok(true) => EnqueueFlow::Queued,
+                Ok(false) => EnqueueFlow::Full,
+                Err(TailLockBusy) => EnqueueFlow::LockBusy,
+            },
         }
     }
 
-    /// [`Self::dequeue_elem`], returning the element's first word.
-    pub fn dequeue(&self, arena: &ShmArena) -> Option<u64> {
-        self.dequeue_elem(arena).map(|e| e[0])
+    /// Removes the oldest element, or `None` if the queue is empty.
+    /// Unbounded on the two-lock kind — live-path use only.
+    #[inline]
+    pub fn dequeue_elem(&self) -> Option<Elem> {
+        match *self {
+            FifoView::Ring(r) => r.dequeue(),
+            FifoView::TwoLock(q, arena) => q.dequeue(arena),
+        }
     }
 
     /// Fault-path dequeue: bounded on the two-lock kind, plain dequeue on
@@ -190,72 +215,70 @@ impl AnyShmFifo {
     ///
     /// [`HeadLockBusy`] when the two-lock head lock stayed held past the
     /// budget (abandoned by a dead consumer); the ring never errors.
-    pub fn dequeue_bounded(
-        &self,
-        arena: &ShmArena,
-        max_yields: u32,
-    ) -> Result<Option<Elem>, HeadLockBusy> {
-        if let Some(q) = self.as_two_lock(arena) {
-            q.dequeue_bounded(arena, max_yields)
-        } else {
-            Ok(self.as_ring(arena).unwrap().dequeue(arena))
+    pub fn dequeue_bounded(&self, max_yields: u32) -> Result<Option<Elem>, HeadLockBusy> {
+        match *self {
+            FifoView::Ring(r) => Ok(r.dequeue()),
+            FifoView::TwoLock(q, arena) => q.dequeue_bounded(arena, max_yields),
         }
     }
 
-    /// Fault-path hole reclamation ([`ShmRing::reclaim_stuck`]); the
+    /// Fault-path hole reclamation ([`RingView::reclaim_stuck`]); the
     /// two-lock kind has no holes and always reports
     /// [`RingReclaim::Clean`].
-    pub fn reclaim_stuck(&self, arena: &ShmArena) -> RingReclaim {
-        match self.as_ring(arena) {
-            Some(r) => r.reclaim_stuck(arena),
-            None => RingReclaim::Clean,
+    pub fn reclaim_stuck(&self) -> RingReclaim {
+        match *self {
+            FifoView::Ring(r) => r.reclaim_stuck(),
+            FifoView::TwoLock(..) => RingReclaim::Clean,
         }
     }
 
     /// Cheap emptiness poll (advisory; see each implementation's notes).
-    pub fn is_empty(&self, arena: &ShmArena) -> bool {
-        if let Some(q) = self.as_two_lock(arena) {
-            q.is_empty(arena)
-        } else {
-            self.as_ring(arena).unwrap().is_empty(arena)
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        match *self {
+            FifoView::Ring(r) => r.is_empty(),
+            FifoView::TwoLock(q, arena) => q.is_empty(arena),
         }
     }
 
     /// Approximate element count (ring: includes in-flight holes).
-    pub fn len(&self, arena: &ShmArena) -> usize {
-        if let Some(q) = self.as_two_lock(arena) {
-            q.len(arena)
-        } else {
-            self.as_ring(arena).unwrap().len(arena)
+    #[inline]
+    pub fn len(&self) -> usize {
+        match *self {
+            FifoView::Ring(r) => r.len(),
+            FifoView::TwoLock(q, arena) => q.len(arena),
         }
     }
 
     /// Segment fsck, dispatched by kind: [`ShmQueue::fsck`] (with
-    /// `break_locks` honored) or [`ShmRing::fsck`] (lock-free — the flag
+    /// `break_locks` honored) or [`RingView::fsck`] (lock-free — the flag
     /// is irrelevant). Both require quiescence and are strict no-ops on
     /// clean queues; see each implementation's docs for the repairs.
-    pub fn fsck(&self, arena: &ShmArena, break_locks: bool) -> FifoFsck {
-        if let Some(q) = self.as_two_lock(arena) {
-            let r = q.fsck(arena, break_locks);
-            FifoFsck {
-                repairs: r.repairs(),
-                holes_retired: 0,
-                nodes_reclaimed: r.nodes_reclaimed,
-                values: r.values,
+    pub fn fsck(&self, break_locks: bool) -> FifoFsck {
+        match *self {
+            FifoView::Ring(r) => {
+                let r = r.fsck();
+                FifoFsck {
+                    repairs: r.repairs(),
+                    holes_retired: r.holes_retired,
+                    nodes_reclaimed: 0,
+                    values: r.values,
+                }
             }
-        } else {
-            let r = self.as_ring(arena).unwrap().fsck(arena);
-            FifoFsck {
-                repairs: r.repairs(),
-                holes_retired: r.holes_retired,
-                nodes_reclaimed: 0,
-                values: r.values,
+            FifoView::TwoLock(q, arena) => {
+                let r = q.fsck(arena, break_locks);
+                FifoFsck {
+                    repairs: r.repairs(),
+                    holes_retired: 0,
+                    nodes_reclaimed: r.nodes_reclaimed,
+                    values: r.values,
+                }
             }
         }
     }
 }
 
-/// Outcome of [`AnyShmFifo::fsck`], in the terms both kinds share.
+/// Outcome of [`FifoView::fsck`], in the terms both kinds share.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FifoFsck {
     /// Individual repairs performed (0 on a clean queue): broken locks,
@@ -285,23 +308,25 @@ mod tests {
         for kind in [QueueKind::TwoLock, QueueKind::Ring] {
             let (a, q) = fifo(kind);
             assert_eq!(q.kind(), kind);
-            assert!(q.is_empty(&a), "{kind:?}");
+            // The per-call fronts and a view resolved once see one queue.
+            let view = q.view(&a).unwrap();
+            assert!(view.is_empty(), "{kind:?}");
             for i in 0..8u64 {
                 assert_eq!(q.try_enqueue(&a, i, 10), EnqueueFlow::Queued, "{kind:?}");
             }
             assert_eq!(q.try_enqueue(&a, 99, 10), EnqueueFlow::Full, "{kind:?}");
-            assert_eq!(q.len(&a), 8, "{kind:?}");
+            assert_eq!(view.len(), 8, "{kind:?}");
             for i in 0..8u64 {
                 assert_eq!(q.dequeue(&a), Some(i), "{kind:?}");
             }
-            assert_eq!(q.dequeue_bounded(&a, 10), Ok(None), "{kind:?}");
-            assert_eq!(q.reclaim_stuck(&a), RingReclaim::Clean, "{kind:?}");
+            assert_eq!(view.dequeue_bounded(10), Ok(None), "{kind:?}");
+            assert_eq!(view.reclaim_stuck(), RingReclaim::Clean, "{kind:?}");
             // The one-word fronts are the three-word calls, zero-padded.
             assert_eq!(q.try_enqueue(&a, 7, 10), EnqueueFlow::Queued, "{kind:?}");
-            assert_eq!(q.dequeue_elem(&a), Some([7, 0, 0]), "{kind:?}");
+            assert_eq!(view.dequeue_elem(), Some([7, 0, 0]), "{kind:?}");
             let full = [1, u64::MAX, 3];
             assert_eq!(q.try_enqueue_elem(&a, full, 10), EnqueueFlow::Queued);
-            assert_eq!(q.dequeue_bounded(&a, 10), Ok(Some(full)), "{kind:?}");
+            assert_eq!(view.dequeue_bounded(10), Ok(Some(full)), "{kind:?}");
         }
     }
 

@@ -16,7 +16,8 @@
 //!   producer can never wedge survivors the way an abandoned spinlock
 //!   does).
 //! * [`AnyShmFifo`] — dispatches between the two at runtime so channels
-//!   select their queue kind per configuration.
+//!   select their queue kind per configuration; the per-message path runs
+//!   on the [`FifoView`] it resolves to, validated once.
 //! * [`SpinLock`] — the raw test-and-set lock used inside the arena.
 //!
 //! Both queues carry the message itself — an [`Elem`], the paper's 24-byte
@@ -35,8 +36,8 @@ mod shm_ring;
 mod shm_two_lock;
 mod spinlock;
 
-pub use dispatch::{AnyShmFifo, EnqueueFlow, FifoFsck, QueueKind};
-pub use shm_ring::{RingFsck, RingMode, RingPush, RingReclaim, ShmRing};
+pub use dispatch::{AnyShmFifo, EnqueueFlow, FifoFsck, FifoView, QueueKind};
+pub use shm_ring::{RingFsck, RingMode, RingPush, RingReclaim, RingView, ShmRing};
 pub use shm_two_lock::{HeadLockBusy, ShmQueue, TailLockBusy, TwoLockFsck, POOL_SLACK};
 pub use spinlock::SpinLock;
 
@@ -54,12 +55,14 @@ pub type Elem = [u64; 3];
 pub(crate) struct ElemCell([AtomicU64; 3]);
 
 impl ElemCell {
+    #[inline]
     pub(crate) fn store(&self, e: Elem) {
         for (w, v) in self.0.iter().zip(e) {
             w.store(v, Ordering::Relaxed);
         }
     }
 
+    #[inline]
     pub(crate) fn load(&self) -> Elem {
         [0, 1, 2].map(|i| self.0[i].load(Ordering::Relaxed))
     }

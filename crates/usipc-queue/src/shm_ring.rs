@@ -49,7 +49,7 @@
 //! enqueue, which is what triggers the paper's `sleep(1)` back-off.
 
 use crate::{Elem, ElemCell};
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
 /// Producer topology of a [`ShmRing`] (the consumer path is identical in
@@ -89,13 +89,15 @@ unsafe impl ShmSafe for RingSlot {}
 
 /// Ring bookkeeping. The producer and consumer cursors sit on separate
 /// cache lines so enqueues never bounce the line dequeues hammer.
+/// `capacity` and `mode` are written at creation and read once, by
+/// [`ShmRing::view`]; they are atomics because a peer *can* write them.
 #[repr(C)]
 #[derive(Debug)]
 pub struct RingHeader {
     enqueue_pos: CacheAligned<AtomicU64>,
     dequeue_pos: CacheAligned<AtomicU64>,
-    capacity: u64,
-    mode: u32,
+    capacity: AtomicU64,
+    mode: AtomicU32,
 }
 
 unsafe impl ShmSafe for RingHeader {}
@@ -163,18 +165,13 @@ impl RingFsck {
 
 /// Handle to a lock-free bounded ring in an arena (plain offsets, `Copy`,
 /// position independent — fork-inheritable like every arena structure).
-#[derive(Debug)]
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
 pub struct ShmRing {
     header: ShmPtr<RingHeader>,
     slots: ShmSlice<RingSlot>,
 }
 
-impl Clone for ShmRing {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for ShmRing {}
 unsafe impl ShmSafe for ShmRing {}
 
 impl ShmRing {
@@ -198,11 +195,11 @@ impl ShmRing {
         let header = arena.alloc(RingHeader {
             enqueue_pos: CacheAligned::new(AtomicU64::new(0)),
             dequeue_pos: CacheAligned::new(AtomicU64::new(0)),
-            capacity: cap as u64,
-            mode: match mode {
+            capacity: AtomicU64::new(cap as u64),
+            mode: AtomicU32::new(match mode {
                 RingMode::Spsc => MODE_SPSC,
                 RingMode::Mpsc => MODE_MPSC,
-            },
+            }),
         })?;
         Ok(ShmRing { header, slots })
     }
@@ -222,30 +219,92 @@ impl ShmRing {
             + core::mem::align_of::<RingHeader>()
     }
 
-    /// Maximum number of elements (the rounded capacity).
-    pub fn capacity(&self, arena: &ShmArena) -> usize {
-        arena.get(self.header).capacity as usize
-    }
-
-    /// The producer mode this ring was created with.
-    pub fn mode(&self, arena: &ShmArena) -> RingMode {
-        match arena.get(self.header).mode {
-            MODE_SPSC => RingMode::Spsc,
-            _ => RingMode::Mpsc,
+    /// Resolves the ring **once** — the trust boundary for a handle that
+    /// lives in memory a peer can write. [`ShmError::BadSegment`] when the
+    /// header or the slot array is outside the arena's allocated range or
+    /// misaligned, `capacity` is not a power of two ≥ 2 equal to the slot
+    /// count, or `mode` is not one [`Self::create`] writes. The view keeps
+    /// its *own* mask and mode: nothing written to the header afterwards
+    /// can move this process's indexing.
+    pub fn view<'a>(&self, arena: &'a ShmArena) -> Result<RingView<'a>, ShmError> {
+        let hdr = arena.try_get(self.header)?;
+        let slots = arena.try_get_slice(self.slots)?;
+        let cap = hdr.capacity.load(Ordering::Relaxed);
+        let mode = hdr.mode.load(Ordering::Relaxed);
+        if cap < 2 || !cap.is_power_of_two() || cap != slots.len() as u64 || mode > MODE_MPSC {
+            return Err(ShmError::BadSegment);
         }
+        Ok(RingView {
+            hdr,
+            slots,
+            mask: cap - 1,
+            spsc: mode == MODE_SPSC,
+        })
+    }
+}
+
+/// The arena-taking fronts of [`ShmRing`]: each resolves a [`RingView`] for the
+/// one call (panicking on a malformed handle) and runs its method of that name.
+macro_rules! per_call {
+    ($($(#[$attr:meta])* $name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {
+        impl ShmRing {$(
+            #[doc = concat!("[`RingView::", stringify!($name), "`], resolving per call.")]
+            $(#[$attr])*
+            pub fn $name(&self, arena: &ShmArena $(, $arg: $ty)*) -> $ret {
+                self.view(arena).expect("malformed ring handle").$name($($arg),*)
+            }
+        )*}
+    };
+}
+
+per_call! {
+    capacity() -> usize;
+    try_push(elem: Elem) -> RingPush;
+    enqueue(elem: Elem) -> bool;
+    dequeue() -> Option<Elem>;
+    is_empty() -> bool;
+    len() -> usize;
+    reclaim_stuck() -> RingReclaim;
+    snapshot_published() -> Vec<Elem>;
+    fsck() -> RingFsck;
+    #[doc(hidden)] step_enqueue_claim() -> Option<u64>;
+    #[doc(hidden)] step_enqueue_store(pos: u64, elem: Elem) -> ();
+    #[doc(hidden)] step_enqueue_publish(pos: u64, elem: Elem) -> bool;
+    #[doc(hidden)] step_dequeue_claim() -> Option<u64>;
+    #[doc(hidden)] step_dequeue_finish(pos: u64) -> Elem;
+}
+
+/// A ring resolved and validated by [`ShmRing::view`]. The ring algorithm
+/// lives here — index arithmetic on a process-local mask and nothing else:
+/// no operation consults the arena or re-reads `capacity` or `mode`.
+#[derive(Debug, Clone, Copy)]
+pub struct RingView<'a> {
+    hdr: &'a RingHeader,
+    /// `mask + 1` slots (checked at [`ShmRing::view`]).
+    slots: &'a [RingSlot],
+    mask: u64,
+    spsc: bool,
+}
+
+impl<'a> RingView<'a> {
+    /// Maximum number of elements (the rounded capacity).
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
     }
 
     /// The slot ticket `pos` lands in.
-    fn slot<'a>(&self, arena: &'a ShmArena, hdr: &RingHeader, pos: u64) -> &'a RingSlot {
-        arena.get(self.slots.at((pos & (hdr.capacity - 1)) as usize))
+    #[inline]
+    fn slot(&self, pos: u64) -> &'a RingSlot {
+        &self.slots[(pos & self.mask) as usize]
     }
 
     /// Attempts to enqueue with the full outcome (see [`RingPush`]).
-    pub fn try_push(&self, arena: &ShmArena, elem: Elem) -> RingPush {
-        let Some(pos) = self.step_enqueue_claim(arena) else {
+    #[inline]
+    pub fn try_push(&self, elem: Elem) -> RingPush {
+        let Some(pos) = self.step_enqueue_claim() else {
             return RingPush::Full;
         };
-        if self.step_enqueue_publish(arena, pos, elem) {
+        if self.step_enqueue_publish(pos, elem) {
             RingPush::Queued
         } else {
             RingPush::Dropped
@@ -256,8 +315,9 @@ impl ShmRing {
     /// [`RingPush::Dropped`] outcome reports `true`: the element was
     /// accepted and then immediately lost to a poison-drain — delivered,
     /// then discarded with the rest of the dead peer's queue.
-    pub fn enqueue(&self, arena: &ShmArena, elem: Elem) -> bool {
-        self.try_push(arena, elem) != RingPush::Full
+    #[inline]
+    pub fn enqueue(&self, elem: Elem) -> bool {
+        self.try_push(elem) != RingPush::Full
     }
 
     /// Removes the oldest *published* element, or `None` if none is ready.
@@ -268,9 +328,10 @@ impl ShmRing {
     /// non-empty" actionable — and it is harmless for liveness, because
     /// the producer that eventually publishes the hole also runs the
     /// protocols' wake-up sequence.
-    pub fn dequeue(&self, arena: &ShmArena) -> Option<Elem> {
-        let pos = self.step_dequeue_claim(arena)?;
-        Some(self.step_dequeue_finish(arena, pos))
+    #[inline]
+    pub fn dequeue(&self) -> Option<Elem> {
+        let pos = self.step_dequeue_claim()?;
+        Some(self.step_dequeue_finish(pos))
     }
 
     /// Cheap emptiness poll — the `empty(Q)` test in the BSLS spin loop.
@@ -282,10 +343,10 @@ impl ShmRing {
     /// sequence word, **not** on `enqueue_pos - dequeue_pos`: a hole makes
     /// the latter positive while nothing is dequeueable, and a consumer
     /// spinning on that signal would busy-loop on a corpse's claim.
-    pub fn is_empty(&self, arena: &ShmArena) -> bool {
-        let hdr = arena.get(self.header);
-        let pos = hdr.dequeue_pos.load(Ordering::Acquire);
-        let seq = self.slot(arena, hdr, pos).seq.load(Ordering::Acquire);
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        let pos = self.hdr.dequeue_pos.load(Ordering::Acquire);
+        let seq = self.slot(pos).seq.load(Ordering::Acquire);
         (seq as i64 - (pos + 1) as i64) < 0
     }
 
@@ -293,10 +354,10 @@ impl ShmRing {
     /// published elements *plus holes*. Approximate under concurrency;
     /// suitable for backlog heuristics and depth gauges, not for an
     /// if-then-act. For "is anything dequeueable" use [`Self::is_empty`].
-    pub fn len(&self, arena: &ShmArena) -> usize {
-        let hdr = arena.get(self.header);
-        let e = hdr.enqueue_pos.load(Ordering::Acquire);
-        let d = hdr.dequeue_pos.load(Ordering::Acquire);
+    #[inline]
+    pub fn len(&self) -> usize {
+        let e = self.hdr.enqueue_pos.load(Ordering::Acquire);
+        let d = self.hdr.dequeue_pos.load(Ordering::Acquire);
         e.saturating_sub(d) as usize
     }
 
@@ -311,13 +372,13 @@ impl ShmRing {
     /// one winner. Intended to be called only while draining a poisoned
     /// queue — on a live queue it would steal a slot out from under a
     /// merely slow producer.
-    pub fn reclaim_stuck(&self, arena: &ShmArena) -> RingReclaim {
-        let hdr = arena.get(self.header);
+    pub fn reclaim_stuck(&self) -> RingReclaim {
+        let hdr = self.hdr;
         let pos = hdr.dequeue_pos.load(Ordering::Acquire);
         if hdr.enqueue_pos.load(Ordering::Acquire) <= pos {
             return RingReclaim::Clean; // no tickets in flight
         }
-        let slot = self.slot(arena, hdr, pos);
+        let slot = self.slot(pos);
         if slot.seq.load(Ordering::Acquire) != pos {
             return RingReclaim::Clean; // published (or already recycled)
         }
@@ -332,7 +393,7 @@ impl ShmRing {
         }
         match slot.seq.compare_exchange(
             pos,
-            pos + hdr.capacity,
+            pos + self.mask + 1,
             Ordering::AcqRel,
             Ordering::Acquire,
         ) {
@@ -340,7 +401,7 @@ impl ShmRing {
             Err(_) => {
                 // The producer published in the window: consume normally.
                 let elem = slot.elem.load();
-                slot.seq.store(pos + hdr.capacity, Ordering::Release);
+                slot.seq.store(pos + self.mask + 1, Ordering::Release);
                 RingReclaim::Recovered(elem)
             }
         }
@@ -350,13 +411,12 @@ impl ShmRing {
     /// ring, in ticket order, holes skipped. Pure reads — never repairs
     /// anything. Exact only under quiescence; under concurrency it is a
     /// recent-past snapshot like [`Self::len`].
-    pub fn snapshot_published(&self, arena: &ShmArena) -> Vec<Elem> {
-        let hdr = arena.get(self.header);
-        let d = hdr.dequeue_pos.load(Ordering::Acquire);
-        let e = hdr.enqueue_pos.load(Ordering::Acquire);
+    pub fn snapshot_published(&self) -> Vec<Elem> {
+        let d = self.hdr.dequeue_pos.load(Ordering::Acquire);
+        let e = self.hdr.enqueue_pos.load(Ordering::Acquire);
         let mut out = Vec::new();
         for pos in d..e {
-            let slot = self.slot(arena, hdr, pos);
+            let slot = self.slot(pos);
             if slot.seq.load(Ordering::Acquire) == pos + 1 {
                 out.push(slot.elem.load());
             }
@@ -392,12 +452,11 @@ impl ShmRing {
     /// An undamaged ring takes the pure-read path: `fsck` on a clean ring
     /// is a strict byte-level no-op (a drain-and-requeue would preserve
     /// the logical content but advance cursors and sequence words, which
-    /// the idempotence tests would catch).
-    pub fn fsck(&self, arena: &ShmArena) -> RingFsck {
-        let hdr = arena.get(self.header);
-        let cap = hdr.capacity;
-        let mask = cap - 1;
-        let d = hdr.dequeue_pos.load(Ordering::Acquire);
+    /// the idempotence tests would catch). Repairs are made in place, so a
+    /// view taken before the pass is as good after it.
+    pub fn fsck(&self) -> RingFsck {
+        let mask = self.mask;
+        let d = self.hdr.dequeue_pos.load(Ordering::Acquire);
         let mut report = RingFsck::default();
         // Sub-cursor audit: slots the dequeue cursor has passed must be
         // consumed (`seq ≡ i + cap` for their old ticket). Anything else
@@ -407,24 +466,23 @@ impl ShmRing {
         // the slot (`e ≤ ticket + cap` always: no producer can lap past
         // an unrecycled slot).
         let mut stranded: Vec<(u64, Elem)> = Vec::new();
-        for i in 0..cap {
-            let slot = arena.get(self.slots.at(i as usize));
+        for (i, slot) in (0u64..).zip(self.slots) {
             let s = slot.seq.load(Ordering::Acquire);
             if s < d && (s & mask) == i {
                 // Stranded hole: claimed ticket `s`, cursor already past.
-                slot.seq.store(s + cap, Ordering::Release);
+                slot.seq.store(s + self.mask + 1, Ordering::Release);
                 report.holes_retired += 1;
             } else if s >= 1 && s - 1 < d && ((s - 1) & mask) == i {
                 // Stranded claim: published ticket `s - 1`, cursor past,
                 // never finished — recover the value, retire the slot.
                 stranded.push((s - 1, slot.elem.load()));
-                slot.seq.store(s - 1 + cap, Ordering::Release);
+                slot.seq.store(s + self.mask, Ordering::Release);
                 report.claims_recovered += 1;
             }
         }
         stranded.sort_unstable_by_key(|&(pos, _)| pos);
-        let published = self.snapshot_published(arena);
-        if stranded.is_empty() && self.len(arena) == published.len() {
+        let published = self.snapshot_published();
+        if stranded.is_empty() && self.len() == published.len() {
             // No stranded claims to reorder and no in-range holes:
             // nothing to drain. (On a fully clean ring this path makes
             // the whole pass a pure read.)
@@ -435,11 +493,11 @@ impl ShmRing {
         // still in `[d, e)`, so they go first.
         report.values = stranded.into_iter().map(|(_, v)| v).collect();
         loop {
-            if let Some(v) = self.dequeue(arena) {
+            if let Some(v) = self.dequeue() {
                 report.values.push(v);
                 continue;
             }
-            match self.reclaim_stuck(arena) {
+            match self.reclaim_stuck() {
                 RingReclaim::Leaked => report.holes_retired += 1,
                 RingReclaim::Recovered(v) => {
                     report.values.push(v);
@@ -449,7 +507,7 @@ impl ShmRing {
             }
         }
         for &v in &report.values {
-            let pushed = self.try_push(arena, v);
+            let pushed = self.try_push(v);
             debug_assert_eq!(pushed, RingPush::Queued, "requeue into a drained ring");
         }
         report
@@ -466,16 +524,15 @@ impl ShmRing {
     /// First half of an enqueue; a process that dies after this step
     /// leaves a hole for [`Self::reclaim_stuck`].
     #[doc(hidden)]
-    pub fn step_enqueue_claim(&self, arena: &ShmArena) -> Option<u64> {
-        let hdr = arena.get(self.header);
-        let spsc = hdr.mode == MODE_SPSC;
+    #[inline]
+    pub fn step_enqueue_claim(&self) -> Option<u64> {
+        let hdr = self.hdr;
         let mut pos = hdr.enqueue_pos.load(Ordering::Relaxed);
         loop {
-            let slot = self.slot(arena, hdr, pos);
-            let seq = slot.seq.load(Ordering::Acquire);
+            let seq = self.slot(pos).seq.load(Ordering::Acquire);
             match seq as i64 - pos as i64 {
                 0 => {
-                    if spsc {
+                    if self.spsc {
                         // Sole producer: no rival can claim this ticket.
                         hdr.enqueue_pos.store(pos + 1, Ordering::Relaxed);
                         return Some(pos);
@@ -500,18 +557,17 @@ impl ShmRing {
     /// it: a process that dies after this step leaves the same hole as one
     /// that died before it — the words are in the slot, invisible.
     #[doc(hidden)]
-    pub fn step_enqueue_store(&self, arena: &ShmArena, pos: u64, elem: Elem) {
-        self.slot(arena, arena.get(self.header), pos)
-            .elem
-            .store(elem);
+    pub fn step_enqueue_store(&self, pos: u64, elem: Elem) {
+        self.slot(pos).elem.store(elem);
     }
 
     /// Stores and publishes `elem` under a claimed ticket. Second half of
     /// an enqueue. `false` means a poison-drain reclaimed the slot first
     /// ([`RingPush::Dropped`]): the element was not enqueued.
     #[doc(hidden)]
-    pub fn step_enqueue_publish(&self, arena: &ShmArena, pos: u64, elem: Elem) -> bool {
-        let slot = self.slot(arena, arena.get(self.header), pos);
+    #[inline]
+    pub fn step_enqueue_publish(&self, pos: u64, elem: Elem) -> bool {
+        let slot = self.slot(pos);
         slot.elem.store(elem);
         // CAS, not a blind store: the one-winner race with `reclaim_stuck`.
         slot.seq
@@ -524,12 +580,12 @@ impl ShmRing {
     /// dequeue; the claimer owns slot `pos` exclusively until it runs
     /// [`Self::step_dequeue_finish`].
     #[doc(hidden)]
-    pub fn step_dequeue_claim(&self, arena: &ShmArena) -> Option<u64> {
-        let hdr = arena.get(self.header);
+    #[inline]
+    pub fn step_dequeue_claim(&self) -> Option<u64> {
+        let hdr = self.hdr;
         let mut pos = hdr.dequeue_pos.load(Ordering::Relaxed);
         loop {
-            let slot = self.slot(arena, hdr, pos);
-            let seq = slot.seq.load(Ordering::Acquire);
+            let seq = self.slot(pos).seq.load(Ordering::Acquire);
             match seq as i64 - (pos + 1) as i64 {
                 0 => {
                     match hdr.dequeue_pos.compare_exchange_weak(
@@ -551,11 +607,11 @@ impl ShmRing {
     /// Reads the element of a claimed head slot and recycles the slot for
     /// the next lap. Second half of a dequeue.
     #[doc(hidden)]
-    pub fn step_dequeue_finish(&self, arena: &ShmArena, pos: u64) -> Elem {
-        let hdr = arena.get(self.header);
-        let slot = self.slot(arena, hdr, pos);
+    #[inline]
+    pub fn step_dequeue_finish(&self, pos: u64) -> Elem {
+        let slot = self.slot(pos);
         let elem = slot.elem.load();
-        slot.seq.store(pos + hdr.capacity, Ordering::Release);
+        slot.seq.store(pos + self.mask + 1, Ordering::Release);
         elem
     }
 }
@@ -576,7 +632,6 @@ mod tests {
     fn fifo_and_capacity_both_modes() {
         for mode in [RingMode::Spsc, RingMode::Mpsc] {
             let (a, q) = ring(4, mode);
-            assert_eq!(q.mode(&a), mode);
             for i in 0..4u64 {
                 assert_eq!(q.try_push(&a, w(i)), RingPush::Queued, "{mode:?} slot {i}");
             }
@@ -987,6 +1042,25 @@ mod tests {
             assert!(q.enqueue(&a, w(i)), "slot {i} recycles");
             assert_eq!(q.dequeue(&a), Some(w(i)));
         }
+    }
+
+    /// Fsck repairs in place — it moves cursors and sequence words, never
+    /// the header or the slot array — so a view resolved before the pass
+    /// (a handle built before a takeover) is as good after it.
+    #[test]
+    fn a_view_taken_before_fsck_is_as_good_after_it() {
+        let (a, q) = ring(4, RingMode::Mpsc);
+        let view = q.view(&a).unwrap();
+        assert!(view.enqueue(w(1)));
+        let _hole = view.step_enqueue_claim().unwrap();
+        assert!(view.enqueue(w(3)));
+        assert_eq!(q.fsck(&a).holes_retired, 1);
+        assert_eq!(view.dequeue(), Some(w(1)));
+        assert_eq!(view.dequeue(), Some(w(3)));
+        for i in 0..20u64 {
+            assert!(view.enqueue(w(i)) && q.dequeue(&a) == Some(w(i)));
+        }
+        assert_eq!((view.is_empty(), view.len()), (true, 0));
     }
 
     #[test]

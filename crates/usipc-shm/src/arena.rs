@@ -31,7 +31,8 @@ pub enum ShmError {
         errno: i32,
     },
     /// The attached segment is not a usipc arena (bad magic or size
-    /// mismatch) — e.g. a truncated or foreign fd.
+    /// mismatch, e.g. a truncated or foreign fd), or a structure in it is
+    /// malformed: an offset out of range, a field no constructor writes.
     BadSegment,
 }
 
@@ -47,7 +48,7 @@ impl core::fmt::Display for ShmError {
             ),
             ShmError::BadCapacity(c) => write!(f, "invalid arena capacity {c}"),
             ShmError::Sys { call, errno } => write!(f, "{call} failed with errno {errno}"),
-            ShmError::BadSegment => write!(f, "segment is not a usipc arena"),
+            ShmError::BadSegment => write!(f, "segment is not a well-formed usipc arena"),
         }
     }
 }
@@ -472,19 +473,12 @@ impl ShmArena {
         Ok(ShmSlice::from_raw(off, n as u32))
     }
 
-    fn check<T>(&self, off: RawOffset, count: usize) {
-        let size = core::mem::size_of::<T>() * count;
-        let used = self.used();
-        assert!(
-            off as usize >= HEADER && off as usize + size <= used,
-            "ShmPtr +{off:#x} (len {size}) outside allocated range [{HEADER:#x}, {used:#x})"
-        );
-        assert_eq!(
-            off as usize % core::mem::align_of::<T>(),
-            0,
-            "ShmPtr +{off:#x} misaligned for {}",
-            core::any::type_name::<T>()
-        );
+    /// Whether `count` `T`s at `off` lie inside the allocated range, aligned.
+    fn check<T>(&self, off: RawOffset, count: usize) -> Result<(), ShmError> {
+        let (off, size) = (off as usize, core::mem::size_of::<T>() * count);
+        let in_range = off >= HEADER && off + size <= self.used();
+        let ok = in_range && off.is_multiple_of(core::mem::align_of::<T>());
+        ok.then_some(()).ok_or(ShmError::BadSegment)
     }
 
     /// Resolves an offset pointer to a reference.
@@ -494,10 +488,17 @@ impl ShmArena {
     /// If the pointer is null, out of the allocated range, or misaligned —
     /// i.e. if it was not produced by this arena's allocator for a `T`.
     pub fn get<T: ShmSafe>(&self, p: ShmPtr<T>) -> &T {
-        self.check::<T>(p.raw(), 1);
+        self.try_get(p)
+            .expect("ShmPtr outside allocated range or misaligned")
+    }
+
+    /// [`Self::get`] for an offset read out of the segment itself, which a
+    /// peer may have written: [`ShmError::BadSegment`] where `get` panics.
+    pub fn try_get<T: ShmSafe>(&self, p: ShmPtr<T>) -> Result<&T, ShmError> {
+        self.check::<T>(p.raw(), 1)?;
         // SAFETY: bounds and alignment checked; objects are never freed, and
         // `T: ShmSafe` guarantees shared access through `&T` is sound.
-        unsafe { &*self.base.add(p.raw() as usize).cast::<T>() }
+        Ok(unsafe { &*self.base.add(p.raw() as usize).cast::<T>() })
     }
 
     /// Resolves a slice handle to a shared slice.
@@ -506,12 +507,20 @@ impl ShmArena {
     ///
     /// Under the same conditions as [`Self::get`].
     pub fn get_slice<T: ShmSafe>(&self, s: ShmSlice<T>) -> &[T] {
+        self.try_get_slice(s)
+            .expect("ShmSlice outside allocated range or misaligned")
+    }
+
+    /// [`Self::get_slice`], refusing as [`Self::try_get`] does.
+    pub fn try_get_slice<T: ShmSafe>(&self, s: ShmSlice<T>) -> Result<&[T], ShmError> {
         if s.is_empty() {
-            return &[];
+            return Ok(&[]);
         }
-        self.check::<T>(s.raw(), s.len());
-        // SAFETY: as in `get`, for `len` consecutive elements.
-        unsafe { core::slice::from_raw_parts(self.base.add(s.raw() as usize).cast::<T>(), s.len()) }
+        self.check::<T>(s.raw(), s.len())?;
+        // SAFETY: as in `try_get`, for `len` consecutive elements.
+        Ok(unsafe {
+            core::slice::from_raw_parts(self.base.add(s.raw() as usize).cast::<T>(), s.len())
+        })
     }
 
     /// Publishes `p` as the arena's root object for attaching peers.
@@ -709,6 +718,35 @@ mod tests {
         match a.alloc(crate::CacheAligned::new(0u8)) {
             Err(ShmError::OutOfMemory { .. }) => {}
             other => panic!("expected OutOfMemory from padding, got {other:?}"),
+        }
+    }
+
+    /// The attach-time forms refuse exactly what `get`/`get_slice` panic
+    /// on: the header line, anything past the bump cursor — even inside
+    /// the mapping — and a misaligned offset.
+    #[test]
+    fn try_get_refuses_where_get_panics() {
+        let a = ShmArena::new(4096).unwrap();
+        let s = a.alloc_slice(4, |i| i as u64).unwrap();
+        assert_eq!(a.try_get_slice(s).unwrap(), [0, 1, 2, 3]);
+        assert_eq!(a.try_get(s.at(3)), Ok(&3));
+        let (first, end) = (s.raw(), a.used() as u32);
+        for off in [0, 8, end, end + 64, first + 4, u32::MAX - 7] {
+            let p: ShmPtr<u64> = ShmPtr::from_raw(off);
+            assert_eq!(a.try_get(p), Err(ShmError::BadSegment), "+{off:#x}");
+        }
+        for (off, len) in [
+            (first, 5),
+            (first + 8, 4),
+            (first + 4, 2),
+            (first, u32::MAX),
+        ] {
+            let s: ShmSlice<u64> = ShmSlice::from_raw(off, len);
+            assert_eq!(
+                a.try_get_slice(s),
+                Err(ShmError::BadSegment),
+                "+{off:#x}; {len}"
+            );
         }
     }
 

@@ -93,6 +93,7 @@ impl<T> ShmPtr<T> {
 unsafe impl<T: 'static> crate::ShmSafe for ShmPtr<T> {}
 
 /// A typed, position-independent pointer to a `[T]` inside an arena.
+#[repr(C)]
 pub struct ShmSlice<T> {
     off: RawOffset,
     len: u32,

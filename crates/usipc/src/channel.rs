@@ -19,7 +19,9 @@ use crate::protocol::{call_failed, dead_channel, round_trip, Deadline, WaitStrat
 use core::sync::atomic::{AtomicU32, Ordering};
 use core::time::Duration;
 use std::sync::Arc;
-use usipc_queue::{AnyShmFifo, EnqueueFlow, QueueKind, RingMode, RingReclaim};
+use usipc_queue::{
+    AnyShmFifo, EnqueueFlow, FifoView, QueueKind, RingMode, RingReclaim, LOCK_BUDGET,
+};
 use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
 /// A FIFO queue plus the sleep/wake-up state of its single consumer: the
@@ -220,13 +222,30 @@ impl ChannelConfig {
 /// repaired — out from under them. A stale holder opts back in explicitly
 /// with [`Channel::revalidate`]. Clones share one stamp, so revalidating
 /// any clone revalidates them all.
-#[derive(Debug, Clone)]
+///
+/// Building a handle ([`Self::from_root`]) is the **trust boundary**: every
+/// queue is resolved and validated there, once, into a table of
+/// [`QueueRef`]s the clones share; no operation re-reads an offset.
+#[derive(Clone)]
 pub struct Channel {
     arena: Arc<ShmArena>,
     root: ShmPtr<ChannelRoot>,
-    /// Segment generation this handle considers current (shared across
-    /// clones within the process; *not* segment state).
-    stamp: Arc<AtomicU32>,
+    local: Arc<Local>,
+}
+
+/// What a handle and its clones share in the process (*not* segment state).
+struct Local {
+    /// Segment generation the handles consider current.
+    stamp: AtomicU32,
+    /// `[0]` is the receive queue, `[1 + c]` client `c`'s reply queue;
+    /// `'static` stands for "while `arena` is mapped" ([`Channel::from_root`]).
+    queues: Vec<QueueRef<'static>>,
+}
+
+impl core::fmt::Debug for Channel {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "Channel({:?}, {:?})", self.arena, self.root)
+    }
 }
 
 impl Channel {
@@ -284,17 +303,38 @@ impl Channel {
             sem_base: cfg.sem_base,
             server_task: AtomicU32::new(u32::MAX),
         })?;
-        let stamp = Arc::new(AtomicU32::new(arena.generation()));
-        Ok(Channel { arena, root, stamp })
+        Self::from_root(arena, root)
     }
 
     /// Rebuilds a handle from an explicit root pointer — the attaching
     /// side of [`Self::create_in`], for channels whose root was embedded
     /// in a larger bootstrap structure instead of published as the arena
-    /// root. The pointer is validated (bounds, alignment) on first use.
-    pub fn from_root(arena: Arc<ShmArena>, root: ShmPtr<ChannelRoot>) -> Channel {
-        let stamp = Arc::new(AtomicU32::new(arena.generation()));
-        Channel { arena, root, stamp }
+    /// root. Everything the handle will rely on is validated here: the
+    /// root and the reply array (in the allocated range, aligned),
+    /// `n_clients` against the array's length, every queue
+    /// ([`AnyShmFifo::view`]) — [`ShmError::BadSegment`] when any of it is
+    /// malformed, never a later operation's panic.
+    pub fn from_root(arena: Arc<ShmArena>, root: ShmPtr<ChannelRoot>) -> Result<Channel, ShmError> {
+        // SAFETY: the one lifetime erasure behind the queue table. The
+        // reference is to the `ShmArena` inside the `Arc` allocation, which
+        // the `arena` field keeps alive (segment mapped, base fixed) while
+        // the `Channel` or any clone exists; what is resolved through it is
+        // stored only in `local`, beside that `Arc`, and handed out only at
+        // `&self`'s lifetime (`receive_queue`, `try_reply_queue`).
+        let mapped: &'static ShmArena = unsafe { &*Arc::as_ptr(&arena) };
+        let r = mapped.try_get(root)?;
+        let reply = mapped.try_get_slice(r.reply)?;
+        if r.n_clients == 0 || r.n_clients as usize != reply.len() {
+            return Err(ShmError::BadSegment);
+        }
+        let mut queues = Vec::with_capacity(1 + reply.len());
+        let sems = core::iter::once(server_sem()).chain((0..).map(client_sem));
+        for (wq, sem) in core::iter::once(&r.receive).chain(reply).zip(sems) {
+            queues.push(QueueRef::new(mapped, wq, r.sem_base.wrapping_add(sem))?);
+        }
+        let stamp = AtomicU32::new(arena.generation());
+        let local = Arc::new(Local { stamp, queues });
+        Ok(Channel { arena, root, local })
     }
 
     /// This channel's root offset, for embedding in a caller-owned
@@ -308,11 +348,11 @@ impl Channel {
     /// the base address and finds everything else through the published
     /// root offset).
     ///
-    /// Returns `None` if no channel root was published in this arena.
-    pub fn attach(arena: Arc<ShmArena>) -> Option<Channel> {
-        let root: ShmPtr<ChannelRoot> = arena.root()?;
-        let stamp = Arc::new(AtomicU32::new(arena.generation()));
-        Some(Channel { arena, root, stamp })
+    /// [`ShmError::BadSegment`] if no channel root was published in this
+    /// arena, or what was published is malformed ([`Self::from_root`]).
+    pub fn attach(arena: Arc<ShmArena>) -> Result<Channel, ShmError> {
+        let root = arena.root().ok_or(ShmError::BadSegment)?;
+        Self::from_root(arena, root)
     }
 
     fn root(&self) -> &ChannelRoot {
@@ -325,8 +365,9 @@ impl Channel {
     }
 
     /// Number of clients the channel was created for.
+    #[inline]
     pub fn n_clients(&self) -> u32 {
-        self.root().n_clients
+        self.local.queues.len() as u32 - 1
     }
 
     /// Which queue implementation this channel's queues run on.
@@ -347,7 +388,7 @@ impl Channel {
     /// The segment generation this handle was validated against (see the
     /// type-level docs on staleness).
     pub fn generation(&self) -> u32 {
-        self.stamp.load(Ordering::Acquire)
+        self.local.stamp.load(Ordering::Acquire)
     }
 
     /// The segment's *current* generation — what
@@ -362,7 +403,7 @@ impl Channel {
     /// incarnation. One shared-memory load plus a process-local load — no
     /// kernel entry — so fallible call paths check it on entry.
     pub fn is_stale(&self) -> bool {
-        self.stamp.load(Ordering::Acquire) != self.arena.generation()
+        self.local.stamp.load(Ordering::Acquire) != self.arena.generation()
     }
 
     /// The fail-fast entry checks of a bounded call by client `c`: a stale
@@ -387,7 +428,7 @@ impl Channel {
     /// server and wants back in. Returns the generation adopted.
     pub fn revalidate(&self) -> u32 {
         let g = self.arena.generation();
-        self.stamp.store(g, Ordering::Release);
+        self.local.stamp.store(g, Ordering::Release);
         g
     }
 
@@ -402,12 +443,7 @@ impl Channel {
     // store-forwarding stall per message.
     #[inline]
     pub fn receive_queue(&self) -> QueueRef<'_> {
-        let root = self.root();
-        QueueRef {
-            arena: &self.arena,
-            wq: &root.receive,
-            sem: root.sem_base + server_sem(),
-        }
+        self.local.queues[0]
     }
 
     /// View of client `c`'s reply queue (see [`Self::receive_queue`] on raw
@@ -419,6 +455,7 @@ impl Channel {
     /// channel number must use [`Self::try_reply_queue`] instead: the field
     /// crosses the shared-memory trust boundary, and a hostile or corrupted
     /// value must not take the server down.
+    #[inline]
     pub fn reply_queue(&self, c: u32) -> QueueRef<'_> {
         self.try_reply_queue(c)
             .unwrap_or_else(|| panic!("client {c} out of range"))
@@ -427,16 +464,9 @@ impl Channel {
     /// Fallible view of client `c`'s reply queue: `None` when `c` names no
     /// queue. This is the only safe way to resolve a channel number read
     /// out of a request message.
+    #[inline]
     pub fn try_reply_queue(&self, c: u32) -> Option<QueueRef<'_>> {
-        let root = self.root();
-        if c >= root.n_clients {
-            return None;
-        }
-        Some(QueueRef {
-            arena: &self.arena,
-            wq: self.arena.get(root.reply.at(c as usize)),
-            sem: root.sem_base + client_sem(c),
-        })
+        self.local.queues[1..].get(c as usize).copied()
     }
 
     /// The server's death rites: marks the receive queue's consumer (the
@@ -486,16 +516,23 @@ impl Channel {
 
 /// A resolved view of one waitable queue: the primitive layer the protocol
 /// figures are written in terms of (`enqueue`, `dequeue`, `empty`, `awake`,
-/// `tas`, and the consumer's semaphore).
+/// `tas`, and the consumer's semaphore), its FIFO resolved and validated.
+#[derive(Clone, Copy)]
 pub struct QueueRef<'a> {
-    arena: &'a ShmArena,
+    fifo: FifoView<'a>,
     wq: &'a WaitableQueue,
     sem: u32,
 }
 
 impl<'a> QueueRef<'a> {
-    pub(crate) fn new(arena: &'a ShmArena, wq: &'a WaitableQueue, sem: u32) -> Self {
-        QueueRef { arena, wq, sem }
+    /// Resolves `wq`'s FIFO in `arena` ([`AnyShmFifo::view`]).
+    pub(crate) fn new(
+        arena: &'a ShmArena,
+        wq: &'a WaitableQueue,
+        sem: u32,
+    ) -> Result<Self, ShmError> {
+        let fifo = wq.queue.view(arena)?;
+        Ok(QueueRef { fifo, wq, sem })
     }
 }
 
@@ -513,8 +550,7 @@ impl QueueRef<'_> {
     /// (dead-peer semantics), so the caller still sees `true`.
     pub fn try_enqueue<O: OsServices>(&self, os: &O, m: Message) -> bool {
         os.charge(Cost::QueueOp);
-        let fifo = &self.wq.queue;
-        let flow = fifo.try_enqueue_elem(self.arena, m.to_words(), usipc_queue::LOCK_BUDGET);
+        let flow = self.fifo.try_enqueue_elem(m.to_words(), LOCK_BUDGET);
         let accepted = matches!(flow, EnqueueFlow::Queued | EnqueueFlow::Dropped);
         if accepted {
             os.record(ProtoEvent::Enqueue);
@@ -527,7 +563,7 @@ impl QueueRef<'_> {
     /// peer wrote is used as an offset.
     pub fn try_dequeue<O: OsServices>(&self, os: &O) -> Option<Message> {
         os.charge(Cost::QueueOp);
-        let m = Message::from_words(self.wq.queue.dequeue_elem(self.arena)?);
+        let m = Message::from_words(self.fifo.dequeue_elem()?);
         os.record(ProtoEvent::Dequeue);
         Some(m)
     }
@@ -535,7 +571,7 @@ impl QueueRef<'_> {
     /// `empty(Q)`: the cheap poll of the BSLS spin loop.
     pub fn is_empty<O: OsServices>(&self, os: &O) -> bool {
         os.charge(Cost::Poll);
-        self.wq.queue.is_empty(self.arena)
+        self.fifo.is_empty()
     }
 
     /// `Q->awake = 0` (consumer announcing it may sleep).
@@ -557,6 +593,7 @@ impl QueueRef<'_> {
     }
 
     /// The consumer's semaphore index.
+    #[inline]
     pub fn sem(&self) -> u32 {
         self.sem
     }
@@ -573,7 +610,7 @@ impl QueueRef<'_> {
     /// Current queue length (diagnostics; the overload check of the
     /// throttled server reads this).
     pub fn queued_len(&self) -> usize {
-        self.wq.queue.len(self.arena)
+        self.fifo.len()
     }
 
     // --- failure model (DESIGN.md, "Failure model") -----------------------
@@ -585,6 +622,7 @@ impl QueueRef<'_> {
 
     /// Whether the channel has been poisoned. A plain shared-memory load —
     /// no kernel entry, no virtual-time charge.
+    #[inline]
     pub fn is_poisoned(&self) -> bool {
         self.wq.fault.poison.load(Ordering::Acquire) != 0
     }
@@ -628,12 +666,12 @@ impl QueueRef<'_> {
     /// slot goes back into service and only the corpse's own message is
     /// lost.
     pub fn drain<O: OsServices>(&self, os: &O) {
-        let fifo = &self.wq.queue;
+        let fifo = self.fifo;
         loop {
             os.charge(Cost::QueueOp);
-            match fifo.dequeue_bounded(self.arena, usipc_queue::LOCK_BUDGET) {
+            match fifo.dequeue_bounded(LOCK_BUDGET) {
                 Ok(Some(_)) => os.record(ProtoEvent::Dequeue),
-                Ok(None) => match fifo.reclaim_stuck(self.arena) {
+                Ok(None) => match fifo.reclaim_stuck() {
                     // The "dead" producer published in the race window:
                     // the message is real, consumed like a dequeue.
                     RingReclaim::Recovered(_) => os.record(ProtoEvent::Dequeue),
@@ -643,7 +681,7 @@ impl QueueRef<'_> {
                 Err(usipc_queue::HeadLockBusy) => {
                     // Two-lock only: everything still queued is stranded
                     // behind the abandoned head lock. Count it, then stop.
-                    for _ in 0..fifo.len(self.arena) {
+                    for _ in 0..fifo.len() {
                         os.record(ProtoEvent::SlotLeaked);
                     }
                     return;
@@ -661,12 +699,14 @@ impl QueueRef<'_> {
     }
 
     /// Whether the consumer of this queue is still considered alive.
+    #[inline]
     pub fn consumer_alive(&self) -> bool {
         self.wq.fault.consumer_live.load(Ordering::Acquire) != 0
     }
 
     /// Consumer heartbeat: bump the epoch word (called once per receive
     /// pass; a relaxed store on an otherwise-private line).
+    #[inline]
     pub fn beat(&self) {
         self.wq.fault.heartbeat.fetch_add(1, Ordering::Relaxed);
     }
@@ -690,7 +730,7 @@ impl QueueRef<'_> {
     /// nodes, and return the committed messages' words in order
     /// ([`Message::from_words`] decodes them; they stay queued).
     pub(crate) fn fsck_fifo(&self, break_locks: bool) -> usipc_queue::FifoFsck {
-        self.wq.queue.fsck(self.arena, break_locks)
+        self.fifo.fsck(break_locks)
     }
 
     /// Whether the consumer announced intent to sleep (`awake == 0`): the

@@ -22,7 +22,7 @@ use crate::protocol::{
 };
 use core::time::Duration;
 use std::sync::Arc;
-use usipc_queue::{QueueKind, RingMode};
+use usipc_queue::{AnyShmFifo, QueueKind, RingMode};
 use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
 /// Semaphore index of the server thread serving client `c`.
@@ -71,25 +71,23 @@ impl DuplexChannel {
     pub fn create(n_clients: usize, queue_capacity: usize) -> Result<Self, ShmError> {
         assert!(n_clients >= 1);
         assert!(queue_capacity >= 2);
-        let bytes = 64 * 1024 + n_clients * queue_capacity * 400;
-        let arena = Arc::new(ShmArena::new(bytes)?);
         // One server thread per connection: both directions are SPSC. The
         // duplex ablation stays on the two-lock baseline queue.
+        const KIND: QueueKind = QueueKind::TwoLock;
+        // Allocation by allocation, as `ChannelConfig::bytes_needed` does.
+        let bytes = 2 * n_clients * AnyShmFifo::bytes_needed(queue_capacity, KIND)
+            + n_clients * core::mem::size_of::<DuplexPair>()
+            + core::mem::align_of::<DuplexPair>()
+            + core::mem::size_of::<DuplexRoot>()
+            + core::mem::align_of::<DuplexRoot>();
+        let arena = Arc::new(ShmArena::new(bytes)?);
+        let queue = || {
+            WaitableQueue::create(&arena, queue_capacity, KIND, RingMode::Spsc)
+                .expect("arena sized")
+        };
         let pairs = arena.alloc_slice(n_clients, |_| DuplexPair {
-            request: WaitableQueue::create(
-                &arena,
-                queue_capacity,
-                QueueKind::TwoLock,
-                RingMode::Spsc,
-            )
-            .expect("arena sized"),
-            reply: WaitableQueue::create(
-                &arena,
-                queue_capacity,
-                QueueKind::TwoLock,
-                RingMode::Spsc,
-            )
-            .expect("arena sized"),
+            request: queue(),
+            reply: queue(),
         })?;
         let root = arena.alloc(DuplexRoot {
             pairs,
@@ -115,18 +113,16 @@ impl DuplexChannel {
         self.root().n_clients
     }
 
-    fn request_queue(&self, c: u32) -> QueueRef<'_> {
+    /// Connection `c`'s request and reply queues, resolved per call.
+    fn queues(&self, c: u32) -> (QueueRef<'_>, QueueRef<'_>) {
         let root = self.root();
         assert!(c < root.n_clients);
         let pair = self.arena.get(root.pairs.at(c as usize));
-        QueueRef::new(&self.arena, &pair.request, duplex_server_sem(c))
-    }
-
-    fn reply_queue(&self, c: u32) -> QueueRef<'_> {
-        let root = self.root();
-        assert!(c < root.n_clients);
-        let pair = self.arena.get(root.pairs.at(c as usize));
-        QueueRef::new(&self.arena, &pair.reply, duplex_client_sem(c))
+        let view = |wq, sem| QueueRef::new(&self.arena, wq, sem).expect("duplex queue handle");
+        (
+            view(&pair.request, duplex_server_sem(c)),
+            view(&pair.reply, duplex_client_sem(c)),
+        )
     }
 
     /// Synchronous client call on connection `c` (BSW discipline with an
@@ -152,7 +148,8 @@ impl DuplexChannel {
         max_spin: u32,
         timeout: Duration,
     ) -> Result<Message, IpcError> {
-        if self.request_queue(c).is_poisoned() || self.reply_queue(c).is_poisoned() {
+        let (rq, reply) = self.queues(c);
+        if rq.is_poisoned() || reply.is_poisoned() {
             return Err(IpcError::Poisoned);
         }
         self.call_by(os, c, msg, max_spin, &Deadline::new(timeout))
@@ -168,8 +165,7 @@ impl DuplexChannel {
         deadline: &Deadline,
     ) -> Result<Message, IpcError> {
         msg.channel = c;
-        let rq = self.request_queue(c);
-        let reply = self.reply_queue(c);
+        let (rq, reply) = self.queues(c);
         enqueue_or_sleep(&rq, os, msg, deadline)?;
         rq.wake_consumer(os);
         PollLoop::new(os).pause_while(max_spin, || reply.is_empty(os));
@@ -231,8 +227,7 @@ impl DuplexChannel {
         heartbeat: Option<Duration>,
         mut handler: impl FnMut(Message) -> Message,
     ) -> (u64, Result<(), IpcError>) {
-        let rq = self.request_queue(c);
-        let reply = self.reply_queue(c);
+        let (rq, reply) = self.queues(c);
         let mut processed = 0;
         loop {
             if heartbeat.is_some() {
@@ -327,6 +322,31 @@ mod tests {
         }
         for (c, t) in servers.into_iter().enumerate() {
             assert_eq!(t.join().unwrap(), 51, "server thread {c}");
+        }
+    }
+
+    /// The arena is sized allocation by allocation: every queue of every
+    /// connection full at once fits, and little is left over.
+    #[test]
+    fn arena_sizing_covers_every_queue_full_without_gross_slack() {
+        for (n, capacity) in [(1usize, 2usize), (6, 64), (16, 256)] {
+            let ch = DuplexChannel::create(n, capacity).expect("arena sized");
+            let os = native_os(n);
+            let t = os.task(0);
+            for c in 0..n as u32 {
+                let (rq, reply) = ch.queues(c);
+                for q in [rq, reply] {
+                    for i in 0..capacity {
+                        assert!(
+                            q.try_enqueue(&t, Message::echo(c, i as f64)),
+                            "{n}x{capacity}"
+                        );
+                    }
+                    assert_eq!(q.queued_len(), capacity);
+                }
+            }
+            let (total, used) = (ch.arena.capacity(), ch.arena.used());
+            assert!(total <= 2 * used, "{n}x{capacity}: {total} B for {used} B");
         }
     }
 

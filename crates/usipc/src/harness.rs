@@ -1118,6 +1118,13 @@ pub fn run_native_fault_experiment(
     )
 }
 
+/// An injected kill unwinds (the death rites are drop guards) without the
+/// panic hook, whose backtrace can outlast a survivor's deadline.
+fn die(who: &str, at_op: u64) -> ! {
+    let last_words = format!("injected fault: {who} killed at op {at_op}");
+    std::panic::resume_unwind(Box::new(last_words))
+}
+
 /// [`run_native_fault_experiment`] with optional event tracing, so the
 /// kill → detection → poison sequence can be inspected in Perfetto (see
 /// EXPERIMENTS.md's `figures faults` walkthrough).
@@ -1149,7 +1156,7 @@ pub fn run_native_fault_experiment_traced(
                 match plan.fire(0) {
                     Some(FaultAction::Kill) => {
                         os.record(crate::metrics::ProtoEvent::FaultInjected);
-                        panic!("injected fault: server killed at op {}", plan.at_op)
+                        die("server", plan.at_op)
                     }
                     Some(FaultAction::DelayNanos(ns)) => {
                         os.record(crate::metrics::ProtoEvent::FaultInjected);
@@ -1176,7 +1183,7 @@ pub fn run_native_fault_experiment_traced(
                     match plan.fire(1 + c) {
                         Some(FaultAction::Kill) => {
                             os.record(crate::metrics::ProtoEvent::FaultInjected);
-                            panic!("injected fault: client {c} killed at op {}", plan.at_op)
+                            die(&format!("client {c}"), plan.at_op)
                         }
                         Some(FaultAction::DelayNanos(ns)) => {
                             os.record(crate::metrics::ProtoEvent::FaultInjected);
@@ -1490,7 +1497,7 @@ mod proc_harness {
                 os.arm_flight(f);
             }
         }
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
+        let ch = Channel::from_root(Arc::clone(&arena), pr.channel).expect("parent's root");
         let task = os.task(1 + c);
         let writer = plane
             .as_ref()
@@ -2315,7 +2322,7 @@ mod proc_harness {
             // under the successor's generation.
             pr.prober_go.p();
         }
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
+        let ch = Channel::from_root(Arc::clone(&arena), pr.channel).expect("parent's root");
         let ep = ch.client(&task, c, strategy);
         // Storm victims barrage forever; the parent's SIGKILL is their
         // only exit, so the kill provably lands mid-conversation.
@@ -2384,7 +2391,7 @@ mod proc_harness {
             Arc::clone(&arena),
             pr.sems,
         );
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
+        let ch = Channel::from_root(Arc::clone(&arena), pr.channel).expect("parent's root");
         let task = os.task(0);
         let kill_site = pr.kill_site;
         let mut served = 0u64;
@@ -2824,7 +2831,7 @@ mod proc_harness {
             Arc::clone(&arena),
             pr.sems,
         );
-        let ch = Channel::from_root(Arc::clone(&arena), pr.channel);
+        let ch = Channel::from_root(Arc::clone(&arena), pr.channel).expect("parent's root");
         if fsck {
             let _ = crate::recover::take_over(&ch, &os.task(0));
         } else {
@@ -3059,7 +3066,7 @@ mod proc_harness {
 
         // A handle stamped under the dead generation, for the staleness
         // probe below.
-        let stale_ch = Channel::from_root(Arc::clone(&arena), pr.channel);
+        let stale_ch = Channel::from_root(Arc::clone(&arena), pr.channel).expect("parent's root");
 
         // The successor: bump + fsck + re-arm + serve, on its own thread
         // so the parent can probe staleness and orchestrate the pinned

@@ -86,7 +86,7 @@ pub struct QueueReport {
     /// Committed messages that survived, left queued for the successor.
     pub committed: u32,
     /// Repairs performed by the FIFO-level fsck
-    /// ([`AnyShmFifo::fsck`](usipc_queue::AnyShmFifo::fsck)).
+    /// ([`FifoView::fsck`](usipc_queue::FifoView::fsck)).
     pub structural_repairs: u32,
     /// Ring slots retired out of dead producers'/consumers' stranded
     /// tickets (a subset of `structural_repairs`).

@@ -860,8 +860,17 @@ mod tests {
             })
         };
         let reader_plane = TelemetryPlane::attach(w.plane.arena()).unwrap();
-        let mut consistent_reads = 0u64;
-        for _ in 0..2_000 {
+        // Read until enough *distinct* generations have come back whole —
+        // a fixed number of reads can be over before the freshly spawned
+        // writer has published twice — and at least as often as before.
+        const GENERATIONS: u64 = 16;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let (mut reads, mut consistent_reads) = (0u64, 0u64);
+        let (mut generations_seen, mut last_seen) = (0u64, 0u64);
+        while (reads < 2_000 || generations_seen < GENERATIONS)
+            && std::time::Instant::now() < deadline
+        {
+            reads += 1;
             let Some(r) = reader_plane.read(0) else {
                 continue; // seqlock starved this attempt: allowed, not torn
             };
@@ -878,11 +887,18 @@ mod tests {
                 );
             }
             consistent_reads += 1;
+            if g != last_seen {
+                (generations_seen, last_seen) = (generations_seen + 1, g);
+            }
         }
         stop.store(true, Ordering::Release);
         let gens = writer.join().unwrap();
         assert!(gens > 1, "writer made progress");
         assert!(consistent_reads > 0, "reader starved completely");
+        assert!(
+            generations_seen >= GENERATIONS,
+            "only {generations_seen} generations read whole in {reads} reads before the deadline"
+        );
     }
 
     #[test]

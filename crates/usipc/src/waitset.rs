@@ -156,12 +156,15 @@ impl WaitSetRoot {
 }
 
 /// A resolved view of a [`WaitSetRoot`]: the handle producers notify and
-/// the waiter waits on. Cheap to build, `Copy`-free but borrow-only —
-/// mirrors [`QueueRef`](crate::QueueRef).
+/// the waiter waits on. A `Copy` borrow validated once, at [`Self::attach`],
+/// with its own copies of the source count and the doorbell index.
+#[derive(Debug, Clone, Copy)]
 pub struct WaitSet<'a> {
     root: &'a WaitSetRoot,
     /// The ready bitmap, resolved (and bounds-checked) once at attach.
     words: &'a [AtomicU64],
+    n_sources: usize,
+    doorbell_sem: u32,
 }
 
 impl<'a> WaitSet<'a> {
@@ -188,17 +191,20 @@ impl<'a> WaitSet<'a> {
         WaitSet {
             root,
             words: &words[..n_words],
+            n_sources: root.n_sources as usize,
+            doorbell_sem: root.doorbell_sem,
         }
     }
 
     /// Number of sources.
+    #[inline]
     pub fn n_sources(&self) -> usize {
-        self.root.n_sources as usize
+        self.n_sources
     }
 
     /// The doorbell's platform semaphore index.
     pub fn doorbell_sem(&self) -> u32 {
-        self.root.doorbell_sem
+        self.doorbell_sem
     }
 
     /// The ready word holding `source`'s bit, and that bit's mask.
@@ -231,7 +237,7 @@ impl<'a> WaitSet<'a> {
             os.charge(Cost::Tas);
             if self.root.pending.swap(1, Ordering::SeqCst) == 0 {
                 os.record(ProtoEvent::DoorbellRung);
-                os.sem_v(self.root.doorbell_sem);
+                os.sem_v(self.doorbell_sem);
                 return;
             }
         }
@@ -248,6 +254,7 @@ impl<'a> WaitSet<'a> {
     /// owns that source's backlog and must drain it (a message enqueued
     /// *after* the claim re-raises the bit via its own `notify`, so
     /// nothing is lost).
+    #[inline]
     pub fn poll(&self, cursor: &mut usize) -> Option<usize> {
         let n = self.n_sources();
         let start = if *cursor < n { *cursor } else { 0 };
@@ -302,7 +309,7 @@ impl<'a> WaitSet<'a> {
         // each is either the live cycle's single credit (re-posted below)
         // or a stray that would cost the successor a spurious wake.
         let mut banked = 0u32;
-        while os.sem_p_deadline(self.root.doorbell_sem, Duration::ZERO) {
+        while os.sem_p_deadline(self.doorbell_sem, Duration::ZERO) {
             banked += 1;
         }
         let mut any_ready = false;
@@ -333,7 +340,7 @@ impl<'a> WaitSet<'a> {
             r.doorbell_rung = true; // a wake cycle had no credit banked
         }
         if needed > 0 {
-            os.sem_v(self.root.doorbell_sem);
+            os.sem_v(self.doorbell_sem);
         }
         r.credits_absorbed = banked.saturating_sub(needed);
         for _ in 0..r.credits_absorbed {
@@ -374,7 +381,7 @@ impl<'a> WaitSet<'a> {
             };
             os.record(ProtoEvent::BlockEntered);
             os.trace(TracePoint::Begin(Span::Block));
-            let taken = left.sem_p(os, self.root.doorbell_sem);
+            let taken = left.sem_p(os, self.doorbell_sem);
             os.trace(TracePoint::End(Span::Block));
             if taken {
                 os.record(ProtoEvent::WaitSetWake);
@@ -485,9 +492,11 @@ fn shard_of(client: u32, n_shards: usize) -> usize {
 #[derive(Debug)]
 pub struct ShardedServer {
     cfg: ShardedConfig,
-    /// Control arena holding the per-shard [`WaitSetRoot`]s.
-    control: Arc<ShmArena>,
-    waitsets: Vec<ShmPtr<WaitSetRoot>>,
+    /// Control arena holding the [`WaitSetRoot`]s, kept mapped for `waitsets`.
+    _control: Arc<ShmArena>,
+    /// Each shard's WaitSet, attached once. `'static` stands for "while
+    /// `_control` is mapped": see [`Self::create`].
+    waitsets: Vec<WaitSet<'static>>,
     /// One single-client channel per client.
     channels: Vec<Channel>,
     /// Shard → member client ids (slot order = WaitSet source order).
@@ -522,10 +531,15 @@ impl ShardedServer {
             .map(|m| WaitSetRoot::bytes_needed(m.len().max(1)))
             .sum();
         let control = Arc::new(ShmArena::new(control_bytes)?);
-        let waitsets = members
-            .iter()
-            .enumerate()
-            .map(|(s, m)| WaitSetRoot::create_in(&control, m.len().max(1), s as u32))
+        // SAFETY: the one lifetime erasure behind `waitsets`, as in
+        // `Channel::from_root`: the `_control` field keeps the `ShmArena`
+        // in the `Arc` allocation alive (segment mapped, base fixed) while
+        // this `ShardedServer` exists; what is resolved through it is stored
+        // only in `waitsets` and leaves only at `&self`'s lifetime.
+        let mapped: &'static ShmArena = unsafe { &*Arc::as_ptr(&control) };
+        let waitsets = (members.iter().enumerate())
+            .map(|(s, m)| WaitSetRoot::create_in(mapped, m.len().max(1), s as u32))
+            .map(|root| root.map(|r| WaitSet::attach(mapped, r)))
             .collect::<Result<Vec<_>, _>>()?;
         let channels = (0..cfg.n_clients)
             .map(|c| {
@@ -539,7 +553,7 @@ impl ShardedServer {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardedServer {
             cfg,
-            control,
+            _control: control,
             waitsets,
             channels,
             members,
@@ -557,8 +571,9 @@ impl ShardedServer {
     /// # Panics
     ///
     /// If `s` is out of range.
+    #[inline]
     pub fn waitset(&self, s: usize) -> WaitSet<'_> {
-        WaitSet::attach(&self.control, self.waitsets[s])
+        self.waitsets[s]
     }
 
     /// Client `c`'s private channel (diagnostics / custom protocols).
@@ -566,6 +581,7 @@ impl ShardedServer {
     /// # Panics
     ///
     /// If `c` is out of range.
+    #[inline]
     pub fn channel(&self, c: u32) -> &Channel {
         &self.channels[c as usize]
     }

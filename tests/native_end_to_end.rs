@@ -297,9 +297,12 @@ fn attach_finds_the_channel_through_the_published_root() {
     let got = attached.receive_queue().try_dequeue(&t).unwrap();
     assert_eq!(got.value, 3.5);
 
-    // An arena without a published root yields None.
+    // An arena without a published root is refused.
     let empty = Arc::new(usipc_shm::ShmArena::new(4096).unwrap());
-    assert!(Channel::attach(empty).is_none());
+    assert_eq!(
+        Channel::attach(empty).err(),
+        Some(usipc_shm::ShmError::BadSegment)
+    );
 }
 
 #[test]

@@ -58,19 +58,20 @@ fn random_ops(rng: &mut Rng) -> Vec<Op> {
         .collect()
 }
 
-/// Runs an op sequence against both a real queue — through [`AnyShmFifo`],
-/// the handle every channel holds its queues by — and a VecDeque model
-/// with the same capacity; every observation must match.
+/// Runs an op sequence against both a real queue — through the view of an
+/// [`AnyShmFifo`], which every channel runs its queues on — and a VecDeque
+/// model with the same capacity; every observation must match.
 fn check_against_model(kind: QueueKind, mode: RingMode, capacity: usize, ops: &[Op]) {
     let arena = ShmArena::new(1 << 21).unwrap();
     let q = AnyShmFifo::create(&arena, capacity, kind, mode).unwrap();
+    let q = q.view(&arena).unwrap();
     let mut model: VecDeque<Elem> = VecDeque::new();
     // Ring capacities may round up; learn the effective capacity lazily.
     let mut effective_cap = None;
     for &op in ops {
         match op {
             Op::Enqueue(v) => {
-                let flow = q.try_enqueue_elem(&arena, v, LOCK_BUDGET);
+                let flow = q.try_enqueue_elem(v, LOCK_BUDGET);
                 assert!(
                     matches!(flow, EnqueueFlow::Queued | EnqueueFlow::Full),
                     "single-threaded enqueue met a fault outcome: {flow:?}"
@@ -93,21 +94,17 @@ fn check_against_model(kind: QueueKind, mode: RingMode, capacity: usize, ops: &[
                 }
             }
             Op::Dequeue => {
-                assert_eq!(
-                    q.dequeue_elem(&arena),
-                    model.pop_front(),
-                    "FIFO order differs"
-                );
+                assert_eq!(q.dequeue_elem(), model.pop_front(), "FIFO order differs");
             }
         }
-        assert_eq!(q.len(&arena), model.len(), "length diverged");
-        assert_eq!(q.is_empty(&arena), model.is_empty());
+        assert_eq!(q.len(), model.len(), "length diverged");
+        assert_eq!(q.is_empty(), model.is_empty());
     }
     // Drain and compare the tails.
     while let Some(expect) = model.pop_front() {
-        assert_eq!(q.dequeue_elem(&arena), Some(expect));
+        assert_eq!(q.dequeue_elem(), Some(expect));
     }
-    assert_eq!(q.dequeue_elem(&arena), None);
+    assert_eq!(q.dequeue_elem(), None);
 }
 
 /// 64 random (capacity, op-sequence) cases against the model.
@@ -179,13 +176,12 @@ fn no_torn_message_between_two_threads() {
         for capacity in [2usize, 4] {
             let arena = ShmArena::new(1 << 16).unwrap();
             let q = AnyShmFifo::create(&arena, capacity, kind, mode).unwrap();
+            let q = q.view(&arena).unwrap();
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let mut misses = 0;
                     for i in 0..n {
-                        while q.try_enqueue_elem(&arena, elem(i), LOCK_BUDGET)
-                            != EnqueueFlow::Queued
-                        {
+                        while q.try_enqueue_elem(elem(i), LOCK_BUDGET) != EnqueueFlow::Queued {
                             pause(&mut misses);
                         }
                     }
@@ -195,7 +191,7 @@ fn no_torn_message_between_two_threads() {
                 let (mut misses, mut first_bad) = (0, None);
                 for i in 0..n {
                     let got = loop {
-                        match q.dequeue_elem(&arena) {
+                        match q.dequeue_elem() {
                             Some(e) => break e,
                             None => pause(&mut misses),
                         }
@@ -209,7 +205,7 @@ fn no_torn_message_between_two_threads() {
                     "{kind:?}/{mode:?} capacity {capacity}: (index, element) torn or out of order"
                 );
             });
-            assert_eq!(q.dequeue_elem(&arena), None);
+            assert_eq!(q.dequeue_elem(), None);
         }
     }
 }
