@@ -6,9 +6,9 @@
 //! semaphores. Absolute numbers are host-specific; the interesting output
 //! is the *ordering* of the strategies and the SysV-style baseline.
 
-use usipc::harness::{run_native_experiment, Mechanism};
 use usipc::WaitStrategy;
 use usipc_bench::minibench::Minibench;
+use usipc_lab::{Mechanism, NativeExperiment};
 
 const MSGS: u64 = 2_000;
 
@@ -29,7 +29,7 @@ fn roundtrips(mb: &mut Minibench) {
     ];
     for (name, mech) in cases {
         g.bench_function(name, || {
-            run_native_experiment(mech, 1, MSGS);
+            NativeExperiment::new(mech).clients(1).messages(MSGS).run();
         });
     }
 }
@@ -47,7 +47,10 @@ fn multi_client(mb: &mut Minibench) {
         ("SysV", Mechanism::SysV),
     ] {
         g.bench_function(name, || {
-            run_native_experiment(mech, 4, MSGS / 4);
+            NativeExperiment::new(mech)
+                .clients(4)
+                .messages(MSGS / 4)
+                .run();
         });
     }
 }

@@ -12,7 +12,7 @@
 
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
-use usipc::harness::run_async_sim_experiment;
+use usipc_lab::run_async_sim_experiment;
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {

@@ -64,10 +64,8 @@ mod imp {
     use super::{ExperimentOutput, RecoveryRow, RunOpts, Table};
     use std::path::PathBuf;
     use std::time::Duration;
-    use usipc::harness::{
-        run_proc_relay_takeover_experiment, run_proc_storm_experiment, run_proc_takeover_experiment,
-    };
     use usipc::{QueueKind, Takeover, WaitStrategy};
+    use usipc_lab::ProcExperiment;
 
     fn row_from_takeover(
         drill: &'static str,
@@ -198,7 +196,12 @@ mod imp {
         let sites = [0, msgs / 4, (3 * msgs) / 2];
         for (queue, kind) in [("two_lock", QueueKind::TwoLock), ("ring", QueueKind::Ring)] {
             for &site in &sites {
-                let run = run_proc_takeover_experiment(strategy, 3, msgs, site, kind);
+                let run = ProcExperiment::new(strategy)
+                    .clients(3)
+                    .messages(msgs)
+                    .kill_site(site)
+                    .queue(kind)
+                    .run_takeover();
                 let retries: u64 = run.drop_retries.iter().sum();
                 rows.push(row_from_takeover(
                     "takeover",
@@ -225,7 +228,11 @@ mod imp {
         }
 
         // Drill 2: the poison cascade — mass client death, live server.
-        let storm = run_proc_storm_experiment(strategy, 6, 3, msgs, None, Duration::from_millis(5));
+        let storm = ProcExperiment::new(strategy)
+            .clients(6)
+            .messages(msgs)
+            .heartbeat(Duration::from_millis(5))
+            .run_storm(3);
         notes.push(format!(
             "storm: 3/6 clients SIGKILLed mid-barrage; server reaped {} and \
              poisoned {}/{} corpse queues, survivors finished {} echoes",
@@ -236,14 +243,12 @@ mod imp {
         ));
 
         // Drill 3: the combined storm — client corpses AND a dead server.
-        let combined = run_proc_storm_experiment(
-            strategy,
-            6,
-            2,
-            msgs,
-            Some(msgs / 8),
-            Duration::from_millis(5),
-        );
+        let combined = ProcExperiment::new(strategy)
+            .clients(6)
+            .messages(msgs)
+            .kill_site(msgs / 8)
+            .heartbeat(Duration::from_millis(5))
+            .run_storm(2);
         let tk = combined
             .takeover
             .as_ref()
@@ -270,7 +275,11 @@ mod imp {
 
         // Drill 4: kill during recovery, both windows.
         for (fsck_first, drill) in [(false, "relay-bump"), (true, "relay-fsck")] {
-            let run = run_proc_relay_takeover_experiment(strategy, 3, msgs, msgs / 10, fsck_first);
+            let run = ProcExperiment::new(strategy)
+                .clients(3)
+                .messages(msgs)
+                .kill_site(msgs / 10)
+                .run_relay(fsck_first);
             let retries: u64 = run.drop_retries.iter().sum();
             rows.push(row_from_takeover(
                 drill,

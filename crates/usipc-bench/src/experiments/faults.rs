@@ -30,13 +30,10 @@ use crate::table::Table;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use usipc::harness::{
-    run_native_deadline_experiment, run_native_experiment, run_native_fault_experiment_traced,
-    Mechanism,
-};
 use usipc::metrics::LatencyHistogram;
 use usipc::scenarios::{FaultScenario, PeerDeathScenario};
 use usipc::{FaultPlan, WaitStrategy};
+use usipc_lab::{Mechanism, NativeExperiment};
 use usipc_sim::Explorer;
 
 /// Interleaved repetitions per path; each path keeps its best p50.
@@ -88,8 +85,15 @@ fn measure_overhead(name: &'static str, strategy: WaitStrategy, msgs: u64) -> Ov
     let mut inf_sem = 0.0;
     let mut dl_sem = 0.0;
     for _ in 0..REPS {
-        let a = run_native_experiment(Mechanism::UserLevel(strategy), 1, msgs);
-        let b = run_native_deadline_experiment(strategy, 1, msgs, HEARTBEAT, DEADLINE);
+        let a = NativeExperiment::new(Mechanism::UserLevel(strategy))
+            .clients(1)
+            .messages(msgs)
+            .run();
+        let b = NativeExperiment::new(Mechanism::UserLevel(strategy))
+            .clients(1)
+            .messages(msgs)
+            .deadline(HEARTBEAT, DEADLINE)
+            .run();
         let rt = (msgs + 1) as f64; // echoes + the disconnect
         let p = bucketed_p50_us(&a.client_samples);
         if p < inf_p50 {
@@ -332,15 +336,12 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
     // reply under tracing, so the kill → detection → poison → PeerDead
     // sequence is inspectable in Perfetto (EXPERIMENTS.md walks it).
     let plan = Arc::new(FaultPlan::kill(0, 1));
-    let ft = run_native_fault_experiment_traced(
-        WaitStrategy::Bsw,
-        1,
-        4,
-        plan,
-        Duration::from_millis(30),
-        Duration::from_millis(500),
-        Some(16 * 1024),
-    );
+    let ft = NativeExperiment::new(Mechanism::UserLevel(WaitStrategy::Bsw))
+        .clients(1)
+        .messages(4)
+        .deadline(Duration::from_millis(30), Duration::from_millis(500))
+        .trace(16 * 1024)
+        .run_with_fault(plan);
     let tpath = dir.join("trace_fault_peerdeath.trace.json");
     match ft
         .trace

@@ -12,8 +12,8 @@
 //! low end densely and 20 as the paper's operating point.
 
 use super::{client_range, throughput_table, Column, ExperimentOutput, RunOpts};
-use usipc::harness::Mechanism;
 use usipc::WaitStrategy;
+use usipc_lab::Mechanism;
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {

@@ -7,8 +7,8 @@
 //! the server, pushing more clients over their spin budgets.
 
 use super::{throughput_table, Column, ExperimentOutput, RunOpts};
-use usipc::harness::Mechanism;
 use usipc::WaitStrategy;
+use usipc_lab::Mechanism;
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {

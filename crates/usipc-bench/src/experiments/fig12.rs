@@ -9,8 +9,8 @@
 //! of ~120 µs, which the notes verify as a latency probe.
 
 use super::{client_range, throughput_table, Column, ExperimentOutput, RunOpts};
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::WaitStrategy;
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
@@ -42,7 +42,7 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
         )
         .clients(1)
         .messages(200);
-        run_sim_experiment(&exp).latency_us
+        exp.run().latency_us
     };
     let stock = latency(PolicyKind::linux_old_default());
     let modified = latency(PolicyKind::LinuxMod);

@@ -7,8 +7,8 @@
 //! below BSS on both (≥1.5× on the SGI, ≥1.8× on the IBM at one client).
 
 use super::{client_range, throughput_table, Column, ExperimentOutput, RunOpts};
-use usipc::harness::Mechanism;
 use usipc::WaitStrategy;
+use usipc_lab::Mechanism;
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {

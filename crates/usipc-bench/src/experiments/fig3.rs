@@ -4,8 +4,8 @@
 //! SGIs, and 30% on the IBMs" relative to the default schedulers.
 
 use super::{client_range, throughput_table, Column, ExperimentOutput, RunOpts};
-use usipc::harness::Mechanism;
 use usipc::WaitStrategy;
+use usipc_lab::Mechanism;
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {

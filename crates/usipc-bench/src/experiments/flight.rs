@@ -23,16 +23,15 @@ use crate::table::Table;
 pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
     use std::path::PathBuf;
     use std::time::Duration;
-    use usipc::harness::run_proc_kill_experiment;
     use usipc::WaitStrategy;
+    use usipc_lab::ProcExperiment;
 
     let clients = 3;
-    let res = run_proc_kill_experiment(
-        WaitStrategy::Bsw,
-        clients,
-        opts.msgs_per_client,
-        Duration::from_millis(5),
-    );
+    let res = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(clients)
+        .messages(opts.msgs_per_client)
+        .heartbeat(Duration::from_millis(5))
+        .run_kill();
     let dump = res
         .flight_dump
         .expect("peer death must trigger a flight dump");

@@ -16,8 +16,8 @@
 
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
-use usipc::harness::{run_mixed_sim_experiment, Mechanism};
 use usipc::WaitStrategy;
+use usipc_lab::{run_mixed_sim_experiment, Mechanism};
 use usipc_sim::{MachineModel, PolicyKind, VDur};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {

@@ -14,8 +14,8 @@
 //! paper's IRIX — and the experiment shows why.
 
 use super::{client_range, throughput_table, Column, ExperimentOutput, RunOpts};
-use usipc::harness::Mechanism;
 use usipc::WaitStrategy;
+use usipc_lab::Mechanism;
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {

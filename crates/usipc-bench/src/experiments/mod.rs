@@ -23,7 +23,7 @@ mod throttle;
 mod tracecmp;
 
 use crate::table::Table;
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 /// Output of one experiment: tables plus free-form observations.
@@ -187,7 +187,7 @@ pub(crate) fn throughput_table(
                 let exp = SimExperiment::new(machine.clone(), c.policy, c.mechanism)
                     .clients(n)
                     .messages(msgs);
-                run_sim_experiment(&exp).throughput
+                exp.run().throughput
             })
             .collect();
         t.push_row(n as f64, cells);

@@ -3,32 +3,30 @@
 
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::WaitStrategy;
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
-fn bss(clients: usize, msgs: u64) -> usipc::harness::SimExperimentResult {
-    run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::UserLevel(WaitStrategy::Bss),
-        )
-        .clients(clients)
-        .messages(msgs),
+fn bss(clients: usize, msgs: u64) -> usipc_lab::SimExperimentResult {
+    SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::UserLevel(WaitStrategy::Bss),
     )
+    .clients(clients)
+    .messages(msgs)
+    .run()
 }
 
-fn bsls(clients: usize, msgs: u64, max_spin: u32) -> usipc::harness::SimExperimentResult {
-    run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::UserLevel(WaitStrategy::Bsls { max_spin }),
-        )
-        .clients(clients)
-        .messages(msgs),
+fn bsls(clients: usize, msgs: u64, max_spin: u32) -> usipc_lab::SimExperimentResult {
+    SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::UserLevel(WaitStrategy::Bsls { max_spin }),
     )
+    .clients(clients)
+    .messages(msgs)
+    .run()
 }
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
@@ -85,15 +83,14 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
     );
 
     // Claim 7 (§3.1): BSW needs ~4 semaphore calls per round trip.
-    let r7 = run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::UserLevel(WaitStrategy::Bsw),
-        )
-        .clients(1)
-        .messages(msgs),
-    );
+    let r7 = SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::UserLevel(WaitStrategy::Bsw),
+    )
+    .clients(1)
+    .messages(msgs)
+    .run();
     let client = &r7.report.task("client0").unwrap().stats;
     let server = &r7.report.task("server").unwrap().stats;
     let sem_calls =

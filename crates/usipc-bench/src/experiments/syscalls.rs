@@ -12,9 +12,9 @@
 
 use super::{client_range, Column, ExperimentOutput, RunOpts};
 use crate::table::Table;
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::metrics::MetricsSnapshot;
 use usipc::WaitStrategy;
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind, VDur};
 
 fn columns() -> Vec<Column> {
@@ -51,7 +51,7 @@ fn measure(machine: &MachineModel, col: &Column, n: usize, msgs: u64) -> Cell {
         // Nonzero service jitter so BSLS sees realistic fall-through rates
         // (a zero-variance echo is exactly the regime §4.2 warns about).
         .jitter(VDur::micros(20));
-    let r = run_sim_experiment(&exp);
+    let r = exp.run();
     Cell {
         total: r.server_metrics.add(&r.client_metrics),
         client: r.client_metrics,

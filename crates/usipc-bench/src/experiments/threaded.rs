@@ -10,8 +10,8 @@
 
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
-use usipc::harness::{run_duplex_sim_experiment, run_sim_experiment, Mechanism, SimExperiment};
 use usipc::WaitStrategy;
+use usipc_lab::{run_duplex_sim_experiment, Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
@@ -29,25 +29,23 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
         ],
     );
     for &n in &clients {
-        let single = run_sim_experiment(
-            &SimExperiment::new(
-                machine.clone(),
-                policy,
-                Mechanism::UserLevel(WaitStrategy::Bsls { max_spin: 10 }),
-            )
-            .clients(n)
-            .messages(opts.msgs_per_client),
-        );
+        let single = SimExperiment::new(
+            machine.clone(),
+            policy,
+            Mechanism::UserLevel(WaitStrategy::Bsls { max_spin: 10 }),
+        )
+        .clients(n)
+        .messages(opts.msgs_per_client)
+        .run();
         let duplex = run_duplex_sim_experiment(&machine, policy, n, opts.msgs_per_client, 10);
-        let bss = run_sim_experiment(
-            &SimExperiment::new(
-                machine.clone(),
-                policy,
-                Mechanism::UserLevel(WaitStrategy::Bss),
-            )
-            .clients(n)
-            .messages(opts.msgs_per_client),
-        );
+        let bss = SimExperiment::new(
+            machine.clone(),
+            policy,
+            Mechanism::UserLevel(WaitStrategy::Bss),
+        )
+        .clients(n)
+        .messages(opts.msgs_per_client)
+        .run();
         t.push_row(
             n as f64,
             vec![single.throughput, duplex.throughput, bss.throughput],

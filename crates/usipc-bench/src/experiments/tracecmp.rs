@@ -18,9 +18,9 @@
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
 use std::path::Path;
-use usipc::harness::{run_native_experiment_traced, run_sim_experiment, Mechanism, SimExperiment};
 use usipc::trace::UnifiedTrace;
 use usipc::WaitStrategy;
+use usipc_lab::{Mechanism, NativeExperiment, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 /// Per-task ring capacity: generous for a short barrage, small enough that
@@ -99,15 +99,18 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
     let mut notes = Vec::new();
     for (i, (name, strategy)) in protocols().into_iter().enumerate() {
         let mech = Mechanism::UserLevel(strategy);
-        let sim = run_sim_experiment(
-            &SimExperiment::new(machine.clone(), policy, mech)
-                .messages(msgs)
-                .trace(RING_CAPACITY),
-        );
+        let sim = SimExperiment::new(machine.clone(), policy, mech)
+            .messages(msgs)
+            .trace(RING_CAPACITY)
+            .run();
         let sim_trace = sim.trace.expect("tracing was enabled");
         let (sr, sd) = export(&dir, name, "sim", &sim_trace, &mut notes);
 
-        let native = run_native_experiment_traced(mech, 1, msgs, Some(RING_CAPACITY));
+        let native = NativeExperiment::new(mech)
+            .clients(1)
+            .messages(msgs)
+            .trace(RING_CAPACITY)
+            .run();
         let native_trace = native.trace.expect("tracing was enabled");
         let (nr, nd) = export(&dir, name, "native", &native_trace, &mut notes);
 

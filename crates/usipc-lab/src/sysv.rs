@@ -4,28 +4,18 @@
 //! lower-bound on acceptable user-level IPC performance" (§2.2). Four
 //! system calls per round trip: the client's `msgsnd`/`msgrcv` pair and the
 //! server's `msgrcv`/`msgsnd` pair. Queue indices follow the conventions of
-//! [`platform`](crate::platform): queue 0 carries requests, queue `1 + c`
+//! [`platform`](usipc::platform): queue 0 carries requests, queue `1 + c`
 //! carries client `c`'s replies.
 
-use crate::metrics::ProtoEvent;
-use crate::msg::{opcode, Message};
-use crate::platform::{sysv_reply_q, sysv_request_q, Cost, OsServices};
+use usipc::metrics::ProtoEvent;
+use usipc::platform::{sysv_reply_q, sysv_request_q, Cost, OsServices};
+use usipc::{opcode, Message};
 
 /// Synchronous client call over the kernel queues.
 pub fn sysv_call<O: OsServices>(os: &O, client: u32, mut msg: Message) -> Message {
     msg.channel = client;
     os.msgsnd(sysv_request_q(), msg.to_kmsg());
     Message::from_kmsg(os.msgrcv(sysv_reply_q(client)))
-}
-
-/// Convenience: ECHO round trip over the kernel queues.
-pub fn sysv_echo<O: OsServices>(os: &O, client: u32, value: f64) -> f64 {
-    sysv_call(os, client, Message::echo(client, value)).value
-}
-
-/// Sends the disconnect request and waits for the final reply.
-pub fn sysv_disconnect<O: OsServices>(os: &O, client: u32) {
-    let _ = sysv_call(os, client, Message::disconnect(client));
 }
 
 /// Statistics from one SysV server run.
@@ -67,9 +57,4 @@ pub fn run_sysv_server<O: OsServices>(
         os.msgsnd(sysv_reply_q(m.channel), ans.to_kmsg());
     }
     run
-}
-
-/// The echo server over kernel queues (the Fig. 2 baseline workload).
-pub fn run_sysv_echo_server<O: OsServices>(os: &O, n_clients: u32) -> SysvRun {
-    run_sysv_server(os, n_clients, |m| m)
 }

@@ -392,7 +392,9 @@ impl Engine {
                 break;
             };
             if ev.at > self.time_limit {
-                timed_out = true;
+                // Everyone exited and only a stale `SemTimeout` (a timed `P`
+                // satisfied early) lies beyond the limit: that run completed.
+                timed_out = self.live != 0;
                 break;
             }
             self.now = ev.at;

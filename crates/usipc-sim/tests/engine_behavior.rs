@@ -240,6 +240,35 @@ fn time_limit_stops_runaway_spinners() {
     assert_eq!(r.outcome, Outcome::TimeLimit);
 }
 
+/// A run whose tasks have all exited is `Completed` even if a timed `P`
+/// that was satisfied early left its `SemTimeout` event beyond the limit
+/// (the engine used to pop that stale event, see it past the limit, and
+/// report `TimeLimit` without looking at who was still alive).
+#[test]
+fn completed_run_with_a_stale_timeout_past_the_limit_is_completed() {
+    let mut b = SimBuilder::new(quiet_machine(), PolicyKind::FairRr.build());
+    // Between the last exit (≈ 1 ms) and the stale timeout (100 ms).
+    b.time_limit(VDur::millis(50));
+    let sem = b.add_sem(0);
+    b.spawn("waiter", move |sys| {
+        assert!(
+            sys.sem_p_timeout(sem, VDur::millis(100)),
+            "the V came first"
+        );
+    });
+    b.spawn("waker", move |sys| {
+        sys.work(VDur::millis(1));
+        sys.sem_v(sem);
+    });
+    let r = b.run();
+    assert_eq!(r.outcome, Outcome::Completed);
+    assert!(
+        r.end_time < VTime::ZERO + VDur::millis(50),
+        "{:?}",
+        r.end_time
+    );
+}
+
 #[test]
 fn task_panic_is_captured() {
     let mut b = SimBuilder::new(quiet_machine(), PolicyKind::FairRr.build());

@@ -736,7 +736,7 @@ impl QueueRef<'_> {
     /// Whether the consumer announced intent to sleep (`awake == 0`): the
     /// recovery-time signature of a client parked mid-call. A raw load —
     /// no cost charge, because fsck runs outside any protocol.
-    pub(crate) fn awake_down(&self) -> bool {
+    pub fn awake_down(&self) -> bool {
         self.wq.awake.load(Ordering::Acquire) == 0
     }
 

@@ -14,8 +14,9 @@
 //! * **BSLS** (Both Sides Limited Spin, Fig. 9) — bounded polling before
 //!   blocking,
 //!
-//! plus the paper's proposed **`handoff` system call** (§6) and the
-//! **System V message queue** baseline it is measured against.
+//! plus the paper's proposed **`handoff` system call** (§6). The **System V
+//! message queue** baseline it is measured against, and the workloads that
+//! measure it, live in the `usipc-lab` crate — not in the library.
 //!
 //! Protocols are written once against the [`OsServices`] trait and run on
 //! two backends: [`NativeOs`] (real threads — the library a user adopts)
@@ -55,7 +56,6 @@ mod bulk;
 mod channel;
 mod duplex;
 pub mod fault;
-pub mod harness;
 pub mod metrics;
 mod msg;
 mod native;
@@ -71,7 +71,6 @@ pub mod scenarios;
 pub mod sem;
 mod server;
 mod simulated;
-pub mod sysv;
 pub mod telemetry;
 pub mod trace;
 pub mod waitset;

@@ -15,12 +15,8 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use usipc::harness::{
-    run_proc_experiment, run_proc_experiment_pinned, run_proc_kill_experiment,
-    run_proc_relay_takeover_experiment, run_proc_storm_experiment, run_proc_takeover_experiment,
-    run_proc_takeover_pinned_experiment, ProcTakeoverResult,
-};
 use usipc::{ChildProc, CountingSem, ExitStatus, IpcError, QueueKind, WaitStrategy};
+use usipc_lab::{ProcExperiment, ProcTakeoverResult};
 use usipc_queue::{RingMode, RingReclaim, ShmQueue, ShmRing};
 use usipc_shm::ShmArena;
 
@@ -105,7 +101,10 @@ fn two_process_echo_per_protocol() {
         WaitStrategy::HandoffBswy,
     ];
     for strategy in strategies {
-        let run = run_proc_experiment(strategy, 1, MSGS);
+        let run = ProcExperiment::new(strategy)
+            .clients(1)
+            .messages(MSGS)
+            .run();
         assert_eq!(run.messages, MSGS, "{strategy:?}");
         assert!(
             run.exits.iter().all(|e| e.success()),
@@ -145,7 +144,10 @@ fn two_process_echo_per_protocol() {
 
     // Multi-client sanity: three children share the segment and the
     // server; everyone completes and every sample comes home.
-    let run = run_proc_experiment(WaitStrategy::Bsw, 3, MSGS);
+    let run = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(3)
+        .messages(MSGS)
+        .run();
     assert_eq!(run.messages, 3 * MSGS);
     assert_eq!(run.server_run.disconnects, 3);
     assert_eq!(run.client_samples.len(), run.messages as usize);
@@ -165,7 +167,11 @@ fn bsw_is_exactly_four_sem_ops_per_rt_uniprocessor() {
     let mut best = 0u64;
     let rt = MSGS + 1;
     for attempt in 0..5 {
-        let run = run_proc_experiment_pinned(WaitStrategy::Bsw, 1, MSGS, 0);
+        let run = ProcExperiment::new(WaitStrategy::Bsw)
+            .clients(1)
+            .messages(MSGS)
+            .pinned(0)
+            .run();
         let total = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         assert!(
             total <= 4 * rt,
@@ -334,7 +340,11 @@ fn shared_futex_v_racing_timeout_across_fork() {
 /// feeds it into the failure model, the resilient server reaps the
 /// victim and poisons its reply queue, and the survivors finish clean.
 fn killed_child_is_detected_reaped_and_poisoned() {
-    let run = run_proc_kill_experiment(WaitStrategy::Bsw, 3, MSGS, Duration::from_millis(5));
+    let run = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(3)
+        .messages(MSGS)
+        .heartbeat(Duration::from_millis(5))
+        .run_kill();
     assert_eq!(run.victim_exit, ExitStatus::Signaled(9));
     assert!(
         run.victim_progress >= 50,
@@ -745,8 +755,12 @@ fn check_takeover(run: &ProcTakeoverResult, site: u64, n: u64, active: u64) {
 /// the survivors alongside the dropped window.
 fn takeover_drill_two_lock() {
     for site in [0u64, 7, 23] {
-        let run =
-            run_proc_takeover_experiment(WaitStrategy::Bsw, 3, MSGS, site, QueueKind::TwoLock);
+        let run = ProcExperiment::new(WaitStrategy::Bsw)
+            .clients(3)
+            .messages(MSGS)
+            .kill_site(site)
+            .queue(QueueKind::TwoLock)
+            .run_takeover();
         check_takeover(&run, site, 3, 3);
     }
 }
@@ -754,7 +768,12 @@ fn takeover_drill_two_lock() {
 /// The same drill over the lock-free ring — the fsck path with hole
 /// retirement instead of lock breaking.
 fn takeover_drill_ring() {
-    let run = run_proc_takeover_experiment(WaitStrategy::Bsw, 3, MSGS, 7, QueueKind::Ring);
+    let run = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(3)
+        .messages(MSGS)
+        .kill_site(7)
+        .queue(QueueKind::Ring)
+        .run_takeover();
     check_takeover(&run, 7, 3, 3);
 }
 
@@ -770,7 +789,14 @@ fn takeover_bsw_is_exactly_four_sem_ops_pinned() {
     let rt = MSGS + 1;
     let mut seen = Vec::new();
     for _ in 0..5 {
-        let run = run_proc_takeover_pinned_experiment(WaitStrategy::Bsw, MSGS, 3, 0);
+        let run = ProcExperiment::new(WaitStrategy::Bsw)
+            .clients(2)
+            .messages(MSGS)
+            .kill_site(3)
+            .pinned(0)
+            .late_prober()
+            .heartbeat(Duration::from_secs(1))
+            .run_takeover();
         check_takeover(&run, 3, 2, 1);
         let cl = run.prober_metrics.expect("pinned drill runs a prober");
         let sv = run
@@ -796,14 +822,11 @@ fn takeover_bsw_is_exactly_four_sem_ops_pinned() {
 /// SIGKILLed mid-barrage against a live resilient server. Every corpse
 /// is reaped and its reply queue poisoned; the survivors never notice.
 fn storm_mass_client_death_is_reaped_and_poisoned() {
-    let run = run_proc_storm_experiment(
-        WaitStrategy::Bsw,
-        5,
-        3,
-        MSGS,
-        None,
-        Duration::from_millis(5),
-    );
+    let run = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(5)
+        .messages(MSGS)
+        .heartbeat(Duration::from_millis(5))
+        .run_storm(3);
     assert!(run
         .victim_exits
         .iter()
@@ -823,14 +846,12 @@ fn storm_mass_client_death_is_reaped_and_poisoned() {
 /// the dead clients after the fault-state reset revived their liveness
 /// words, re-reaps them, and still finishes the survivors' barrages.
 fn storm_with_server_kill_takes_over_and_reaps() {
-    let run = run_proc_storm_experiment(
-        WaitStrategy::Bsw,
-        5,
-        2,
-        MSGS,
-        Some(40),
-        Duration::from_millis(5),
-    );
+    let run = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(5)
+        .messages(MSGS)
+        .kill_site(40)
+        .heartbeat(Duration::from_millis(5))
+        .run_storm(2);
     assert_eq!(run.server_exit, Some(ExitStatus::Signaled(9)));
     let tk = run
         .takeover
@@ -856,7 +877,11 @@ fn storm_with_server_kill_takes_over_and_reaps() {
 /// every client's barrage completed.
 fn relay_takeover_survives_a_killed_recoverer() {
     for fsck_first in [false, true] {
-        let run = run_proc_relay_takeover_experiment(WaitStrategy::Bsw, 3, MSGS, 11, fsck_first);
+        let run = ProcExperiment::new(WaitStrategy::Bsw)
+            .clients(3)
+            .messages(MSGS)
+            .kill_site(11)
+            .run_relay(fsck_first);
         let what = format!("fsck_before_death={fsck_first}");
         assert_eq!(run.server_exit, ExitStatus::Signaled(9), "{what}");
         assert_eq!(run.recoverer_exit, ExitStatus::Signaled(9), "{what}");

@@ -21,11 +21,8 @@
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 
-use usipc::harness::{
-    run_proc_experiment_pinned, run_proc_experiment_pinned_queue,
-    run_proc_experiment_pinned_telemetry, run_proc_observed_experiment,
-};
 use usipc::{ExitStatus, QueueKind, Role, WaitStrategy};
+use usipc_lab::ProcExperiment;
 
 const MSGS: u64 = 200;
 
@@ -53,7 +50,12 @@ fn bsw_still_exactly_four_sem_ops_with_telemetry_on() {
     let mut best = 0u64;
     let rt = MSGS + 1; // the disconnect handshake round-trips too
     for attempt in 0..5 {
-        let run = run_proc_experiment_pinned_telemetry(WaitStrategy::Bsw, 1, MSGS, 0);
+        let run = ProcExperiment::new(WaitStrategy::Bsw)
+            .clients(1)
+            .messages(MSGS)
+            .pinned(0)
+            .telemetry()
+            .run();
         let total = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         assert!(
             total <= 4 * rt,
@@ -102,7 +104,12 @@ fn bsw_still_exactly_four_sem_ops_on_the_ring_queue() {
     let mut best = 0u64;
     let rt = MSGS + 1;
     for attempt in 0..5 {
-        let run = run_proc_experiment_pinned_queue(WaitStrategy::Bsw, 1, MSGS, 0, QueueKind::Ring);
+        let run = ProcExperiment::new(WaitStrategy::Bsw)
+            .clients(1)
+            .messages(MSGS)
+            .pinned(0)
+            .queue(QueueKind::Ring)
+            .run();
         let total = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         assert!(
             total <= 4 * rt,
@@ -131,8 +138,17 @@ fn bsw_still_exactly_four_sem_ops_on_the_ring_queue() {
 /// back off — and the plane must not add a crossing of its own).
 fn telemetry_and_bare_runs_share_the_same_kernel_budget() {
     let rt = MSGS + 1;
-    let bare = run_proc_experiment_pinned(WaitStrategy::Bsw, 1, MSGS, 0);
-    let observed = run_proc_experiment_pinned_telemetry(WaitStrategy::Bsw, 1, MSGS, 0);
+    let bare = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(1)
+        .messages(MSGS)
+        .pinned(0)
+        .run();
+    let observed = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(1)
+        .messages(MSGS)
+        .pinned(0)
+        .telemetry()
+        .run();
     for (label, run) in [("bare", &bare), ("telemetry", &observed)] {
         let sem = run.server_metrics.sem_ops() + run.client_metrics.sem_ops();
         let crossings =
@@ -158,7 +174,11 @@ fn telemetry_and_bare_runs_share_the_same_kernel_budget() {
 fn external_observer_reads_consistent_advancing_snapshots() {
     // A long enough barrage that the observer's attach (fork + mmap)
     // always lands while publications are still flowing.
-    let run = run_proc_observed_experiment(WaitStrategy::Bsw, 2, 5_000);
+    let run = ProcExperiment::new(WaitStrategy::Bsw)
+        .clients(2)
+        .messages(5_000)
+        .observer()
+        .run();
     assert_eq!(
         run.observer_exit,
         Some(ExitStatus::Exited(0)),

@@ -2,8 +2,8 @@
 //! strategy completes the echo workload under every policy, with the
 //! qualitative properties the paper reports.
 
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::WaitStrategy;
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 fn strategies() -> Vec<WaitStrategy> {
@@ -33,7 +33,7 @@ fn every_strategy_completes_under_every_policy_one_client() {
             let exp = SimExperiment::new(MachineModel::sgi_indy(), policy, Mechanism::UserLevel(s))
                 .clients(1)
                 .messages(120);
-            let r = run_sim_experiment(&exp);
+            let r = exp.run();
             assert_eq!(r.messages, 120, "{policy} {}", s.name());
             assert!(r.throughput > 0.0);
         }
@@ -50,7 +50,7 @@ fn every_strategy_completes_with_four_clients() {
         )
         .clients(4)
         .messages(60);
-        let r = run_sim_experiment(&exp);
+        let r = exp.run();
         assert_eq!(r.messages, 240, "{}", s.name());
     }
 }
@@ -65,7 +65,7 @@ fn sysv_baseline_completes() {
         )
         .clients(clients)
         .messages(100);
-        let r = run_sim_experiment(&exp);
+        let r = exp.run();
         assert_eq!(r.messages, 100 * clients as u64);
     }
 }
@@ -80,7 +80,7 @@ fn multiprocessor_strategies_complete() {
         )
         .clients(6)
         .messages(60);
-        let r = run_sim_experiment(&exp);
+        let r = exp.run();
         assert_eq!(r.messages, 360, "{}", s.name());
     }
 }
@@ -89,24 +89,22 @@ fn multiprocessor_strategies_complete() {
 fn bss_beats_sysv_on_the_sgi_model() {
     // The headline claim: user-level IPC outperforms kernel-mediated IPC by
     // >1.5× on the SGI (§2.2/Fig. 2a).
-    let bss = run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::UserLevel(WaitStrategy::Bss),
-        )
-        .clients(1)
-        .messages(400),
-    );
-    let sysv = run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::SysV,
-        )
-        .clients(1)
-        .messages(400),
-    );
+    let bss = SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::UserLevel(WaitStrategy::Bss),
+    )
+    .clients(1)
+    .messages(400)
+    .run();
+    let sysv = SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::SysV,
+    )
+    .clients(1)
+    .messages(400)
+    .run();
     assert!(
         bss.throughput > 1.3 * sysv.throughput,
         "BSS {:.2} msg/ms should clearly beat SysV {:.2} msg/ms",
@@ -119,15 +117,14 @@ fn bss_beats_sysv_on_the_sgi_model() {
 fn degrading_policy_shows_multiple_yields_per_roundtrip() {
     // §2.2: "each process on the SGI was performing approximately 2.5
     // yields per round-trip message exchange".
-    let r = run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::UserLevel(WaitStrategy::Bss),
-        )
-        .clients(1)
-        .messages(400),
-    );
+    let r = SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::UserLevel(WaitStrategy::Bss),
+    )
+    .clients(1)
+    .messages(400)
+    .run();
     let client = r.report.task("client0").unwrap();
     let yields_per_rt = client.stats.yields as f64 / 400.0;
     assert!(
@@ -142,15 +139,14 @@ fn degrading_policy_shows_multiple_yields_per_roundtrip() {
 
 #[test]
 fn bsw_blocks_instead_of_spinning() {
-    let r = run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::UserLevel(WaitStrategy::Bsw),
-        )
-        .clients(1)
-        .messages(300),
-    );
+    let r = SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::UserLevel(WaitStrategy::Bsw),
+    )
+    .clients(1)
+    .messages(300)
+    .run();
     let client = r.report.task("client0").unwrap();
     let server = r.report.task("server").unwrap();
     // Nearly every round trip blocks on the semaphore on both sides.
@@ -168,15 +164,14 @@ fn bsls_single_client_rarely_blocks() {
     // §4.2: "At a MAX_SPIN value of 20, a single client only blocks 3% of
     // the time". In the deterministic simulator the hand-off succeeds even
     // more reliably than on real IRIX.
-    let r = run_sim_experiment(
-        &SimExperiment::new(
-            MachineModel::sgi_indy(),
-            PolicyKind::degrading_default(),
-            Mechanism::UserLevel(WaitStrategy::Bsls { max_spin: 20 }),
-        )
-        .clients(1)
-        .messages(300),
-    );
+    let r = SimExperiment::new(
+        MachineModel::sgi_indy(),
+        PolicyKind::degrading_default(),
+        Mechanism::UserLevel(WaitStrategy::Bsls { max_spin: 20 }),
+    )
+    .clients(1)
+    .messages(300)
+    .run();
     let client = r.report.task("client0").unwrap();
     let rate = client.stats.blocks as f64 / 300.0;
     assert!(rate < 0.10, "block rate at MAX_SPIN=20 is {rate:.2}");
@@ -187,15 +182,14 @@ fn bsls_more_spinning_blocks_less_with_contention() {
     // Fig. 10's driver: with several clients the yields inside the spin
     // loop rotate among clients, so the spin budget matters.
     let blocking_rate = |max_spin: u32| {
-        let r = run_sim_experiment(
-            &SimExperiment::new(
-                MachineModel::sgi_indy(),
-                PolicyKind::degrading_default(),
-                Mechanism::UserLevel(WaitStrategy::Bsls { max_spin }),
-            )
-            .clients(4)
-            .messages(150),
-        );
+        let r = SimExperiment::new(
+            MachineModel::sgi_indy(),
+            PolicyKind::degrading_default(),
+            Mechanism::UserLevel(WaitStrategy::Bsls { max_spin }),
+        )
+        .clients(4)
+        .messages(150)
+        .run();
         let blocks: u64 = (0..4)
             .map(|c| r.report.task(&format!("client{c}")).unwrap().stats.blocks)
             .sum();
@@ -214,15 +208,14 @@ fn handoff_reduces_blocking_versus_bsw_under_linux_mod() {
     // Fig. 12's story: with a yield that actually transfers control, the
     // client often finds its reply without sleeping.
     let run = |s: WaitStrategy| {
-        let r = run_sim_experiment(
-            &SimExperiment::new(
-                MachineModel::linux_486(),
-                PolicyKind::LinuxMod,
-                Mechanism::UserLevel(s),
-            )
-            .clients(1)
-            .messages(300),
-        );
+        let r = SimExperiment::new(
+            MachineModel::linux_486(),
+            PolicyKind::LinuxMod,
+            Mechanism::UserLevel(s),
+        )
+        .clients(1)
+        .messages(300)
+        .run();
         let c = r.report.task("client0").unwrap().stats.clone();
         (r.throughput, c.blocks)
     };
@@ -249,7 +242,7 @@ fn per_client_replies_are_isolated() {
     )
     .clients(6)
     .messages(80);
-    let r = run_sim_experiment(&exp);
+    let r = exp.run();
     assert_eq!(r.messages, 480);
     // Every client must have issued its barrage.
     for c in 0..6 {
@@ -261,15 +254,14 @@ fn per_client_replies_are_isolated() {
 #[test]
 fn experiments_are_deterministic() {
     let exp = || {
-        run_sim_experiment(
-            &SimExperiment::new(
-                MachineModel::sgi_indy(),
-                PolicyKind::degrading_default(),
-                Mechanism::UserLevel(WaitStrategy::Bsls { max_spin: 10 }),
-            )
-            .clients(3)
-            .messages(100),
+        SimExperiment::new(
+            MachineModel::sgi_indy(),
+            PolicyKind::degrading_default(),
+            Mechanism::UserLevel(WaitStrategy::Bsls { max_spin: 10 }),
         )
+        .clients(3)
+        .messages(100)
+        .run()
     };
     let a = exp();
     let b = exp();
@@ -292,7 +284,7 @@ fn no_client_is_starved_on_the_multiprocessor() {
     )
     .clients(10)
     .messages(100);
-    let r = run_sim_experiment(&exp);
+    let r = exp.run();
     let exits: Vec<f64> = (0..10)
         .map(|c| {
             r.report
@@ -324,7 +316,7 @@ fn throttled_server_starves_nobody_either() {
     )
     .clients(10)
     .messages(100);
-    let r = run_sim_experiment(&exp);
+    let r = exp.run();
     assert_eq!(r.messages, 1000);
     for c in 0..10 {
         let t = r.report.task(&format!("client{c}")).unwrap();

@@ -16,9 +16,9 @@
 //! * tracing-disabled parity: enabling the trace layer does not change
 //!   the simulated schedule or any protocol counter.
 
-use usipc::harness::{run_native_experiment_traced, run_sim_experiment, Mechanism, SimExperiment};
 use usipc::trace::{Span, TracePoint, TraceRecord, UnifiedTrace};
 use usipc::{ProtoEvent, WaitStrategy};
+use usipc_lab::{Mechanism, NativeExperiment, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 const RING: usize = 64 * 1024;
@@ -32,7 +32,7 @@ fn sim_trace(machine: MachineModel, strategy: WaitStrategy, msgs: u64) -> Unifie
     .clients(1)
     .messages(msgs)
     .trace(RING);
-    run_sim_experiment(&exp).trace.expect("tracing enabled")
+    exp.run().trace.expect("tracing enabled")
 }
 
 /// The client's protocol events inside each complete round-trip span,
@@ -227,10 +227,13 @@ fn both_backends_export_valid_chrome_json_and_ascii_from_the_same_records() {
     assert!(!sim.records.is_empty());
     assert_valid_chrome_export(&sim, "sim");
 
-    let native =
-        run_native_experiment_traced(Mechanism::UserLevel(WaitStrategy::Bsw), 1, 30, Some(RING))
-            .trace
-            .expect("tracing enabled");
+    let native = NativeExperiment::new(Mechanism::UserLevel(WaitStrategy::Bsw))
+        .clients(1)
+        .messages(30)
+        .trace(RING)
+        .run()
+        .trace
+        .expect("tracing enabled");
     assert!(!native.records.is_empty());
     assert_valid_chrome_export(&native, "native");
 }
@@ -244,8 +247,8 @@ fn tracing_does_not_perturb_the_simulated_schedule_or_the_counters() {
     )
     .clients(2)
     .messages(50);
-    let plain = run_sim_experiment(&base);
-    let traced = run_sim_experiment(&base.clone().trace(RING));
+    let plain = base.run();
+    let traced = base.clone().trace(RING).run();
     assert_eq!(
         plain.elapsed, traced.elapsed,
         "virtual-time schedule unchanged by tracing"

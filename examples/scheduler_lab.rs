@@ -10,8 +10,8 @@
 //! the simulator under every scheduler model and prints throughput and the
 //! scheduling statistics that explain it.
 
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::WaitStrategy;
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 fn main() {
@@ -33,24 +33,22 @@ fn main() {
         } else {
             1_000
         };
-        let bss = run_sim_experiment(
-            &SimExperiment::new(
-                MachineModel::sgi_indy(),
-                policy,
-                Mechanism::UserLevel(WaitStrategy::Bss),
-            )
-            .clients(2)
-            .messages(msgs),
-        );
-        let bswy = run_sim_experiment(
-            &SimExperiment::new(
-                MachineModel::sgi_indy(),
-                policy,
-                Mechanism::UserLevel(WaitStrategy::Bswy),
-            )
-            .clients(2)
-            .messages(msgs),
-        );
+        let bss = SimExperiment::new(
+            MachineModel::sgi_indy(),
+            policy,
+            Mechanism::UserLevel(WaitStrategy::Bss),
+        )
+        .clients(2)
+        .messages(msgs)
+        .run();
+        let bswy = SimExperiment::new(
+            MachineModel::sgi_indy(),
+            policy,
+            Mechanism::UserLevel(WaitStrategy::Bswy),
+        )
+        .clients(2)
+        .messages(msgs)
+        .run();
         let c0 = &bss.report.task("client0").unwrap().stats;
         let yields_rt = c0.yields as f64 / msgs as f64;
         let noswitch = if c0.yields > 0 {

@@ -16,13 +16,13 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use usipc::harness::{run_native_fault_experiment, watchdog_join, ClientFaultOutcome};
 use usipc::scenarios::{FaultScenario, PeerDeathScenario, NO_VICTIM};
 use usipc::{
     run_echo_server, run_resilient_server, AsyncClient, Channel, ChannelConfig, FaultPlan,
     IpcError, Message, NativeConfig, NativeOs, ServerRun, ShardedConfig, ShardedServer,
     WaitStrategy,
 };
+use usipc_lab::{ClientFaultOutcome, Mechanism, NativeExperiment, Watchdog};
 use usipc_sim::{Explorer, Outcome};
 
 const HEARTBEAT: Duration = Duration::from_millis(30);
@@ -36,7 +36,11 @@ fn client_sees_peer_dead_when_server_dies_between_dequeue_and_reply() {
     // Server fault points: (before receive, after dequeue) per message.
     // at_op = 1 is the first "between dequeue and reply" window.
     let plan = Arc::new(FaultPlan::kill(0, 1));
-    let r = run_native_fault_experiment(WaitStrategy::Bsw, 1, 4, plan, HEARTBEAT, DEADLINE);
+    let r = NativeExperiment::new(Mechanism::UserLevel(WaitStrategy::Bsw))
+        .clients(1)
+        .messages(4)
+        .deadline(HEARTBEAT, DEADLINE)
+        .run_with_fault(plan);
 
     assert!(r.server.is_err(), "server was killed: {:?}", r.server);
     assert!(
@@ -59,7 +63,11 @@ fn client_sees_peer_dead_when_server_dies_between_dequeue_and_reply() {
 fn server_survives_dead_client_and_poisons_only_its_queue() {
     let victim_client = 3u32; // task number 1 + 3
     let plan = Arc::new(FaultPlan::kill(1 + victim_client, 2));
-    let r = run_native_fault_experiment(WaitStrategy::Bsw, 8, 6, plan, HEARTBEAT, DEADLINE);
+    let r = NativeExperiment::new(Mechanism::UserLevel(WaitStrategy::Bsw))
+        .clients(8)
+        .messages(6)
+        .deadline(HEARTBEAT, DEADLINE)
+        .run_with_fault(plan);
 
     let run = r.server.expect("server must survive a client death");
     assert!(run.reaped >= 1, "the dead client must be reaped");
@@ -236,7 +244,7 @@ fn unbounded_server_and_call_end_when_the_channel_is_poisoned_under_them() {
     };
     until_parked(&os, 0);
     ch.receive_queue().poison(&os.task(2));
-    watchdog_join(vec![("server".into(), 0, server)], MUST_END, None);
+    Watchdog::new(MUST_END).join(vec![("server".into(), 0, server)]);
     let run = rx.recv().unwrap();
     assert_eq!((run.processed, run.disconnects), (0, 0));
 
@@ -256,7 +264,7 @@ fn unbounded_server_and_call_end_when_the_channel_is_poisoned_under_them() {
     };
     until_parked(&os, 1);
     ch.tombstone_server(&os.task(2));
-    watchdog_join(vec![("client".into(), 1, client)], MUST_END, None);
+    Watchdog::new(MUST_END).join(vec![("client".into(), 1, client)]);
     let message = rx.recv().unwrap();
     assert!(
         message.contains("dead channel") && message.contains(&IpcError::PeerDead.to_string()),
@@ -308,7 +316,7 @@ fn a_reply_the_client_never_drains_is_dropped_and_counted() {
         std::thread::yield_now();
     }
     assert!(client.post(Message::echo(0, 3.0)) && client.post(Message::disconnect(0)));
-    watchdog_join(vec![("server".into(), 0, server)], MUST_END, None);
+    Watchdog::new(MUST_END).join(vec![("server".into(), 0, server)]);
 
     let run = rx.recv().unwrap();
     assert_eq!((run.processed, run.disconnects), (4, 1));
@@ -390,7 +398,7 @@ fn channel_server_and_mux_worker_account_the_same_session_alike() {
         },
         |c| ch.reply_queue(c).mark_consumer_dead(&t),
     );
-    watchdog_join(vec![("server".into(), 0, server)], MUST_END, None);
+    Watchdog::new(MUST_END).join(vec![("server".into(), 0, server)]);
     let by_channel = rx.recv().unwrap();
 
     let cfg = ShardedConfig {
@@ -420,7 +428,7 @@ fn channel_server_and_mux_worker_account_the_same_session_alike() {
         },
         |c| srv.channel(c).reply_queue(0).mark_consumer_dead(&t),
     );
-    watchdog_join(vec![("worker".into(), 0, worker)], MUST_END, None);
+    Watchdog::new(MUST_END).join(vec![("worker".into(), 0, worker)]);
     let by_shard = rx.recv().unwrap();
 
     assert_eq!(

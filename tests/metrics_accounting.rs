@@ -7,13 +7,13 @@
 //! the metrics layer those are no longer derivations; they are counters
 //! this test reads back.
 
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::{NativeConfig, NativeOs, OsServices, WaitStrategy};
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_sim::{MachineModel, PolicyKind};
 
 const MSGS: u64 = 500;
 
-fn sim_run(strategy: WaitStrategy) -> usipc::harness::SimExperimentResult {
+fn sim_run(strategy: WaitStrategy) -> usipc_lab::SimExperimentResult {
     let exp = SimExperiment::new(
         MachineModel::sgi_indy(),
         PolicyKind::degrading_default(),
@@ -21,7 +21,7 @@ fn sim_run(strategy: WaitStrategy) -> usipc::harness::SimExperimentResult {
     )
     .clients(1)
     .messages(MSGS);
-    run_sim_experiment(&exp)
+    exp.run()
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //! traffic over every protocol on real threads.
 
 use std::sync::Arc;
-use usipc::harness::{run_native_experiment, Mechanism};
 use usipc::{
     opcode, AsyncClient, BarrierRef, Channel, ChannelConfig, Message, NativeConfig, NativeOs,
     OsServices, QueueKind, WaitStrategy,
 };
+use usipc_lab::{Mechanism, NativeExperiment};
 use usipc_queue::{EnqueueFlow, LOCK_BUDGET};
 
 fn strategies() -> Vec<WaitStrategy> {
@@ -22,7 +22,10 @@ fn strategies() -> Vec<WaitStrategy> {
 #[test]
 fn every_strategy_echoes_correctly_native() {
     for s in strategies() {
-        let r = run_native_experiment(Mechanism::UserLevel(s), 1, 300);
+        let r = NativeExperiment::new(Mechanism::UserLevel(s))
+            .clients(1)
+            .messages(300)
+            .run();
         assert_eq!(r.messages, 300, "{}", s.name());
         assert!(r.throughput > 0.0);
     }
@@ -31,14 +34,20 @@ fn every_strategy_echoes_correctly_native() {
 #[test]
 fn multi_client_native() {
     for s in [WaitStrategy::Bsw, WaitStrategy::Bsls { max_spin: 4 }] {
-        let r = run_native_experiment(Mechanism::UserLevel(s), 4, 100);
+        let r = NativeExperiment::new(Mechanism::UserLevel(s))
+            .clients(4)
+            .messages(100)
+            .run();
         assert_eq!(r.messages, 400, "{}", s.name());
     }
 }
 
 #[test]
 fn sysv_baseline_native() {
-    let r = run_native_experiment(Mechanism::SysV, 2, 150);
+    let r = NativeExperiment::new(Mechanism::SysV)
+        .clients(2)
+        .messages(150)
+        .run();
     assert_eq!(r.messages, 300);
 }
 
@@ -184,7 +193,10 @@ fn raw_queue_interface_supports_custom_protocols() {
 fn handoff_hint_degrades_gracefully_on_native() {
     // The native backend has no handoff syscall; HandoffBswy must still be
     // correct (it degrades to yields).
-    let r = run_native_experiment(Mechanism::UserLevel(WaitStrategy::HandoffBswy), 2, 150);
+    let r = NativeExperiment::new(Mechanism::UserLevel(WaitStrategy::HandoffBswy))
+        .clients(2)
+        .messages(150)
+        .run();
     assert_eq!(r.messages, 300);
 }
 
@@ -202,14 +214,13 @@ fn compute_spins_for_roughly_the_requested_time() {
 fn throttled_server_serves_everyone_native() {
     // The §5 future-work server: correctness under real threads — every
     // message echoed, every client disconnected, nobody starved.
-    let r = run_native_experiment(
-        Mechanism::Throttled {
-            max_spin: 4,
-            wake_batch: 1,
-        },
-        3,
-        100,
-    );
+    let r = NativeExperiment::new(Mechanism::Throttled {
+        max_spin: 4,
+        wake_batch: 1,
+    })
+    .clients(3)
+    .messages(100)
+    .run();
     assert_eq!(r.messages, 300);
 }
 
@@ -222,7 +233,10 @@ fn two_hundred_thousand_blocking_round_trips_never_hang() {
     // into a failure. BSLS with a short spin takes both the spin path and
     // the sleep path.
     for strategy in [WaitStrategy::Bsw, WaitStrategy::Bsls { max_spin: 4 }] {
-        let r = run_native_experiment(Mechanism::UserLevel(strategy), 1, 100_000);
+        let r = NativeExperiment::new(Mechanism::UserLevel(strategy))
+            .clients(1)
+            .messages(100_000)
+            .run();
         assert_eq!(r.messages, 100_000, "{}", strategy.name());
     }
 }

@@ -7,8 +7,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Duration;
-use usipc::harness::{run_sim_experiment, Mechanism, SimExperiment};
 use usipc::{IpcError, Message, NativeConfig, NativeOs, WaitSet, WaitSetRoot, WaitStrategy};
+use usipc_lab::{Mechanism, SimExperiment};
 use usipc_queue::{AnyShmFifo, Elem, EnqueueFlow, QueueKind, RingMode, LOCK_BUDGET};
 use usipc_shm::{ShmArena, TaggedAtomicPtr, TaggedPtr};
 use usipc_sim::{MachineModel, PolicyKind, VDur};
@@ -317,8 +317,8 @@ fn any_strategy_any_shape_completes_and_is_deterministic() {
         .clients(clients)
         .messages(msgs)
         .jitter(VDur::micros((msgs % 7) * 10));
-        let a = run_sim_experiment(&exp);
-        let b = run_sim_experiment(&exp);
+        let a = exp.run();
+        let b = exp.run();
         assert_eq!(a.messages, msgs * clients as u64, "case {case}");
         assert_eq!(a.elapsed, b.elapsed, "case {case}: determinism");
         assert_eq!(
@@ -341,7 +341,7 @@ fn semaphore_credits_never_accumulate_in_bsw() {
         )
         .clients(clients)
         .messages(msgs);
-        let r = run_sim_experiment(&exp);
+        let r = exp.run();
         for (i, s) in r.report.sems.iter().enumerate() {
             assert!(
                 s.max_count <= 2,
