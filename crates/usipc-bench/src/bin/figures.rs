@@ -1,54 +1,29 @@
 //! CLI driver: regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [all | table1 fig2 fig3 fig6 fig8 fig10 fig11 fig12 stats | explore | trace]...
-//!         [--msgs N] [--clients N] [--depth N] [--out DIR] [--trace DIR] [--procs]
-//!         [--load-clients N]
+//! figures [list | all | <id>]... [--msgs N] [--clients N] [--mp-clients N] [--depth N]
+//!         [--out DIR] [--trace DIR] [--procs] [--load-clients N]
 //! figures top [--attach PATH | --fd N | --demo] [--once] [--interval-ms N] [--frames N]
-//! figures regress --fresh PATH [--baseline PATH] [--tolerance F] [--skip-missing]
 //! ```
 
-use std::path::PathBuf;
+use std::str::FromStr;
 use usipc_bench::top::{run_top, TopOpts, TopSource};
 use usipc_bench::{all_ids, describe, run_experiment, RunOpts};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("top") => return top_main(&argv[1..]),
-        Some("regress") => return regress_main(&argv[1..]),
-        _ => {}
+    if argv.first().map(String::as_str) == Some("top") {
+        return top_main(&argv[1..]);
     }
     let mut ids: Vec<String> = Vec::new();
     let mut opts = RunOpts::default();
-    let mut out_dir = PathBuf::from("results");
     let mut args = argv.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--msgs" => {
-                opts.msgs_per_client = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--msgs needs a number");
-            }
-            "--clients" => {
-                opts.max_clients = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients needs a number");
-            }
-            "--mp-clients" => {
-                opts.mp_max_clients = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--mp-clients needs a number");
-            }
-            "--depth" => {
-                opts.explore_depth = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--depth needs a number");
-            }
+            "--msgs" => opts.msgs_per_client = value(&mut args, "--msgs"),
+            "--clients" => opts.max_clients = value(&mut args, "--clients"),
+            "--mp-clients" => opts.mp_max_clients = value(&mut args, "--mp-clients"),
+            "--depth" => opts.explore_depth = value(&mut args, "--depth"),
             "list" => {
                 let w = all_ids().iter().map(|s| s.len()).max().unwrap_or(0);
                 for id in all_ids() {
@@ -56,29 +31,14 @@ fn main() {
                 }
                 return;
             }
-            "--out" => {
-                out_dir = args.next().map(PathBuf::from).expect("--out needs a path");
-            }
-            "--trace" => {
-                opts.trace_dir = Some(
-                    args.next()
-                        .map(PathBuf::from)
-                        .expect("--trace needs a path"),
-                );
-            }
-            "--procs" => {
-                opts.procs = true;
-            }
-            "--load-clients" => {
-                opts.load_max_clients = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--load-clients needs a number");
-            }
+            "--out" => opts.out_dir = value(&mut args, "--out"),
+            "--trace" => opts.trace_dir = Some(value(&mut args, "--trace")),
+            "--procs" => opts.procs = true,
+            "--load-clients" => opts.load_max_clients = value(&mut args, "--load-clients"),
             "all" => ids.extend(all_ids().iter().map(|s| s.to_string())),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: figures [list | all | {}]... [--msgs N] [--clients N] [--mp-clients N] [--depth N] [--out DIR] [--trace DIR] [--procs] [--load-clients N]\n       figures top [--attach PATH | --fd N | --demo] [--once] [--interval-ms N] [--frames N]\n       figures regress --fresh PATH [--baseline PATH] [--tolerance F]",
+                    "usage: figures [list | all | {}]... [--msgs N] [--clients N] [--mp-clients N] [--depth N] [--out DIR] [--trace DIR] [--procs] [--load-clients N]\n       figures top [--attach PATH | --fd N | --demo] [--once] [--interval-ms N] [--frames N]",
                     all_ids().join(" | ")
                 );
                 return;
@@ -89,10 +49,6 @@ fn main() {
             }
             other => ids.push(other.to_string()),
         }
-    }
-    // `bench` drops its JSON baseline next to the CSVs unless told otherwise.
-    if opts.bench_dir.is_none() {
-        opts.bench_dir = Some(out_dir.clone());
     }
     if ids.is_empty() {
         eprintln!(
@@ -121,7 +77,7 @@ fn main() {
             } else {
                 format!("{id}_{}", (b'a' + i as u8) as char)
             };
-            match t.write_csv(&out_dir, &stem) {
+            match t.write_csv(&opts.out_dir, &stem) {
                 Ok(p) => println!("  → {}", p.display()),
                 Err(e) => eprintln!("  ! csv write failed: {e}"),
             }
@@ -140,35 +96,14 @@ fn top_main(argv: &[String]) {
     let mut args = argv.iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--attach" => {
-                opts.source = TopSource::Path(
-                    args.next()
-                        .map(PathBuf::from)
-                        .expect("--attach needs a path"),
-                );
-            }
-            "--fd" => {
-                opts.source = TopSource::Fd(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--fd needs a descriptor number"),
-                );
-            }
+            "--attach" => opts.source = TopSource::Path(value(&mut args, "--attach")),
+            "--fd" => opts.source = TopSource::Fd(value(&mut args, "--fd")),
             "--demo" => opts.source = TopSource::Demo,
             "--once" => opts.once = true,
             "--interval-ms" => {
-                opts.interval = std::time::Duration::from_millis(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--interval-ms needs a number"),
-                );
+                opts.interval = std::time::Duration::from_millis(value(&mut args, "--interval-ms"))
             }
-            "--frames" => {
-                opts.frames = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--frames needs a number");
-            }
+            "--frames" => opts.frames = value(&mut args, "--frames"),
             other => {
                 eprintln!("unknown `figures top` argument `{other}` (see `figures --help`)");
                 std::process::exit(2);
@@ -181,75 +116,13 @@ fn top_main(argv: &[String]) {
     }
 }
 
-/// `figures regress`: gate a fresh bench file against the checked-in
-/// baseline; exit 1 on any regression.
-fn regress_main(argv: &[String]) {
-    let mut baseline = PathBuf::from("results/BENCH_protocols.json");
-    let mut fresh: Option<PathBuf> = None;
-    let mut tol = usipc_bench::regress::Tolerance::default();
-    let mut args = argv.iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--baseline" => {
-                baseline = args
-                    .next()
-                    .map(PathBuf::from)
-                    .expect("--baseline needs a path");
-            }
-            "--fresh" => {
-                fresh = Some(
-                    args.next()
-                        .map(PathBuf::from)
-                        .expect("--fresh needs a path"),
-                );
-            }
-            "--tolerance" => {
-                tol.latency = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tolerance needs a factor");
-            }
-            "--skip-missing" => tol.strict_coverage = false,
-            other => {
-                eprintln!("unknown `figures regress` argument `{other}` (see `figures --help`)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(fresh) = fresh else {
-        eprintln!("figures regress: --fresh PATH is required (the just-measured bench file)");
-        std::process::exit(2);
-    };
-    let load = |path: &PathBuf| -> usipc_bench::json::Json {
-        let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("figures regress: read {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        usipc_bench::json::Json::parse(&src).unwrap_or_else(|e| {
-            eprintln!("figures regress: parse {}: {e}", path.display());
+/// The argument after `flag`, parsed; a missing or malformed one is a
+/// usage error (exit 2), not a panic.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = impl AsRef<str>>, flag: &str) -> T {
+    args.next()
+        .and_then(|v| v.as_ref().parse().ok())
+        .unwrap_or_else(|| {
+            eprintln!("`{flag}` needs a value (see `figures --help`)");
             std::process::exit(2);
         })
-    };
-    let rep = usipc_bench::regress::compare(&load(&baseline), &load(&fresh), tol);
-    println!(
-        "regress: {} vs baseline {} — {} checks passed, {} regressions (latency tolerance ×{})",
-        fresh.display(),
-        baseline.display(),
-        rep.passes.len(),
-        rep.violations.len(),
-        tol.latency,
-    );
-    for p in &rep.passes {
-        println!("  ok: {p}");
-    }
-    for v in &rep.violations {
-        eprintln!("  REGRESSION: {v}");
-    }
-    if !rep.ok() {
-        eprintln!(
-            "regress: FAILED — if the change is intentional, re-baseline (see EXPERIMENTS.md)"
-        );
-        std::process::exit(1);
-    }
-    println!("regress: PASS");
 }

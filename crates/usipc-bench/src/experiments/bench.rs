@@ -1,156 +1,147 @@
 //! `bench`: the native-backend protocol baseline.
 //!
-//! Runs BSS/BSW/BSWY/BSLS round trips on real threads and writes
-//! `BENCH_protocols.json` — round-trip latency quantiles computed from the
-//! *raw* per-round-trip samples (exact nearest-rank, not the log₂
+//! Runs BSS/BSW/BSWY/BSLS round trips on real threads — every protocol on
+//! **both queue kinds**, the pooled two-lock M&S queue and the lock-free
+//! arena ring — next to the paper's own baseline, the kernel-mediated
+//! System V queues. Each row reports round-trip latency quantiles computed
+//! from the *raw* per-round-trip samples (exact nearest-rank, not the log₂
 //! histogram whose buckets are only within √2 of the truth) plus the
 //! per-round-trip syscall accounting the paper argues in: protocol-level
-//! `P`/`V` counts (`sem_ops_per_rt`, at most 4 for BSW — exactly 4 in the
-//! pinned uniprocessor regime), scheduler-visible kernel crossings, and
-//! the *actual* host kernel entries of the futex semaphore
-//! (`sem_kernel_waits/wakes_per_rt` — zero when the fast path holds).
+//! `P`/`V` counts, and the *actual* host kernel entries of the futex
+//! semaphore (`kwaits/rt`, `kwakes/rt` — zero when the fast path holds).
 //!
 //! With `--procs` (Linux only) every protocol is additionally measured
 //! across a real `fork()`: parent server, child client, memfd segment —
-//! the paper's actual cross-address-space configuration. Those rows carry
-//! `"mode": "procs"` next to the `"mode": "threads"` baselines, so the
-//! thread-vs-process round-trip cost is recorded side by side.
+//! the paper's actual cross-address-space configuration — in a table of
+//! its own.
 //!
-//! Every thread-mode protocol is measured on **both queue kinds** — the
-//! pooled two-lock M&S queue and the lock-free arena ring
-//! (`"queue": "two_lock"` / `"queue": "ring"`) — so the queue-swap cost
-//! sits in the recorded matrix next to the protocol cost it rides under.
-//! This file is the repo's recorded perf trajectory; future PRs regress
-//! against it.
+//! The counts are exact, so the experiment asserts them: BSS performs
+//! **zero** semaphore operations, BSW/BSWY/BSLS at most BSW's **4 per
+//! round trip**, every requested row has samples, and every WaitSet load cell
+//! keeps `doorbells_rung ≤ waitset_wakes + shards`. The microseconds are
+//! printed and written to the CSVs, never gated: time is the repo
+//! benchmark's (`bench/`) to judge, with its warm-up, spread and
+//! interleaved pairs.
 
-use super::{ExperimentOutput, RunOpts};
+use super::{enforce, ensure, sample_stats, ExperimentOutput, RunOpts, SampleStats, PROTOCOLS};
 use crate::table::Table;
-use std::path::PathBuf;
 use std::time::Duration;
+use usipc::metrics::MetricsSnapshot;
 use usipc::{QueueKind, WaitStrategy};
-use usipc_lab::{run_waitset_load_experiment, Mechanism, NativeExperiment, NativeExperimentResult};
+use usipc_lab::{run_waitset_load_experiment, Mechanism, NativeExperiment};
 
-/// `MAX_SPIN` for the BSLS run (the paper's §4.2 sweet spot is workload
-/// dependent; 50 polls is the repo-wide default used by Fig. 10's midpoint).
-const BSLS_MAX_SPIN: u32 = 50;
+/// A single ping-pong pair: the latency baseline.
+const CLIENTS: usize = 1;
 
-/// One measured protocol, reduced to the JSON/table fields.
+/// The SysV row's "queue": the kernel's message queues, not a channel's.
+const SYSV_QUEUE: &str = "kernel";
+
+/// One measured mechanism in one mode over one queue.
+#[derive(Debug)]
 struct ProtocolBaseline {
-    name: &'static str,
-    detail: String,
+    mechanism: Mechanism,
     /// `"threads"` (in-process, the library default) or `"procs"`
     /// (forked child over a memfd arena).
     mode: &'static str,
-    /// Channel queue representation: `"two_lock"` or `"ring"`.
+    /// `"two_lock"`, `"ring"`, or [`SYSV_QUEUE`].
     queue: &'static str,
+    /// Echoes + disconnects (each disconnect is a full round trip too).
     round_trips: u64,
-    elapsed_ms: f64,
     throughput: f64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    mean_us: f64,
-    sem_ops_per_rt: f64,
-    kernel_crossings_per_rt: f64,
-    sem_kernel_waits_per_rt: f64,
-    sem_kernel_wakes_per_rt: f64,
-    blocks_per_rt: f64,
-    stray_wakeups: u64,
+    stats: SampleStats,
+    /// Server and client counters summed.
+    totals: MetricsSnapshot,
 }
 
-/// Exact latency stats from the raw nanosecond samples (nearest-rank
-/// quantiles on the sorted set). The log₂ histogram the harness also
-/// keeps quantizes each sample to a power-of-two bucket, so its readout
-/// is only within √2 of the true quantile — raw samples cost 8 bytes a
-/// round trip and give the true number.
-struct SampleStats {
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    mean_us: f64,
-}
-
-/// The nearest-rank quantile (`⌈q·N⌉`-th smallest, 1-indexed) of an
-/// already-sorted sample set, in microseconds. This is the textbook
-/// definition: p99 of N=4 is the 4th value (the max), p50 of N=100 is
-/// the 50th — always an actual sample, never an interpolation. (The
-/// previous `round((N-1)·q)` was neither nearest-rank nor interpolated:
-/// for N=4 it put p99 at index 3 by luck but p50 at index 2 instead of
-/// rank 2, a half-rank bias that over-reported small-N medians.)
-fn nearest_rank_us(sorted: &[u64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1] as f64 / 1e3
-}
-
-/// `None` when there are no samples — the caller skips the row rather
-/// than emitting one full of `null`s (the old NaN sentinel path; before
-/// that, an empty set underflowed the quantile index outright).
-fn sample_stats(samples: &[u64]) -> Option<SampleStats> {
-    if samples.is_empty() {
-        return None;
+impl ProtocolBaseline {
+    /// One row from a run's counters and raw samples. A run without
+    /// samples has no row, and that must not pass silently.
+    fn new(
+        mechanism: Mechanism,
+        mode: &'static str,
+        queue: &'static str,
+        messages: u64,
+        throughput: f64,
+        totals: MetricsSnapshot,
+        samples: &[u64],
+    ) -> Result<Self, String> {
+        let stats = sample_stats(samples).ok_or_else(|| {
+            format!(
+                "{} [{mode}/{queue}]: the run recorded no samples",
+                mechanism.name()
+            )
+        })?;
+        Ok(ProtocolBaseline {
+            mechanism,
+            mode,
+            queue,
+            round_trips: messages + CLIENTS as u64,
+            throughput,
+            stats,
+            totals,
+        })
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    Some(SampleStats {
-        p50_us: nearest_rank_us(&sorted, 0.50),
-        p99_us: nearest_rank_us(&sorted, 0.99),
-        p999_us: nearest_rank_us(&sorted, 0.999),
-        mean_us: sorted.iter().sum::<u64>() as f64 / sorted.len() as f64 / 1e3,
-    })
+
+    fn per_rt(&self, count: u64) -> f64 {
+        count as f64 / self.round_trips as f64
+    }
+
+    fn key(&self) -> String {
+        format!("{} [{}/{}]", self.mechanism.name(), self.mode, self.queue)
+    }
 }
 
-fn protocols() -> [(&'static str, WaitStrategy); 4] {
-    [
-        ("BSS", WaitStrategy::Bss),
-        ("BSW", WaitStrategy::Bsw),
-        ("BSWY", WaitStrategy::Bswy),
-        (
-            "BSLS",
-            WaitStrategy::Bsls {
-                max_spin: BSLS_MAX_SPIN,
-            },
-        ),
-    ]
+/// The paper's exact semaphore budget per round trip: BSS never touches a
+/// semaphore; BSW's 4 is Fig. 6's number, and BSWY and BSLS only ever
+/// *elide* BSW's sem ops, never add. The SysV baseline's queues are the
+/// kernel's, so it has none.
+fn sem_budget(mechanism: Mechanism) -> Option<u64> {
+    match mechanism {
+        Mechanism::UserLevel(WaitStrategy::Bss) => Some(0),
+        Mechanism::UserLevel(
+            WaitStrategy::Bsw | WaitStrategy::Bswy | WaitStrategy::Bsls { .. },
+        ) => Some(4),
+        _ => None,
+    }
 }
 
-fn measure(
-    name: &'static str,
-    strategy: WaitStrategy,
-    clients: usize,
-    msgs_per_client: u64,
-    queue_kind: QueueKind,
-) -> Option<ProtocolBaseline> {
-    let run: NativeExperimentResult = NativeExperiment::new(Mechanism::UserLevel(strategy))
-        .clients(clients)
+/// `sem ops ≤ budget × round trips`, in integers: a violation is a credit
+/// leaked somewhere in the protocol, on any hardware.
+fn check_sem_budget(r: &ProtocolBaseline) -> Result<(), String> {
+    let budget = sem_budget(r.mechanism);
+    ensure(
+        budget.is_none_or(|b| r.totals.sem_ops() <= b * r.round_trips),
+        || {
+            format!(
+                "{}: {} sem ops over {} round trips breaks the exact budget of {} per round trip",
+                r.key(),
+                r.totals.sem_ops(),
+                r.round_trips,
+                budget.unwrap_or_default()
+            )
+        },
+    )
+}
+
+fn measure(mechanism: Mechanism, msgs_per_client: u64, kind: QueueKind) -> ProtocolBaseline {
+    let run = NativeExperiment::new(mechanism)
+        .clients(CLIENTS)
         .messages(msgs_per_client)
-        .queue(queue_kind)
+        .queue(kind)
         .run();
-    // Each client's disconnect is a full round trip too (metrics include
-    // it; the raw samples cover only the echoes), so divide by both.
-    let rt = run.messages + clients as u64;
-    let totals = run.server_metrics.add(&run.client_metrics);
-    let per_rt = |v: u64| v as f64 / rt as f64;
-    let stats = sample_stats(&run.client_samples)?;
-    Some(ProtocolBaseline {
-        name,
-        detail: strategy.name(),
-        mode: "threads",
-        queue: queue_kind.label(),
-        round_trips: rt,
-        elapsed_ms: run.elapsed.as_secs_f64() * 1e3,
-        throughput: run.throughput,
-        p50_us: stats.p50_us,
-        p99_us: stats.p99_us,
-        p999_us: stats.p999_us,
-        mean_us: stats.mean_us,
-        sem_ops_per_rt: per_rt(totals.sem_ops()),
-        kernel_crossings_per_rt: per_rt(totals.kernel_crossings()),
-        sem_kernel_waits_per_rt: per_rt(totals.sem_kernel_waits),
-        sem_kernel_wakes_per_rt: per_rt(totals.sem_kernel_wakes),
-        blocks_per_rt: per_rt(totals.blocks_entered),
-        stray_wakeups: totals.stray_wakeups_absorbed,
-    })
+    let queue = match mechanism {
+        Mechanism::SysV => SYSV_QUEUE,
+        _ => kind.label(),
+    };
+    enforce(ProtocolBaseline::new(
+        mechanism,
+        "threads",
+        queue,
+        run.messages,
+        run.throughput,
+        run.server_metrics.add(&run.client_metrics),
+        &run.client_samples,
+    ))
 }
 
 /// The `--procs` rows: the same protocols with the client on the far
@@ -161,38 +152,24 @@ fn measure(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-fn measure_procs_all(clients: usize, msgs_per_client: u64) -> Vec<ProtocolBaseline> {
+fn measure_procs_all(msgs_per_client: u64) -> Vec<ProtocolBaseline> {
     use usipc_lab::ProcExperiment;
-    protocols()
+    PROTOCOLS
         .iter()
-        .filter_map(|&(name, strategy)| {
+        .map(|&strategy| {
             let run = ProcExperiment::new(strategy)
-                .clients(clients)
+                .clients(CLIENTS)
                 .messages(msgs_per_client)
                 .run();
-            let rt = run.messages + clients as u64;
-            let totals = run.server_metrics.add(&run.client_metrics);
-            let per_rt = |v: u64| v as f64 / rt as f64;
-            let stats = sample_stats(&run.client_samples)?;
-            Some(ProtocolBaseline {
-                name,
-                detail: strategy.name(),
-                mode: "procs",
-                queue: QueueKind::default().label(),
-                round_trips: rt,
-                elapsed_ms: run.elapsed.as_secs_f64() * 1e3,
-                throughput: run.throughput,
-                p50_us: stats.p50_us,
-                p99_us: stats.p99_us,
-                p999_us: stats.p999_us,
-                mean_us: stats.mean_us,
-                sem_ops_per_rt: per_rt(totals.sem_ops()),
-                kernel_crossings_per_rt: per_rt(totals.kernel_crossings()),
-                sem_kernel_waits_per_rt: per_rt(totals.sem_kernel_waits),
-                sem_kernel_wakes_per_rt: per_rt(totals.sem_kernel_wakes),
-                blocks_per_rt: per_rt(totals.blocks_entered),
-                stray_wakeups: totals.stray_wakeups_absorbed,
-            })
+            enforce(ProtocolBaseline::new(
+                Mechanism::UserLevel(strategy),
+                "procs",
+                QueueKind::default().label(),
+                run.messages,
+                run.throughput,
+                run.server_metrics.add(&run.client_metrics),
+                &run.client_samples,
+            ))
         })
         .collect()
 }
@@ -201,8 +178,8 @@ fn measure_procs_all(clients: usize, msgs_per_client: u64) -> Vec<ProtocolBaseli
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-fn measure_procs_all(_clients: usize, _msgs_per_client: u64) -> Vec<ProtocolBaseline> {
-    Vec::new()
+fn measure_procs_all(_msgs_per_client: u64) -> Vec<ProtocolBaseline> {
+    panic!("--procs forks: it needs Linux on x86_64/aarch64");
 }
 
 /// The client counts swept by the WaitSet load matrix. Each is an order
@@ -213,167 +190,57 @@ const LOAD_CLIENTS: [usize; 4] = [1, 8, 64, 512];
 /// One cell of the WaitSet load matrix: `clients` open-loop clients
 /// multiplexed onto `shards` worker tasks, latency measured against each
 /// message's *scheduled* send time (coordinated-omission corrected).
+#[derive(Debug, Default)]
 struct LoadRow {
     clients: usize,
     shards: usize,
-    msgs_per_client: u64,
-    interval_us: f64,
-    round_trips: u64,
-    elapsed_ms: f64,
     throughput: f64,
-    p50_us: f64,
-    p99_us: f64,
-    p999_us: f64,
-    mean_us: f64,
+    stats: SampleStats,
     doorbells_rung: u64,
     doorbells_coalesced: u64,
     waitset_wakes: u64,
-    /// `doorbells_rung / waitset_wakes` — the design's budget pins this
-    /// at ≤ 1 (each wake is paid for by at most one `V`).
-    doorbell_vs_per_wake: f64,
+}
+
+impl LoadRow {
+    fn vs_per_wake(&self) -> f64 {
+        self.doorbells_rung as f64 / self.waitset_wakes.max(1) as f64
+    }
+}
+
+/// The doorbell budget: each WaitSet wake is paid for by at most one `V`;
+/// the `+ shards` slack covers end-of-run rings that land after a
+/// worker's final wake.
+fn check_doorbells(r: &LoadRow) -> Result<(), String> {
+    ensure(
+        r.doorbells_rung <= r.waitset_wakes + r.shards as u64,
+        || {
+            format!(
+                "load {} clients / {} shards: {} doorbells rung for {} wakes breaks the \
+             one-V-per-wake budget",
+                r.clients, r.shards, r.doorbells_rung, r.waitset_wakes
+            )
+        },
+    )
 }
 
 /// Runs one load-matrix cell. Offered load is scaled with the client
 /// count (fixed ~10 µs of aggregate inter-arrival headroom per client)
 /// so the sweep stresses *fan-in*, not raw saturation; message counts
 /// shrink as clients grow to keep the cell's wall-clock bounded.
-fn measure_load(clients: usize, opts_msgs: u64) -> Option<LoadRow> {
+fn measure_load(clients: usize, opts_msgs: u64) -> LoadRow {
     let shards = clients.min(4);
     let interval = Duration::from_micros(10 * clients as u64);
     let msgs = opts_msgs.min((20_000 / clients as u64).max(50));
     let run = run_waitset_load_experiment(clients, msgs, shards, interval);
-    let stats = sample_stats(&run.client_samples)?;
-    let rt: u64 = run.server_runs.iter().map(|r| r.processed).sum();
-    let sm = &run.server_metrics;
-    let cm = &run.client_metrics;
-    Some(LoadRow {
+    LoadRow {
         clients,
         shards,
-        msgs_per_client: msgs,
-        interval_us: interval.as_secs_f64() * 1e6,
-        round_trips: rt,
-        elapsed_ms: run.elapsed.as_secs_f64() * 1e3,
         throughput: run.throughput,
-        p50_us: stats.p50_us,
-        p99_us: stats.p99_us,
-        p999_us: stats.p999_us,
-        mean_us: stats.mean_us,
-        doorbells_rung: cm.doorbells_rung,
-        doorbells_coalesced: cm.doorbells_coalesced,
-        waitset_wakes: sm.waitset_wakes,
-        doorbell_vs_per_wake: cm.doorbells_rung as f64 / sm.waitset_wakes.max(1) as f64,
-    })
-}
-
-/// JSON number: finite values with fixed precision, `null` otherwise (JSON
-/// has no NaN; an empty sample set must not produce an unparsable file).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
+        stats: sample_stats(&run.client_samples).expect("every load client sends ≥ 50 messages"),
+        doorbells_rung: run.client_metrics.doorbells_rung,
+        doorbells_coalesced: run.client_metrics.doorbells_coalesced,
+        waitset_wakes: run.server_metrics.waitset_wakes,
     }
-}
-
-fn to_json(
-    clients: usize,
-    msgs_per_client: u64,
-    rows: &[ProtocolBaseline],
-    load: &[LoadRow],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"usipc-bench-protocols/v6\",\n");
-    s.push_str("  \"backend\": \"native\",\n");
-    s.push_str("  \"quantiles\": \"exact\",\n");
-    s.push_str(&format!("  \"clients\": {clients},\n"));
-    s.push_str(&format!("  \"msgs_per_client\": {msgs_per_client},\n"));
-    s.push_str("  \"protocols\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        s.push_str(&format!("      \"detail\": \"{}\",\n", r.detail));
-        s.push_str(&format!("      \"mode\": \"{}\",\n", r.mode));
-        s.push_str(&format!("      \"queue\": \"{}\",\n", r.queue));
-        s.push_str(&format!("      \"round_trips\": {},\n", r.round_trips));
-        s.push_str(&format!("      \"elapsed_ms\": {},\n", num(r.elapsed_ms)));
-        s.push_str(&format!(
-            "      \"throughput_msgs_per_ms\": {},\n",
-            num(r.throughput)
-        ));
-        s.push_str(&format!("      \"p50_us\": {},\n", num(r.p50_us)));
-        s.push_str(&format!("      \"p99_us\": {},\n", num(r.p99_us)));
-        s.push_str(&format!("      \"p999_us\": {},\n", num(r.p999_us)));
-        s.push_str(&format!("      \"mean_us\": {},\n", num(r.mean_us)));
-        s.push_str(&format!(
-            "      \"sem_ops_per_rt\": {},\n",
-            num(r.sem_ops_per_rt)
-        ));
-        s.push_str(&format!(
-            "      \"kernel_crossings_per_rt\": {},\n",
-            num(r.kernel_crossings_per_rt)
-        ));
-        s.push_str(&format!(
-            "      \"sem_kernel_waits_per_rt\": {},\n",
-            num(r.sem_kernel_waits_per_rt)
-        ));
-        s.push_str(&format!(
-            "      \"sem_kernel_wakes_per_rt\": {},\n",
-            num(r.sem_kernel_wakes_per_rt)
-        ));
-        s.push_str(&format!(
-            "      \"blocks_per_rt\": {},\n",
-            num(r.blocks_per_rt)
-        ));
-        s.push_str(&format!("      \"stray_wakeups\": {}\n", r.stray_wakeups));
-        s.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"load_matrix\": [\n");
-    for (i, r) in load.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"clients\": {},\n", r.clients));
-        s.push_str(&format!("      \"shards\": {},\n", r.shards));
-        s.push_str(&format!(
-            "      \"msgs_per_client\": {},\n",
-            r.msgs_per_client
-        ));
-        s.push_str(&format!("      \"interval_us\": {},\n", num(r.interval_us)));
-        s.push_str(&format!("      \"round_trips\": {},\n", r.round_trips));
-        s.push_str(&format!("      \"elapsed_ms\": {},\n", num(r.elapsed_ms)));
-        s.push_str(&format!(
-            "      \"throughput_msgs_per_ms\": {},\n",
-            num(r.throughput)
-        ));
-        s.push_str(&format!("      \"p50_us\": {},\n", num(r.p50_us)));
-        s.push_str(&format!("      \"p99_us\": {},\n", num(r.p99_us)));
-        s.push_str(&format!("      \"p999_us\": {},\n", num(r.p999_us)));
-        s.push_str(&format!("      \"mean_us\": {},\n", num(r.mean_us)));
-        s.push_str(&format!(
-            "      \"doorbells_rung\": {},\n",
-            r.doorbells_rung
-        ));
-        s.push_str(&format!(
-            "      \"doorbells_coalesced\": {},\n",
-            r.doorbells_coalesced
-        ));
-        s.push_str(&format!("      \"waitset_wakes\": {},\n", r.waitset_wakes));
-        s.push_str(&format!(
-            "      \"doorbell_vs_per_wake\": {}\n",
-            num(r.doorbell_vs_per_wake)
-        ));
-        s.push_str(if i + 1 == load.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 fn baseline_table(title: &str, rows: &[ProtocolBaseline]) -> Table {
@@ -395,13 +262,13 @@ fn baseline_table(title: &str, rows: &[ProtocolBaseline]) -> Table {
         table.push_row(
             i as f64,
             vec![
-                r.p50_us,
-                r.p99_us,
-                r.mean_us,
+                r.stats.p50_us,
+                r.stats.p99_us,
+                r.stats.mean_us,
                 r.throughput,
-                r.sem_ops_per_rt,
-                r.sem_kernel_waits_per_rt,
-                r.sem_kernel_wakes_per_rt,
+                r.per_rt(r.totals.sem_ops()),
+                r.per_rt(r.totals.sem_kernel_waits),
+                r.per_rt(r.totals.sem_kernel_wakes),
             ],
         );
     }
@@ -427,11 +294,11 @@ fn load_table(rows: &[LoadRow]) -> Table {
             r.clients as f64,
             vec![
                 r.shards as f64,
-                r.p50_us,
-                r.p99_us,
-                r.p999_us,
+                r.stats.p50_us,
+                r.stats.p99_us,
+                r.stats.p999_us,
                 r.throughput,
-                r.doorbell_vs_per_wake,
+                r.vs_per_wake(),
             ],
         );
     }
@@ -439,38 +306,33 @@ fn load_table(rows: &[LoadRow]) -> Table {
 }
 
 pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
-    let clients = 1; // single ping-pong pair: the latency baseline
+    let msgs = opts.msgs_per_client;
 
     // Fork-mode rows first: `fork()` from a process that has never
     // spawned a thread is unconditionally safe; the thread-mode harness
     // joins its workers but there is no reason to rely on that here.
     let proc_rows: Vec<ProtocolBaseline> = if opts.procs {
-        measure_procs_all(clients, opts.msgs_per_client)
+        measure_procs_all(msgs)
     } else {
         Vec::new()
     };
 
-    // Both queue kinds, every protocol: the ring-vs-two-lock delta is
-    // the PR-over-PR signal `figures regress` bands on.
     let mut rows: Vec<ProtocolBaseline> = [QueueKind::TwoLock, QueueKind::Ring]
-        .iter()
-        .flat_map(|&kind| {
-            protocols().into_iter().filter_map(move |(name, strategy)| {
-                measure(name, strategy, clients, opts.msgs_per_client, kind)
-            })
-        })
+        .into_iter()
+        .flat_map(|kind| PROTOCOLS.map(|s| measure(Mechanism::UserLevel(s), msgs, kind)))
         .collect();
+    rows.push(measure(Mechanism::SysV, msgs, QueueKind::default()));
 
     // The WaitSet load matrix: fan-in scaling from 1 to `load_max_clients`
     // open-loop clients (`--load-clients 0` skips it entirely).
     let load_rows: Vec<LoadRow> = LOAD_CLIENTS
         .iter()
         .filter(|&&c| c <= opts.load_max_clients)
-        .filter_map(|&c| measure_load(c, opts.msgs_per_client))
+        .map(|&c| measure_load(c, msgs))
         .collect();
 
     let mut tables = vec![baseline_table(
-        "native protocol baseline (1 client, threads, two_lock then ring rows)",
+        "native protocol baseline (1 client, threads: two_lock rows, ring rows, then SysV)",
         &rows,
     )];
     if !proc_rows.is_empty() {
@@ -485,54 +347,46 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
 
     let mut notes: Vec<String> = rows
         .iter()
-        .chain(proc_rows.iter())
+        .chain(&proc_rows)
         .enumerate()
         .map(|(i, r)| {
             format!(
-                "protocol {i} = {} [{}/{}]: p50 {:.2} µs, p99 {:.2} µs, {:.2} sem ops/RT, \
+                "protocol {i} = {}: p50 {:.2} µs, p99 {:.2} µs, {} sem ops / {} RT, \
                  {:.3} kernel waits/RT, {:.3} kernel wakes/RT, block rate {:.3}",
-                r.detail,
-                r.mode,
-                r.queue,
-                r.p50_us,
-                r.p99_us,
-                r.sem_ops_per_rt,
-                r.sem_kernel_waits_per_rt,
-                r.sem_kernel_wakes_per_rt,
-                r.blocks_per_rt,
+                r.key(),
+                r.stats.p50_us,
+                r.stats.p99_us,
+                r.totals.sem_ops(),
+                r.round_trips,
+                r.per_rt(r.totals.sem_kernel_waits),
+                r.per_rt(r.totals.sem_kernel_wakes),
+                r.per_rt(r.totals.blocks_entered),
             )
         })
         .collect();
-    if opts.procs && proc_rows.is_empty() {
-        notes.push("! --procs requires linux on x86_64/aarch64; procs rows skipped".into());
-    }
     for r in &load_rows {
         notes.push(format!(
             "load {} clients / {} shards: p50 {:.2} µs, p99 {:.2} µs, p999 {:.2} µs, \
-             {:.2} doorbell V per wake ({} rung / {} coalesced)",
+             {:.2} doorbell V per wake ({} rung / {} coalesced / {} wakes)",
             r.clients,
             r.shards,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.doorbell_vs_per_wake,
+            r.stats.p50_us,
+            r.stats.p99_us,
+            r.stats.p999_us,
+            r.vs_per_wake(),
             r.doorbells_rung,
             r.doorbells_coalesced,
+            r.waitset_wakes,
         ));
     }
     if opts.load_max_clients == 0 {
         notes.push("! load matrix disabled (--load-clients 0)".into());
     }
 
-    let dir = opts.bench_dir.unwrap_or_else(|| PathBuf::from("results"));
-    rows.extend(proc_rows);
-    let json = to_json(clients, opts.msgs_per_client, &rows, &load_rows);
-    match std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::write(dir.join("BENCH_protocols.json"), &json))
-    {
-        Ok(()) => notes.push(format!("→ {}", dir.join("BENCH_protocols.json").display())),
-        Err(e) => notes.push(format!("! BENCH_protocols.json write failed: {e}")),
-    }
+    rows.iter()
+        .chain(&proc_rows)
+        .for_each(|r| enforce(check_sem_budget(r)));
+    load_rows.iter().for_each(|r| enforce(check_doorbells(r)));
 
     ExperimentOutput {
         id: "bench",
@@ -543,40 +397,88 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
 
 #[cfg(test)]
 mod tests {
-    use super::{nearest_rank_us, sample_stats};
+    use super::*;
 
-    /// Satellite of the quantile fix: empty input is `None`, never a
-    /// panic or a NaN row.
-    #[test]
-    fn empty_samples_yield_no_stats() {
-        assert!(sample_stats(&[]).is_none());
+    fn row(
+        mechanism: Mechanism,
+        mode: &'static str,
+        queue: &'static str,
+        sem_ops: u64,
+    ) -> ProtocolBaseline {
+        ProtocolBaseline {
+            mechanism,
+            mode,
+            queue,
+            round_trips: 301,
+            throughput: 0.0,
+            stats: SampleStats::default(),
+            totals: MetricsSnapshot {
+                sem_p: sem_ops / 2,
+                sem_v: sem_ops - sem_ops / 2,
+                ..MetricsSnapshot::default()
+            },
+        }
     }
 
-    /// Nearest-rank at small N: p99 of 4 samples is the max (rank
-    /// ⌈0.99·4⌉ = 4), p50 is the 2nd (rank ⌈0.5·4⌉ = 2). The old
-    /// `round((N-1)·q)` formula returned the 3rd value for p50 here.
-    #[test]
-    fn nearest_rank_small_n_is_exact() {
-        let sorted = [1_000, 2_000, 3_000, 9_000];
-        assert_eq!(nearest_rank_us(&sorted, 0.99), 9.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.999), 9.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.50), 2.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.0), 1.0); // clamped to rank 1
-        assert_eq!(nearest_rank_us(&sorted, 1.0), 9.0);
+    fn user(s: WaitStrategy, sem_ops: u64) -> ProtocolBaseline {
+        row(Mechanism::UserLevel(s), "threads", "ring", sem_ops)
     }
 
-    /// N=100: p50 is exactly the 50th smallest, p99 the 99th — the
-    /// textbook ranks, against which the log₂-histogram readout may be
-    /// off by up to √2.
+    /// The budget is the paper's and exact: one op over 4 × 301 fails,
+    /// however close to 4.0 per round trip that reads.
     #[test]
-    fn nearest_rank_n100_matches_textbook_ranks() {
-        let sorted: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
-        assert_eq!(nearest_rank_us(&sorted, 0.50), 50.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.99), 99.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.999), 100.0);
-        let stats = sample_stats(&sorted).expect("non-empty");
-        assert_eq!(stats.p50_us, 50.0);
-        assert_eq!(stats.p99_us, 99.0);
-        assert_eq!(stats.p999_us, 100.0);
+    fn sem_budget_is_exact() {
+        assert!(check_sem_budget(&user(WaitStrategy::Bsw, 4 * 301)).is_ok());
+        let err = check_sem_budget(&user(WaitStrategy::Bsw, 4 * 301 + 1)).unwrap_err();
+        assert!(err.contains("exact budget of 4"), "{err}");
+        for s in [WaitStrategy::Bswy, WaitStrategy::Bsls { max_spin: 50 }] {
+            assert!(check_sem_budget(&user(s, 4 * 301 + 1)).is_err());
+        }
+    }
+
+    #[test]
+    fn bss_takes_no_semaphore_at_all() {
+        assert!(check_sem_budget(&user(WaitStrategy::Bss, 0)).is_ok());
+        let err = check_sem_budget(&user(WaitStrategy::Bss, 1)).unwrap_err();
+        assert!(err.contains("BSS [threads/ring]"), "{err}");
+    }
+
+    #[test]
+    fn sysv_has_no_budget() {
+        let r = row(Mechanism::SysV, "threads", SYSV_QUEUE, 99 * 301);
+        assert!(check_sem_budget(&r).is_ok());
+    }
+
+    #[test]
+    fn a_run_without_samples_has_no_row() {
+        let new = |samples: &[u64]| {
+            let bswy = Mechanism::UserLevel(WaitStrategy::Bswy);
+            ProtocolBaseline::new(
+                bswy,
+                "procs",
+                "ring",
+                300,
+                1.0,
+                MetricsSnapshot::default(),
+                samples,
+            )
+        };
+        assert!(new(&[1_000]).is_ok());
+        let err = new(&[]).expect_err("no samples, no row");
+        assert!(err.contains("BSWY [procs/ring]"), "{err}");
+    }
+
+    #[test]
+    fn doorbell_budget_allows_one_v_per_wake_plus_a_ring_per_shard() {
+        let cell = |rung| LoadRow {
+            clients: 8,
+            shards: 4,
+            doorbells_rung: rung,
+            waitset_wakes: 100,
+            ..LoadRow::default()
+        };
+        assert!(check_doorbells(&cell(104)).is_ok());
+        let err = check_doorbells(&cell(105)).unwrap_err();
+        assert!(err.contains("105 doorbells rung for 100 wakes"), "{err}");
     }
 }

@@ -23,8 +23,9 @@
 //!   incarnation recovers the half-mutated segment: fsck idempotence
 //!   in anger, generation 3.
 //!
-//! Results are spliced into `BENCH_protocols.json` as a `"chaos"`
-//! section (since schema v5); `figures regress` gates every row's ledger.
+//! Conservation is exact, so the experiment asserts it on every recovery
+//! row (ledger balanced, nothing unresolved, the right generation, a
+//! measured and bounded recovery) and on the sweep's shape.
 //!
 //! Fork discipline: this experiment forks, so like `flight` it must run
 //! before any experiment that leaves threads behind — run it alone or
@@ -33,155 +34,111 @@
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
 
-/// One recovery row of the `"chaos"` JSON section.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-struct RecoveryRow {
-    drill: &'static str,
-    queue: &'static str,
-    kill_site: Option<u64>,
-    generation: u32,
-    recovery_ms: f64,
-    in_flight: u32,
-    served_by_request: u32,
-    served_by_reply: u32,
-    drop_notices: u32,
-    unresolved: u32,
-    credits_absorbed: u32,
-    repairs: u32,
-    retries: u64,
-    reaped: u32,
-    ledger_balanced: bool,
-}
-
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod imp {
-    use super::{ExperimentOutput, RecoveryRow, RunOpts, Table};
-    use std::path::PathBuf;
+    use super::super::{enforce, ensure};
+    use super::{ExperimentOutput, RunOpts, Table};
     use std::time::Duration;
     use usipc::{QueueKind, Takeover, WaitStrategy};
     use usipc_lab::ProcExperiment;
 
-    fn row_from_takeover(
+    /// One takeover's outcome: a row of the table.
+    #[derive(Debug, Default)]
+    struct RecoveryRow {
         drill: &'static str,
         queue: &'static str,
-        kill_site: Option<u64>,
-        tk: &Takeover,
-        recovery: Duration,
+        kill_site: u64,
+        generation: u32,
+        recovery_ms: f64,
+        in_flight: u32,
+        drop_notices: u32,
+        unresolved: u32,
         retries: u64,
         reaped: u32,
-    ) -> RecoveryRow {
-        let l = &tk.report.ledger;
-        RecoveryRow {
-            drill,
-            queue,
-            kill_site,
-            generation: tk.generation,
-            recovery_ms: recovery.as_secs_f64() * 1e3,
-            in_flight: l.in_flight,
-            served_by_request: l.served_by_request,
-            served_by_reply: l.served_by_reply,
-            drop_notices: l.drop_notices,
-            unresolved: l.unresolved,
-            credits_absorbed: tk.report.credits_absorbed(),
-            repairs: tk.report.repairs(),
-            retries,
-            reaped,
-            ledger_balanced: l.balanced(),
-        }
+        ledger_balanced: bool,
     }
 
-    fn num(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn chaos_json(msgs: u64, rows: &[RecoveryRow]) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("    \"msgs_per_client\": {msgs},\n"));
-        s.push_str("    \"recovery\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str("      {\n");
-            s.push_str(&format!("        \"drill\": \"{}\",\n", r.drill));
-            s.push_str(&format!("        \"queue\": \"{}\",\n", r.queue));
-            s.push_str(&format!(
-                "        \"kill_site\": {},\n",
-                match r.kill_site {
-                    Some(k) => k.to_string(),
-                    None => "null".to_string(),
-                }
-            ));
-            s.push_str(&format!("        \"generation\": {},\n", r.generation));
-            s.push_str(&format!(
-                "        \"recovery_ms\": {},\n",
-                num(r.recovery_ms)
-            ));
-            s.push_str(&format!("        \"in_flight\": {},\n", r.in_flight));
-            s.push_str(&format!(
-                "        \"served_by_request\": {},\n",
-                r.served_by_request
-            ));
-            s.push_str(&format!(
-                "        \"served_by_reply\": {},\n",
-                r.served_by_reply
-            ));
-            s.push_str(&format!("        \"drop_notices\": {},\n", r.drop_notices));
-            s.push_str(&format!("        \"unresolved\": {},\n", r.unresolved));
-            s.push_str(&format!(
-                "        \"credits_absorbed\": {},\n",
-                r.credits_absorbed
-            ));
-            s.push_str(&format!("        \"repairs\": {},\n", r.repairs));
-            s.push_str(&format!("        \"retries\": {},\n", r.retries));
-            s.push_str(&format!("        \"reaped\": {},\n", r.reaped));
-            s.push_str(&format!(
-                "        \"ledger_balanced\": {}\n",
-                r.ledger_balanced
-            ));
-            s.push_str(if i + 1 == rows.len() {
-                "      }\n"
-            } else {
-                "      },\n"
-            });
-        }
-        s.push_str("    ]\n");
-        s.push_str("  }");
-        s
-    }
-
-    /// Splices (or replaces) a `"chaos"` key into the `bench`
-    /// experiment's `BENCH_protocols.json` — same string surgery as the
-    /// `faults` section (the workspace is dependency-free; there is no
-    /// serde to reach for).
-    fn splice_chaos(orig: &str, chaos: &str) -> String {
-        let base = match orig.find(",\n  \"chaos\":") {
-            Some(i) => {
-                // A previous chaos section: it is always the final key,
-                // so everything before it is the document minus its
-                // closing brace.
-                orig[..i].to_string()
+    impl RecoveryRow {
+        fn new(
+            drill: &'static str,
+            queue: &'static str,
+            kill_site: u64,
+            tk: &Takeover,
+            recovery: Duration,
+            retries: u64,
+            reaped: u32,
+        ) -> Self {
+            let l = &tk.report.ledger;
+            RecoveryRow {
+                drill,
+                queue,
+                kill_site,
+                generation: tk.generation,
+                recovery_ms: recovery.as_secs_f64() * 1e3,
+                in_flight: l.in_flight,
+                drop_notices: l.drop_notices,
+                unresolved: l.unresolved,
+                retries,
+                reaped,
+                ledger_balanced: l.balanced(),
             }
-            None => {
-                let t = orig.trim_end();
-                match t.strip_suffix('}') {
-                    Some(body) => body.trim_end().to_string(),
-                    None => t.to_string(),
-                }
-            }
-        };
-        format!("{base},\n  \"chaos\": {chaos}\n}}\n")
+        }
     }
 
-    pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
+    /// A recovery, exactly: no message lost or invented across the
+    /// takeover, every in-flight client verdicted, the generation the
+    /// drill implies (created at 1; a relay's half-recoverer bumps to 2
+    /// before the final takeover's 3), and a recovery that was measured
+    /// and finished within two seconds.
+    fn check_recovery(r: &RecoveryRow) -> Result<(), String> {
+        let key = format!("{}[{}@{}]", r.drill, r.queue, r.kill_site);
+        let generation = if r.drill.starts_with("relay") { 3 } else { 2 };
+        ensure(r.ledger_balanced, || {
+            format!("{key}: conservation ledger did not balance — a message was lost or invented")
+        })?;
+        ensure(r.unresolved == 0, || {
+            format!(
+                "{key}: {} in-flight clients left without a verdict",
+                r.unresolved
+            )
+        })?;
+        ensure(r.generation == generation, || {
+            format!("{key}: generation {}, want {generation}", r.generation)
+        })?;
+        ensure(r.recovery_ms > 0.0 && r.recovery_ms < 2000.0, || {
+            format!(
+                "{key}: recovery took {:.3} ms, outside (0, 2000)",
+                r.recovery_ms
+            )
+        })
+    }
+
+    /// The sweep's shape: takeover rows on both queue kinds at ≥ 3
+    /// distinct kill sites each, and a combined storm that re-reaped its
+    /// (two) corpses.
+    fn check_drills(rows: &[RecoveryRow]) -> Result<(), String> {
+        for queue in ["two_lock", "ring"] {
+            let mut sites: Vec<u64> = rows
+                .iter()
+                .filter(|r| r.drill == "takeover" && r.queue == queue)
+                .map(|r| r.kill_site)
+                .collect();
+            sites.sort_unstable();
+            sites.dedup();
+            ensure(sites.len() >= 3, || {
+                format!("takeover sweep on {queue} collapsed to kill sites {sites:?}")
+            })?;
+        }
+        let storm = rows.iter().find(|r| r.drill == "storm");
+        ensure(storm.is_some_and(|r| r.reaped >= 2), || {
+            format!("combined storm re-reaped too few corpses (want ≥ 2): {storm:?}")
+        })
+    }
+
+    pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
         // Chaos traffic is bounded per drill: recovery latency does not
         // get more informative with a longer barrage, and every drill
         // forks a full process world.
@@ -194,7 +151,8 @@ mod imp {
         // verdict classes: nothing served yet (the first request is the
         // one in hand), mid-barrage, deep in the barrage.
         let sites = [0, msgs / 4, (3 * msgs) / 2];
-        for (queue, kind) in [("two_lock", QueueKind::TwoLock), ("ring", QueueKind::Ring)] {
+        for kind in [QueueKind::TwoLock, QueueKind::Ring] {
+            let queue = kind.label();
             for &site in &sites {
                 let run = ProcExperiment::new(strategy)
                     .clients(3)
@@ -203,10 +161,10 @@ mod imp {
                     .queue(kind)
                     .run_takeover();
                 let retries: u64 = run.drop_retries.iter().sum();
-                rows.push(row_from_takeover(
+                rows.push(RecoveryRow::new(
                     "takeover",
                     queue,
-                    Some(site),
+                    site,
                     &run.takeover,
                     run.recovery,
                     retries,
@@ -253,14 +211,15 @@ mod imp {
             .takeover
             .as_ref()
             .expect("a server kill forces a takeover");
+        let recovery = combined.recovery.expect("recovery timed");
         // The storm and relay drills run on the default queue kind.
         let default_queue = QueueKind::default().label();
-        rows.push(row_from_takeover(
+        rows.push(RecoveryRow::new(
             "storm",
             default_queue,
-            Some(msgs / 8),
+            msgs / 8,
             tk,
-            combined.recovery.expect("recovery timed"),
+            recovery,
             combined.drop_retries.iter().sum(),
             combined.server_run.reaped,
         ));
@@ -268,7 +227,7 @@ mod imp {
             "combined storm: 2 client corpses + server SIGKILL at site {}; \
              successor recovered in {:.2} ms, re-reaped {} corpses, ledger balanced: {}",
             msgs / 8,
-            combined.recovery.expect("recovery timed").as_secs_f64() * 1e3,
+            recovery.as_secs_f64() * 1e3,
             combined.server_run.reaped,
             tk.report.ledger.balanced(),
         ));
@@ -280,14 +239,13 @@ mod imp {
                 .messages(msgs)
                 .kill_site(msgs / 10)
                 .run_relay(fsck_first);
-            let retries: u64 = run.drop_retries.iter().sum();
-            rows.push(row_from_takeover(
+            rows.push(RecoveryRow::new(
                 drill,
                 default_queue,
-                Some(msgs / 10),
+                msgs / 10,
                 &run.takeover,
                 run.recovery,
-                retries,
+                run.drop_retries.iter().sum(),
                 run.server_run.reaped,
             ));
             notes.push(format!(
@@ -319,7 +277,7 @@ mod imp {
             table.push_row(
                 i as f64,
                 vec![
-                    r.kill_site.map_or(f64::NAN, |k| k as f64),
+                    r.kill_site as f64,
                     f64::from(r.generation),
                     r.recovery_ms,
                     f64::from(r.in_flight),
@@ -331,28 +289,72 @@ mod imp {
             );
         }
 
-        if let Some(bad) = rows.iter().find(|r| !r.ledger_balanced || r.unresolved > 0) {
-            notes.push(format!(
-                "! {}[{}]: ledger did not balance — message conservation is broken",
-                bad.drill, bad.queue
-            ));
-        }
-
-        let dir = opts.bench_dir.unwrap_or_else(|| PathBuf::from("results"));
-        let path = dir.join("BENCH_protocols.json");
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-            "{\n  \"schema\": \"usipc-bench-protocols/v6\",\n  \"backend\": \"native\"\n}\n".into()
-        });
-        let json = splice_chaos(&baseline, &chaos_json(msgs, &rows));
-        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
-            Ok(()) => notes.push(format!("→ {} (chaos section)", path.display())),
-            Err(e) => notes.push(format!("! BENCH_protocols.json write failed: {e}")),
-        }
+        rows.iter().for_each(|r| enforce(check_recovery(r)));
+        enforce(check_drills(&rows));
 
         ExperimentOutput {
             id: "chaos",
             tables: vec![table],
             notes,
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::{check_drills, check_recovery, RecoveryRow};
+
+        fn row(drill: &'static str, queue: &'static str, kill_site: u64) -> RecoveryRow {
+            RecoveryRow {
+                drill,
+                queue,
+                kill_site,
+                generation: if drill.starts_with("relay") { 3 } else { 2 },
+                recovery_ms: 0.2,
+                in_flight: 3,
+                drop_notices: 1,
+                retries: 1,
+                reaped: 2,
+                ledger_balanced: true,
+                ..RecoveryRow::default()
+            }
+        }
+
+        #[test]
+        fn a_recovery_row_is_gated_exactly() {
+            assert!(check_recovery(&row("takeover", "ring", 7)).is_ok());
+            assert!(check_recovery(&row("relay-fsck", "ring", 5)).is_ok());
+            let fails = |drill, break_it: fn(&mut RecoveryRow), why: &str| {
+                let mut r = row(drill, "ring", 7);
+                break_it(&mut r);
+                let err = check_recovery(&r).unwrap_err();
+                assert!(err.contains(why), "{err}");
+            };
+            fails("takeover", |r| r.ledger_balanced = false, "did not balance");
+            fails("takeover", |r| r.unresolved = 2, "without a verdict");
+            fails("relay-bump", |r| r.generation = 2, "want 3");
+            fails("storm", |r| r.recovery_ms = 0.0, "outside (0, 2000)");
+            fails("storm", |r| r.recovery_ms = 2000.0, "outside (0, 2000)");
+        }
+
+        #[test]
+        fn the_sweep_needs_both_kinds_three_sites_and_a_reaping_storm() {
+            let sweep = |ring_sites: &[u64], storm_reaped| {
+                let mut rows: Vec<RecoveryRow> = [0, 50, 300]
+                    .iter()
+                    .map(|&s| row("takeover", "two_lock", s))
+                    .chain(ring_sites.iter().map(|&s| row("takeover", "ring", s)))
+                    .collect();
+                rows.push(RecoveryRow {
+                    reaped: storm_reaped,
+                    ..row("storm", "ring", 25)
+                });
+                rows
+            };
+            assert!(check_drills(&sweep(&[0, 50, 300], 2)).is_ok());
+            let err = check_drills(&sweep(&[0, 0, 300], 2)).unwrap_err();
+            assert!(err.contains("ring collapsed"), "{err}");
+            let err = check_drills(&sweep(&[0, 50, 300], 1)).unwrap_err();
+            assert!(err.contains("want ≥ 2"), "{err}");
         }
     }
 }
@@ -361,9 +363,7 @@ mod imp {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
-    imp::run(opts)
-}
+pub(crate) use imp::run;
 
 #[cfg(not(all(
     target_os = "linux",

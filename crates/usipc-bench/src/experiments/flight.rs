@@ -7,7 +7,8 @@
 //! task, the victim's included, read back out of shared memory after
 //! the process that wrote them was gone. The dump is written to
 //! `FLIGHT_postmortem.json` (Chrome/Perfetto trace format — load it at
-//! `ui.perfetto.dev`); CI validates and uploads it.
+//! `ui.perfetto.dev`). The experiment asserts its spans balance and that
+//! the victim's track holds events.
 //!
 //! Fork discipline: this experiment forks, so like `bench --procs` it
 //! must run before any experiment that leaves threads behind — run it
@@ -16,12 +17,28 @@
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;
 
+/// Every span the dump opens it closes (`B == E`), there are spans at all,
+/// and the SIGKILLed victim's last words survived.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn check_postmortem(begins: usize, ends: usize, victim_events: usize) -> Result<(), String> {
+    use super::ensure;
+    ensure(begins == ends && begins > 0, || {
+        format!("postmortem spans: {begins} begins, {ends} ends")
+    })?;
+    ensure(victim_events > 0, || {
+        "postmortem holds no events on the victim's track".into()
+    })
+}
+
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
-    use std::path::PathBuf;
+    use super::enforce;
     use std::time::Duration;
     use usipc::WaitStrategy;
     use usipc_lab::ProcExperiment;
@@ -37,7 +54,11 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
         .expect("peer death must trigger a flight dump");
     let begins = dump.matches("\"ph\":\"B\"").count();
     let ends = dump.matches("\"ph\":\"E\"").count();
-    let victim_events = dump.matches("\"tid\":1}").count() + dump.matches("\"tid\":1,").count();
+    // The victim, client 0, is task 1. Spans end `"tid":1}`, instants
+    // continue `"tid":1,"s"`; its name record (`"tid":1,"args"`) is
+    // not an event.
+    let victim_events =
+        dump.matches("\"tid\":1}").count() + dump.matches("\"tid\":1,\"s\"").count();
 
     let mut table = Table::new(
         "flight recorder kill drill (BSW, 1 victim SIGKILLed mid-barrage)",
@@ -70,18 +91,18 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
             res.victim_progress, res.server_run.reaped, res.server_run.disconnects
         ),
         format!(
-            "postmortem: {begins} span begins / {ends} ends (balanced: {}), \
-             {victim_events} events on the victim's track",
-            begins == ends
+            "postmortem: {begins} span begins / {ends} ends, \
+             {victim_events} events on the victim's track"
         ),
     ];
 
-    let dir = opts.bench_dir.unwrap_or_else(|| PathBuf::from("results"));
-    let path = dir.join("FLIGHT_postmortem.json");
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &dump)) {
+    let path = opts.out_dir.join("FLIGHT_postmortem.json");
+    match std::fs::create_dir_all(&opts.out_dir).and_then(|()| std::fs::write(&path, &dump)) {
         Ok(()) => notes.push(format!("→ {} ({} bytes)", path.display(), dump.len())),
         Err(e) => notes.push(format!("! FLIGHT_postmortem.json write failed: {e}")),
     }
+
+    enforce(check_postmortem(begins, ends, victim_events));
 
     ExperimentOutput {
         id: "flight",
@@ -99,5 +120,23 @@ pub(crate) fn run(_opts: RunOpts) -> ExperimentOutput {
         id: "flight",
         tables: vec![Table::new("flight recorder kill drill", "row", "-", vec![])],
         notes: vec!["! the kill drill requires Linux on x86_64/aarch64; skipped".into()],
+    }
+}
+
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod tests {
+    use super::check_postmortem;
+
+    #[test]
+    fn postmortem_needs_balanced_spans_and_the_victims_events() {
+        assert!(check_postmortem(673, 673, 967).is_ok());
+        assert!(check_postmortem(673, 672, 967).is_err());
+        assert!(check_postmortem(0, 0, 967).is_err());
+        let err = check_postmortem(673, 673, 0).unwrap_err();
+        assert!(err.contains("victim"), "{err}");
     }
 }

@@ -13,9 +13,10 @@
 //!
 //! under `--trace DIR` (default `results/trace`). The table reports the
 //! surviving record count and the ring-overflow drop count per cell, so a
-//! truncated timeline is visible at a glance.
+//! truncated timeline is visible at a glance; an empty cell fails the
+//! experiment.
 
-use super::{ExperimentOutput, RunOpts};
+use super::{enforce, ensure, ExperimentOutput, RunOpts};
 use crate::table::Table;
 use std::path::Path;
 use usipc::trace::UnifiedTrace;
@@ -39,6 +40,13 @@ fn protocols() -> Vec<(&'static str, WaitStrategy)> {
         ("bsls20", WaitStrategy::Bsls { max_spin: 20 }),
         ("handoff", WaitStrategy::HandoffBswy),
     ]
+}
+
+/// A timeline with no records is a tracing layer that stopped recording.
+fn check_cell(proto: &str, backend: &str, trace: &UnifiedTrace) -> Result<(), String> {
+    ensure(!trace.records.is_empty(), || {
+        format!("trace {proto}/{backend}: no records")
+    })
 }
 
 /// Writes both export formats for one cell and returns
@@ -105,6 +113,7 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
             .run();
         let sim_trace = sim.trace.expect("tracing was enabled");
         let (sr, sd) = export(&dir, name, "sim", &sim_trace, &mut notes);
+        enforce(check_cell(name, "sim", &sim_trace));
 
         let native = NativeExperiment::new(mech)
             .clients(1)
@@ -113,6 +122,7 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
             .run();
         let native_trace = native.trace.expect("tracing was enabled");
         let (nr, nd) = export(&dir, name, "native", &native_trace, &mut notes);
+        enforce(check_cell(name, "native", &native_trace));
 
         notes.push(format!("proto#{i} = {name}"));
         t.push_row(i as f64, vec![sr, sd, nr, nd]);
@@ -127,5 +137,25 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
         id: "trace",
         tables: vec![t],
         notes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_cell;
+    use usipc::trace::{TracePoint, TraceRecord, UnifiedTrace};
+    use usipc::ProtoEvent;
+
+    #[test]
+    fn an_empty_cell_fails() {
+        let err = check_cell("bsw", "native", &UnifiedTrace::default()).unwrap_err();
+        assert!(err.contains("bsw/native"), "{err}");
+        let one = TraceRecord {
+            ts_nanos: 0,
+            task_id: 0,
+            point: TracePoint::Proto(ProtoEvent::SemP),
+        };
+        let trace = UnifiedTrace::from_parts(vec![one], Vec::new(), 0);
+        assert!(check_cell("bsw", "native", &trace).is_ok());
     }
 }

@@ -10,9 +10,9 @@ fn small() -> RunOpts {
         max_clients: 2,
         mp_max_clients: 3,
         explore_depth: 7,
-        // Keep the trace/bench experiments' files out of the repo's results/.
+        // Keep the experiments' files out of the repo's results/.
         trace_dir: Some(std::env::temp_dir().join("usipc_trace_smoke")),
-        bench_dir: Some(std::env::temp_dir().join("usipc_bench_smoke")),
+        out_dir: std::env::temp_dir().join("usipc_bench_smoke"),
         // Never fork here: `cargo test` runs tests on worker threads and
         // the proc harness requires a single-threaded fork window (the
         // dedicated cross-process suite covers the `--procs` path).
