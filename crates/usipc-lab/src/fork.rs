@@ -275,8 +275,8 @@ fn client_body(ctx: &ChildCtx<'_>, c: u32, strategy: WaitStrategy) -> i32 {
         done += 1;
         cell.progress.fetch_add(1, Ordering::Relaxed);
         if let Some(w) = &writer {
-            // Per-RT cost: four Relaxed adds into this client's own
-            // cache-line-padded slot — no semaphore ops, no kernel
+            // Per-RT cost: unlocked loads and stores into this client's
+            // own cache-line-padded slot — no semaphore ops, no kernel
             // crossings (the zero-overhead contract the accounting test
             // pins).
             w.record_latency_nanos(rt_nanos);
@@ -1383,12 +1383,17 @@ mod tests {
             .drill_world(0, 2);
         let flight = world.os.flight().expect("drills carry a flight recorder");
         let ring = flight.ring(2).expect("a ring per task");
+        ring.record(70, usipc::TracePoint::Begin(usipc::Span::Block));
         ring.record(77, usipc::TracePoint::Proto(ProtoEvent::BlockEntered));
         let report = world.watchdog().report(&[("client1".into(), 2)]);
         assert!(
             report.contains("client1 wedged; last trace point Proto(BlockEntered) at 77 ns"),
             "{report}"
         );
+        // Written whole, as the heap rings' report is: same drain, same file.
+        let json = crate::watchdog::take_trace_file(&report);
+        assert_eq!(json.matches("\"ph\":\"B\"").count(), 1, "{json}");
+        assert_eq!(json.matches("\"ph\":\"E\"").count(), 1, "{json}");
     }
 
     /// Every forked experiment sizes its arena from the one `bytes_needed`:

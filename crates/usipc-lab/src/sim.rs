@@ -2,7 +2,7 @@
 
 use crate::{echo_session, IpcNever, Mechanism};
 use std::sync::Arc;
-use usipc::metrics::{LatencySnapshot, MetricsRegistry, MetricsSnapshot};
+use usipc::metrics::{MetricsRegistry, MetricsSnapshot, SketchSnapshot};
 use usipc::platform::OsServices;
 use usipc::{
     AsyncClient, Channel, ChannelConfig, DuplexChannel, Message, SimCosts, SimIds, SimOs,
@@ -321,10 +321,10 @@ pub struct SimExperimentResult {
     pub server_metrics: MetricsSnapshot,
     /// Protocol events summed over every client task.
     pub client_metrics: MetricsSnapshot,
-    /// Round-trip latency histogram merged over every client task
+    /// Round-trip latency sketch merged over every client task
     /// (virtual-time samples; empty for the SysV baseline, which bypasses
     /// the channel layer).
-    pub client_latency: LatencySnapshot,
+    pub client_latency: SketchSnapshot,
     /// The unified event trace (protocol events + bridged scheduler
     /// timeline), present when the experiment enabled tracing.
     pub trace: Option<UnifiedTrace>,

@@ -210,8 +210,7 @@ impl NativeExperiment {
     /// [`run_resilient_server`](usipc::run_resilient_server) scanning for
     /// dead peers every `heartbeat`. With nothing faulting, any latency
     /// difference against the infallible twin *is* the robustness overhead
-    /// — the number `figures faults` regresses on. User-level mechanisms
-    /// only.
+    /// — the number `figures faults` prints. User-level mechanisms only.
     pub fn deadline(mut self, heartbeat: Duration, deadline: Duration) -> Self {
         self.deadline = Some((heartbeat, deadline));
         self

@@ -3,9 +3,11 @@
 //! fault the failure model failed to contain) produces a diagnosable panic
 //! instead of a hung process that CI has to `SIGKILL` reportlessly.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use usipc::{FlightRecorder, TraceRegistry};
+use usipc::{FlightRecorder, TraceRegistry, UnifiedTrace};
 
 /// How long a world waits before declaring an experiment wedged. Generous —
 /// a healthy cell finishes in well under a second — but bounded.
@@ -82,7 +84,9 @@ impl<'a> Watchdog<'a> {
     /// What a fired watchdog panics with: one line per `wedged` participant
     /// (name, task id), each with the last event it recorded before going
     /// quiet — usually enough to identify a lost sleep/wake-up race without
-    /// a debugger.
+    /// a debugger — and, when there is evidence, the path of the whole
+    /// collected trace, written as Chrome JSON (loadable in Perfetto) to
+    /// `usipc-watchdog-<pid>-<n>.trace.json` in [`std::env::temp_dir`].
     pub fn report(&self, wedged: &[(String, u32)]) -> String {
         let names: Vec<(u32, String)> = wedged.iter().map(|(n, id)| (*id, n.clone())).collect();
         let trace = match self.evidence {
@@ -110,6 +114,12 @@ impl<'a> Watchdog<'a> {
                     report += &format!("\n  {name} wedged (no trace records; rerun with tracing)")
                 }
             }
+        }
+        if let Some(trace) = &trace {
+            report += &match write_trace(trace) {
+                Ok(path) => format!("\n  full trace: {}", path.display()),
+                Err(e) => format!("\n  full trace not written: {e}"),
+            };
         }
         report
     }
@@ -165,6 +175,16 @@ impl<'a> Watchdog<'a> {
     }
 }
 
+/// Writes `trace` as Chrome JSON to a file of its own in the temp directory.
+fn write_trace(trace: &UnifiedTrace) -> std::io::Result<PathBuf> {
+    static WRITTEN: AtomicU64 = AtomicU64::new(0);
+    let n = WRITTEN.fetch_add(1, Ordering::Relaxed);
+    let file = format!("usipc-watchdog-{}-{n}.trace.json", std::process::id());
+    let path = std::env::temp_dir().join(file);
+    std::fs::write(&path, trace.to_chrome_json())?;
+    Ok(path)
+}
+
 /// The joined-so-far state of one cast of threads.
 struct Sweep<T> {
     done: Vec<Option<T>>,
@@ -202,13 +222,25 @@ impl<T> Sweep<T> {
     }
 }
 
+/// The trace file a watchdog report names, read back and deleted.
+#[cfg(test)]
+pub(crate) fn take_trace_file(report: &str) -> String {
+    let path = report
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("full trace: "))
+        .unwrap_or_else(|| panic!("no trace file named: {report}"));
+    let json = std::fs::read_to_string(path).expect("the named trace file");
+    std::fs::remove_file(path).expect("remove the trace file");
+    json
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc;
     use usipc::metrics::ProtoEvent;
-    use usipc::TracePoint;
+    use usipc::{Span, TracePoint};
 
     fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
         p.downcast_ref::<String>()
@@ -231,9 +263,10 @@ mod tests {
     #[test]
     fn a_wedged_thread_is_named_with_its_last_trace_point() {
         let traces = TraceRegistry::new(16);
-        traces
-            .for_task(7)
-            .record(1234, TracePoint::Proto(ProtoEvent::BlockEntered));
+        let ring = traces.for_task(7);
+        ring.record(1000, TracePoint::Begin(Span::RoundTrip));
+        ring.record(1100, TracePoint::Begin(Span::Block));
+        ring.record(1234, TracePoint::Proto(ProtoEvent::BlockEntered));
         let (release, wedged) = parked();
         let healthy = std::thread::spawn(|| ());
         let fired = catch_unwind(AssertUnwindSafe(|| {
@@ -255,6 +288,12 @@ mod tests {
             "{report}"
         );
         assert!(!report.contains("bystander"), "{report}");
+        // The whole trace is on disk, its spans closed at the last event.
+        let json = take_trace_file(&report);
+        let begins = json.matches("\"ph\":\"B\"").count();
+        assert_eq!(begins, 2, "{json}");
+        assert_eq!(json.matches("\"ph\":\"E\"").count(), begins, "{json}");
+        assert!(json.contains("\"name\":\"sleeper\""), "{json}");
     }
 
     #[test]

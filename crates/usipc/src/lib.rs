@@ -83,7 +83,9 @@ pub use channel::{
 };
 pub use duplex::{duplex_client_sem, duplex_server_sem, DuplexChannel, DuplexPair, DuplexRoot};
 pub use fault::{DeathWatch, FaultAction, FaultPlan, IpcError, ServerDeathWatch};
-pub use metrics::{EndpointMetrics, LatencySnapshot, MetricsRegistry, MetricsSnapshot, ProtoEvent};
+pub use metrics::{
+    EndpointMetrics, LatencySketch, MetricsRegistry, MetricsSnapshot, ProtoEvent, SketchSnapshot,
+};
 pub use msg::{opcode, Message};
 pub use native::{NativeConfig, NativeMsgq, NativeOs, NativeTask};
 pub use platform::{Cost, HandoffHint, OsServices};
@@ -105,8 +107,7 @@ pub use server::{
 };
 pub use simulated::{SimCosts, SimIds, SimOs};
 pub use telemetry::{
-    FlightHandle, FlightRecorder, Role, SketchSnapshot, TelemetryPlane, TelemetryReading,
-    TelemetryWriter,
+    FlightHandle, FlightRecorder, Role, TelemetryPlane, TelemetryReading, TelemetryWriter,
 };
 pub use trace::{
     bridge_sim_trace, SchedPoint, Span, TracePoint, TraceRecord, TraceRegistry, TraceRing,

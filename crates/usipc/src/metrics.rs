@@ -1,5 +1,5 @@
 //! Protocol-event metrics: single-writer per-endpoint counters and
-//! round-trip latency histograms.
+//! round-trip latency sketches.
 //!
 //! The paper's entire argument is an *accounting* argument — BSW loses
 //! because it pays "four system calls per round trip" (Fig. 6, Table 1),
@@ -8,20 +8,22 @@
 //! instrumentation instead of hand-counting: every protocol-visible event
 //! (queue ops, semaphore calls, yields, spins, blocks, stray wake-ups,
 //! hand-offs) increments a counter on the endpoint's [`EndpointMetrics`],
-//! and synchronous round trips feed a log₂-bucketed latency histogram —
+//! and synchronous round trips feed a log-linear [`LatencySketch`] —
 //! every one on the simulator, where reading virtual time is free; on the
 //! native backend a sink's first and then one in
 //! [`latency_sample_period`](crate::platform::OsServices::latency_sample_period),
 //! because a host clock pair is a tenth of the shortest round trip. The
-//! native histogram therefore holds *samples*: its quantiles and mean
-//! estimate the round trip, its `count()` is not a round-trip count (the
-//! counters are).
+//! native sketch therefore holds *samples*: its quantiles and mean
+//! estimate the round trip, its `count` is not a round-trip count (the
+//! counters are). The same sketch type sits in every telemetry slot
+//! ([`TelemetrySlot`](crate::telemetry::TelemetrySlot)), so a latency reads
+//! the same, within [`SKETCH_MAX_RELATIVE_ERROR`], wherever it was recorded.
 //!
 //! ## The single-writer contract
 //!
 //! A sink belongs to one *task*, and a task is one thread: **only one
 //! thread ever records into a given [`EndpointMetrics`] or
-//! [`LatencyHistogram`]**. Any number of threads may read it (snapshots,
+//! [`LatencySketch`]**. Any number of threads may read it (snapshots,
 //! registry aggregation) at any time. That is what lets recording be a
 //! `Relaxed` load followed by a `Relaxed` store — a plain `add` to memory,
 //! no `lock` prefix — instead of a `fetch_add`: with one writer no
@@ -46,6 +48,7 @@
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use usipc_shm::ShmSafe;
 
 /// A protocol-visible event, recorded through
 /// [`OsServices::record`](crate::platform::OsServices::record).
@@ -239,10 +242,6 @@ impl ProtoEvent {
 
 const EVENTS: [ProtoEvent; N_EVENTS] = ProtoEvent::ALL;
 
-/// Number of log₂ latency buckets: bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` nanoseconds, the last bucket absorbs everything ≥ ~9 s.
-pub const N_LATENCY_BUCKETS: usize = 34;
-
 /// `counter += by` for a counter with a single writer: no `lock` prefix,
 /// and readers still only ever observe values the writer stored.
 #[inline]
@@ -287,13 +286,13 @@ impl WriterCheck {
     }
 }
 
-/// Event counters and a latency histogram for one endpoint (task).
+/// Event counters and a latency sketch for one endpoint (task).
 /// **Single-writer** (see the module docs): one thread records, any
 /// thread reads; reads produce a [`MetricsSnapshot`].
 #[derive(Debug, Default)]
 pub struct EndpointMetrics {
     counters: [AtomicU64; N_EVENTS],
-    latency: LatencyHistogram,
+    latency: LatencySketch,
     /// Round trips to let pass before the next one is timed (0 on a fresh
     /// sink: its first is).
     sample_skip: AtomicU64,
@@ -334,6 +333,7 @@ impl EndpointMetrics {
     /// Records the latency of a timed round trip (writer thread only).
     #[inline]
     pub fn record_latency_nanos(&self, nanos: u64) {
+        self.writer.assert_sole_writer();
         self.latency.record(nanos);
     }
 
@@ -346,117 +346,175 @@ impl EndpointMetrics {
         s
     }
 
-    /// Point-in-time copy of the latency histogram.
-    pub fn latency_snapshot(&self) -> LatencySnapshot {
+    /// Point-in-time copy of the latency sketch.
+    pub fn latency_snapshot(&self) -> SketchSnapshot {
         self.latency.snapshot()
     }
 }
 
-/// A log₂-bucketed histogram of nanosecond samples. Single-writer, like
-/// [`EndpointMetrics`]: one thread records, any thread snapshots.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; N_LATENCY_BUCKETS],
-    sum: AtomicU64,
-    writer: WriterCheck,
+/// Number of log₂ major buckets in the latency sketch: major `m` holds
+/// `[2^m, 2^(m+1))` ns, and major 33 absorbs everything ≥ ~8.6 s.
+pub const SKETCH_MAJORS: usize = 34;
+/// Linear sub-buckets per major: 2 extra mantissa bits of resolution.
+pub const SKETCH_MINORS: usize = 4;
+/// Total monotone counters in one sketch.
+pub const N_SKETCH_CELLS: usize = SKETCH_MAJORS * SKETCH_MINORS;
+
+/// The sketch's worst-case relative quantile error: a cell spans
+/// `[2^(m-2)·(4+k), 2^(m-2)·(5+k))`, the widest being `k = 0` with ratio
+/// 5/4, and estimates are geometric cell midpoints, so an estimate is
+/// within a factor `√(5/4) ≈ 1.118` of the true sample — under 12 %
+/// (against √2 ≈ 41 % for a plain log₂ histogram).
+pub const SKETCH_MAX_RELATIVE_ERROR: f64 = 0.1181;
+
+/// Cell index of a nanosecond sample: which quarter of its log₂ bucket
+/// `[2^m, 2^(m+1))` the sample falls in. Samples at or above `2^33` ns
+/// collapse into the top major's cells.
+fn sketch_cell(nanos: u64) -> usize {
+    let n = nanos.max(1);
+    let major = (63 - n.leading_zeros() as usize).min(SKETCH_MAJORS - 1);
+    let off = n - (1u64 << major);
+    // minor = floor((n − 2^m) · 4 / 2^m), i.e. the quarter index — computed
+    // by shift so the low majors (where the quarter is fractional) still
+    // resolve, and clamped so the collapsed top major stays in range.
+    let minor = if major >= 2 {
+        (off >> (major - 2)).min(3) as usize
+    } else {
+        ((off << (2 - major)).min(3)) as usize
+    };
+    major * SKETCH_MINORS + minor
 }
 
-impl Default for LatencyHistogram {
+/// `[lo, hi)` nanosecond bounds of cell `i` (fractional for majors < 2,
+/// where a quarter of the bucket is narrower than 1 ns).
+fn sketch_bounds(i: usize) -> (f64, f64) {
+    let (major, minor) = (i / SKETCH_MINORS, (i % SKETCH_MINORS) as f64);
+    let base = (1u64 << major) as f64;
+    (base * (4.0 + minor) / 4.0, base * (5.0 + minor) / 4.0)
+}
+
+/// A log-linear streaming sketch of nanosecond samples, `repr(C)` so it
+/// can live in a shared segment (one per telemetry slot) as well as on
+/// the heap (one per [`EndpointMetrics`]). **Single-writer** like the
+/// counters: recording is three unlocked load + store pairs, and a reader
+/// on any thread or process sees every word only grow.
+#[repr(C)]
+#[derive(Debug)]
+pub struct LatencySketch {
+    count: AtomicU64,
+    sum: AtomicU64,
+    cells: [AtomicU64; N_SKETCH_CELLS],
+}
+
+// SAFETY: repr(C), all-atomic.
+unsafe impl ShmSafe for LatencySketch {}
+
+impl Default for LatencySketch {
     fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        LatencySketch {
+            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            writer: WriterCheck::default(),
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
 
-fn bucket_of(nanos: u64) -> usize {
-    // floor(log2(nanos)) clamped into range; 0 ns shares bucket 0 with 1 ns.
-    (63 - nanos.max(1).leading_zeros() as usize).min(N_LATENCY_BUCKETS - 1)
-}
-
-impl LatencyHistogram {
-    /// Records one sample (writer thread only).
+impl LatencySketch {
+    /// Records one sample. Only the sketch's one writer thread may call
+    /// this.
     #[inline]
     pub fn record(&self, nanos: u64) {
-        self.writer.assert_sole_writer();
-        bump(&self.buckets[bucket_of(nanos)], 1);
+        bump(&self.cells[sketch_cell(nanos)], 1);
+        bump(&self.count, 1);
         bump(&self.sum, nanos);
     }
 
     /// Point-in-time copy.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        let mut s = LatencySnapshot {
-            buckets: [0; N_LATENCY_BUCKETS],
+    pub fn snapshot(&self) -> SketchSnapshot {
+        let mut s = SketchSnapshot {
+            count: self.count.load(Ordering::Relaxed),
             sum_nanos: self.sum.load(Ordering::Relaxed),
+            ..SketchSnapshot::default()
         };
-        for (dst, src) in s.buckets.iter_mut().zip(&self.buckets) {
-            *dst = src.load(Ordering::Relaxed);
+        for (dst, cell) in s.cells.iter_mut().zip(&self.cells) {
+            *dst = cell.load(Ordering::Relaxed);
         }
         s
     }
 }
 
-/// Plain-`u64` copy of a latency histogram. On the native backend the
-/// histogram holds one round trip in
+/// Plain-`u64` copy of a [`LatencySketch`], with quantile estimation. On
+/// the native backend a sink's sketch holds one round trip in
 /// [`latency_sample_period`](crate::platform::OsServices::latency_sample_period),
-/// so [`count`](Self::count) counts samples, not round trips.
+/// so `count` counts samples, not round trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencySnapshot {
-    /// `buckets[i]` counts samples in `[2^i, 2^(i+1))` ns.
-    pub buckets: [u64; N_LATENCY_BUCKETS],
-    /// Sum of all recorded samples (for exact means).
+pub struct SketchSnapshot {
+    /// `cells[i]` counts samples inside cell `i`: quarter `i % 4` of the
+    /// log₂ bucket `[2^(i/4), 2^(i/4+1))` ns.
+    pub cells: [u64; N_SKETCH_CELLS],
+    /// Total samples recorded.
+    pub count: u64,
+    /// Sum of all samples in nanoseconds (for exact means).
     pub sum_nanos: u64,
 }
 
-impl Default for LatencySnapshot {
+impl Default for SketchSnapshot {
     fn default() -> Self {
-        LatencySnapshot {
-            buckets: [0; N_LATENCY_BUCKETS],
+        SketchSnapshot {
+            cells: [0; N_SKETCH_CELLS],
+            count: 0,
             sum_nanos: 0,
         }
     }
 }
 
-impl LatencySnapshot {
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
+impl SketchSnapshot {
     /// Exact mean in microseconds (`NaN` when empty).
     pub fn mean_us(&self) -> f64 {
-        self.sum_nanos as f64 / 1e3 / self.count() as f64
+        self.sum_nanos as f64 / 1e3 / self.count as f64
     }
 
     /// Estimate of the `q`-quantile in microseconds (`NaN` when empty):
-    /// the *geometric midpoint* `2^(i+1/2)` of the bucket `[2^i, 2^(i+1))`
-    /// containing the quantile sample. Because the true sample lies
-    /// somewhere in that bucket, the estimate is within a factor of √2 of
-    /// it in either direction (the bucket's upper edge, by contrast,
-    /// overstates by up to 2×).
+    /// the geometric midpoint of the cell containing the quantile sample,
+    /// within [`SKETCH_MAX_RELATIVE_ERROR`] of the true sample. Ranks count
+    /// the cells themselves, so a reading taken mid-record still resolves.
     pub fn quantile_us(&self, q: f64) -> f64 {
-        let n = self.count();
+        let n: u64 = self.cells.iter().sum();
         if n == 0 {
             return f64::NAN;
         }
         let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (i, &c) in self.cells.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return (1u64 << i) as f64 * core::f64::consts::SQRT_2 / 1e3;
+                let (lo, hi) = sketch_bounds(i);
+                return (lo * hi).sqrt() / 1e3;
             }
         }
         f64::NAN
     }
 
-    /// Element-wise accumulation (merging per-task histograms).
-    pub fn merge(mut self, other: &LatencySnapshot) -> LatencySnapshot {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+    /// `self - earlier`, cell-wise: the samples of a measurement window
+    /// (cells are monotone, so the difference is well defined).
+    pub fn diff(&self, earlier: &SketchSnapshot) -> SketchSnapshot {
+        let mut out = SketchSnapshot {
+            count: self.count.saturating_sub(earlier.count),
+            sum_nanos: self.sum_nanos.saturating_sub(earlier.sum_nanos),
+            ..SketchSnapshot::default()
+        };
+        for (i, dst) in out.cells.iter_mut().enumerate() {
+            *dst = self.cells[i].saturating_sub(earlier.cells[i]);
+        }
+        out
+    }
+
+    /// Cell-wise accumulation (merging per-task sketches).
+    pub fn merge(mut self, other: &SketchSnapshot) -> SketchSnapshot {
+        for (a, b) in self.cells.iter_mut().zip(&other.cells) {
             *a += b;
         }
+        self.count += other.count;
         self.sum_nanos += other.sum_nanos;
         self
     }
@@ -659,22 +717,12 @@ impl MetricsRegistry {
 
     /// Snapshot of one task's counters (zeros if the task never recorded).
     pub fn task_snapshot(&self, task_id: u32) -> MetricsSnapshot {
-        self.tasks
-            .lock()
-            .unwrap()
-            .get(&task_id)
-            .map(|m| m.snapshot())
-            .unwrap_or_default()
+        self.aggregate(|id| id == task_id)
     }
 
-    /// Snapshot of one task's latency histogram.
-    pub fn task_latency(&self, task_id: u32) -> LatencySnapshot {
-        self.tasks
-            .lock()
-            .unwrap()
-            .get(&task_id)
-            .map(|m| m.latency_snapshot())
-            .unwrap_or_default()
+    /// Snapshot of one task's latency sketch (empty if it never recorded).
+    pub fn task_latency(&self, task_id: u32) -> SketchSnapshot {
+        self.aggregate_latency(|id| id == task_id)
     }
 
     /// Field-wise sum over every task matching `keep`.
@@ -689,14 +737,14 @@ impl MetricsRegistry {
             })
     }
 
-    /// Merged latency histogram over every task matching `keep`.
-    pub fn aggregate_latency(&self, mut keep: impl FnMut(u32) -> bool) -> LatencySnapshot {
+    /// Merged latency sketch over every task matching `keep`.
+    pub fn aggregate_latency(&self, mut keep: impl FnMut(u32) -> bool) -> SketchSnapshot {
         self.tasks
             .lock()
             .unwrap()
             .iter()
             .filter(|(&id, _)| keep(id))
-            .fold(LatencySnapshot::default(), |acc, (_, m)| {
+            .fold(SketchSnapshot::default(), |acc, (_, m)| {
                 acc.merge(&m.latency_snapshot())
             })
     }
@@ -755,53 +803,91 @@ mod tests {
     }
 
     #[test]
-    fn latency_buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), N_LATENCY_BUCKETS - 1);
+    fn sketch_cells_are_quarters_of_log2_buckets() {
+        assert_eq!(sketch_cell(0), sketch_cell(1), "0 ns shares 1 ns's cell");
+        assert_eq!(sketch_cell(1024), 10 * SKETCH_MINORS);
+        assert_eq!(sketch_cell(1024 + 255), 10 * SKETCH_MINORS);
+        assert_eq!(sketch_cell(1024 + 256), 10 * SKETCH_MINORS + 1);
+        assert_eq!(sketch_cell(2047), 10 * SKETCH_MINORS + 3);
+        assert_eq!(sketch_cell(u64::MAX), N_SKETCH_CELLS - 1);
+        for i in 0..N_SKETCH_CELLS - SKETCH_MINORS {
+            let (lo, hi) = sketch_bounds(i);
+            assert_eq!(sketch_bounds(i + 1).0, hi, "cells tile the axis");
+            if lo.fract() == 0.0 {
+                assert_eq!(
+                    sketch_cell(lo as u64),
+                    i,
+                    "a cell starts at its lower bound"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sketch_estimates_within_error_bound() {
+        // Sweep the whole range of sample magnitudes: a single-sample sketch
+        // must estimate its own sample within the documented bound.
+        let mut v = 1u64;
+        while v < (1u64 << 33) {
+            let s = LatencySketch::default();
+            s.record(v);
+            let est_ns = s.snapshot().quantile_us(1.0) * 1e3;
+            let rel = (est_ns - v as f64).abs() / v as f64;
+            assert!(
+                rel <= SKETCH_MAX_RELATIVE_ERROR + 1e-9,
+                "sample {v} ns estimated {est_ns} ns: relative error {rel}"
+            );
+            v = (v * 13 / 8).max(v + 1);
+        }
     }
 
     #[test]
     fn latency_mean_and_quantiles() {
-        let h = LatencyHistogram::default();
+        let h = LatencySketch::default();
         for _ in 0..99 {
-            h.record(1_000); // bucket 9: [512, 1024)
+            h.record(1_000); // log₂ bucket [512, 1024), its last quarter
         }
         h.record(1 << 20); // ~1 ms outlier
         let s = h.snapshot();
-        assert_eq!(s.count(), 100);
+        assert_eq!(s.count, 100);
         let mean = s.mean_us();
         assert!(mean > 1.0 && mean < 12.0, "{mean}");
-        // p50 lands in bucket 9 = [512, 1024) ns; the geometric midpoint is
-        // 512·√2 ≈ 724 ns = 0.724 µs, within √2 of the true 1.000 µs.
+        // A plain log₂ histogram read p50 as 512·√2 ≈ 0.724 µs (28 % low);
+        // the sketch's cell [896, 1024) ns reads √(896·1024) ≈ 0.958 µs.
         let p50 = s.quantile_us(0.5);
-        assert!((p50 - 0.724).abs() < 1e-3, "{p50}");
-        let sqrt2 = core::f64::consts::SQRT_2;
-        assert!((1.0 / sqrt2..=sqrt2).contains(&p50));
-        // p100 reaches the outlier's bucket [2^20, 2^21) ns; its midpoint
-        // 2^20·√2 ns ≈ 1.48 ms is within √2 of the true ~1.05 ms.
-        let p100 = s.quantile_us(1.0);
-        assert!(p100 > 1_000.0 && p100 < 2_100.0, "{p100}");
+        assert!(
+            (p50 - 1.0).abs() <= SKETCH_MAX_RELATIVE_ERROR,
+            "p50 {p50} µs"
+        );
+        // p100 reaches the outlier's cell, within the same bound of 2^20 ns.
+        let p100 = s.quantile_us(1.0) * 1e3;
+        let outlier = (1u64 << 20) as f64;
+        assert!(
+            (p100 - outlier).abs() / outlier <= SKETCH_MAX_RELATIVE_ERROR,
+            "{p100}"
+        );
     }
 
     #[test]
-    fn latency_merge_accumulates() {
-        let a = LatencyHistogram::default();
-        let b = LatencyHistogram::default();
+    fn sketch_diff_is_windowed_and_merge_accumulates() {
+        let (a, b) = (LatencySketch::default(), LatencySketch::default());
         a.record(100);
+        let start = a.snapshot();
+        a.record(200);
+        a.record(300);
+        let window = a.snapshot().diff(&start);
+        assert_eq!((window.count, window.sum_nanos), (2, 500));
         b.record(100);
         b.record(200);
         let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.sum_nanos, 400);
+        assert_eq!((merged.count, merged.sum_nanos), (5, 900));
+        assert_eq!(merged.cells.iter().sum::<u64>(), 5);
+        assert_eq!(merged.cells[sketch_cell(100)], 2);
     }
 
     #[test]
     fn empty_latency_is_nan_not_panic() {
-        let s = LatencySnapshot::default();
+        let s = SketchSnapshot::default();
         assert!(s.mean_us().is_nan());
         assert!(s.quantile_us(0.5).is_nan());
     }

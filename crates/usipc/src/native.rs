@@ -498,10 +498,6 @@ impl OsServices for NativeTask {
         self.metrics.as_deref()
     }
 
-    fn trace_sink(&self) -> Option<&TraceRing> {
-        self.trace.as_deref()
-    }
-
     fn trace(&self, p: TracePoint) {
         if self.trace.is_none() && self.flight.is_none() {
             return;

@@ -24,7 +24,7 @@
 //! `Option` discriminant test when metrics are disabled.
 
 use crate::metrics::{EndpointMetrics, ProtoEvent};
-use crate::trace::{TracePoint, TraceRing};
+use crate::trace::TracePoint;
 
 /// Cost classes protocols charge to virtual time (no-ops on real hardware,
 /// where the operation itself takes the time).
@@ -138,22 +138,15 @@ pub trait OsServices {
         self.trace(TracePoint::Proto(e));
     }
 
-    /// This task's event-trace ring, if tracing is enabled (`None` by
-    /// default: tracing folds to one `Option` discriminant branch).
-    fn trace_sink(&self) -> Option<&TraceRing> {
-        None
-    }
-
-    /// Stamps a trace point into this task's ring (no-op when tracing is
-    /// disabled). Timestamps come from [`now_nanos`](Self::now_nanos) —
-    /// host time on native, *virtual* time on the simulator, where the
-    /// time request is absorbed inline at zero virtual cost so tracing
-    /// cannot perturb the schedule.
+    /// Stamps a trace point into this task's rings — a no-op by default and
+    /// whenever the backend has none attached, so tracing folds to one
+    /// `Option` discriminant branch. The timestamp is read only when a ring
+    /// takes the record: host time on native, *virtual* time on the
+    /// simulator, where the time request is absorbed inline at zero virtual
+    /// cost so tracing cannot perturb the schedule.
     #[inline]
     fn trace(&self, p: TracePoint) {
-        if let Some(t) = self.trace_sink() {
-            t.record(self.now_nanos().unwrap_or(0), p);
-        }
+        let _ = p;
     }
 
     /// Monotonic timestamp in nanoseconds for round-trip latency
@@ -164,7 +157,7 @@ pub trait OsServices {
     }
 
     /// One client round trip in this many is timed into the latency
-    /// histogram. 1 by default (the simulator: virtual time is free to
+    /// sketch. 1 by default (the simulator: virtual time is free to
     /// read); the native backend samples, because a host clock pair is a
     /// tenth of its shortest round trip.
     fn latency_sample_period(&self) -> u32 {

@@ -4,7 +4,7 @@
 
 use crate::metrics::{EndpointMetrics, ProtoEvent};
 use crate::platform::{Cost, HandoffHint, OsServices};
-use crate::trace::TraceRing;
+use crate::trace::{TracePoint, TraceRing};
 use std::sync::Arc;
 use usipc_sim::{Handoff, MsqId, Pid, SemId, Sys, VDur};
 
@@ -198,8 +198,12 @@ impl OsServices for SimOs<'_> {
         self.metrics.as_deref()
     }
 
-    fn trace_sink(&self) -> Option<&TraceRing> {
-        self.trace.as_deref()
+    fn trace(&self, p: TracePoint) {
+        // The clock is read only with a ring attached: a `Now` request is
+        // free in virtual time, but it is still a request to the engine.
+        if let Some(t) = &self.trace {
+            t.record(self.sys.now().as_nanos(), p);
+        }
     }
 
     fn now_nanos(&self) -> Option<u64> {

@@ -12,11 +12,11 @@
 //!
 //! * [`TelemetrySlot`] — one cache-line-padded block per task holding a
 //!   seqlock-published [`MetricsSnapshot`] epoch, live single-word gauges
-//!   (queue depth, waiters, progress), and a fixed-size streaming quantile
-//!   sketch of round-trip latency. The owning task is the only writer, so
-//!   publishing is a handful of `Release` stores into its own lines — no
-//!   semaphores, no kernel crossings, nothing added to the protocol hot
-//!   path (the BSW 4-sem-ops/RT pin holds with telemetry on).
+//!   (queue depth, waiters, progress), and the round-trip
+//!   [`LatencySketch`] every metrics sink carries. The owning task is the
+//!   only writer, so publishing is a handful of `Release` stores into its
+//!   own lines — no semaphores, no kernel crossings, nothing added to the
+//!   protocol hot path (the BSW 4-sem-ops/RT pin holds with telemetry on).
 //! * [`TelemetryPlane`] — creation/attachment: the plane registers itself
 //!   in the arena's auxiliary bootstrap slot
 //!   ([`ShmArena::publish_aux`]), so it piggybacks on any segment without
@@ -24,10 +24,17 @@
 //!   top`) attaches with [`ShmArena::attach_memfd`] +
 //!   [`TelemetryPlane::attach`] and polls [`TelemetryPlane::read`].
 //! * [`FlightRecorder`] — the trace ring's shared-memory mode: per-task
-//!   bounded rings of [`TraceRecord`]s *in the segment*, stamped on the
-//!   segment-wide clock axis ([`ShmArena::now_nanos`]), so the last N
+//!   `TraceSlot` rings *in the segment*, written and drained by the same
+//!   code as the heap [`TraceRing`](crate::trace::TraceRing) and stamped on
+//!   the segment-wide clock axis ([`ShmArena::now_nanos`]), so the last N
 //!   events of a task survive its death by SIGKILL and the survivors can
 //!   dump a merged, correctly-ordered Perfetto timeline postmortem.
+//!
+//! Both directories are peer-writable, so both are validated once, when a
+//! handle is made ([`TelemetryPlane::attach`], [`TelemetryPlane::flight`]):
+//! a count that disagrees with its array, or an array outside the
+//! allocated range, yields `None`. The handles then run on the offsets
+//! and counts they validated, never re-reading a directory word.
 //!
 //! ## Seqlock protocol
 //!
@@ -42,8 +49,8 @@
 //! atomic, and keeping them out lets the hot path touch them without
 //! bumping the epoch.
 
-use crate::metrics::{MetricsSnapshot, N_EVENTS};
-use crate::trace::{TracePoint, TraceRecord, UnifiedTrace};
+use crate::metrics::{LatencySketch, MetricsSnapshot, SketchSnapshot, N_EVENTS};
+use crate::trace::{self, TracePoint, TraceSlot, UnifiedTrace};
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
@@ -92,109 +99,6 @@ impl Role {
     }
 }
 
-/// Number of log₂ major buckets in the latency sketch (same span as
-/// [`N_LATENCY_BUCKETS`](crate::metrics::N_LATENCY_BUCKETS): bucket 33
-/// absorbs everything ≥ ~8.6 s).
-pub const SKETCH_MAJORS: usize = 34;
-/// Linear sub-buckets per major: 2 extra mantissa bits of resolution.
-pub const SKETCH_MINORS: usize = 4;
-/// Total monotone counters in one sketch.
-pub const N_SKETCH_CELLS: usize = SKETCH_MAJORS * SKETCH_MINORS;
-
-/// The sketch's worst-case relative quantile error: a cell spans
-/// `[2^(m-2)·(4+k), 2^(m-2)·(5+k))`, the widest being `k = 0` with ratio
-/// 5/4, and estimates are geometric cell midpoints, so an estimate is
-/// within a factor `√(5/4) ≈ 1.118` of the true sample — under 12 %
-/// (against √2 ≈ 41 % for the plain log₂ histogram).
-pub const SKETCH_MAX_RELATIVE_ERROR: f64 = 0.1181;
-
-/// Cell index of a nanosecond sample: which quarter of its log₂ bucket
-/// `[2^m, 2^(m+1))` the sample falls in. Samples at or above `2^33` ns
-/// collapse into the top major's cells.
-fn sketch_cell(nanos: u64) -> usize {
-    let n = nanos.max(1);
-    let major = (63 - n.leading_zeros() as usize).min(SKETCH_MAJORS - 1);
-    let off = n - (1u64 << major);
-    // minor = floor((n − 2^m) · 4 / 2^m), i.e. the quarter index — computed
-    // by shift so the low majors (where the quarter is fractional) still
-    // resolve, and clamped so the collapsed top major stays in range.
-    let minor = if major >= 2 {
-        (off >> (major - 2)).min(3) as usize
-    } else {
-        ((off << (2 - major)).min(3)) as usize
-    };
-    major * SKETCH_MINORS + minor
-}
-
-/// `[lo, hi)` nanosecond bounds of cell `i` (fractional for majors < 2,
-/// where a quarter of the bucket is narrower than 1 ns).
-fn sketch_bounds(i: usize) -> (f64, f64) {
-    let (major, minor) = (i / SKETCH_MINORS, (i % SKETCH_MINORS) as f64);
-    let base = (1u64 << major) as f64;
-    (base * (4.0 + minor) / 4.0, base * (5.0 + minor) / 4.0)
-}
-
-/// Plain-`u64` copy of a latency sketch, with quantile estimation.
-#[derive(Debug, Clone, Copy)]
-pub struct SketchSnapshot {
-    /// `cells[i]` counts samples inside [`sketch_bounds`]`(i)`.
-    pub cells: [u64; N_SKETCH_CELLS],
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all samples in nanoseconds (for exact means).
-    pub sum_nanos: u64,
-}
-
-impl Default for SketchSnapshot {
-    fn default() -> Self {
-        SketchSnapshot {
-            cells: [0; N_SKETCH_CELLS],
-            count: 0,
-            sum_nanos: 0,
-        }
-    }
-}
-
-impl SketchSnapshot {
-    /// Exact mean in microseconds (`NaN` when empty).
-    pub fn mean_us(&self) -> f64 {
-        self.sum_nanos as f64 / 1e3 / self.count as f64
-    }
-
-    /// Estimate of the `q`-quantile in microseconds (`NaN` when empty):
-    /// the geometric midpoint of the cell containing the quantile sample,
-    /// within [`SKETCH_MAX_RELATIVE_ERROR`] of the true sample.
-    pub fn quantile_us(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.cells.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let (lo, hi) = sketch_bounds(i);
-                return (lo * hi).sqrt() / 1e3;
-            }
-        }
-        f64::NAN
-    }
-
-    /// `self - earlier`, cell-wise: the samples of a measurement window
-    /// (cells are monotone, so the difference is well defined).
-    pub fn diff(&self, earlier: &SketchSnapshot) -> SketchSnapshot {
-        let mut out = SketchSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum_nanos: self.sum_nanos.saturating_sub(earlier.sum_nanos),
-            ..SketchSnapshot::default()
-        };
-        for (i, dst) in out.cells.iter_mut().enumerate() {
-            *dst = self.cells[i].saturating_sub(earlier.cells[i]);
-        }
-        out
-    }
-}
-
 /// One task's telemetry block, resident in the shared segment.
 ///
 /// `repr(C, align(64))` so consecutive slots never share a cache line:
@@ -203,6 +107,7 @@ impl SketchSnapshot {
 ///
 /// Single-writer: only the owning task calls the `&self` publish methods.
 #[repr(C, align(64))]
+#[derive(Default)]
 pub struct TelemetrySlot {
     /// Seqlock word: odd while a publish is in flight, even when stable.
     seq: AtomicU32,
@@ -226,12 +131,8 @@ pub struct TelemetrySlot {
     /// two-lock head lock by poisoned-queue drains — segment attrition
     /// (see `ProtoEvent::SlotLeaked`).
     slots_leaked: AtomicU64,
-    /// Sketch sample count (monotone).
-    sketch_count: AtomicU64,
-    /// Sketch nanosecond sum (monotone).
-    sketch_sum: AtomicU64,
-    /// Sketch cells (each monotone).
-    sketch: [AtomicU64; N_SKETCH_CELLS],
+    /// Round-trip latency (every word monotone).
+    latency: LatencySketch,
 }
 
 // SAFETY: repr(C), no host pointers, every mutated field is an inline
@@ -239,24 +140,6 @@ pub struct TelemetrySlot {
 unsafe impl ShmSafe for TelemetrySlot {}
 
 impl TelemetrySlot {
-    fn unused() -> Self {
-        TelemetrySlot {
-            seq: AtomicU32::new(0),
-            role: AtomicU32::new(0),
-            task_id: AtomicU32::new(0),
-            _pad: AtomicU32::new(0),
-            published_at: AtomicU64::new(0),
-            events: std::array::from_fn(|_| AtomicU64::new(0)),
-            queue_depth: AtomicU64::new(0),
-            waiters: AtomicU64::new(0),
-            progress: AtomicU64::new(0),
-            slots_leaked: AtomicU64::new(0),
-            sketch_count: AtomicU64::new(0),
-            sketch_sum: AtomicU64::new(0),
-            sketch: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
     /// Publishes one snapshot epoch under the seqlock (writer side).
     fn publish(&self, now_nanos: u64, snap: &MetricsSnapshot) {
         let s = self.seq.load(Ordering::Relaxed);
@@ -287,18 +170,6 @@ impl TelemetrySlot {
             }
         }
         None
-    }
-
-    fn read_sketch(&self) -> SketchSnapshot {
-        let mut s = SketchSnapshot {
-            count: self.sketch_count.load(Ordering::Relaxed),
-            sum_nanos: self.sketch_sum.load(Ordering::Relaxed),
-            ..SketchSnapshot::default()
-        };
-        for (dst, cell) in s.cells.iter_mut().zip(&self.sketch) {
-            *dst = cell.load(Ordering::Relaxed);
-        }
-        s
     }
 }
 
@@ -342,18 +213,12 @@ pub struct TelemetryRoot {
 unsafe impl ShmSafe for TelemetryRoot {}
 
 /// Host-side handle to a segment's telemetry plane.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct TelemetryPlane {
     arena: Arc<ShmArena>,
     root: ShmPtr<TelemetryRoot>,
-}
-
-impl core::fmt::Debug for TelemetryPlane {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TelemetryPlane")
-            .field("n_slots", &self.n_slots())
-            .finish()
-    }
+    /// The slot array, validated against `n_slots` when the handle was made.
+    slots: ShmSlice<TelemetrySlot>,
 }
 
 impl TelemetryPlane {
@@ -369,7 +234,7 @@ impl TelemetryPlane {
             core::mem::size_of::<FlightRoot>()
                 + 64
                 + flight_tasks * (core::mem::size_of::<FlightTask>() + 64)
-                + flight_tasks * flight_capacity * core::mem::size_of::<FlightSlot>()
+                + flight_tasks * flight_capacity * core::mem::size_of::<TraceSlot>()
                 + 64
         };
         slots + root + flight
@@ -389,16 +254,12 @@ impl TelemetryPlane {
         flight_tasks: usize,
         flight_capacity: usize,
     ) -> Result<TelemetryPlane, ShmError> {
-        let slots = arena.alloc_slice(n_slots, |_| TelemetrySlot::unused())?;
+        let slots = arena.alloc_slice(n_slots, |_| TelemetrySlot::default())?;
         let flight = if flight_tasks > 0 {
             let cap = flight_capacity.max(1);
             let mut rings = Vec::with_capacity(flight_tasks);
             for _ in 0..flight_tasks {
-                rings.push(arena.alloc_slice(cap, |_| FlightSlot {
-                    seq: AtomicU64::new(0),
-                    ts: AtomicU64::new(0),
-                    point: AtomicU64::new(0),
-                })?);
+                rings.push(arena.alloc_slice(cap, |_| TraceSlot::default())?);
             }
             let tasks = arena.alloc_slice(flight_tasks, |i| FlightTask {
                 cursor: CacheAligned::new(AtomicU64::new(0)),
@@ -422,31 +283,36 @@ impl TelemetryPlane {
         Ok(TelemetryPlane {
             arena: Arc::clone(arena),
             root,
+            slots,
         })
     }
 
     /// Attaches to the plane a creator published in `arena`'s aux slot.
-    /// `None` when the segment has no telemetry plane (or the aux object
-    /// is something else).
+    /// `None` when the segment has no telemetry plane, the aux object is
+    /// something else, or the directory is malformed: a root or slot array
+    /// outside the allocated range, or `n_slots` disagreeing with the
+    /// array's length.
     pub fn attach(arena: &Arc<ShmArena>) -> Option<TelemetryPlane> {
         let root: ShmPtr<TelemetryRoot> = arena.aux()?;
-        if arena.get(root).magic.load(Ordering::Acquire) != TELEMETRY_MAGIC {
-            return None;
-        }
-        Some(TelemetryPlane {
+        let r = arena.try_get(root).ok()?;
+        let slots = r.slots;
+        let valid = r.magic.load(Ordering::Acquire) == TELEMETRY_MAGIC
+            && r.n_slots.load(Ordering::Relaxed) as usize == slots.len()
+            && arena.try_get_slice(slots).is_ok();
+        valid.then(|| TelemetryPlane {
             arena: Arc::clone(arena),
             root,
+            slots,
         })
     }
 
     /// Number of slots in the plane.
     pub fn n_slots(&self) -> usize {
-        self.arena.get(self.root).n_slots.load(Ordering::Relaxed) as usize
+        self.slots.len()
     }
 
-    fn slot(&self, i: usize) -> &TelemetrySlot {
-        let r = self.arena.get(self.root);
-        &self.arena.get_slice(r.slots)[i]
+    fn slots(&self) -> &[TelemetrySlot] {
+        self.arena.get_slice(self.slots)
     }
 
     /// Claims slot `i` for `task_id` in `role` and returns its writer.
@@ -455,7 +321,7 @@ impl TelemetryPlane {
     /// not negotiated: the single-writer discipline is the caller's
     /// responsibility, exactly as for [`TraceRing`](crate::trace::TraceRing).
     pub fn writer(&self, i: usize, task_id: u32, role: Role) -> TelemetryWriter {
-        let s = self.slot(i);
+        let s = &self.slots()[i];
         s.task_id.store(task_id, Ordering::Relaxed);
         s.role.store(role.to_u32(), Ordering::Release);
         TelemetryWriter {
@@ -464,10 +330,11 @@ impl TelemetryPlane {
         }
     }
 
-    /// One consistent reading of slot `i`; `None` while the slot is
-    /// unclaimed or a writer storm starves the seqlock.
+    /// One consistent reading of slot `i`; `None` for a slot the plane
+    /// does not have, while the slot is unclaimed, or while a writer storm
+    /// starves the seqlock.
     pub fn read(&self, i: usize) -> Option<TelemetryReading> {
-        let s = self.slot(i);
+        let s = self.slots().get(i)?;
         let role = Role::from_u32(s.role.load(Ordering::Acquire))?;
         let (published_at, snapshot) = s.read_epoch(1_000)?;
         Some(TelemetryReading {
@@ -479,7 +346,7 @@ impl TelemetryPlane {
             waiters: s.waiters.load(Ordering::Relaxed),
             progress: s.progress.load(Ordering::Relaxed),
             slots_leaked: s.slots_leaked.load(Ordering::Relaxed),
-            latency: s.read_sketch(),
+            latency: s.latency.snapshot(),
         })
     }
 
@@ -488,15 +355,33 @@ impl TelemetryPlane {
         (0..self.n_slots()).filter_map(|i| self.read(i)).collect()
     }
 
-    /// The segment's flight recorder, when the creator armed one.
+    /// The segment's flight recorder, when the creator armed one and its
+    /// directory is well formed: `None` when `n_tasks` disagrees with the
+    /// task array, or the array or any ring lies outside the allocated
+    /// range or holds other than `capacity` (≥ 1) slots.
     pub fn flight(&self) -> Option<FlightRecorder> {
         let f = self.arena.get(self.root).flight;
         if f.is_null() {
             return None;
         }
+        let r = self.arena.try_get(f).ok()?;
+        let (tasks, capacity) = (r.tasks, r.capacity.load(Ordering::Relaxed));
+        if r.n_tasks.load(Ordering::Relaxed) as usize != tasks.len() || capacity == 0 {
+            return None;
+        }
+        let ring = |(i, t): (usize, &FlightTask)| {
+            let slots = t.slots;
+            let valid = slots.len() == capacity as usize && self.arena.try_get_slice(slots).is_ok();
+            valid.then(|| FlightHandle {
+                arena: Arc::clone(&self.arena),
+                task: tasks.at(i),
+                slots,
+            })
+        };
+        let rings = self.arena.try_get_slice(tasks).ok()?;
         Some(FlightRecorder {
-            arena: Arc::clone(&self.arena),
-            root: f,
+            rings: rings.iter().enumerate().map(ring).collect::<Option<_>>()?,
+            capacity,
         })
     }
 
@@ -515,7 +400,7 @@ pub struct TelemetryWriter {
 
 impl TelemetryWriter {
     fn slot(&self) -> &TelemetrySlot {
-        self.plane.slot(self.index)
+        &self.plane.slots()[self.index]
     }
 
     /// Publishes a counter snapshot epoch (seqlock write), stamped on the
@@ -547,28 +432,12 @@ impl TelemetryWriter {
         self.slot().slots_leaked.store(leaked, Ordering::Relaxed);
     }
 
-    /// Streams one round-trip latency sample into the quantile sketch
-    /// (three `Relaxed` `fetch_add`s on the writer's own lines).
+    /// Streams one round-trip latency sample into the slot's sketch
+    /// ([`LatencySketch::record`], on the writer's own lines).
     pub fn record_latency_nanos(&self, nanos: u64) {
-        let s = self.slot();
-        s.sketch[sketch_cell(nanos)].fetch_add(1, Ordering::Relaxed);
-        s.sketch_count.fetch_add(1, Ordering::Relaxed);
-        s.sketch_sum.fetch_add(nanos, Ordering::Relaxed);
+        self.slot().latency.record(nanos);
     }
 }
-
-/// One flight-recorder ring slot (same shape as the heap
-/// [`TraceRing`](crate::trace::TraceRing)'s, resident in the segment).
-#[repr(C)]
-pub struct FlightSlot {
-    /// Lap seqlock: `2·lap + 1` mid-write, `2·lap + 2` complete.
-    seq: AtomicU64,
-    ts: AtomicU64,
-    point: AtomicU64,
-}
-
-// SAFETY: repr(C), all-atomic.
-unsafe impl ShmSafe for FlightSlot {}
 
 /// One task's flight ring header.
 #[repr(C)]
@@ -576,7 +445,7 @@ pub struct FlightTask {
     /// Records ever started by this task (cache-line isolated: the owner
     /// bumps it on every event).
     cursor: CacheAligned<AtomicU64>,
-    slots: ShmSlice<FlightSlot>,
+    slots: ShmSlice<TraceSlot>,
 }
 
 // SAFETY: repr(C); `slots` is an offset written before publication.
@@ -595,129 +464,73 @@ unsafe impl ShmSafe for FlightRoot {}
 
 /// Host-side handle to a segment's flight recorder: per-task shared-memory
 /// trace rings whose records survive the writer's death.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct FlightRecorder {
-    arena: Arc<ShmArena>,
-    root: ShmPtr<FlightRoot>,
-}
-
-impl core::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("n_tasks", &self.n_tasks())
-            .field("capacity", &self.capacity())
-            .finish()
-    }
+    /// One validated handle per ring, indexed by task id.
+    rings: Arc<[FlightHandle]>,
+    capacity: u32,
 }
 
 impl FlightRecorder {
     /// Number of per-task rings.
     pub fn n_tasks(&self) -> u32 {
-        self.arena.get(self.root).n_tasks.load(Ordering::Relaxed)
+        self.rings.len() as u32
     }
 
     /// Ring capacity in records (the "last N events" N).
     pub fn capacity(&self) -> u32 {
-        self.arena.get(self.root).capacity.load(Ordering::Relaxed)
+        self.capacity
     }
 
     /// The single-writer record handle for `task_id`'s ring (`None` when
     /// the recorder was sized for fewer tasks).
     pub fn ring(&self, task_id: u32) -> Option<FlightHandle> {
-        if task_id >= self.n_tasks() {
-            return None;
-        }
-        Some(FlightHandle {
-            recorder: self.clone(),
-            task_id,
-        })
-    }
-
-    fn task(&self, task_id: u32) -> &FlightTask {
-        let r = self.arena.get(self.root);
-        &self.arena.get_slice(r.tasks)[task_id as usize]
+        self.rings.get(task_id as usize).cloned()
     }
 
     /// Drains every ring into one merged, time-sorted [`UnifiedTrace`] —
-    /// safe against concurrent writers *and* against writers that died
-    /// mid-record: torn or recycled slots fail their lap check and are
-    /// skipped, exactly as in [`TraceRing::drain`](crate::trace::TraceRing::drain).
+    /// with the same code as [`TraceRegistry::collect`](crate::trace::TraceRegistry::collect),
+    /// so it is safe against concurrent writers *and* against writers that
+    /// died mid-record: torn or recycled slots fail their lap check and
+    /// are skipped.
     pub fn collect(&self, names: &[(u32, String)]) -> UnifiedTrace {
-        let mut records = Vec::new();
-        let mut dropped = 0u64;
-        let mut seen_tasks = Vec::new();
-        for task_id in 0..self.n_tasks() {
-            let t = self.task(task_id);
-            let end = t.cursor.load(Ordering::Acquire);
-            if end == 0 {
-                continue;
-            }
-            seen_tasks.push(task_id);
-            let slots = self.arena.get_slice(t.slots);
-            let n = slots.len() as u64;
-            dropped += end.saturating_sub(n);
-            let mut last_ts = 0u64;
-            for i in end.saturating_sub(n)..end {
-                let slot = &slots[(i % n) as usize];
-                let expect = 2 * (i / n) + 2;
-                if slot.seq.load(Ordering::Acquire) != expect {
-                    continue;
-                }
-                let ts = slot.ts.load(Ordering::Acquire);
-                let word = slot.point.load(Ordering::Acquire);
-                if slot.seq.load(Ordering::Acquire) != expect {
-                    continue;
-                }
-                let Some(point) = TracePoint::decode(word as u32) else {
-                    continue;
-                };
-                if ts < last_ts {
-                    continue;
-                }
-                last_ts = ts;
-                records.push(TraceRecord {
-                    ts_nanos: ts,
-                    task_id,
-                    point,
-                });
-            }
-        }
-        let mut trace = UnifiedTrace::from_parts(records, names.to_vec(), dropped);
-        for id in seen_tasks {
-            trace.ensure_task(id);
-        }
-        trace
+        let rings = self.rings.iter().zip(0..).map(|(h, task_id)| {
+            let (slots, cursor) = h.view();
+            (slots, cursor, task_id)
+        });
+        UnifiedTrace::from_rings(rings, names)
     }
 }
 
 /// Single-writer record handle for one task's flight ring.
 #[derive(Clone, Debug)]
 pub struct FlightHandle {
-    recorder: FlightRecorder,
-    task_id: u32,
+    arena: Arc<ShmArena>,
+    task: ShmPtr<FlightTask>,
+    /// The ring, validated when the recorder handle was made.
+    slots: ShmSlice<TraceSlot>,
 }
 
 impl FlightHandle {
+    /// The ring's slots and cursor in the segment.
+    pub(crate) fn view(&self) -> (&[TraceSlot], &AtomicU64) {
+        (
+            self.arena.get_slice(self.slots),
+            self.arena.get(self.task).cursor.get(),
+        )
+    }
+
     /// Appends one record on the segment clock axis, overwriting the
     /// oldest when full. Must only be called from the owning task.
     #[inline]
     pub fn record(&self, ts_nanos: u64, point: TracePoint) {
-        let t = self.recorder.task(self.task_id);
-        let slots = self.recorder.arena.get_slice(t.slots);
-        let i = t.cursor.load(Ordering::Relaxed);
-        let n = slots.len() as u64;
-        let slot = &slots[(i % n) as usize];
-        let lap = i / n;
-        slot.seq.store(2 * lap + 1, Ordering::Release);
-        slot.ts.store(ts_nanos, Ordering::Release);
-        slot.point.store(point.encode() as u64, Ordering::Release);
-        slot.seq.store(2 * lap + 2, Ordering::Release);
-        t.cursor.store(i + 1, Ordering::Release);
+        let (slots, cursor) = self.view();
+        trace::record(slots, cursor, ts_nanos, point);
     }
 
     /// The segment clock reading, for stamping records on the shared axis.
     pub fn now_nanos(&self) -> u64 {
-        self.recorder.arena.now_nanos()
+        self.arena.now_nanos()
     }
 }
 
@@ -783,55 +596,27 @@ mod tests {
     }
 
     #[test]
-    fn sketch_estimates_within_error_bound() {
-        // Sweep four decades of sample magnitudes: a single-sample sketch
-        // must estimate its own sample within the documented bound.
-        let mut v = 1u64;
-        while v < (1u64 << 33) {
-            let p = plane(1, 0, 0);
-            let w = p.writer(0, 0, Role::Client);
+    fn a_writer_and_a_metrics_sink_keep_the_same_sketch() {
+        // One sketch type: the segment slot and the heap sink bin the same
+        // samples into equal snapshots, and snapshots merge across them.
+        let p = plane(1, 0, 0);
+        let w = p.writer(0, 0, Role::Client);
+        let sink = crate::metrics::EndpointMetrics::new();
+        let samples = [0, 1, 3, 999, 1_000, 4_321, 65_537, 1 << 20, 1 << 40];
+        for &v in &samples {
             w.record_latency_nanos(v);
-            let est_ns = p.read(0).unwrap().latency.quantile_us(1.0) * 1e3;
-            let rel = (est_ns - v as f64).abs() / v as f64;
-            assert!(
-                rel <= SKETCH_MAX_RELATIVE_ERROR + 1e-9,
-                "sample {v} ns estimated {est_ns} ns: relative error {rel}"
-            );
-            v = (v * 13 / 8).max(v + 1);
+            sink.record_latency_nanos(v);
         }
-    }
-
-    #[test]
-    fn sketch_is_strictly_sharper_than_log2_buckets() {
-        // 1000 ns sits awkwardly in its log₂ bucket [512, 1024): the plain
-        // histogram's midpoint is off by ~28 %; the 2-extra-bit sketch must
-        // land within 12 %.
-        let p = plane(1, 0, 0);
-        let w = p.writer(0, 0, Role::Client);
-        for _ in 0..100 {
-            w.record_latency_nanos(1_000);
+        let (shared, heap) = (p.read(0).unwrap().latency, sink.latency_snapshot());
+        assert_eq!(shared, heap);
+        assert_eq!(shared.count, samples.len() as u64);
+        let both = shared.merge(&heap);
+        assert_eq!(both.count, 2 * shared.count);
+        assert_eq!(both.sum_nanos, 2 * shared.sum_nanos);
+        for (m, c) in both.cells.iter().zip(&shared.cells) {
+            assert_eq!(*m, 2 * c);
         }
-        let s = p.read(0).unwrap().latency;
-        assert_eq!(s.count, 100);
-        let p50 = s.quantile_us(0.5) * 1e3;
-        assert!(
-            (p50 - 1000.0).abs() / 1000.0 <= SKETCH_MAX_RELATIVE_ERROR,
-            "p50 {p50} ns"
-        );
-        assert!((s.mean_us() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sketch_diff_is_windowed() {
-        let p = plane(1, 0, 0);
-        let w = p.writer(0, 0, Role::Client);
-        w.record_latency_nanos(100);
-        let start = p.read(0).unwrap().latency;
-        w.record_latency_nanos(200);
-        w.record_latency_nanos(300);
-        let window = p.read(0).unwrap().latency.diff(&start);
-        assert_eq!(window.count, 2);
-        assert_eq!(window.sum_nanos, 500);
+        assert_eq!(both.quantile_us(0.5), shared.quantile_us(0.5));
     }
 
     #[test]
@@ -853,7 +638,7 @@ mod tests {
                         *v = g * (i as u64 + 1);
                     }
                     let snap = MetricsSnapshot::from_array(&arr);
-                    p.slot(0).publish(g, &snap);
+                    p.slots()[0].publish(g, &snap);
                     g += 1;
                 }
                 g

@@ -14,11 +14,18 @@
 //!
 //! Cost model: tracing rides the same
 //! [`OsServices::record`](crate::platform::OsServices::record) path as
-//! metrics and costs a single `Option` discriminant branch when disabled.
-//! When enabled, a record is one timestamp read plus three `Relaxed`/
-//! `Release` stores into the task's own ring (no sharing, no allocation,
-//! no locks). The ring drops the *oldest* records on overflow and counts
-//! every drop, so truncation is never silent.
+//! metrics, through the one [`OsServices::trace`](crate::platform::OsServices::trace)
+//! hook, and costs a single `Option` discriminant branch when disabled.
+//! When enabled, a record is one timestamp read plus five `Release` stores
+//! into the task's own ring (no sharing, no allocation, no locks). The ring
+//! drops the *oldest* records on overflow and counts every drop, so
+//! truncation is never silent.
+//!
+//! One ring algorithm serves both storages: [`TraceRing`] keeps its
+//! `TraceSlot`s on the heap, the flight recorder
+//! ([`FlightRecorder`](crate::telemetry::FlightRecorder)) keeps the same
+//! slots in a shared segment, and both write with this module's one
+//! `record` and read with its one `drain`.
 //!
 //! Two exporters consume the unified [`TraceRecord`] stream:
 //!
@@ -38,6 +45,7 @@ use crate::metrics::ProtoEvent;
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use usipc_shm::ShmSafe;
 
 /// A span (duration) a task can be inside; spans nest per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +185,11 @@ pub struct TraceRecord {
     pub point: TracePoint,
 }
 
-struct Slot {
+/// One slot of a trace ring, the same on the heap ([`TraceRing`]) and in
+/// a shared segment (the flight recorder's rings).
+#[repr(C)]
+#[derive(Default)]
+pub(crate) struct TraceSlot {
     /// Seqlock word: `2·lap + 1` while the writer is mid-store,
     /// `2·lap + 2` once the record for lap `lap` is complete. A reader
     /// accepts a slot only when the sequence matches the lap it expects,
@@ -185,6 +197,72 @@ struct Slot {
     seq: AtomicU64,
     ts: AtomicU64,
     point: AtomicU64,
+}
+
+// SAFETY: repr(C), all-atomic.
+unsafe impl ShmSafe for TraceSlot {}
+
+/// Appends one record to the ring `(slots, cursor)` — `cursor` counts the
+/// records ever started — overwriting the oldest when full. The one writer
+/// of every trace ring, heap or shared; only the ring's owning task may
+/// call it.
+#[inline]
+pub(crate) fn record(slots: &[TraceSlot], cursor: &AtomicU64, ts_nanos: u64, point: TracePoint) {
+    let i = cursor.load(Ordering::Relaxed);
+    let n = slots.len() as u64;
+    let slot = &slots[(i % n) as usize];
+    let lap = i / n;
+    slot.seq.store(2 * lap + 1, Ordering::Release);
+    slot.ts.store(ts_nanos, Ordering::Release);
+    slot.point.store(point.encode() as u64, Ordering::Release);
+    slot.seq.store(2 * lap + 2, Ordering::Release);
+    cursor.store(i + 1, Ordering::Release);
+}
+
+/// Copies out the surviving records of `task_id`'s ring `(slots, cursor)`,
+/// oldest first, with the number lost to overflow. Safe against a
+/// concurrent writer *and* one that died mid-record: slots overwritten or
+/// mid-write during the drain fail their sequence check and are skipped,
+/// so every returned record is fully written and timestamps are
+/// non-decreasing.
+pub(crate) fn drain(
+    slots: &[TraceSlot],
+    cursor: &AtomicU64,
+    task_id: u32,
+) -> (Vec<TraceRecord>, u64) {
+    let end = cursor.load(Ordering::Acquire);
+    let n = slots.len() as u64;
+    let start = end.saturating_sub(n);
+    let mut out = Vec::with_capacity((end - start) as usize);
+    let mut last_ts = 0u64;
+    for i in start..end {
+        let slot = &slots[(i % n) as usize];
+        let expect = 2 * (i / n) + 2;
+        if slot.seq.load(Ordering::Acquire) != expect {
+            continue;
+        }
+        let ts = slot.ts.load(Ordering::Acquire);
+        let word = slot.point.load(Ordering::Acquire);
+        if slot.seq.load(Ordering::Acquire) != expect {
+            continue;
+        }
+        let Some(point) = TracePoint::decode(word as u32) else {
+            continue;
+        };
+        // Per-task timestamps are monotone at the writer; a violation
+        // here means the slot was recycled between the checks, so the
+        // record cannot be trusted.
+        if ts < last_ts {
+            continue;
+        }
+        last_ts = ts;
+        out.push(TraceRecord {
+            ts_nanos: ts,
+            task_id,
+            point,
+        });
+    }
+    (out, start)
 }
 
 /// A per-task, single-writer, bounded ring buffer of [`TraceRecord`]s.
@@ -197,7 +275,7 @@ struct Slot {
 /// silent.
 pub struct TraceRing {
     task_id: u32,
-    slots: Box<[Slot]>,
+    slots: Box<[TraceSlot]>,
     /// Total records ever started, written only by the owner task.
     cursor: AtomicU64,
 }
@@ -218,13 +296,7 @@ impl TraceRing {
         assert!(capacity >= 1, "trace ring needs capacity >= 1");
         TraceRing {
             task_id,
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    ts: AtomicU64::new(0),
-                    point: AtomicU64::new(0),
-                })
-                .collect(),
+            slots: (0..capacity).map(|_| TraceSlot::default()).collect(),
             cursor: AtomicU64::new(0),
         }
     }
@@ -254,55 +326,13 @@ impl TraceRing {
     /// called from the owning task (single-writer).
     #[inline]
     pub fn record(&self, ts_nanos: u64, point: TracePoint) {
-        let i = self.cursor.load(Ordering::Relaxed);
-        let n = self.slots.len() as u64;
-        let slot = &self.slots[(i % n) as usize];
-        let lap = i / n;
-        slot.seq.store(2 * lap + 1, Ordering::Release);
-        slot.ts.store(ts_nanos, Ordering::Release);
-        slot.point.store(point.encode() as u64, Ordering::Release);
-        slot.seq.store(2 * lap + 2, Ordering::Release);
-        self.cursor.store(i + 1, Ordering::Release);
+        record(&self.slots, &self.cursor, ts_nanos, point);
     }
 
     /// Copies out the surviving records, oldest first. Safe against a
-    /// concurrent writer: slots overwritten or mid-write during the drain
-    /// fail their sequence check and are skipped, so every returned record
-    /// is fully written and timestamps are non-decreasing.
+    /// concurrent writer: torn and overwritten slots are skipped.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let end = self.cursor.load(Ordering::Acquire);
-        let n = self.slots.len() as u64;
-        let start = end.saturating_sub(n);
-        let mut out = Vec::with_capacity((end - start) as usize);
-        let mut last_ts = 0u64;
-        for i in start..end {
-            let slot = &self.slots[(i % n) as usize];
-            let expect = 2 * (i / n) + 2;
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue;
-            }
-            let ts = slot.ts.load(Ordering::Acquire);
-            let word = slot.point.load(Ordering::Acquire);
-            if slot.seq.load(Ordering::Acquire) != expect {
-                continue;
-            }
-            let Some(point) = TracePoint::decode(word as u32) else {
-                continue;
-            };
-            // Per-task timestamps are monotone at the writer; a violation
-            // here means the slot was recycled between the checks, so the
-            // record cannot be trusted.
-            if ts < last_ts {
-                continue;
-            }
-            last_ts = ts;
-            out.push(TraceRecord {
-                ts_nanos: ts,
-                task_id: self.task_id,
-                point,
-            });
-        }
-        out
+        drain(&self.slots, &self.cursor, self.task_id).0
     }
 }
 
@@ -340,17 +370,10 @@ impl TraceRegistry {
     /// were not named get `task<N>`.
     pub fn collect(&self, names: &[(u32, String)]) -> UnifiedTrace {
         let rings: Vec<Arc<TraceRing>> = self.tasks.lock().unwrap().values().cloned().collect();
-        let mut records = Vec::new();
-        let mut dropped = 0;
-        for r in &rings {
-            records.extend(r.drain());
-            dropped += r.dropped();
-        }
-        let mut trace = UnifiedTrace::from_parts(records, names.to_vec(), dropped);
-        for r in &rings {
-            trace.ensure_task(r.task_id());
-        }
-        trace
+        UnifiedTrace::from_rings(
+            rings.iter().map(|r| (&r.slots[..], &r.cursor, r.task_id)),
+            names,
+        )
     }
 }
 
@@ -464,31 +487,49 @@ pub struct UnifiedTrace {
 impl UnifiedTrace {
     /// Builds a trace, sorting `records` by timestamp (stable).
     pub fn from_parts(
-        mut records: Vec<TraceRecord>,
+        records: Vec<TraceRecord>,
         task_names: Vec<(u32, String)>,
         dropped: u64,
     ) -> Self {
-        records.sort_by_key(|r| r.ts_nanos);
         let mut t = UnifiedTrace {
-            records,
+            records: Vec::new(),
             task_names,
             dropped,
         };
-        let ids: Vec<u32> = t.records.iter().map(|r| r.task_id).collect();
-        for id in ids {
-            t.ensure_task(id);
-        }
+        t.extend(records);
         t
     }
 
-    /// Appends bridged simulator scheduling events and re-sorts.
-    pub fn merge_sim(&mut self, events: &[usipc_sim::TraceEvent]) {
-        self.records.extend(bridge_sim_trace(events));
+    /// Adds `records`, keeping the stream time-sorted (stable) and every
+    /// recording task named.
+    fn extend(&mut self, records: Vec<TraceRecord>) {
+        self.records.extend(records);
         self.records.sort_by_key(|r| r.ts_nanos);
         let ids: Vec<u32> = self.records.iter().map(|r| r.task_id).collect();
         for id in ids {
             self.ensure_task(id);
         }
+    }
+
+    /// Drains every `(slots, cursor, task_id)` ring into one time-sorted
+    /// trace. `names` supplies display names; a task that recorded but was
+    /// not named gets `task<N>`.
+    pub(crate) fn from_rings<'a>(
+        rings: impl IntoIterator<Item = (&'a [TraceSlot], &'a AtomicU64, u32)>,
+        names: &[(u32, String)],
+    ) -> Self {
+        let (mut records, mut dropped) = (Vec::new(), 0);
+        for (slots, cursor, task_id) in rings {
+            let (survivors, lost) = drain(slots, cursor, task_id);
+            records.extend(survivors);
+            dropped += lost;
+        }
+        UnifiedTrace::from_parts(records, names.to_vec(), dropped)
+    }
+
+    /// Appends bridged simulator scheduling events and re-sorts.
+    pub fn merge_sim(&mut self, events: &[usipc_sim::TraceEvent]) {
+        self.extend(bridge_sim_trace(events));
     }
 
     /// Guarantees `task_id` has a display name (auto-named `task<N>`).
@@ -759,6 +800,43 @@ mod tests {
                 TracePoint::Proto(ProtoEvent::Dequeue)
             };
             assert_eq!(rec.point, want);
+        }
+    }
+
+    #[test]
+    fn a_heap_ring_and_a_flight_ring_are_one_ring() {
+        use crate::telemetry::TelemetryPlane;
+        use usipc_shm::ShmArena;
+        const CAP: usize = 8;
+        // Below capacity, 12 records past it, and past it with one slot
+        // left mid-write.
+        for (written, torn) in [
+            (5, None),
+            (CAP as u64 + 12, None),
+            (CAP as u64 + 12, Some(3)),
+        ] {
+            let heap = TraceRing::new(0, CAP);
+            let arena = Arc::new(ShmArena::new(TelemetryPlane::bytes_needed(0, 1, CAP)).unwrap());
+            let plane = TelemetryPlane::create_in(&arena, 0, 1, CAP).unwrap();
+            let flight = plane.flight().unwrap();
+            let shared = flight.ring(0).unwrap();
+            for i in 0..written {
+                let p = TracePoint::Sched(SchedPoint::Dispatched { cpu: i as u32 });
+                heap.record(i, p);
+                shared.record(i, p);
+            }
+            if let Some(k) = torn {
+                // What a writer killed between its two `seq` stores leaves.
+                for slots in [&heap.slots[..], shared.view().0] {
+                    slots[k].seq.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+            let trace = flight.collect(&[]);
+            let what = format!("{written} written, slot {torn:?} torn");
+            assert_eq!(heap.drain(), trace.records, "{what}");
+            assert_eq!(heap.dropped(), trace.dropped, "{what}");
+            let survivors = written.min(CAP as u64) as usize - usize::from(torn.is_some());
+            assert_eq!(trace.records.len(), survivors, "{what}");
         }
     }
 

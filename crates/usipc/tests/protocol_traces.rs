@@ -705,5 +705,5 @@ fn a_call_reads_the_clock_only_when_it_is_the_sampled_one() {
         let reads = clock_reads_of_a_call(&ch, &os, i as f64);
         assert_eq!(reads, if i % 4 == 0 { 2 } else { 0 }, "call {i}");
     }
-    assert_eq!(os.metrics().unwrap().latency_snapshot().count(), 3);
+    assert_eq!(os.metrics().unwrap().latency_snapshot().count, 3);
 }

@@ -15,6 +15,9 @@
 //!   shared `capacity`/`mode` words under a live `QueueRef` changes
 //!   nothing — FIFO order, flow control, in-bounds indexing.
 //!
+//! The telemetry plane and its flight recorder keep the same contract,
+//! with `None` for `Err`: `TelemetryPlane::attach` and `flight()`.
+//!
 //! The offsets below are the `#[repr(C)]` layouts of the segment
 //! structures. Every scribble first checks that the word holds what the
 //! layout says it should, so a layout this file has wrong fails *here*,
@@ -23,7 +26,10 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use usipc::waitset::{WaitSet, WaitSetRoot};
-use usipc::{Channel, ChannelConfig, Message, NativeConfig, NativeOs, QueueKind};
+use usipc::{
+    Channel, ChannelConfig, Message, NativeConfig, NativeOs, ProtoEvent, QueueKind, Role,
+    TelemetryPlane, TracePoint,
+};
 use usipc_shm::{ShmArena, ShmError, ShmPtr};
 
 // `ChannelRoot`: the receive `WaitableQueue` (three cache lines, its
@@ -260,4 +266,130 @@ fn a_live_view_is_unmoved_by_scribbles_on_the_shared_header() {
         mode.store(honest.1, SeqCst);
     }
     carries_traffic(&seg.attach().expect("honest header attaches again"));
+}
+
+// `TelemetryRoot`: magic, `n_slots`, the slot slice, the flight root.
+const TEL_MAGIC: u32 = 0;
+const TEL_N_SLOTS: u32 = 4;
+const TEL_SLOTS_OFF: u32 = 8;
+const TEL_SLOTS_LEN: u32 = 12;
+const TEL_FLIGHT: u32 = 16;
+// `FlightRoot`: `n_tasks`, `capacity`, the task slice.
+const FLIGHT_N_TASKS: u32 = 0;
+const FLIGHT_CAPACITY: u32 = 4;
+const FLIGHT_TASKS_OFF: u32 = 8;
+const FLIGHT_TASKS_LEN: u32 = 12;
+// `FlightTask`: the cursor's cache line, then the ring slice.
+const TASK_BYTES: u32 = 128;
+const TASK_RING_OFF: u32 = 64;
+const TASK_RING_LEN: u32 = 68;
+
+#[test]
+fn a_scribbled_telemetry_or_flight_directory_reads_as_absent_never_a_panic() {
+    const SLOTS: u32 = 3;
+    const TASKS: u32 = 2;
+    const RING: u32 = 16;
+    let (n, t, r) = (SLOTS as usize, TASKS as usize, RING as usize);
+    let arena = Arc::new(ShmArena::new(TelemetryPlane::bytes_needed(n, t, r)).expect("arena"));
+    let plane = TelemetryPlane::create_in(&arena, n, t, r).expect("plane");
+    plane
+        .writer(0, 0, Role::Server)
+        .publish(&Default::default());
+    let live = plane.flight().expect("flight recorder");
+    let word = |off: u32| arena.get::<AtomicU32>(ShmPtr::from_raw(off));
+    let beyond = (arena.capacity() as u32).next_multiple_of(4096) + 4096;
+    let root = arena.aux::<AtomicU32>().expect("aux root").raw();
+    let flight = word(root + TEL_FLIGHT).load(SeqCst);
+    let tasks = word(flight + FLIGHT_TASKS_OFF).load(SeqCst);
+
+    let no_plane = || TelemetryPlane::attach(&arena).is_none();
+    let no_flight = || {
+        TelemetryPlane::attach(&arena)
+            .and_then(|p| p.flight())
+            .is_none()
+    };
+    // Writes each of `bad` over the word at `off` (which must hold
+    // `expect`), demands that reading sees nothing, puts it back and
+    // demands that reading works again.
+    let refuses = |what: &str, off: u32, expect: u32, bad: &[u32], absent: &dyn Fn() -> bool| {
+        for &b in bad {
+            assert_eq!(word(off).swap(b, SeqCst), expect, "layout: {what}");
+            assert!(absent(), "{what} = {b:#x} must read as absent");
+            word(off).store(expect, SeqCst);
+            assert!(!absent(), "{what} restored");
+        }
+    };
+
+    refuses("magic", root + TEL_MAGIC, 0x5553_5450, &[0, 1], &no_plane);
+    let counts = [SLOTS - 1, SLOTS + 1, u32::MAX];
+    refuses("n_slots", root + TEL_N_SLOTS, SLOTS, &counts, &no_plane);
+    refuses("slots.len", root + TEL_SLOTS_LEN, SLOTS, &counts, &no_plane);
+    let slots = word(root + TEL_SLOTS_OFF).load(SeqCst);
+    let offs = [0, beyond, slots + 4];
+    refuses("slots.off", root + TEL_SLOTS_OFF, slots, &offs, &no_plane);
+    let offs = [beyond, flight + 2];
+    refuses("flight", root + TEL_FLIGHT, flight, &offs, &no_flight);
+
+    let counts = [0, TASKS + 1, u32::MAX];
+    refuses(
+        "n_tasks",
+        flight + FLIGHT_N_TASKS,
+        TASKS,
+        &counts,
+        &no_flight,
+    );
+    refuses(
+        "tasks.len",
+        flight + FLIGHT_TASKS_LEN,
+        TASKS,
+        &counts,
+        &no_flight,
+    );
+    let offs = [0, beyond, tasks + 4];
+    refuses(
+        "tasks.off",
+        flight + FLIGHT_TASKS_OFF,
+        tasks,
+        &offs,
+        &no_flight,
+    );
+    let caps = [0, RING - 1, RING + 1];
+    refuses(
+        "capacity",
+        flight + FLIGHT_CAPACITY,
+        RING,
+        &caps,
+        &no_flight,
+    );
+    for task in (0..TASKS).map(|i| tasks + i * TASK_BYTES) {
+        let lens = [0, RING - 1, RING + 1, u32::MAX];
+        refuses("ring.len", task + TASK_RING_LEN, RING, &lens, &no_flight);
+        let ring = word(task + TASK_RING_OFF).load(SeqCst);
+        let offs = [0, beyond, ring + 4];
+        refuses("ring.off", task + TASK_RING_OFF, ring, &offs, &no_flight);
+    }
+
+    // Handles made before the scribbles run on the counts and offsets they
+    // validated: every directory word at once is garbage, and they still
+    // read, record and drain in range.
+    for off in [
+        root + TEL_N_SLOTS,
+        root + TEL_SLOTS_OFF,
+        flight + FLIGHT_N_TASKS,
+        flight + FLIGHT_TASKS_OFF,
+        tasks + TASK_RING_OFF,
+        tasks + TASK_RING_LEN,
+    ] {
+        word(off).store(beyond, SeqCst);
+    }
+    assert_eq!(plane.n_slots(), n);
+    assert_eq!(plane.readings().len(), 1);
+    assert!(plane.read(n).is_none(), "a slot the plane lacks");
+    let ring = live.ring(0).expect("ring 0");
+    for i in 0..2 * RING {
+        ring.record(u64::from(i), TracePoint::Proto(ProtoEvent::Enqueue));
+    }
+    let trace = live.collect(&[]);
+    assert_eq!((trace.records.len(), trace.dropped), (r, u64::from(RING)));
+    assert!(no_plane() && no_flight(), "and a new handle refuses them");
 }
