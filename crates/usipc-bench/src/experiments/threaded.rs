@@ -1,12 +1,13 @@
 //! Ablation: the §2.1 alternative server architecture — a server thread
-//! per client over full-duplex queue pairs — on the 8-way machine.
+//! per client, each over its own one-client channel — on the 8-way machine.
 //!
 //! The paper keeps a single-threaded server, noting the alternative "would
 //! require two queues per client". The trade quantified here: per-client
 //! threads remove the single-server saturation ceiling of Fig. 11 (each
 //! connection gets its own consumer), at the price of 2× queues, 2×
 //! semaphores, and — once connections outnumber CPUs — scheduler pressure
-//! from all the extra server threads.
+//! from all the extra server threads. `duplex(10)` and `single BSLS(10)`
+//! run the same protocol; only the architecture differs.
 
 use super::{ExperimentOutput, RunOpts};
 use crate::table::Table;

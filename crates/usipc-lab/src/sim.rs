@@ -5,8 +5,8 @@ use std::sync::Arc;
 use usipc::metrics::{MetricsRegistry, MetricsSnapshot, SketchSnapshot};
 use usipc::platform::OsServices;
 use usipc::{
-    AsyncClient, Channel, ChannelConfig, DuplexChannel, Message, SimCosts, SimIds, SimOs,
-    TraceRegistry, UnifiedTrace, WaitStrategy,
+    AsyncClient, Channel, ChannelConfig, Message, SimCosts, SimIds, SimOs, TraceRegistry,
+    UnifiedTrace, WaitStrategy,
 };
 use usipc_sim::{BarrierId, MachineModel, PolicyKind, SimBuilder, SimReport, VDur};
 
@@ -330,13 +330,15 @@ pub struct SimExperimentResult {
     pub trace: Option<UnifiedTrace>,
 }
 
-/// Runs the §2.1 alternative architecture — a server thread per client
-/// over full-duplex queue pairs — on the simulator, with the same
-/// measurement window as [`SimExperiment::run`].
+/// Runs the §2.1 alternative architecture — a server thread per client,
+/// "two queues per client": one one-client [`Channel`] each — on the
+/// simulator, with the same measurement window as [`SimExperiment::run`].
+/// Both sides run BSLS(`max_spin`), the protocol of the single server it
+/// is compared with, so only the architecture differs.
 ///
-/// Task layout: tasks `0..n` are the per-connection server threads, tasks
-/// `n..2n` the clients. Semaphores follow the duplex convention
-/// (`2c` server thread, `2c + 1` client).
+/// Task layout: tasks `0..n` are the per-client server threads, tasks
+/// `n..2n` the clients. Channel `c` sits at `sem_base = 2c`: its server
+/// thread sleeps on `2c`, its client on `2c + 1`.
 ///
 /// # Panics
 ///
@@ -359,21 +361,24 @@ pub fn run_duplex_sim_experiment(
             ..SimShape::default()
         },
     );
-    let channel = DuplexChannel::create(n_clients, 64).expect("duplex channel");
-    for c in 0..n {
-        let ch = channel.clone();
+    let strategy = WaitStrategy::Bsls { max_spin };
+    let channels: Vec<Channel> = (0..n)
+        .map(|c| {
+            Channel::create(&ChannelConfig::new(1).with_sem_base(2 * c)).expect("channel creation")
+        })
+        .collect();
+    for (c, ch) in (0..n).zip(&channels) {
+        let ch = ch.clone();
         world.task(SimRole::Server, format!("srv{c}"), c, move |os| {
-            let _ = ch.serve_connection(os, c, max_spin, |m| m);
+            let _ = usipc::run_echo_server(&ch, os, strategy);
         });
     }
-    for c in 0..n {
-        let ch = channel.clone();
+    for (c, ch) in (0..n).zip(channels) {
         world.task(SimRole::Client, format!("client{c}"), n + c, move |os| {
-            echo_session(c, msgs_per_client, |m| {
-                Ok::<_, IpcNever>(ch.call(os, c, m, max_spin))
-            })
-            .expect("duplex echo corrupted");
-            ch.disconnect(os, c, max_spin);
+            let client = ch.client(os, 0, strategy);
+            echo_session(c, msgs_per_client, |m| Ok::<_, IpcNever>(client.call(m)))
+                .expect("duplex echo corrupted");
+            client.disconnect();
         });
     }
     world

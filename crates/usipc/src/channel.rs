@@ -113,25 +113,25 @@ pub struct ChannelRoot {
 unsafe impl ShmSafe for ChannelRoot {}
 
 /// Sizing parameters for a channel.
+///
+/// The arena [`Channel::create`] builds is sized exactly for the channel;
+/// data an application keeps beside it goes in an arena the caller sizes
+/// itself — [`Self::bytes_needed`] plus its own footprint — and builds the
+/// channel into with [`Channel::create_in`].
 #[derive(Debug, Clone)]
 pub struct ChannelConfig {
     /// Number of clients (and hence reply queues).
     pub n_clients: usize,
     /// Capacity of each queue (requests outstanding before flow control).
     pub queue_capacity: usize,
-    /// Additional arena bytes reserved for structures the application
-    /// co-locates with the channel (e.g. a [`BulkPool`](crate::BulkPool),
-    /// sized via [`BulkPool::bytes_needed`](crate::BulkPool::bytes_needed)).
-    /// The channel's own allocations are sized exactly, so co-located data
-    /// must be declared here rather than borrowed from slack.
-    pub extra_bytes: usize,
     /// First platform semaphore index the channel's queues use: the
     /// server's receive semaphore is `sem_base + server_sem()` and client
     /// `c`'s reply semaphore is `sem_base + client_sem(c)`. Defaults to 0
     /// (a single channel owning the whole semaphore table, the historical
     /// layout); multiple channels sharing one platform — the WaitSet
-    /// multiplexing topology — give each channel a disjoint block so
-    /// their semaphores never alias.
+    /// multiplexing topology, or §2.1's server thread per client, which is
+    /// one one-client channel per client at `sem_base = 2c` — give each
+    /// channel a disjoint block so their semaphores never alias.
     pub sem_base: u32,
     /// Which queue implementation every queue of this channel uses:
     /// [`QueueKind::Ring`] (the default: lock-free — a SIGKILLed producer
@@ -158,18 +158,10 @@ impl ChannelConfig {
         ChannelConfig {
             n_clients,
             queue_capacity: 64,
-            extra_bytes: 0,
             sem_base: 0,
             queue_kind: QueueKind::default(),
             max_dequeuers: 2,
         }
-    }
-
-    /// Reserves `bytes` of arena space for co-located application data.
-    #[must_use]
-    pub fn with_extra_bytes(mut self, bytes: usize) -> Self {
-        self.extra_bytes = bytes;
-        self
     }
 
     /// Places the channel's semaphores at `base` in the platform's
@@ -204,7 +196,6 @@ impl ChannelConfig {
             + core::mem::align_of::<WaitableQueue>()
             + core::mem::size_of::<ChannelRoot>()
             + core::mem::align_of::<ChannelRoot>()
-            + self.extra_bytes
     }
 }
 
@@ -229,7 +220,9 @@ impl ChannelConfig {
 #[derive(Clone)]
 pub struct Channel {
     arena: Arc<ShmArena>,
-    root: ShmPtr<ChannelRoot>,
+    /// The root [`Self::from_root`] resolved and validated; `'static`
+    /// stands for "while `arena` is mapped".
+    root: &'static ChannelRoot,
     local: Arc<Local>,
 }
 
@@ -237,14 +230,16 @@ pub struct Channel {
 struct Local {
     /// Segment generation the handles consider current.
     stamp: AtomicU32,
+    /// The root's offset, for [`Channel::root_ptr`].
+    root_ptr: ShmPtr<ChannelRoot>,
     /// `[0]` is the receive queue, `[1 + c]` client `c`'s reply queue;
-    /// `'static` stands for "while `arena` is mapped" ([`Channel::from_root`]).
+    /// `'static` as for [`Channel`]'s `root`.
     queues: Vec<QueueRef<'static>>,
 }
 
 impl core::fmt::Debug for Channel {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Channel({:?}, {:?})", self.arena, self.root)
+        write!(f, "Channel({:?}, {:?})", self.arena, self.local.root_ptr)
     }
 }
 
@@ -258,7 +253,7 @@ impl Channel {
     pub fn create(cfg: &ChannelConfig) -> Result<Channel, ShmError> {
         let arena = Arc::new(ShmArena::new(cfg.bytes_needed())?);
         let ch = Self::create_in(arena, cfg)?;
-        ch.arena.publish_root(ch.root);
+        ch.arena.publish_root(ch.root_ptr());
         Ok(ch)
     }
 
@@ -315,12 +310,13 @@ impl Channel {
     /// ([`AnyShmFifo::view`]) — [`ShmError::BadSegment`] when any of it is
     /// malformed, never a later operation's panic.
     pub fn from_root(arena: Arc<ShmArena>, root: ShmPtr<ChannelRoot>) -> Result<Channel, ShmError> {
-        // SAFETY: the one lifetime erasure behind the queue table. The
-        // reference is to the `ShmArena` inside the `Arc` allocation, which
-        // the `arena` field keeps alive (segment mapped, base fixed) while
-        // the `Channel` or any clone exists; what is resolved through it is
-        // stored only in `local`, beside that `Arc`, and handed out only at
-        // `&self`'s lifetime (`receive_queue`, `try_reply_queue`).
+        // SAFETY: the one lifetime erasure behind the root and the queue
+        // table. The reference is to the `ShmArena` inside the `Arc`
+        // allocation, which the `arena` field keeps alive (segment mapped,
+        // base fixed) while the `Channel` or any clone exists; what is
+        // resolved through it is stored only in the handle and its `local`,
+        // beside that `Arc`, and handed out only at `&self`'s lifetime
+        // (`receive_queue`, `try_reply_queue`).
         let mapped: &'static ShmArena = unsafe { &*Arc::as_ptr(&arena) };
         let r = mapped.try_get(root)?;
         let reply = mapped.try_get_slice(r.reply)?;
@@ -333,14 +329,22 @@ impl Channel {
             queues.push(QueueRef::new(mapped, wq, r.sem_base.wrapping_add(sem))?);
         }
         let stamp = AtomicU32::new(arena.generation());
-        let local = Arc::new(Local { stamp, queues });
-        Ok(Channel { arena, root, local })
+        let local = Arc::new(Local {
+            stamp,
+            root_ptr: root,
+            queues,
+        });
+        Ok(Channel {
+            arena,
+            root: r,
+            local,
+        })
     }
 
     /// This channel's root offset, for embedding in a caller-owned
     /// bootstrap structure (see [`Self::create_in`]).
     pub fn root_ptr(&self) -> ShmPtr<ChannelRoot> {
-        self.root
+        self.local.root_ptr
     }
 
     /// Attaches to a channel previously created in `arena` (the peer's
@@ -355,11 +359,7 @@ impl Channel {
         Self::from_root(arena, root)
     }
 
-    fn root(&self) -> &ChannelRoot {
-        self.arena.get(self.root)
-    }
-
-    /// The shared arena (for applications that co-locate bulk data).
+    /// The shared arena.
     pub fn arena(&self) -> &Arc<ShmArena> {
         &self.arena
     }
@@ -372,17 +372,18 @@ impl Channel {
 
     /// Which queue implementation this channel's queues run on.
     pub fn queue_kind(&self) -> QueueKind {
-        self.root().receive.queue.kind()
+        self.root.receive.queue.kind()
     }
 
     /// Registers the server's platform task number as the hand-off target.
     pub fn register_server_task(&self, task: u32) {
-        self.root().server_task.store(task, Ordering::Release);
+        self.root.server_task.store(task, Ordering::Release);
     }
 
     /// The server's platform task number (`u32::MAX` if unregistered).
+    #[inline]
     pub fn server_task(&self) -> u32 {
-        self.root().server_task.load(Ordering::Acquire)
+        self.root.server_task.load(Ordering::Acquire)
     }
 
     /// The segment generation this handle was validated against (see the

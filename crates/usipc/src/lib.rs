@@ -51,10 +51,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod asynch;
-mod barrier;
-mod bulk;
 mod channel;
-mod duplex;
 pub mod fault;
 pub mod metrics;
 mod msg;
@@ -76,12 +73,9 @@ pub mod trace;
 pub mod waitset;
 
 pub use asynch::AsyncClient;
-pub use barrier::BarrierRef;
-pub use bulk::{BulkBlock, BulkHandle, BulkPool, BLOCK_PAYLOAD};
 pub use channel::{
     Channel, ChannelConfig, ChannelRoot, ClientEndpoint, QueueRef, ServerEndpoint, WaitableQueue,
 };
-pub use duplex::{duplex_client_sem, duplex_server_sem, DuplexChannel, DuplexPair, DuplexRoot};
 pub use fault::{DeathWatch, FaultAction, FaultPlan, IpcError, ServerDeathWatch};
 pub use metrics::{
     EndpointMetrics, LatencySketch, MetricsRegistry, MetricsSnapshot, ProtoEvent, SketchSnapshot,

@@ -18,7 +18,7 @@
 //! is the SysV request queue and `1 + c` client `c`'s SysV reply queue.
 //!
 //! Every backend can optionally carry a per-task
-//! [`EndpointMetrics`](crate::metrics::EndpointMetrics) sink; the shared
+//! [`EndpointMetrics`] sink; the shared
 //! [`OsServices::record`] default forwards protocol events to it, so
 //! protocol code calls `os.record(..)` unconditionally and pays only an
 //! `Option` discriminant test when metrics are disabled.

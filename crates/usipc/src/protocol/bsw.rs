@@ -45,8 +45,7 @@ pub fn receive<O: OsServices>(
 /// `Reply` on the client's reply queue `rq`: enqueue the response and wake
 /// the client if sleeping. BSWY, BSLS and the hand-off variant reply
 /// exactly like this — the mux worker through them, its members'
-/// endpoints being BSW — and so does the duplex server thread, which
-/// resolves the queue itself.
+/// endpoints being BSW.
 pub fn reply<O: OsServices>(
     rq: &QueueRef<'_>,
     os: &O,

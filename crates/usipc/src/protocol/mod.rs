@@ -289,13 +289,6 @@ impl<'a, O: OsServices> PollLoop<'a, O> {
         self.os.poll_pause(self.attempt);
         self.attempt = self.attempt.saturating_add(1);
     }
-
-    /// At most `max` pauses while `waiting` holds (budget checked first).
-    pub(crate) fn pause_while(mut self, max: u32, mut waiting: impl FnMut() -> bool) {
-        while self.attempt < max && waiting() {
-            self.pause();
-        }
-    }
 }
 
 /// How long a wait may last: a timeout, or no bound at all

@@ -21,10 +21,8 @@
 //!    [`IpcError::StaleGeneration`](crate::fault::IpcError::StaleGeneration)
 //!    before any repair becomes observable), revalidate the successor's
 //!    own handle, then repair.
-//! 3. [`take_over_and_serve`] re-arms a
-//!    [`ServerDeathWatch`](crate::fault::ServerDeathWatch) and resumes
-//!    [`run_resilient_server`](crate::run_resilient_server) on the
-//!    repaired channel.
+//! 3. [`take_over_and_serve`] re-arms a [`ServerDeathWatch`] and resumes
+//!    [`run_resilient_server`] on the repaired channel.
 //!
 //! ## The quiescence contract
 //!
@@ -445,8 +443,7 @@ pub fn take_over<O: OsServices>(ch: &Channel, os: &O) -> Takeover {
 }
 
 /// [`take_over`], then resume service: re-arms a [`ServerDeathWatch`] for
-/// the new incarnation and runs
-/// [`run_resilient_server`](crate::run_resilient_server) to completion.
+/// the new incarnation and runs [`run_resilient_server`] to completion.
 /// Committed requests from before the crash are served first (they are
 /// already queued), clients whose replies were committed finish on their
 /// own, and dropped clients have already been notified.

@@ -25,11 +25,11 @@
 //! [`Sys::mark`]: usipc_sim::Sys::mark
 
 use crate::channel::{Channel, ChannelConfig};
-use crate::fault::{FaultAction, FaultPlan};
+use crate::fault::{FaultAction, FaultPlan, IpcError};
 use crate::metrics::{MetricsRegistry, ProtoEvent};
 use crate::msg::Message;
 use crate::platform::OsServices;
-use crate::protocol::WaitStrategy;
+use crate::protocol::{blocking_dequeue, Deadline, WaitStrategy};
 use crate::server::{channel_source, run_echo_server, serve, Next, ServerObservability, Source};
 use crate::simulated::{SimCosts, SimIds, SimOs};
 use crate::waitset::{ShardedConfig, ShardedServer};
@@ -596,10 +596,12 @@ impl FaultScenario {
 /// the mutant that proves the explorer can see it fail.
 ///
 /// One server dequeues a single request and dies before replying. The
-/// client waits for the reply with the *poison-aware infinite wait*: no
-/// deadline at all — its only rescue is the dying server's tombstone,
-/// whose sticky flag it checks on every wait round and whose broadcast
-/// `V` is what lifts it out of a committed `P`. With `poisoning: true`
+/// client waits for the reply in production's own Fig. 5 loop
+/// (`blocking_dequeue`) with no deadline at all — its only rescue is the
+/// dying server's tombstone, whose sticky flag the loop checks on every
+/// wait round and whose broadcast `V` is what lifts it out of a committed
+/// `P`; it counts as detected when the loop returns
+/// [`IpcError::Poisoned`]. With `poisoning: true`
 /// every schedule completes with the death detected. With `poisoning:
 /// false` (the mutant: the victim dies silently, the flag is never set,
 /// the broadcast never posted) the explorer must produce a **deadlock
@@ -635,32 +637,12 @@ impl PeerDeathScenario {
                 let srv = ch2.receive_queue();
                 assert!(srv.try_enqueue(os, Message::echo(0, 7.0)));
                 srv.wake_consumer(os);
-                // Poison-aware infinite wait: the Fig. 5 wait loop with a
-                // poison check on every round and NO deadline — liveness
-                // rests entirely on the tombstone's broadcast V.
-                let rq = ch2.reply_queue(0);
-                loop {
-                    if rq.try_dequeue(os).is_some() {
-                        unreachable!("server dies before replying");
-                    }
-                    if rq.is_poisoned() {
-                        saw.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    rq.clear_awake(os);
-                    match rq.try_dequeue(os) {
-                        Some(_) => unreachable!("server dies before replying"),
-                        None => {
-                            if rq.is_poisoned() {
-                                rq.set_awake(os);
-                                saw.fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                            os.sem_p(rq.sem());
-                            rq.set_awake(os);
-                        }
-                    }
-                }
+                // NO deadline: liveness rests entirely on the tombstone's
+                // broadcast V.
+                match blocking_dequeue(&ch2.reply_queue(0), os, &Deadline::never(), || {}) {
+                    Err(IpcError::Poisoned) => saw.fetch_add(1, Ordering::Relaxed),
+                    r => unreachable!("server dies before replying: {r:?}"),
+                };
             };
             spawn_cast(b, 2, 1, false, server, client); // sems: server, client 0
 

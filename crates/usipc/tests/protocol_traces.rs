@@ -403,6 +403,9 @@ fn bswy_receive_returns_immediately_when_work_is_queued() {
 
 // ---- BSLS (Fig. 9) ---------------------------------------------------
 
+/// Each wait starts its own `PollLoop`: the backend is handed a fresh
+/// attempt index from 0, up by one, so it can pace by how long *this*
+/// wait has lasted.
 #[test]
 fn bsls_polls_up_to_max_spin_then_blocks() {
     let ch = channel();
@@ -470,37 +473,6 @@ fn bsls_receive_pays_no_pause_for_a_waiting_request() {
     let m = WaitStrategy::Bsls { max_spin: 50 }.receive(&ch, &os);
     assert_eq!(m.value, 2.0);
     assert!(os.calls().is_empty(), "{:?}", os.calls());
-}
-
-#[test]
-fn duplex_call_hands_over_fresh_attempt_indices_per_wait() {
-    // The serving thread is real (its own backend, a budget it never
-    // exhausts, so it polls and needs no wake-up from the mock); the
-    // calling side is the mock, so every index it is handed is on record.
-    const BUDGET: u32 = 5_000;
-    let ch = usipc::DuplexChannel::create(1, 4).unwrap();
-    let server = {
-        let ch = ch.clone();
-        let mut cfg = usipc::NativeConfig::for_clients(1);
-        cfg.multiprocessor = false; // pace by yielding: fine on one CPU too
-        let os = usipc::NativeOs::new(cfg);
-        std::thread::spawn(move || ch.serve_connection(&os.task(0), 0, u32::MAX, |m| m))
-    };
-    let os = MockOs::new();
-    for round in 0..3 {
-        let before = os.calls().len();
-        assert_eq!(ch.echo(&os, 0, f64::from(round), BUDGET), f64::from(round));
-        let calls = os.calls().split_off(before);
-        let n = calls.len() as u32;
-        assert_eq!(
-            calls,
-            (0..n).map(Call::PollPause).collect::<Vec<_>>(),
-            "round {round}: nothing but paced polls, from 0, up by one"
-        );
-        assert!(n < BUDGET, "round {round}: the budget was never reached");
-    }
-    ch.disconnect(&os, 0, BUDGET);
-    assert_eq!(server.join().unwrap(), 4);
 }
 
 // ---- handoff (§6) ----------------------------------------------------

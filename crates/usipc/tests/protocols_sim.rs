@@ -323,31 +323,3 @@ fn throttled_server_starves_nobody_either() {
         assert!(t.stats.exited_at.as_nanos() > 0, "client{c} never finished");
     }
 }
-
-#[test]
-fn bulk_payloads_travel_with_messages() {
-    // Variable-sized payloads (§2.1): the handle rides in the spare word,
-    // the bytes live in a BulkPool in the same arena.
-    use usipc::{BulkPool, Message};
-    let exp_arena = usipc::Channel::create(
-        &usipc::ChannelConfig::new(1).with_extra_bytes(BulkPool::bytes_needed(32)),
-    )
-    .unwrap();
-    let arena = exp_arena.arena();
-    let pool = BulkPool::create(arena, 32).unwrap();
-    let os = usipc::NativeOs::new(usipc::NativeConfig::for_clients(1));
-    let t = os.task(0);
-
-    let payload: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
-    let handle = pool.write(arena, &payload).unwrap();
-    let mut m = Message::echo(0, 1.0);
-    m.aux = handle.0;
-    assert!(exp_arena.receive_queue().try_enqueue(&t, m));
-
-    // "Server" side: dequeue, resolve the handle, take the bytes.
-    let got = exp_arena.receive_queue().try_dequeue(&t).unwrap();
-    let h = usipc::BulkHandle(got.aux);
-    assert_eq!(h.len(), 300);
-    assert_eq!(pool.take(arena, h), payload);
-    assert_eq!(pool.in_use(arena), 0);
-}

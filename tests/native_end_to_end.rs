@@ -3,8 +3,8 @@
 
 use std::sync::Arc;
 use usipc::{
-    opcode, AsyncClient, BarrierRef, Channel, ChannelConfig, Message, NativeConfig, NativeOs,
-    OsServices, QueueKind, WaitStrategy,
+    opcode, AsyncClient, Channel, ChannelConfig, Message, NativeConfig, NativeOs, OsServices,
+    QueueKind, WaitStrategy,
 };
 use usipc_lab::{Mechanism, NativeExperiment};
 use usipc_queue::{EnqueueFlow, LOCK_BUDGET};
@@ -145,27 +145,55 @@ fn async_flow_control_reports_full() {
 }
 
 #[test]
-fn shm_barrier_synchronizes_threads() {
-    let arena = Arc::new(usipc_shm::ShmArena::new(1 << 16).unwrap());
-    let bar = BarrierRef::create(&arena, 4).unwrap();
-    let os = NativeOs::new(NativeConfig::for_clients(0));
-    let flag = Arc::new(std::sync::atomic::AtomicU32::new(0));
-    let handles: Vec<_> = (0..4u32)
-        .map(|i| {
-            let arena = Arc::clone(&arena);
-            let os = Arc::clone(&os);
-            let flag = Arc::clone(&flag);
+fn thread_per_client_over_one_client_channels() {
+    // §2.1's alternative architecture, "a server thread per client" at the
+    // cost of "two queues per client": one one-client channel per client,
+    // channel `c` at semaphores `2c` (its server) and `2c + 1` (its
+    // client), all on one platform.
+    const CLIENTS: u32 = 3;
+    const ECHOES: u32 = 200;
+    let strategy = WaitStrategy::Bsls { max_spin: 10 };
+    let os = NativeOs::new(NativeConfig {
+        n_sems: 2 * CLIENTS as usize,
+        ..NativeConfig::for_clients(CLIENTS as usize)
+    });
+    let channels: Vec<Channel> = (0..CLIENTS)
+        .map(|c| Channel::create(&ChannelConfig::new(1).with_sem_base(2 * c)).unwrap())
+        .collect();
+    for (c, ch) in (0..CLIENTS).zip(&channels) {
+        assert_eq!(ch.receive_queue().sem(), 2 * c);
+        assert_eq!(ch.reply_queue(0).sem(), 2 * c + 1);
+    }
+    let servers: Vec<_> = (0..CLIENTS)
+        .zip(&channels)
+        .map(|(c, ch)| {
+            let (ch, os) = (ch.clone(), os.task(c));
+            std::thread::spawn(move || usipc::run_echo_server(&ch, &os, strategy))
+        })
+        .collect();
+    let clients: Vec<_> = (0..CLIENTS)
+        .zip(&channels)
+        .map(|(c, ch)| {
+            let (ch, os) = (ch.clone(), os.task(CLIENTS + c));
             std::thread::spawn(move || {
-                let t = os.task(i);
-                flag.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                bar.wait(&arena, &t);
-                // After the barrier, every arrival must be visible.
-                assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 4);
+                let ep = ch.client(&os, 0, strategy);
+                for i in 0..ECHOES {
+                    let v = f64::from(c * ECHOES + i);
+                    assert_eq!(ep.echo(v), v, "client {c}");
+                }
+                ep.disconnect();
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
+    for t in clients {
+        t.join().unwrap();
+    }
+    for (c, t) in servers.into_iter().enumerate() {
+        let run = t.join().unwrap();
+        assert_eq!(run.processed, u64::from(ECHOES) + 1, "server {c}");
+    }
+    for (i, f) in os.sem_finals().iter().enumerate() {
+        assert_eq!((f.count, f.waiting), (0, 0), "sem {i} not clean");
     }
 }
 
