@@ -24,10 +24,12 @@ pub enum QueueKind {
     /// acquisitions (`dequeue_bounded`, `enqueue_bounded`) to degrade
     /// instead of wedge.
     TwoLock,
-    /// The lock-free bounded ring ([`ShmRing`]), the default — nothing to
-    /// abandon, so a peer death can cost at most the messages the corpse
-    /// had in flight, never another process's progress; and no lock or
-    /// free-list head for two CPUs to bounce on the data path.
+    /// The lock-free bounded ring ([`ShmRing`]), the default — no lock to
+    /// abandon, and no lock or free-list head for two CPUs to bounce on the
+    /// data path. A producer that dies between its ticket claim and its
+    /// publish still leaves a hole; at the head of a live MPSC receive ring
+    /// it hides every later request until fsck or poison retires it
+    /// ([`ShmRing::fsck`], [`ShmRing::reclaim_stuck`]).
     #[default]
     Ring,
 }

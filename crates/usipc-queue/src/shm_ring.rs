@@ -7,11 +7,15 @@
 //! producer. This ring has no locks to abandon: every operation is a short
 //! sequence of individually-atomic steps on per-slot sequence words
 //! (Vyukov-style, wCQ-adjacent), and a process that dies between any two
-//! steps leaves the structure in a state every survivor can still make
-//! progress from. The worst a corpse can leave behind is a *hole* — a
+//! steps leaves no lock behind: every survivor's operation still
+//! completes. The worst a corpse can leave behind is a *hole* — a
 //! claimed-but-never-published slot — which reads as "empty" to consumers
-//! (so nothing blocks on it) and which the poison-drain path reclaims
-//! explicitly ([`ShmRing::reclaim_stuck`]).
+//! and which only the poison-drain path and fsck retire
+//! ([`ShmRing::reclaim_stuck`], [`ShmRing::fsck`]). Nothing spins or
+//! sleeps on a hole, but reading as empty is not harmless: a hole at the
+//! head of a live MPSC receive ring hides every request published behind
+//! it until fsck or poison retires it, and a live server's receive queue
+//! is never poisoned. So a producer's death can stall its consumer.
 //!
 //! Two producer modes share one layout and one consumer path:
 //!

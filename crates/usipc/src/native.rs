@@ -384,6 +384,10 @@ pub struct NativeTask {
     flight: Option<FlightHandle>,
 }
 
+// The protocols are generic over `OsServices`, so they are monomorphized
+// in the caller's crate; there a hook without `#[inline]` is an opaque call
+// on every counted event. So `charge` and the two hooks `record` calls,
+// `metrics` and `trace`, are `#[inline]`, and `trace` inlines only its test.
 impl OsServices for NativeTask {
     fn yield_now(&self) {
         self.record(ProtoEvent::Yield);
@@ -448,6 +452,7 @@ impl OsServices for NativeTask {
         std::thread::sleep(self.os.full_backoff);
     }
 
+    #[inline]
     fn charge(&self, c: Cost) {
         // Real hardware pays the cost in the operation itself, so `charge`
         // carries no time here — but it is the one place every protocol
@@ -494,20 +499,15 @@ impl OsServices for NativeTask {
         self.task_id
     }
 
+    #[inline]
     fn metrics(&self) -> Option<&EndpointMetrics> {
         self.metrics.as_deref()
     }
 
+    #[inline]
     fn trace(&self, p: TracePoint) {
-        if self.trace.is_none() && self.flight.is_none() {
-            return;
-        }
-        let now = self.now_nanos().unwrap_or(0);
-        if let Some(t) = &self.trace {
-            t.record(now, p);
-        }
-        if let Some(f) = &self.flight {
-            f.record(now, p);
+        if self.trace.is_some() || self.flight.is_some() {
+            self.stamp(p);
         }
     }
 
@@ -521,6 +521,22 @@ impl OsServices for NativeTask {
         // comparable timestamps; process-private stores keep the local
         // epoch (nothing outside this process will read them).
         Some(self.os.arena_nanos().unwrap_or_else(host_nanos))
+    }
+}
+
+impl NativeTask {
+    /// [`OsServices::trace`]'s body, out of line: stamps `p` into the
+    /// attached rings.
+    #[cold]
+    #[inline(never)]
+    fn stamp(&self, p: TracePoint) {
+        let now = self.now_nanos().unwrap_or(0);
+        if let Some(t) = &self.trace {
+            t.record(now, p);
+        }
+        if let Some(f) = &self.flight {
+            f.record(now, p);
+        }
     }
 }
 

@@ -39,6 +39,14 @@
 //! the `+1` being the last credit still banked at shutdown) by
 //! `tests/waitset_mux.rs`.
 //!
+//! Before it sleeps, the waiter yields once and rescans — BSWY's Receive
+//! (Fig. 7, "let clients run"). On a CPU shared with its producers that
+//! turns the doorbell sleep into a hand-off: the rescan finds the work the
+//! yield let them enqueue. Such a cycle leaves the latch held with one
+//! credit banked, which costs nothing: every notify meanwhile coalesces,
+//! and the next real `P` takes the credit without entering the kernel,
+//! clears the latch and rescans.
+//!
 //! ## Why no wake-up is lost
 //!
 //! [`poll`](WaitSet::poll) *loads* each word and claims a single bit with
@@ -55,15 +63,21 @@
 //!   ([`fsck`](WaitSet::fsck) does both, but runs only once the waiter is
 //!   dead.)
 //!
-//! A bit set before the waiter's final scan loaded its word was either
-//! seen or claimed, and whoever claimed it drains that source. After that
-//! load the *first* `fetch_or` on the word finds it zero, so its notifier
-//! goes on to the latch — which the waiter cleared before the scan began —
-//! and the earliest latch swap after that clear reads 0 and posts the `V`
-//! the committed `P` consumes. The rescan then finds every bit set
-//! meanwhile, including those of notifiers that saw a non-zero word and
-//! stayed silent. This is the Fig. 5 argument (set ready, then test the
-//! latch; clear the latch, then scan) applied per word.
+//! The waiter's *final scan* is the one right before its `P`: the
+//! post-yield rescan, or the rescan after a completed `P`. A bit set
+//! before that scan loaded its word was either seen or claimed, and
+//! whoever claimed it drains that source. After that load the *first*
+//! `fetch_or` on the word finds it zero, so its notifier goes on to the
+//! latch. If the waiter has cleared the latch since the last swap that
+//! rang, the earliest swap after that clear reads 0 and posts the `V` the
+//! committed `P` consumes. If it has not (a cycle was served without a
+//! `P`), that cycle's credit is still banked, or about to be, and the `P`
+//! takes it — and should it return before the `fetch_or`, the rescan after
+//! its latch clear is a new final scan, back in the first case. Either way
+//! the `P` returns, and the rescan after it finds every bit set meanwhile,
+//! including those of notifiers that saw a non-zero word and stayed
+//! silent. This is the Fig. 5 argument (set ready, then test the latch;
+//! clear the latch, then scan) applied per word.
 //!
 //! On top of the primitive, [`ShardedServer`] routes clients to K shards
 //! (multiplicative hash) and runs one worker per shard: the Receive/Reply
@@ -352,14 +366,24 @@ impl<'a> WaitSet<'a> {
         r
     }
 
-    /// Waiter side, blocking — the only doorbell wait: polls, and if
-    /// nothing is ready sleeps on the doorbell for at most `timeout`; each
-    /// completed `P` opens a new wake cycle (clears the pending latch) and
-    /// rescans. Returns the claimed source. Expiry returns
-    /// [`IpcError::Timeout`] without consuming a doorbell credit (the
+    /// Waiter side, blocking — the only doorbell wait, shaped as BSWY's
+    /// Receive (Fig. 7): polls; if nothing is ready, yields once ("let
+    /// clients run") and rescans; only then sleeps on the doorbell for at
+    /// most `timeout` (counted from after the yield). Each completed `P`
+    /// opens a new wake cycle (clears the pending latch) and rescans.
+    /// Returns the claimed source. Expiry returns [`IpcError::Timeout`]
+    /// without consuming a doorbell credit (the
     /// [`sem_p_deadline`](OsServices::sem_p_deadline) no-credit-lost
     /// contract) and without touching the pending latch, so a `V` racing
     /// the expiry is found by the caller's next poll.
+    ///
+    /// On a CPU shared with the producers the yield is what lets them
+    /// produce, so the rescan finds work and the waiter never sleeps; on an
+    /// idle CPU it returns at once. The post-yield rescan is the *final
+    /// scan* of the no-lost-wake-up argument (module docs). A cycle it
+    /// serves leaves the latch held with one credit banked: the next real
+    /// `P` takes that credit without entering the kernel and rescans, and
+    /// meanwhile every notify coalesces, so `doorbells_rung` can only fall.
     ///
     /// # Errors
     ///
@@ -371,6 +395,10 @@ impl<'a> WaitSet<'a> {
         cursor: &mut usize,
         timeout: Duration,
     ) -> Result<usize, IpcError> {
+        if let Some(s) = self.poll(cursor) {
+            return Ok(s);
+        }
+        os.yield_now(); // let clients run
         let deadline = Deadline::new(timeout);
         loop {
             if let Some(s) = self.poll(cursor) {

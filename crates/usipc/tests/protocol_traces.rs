@@ -1,13 +1,16 @@
 //! Structural tests: each protocol must make exactly the kernel calls its
 //! paper figure prescribes, in the prescribed order. A scripted mock
-//! `OsServices` records every call and can inject a message at a chosen
-//! trigger point (standing in for the peer process).
+//! `OsServices` records every call and can inject a message or a WaitSet
+//! notify at a chosen trigger point (standing in for the peer process).
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 use std::time::Duration;
 use usipc::{
-    Channel, ChannelConfig, Cost, EndpointMetrics, HandoffHint, Message, OsServices, WaitStrategy,
+    Channel, ChannelConfig, Cost, EndpointMetrics, HandoffHint, IpcError, Message, OsServices,
+    WaitSet, WaitSetRoot, WaitStrategy,
 };
+use usipc_shm::{ShmArena, ShmPtr};
 
 #[derive(Debug, Clone, PartialEq)]
 enum Call {
@@ -21,7 +24,7 @@ enum Call {
     Handoff(HandoffHint),
 }
 
-/// When the mock should deliver the scripted message.
+/// When the mock should run the scripted peer action.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Trigger {
     /// Before the protocol runs (reply already waiting).
@@ -32,16 +35,16 @@ enum Trigger {
     OnPollPause(u32),
     /// On the n-th `sem_p` (1-based) — i.e. while "blocked".
     OnSemP(u32),
+    /// On the n-th `yield_now` (1-based).
+    OnYield(u32),
 }
 
-/// A scripted delivery: trigger point, channel, destination queue
-/// (`u32::MAX` = the server receive queue), message, and whether to also
-/// perform the producer's wake-up step.
-type Script = (Trigger, Channel, u32, Message, bool);
+/// A scripted peer action and the trigger point it runs at.
+type Script = (Trigger, Box<dyn FnOnce(&MockOs)>);
 
 struct MockOs {
     calls: RefCell<Vec<Call>>,
-    counters: RefCell<(u32, u32, u32)>, // busy_waits, polls, sem_ps
+    counters: RefCell<(u32, u32, u32, u32)>, // busy_waits, polls, sem_ps, yields
     script: RefCell<Option<Script>>,
     /// `now_nanos` calls: what a deadline costs on its slow path.
     clock_reads: Cell<u32>,
@@ -55,7 +58,7 @@ impl MockOs {
     fn new() -> Self {
         MockOs {
             calls: RefCell::new(Vec::new()),
-            counters: RefCell::new((0, 0, 0)),
+            counters: RefCell::new((0, 0, 0, 0)),
             script: RefCell::new(None),
             clock_reads: Cell::new(0),
             timed_ps: Cell::new(0),
@@ -75,7 +78,23 @@ impl MockOs {
     /// `trigger` fires; `wake` additionally performs the producer's
     /// wake-up step (`tas` + V as in the paper's Reply).
     fn deliver(&self, trigger: Trigger, ch: &Channel, dest: u32, msg: Message, wake: bool) {
-        *self.script.borrow_mut() = Some((trigger, ch.clone(), dest, msg, wake));
+        let ch = ch.clone();
+        self.on(trigger, move |os| {
+            let q = if dest == u32::MAX {
+                ch.receive_queue()
+            } else {
+                ch.reply_queue(dest)
+            };
+            assert!(q.try_enqueue(os, msg), "mock delivery queue full");
+            if wake {
+                q.wake_consumer(os);
+            }
+        });
+    }
+
+    /// Run `action` as the peer when `trigger` fires.
+    fn on(&self, trigger: Trigger, action: impl FnOnce(&MockOs) + 'static) {
+        *self.script.borrow_mut() = Some((trigger, Box::new(action)));
         if trigger == Trigger::Immediately {
             self.fire();
         }
@@ -83,16 +102,8 @@ impl MockOs {
 
     fn fire(&self) {
         let taken = self.script.borrow_mut().take();
-        if let Some((_, ch, dest, msg, wake)) = taken {
-            let q = if dest == u32::MAX {
-                ch.receive_queue()
-            } else {
-                ch.reply_queue(dest)
-            };
-            assert!(q.try_enqueue(self, msg), "mock delivery queue full");
-            if wake {
-                q.wake_consumer(self);
-            }
+        if let Some((_, action)) = taken {
+            action(self);
         }
     }
 
@@ -125,6 +136,12 @@ impl MockOs {
 impl OsServices for MockOs {
     fn yield_now(&self) {
         self.log(Call::Yield);
+        let n = {
+            let mut c = self.counters.borrow_mut();
+            c.3 += 1;
+            c.3
+        };
+        self.maybe_fire(Trigger::OnYield(n));
     }
     fn busy_wait(&self) {
         self.log(Call::BusyWait);
@@ -399,6 +416,77 @@ fn bswy_receive_returns_immediately_when_work_is_queued() {
     let m = WaitStrategy::Bswy.receive(&ch, &os);
     assert_eq!(m.value, 2.5);
     assert!(os.calls().is_empty(), "{:?}", os.calls());
+}
+
+// ---- the mux worker's doorbell wait: BSWY's Receive over a WaitSet ----
+
+const DOORBELL: u32 = 3;
+
+/// A wait bound no test reaches.
+const LONG: Duration = Duration::from_secs(60);
+
+/// A two-source WaitSet ringing `DOORBELL`, in an arena a scripted
+/// notifier can own.
+fn waitset() -> (Arc<ShmArena>, ShmPtr<WaitSetRoot>) {
+    let arena = Arc::new(ShmArena::new(WaitSetRoot::bytes_needed(2)).unwrap());
+    let root = WaitSetRoot::create_in(&arena, 2, DOORBELL).unwrap();
+    (arena, root)
+}
+
+/// The peer's half of a request: `notify` of `source`.
+fn notifier(
+    arena: &Arc<ShmArena>,
+    root: ShmPtr<WaitSetRoot>,
+    source: usize,
+) -> impl FnOnce(&MockOs) {
+    let arena = Arc::clone(arena);
+    move |os| WaitSet::attach(&arena, root).notify(os, source)
+}
+
+#[test]
+fn waitset_wait_yields_once_then_sleeps_on_the_doorbell() {
+    let (arena, root) = waitset();
+    let ws = WaitSet::attach(&arena, root);
+    let os = MockOs::new();
+    os.on(Trigger::OnSemP(1), notifier(&arena, root, 1));
+    assert_eq!(ws.wait_deadline(&os, &mut 0, LONG), Ok(1));
+    // Fig. 7 Receive: empty scan -> yield -> empty rescan -> P(doorbell);
+    // the `V` is the notifier's, made while the waiter was "blocked".
+    assert_eq!(
+        os.calls(),
+        vec![Call::Yield, Call::SemP(DOORBELL), Call::SemV(DOORBELL)]
+    );
+}
+
+#[test]
+fn waitset_wait_claims_a_notify_made_during_its_yield_without_a_p() {
+    let (arena, root) = waitset();
+    let ws = WaitSet::attach(&arena, root);
+    let os = MockOs::new();
+    os.on(Trigger::OnYield(1), notifier(&arena, root, 0));
+    assert_eq!(ws.wait_deadline(&os, &mut 0, LONG), Ok(0));
+    // The notifier rang (the latch was clear), and the rescan found its
+    // source: the credit stays banked for the next real `P`.
+    assert_eq!(os.calls(), vec![Call::Yield, Call::SemV(DOORBELL)]);
+}
+
+#[test]
+fn waitset_wait_on_a_ready_source_costs_no_yield() {
+    let (arena, root) = waitset();
+    let ws = WaitSet::attach(&arena, root);
+    let os = MockOs::new();
+    os.on(Trigger::Immediately, notifier(&arena, root, 1));
+    let mut cursor = 0;
+    assert_eq!(ws.wait_deadline(&os, &mut cursor, LONG), Ok(1));
+    assert_eq!(os.calls(), [Call::SemV(DOORBELL)], "only the notify's ring");
+    // A zero-length wait with nothing ready: yield, rescan, one
+    // zero-timeout `P` (it takes the notify's banked credit), rescan,
+    // expire.
+    assert_eq!(
+        ws.wait_deadline(&os, &mut cursor, Duration::ZERO),
+        Err(IpcError::Timeout)
+    );
+    assert_eq!(os.calls()[1..], [Call::Yield, Call::SemP(DOORBELL)]);
 }
 
 // ---- BSLS (Fig. 9) ---------------------------------------------------

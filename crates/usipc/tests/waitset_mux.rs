@@ -3,15 +3,24 @@
 //! topology, and per-source failure handling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use usipc::{
-    opcode, Message, NativeConfig, NativeOs, QueueKind, ServerObservability, ServerRun,
+    opcode, Message, NativeConfig, NativeOs, OsServices, QueueKind, ServerObservability, ServerRun,
     ShardedConfig, ShardedServer, TelemetryPlane, WaitSet, WaitSetRoot,
 };
 use usipc_queue::{EnqueueFlow, LOCK_BUDGET};
 use usipc_shm::ShmArena;
+
+/// The tests of this file run one at a time: the one-CPU test counts how
+/// the worker and its driver hand CPU 0 to each other, and a third busy
+/// thread there (another test's) breaks the hand-off it counts.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the next one still runs.
+    ALONE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn native_for(srv: &ShardedServer) -> Arc<NativeOs> {
     let mut cfg = NativeConfig::for_clients(0);
@@ -46,6 +55,7 @@ fn drive_clients(srv: &ShardedServer, os: &Arc<NativeOs>, task: u32, ids: &[u32]
 /// the 64 producers interleave.
 #[test]
 fn one_task_multiplexes_64_channels_within_the_doorbell_budget() {
+    let _alone = alone();
     const CLIENTS: usize = 64;
     const MSGS: u64 = 50;
     const DRIVERS: usize = 8;
@@ -108,11 +118,125 @@ fn one_task_multiplexes_64_channels_within_the_doorbell_budget() {
     );
 }
 
+/// The saturated mux on one CPU, as the `mux_sat` benchmark runs it: one
+/// driver thread plays 64 clients (enqueue + `notify`, then poll every
+/// reply queue, yielding after a pass that collected nothing) against the
+/// worker, both pinned to CPU 0 under `SCHED_BATCH`. The worker's wait is
+/// BSWY's Receive: its yield lets the driver produce, so its rescan finds
+/// work and it never sleeps. Plain BSW sleeps once per 64 round trips here.
+///
+/// A third thread the host runs on CPU 0 can take a yield meant for the
+/// driver, so the clean session must show up within 3 (the one-CPU
+/// hand-off is a scheduling property, like the spin budget in
+/// `tests/native_multiprocessor.rs`). Everything else is asserted on every
+/// session.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+#[test]
+fn saturated_worker_sharing_its_cpu_never_sleeps() {
+    let _alone = alone();
+    let mut sleeps = Vec::new();
+    for _ in 0..3 {
+        let slept = saturated_session(32_768);
+        if slept <= 2 {
+            return;
+        }
+        sleeps.push(slept);
+    }
+    panic!("the worker slept in every session: {sleeps:?} kernel waits per 32 768 round trips");
+}
+
+/// One pinned session of `round_trips` echoes (plus the farewells) on the
+/// saturated one-CPU mux; checks every reply, the worker's run and the
+/// doorbell budget, and returns the worker's kernel waits.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn saturated_session(round_trips: u64) -> u64 {
+    const CLIENTS: usize = 64;
+
+    let srv = ShardedServer::create(ShardedConfig::new(CLIENTS, 1)).expect("topology");
+    let os = native_for(&srv);
+    let pin = || {
+        usipc::pin_to_cpu(0).expect("pin_to_cpu(0)");
+        usipc::set_sched_batch().expect("set_sched_batch");
+    };
+    let slots: Vec<usize> = (0..CLIENTS as u32)
+        .map(|c| srv.shard_members(0).iter().position(|&m| m == c).unwrap())
+        .collect();
+
+    // Own threads: the pin must not outlive the session.
+    let run = std::thread::scope(|s| {
+        s.spawn(|| {
+            pin();
+            let task = os.task(1);
+            let send = |c: usize, m: Message| {
+                assert!(srv.channel(c as u32).receive_queue().try_enqueue(&task, m));
+                srv.waitset(0).notify(&task, slots[c]);
+            };
+            // Every client's first request is queued before the worker
+            // starts, so its first wait finds work.
+            for c in 0..CLIENTS {
+                send(c, Message::echo(0, 0.0));
+            }
+            let worker = s.spawn(|| {
+                pin();
+                srv.run_worker(&os.task(0), 0, |m| m)
+            });
+            // Each reply releases its client's next message: echo `n` for
+            // the `n`-th, then the farewell, then nothing.
+            let per_client = round_trips / CLIENTS as u64;
+            let mut sent = vec![1u64; CLIENTS];
+            let mut replies = 0;
+            while replies < round_trips + CLIENTS as u64 {
+                let before = replies;
+                for (c, sent) in sent.iter_mut().enumerate() {
+                    let Some(rep) = srv.channel(c as u32).reply_queue(0).try_dequeue(&task) else {
+                        continue;
+                    };
+                    replies += 1;
+                    if rep.opcode == opcode::ECHO {
+                        assert_eq!(rep.value, (*sent - 1) as f64, "client {c}: out of order");
+                    }
+                    match *sent {
+                        n if n < per_client => send(c, Message::echo(0, n as f64)),
+                        n if n == per_client => send(c, Message::disconnect(0)),
+                        _ => continue,
+                    }
+                    *sent += 1;
+                }
+                if replies == before {
+                    task.yield_now();
+                }
+            }
+            worker.join().expect("worker thread")
+        })
+        .join()
+        .expect("driver thread")
+    });
+
+    assert_eq!(run.processed, round_trips + CLIENTS as u64);
+    assert_eq!((run.disconnects, run.reaped), (CLIENTS as u32, 0));
+    let reg = os.metrics().expect("metrics on");
+    let (worker, driver) = (reg.task_snapshot(0), reg.task_snapshot(1));
+    assert!(
+        driver.doorbells_rung <= worker.waitset_wakes + 1,
+        "doorbell budget violated: {} rings for {} wakes",
+        driver.doorbells_rung,
+        worker.waitset_wakes
+    );
+    worker.sem_kernel_waits
+}
+
 /// The sharded topology end to end: 4 shards, hash-routed clients, every
 /// message served exactly once, and the budget holding shard-wise
 /// (globally: rung ≤ wakes + K, one banked credit per shard).
 #[test]
 fn sharded_server_serves_every_client_within_per_shard_budgets() {
+    let _alone = alone();
     const CLIENTS: usize = 32;
     const SHARDS: usize = 4;
     const MSGS: u64 = 40;
@@ -177,6 +301,7 @@ fn sharded_server_serves_every_client_within_per_shard_budgets() {
 /// and serves honest client 0 throughout. Both queue kinds.
 #[test]
 fn garbage_words_from_one_member_are_counted_and_the_worker_keeps_serving() {
+    let _alone = alone();
     // Within a private single-client channel only `channel` 0 is real.
     let unknown = [0xDEAD_BEEF_u64 << 32, f64::NAN.to_bits(), u64::MAX];
     let planted = [
@@ -234,6 +359,7 @@ fn garbage_words_from_one_member_are_counted_and_the_worker_keeps_serving() {
 /// events in it.
 #[test]
 fn dead_source_is_reaped_and_survivors_finish() {
+    let _alone = alone();
     const CLIENTS: usize = 4;
     const MONITOR: u32 = 1 + CLIENTS as u32;
     let cfg = ShardedConfig {
@@ -347,6 +473,7 @@ fn dead_source_is_reaped_and_survivors_finish() {
 /// leave it asleep with work pending and trip the wait's deadline.
 #[test]
 fn four_producers_one_waiter_lose_no_wakeup() {
+    let _alone = alone();
     const SOURCES: usize = 130;
     const PRODUCERS: usize = 4;
     const PER_PRODUCER: u64 = 50_000;
