@@ -3,10 +3,10 @@
 //! Runs BSS/BSW/BSWY/BSLS round trips on real threads — every protocol on
 //! **both queue kinds**, the pooled two-lock M&S queue and the lock-free
 //! arena ring — next to the paper's own baseline, the kernel-mediated
-//! System V queues. Each row reports round-trip latency quantiles computed
-//! from the *raw* per-round-trip samples (exact nearest-rank, not the log₂
-//! histogram whose buckets are only within √2 of the truth) plus the
-//! per-round-trip syscall accounting the paper argues in: protocol-level
+//! System V queues. Each row reports round-trip latency quantiles read from
+//! a sketch of *every* round trip (within 11.8 % of the true sample; the
+//! mean is exact) plus the per-round-trip syscall accounting the paper
+//! argues in: protocol-level
 //! `P`/`V` counts, and the *actual* host kernel entries of the futex
 //! semaphore (`kwaits/rt`, `kwakes/rt` — zero when the fast path holds).
 //!
@@ -23,10 +23,10 @@
 //! benchmark's (`bench/`) to judge, with its warm-up, spread and
 //! interleaved pairs.
 
-use super::{enforce, ensure, sample_stats, ExperimentOutput, RunOpts, SampleStats, PROTOCOLS};
+use super::{enforce, ensure, ExperimentOutput, RunOpts, PROTOCOLS};
 use crate::table::Table;
 use std::time::Duration;
-use usipc::metrics::MetricsSnapshot;
+use usipc::metrics::{MetricsSnapshot, SketchSnapshot};
 use usipc::{QueueKind, WaitStrategy};
 use usipc_lab::{run_waitset_load_experiment, Mechanism, NativeExperiment};
 
@@ -48,13 +48,14 @@ struct ProtocolBaseline {
     /// Echoes + disconnects (each disconnect is a full round trip too).
     round_trips: u64,
     throughput: f64,
-    stats: SampleStats,
+    /// Every echo round trip.
+    latency: SketchSnapshot,
     /// Server and client counters summed.
     totals: MetricsSnapshot,
 }
 
 impl ProtocolBaseline {
-    /// One row from a run's counters and raw samples. A run without
+    /// One row from a run's counters and latency sketch. A run without
     /// samples has no row, and that must not pass silently.
     fn new(
         mechanism: Mechanism,
@@ -63,9 +64,9 @@ impl ProtocolBaseline {
         messages: u64,
         throughput: f64,
         totals: MetricsSnapshot,
-        samples: &[u64],
+        latency: SketchSnapshot,
     ) -> Result<Self, String> {
-        let stats = sample_stats(samples).ok_or_else(|| {
+        ensure(latency.count > 0, || {
             format!(
                 "{} [{mode}/{queue}]: the run recorded no samples",
                 mechanism.name()
@@ -77,7 +78,7 @@ impl ProtocolBaseline {
             queue,
             round_trips: messages + CLIENTS as u64,
             throughput,
-            stats,
+            latency,
             totals,
         })
     }
@@ -140,7 +141,7 @@ fn measure(mechanism: Mechanism, msgs_per_client: u64, kind: QueueKind) -> Proto
         run.messages,
         run.throughput,
         run.server_metrics.add(&run.client_metrics),
-        &run.client_samples,
+        run.client_latency,
     ))
 }
 
@@ -168,7 +169,7 @@ fn measure_procs_all(msgs_per_client: u64) -> Vec<ProtocolBaseline> {
                 run.messages,
                 run.throughput,
                 run.server_metrics.add(&run.client_metrics),
-                &run.client_samples,
+                run.client_latency,
             ))
         })
         .collect()
@@ -195,7 +196,7 @@ struct LoadRow {
     clients: usize,
     shards: usize,
     throughput: f64,
-    stats: SampleStats,
+    latency: SketchSnapshot,
     doorbells_rung: u64,
     doorbells_coalesced: u64,
     waitset_wakes: u64,
@@ -236,7 +237,7 @@ fn measure_load(clients: usize, opts_msgs: u64) -> LoadRow {
         clients,
         shards,
         throughput: run.throughput,
-        stats: sample_stats(&run.client_samples).expect("every load client sends ≥ 50 messages"),
+        latency: run.client_latency,
         doorbells_rung: run.client_metrics.doorbells_rung,
         doorbells_coalesced: run.client_metrics.doorbells_coalesced,
         waitset_wakes: run.server_metrics.waitset_wakes,
@@ -262,9 +263,9 @@ fn baseline_table(title: &str, rows: &[ProtocolBaseline]) -> Table {
         table.push_row(
             i as f64,
             vec![
-                r.stats.p50_us,
-                r.stats.p99_us,
-                r.stats.mean_us,
+                r.latency.quantile_us(0.50),
+                r.latency.quantile_us(0.99),
+                r.latency.mean_us(),
                 r.throughput,
                 r.per_rt(r.totals.sem_ops()),
                 r.per_rt(r.totals.sem_kernel_waits),
@@ -294,9 +295,9 @@ fn load_table(rows: &[LoadRow]) -> Table {
             r.clients as f64,
             vec![
                 r.shards as f64,
-                r.stats.p50_us,
-                r.stats.p99_us,
-                r.stats.p999_us,
+                r.latency.quantile_us(0.50),
+                r.latency.quantile_us(0.99),
+                r.latency.quantile_us(0.999),
                 r.throughput,
                 r.vs_per_wake(),
             ],
@@ -354,8 +355,8 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
                 "protocol {i} = {}: p50 {:.2} µs, p99 {:.2} µs, {} sem ops / {} RT, \
                  {:.3} kernel waits/RT, {:.3} kernel wakes/RT, block rate {:.3}",
                 r.key(),
-                r.stats.p50_us,
-                r.stats.p99_us,
+                r.latency.quantile_us(0.50),
+                r.latency.quantile_us(0.99),
                 r.totals.sem_ops(),
                 r.round_trips,
                 r.per_rt(r.totals.sem_kernel_waits),
@@ -370,9 +371,9 @@ pub(crate) fn run(opts: RunOpts) -> ExperimentOutput {
              {:.2} doorbell V per wake ({} rung / {} coalesced / {} wakes)",
             r.clients,
             r.shards,
-            r.stats.p50_us,
-            r.stats.p99_us,
-            r.stats.p999_us,
+            r.latency.quantile_us(0.50),
+            r.latency.quantile_us(0.99),
+            r.latency.quantile_us(0.999),
             r.vs_per_wake(),
             r.doorbells_rung,
             r.doorbells_coalesced,
@@ -411,7 +412,7 @@ mod tests {
             queue,
             round_trips: 301,
             throughput: 0.0,
-            stats: SampleStats::default(),
+            latency: SketchSnapshot::default(),
             totals: MetricsSnapshot {
                 sem_p: sem_ops / 2,
                 sem_v: sem_ops - sem_ops / 2,
@@ -451,7 +452,7 @@ mod tests {
 
     #[test]
     fn a_run_without_samples_has_no_row() {
-        let new = |samples: &[u64]| {
+        let new = |latency: SketchSnapshot| {
             let bswy = Mechanism::UserLevel(WaitStrategy::Bswy);
             ProtocolBaseline::new(
                 bswy,
@@ -460,11 +461,13 @@ mod tests {
                 300,
                 1.0,
                 MetricsSnapshot::default(),
-                samples,
+                latency,
             )
         };
-        assert!(new(&[1_000]).is_ok());
-        let err = new(&[]).expect_err("no samples, no row");
+        let one = usipc::LatencySketch::default();
+        one.record(1_000);
+        assert!(new(one.snapshot()).is_ok());
+        let err = new(SketchSnapshot::default()).expect_err("no samples, no row");
         assert!(err.contains("BSWY [procs/ring]"), "{err}");
     }
 

@@ -113,7 +113,7 @@ pub fn describe(id: &str) -> Option<&'static str> {
         "mixed" => "the thesis: blocking IPC and batch throughput under multiprogramming",
         "explore" => "machine-checking the Fig. 4 races with the schedule-space explorer",
         "trace" => "unified event traces: five protocols on both backends, Chrome JSON + ASCII",
-        "bench" => "native protocols + SysV: exact p50/p99/p999 round-trip latency, syscalls/RT and the WaitSet load matrix; asserts the sem-op and doorbell budgets (--procs adds forked-client rows, --load-clients caps the matrix)",
+        "bench" => "native protocols + SysV: sketched p50/p99/p999 (within 11.8 %) and exact mean round-trip latency, syscalls/RT and the WaitSet load matrix; asserts the sem-op and doorbell budgets (--procs adds forked-client rows, --load-clients caps the matrix)",
         "faults" => "robustness: fault-free deadline-path overhead (information) + explorer no-deadlock kill sweep and peer-death trace (asserted)",
         "flight" => "fault flight recorder: cross-process kill drill → Perfetto postmortem with the SIGKILLed victim's final events (fork-based; run first or alone)",
         "chaos" => "fault storms: mass client SIGKILL, server kill at swept sites, poison cascades, kill-during-recovery → recovery latency; asserts every conservation ledger (fork-based; run first or alone)",
@@ -228,75 +228,9 @@ pub(crate) fn enforce<T>(check: Result<T, String>) -> T {
     check.unwrap_or_else(|violation| panic!("invariant violated: {violation}"))
 }
 
-/// Exact latency stats from the raw nanosecond samples (nearest-rank
-/// quantiles on the sorted set). The log₂ histogram the library keeps
-/// quantizes each sample to a power-of-two bucket, so its readout is only
-/// within √2 of the true quantile — raw samples cost 8 bytes a round trip
-/// and give the true number.
-#[derive(Debug, Default)]
-pub(crate) struct SampleStats {
-    pub p50_us: f64,
-    pub p99_us: f64,
-    pub p999_us: f64,
-    pub mean_us: f64,
-}
-
-/// The nearest-rank quantile (`⌈q·N⌉`-th smallest, 1-indexed) of an
-/// already-sorted sample set, in microseconds: always an actual sample,
-/// never an interpolation (p99 of N=4 is the max, p50 of N=100 the 50th).
-fn nearest_rank_us(sorted: &[u64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1] as f64 / 1e3
-}
-
-/// `None` when there are no samples: the caller's row does not exist.
-pub(crate) fn sample_stats(samples: &[u64]) -> Option<SampleStats> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    Some(SampleStats {
-        p50_us: nearest_rank_us(&sorted, 0.50),
-        p99_us: nearest_rank_us(&sorted, 0.99),
-        p999_us: nearest_rank_us(&sorted, 0.999),
-        mean_us: sorted.iter().sum::<u64>() as f64 / sorted.len() as f64 / 1e3,
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{enforce, nearest_rank_us, sample_stats};
-
-    #[test]
-    fn empty_samples_yield_no_stats() {
-        assert!(sample_stats(&[]).is_none());
-    }
-
-    /// Nearest-rank at small N: p99 of 4 samples is the max (rank
-    /// ⌈0.99·4⌉ = 4), p50 is the 2nd (rank ⌈0.5·4⌉ = 2).
-    #[test]
-    fn nearest_rank_small_n_is_exact() {
-        let sorted = [1_000, 2_000, 3_000, 9_000];
-        assert_eq!(nearest_rank_us(&sorted, 0.99), 9.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.999), 9.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.50), 2.0);
-        assert_eq!(nearest_rank_us(&sorted, 0.0), 1.0); // clamped to rank 1
-        assert_eq!(nearest_rank_us(&sorted, 1.0), 9.0);
-    }
-
-    /// N=100: p50 is exactly the 50th smallest, p99 the 99th — the
-    /// textbook ranks, against which the log₂-histogram readout may be
-    /// off by up to √2.
-    #[test]
-    fn nearest_rank_n100_matches_textbook_ranks() {
-        let sorted: Vec<u64> = (1..=100).map(|i| i * 1_000).collect();
-        let stats = sample_stats(&sorted).expect("non-empty");
-        assert_eq!(stats.p50_us, 50.0);
-        assert_eq!(stats.p99_us, 99.0);
-        assert_eq!(stats.p999_us, 100.0);
-    }
+    use super::enforce;
 
     #[test]
     #[should_panic(expected = "invariant violated: budget")]

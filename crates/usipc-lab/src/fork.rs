@@ -11,8 +11,8 @@
 //!
 //! Linux-only (fork, memfd, pidfd): gated exactly like [`usipc::proc`].
 
-use crate::threads::sum;
-use crate::watchdog::{Evidence, Named, Watchdog, WATCHDOG_JOIN};
+use crate::threads::{merged, sum};
+use crate::watchdog::{Named, Watchdog, WATCHDOG_JOIN};
 use crate::{echo_session, IpcNever};
 use core::mem::{align_of, size_of};
 use core::ops::Range;
@@ -20,7 +20,7 @@ use core::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use usipc::metrics::{MetricsSnapshot, N_EVENTS};
+use usipc::metrics::{LatencySketch, MetricsSnapshot, SketchSnapshot, N_EVENTS};
 use usipc::telemetry::{Role, TelemetryPlane, TelemetryReading};
 use usipc::{
     opcode, Channel, ChannelConfig, ChannelRoot, ChildProc, CountingSem, ExitStatus, IpcError,
@@ -44,10 +44,12 @@ struct Cell {
     retries: AtomicU64,
     /// 0 while running, 1 once `events` is fully stored.
     state: AtomicU32,
+    /// Every echo round trip's wall-clock nanoseconds.
+    latency: LatencySketch,
 }
 
-// SAFETY: every field is an atomic (valid for all bit patterns) and the
-// struct holds no host pointers.
+// SAFETY: every field is an atomic or an all-atomic `repr(C)` sketch
+// (valid for all bit patterns) and the struct holds no host pointers.
 unsafe impl ShmSafe for Cell {}
 
 /// The bootstrap object published as the arena root: everything a child
@@ -71,9 +73,6 @@ struct ForkRoot {
     sems: ShmSlice<CountingSem>,
     /// One result cell per client.
     cells: ShmSlice<Cell>,
-    /// Raw round-trip samples: client `c` writes nanosecond sample `i` at
-    /// index `c * msgs_per_client + i`. Empty when the run collects none.
-    samples: ShmSlice<AtomicU64>,
     /// Echo round trips per client.
     msgs_per_client: u64,
     /// Echo requests a doomed server child serves before SIGKILLing itself.
@@ -120,14 +119,6 @@ impl ProcExperiment {
         ChannelConfig::new(self.n_clients).with_queue_kind(self.queue_kind)
     }
 
-    fn n_samples(&self) -> usize {
-        if self.samples {
-            self.n_clients * self.msgs_per_client as usize
-        } else {
-            0
-        }
-    }
-
     /// Telemetry slots follow the task-id convention: slot 0 the server,
     /// slot `1 + c` client `c`. Flight rings additionally cover the parent's
     /// monitor task (`1 + n_clients`).
@@ -149,8 +140,6 @@ impl ProcExperiment {
             + align_of::<CountingSem>()
             + n * size_of::<Cell>()
             + align_of::<Cell>()
-            + self.n_samples() * size_of::<AtomicU64>()
-            + align_of::<AtomicU64>()
             + size_of::<ForkRoot>()
             + align_of::<ForkRoot>()
             + self.telemetry.map_or(0, |cap| {
@@ -231,8 +220,6 @@ fn client_body(ctx: &ChildCtx<'_>, c: u32, strategy: WaitStrategy) -> i32 {
         .as_ref()
         .map(|p| p.writer(1 + c as usize, 1 + c, Role::Client));
     let cell = &ctx.arena.get_slice(root.cells)[c as usize];
-    let samples = ctx.arena.get_slice(root.samples);
-    let base = c as usize * root.msgs_per_client as usize;
     let snapshot = || {
         ctx.os
             .metrics()
@@ -269,9 +256,7 @@ fn client_body(ctx: &ChildCtx<'_>, c: u32, strategy: WaitStrategy) -> i32 {
             cell.retries.fetch_add(1, Ordering::Relaxed);
         };
         let rt_nanos = t0.elapsed().as_nanos() as u64;
-        if let Some(slot) = samples.get(base + done as usize) {
-            slot.store(rt_nanos, Ordering::Relaxed);
-        }
+        cell.latency.record(rt_nanos);
         done += 1;
         cell.progress.fetch_add(1, Ordering::Relaxed);
         if let Some(w) = &writer {
@@ -419,11 +404,9 @@ impl ForkWorld {
                 progress: AtomicU64::new(0),
                 retries: AtomicU64::new(0),
                 state: AtomicU32::new(0),
+                latency: LatencySketch::default(),
             })
             .expect("cells fit the arena");
-        let samples = arena
-            .alloc_slice(exp.n_samples(), |_| AtomicU64::new(0))
-            .expect("samples fit the arena");
         let plane = exp.telemetry.map(|cap| {
             let (slots, tasks, cap) = exp.plane(cap);
             let p = TelemetryPlane::create_in(&arena, slots, tasks, cap)
@@ -441,7 +424,6 @@ impl ForkWorld {
                 channel: channel.root_ptr(),
                 sems,
                 cells,
-                samples,
                 msgs_per_client: exp.msgs_per_client,
                 kill_site: exp.kill_site.unwrap_or(0),
                 n_clients: n as u32,
@@ -479,8 +461,7 @@ impl ForkWorld {
     /// its rings live in the segment, so the last event of a wedged — or
     /// SIGKILLed — *child* is as readable as a thread's.
     fn watchdog(&self) -> Watchdog<'_> {
-        let evidence = self.os.flight().map_or(Evidence::None, Evidence::Flight);
-        Watchdog::new(WATCHDOG_JOIN).with_evidence(evidence)
+        Watchdog::new(WATCHDOG_JOIN).with_evidence(self.os.flight())
     }
 
     /// Forks a child that runs the preamble and then `body`.
@@ -770,8 +751,6 @@ pub struct ProcExperiment {
     kill_site: Option<u64>,
     heartbeat: Duration,
     prober: bool,
-    /// Set by the run methods: one raw sample slot per round trip.
-    samples: bool,
     /// Set by the run methods: clients `0..n_victims` barrage endlessly.
     n_victims: usize,
 }
@@ -791,7 +770,6 @@ impl ProcExperiment {
             kill_site: None,
             heartbeat: Duration::from_millis(5),
             prober: false,
-            samples: false,
             n_victims: 0,
         }
     }
@@ -901,10 +879,7 @@ impl ProcExperiment {
     /// signal) or a wedged process (watchdog).
     pub fn run(&self) -> ProcExperimentResult {
         let (strategy, n) = (self.strategy, self.n_clients);
-        let world = ForkWorld::build(ProcExperiment {
-            samples: true,
-            ..self.clone()
-        });
+        let world = ForkWorld::build(self.clone());
         let clients = world.fork_clients(strategy);
         let observer = self.observer.then(|| {
             world.fork("observer".into(), 1 + n as u32, |ctx| {
@@ -958,7 +933,6 @@ impl ProcExperiment {
         }
 
         let messages = self.msgs_per_client * n as u64;
-        let samples = world.arena.get_slice(world.root().samples);
         ProcExperimentResult {
             throughput: messages as f64 / (elapsed.as_secs_f64() * 1e3),
             elapsed,
@@ -966,7 +940,7 @@ impl ProcExperiment {
             server_metrics: world.server_metrics(),
             server_run,
             client_metrics: sum(&world.client_metrics()),
-            client_samples: samples.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            client_latency: merged(world.cells().iter().map(|c| c.latency.snapshot())),
             exits,
             telemetry: world.plane.as_ref().map(|p| p.readings()),
             observer_exit,
@@ -1223,9 +1197,9 @@ pub struct ProcExperimentResult {
     /// Protocol events summed over every child process (shipped back
     /// through shared-memory cells).
     pub client_metrics: MetricsSnapshot,
-    /// Raw per-message round-trip samples in nanoseconds over every
-    /// child, in (client, message) order.
-    pub client_samples: Vec<u64>,
+    /// Every echo round trip's wall-clock latency, merged over the
+    /// children's sketches (`count == messages`).
+    pub client_latency: SketchSnapshot,
     /// Each child's exit status (all `Exited(0)` on success).
     pub exits: Vec<ExitStatus>,
     /// Final telemetry readings (slot order: server, then clients),
@@ -1360,7 +1334,6 @@ mod tests {
             offset_of!(ForkRoot, channel),
             offset_of!(ForkRoot, sems),
             offset_of!(ForkRoot, cells),
-            offset_of!(ForkRoot, samples),
             offset_of!(ForkRoot, msgs_per_client),
             offset_of!(ForkRoot, kill_site),
             offset_of!(ForkRoot, n_clients),
@@ -1390,26 +1363,23 @@ mod tests {
             report.contains("client1 wedged; last trace point Proto(BlockEntered) at 77 ns"),
             "{report}"
         );
-        // Written whole, as the heap rings' report is: same drain, same file.
+        // Written whole, as a thread world's report is: same drain, same file.
         let json = crate::watchdog::take_trace_file(&report);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 1, "{json}");
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 1, "{json}");
     }
 
     /// Every forked experiment sizes its arena from the one `bytes_needed`:
-    /// the echo shape (samples, telemetry), the kill drill (flight rings)
-    /// and the takeover drills all allocate without `OutOfMemory`, at 1 and
-    /// at 8 clients, and publish the one root.
+    /// the echo shape (telemetry), the kill drill (flight rings) and the
+    /// takeover drills all allocate without `OutOfMemory`, at 1 and at 8
+    /// clients, and publish the one root.
     #[test]
     fn every_experiment_shape_fits_the_arena_it_asks_for() {
         for n in [1, 8] {
             let echo = ProcExperiment::new(WaitStrategy::Bsw).clients(n);
             let drill = echo.clone().kill_site(7).pinned(0).late_prober();
             let shapes = [
-                ProcExperiment {
-                    samples: true,
-                    ..echo.clone().telemetry()
-                },
+                echo.clone().telemetry(),
                 ProcExperiment {
                     telemetry: Some(KILL_FLIGHT_CAPACITY),
                     n_victims: 1,

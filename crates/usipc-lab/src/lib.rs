@@ -52,7 +52,7 @@ pub use threads::{
     run_waitset_load_experiment, ClientFaultOutcome, NativeExperiment, NativeExperimentResult,
     NativeFaultResult, WaitsetLoadResult,
 };
-pub use watchdog::{Evidence, Named, Watchdog, WATCHDOG_JOIN};
+pub use watchdog::{Named, Watchdog, WATCHDOG_JOIN};
 
 use usipc::metrics::ProtoEvent;
 use usipc::platform::OsServices;

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use usipc::metrics::{MetricsRegistry, MetricsSnapshot, SketchSnapshot};
 use usipc::platform::OsServices;
 use usipc::{
-    AsyncClient, Channel, ChannelConfig, Message, SimCosts, SimIds, SimOs, TraceRegistry,
+    AsyncClient, Channel, ChannelConfig, FlightRecorder, Message, SimCosts, SimIds, SimOs,
     UnifiedTrace, WaitStrategy,
 };
 use usipc_sim::{BarrierId, MachineModel, PolicyKind, SimBuilder, SimReport, VDur};
@@ -28,7 +28,9 @@ pub(crate) struct SimShape {
     pub msgqs: usize,
     /// Parties of the clients' start barrier; 0 for none.
     pub barrier: u32,
-    /// Per-task event-trace ring capacity; `None` disables tracing.
+    /// Per-task event-trace ring capacity; `None` disables tracing. The
+    /// recorder holds one ring per semaphore: task `i` sleeps on
+    /// semaphore `i` by the platform convention.
     pub trace_capacity: Option<usize>,
 }
 
@@ -43,9 +45,9 @@ pub(crate) enum SimRole {
     Other,
 }
 
-/// One simulated machine with its kernel objects, the per-task metrics and
-/// trace registries, the clients' start barrier and the two marks that
-/// delimit the paper's measurement window.
+/// One simulated machine with its kernel objects, the per-task metrics
+/// registry and flight recorder, the clients' start barrier and the two
+/// marks that delimit the paper's measurement window.
 pub(crate) struct SimWorld {
     builder: SimBuilder,
     ids: Arc<SimIds>,
@@ -53,7 +55,7 @@ pub(crate) struct SimWorld {
     multiprocessor: bool,
     barrier: Option<BarrierId>,
     metrics: Arc<MetricsRegistry>,
-    traces: Option<Arc<TraceRegistry>>,
+    flight: Option<FlightRecorder>,
     names: Vec<(u32, String)>,
 }
 
@@ -71,9 +73,9 @@ impl SimWorld {
         for _ in 0..shape.msgqs {
             ids.msgqs.push(builder.add_msgq(MSGQ_CAPACITY));
         }
-        let traces = shape.trace_capacity.map(|cap| {
+        let flight = shape.trace_capacity.map(|cap| {
             builder.trace(true); // also capture the engine's scheduling timeline
-            Arc::new(TraceRegistry::new(cap))
+            FlightRecorder::new(shape.sems, cap)
         });
         SimWorld {
             barrier: (shape.barrier > 0).then(|| builder.add_barrier(shape.barrier)),
@@ -82,7 +84,7 @@ impl SimWorld {
             costs: SimCosts::from_machine(machine),
             multiprocessor: machine.cpus > 1,
             metrics: Arc::new(MetricsRegistry::new()),
-            traces,
+            flight,
             names: Vec::new(),
         }
     }
@@ -103,7 +105,7 @@ impl SimWorld {
         self.names.push((id, name.clone()));
         let (ids, costs, mp) = (Arc::clone(&self.ids), self.costs, self.multiprocessor);
         let sink = self.metrics.for_task(id);
-        let ring = self.traces.as_ref().map(|t| t.for_task(id));
+        let ring = self.flight.as_ref().and_then(|f| f.ring(id));
         let barrier = self.barrier;
         self.builder.spawn(name, move |sys| {
             let mut os = SimOs::new(sys, ids, costs, mp, id).with_metrics(sink);
@@ -143,8 +145,8 @@ impl SimWorld {
         let done = report
             .last_mark(MARK_SERVER_DONE)
             .expect("server marked completion");
-        let trace = self.traces.map(|t| {
-            let mut u = t.collect(&self.names);
+        let trace = self.flight.map(|f| {
+            let mut u = f.collect(&self.names);
             u.merge_sim(&report.trace);
             u
         });

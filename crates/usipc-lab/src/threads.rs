@@ -1,15 +1,16 @@
 //! The thread world (the adoptable backend, one address space) and the
 //! three experiments that run on it.
 
-use crate::watchdog::{Evidence, Named, Watchdog, WATCHDOG_JOIN};
+use crate::watchdog::{Named, Watchdog, WATCHDOG_JOIN};
 use crate::{apply_fault, echo_session, Mechanism, SessionError};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use usipc::metrics::MetricsSnapshot;
+use usipc::metrics::{LatencySketch, MetricsSnapshot, SketchSnapshot};
 use usipc::{
-    Channel, ChannelConfig, DeathWatch, FaultPlan, IpcError, Message, NativeConfig, NativeOs,
-    NativeTask, QueueKind, ServerDeathWatch, ServerRun, ShardedConfig, ShardedServer, UnifiedTrace,
+    Channel, ChannelConfig, DeathWatch, FaultPlan, FlightRecorder, IpcError, Message, NativeConfig,
+    NativeOs, NativeTask, QueueKind, ServerDeathWatch, ServerRun, ShardedConfig, ShardedServer,
+    UnifiedTrace,
 };
 
 /// One [`NativeOs`], the clients' start barrier, and the named threads of
@@ -26,10 +27,21 @@ pub(crate) struct ThreadWorld<S, C> {
 
 impl<S: Send + 'static, C: Send + 'static> ThreadWorld<S, C> {
     /// A world over `cfg` for `n_servers` server and `n_clients` client
-    /// threads.
-    pub fn new(cfg: NativeConfig, n_servers: usize, n_clients: usize) -> Self {
+    /// threads, each keeping its last `trace` records in the world's flight
+    /// recorder when `trace` is set.
+    pub fn new(
+        cfg: NativeConfig,
+        n_servers: usize,
+        n_clients: usize,
+        trace: Option<usize>,
+    ) -> Self {
+        let os = NativeOs::new(cfg);
+        if let Some(capacity) = trace {
+            // Armed before any task is built: tasks take their ring then.
+            os.arm_flight(FlightRecorder::new(n_servers + n_clients, capacity));
+        }
         ThreadWorld {
-            os: NativeOs::new(cfg),
+            os,
             start: Arc::new(Barrier::new(n_clients + 1)),
             n_servers: n_servers as u32,
             client_stack: None,
@@ -86,7 +98,7 @@ impl<S: Send + 'static, C: Send + 'static> ThreadWorld<S, C> {
     }
 
     /// Releases the clients and joins everyone under a watchdog of
-    /// `timeout`, which quotes the world's trace rings when it fires.
+    /// `timeout`, which quotes the world's flight recorder when it fires.
     ///
     /// # Panics
     ///
@@ -100,9 +112,8 @@ impl<S: Send + 'static, C: Send + 'static> ThreadWorld<S, C> {
             .collect();
         self.start.wait();
         let t0 = Instant::now();
-        let evidence = self.os.traces().map_or(Evidence::None, Evidence::Traces);
         let (servers, clients) = Watchdog::new(timeout)
-            .with_evidence(evidence)
+            .with_evidence(self.os.flight())
             .join2(self.servers, self.clients);
         let elapsed = t0.elapsed();
         let metrics = self.os.metrics().expect("the config collects metrics");
@@ -113,7 +124,7 @@ impl<S: Send + 'static, C: Send + 'static> ThreadWorld<S, C> {
             client_metrics: (n_servers..n_servers + clients.len() as u32)
                 .map(|t| metrics.task_snapshot(t))
                 .collect(),
-            trace: self.os.traces().map(|t| t.collect(&names)),
+            trace: self.os.flight().map(|f| f.collect(&names)),
             servers,
             clients,
         }
@@ -143,12 +154,11 @@ pub(crate) fn sum(snapshots: &[MetricsSnapshot]) -> MetricsSnapshot {
         .fold(MetricsSnapshot::default(), |acc, s| acc.add(s))
 }
 
-/// Runs `f`, pushing its wall-clock nanoseconds onto `samples`.
-fn timed<R>(samples: &mut Vec<u64>, f: impl FnOnce() -> R) -> R {
-    let t0 = Instant::now();
-    let r = f();
-    samples.push(t0.elapsed().as_nanos() as u64);
-    r
+/// Cell-wise sum of per-client latency sketches.
+pub(crate) fn merged(sketches: impl IntoIterator<Item = SketchSnapshot>) -> SketchSnapshot {
+    sketches
+        .into_iter()
+        .fold(SketchSnapshot::default(), |acc, s| acc.merge(&s))
 }
 
 /// The echo workload on real threads, as a value.
@@ -197,8 +207,9 @@ impl NativeExperiment {
         self
     }
 
-    /// Keeps `capacity` trace records per task (host-time stamps, oldest
-    /// dropped on overflow), collected into the result's [`UnifiedTrace`].
+    /// Keeps `capacity` trace records per task in the world's flight
+    /// recorder (host-time stamps, oldest dropped on overflow), collected
+    /// into the result's [`UnifiedTrace`].
     pub fn trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
         self
@@ -220,9 +231,8 @@ impl NativeExperiment {
         let n = self.n_clients;
         let channel = Channel::create(&ChannelConfig::new(n).with_queue_kind(self.queue_kind))
             .expect("channel creation");
-        let mut cfg = NativeConfig::for_clients(n);
-        cfg.trace_capacity = self.trace_capacity;
-        (channel, ThreadWorld::new(cfg, 1, n))
+        let cfg = NativeConfig::for_clients(n);
+        (channel, ThreadWorld::new(cfg, 1, n, self.trace_capacity))
     }
 
     /// Runs the barrage.
@@ -234,7 +244,7 @@ impl NativeExperiment {
     pub fn run(&self) -> NativeExperimentResult {
         let (mechanism, n, msgs) = (self.mechanism, self.n_clients, self.msgs_per_client);
         let deadline = self.deadline.map(|(_, d)| d);
-        let (channel, mut world) = self.world::<(), Vec<u64>>();
+        let (channel, mut world) = self.world::<(), SketchSnapshot>();
         let ch = channel.clone();
         match (self.deadline, mechanism) {
             (None, _) => world.server("server", move |os| {
@@ -251,15 +261,18 @@ impl NativeExperiment {
             let ch = channel.clone();
             world.client(format!("client{c}"), move |os| {
                 let client = mechanism.connect(&ch, os, c);
-                let mut samples = Vec::with_capacity(msgs as usize);
+                let latency = LatencySketch::default();
                 echo_session(c, msgs, |m| {
-                    timed(&mut samples, || client.call_within(m, deadline))
+                    let t0 = Instant::now();
+                    let reply = client.call_within(m, deadline);
+                    latency.record(t0.elapsed().as_nanos() as u64);
+                    reply
                 })
                 .expect("echo session failed");
                 client
                     .call_within(Message::disconnect(c), deadline)
                     .expect("disconnect failed");
-                samples
+                latency.snapshot()
             });
         }
         let run = world.run(WATCHDOG_JOIN);
@@ -270,7 +283,7 @@ impl NativeExperiment {
             messages,
             server_metrics: run.server_metrics,
             client_metrics: sum(&run.client_metrics),
-            client_samples: run.clients.concat(),
+            client_latency: merged(run.clients),
             trace: run.trace,
         }
     }
@@ -371,10 +384,10 @@ pub struct NativeExperimentResult {
     pub server_metrics: MetricsSnapshot,
     /// Protocol events summed over every client thread.
     pub client_metrics: MetricsSnapshot,
-    /// Raw per-message round-trip samples in nanoseconds, in (client,
-    /// message) order: exact quantiles need them (the library's own latency
-    /// histogram is log₂-bucketed and, natively, sampled one call in 61).
-    pub client_samples: Vec<u64>,
+    /// Every echo round trip's wall-clock latency, merged over the
+    /// clients' sketches (`count == messages`; the backend's own sketch
+    /// times one call in 61).
+    pub client_latency: SketchSnapshot,
     /// The unified event trace, present when the run enabled tracing.
     pub trace: Option<UnifiedTrace>,
 }
@@ -435,13 +448,13 @@ pub struct WaitsetLoadResult {
     pub server_metrics: MetricsSnapshot,
     /// Protocol events aggregated over every client thread.
     pub client_metrics: MetricsSnapshot,
-    /// Raw per-message latency samples in nanoseconds, in (client, message)
-    /// order. **Open-loop**: each sample is measured from the message's
-    /// *scheduled* send time, not the actual one, so the queueing delay a
-    /// late-running client inflicts on itself is charged to the system —
-    /// the coordinated-omission correction load generators need for honest
+    /// Every echo's latency, merged over the clients' sketches.
+    /// **Open-loop**: each is measured from the message's *scheduled* send
+    /// time, not the actual one, so the queueing delay a late-running
+    /// client inflicts on itself is charged to the system — the
+    /// coordinated-omission correction load generators need for honest
     /// p99s.
-    pub client_samples: Vec<u64>,
+    pub client_latency: SketchSnapshot,
 }
 
 /// Runs the WaitSet/sharded-server echo workload under **open-loop
@@ -470,8 +483,8 @@ pub fn run_waitset_load_experiment(
     cfg.n_sems = srv.config().n_sems();
     cfg.n_msgqs = 0;
     cfg.full_backoff = Duration::from_micros(200);
-    let mut world =
-        ThreadWorld::<ServerRun, Vec<u64>>::new(cfg, n_shards, n_clients).client_stack(192 * 1024);
+    let mut world = ThreadWorld::<ServerRun, SketchSnapshot>::new(cfg, n_shards, n_clients, None)
+        .client_stack(192 * 1024);
 
     for s in 0..n_shards {
         let srv = Arc::clone(&srv);
@@ -483,7 +496,7 @@ pub fn run_waitset_load_experiment(
         let phase = interval.mul_f64(c as f64 / n_clients.max(1) as f64);
         world.client(format!("load{c}"), move |os| {
             let client = srv.client(os, c);
-            let mut samples = Vec::with_capacity(msgs_per_client as usize);
+            let latency = LatencySketch::default();
             let start = Instant::now();
             let mut due = phase;
             echo_session(c, msgs_per_client, |m| {
@@ -494,13 +507,13 @@ pub fn run_waitset_load_experiment(
                     std::thread::sleep(early);
                 }
                 let reply = client.call(m);
-                samples.push((start.elapsed() - due).as_nanos().max(1) as u64);
+                latency.record((start.elapsed() - due).as_nanos().max(1) as u64);
                 due += interval;
                 Ok::<_, crate::IpcNever>(reply)
             })
             .expect("echo corrupted under load");
             client.disconnect();
-            samples
+            latency.snapshot()
         });
     }
 
@@ -512,7 +525,7 @@ pub fn run_waitset_load_experiment(
         messages,
         server_metrics: run.server_metrics,
         client_metrics: sum(&run.client_metrics),
-        client_samples: run.clients.concat(),
+        client_latency: merged(run.clients),
         server_runs: run.servers,
     }
 }

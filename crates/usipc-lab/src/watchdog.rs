@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use usipc::{FlightRecorder, TraceRegistry, UnifiedTrace};
+use usipc::{FlightRecorder, UnifiedTrace};
 
 /// How long a world waits before declaring an experiment wedged. Generous —
 /// a healthy cell finishes in well under a second — but bounded.
@@ -17,19 +17,6 @@ pub const WATCHDOG_JOIN: Duration = Duration::from_secs(30);
 /// its trace records carry) and the thing waited on.
 pub type Named<T> = (String, u32, T);
 
-/// Where a firing watchdog reads each wedged participant's last event.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum Evidence<'a> {
-    /// Nothing was recording.
-    #[default]
-    None,
-    /// The world's per-thread trace rings (heap; threads of this process).
-    Traces(&'a TraceRegistry),
-    /// The world's flight recorder (shared memory; forked children too, and
-    /// a SIGKILLed child's records survive it).
-    Flight(&'a FlightRecorder),
-}
-
 /// A bounded wait. The bound starts when the value is built, so several
 /// waits on one `Watchdog` share one deadline.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +24,9 @@ pub struct Watchdog<'a> {
     timeout: Duration,
     deadline: Instant,
     tick: Duration,
-    evidence: Evidence<'a>,
+    /// The world's recorder, whose rings a firing watchdog reads each
+    /// wedged participant's last event from.
+    evidence: Option<&'a FlightRecorder>,
 }
 
 impl<'a> Watchdog<'a> {
@@ -47,7 +36,7 @@ impl<'a> Watchdog<'a> {
             timeout,
             deadline: Instant::now() + timeout,
             tick: Duration::from_millis(2),
-            evidence: Evidence::None,
+            evidence: None,
         }
     }
 
@@ -59,8 +48,10 @@ impl<'a> Watchdog<'a> {
         self
     }
 
-    /// Quotes each wedged participant's last event from `evidence`.
-    pub fn with_evidence(mut self, evidence: Evidence<'a>) -> Self {
+    /// Quotes each wedged participant's last event from the world's flight
+    /// recorder, when it has one — in shared memory, a forked child's too,
+    /// even one SIGKILLed.
+    pub fn with_evidence(mut self, evidence: Option<&'a FlightRecorder>) -> Self {
         self.evidence = evidence;
         self
     }
@@ -89,11 +80,7 @@ impl<'a> Watchdog<'a> {
     /// `usipc-watchdog-<pid>-<n>.trace.json` in [`std::env::temp_dir`].
     pub fn report(&self, wedged: &[(String, u32)]) -> String {
         let names: Vec<(u32, String)> = wedged.iter().map(|(n, id)| (*id, n.clone())).collect();
-        let trace = match self.evidence {
-            Evidence::None => None,
-            Evidence::Traces(t) => Some(t.collect(&names)),
-            Evidence::Flight(f) => Some(f.collect(&names)),
-        };
+        let trace = self.evidence.map(|f| f.collect(&names));
         let mut report = format!(
             "watchdog: {} participant(s) still running after {:?}:",
             wedged.len(),
@@ -262,8 +249,8 @@ mod tests {
 
     #[test]
     fn a_wedged_thread_is_named_with_its_last_trace_point() {
-        let traces = TraceRegistry::new(16);
-        let ring = traces.for_task(7);
+        let flight = FlightRecorder::new(9, 16);
+        let ring = flight.ring(7).expect("a ring per task");
         ring.record(1000, TracePoint::Begin(Span::RoundTrip));
         ring.record(1100, TracePoint::Begin(Span::Block));
         ring.record(1234, TracePoint::Proto(ProtoEvent::BlockEntered));
@@ -271,7 +258,7 @@ mod tests {
         let healthy = std::thread::spawn(|| ());
         let fired = catch_unwind(AssertUnwindSafe(|| {
             Watchdog::new(Duration::from_millis(50))
-                .with_evidence(Evidence::Traces(&traces))
+                .with_evidence(Some(&flight))
                 .join(vec![
                     ("sleeper".into(), 7, wedged),
                     ("bystander".into(), 8, healthy),

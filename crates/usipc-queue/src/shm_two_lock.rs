@@ -93,9 +93,10 @@ unsafe impl ShmSafe for ShmQueue {}
 /// dequeuers that have unlinked a node but not yet returned it to the pool.
 /// With fewer concurrent dequeuers than `POOL_SLACK` the `count`-based
 /// capacity check is exact and pool exhaustion can never cause a spurious
-/// "full" report. Exactness is a *contract*, not a best effort: channel
-/// construction rejects configurations whose worst-case concurrent-dequeuer
-/// count could exceed this bound.
+/// "full" report. Exactness is a *contract*, not a best effort: a channel
+/// queue has at most two concurrent dequeuers — its consumer and the one
+/// poisoner whose `swap` wins — and the channel asserts that bound against
+/// this constant at compile time.
 pub const POOL_SLACK: usize = 8;
 
 impl ShmQueue {

@@ -140,17 +140,12 @@ pub struct ChannelConfig {
     /// The same protocol code runs on both; flow-control signals are
     /// identical.
     pub queue_kind: QueueKind,
-    /// Two-lock kind only: worst-case number of *concurrent dequeuers per
-    /// queue* the deployment can produce. The default of 2 covers every
-    /// shipped topology: a queue's single consumer plus one concurrent
-    /// fault-path drainer (a poisoner).
-    /// [`Channel::create`] rejects values above
-    /// [`usipc_queue::POOL_SLACK`], because the two-lock queue's "full
-    /// means full" exactness contract only holds while
-    /// dequeuers-in-flight cannot exhaust the node pool's slack. The ring
-    /// has no node pool, and ignores this.
-    pub max_dequeuers: usize,
 }
+
+/// The two-lock queue's "full means full" contract: a channel queue has at
+/// most two concurrent dequeuers — its consumer and the one poisoner whose
+/// `swap` wins — so they can never exhaust the node pool's slack.
+const _: () = assert!(2 <= usipc_queue::POOL_SLACK);
 
 impl ChannelConfig {
     /// A channel for `n_clients` clients with the default queue depth.
@@ -160,7 +155,6 @@ impl ChannelConfig {
             queue_capacity: 64,
             sem_base: 0,
             queue_kind: QueueKind::default(),
-            max_dequeuers: 2,
         }
     }
 
@@ -273,18 +267,6 @@ impl Channel {
     pub fn create_in(arena: Arc<ShmArena>, cfg: &ChannelConfig) -> Result<Channel, ShmError> {
         assert!(cfg.n_clients >= 1, "channel needs at least one client");
         assert!(cfg.queue_capacity >= 2, "queues need capacity >= 2");
-        // The POOL_SLACK exactness contract (see ChannelConfig::max_dequeuers)
-        // is the two-lock node pool's: enforced here, at the only point
-        // that knows the deployment's concurrency, so "enqueue said full"
-        // always means full.
-        assert!(
-            cfg.queue_kind != QueueKind::TwoLock
-                || (1..=usipc_queue::POOL_SLACK).contains(&cfg.max_dequeuers),
-            "max_dequeuers {} outside 1..={}: more concurrent dequeuers than \
-             POOL_SLACK could exhaust the node pool and fake a full queue",
-            cfg.max_dequeuers,
-            usipc_queue::POOL_SLACK
-        );
         let receive =
             WaitableQueue::create(&arena, cfg.queue_capacity, cfg.queue_kind, RingMode::Mpsc)?;
         let reply = arena.alloc_slice(cfg.n_clients, |_| {
@@ -1031,40 +1013,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Regression for the POOL_SLACK exactness contract: a two-lock
-    /// config that admits more concurrent dequeuers than the node pool's
-    /// slack could make `enqueue` report a spurious "full", so creation
-    /// must refuse it loudly instead of letting the deployment discover it
-    /// under load.
-    #[test]
-    #[should_panic(expected = "max_dequeuers")]
-    fn create_rejects_more_dequeuers_than_pool_slack() {
-        let cfg = ChannelConfig {
-            max_dequeuers: usipc_queue::POOL_SLACK + 1,
-            queue_kind: QueueKind::TwoLock,
-            ..ChannelConfig::new(1)
-        };
-        let _ = Channel::create(&cfg);
-    }
-
-    /// The full boundary stays exact at the configured limit — and the
-    /// ring, which has no node pool to exhaust, has no limit to check.
-    #[test]
-    fn create_accepts_dequeuers_up_to_pool_slack() {
-        let cfg = ChannelConfig {
-            max_dequeuers: usipc_queue::POOL_SLACK,
-            queue_kind: QueueKind::TwoLock,
-            ..ChannelConfig::new(1)
-        };
-        Channel::create(&cfg).expect("POOL_SLACK dequeuers are within contract");
-        let cfg = ChannelConfig {
-            max_dequeuers: usipc_queue::POOL_SLACK + 1,
-            queue_kind: QueueKind::Ring,
-            ..ChannelConfig::new(1)
-        };
-        Channel::create(&cfg).expect("the contract is the two-lock node pool's");
     }
 
     /// Generation fencing: bumping the segment generation strands every

@@ -100,11 +100,9 @@ pub use server::{
     run_server, run_throttled_server, ServerObservability, ServerRun,
 };
 pub use simulated::{SimCosts, SimIds, SimOs};
-pub use telemetry::{
-    FlightHandle, FlightRecorder, Role, TelemetryPlane, TelemetryReading, TelemetryWriter,
-};
+pub use telemetry::{Role, TelemetryPlane, TelemetryReading, TelemetryWriter};
 pub use trace::{
-    bridge_sim_trace, SchedPoint, Span, TracePoint, TraceRecord, TraceRegistry, TraceRing,
+    bridge_sim_trace, FlightRecorder, SchedPoint, Span, TracePoint, TraceRecord, TraceRing,
     UnifiedTrace,
 };
 pub use usipc_queue::QueueKind;

@@ -12,8 +12,7 @@
 use crate::metrics::{EndpointMetrics, MetricsRegistry, ProtoEvent};
 use crate::platform::{Cost, HandoffHint, OsServices};
 use crate::sem::{CountingSem, P_SPIN_BOUND};
-use crate::telemetry::{FlightHandle, FlightRecorder};
-use crate::trace::{TracePoint, TraceRegistry, TraceRing};
+use crate::trace::{FlightRecorder, TracePoint, TraceRing};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -93,10 +92,6 @@ pub struct NativeConfig {
     /// when off). Each task id must then belong to one thread: see the
     /// single-writer contract in [`metrics`](crate::metrics).
     pub collect_metrics: bool,
-    /// Per-task event-trace ring capacity in records; `None` disables
-    /// tracing (one `Option` branch per event). When on, each task keeps
-    /// its most recent `n` records, dropping the oldest on overflow.
-    pub trace_capacity: Option<usize>,
 }
 
 impl NativeConfig {
@@ -109,20 +104,12 @@ impl NativeConfig {
             multiprocessor: cpus_allowed() > 1,
             full_backoff: Duration::from_millis(1),
             collect_metrics: true,
-            trace_capacity: None,
         }
     }
 
     /// Same config with metrics collection disabled.
     pub fn without_metrics(mut self) -> Self {
         self.collect_metrics = false;
-        self
-    }
-
-    /// Same config with event tracing enabled at the given per-task ring
-    /// capacity.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
         self
     }
 }
@@ -160,7 +147,6 @@ pub struct NativeOs {
     p_spin: u32,
     full_backoff: Duration,
     metrics: Option<MetricsRegistry>,
-    traces: Option<TraceRegistry>,
     flight: OnceLock<FlightRecorder>,
 }
 
@@ -183,7 +169,6 @@ impl NativeOs {
             p_spin: if cpus == 1 { 0 } else { P_SPIN_BOUND },
             full_backoff: cfg.full_backoff,
             metrics: cfg.collect_metrics.then(MetricsRegistry::new),
-            traces: cfg.trace_capacity.map(TraceRegistry::new),
             flight: OnceLock::new(),
         })
     }
@@ -199,9 +184,9 @@ impl NativeOs {
     /// passes to [`attach_shared`](Self::attach_shared) (typically via a
     /// bootstrap struct published as the arena root).
     ///
-    /// Everything else — msgqs, metrics, traces — stays process-local:
-    /// each process keeps its own registries, exactly like each of the
-    /// paper's processes keeping its own counters.
+    /// Msgqs and metrics stay process-local: each process keeps its own
+    /// registry, exactly like each of the paper's processes keeping its
+    /// own counters.
     ///
     /// # Errors
     ///
@@ -243,18 +228,20 @@ impl NativeOs {
     pub fn task(self: &Arc<Self>, task_id: u32) -> NativeTask {
         NativeTask {
             metrics: self.metrics.as_ref().map(|r| r.for_task(task_id)),
-            trace: self.traces.as_ref().map(|r| r.for_task(task_id)),
-            flight: self.flight.get().and_then(|r| r.ring(task_id)),
+            trace: self.flight.get().and_then(|r| r.ring(task_id)),
             os: Arc::clone(self),
             task_id,
         }
     }
 
-    /// Arms the flight recorder: every task handle created *after* this
-    /// call mirrors its trace points into the recorder's shared-memory
-    /// ring for its task id, so a reader in another process can recover a
-    /// task's final events even after the writer is SIGKILLed. Returns
-    /// `false` (and changes nothing) if a recorder was already armed.
+    /// Arms the flight recorder, the backend's one way to trace: every task
+    /// handle created *after* this call stamps its trace points into the
+    /// recorder's ring for its task id (a task id past the recorder's last
+    /// ring stays untraced). With a recorder in a shared segment
+    /// ([`TelemetryPlane::flight`](crate::TelemetryPlane::flight)), a reader
+    /// in another process can recover a task's final events even after the
+    /// writer is SIGKILLed. Returns `false` (and changes nothing) if a
+    /// recorder was already armed.
     ///
     /// Arming is create-time only by design: the hot path sees a plain
     /// `Option` field, not a `OnceLock` load.
@@ -290,11 +277,6 @@ impl NativeOs {
     /// The backend's metrics registry (`None` when collection is off).
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_ref()
-    }
-
-    /// The backend's trace registry (`None` when tracing is off).
-    pub fn traces(&self) -> Option<&TraceRegistry> {
-        self.traces.as_ref()
     }
 
     /// One semaphore's handle (diagnostics: count, limit, high-water mark)
@@ -380,8 +362,7 @@ pub struct NativeTask {
     os: Arc<NativeOs>,
     task_id: u32,
     metrics: Option<Arc<EndpointMetrics>>,
-    trace: Option<Arc<TraceRing>>,
-    flight: Option<FlightHandle>,
+    trace: Option<TraceRing>,
 }
 
 // The protocols are generic over `OsServices`, so they are monomorphized
@@ -506,8 +487,8 @@ impl OsServices for NativeTask {
 
     #[inline]
     fn trace(&self, p: TracePoint) {
-        if self.trace.is_some() || self.flight.is_some() {
-            self.stamp(p);
+        if let Some(ring) = &self.trace {
+            self.stamp(ring, p);
         }
     }
 
@@ -526,17 +507,11 @@ impl OsServices for NativeTask {
 
 impl NativeTask {
     /// [`OsServices::trace`]'s body, out of line: stamps `p` into the
-    /// attached rings.
+    /// task's ring.
     #[cold]
     #[inline(never)]
-    fn stamp(&self, p: TracePoint) {
-        let now = self.now_nanos().unwrap_or(0);
-        if let Some(t) = &self.trace {
-            t.record(now, p);
-        }
-        if let Some(f) = &self.flight {
-            f.record(now, p);
-        }
+    fn stamp(&self, ring: &TraceRing, p: TracePoint) {
+        ring.record(self.now_nanos().unwrap_or(0), p);
     }
 }
 
@@ -673,7 +648,6 @@ mod tests {
             multiprocessor: false,
             full_backoff: Duration::from_millis(1),
             collect_metrics: false,
-            trace_capacity: None,
         });
         let t = os.task(7);
         assert_eq!(t.task_id(), 7);
@@ -739,7 +713,7 @@ mod tests {
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))]
     #[test]
-    fn armed_flight_mirrors_trace_points_into_the_segment() {
+    fn an_armed_recorder_takes_every_trace_point_and_arms_once() {
         use crate::telemetry::TelemetryPlane;
         use crate::trace::Span;
 
@@ -751,7 +725,7 @@ mod tests {
         assert!(os.arm_flight(recorder.clone()));
         assert!(!os.arm_flight(recorder.clone()), "second arming is a no-op");
 
-        // A task created after arming mirrors every trace point.
+        // A task created after arming stamps every trace point there.
         let t = os.task(1);
         t.trace(TracePoint::Begin(Span::RoundTrip));
         t.record(ProtoEvent::SemP);

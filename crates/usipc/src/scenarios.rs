@@ -30,7 +30,9 @@ use crate::metrics::{MetricsRegistry, ProtoEvent};
 use crate::msg::Message;
 use crate::platform::OsServices;
 use crate::protocol::{blocking_dequeue, Deadline, WaitStrategy};
-use crate::server::{channel_source, run_echo_server, serve, Next, ServerObservability, Source};
+use crate::server::{
+    channel_source, run_echo_server, run_throttled_server, serve, Next, ServerObservability, Source,
+};
 use crate::simulated::{SimCosts, SimIds, SimOs};
 use crate::waitset::{ShardedConfig, ShardedServer};
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -372,18 +374,50 @@ pub fn echo_scenario(
     n_clients: u32,
     msgs: u32,
 ) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    channel_scenario(strategy, n_clients, msgs, move |ch, os| {
+        run_echo_server(ch, os, strategy);
+    })
+}
+
+/// The §5 overload-aware server under the explorer: `n_clients`
+/// BSLS(`max_spin`) clients against
+/// [`run_throttled_server`] deferring
+/// wake-ups `wake_batch` at a time, with the answered-exactly-once check.
+/// The server's liveness claim — it never blocks with a wake-up still
+/// deferred — is what a schedule breaking it would show: a client asleep
+/// on a deferred `V` while the server sleeps on an empty queue, a deadlock
+/// the explorer reports.
+pub fn throttle_scenario(
+    n_clients: u32,
+    msgs: u32,
+    max_spin: u32,
+    wake_batch: usize,
+) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    let strategy = WaitStrategy::Bsls { max_spin };
+    channel_scenario(strategy, n_clients, msgs, move |ch, os| {
+        run_throttled_server(ch, os, max_spin, wake_batch);
+    })
+}
+
+/// `n_clients` synchronous `strategy` clients echoing `msgs` times each
+/// through one channel that `server` serves, with the answered-exactly-once
+/// check.
+fn channel_scenario(
+    strategy: WaitStrategy,
+    n_clients: u32,
+    msgs: u32,
+    server: impl Fn(&Channel, &SimOs<'_>) + Clone + Send + 'static,
+) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
     move |b: &mut SimBuilder| {
         let ch = Channel::create(&ChannelConfig::new(n_clients as usize)).unwrap();
         let answered = Arc::new(AtomicU64::new(0));
-        let (ch2, count) = (ch.clone(), Arc::clone(&answered));
+        let (ch2, count, server) = (ch.clone(), Arc::clone(&answered), server.clone());
         spawn_cast(
             b,
             1 + n_clients as usize, // 0: server; 1+c: client c
             n_clients,
             false,
-            move |os| {
-                run_echo_server(&ch, os, strategy);
-            },
+            move |os| server(&ch, os),
             move |os, c| echo_session(&count, msgs, c, |m| ch2.client(os, c, strategy).call(m)),
         );
         Box::new(move |_r: &SimReport| answered_all(&answered, u64::from(n_clients * msgs)))

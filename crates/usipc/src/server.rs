@@ -13,7 +13,8 @@ use crate::metrics::{MetricsSnapshot, ProtoEvent};
 use crate::msg::{opcode, Message};
 use crate::platform::{Cost, OsServices};
 use crate::protocol::WaitStrategy;
-use crate::telemetry::{FlightRecorder, TelemetryWriter};
+use crate::telemetry::TelemetryWriter;
+use crate::trace::FlightRecorder;
 use core::time::Duration;
 
 /// Statistics from one server run.

@@ -62,7 +62,7 @@ pub struct SimOs<'a> {
     multiprocessor: bool,
     task_id: u32,
     metrics: Option<Arc<EndpointMetrics>>,
-    trace: Option<Arc<TraceRing>>,
+    trace: Option<TraceRing>,
 }
 
 impl<'a> SimOs<'a> {
@@ -99,7 +99,7 @@ impl<'a> SimOs<'a> {
     /// Attaches an event-trace ring. Records are stamped with *virtual*
     /// time via a zero-cost `Now` request, so the simulated schedule is
     /// identical with and without tracing.
-    pub fn with_trace(mut self, ring: Arc<TraceRing>) -> Self {
+    pub fn with_trace(mut self, ring: TraceRing) -> Self {
         self.trace = Some(ring);
         self
     }

@@ -23,12 +23,12 @@
 //!   displacing the application's root object. `usipc-top` (`figures
 //!   top`) attaches with [`ShmArena::attach_memfd`] +
 //!   [`TelemetryPlane::attach`] and polls [`TelemetryPlane::read`].
-//! * [`FlightRecorder`] — the trace ring's shared-memory mode: per-task
-//!   `TraceSlot` rings *in the segment*, written and drained by the same
-//!   code as the heap [`TraceRing`](crate::trace::TraceRing) and stamped on
-//!   the segment-wide clock axis ([`ShmArena::now_nanos`]), so the last N
-//!   events of a task survive its death by SIGKILL and the survivors can
-//!   dump a merged, correctly-ordered Perfetto timeline postmortem.
+//! * The flight recorder — a [`FlightRecorder`] whose per-task
+//!   [`TraceRing`](crate::trace::TraceRing)s live *in the segment*,
+//!   stamped on the segment-wide clock axis ([`ShmArena::now_nanos`]), so
+//!   the last N events of a task survive its death by SIGKILL and the
+//!   survivors can dump a merged, correctly-ordered Perfetto timeline
+//!   postmortem.
 //!
 //! Both directories are peer-writable, so both are validated once, when a
 //! handle is made ([`TelemetryPlane::attach`], [`TelemetryPlane::flight`]):
@@ -50,10 +50,10 @@
 //! bumping the epoch.
 
 use crate::metrics::{LatencySketch, MetricsSnapshot, SketchSnapshot, N_EVENTS};
-use crate::trace::{self, TracePoint, TraceSlot, UnifiedTrace};
+use crate::trace::{self, FlightRecorder, RingHeader};
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
+use usipc_shm::{ShmArena, ShmError, ShmPtr, ShmSafe, ShmSlice};
 
 /// `"USTP"`: marks the aux object as a telemetry root so
 /// [`TelemetryPlane::attach`] can reject segments publishing something else
@@ -233,9 +233,7 @@ impl TelemetryPlane {
         } else {
             core::mem::size_of::<FlightRoot>()
                 + 64
-                + flight_tasks * (core::mem::size_of::<FlightTask>() + 64)
-                + flight_tasks * flight_capacity * core::mem::size_of::<TraceSlot>()
-                + 64
+                + trace::rings_bytes(flight_tasks, flight_capacity)
         };
         slots + root + flight
     }
@@ -257,14 +255,7 @@ impl TelemetryPlane {
         let slots = arena.alloc_slice(n_slots, |_| TelemetrySlot::default())?;
         let flight = if flight_tasks > 0 {
             let cap = flight_capacity.max(1);
-            let mut rings = Vec::with_capacity(flight_tasks);
-            for _ in 0..flight_tasks {
-                rings.push(arena.alloc_slice(cap, |_| TraceSlot::default())?);
-            }
-            let tasks = arena.alloc_slice(flight_tasks, |i| FlightTask {
-                cursor: CacheAligned::new(AtomicU64::new(0)),
-                slots: rings[i],
-            })?;
+            let tasks = trace::alloc_rings(arena, flight_tasks, cap)?;
             arena.alloc(FlightRoot {
                 n_tasks: AtomicU32::new(flight_tasks as u32),
                 capacity: AtomicU32::new(cap as u32),
@@ -365,24 +356,15 @@ impl TelemetryPlane {
             return None;
         }
         let r = self.arena.try_get(f).ok()?;
-        let (tasks, capacity) = (r.tasks, r.capacity.load(Ordering::Relaxed));
-        if r.n_tasks.load(Ordering::Relaxed) as usize != tasks.len() || capacity == 0 {
+        let tasks = r.tasks;
+        if r.n_tasks.load(Ordering::Relaxed) as usize != tasks.len() {
             return None;
         }
-        let ring = |(i, t): (usize, &FlightTask)| {
-            let slots = t.slots;
-            let valid = slots.len() == capacity as usize && self.arena.try_get_slice(slots).is_ok();
-            valid.then(|| FlightHandle {
-                arena: Arc::clone(&self.arena),
-                task: tasks.at(i),
-                slots,
-            })
-        };
-        let rings = self.arena.try_get_slice(tasks).ok()?;
-        Some(FlightRecorder {
-            rings: rings.iter().enumerate().map(ring).collect::<Option<_>>()?,
-            capacity,
-        })
+        FlightRecorder::resolve(
+            &self.arena,
+            tasks,
+            r.capacity.load(Ordering::Relaxed) as usize,
+        )
     }
 
     /// The arena the plane lives in (timestamp axis + memfd access).
@@ -439,106 +421,23 @@ impl TelemetryWriter {
     }
 }
 
-/// One task's flight ring header.
-#[repr(C)]
-pub struct FlightTask {
-    /// Records ever started by this task (cache-line isolated: the owner
-    /// bumps it on every event).
-    cursor: CacheAligned<AtomicU64>,
-    slots: ShmSlice<TraceSlot>,
-}
-
-// SAFETY: repr(C); `slots` is an offset written before publication.
-unsafe impl ShmSafe for FlightTask {}
-
-/// The flight recorder's segment-resident directory.
+/// The flight recorder's segment-resident directory: its rings' headers,
+/// each the cursor's cache line then the slot array.
 #[repr(C)]
 pub struct FlightRoot {
     n_tasks: AtomicU32,
     capacity: AtomicU32,
-    tasks: ShmSlice<FlightTask>,
+    tasks: ShmSlice<RingHeader>,
 }
 
 // SAFETY: repr(C); `tasks` is an offset written before publication.
 unsafe impl ShmSafe for FlightRoot {}
 
-/// Host-side handle to a segment's flight recorder: per-task shared-memory
-/// trace rings whose records survive the writer's death.
-#[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    /// One validated handle per ring, indexed by task id.
-    rings: Arc<[FlightHandle]>,
-    capacity: u32,
-}
-
-impl FlightRecorder {
-    /// Number of per-task rings.
-    pub fn n_tasks(&self) -> u32 {
-        self.rings.len() as u32
-    }
-
-    /// Ring capacity in records (the "last N events" N).
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// The single-writer record handle for `task_id`'s ring (`None` when
-    /// the recorder was sized for fewer tasks).
-    pub fn ring(&self, task_id: u32) -> Option<FlightHandle> {
-        self.rings.get(task_id as usize).cloned()
-    }
-
-    /// Drains every ring into one merged, time-sorted [`UnifiedTrace`] —
-    /// with the same code as [`TraceRegistry::collect`](crate::trace::TraceRegistry::collect),
-    /// so it is safe against concurrent writers *and* against writers that
-    /// died mid-record: torn or recycled slots fail their lap check and
-    /// are skipped.
-    pub fn collect(&self, names: &[(u32, String)]) -> UnifiedTrace {
-        let rings = self.rings.iter().zip(0..).map(|(h, task_id)| {
-            let (slots, cursor) = h.view();
-            (slots, cursor, task_id)
-        });
-        UnifiedTrace::from_rings(rings, names)
-    }
-}
-
-/// Single-writer record handle for one task's flight ring.
-#[derive(Clone, Debug)]
-pub struct FlightHandle {
-    arena: Arc<ShmArena>,
-    task: ShmPtr<FlightTask>,
-    /// The ring, validated when the recorder handle was made.
-    slots: ShmSlice<TraceSlot>,
-}
-
-impl FlightHandle {
-    /// The ring's slots and cursor in the segment.
-    pub(crate) fn view(&self) -> (&[TraceSlot], &AtomicU64) {
-        (
-            self.arena.get_slice(self.slots),
-            self.arena.get(self.task).cursor.get(),
-        )
-    }
-
-    /// Appends one record on the segment clock axis, overwriting the
-    /// oldest when full. Must only be called from the owning task.
-    #[inline]
-    pub fn record(&self, ts_nanos: u64, point: TracePoint) {
-        let (slots, cursor) = self.view();
-        trace::record(slots, cursor, ts_nanos, point);
-    }
-
-    /// The segment clock reading, for stamping records on the shared axis.
-    pub fn now_nanos(&self) -> u64 {
-        self.arena.now_nanos()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::ProtoEvent;
-    use crate::trace::Span;
+    use crate::trace::{Span, TracePoint};
 
     fn plane(n_slots: usize, flight_tasks: usize, flight_cap: usize) -> TelemetryPlane {
         let bytes = TelemetryPlane::bytes_needed(n_slots, flight_tasks, flight_cap) + 256;
@@ -690,8 +589,7 @@ mod tests {
     fn flight_ring_records_survive_and_merge_ordered() {
         let p = plane(2, 3, 8);
         let f = p.flight().expect("flight recorder armed");
-        assert_eq!(f.n_tasks(), 3);
-        assert_eq!(f.capacity(), 8);
+        assert!(f.ring(2).is_some(), "a ring per task");
         assert!(f.ring(3).is_none(), "out-of-range task refused");
 
         let r0 = f.ring(0).unwrap();

@@ -17,15 +17,15 @@
 //! metrics, through the one [`OsServices::trace`](crate::platform::OsServices::trace)
 //! hook, and costs a single `Option` discriminant branch when disabled.
 //! When enabled, a record is one timestamp read plus five `Release` stores
-//! into the task's own ring (no sharing, no allocation, no locks). The ring
-//! drops the *oldest* records on overflow and counts every drop, so
-//! truncation is never silent.
+//! into the task's own ring (no sharing, no allocation, no locks, no arena
+//! look-up). The ring drops the *oldest* records on overflow and counts
+//! every drop, so truncation is never silent.
 //!
-//! One ring algorithm serves both storages: [`TraceRing`] keeps its
-//! `TraceSlot`s on the heap, the flight recorder
-//! ([`FlightRecorder`](crate::telemetry::FlightRecorder)) keeps the same
-//! slots in a shared segment, and both write with this module's one
-//! `record` and read with its one `drain`.
+//! One ring type, one ring set: every [`TraceRing`] lives in an arena, and
+//! a world's rings are one [`FlightRecorder`] — built in a private arena by
+//! [`FlightRecorder::new`], or found in a shared segment by
+//! [`TelemetryPlane::flight`](crate::TelemetryPlane::flight), where a
+//! SIGKILLed writer's records survive it.
 //!
 //! Two exporters consume the unified [`TraceRecord`] stream:
 //!
@@ -44,8 +44,8 @@
 use crate::metrics::ProtoEvent;
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use usipc_shm::ShmSafe;
+use std::sync::Arc;
+use usipc_shm::{CacheAligned, ShmArena, ShmError, ShmSafe, ShmSlice};
 
 /// A span (duration) a task can be inside; spans nest per task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,11 +185,10 @@ pub struct TraceRecord {
     pub point: TracePoint,
 }
 
-/// One slot of a trace ring, the same on the heap ([`TraceRing`]) and in
-/// a shared segment (the flight recorder's rings).
+/// One slot of a trace ring.
 #[repr(C)]
 #[derive(Default)]
-pub(crate) struct TraceSlot {
+struct TraceSlot {
     /// Seqlock word: `2·lap + 1` while the writer is mid-store,
     /// `2·lap + 2` once the record for lap `lap` is complete. A reader
     /// accepts a slot only when the sequence matches the lap it expects,
@@ -202,82 +201,66 @@ pub(crate) struct TraceSlot {
 // SAFETY: repr(C), all-atomic.
 unsafe impl ShmSafe for TraceSlot {}
 
-/// Appends one record to the ring `(slots, cursor)` — `cursor` counts the
-/// records ever started — overwriting the oldest when full. The one writer
-/// of every trace ring, heap or shared; only the ring's owning task may
-/// call it.
-#[inline]
-pub(crate) fn record(slots: &[TraceSlot], cursor: &AtomicU64, ts_nanos: u64, point: TracePoint) {
-    let i = cursor.load(Ordering::Relaxed);
-    let n = slots.len() as u64;
-    let slot = &slots[(i % n) as usize];
-    let lap = i / n;
-    slot.seq.store(2 * lap + 1, Ordering::Release);
-    slot.ts.store(ts_nanos, Ordering::Release);
-    slot.point.store(point.encode() as u64, Ordering::Release);
-    slot.seq.store(2 * lap + 2, Ordering::Release);
-    cursor.store(i + 1, Ordering::Release);
+/// A trace ring's header in its arena: the cursor — records ever started,
+/// on a cache line of its own because the owner bumps it on every event —
+/// then the ring's slots.
+#[repr(C)]
+pub(crate) struct RingHeader {
+    cursor: CacheAligned<AtomicU64>,
+    slots: ShmSlice<TraceSlot>,
 }
 
-/// Copies out the surviving records of `task_id`'s ring `(slots, cursor)`,
-/// oldest first, with the number lost to overflow. Safe against a
-/// concurrent writer *and* one that died mid-record: slots overwritten or
-/// mid-write during the drain fail their sequence check and are skipped,
-/// so every returned record is fully written and timestamps are
-/// non-decreasing.
-pub(crate) fn drain(
-    slots: &[TraceSlot],
-    cursor: &AtomicU64,
-    task_id: u32,
-) -> (Vec<TraceRecord>, u64) {
-    let end = cursor.load(Ordering::Acquire);
-    let n = slots.len() as u64;
-    let start = end.saturating_sub(n);
-    let mut out = Vec::with_capacity((end - start) as usize);
-    let mut last_ts = 0u64;
-    for i in start..end {
-        let slot = &slots[(i % n) as usize];
-        let expect = 2 * (i / n) + 2;
-        if slot.seq.load(Ordering::Acquire) != expect {
-            continue;
-        }
-        let ts = slot.ts.load(Ordering::Acquire);
-        let word = slot.point.load(Ordering::Acquire);
-        if slot.seq.load(Ordering::Acquire) != expect {
-            continue;
-        }
-        let Some(point) = TracePoint::decode(word as u32) else {
-            continue;
-        };
-        // Per-task timestamps are monotone at the writer; a violation
-        // here means the slot was recycled between the checks, so the
-        // record cannot be trusted.
-        if ts < last_ts {
-            continue;
-        }
-        last_ts = ts;
-        out.push(TraceRecord {
-            ts_nanos: ts,
-            task_id,
-            point,
-        });
+// SAFETY: repr(C); `slots` is an offset written before publication.
+unsafe impl ShmSafe for RingHeader {}
+
+/// Allocates `n` empty rings of `capacity` slots each in `arena` — every
+/// slot array, then the `n` headers as one array — and returns the
+/// headers. The one allocator of ring storage, for a private arena
+/// ([`FlightRecorder::new`]) and a shared segment
+/// ([`TelemetryPlane::create_in`](crate::TelemetryPlane::create_in)) alike.
+pub(crate) fn alloc_rings(
+    arena: &ShmArena,
+    n: usize,
+    capacity: usize,
+) -> Result<ShmSlice<RingHeader>, ShmError> {
+    let mut slots = Vec::with_capacity(n);
+    for _ in 0..n {
+        slots.push(arena.alloc_slice(capacity, |_| TraceSlot::default())?);
     }
-    (out, start)
+    arena.alloc_slice(n, |i| RingHeader {
+        cursor: CacheAligned::new(AtomicU64::new(0)),
+        slots: slots[i],
+    })
 }
 
-/// A per-task, single-writer, bounded ring buffer of [`TraceRecord`]s.
+/// Arena bytes [`alloc_rings`] consumes, one cache line of alignment
+/// padding per header and one for the slot arrays included.
+pub(crate) fn rings_bytes(n: usize, capacity: usize) -> usize {
+    n * (core::mem::size_of::<RingHeader>() + 64)
+        + n * capacity * core::mem::size_of::<TraceSlot>()
+        + 64
+}
+
+/// A per-task, single-writer, bounded ring buffer of [`TraceRecord`]s,
+/// resident in an arena.
 ///
 /// The owning task is the only writer (the `&self` methods mirror
 /// [`OsServices`](crate::platform::OsServices)'s single-task usage);
-/// draining may happen concurrently from any thread and yields only
-/// fully-written records. On overflow the *oldest* records are overwritten
-/// and [`dropped`](Self::dropped) counts them, so truncation is never
-/// silent.
+/// draining may happen concurrently from any thread — or any process
+/// mapping the segment — and yields only fully-written records. On
+/// overflow the *oldest* records are overwritten and
+/// [`dropped`](Self::dropped) counts them, so truncation is never silent.
+/// The cursor and slots are resolved once, when the handle is built, so
+/// [`record`](Self::record) is five stores and no arena look-up.
+#[derive(Clone)]
 pub struct TraceRing {
+    /// Keeps the mapping behind `cursor` and `slots` alive.
+    _arena: Arc<ShmArena>,
     task_id: u32,
-    slots: Box<[TraceSlot]>,
-    /// Total records ever started, written only by the owner task.
-    cursor: AtomicU64,
+    /// `'static` stands for "while `_arena` is mapped", as in
+    /// [`Channel`](crate::Channel).
+    cursor: &'static AtomicU64,
+    slots: &'static [TraceSlot],
 }
 
 impl core::fmt::Debug for TraceRing {
@@ -291,24 +274,11 @@ impl core::fmt::Debug for TraceRing {
 }
 
 impl TraceRing {
-    /// A ring holding the most recent `capacity` records of `task_id`.
+    /// A ring holding the most recent `capacity` records of `task_id`, in
+    /// a private arena of its own.
     pub fn new(task_id: u32, capacity: usize) -> Self {
-        assert!(capacity >= 1, "trace ring needs capacity >= 1");
-        TraceRing {
-            task_id,
-            slots: (0..capacity).map(|_| TraceSlot::default()).collect(),
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    /// The owning task's platform task number.
-    pub fn task_id(&self) -> u32 {
-        self.task_id
-    }
-
-    /// Fixed capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+        let ring = FlightRecorder::new(1, capacity).ring(0).expect("one ring");
+        TraceRing { task_id, ..ring }
     }
 
     /// Total records ever written (including since-overwritten ones).
@@ -326,54 +296,131 @@ impl TraceRing {
     /// called from the owning task (single-writer).
     #[inline]
     pub fn record(&self, ts_nanos: u64, point: TracePoint) {
-        record(&self.slots, &self.cursor, ts_nanos, point);
+        let i = self.cursor.load(Ordering::Relaxed);
+        let n = self.slots.len() as u64;
+        let slot = &self.slots[(i % n) as usize];
+        let lap = i / n;
+        slot.seq.store(2 * lap + 1, Ordering::Release);
+        slot.ts.store(ts_nanos, Ordering::Release);
+        slot.point.store(point.encode() as u64, Ordering::Release);
+        slot.seq.store(2 * lap + 2, Ordering::Release);
+        self.cursor.store(i + 1, Ordering::Release);
     }
 
-    /// Copies out the surviving records, oldest first. Safe against a
-    /// concurrent writer: torn and overwritten slots are skipped.
+    /// Copies out the surviving records, oldest first.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        drain(&self.slots, &self.cursor, self.task_id).0
+        self.survivors().0
     }
-}
 
-/// Per-task trace rings for one experiment: task id → shared
-/// [`TraceRing`]. Locked only at task registration, like
-/// [`MetricsRegistry`](crate::metrics::MetricsRegistry).
-#[derive(Debug)]
-pub struct TraceRegistry {
-    capacity: usize,
-    tasks: Mutex<HashMap<u32, Arc<TraceRing>>>,
-}
-
-impl TraceRegistry {
-    /// A registry handing out rings of `capacity` records each.
-    pub fn new(capacity: usize) -> Self {
-        TraceRegistry {
-            capacity,
-            tasks: Mutex::new(HashMap::new()),
+    /// The surviving records, oldest first, with the number lost to
+    /// overflow. Safe against a concurrent writer *and* one that died
+    /// mid-record: slots overwritten or mid-write during the drain fail
+    /// their sequence check and are skipped, so every returned record is
+    /// fully written and timestamps are non-decreasing.
+    fn survivors(&self) -> (Vec<TraceRecord>, u64) {
+        let end = self.cursor.load(Ordering::Acquire);
+        let n = self.slots.len() as u64;
+        let start = end.saturating_sub(n);
+        let mut out = Vec::with_capacity((end - start) as usize);
+        let mut last_ts = 0u64;
+        for i in start..end {
+            let slot = &self.slots[(i % n) as usize];
+            let expect = 2 * (i / n) + 2;
+            if slot.seq.load(Ordering::Acquire) != expect {
+                continue;
+            }
+            let ts = slot.ts.load(Ordering::Acquire);
+            let word = slot.point.load(Ordering::Acquire);
+            if slot.seq.load(Ordering::Acquire) != expect {
+                continue;
+            }
+            let Some(point) = TracePoint::decode(word as u32) else {
+                continue;
+            };
+            // Per-task timestamps are monotone at the writer; a violation
+            // here means the slot was recycled between the checks, so the
+            // record cannot be trusted.
+            if ts < last_ts {
+                continue;
+            }
+            last_ts = ts;
+            out.push(TraceRecord {
+                ts_nanos: ts,
+                task_id: self.task_id,
+                point,
+            });
         }
+        (out, start)
+    }
+}
+
+/// A world's trace rings, ring `i` for task id `i`, all in one arena.
+#[derive(Clone, Debug)]
+pub struct FlightRecorder {
+    rings: Arc<[TraceRing]>,
+}
+
+impl FlightRecorder {
+    /// `n_tasks` rings of the last `capacity` records each, in a private
+    /// arena: the recorder of a world whose tasks share one address space.
+    pub fn new(n_tasks: usize, capacity: usize) -> Self {
+        assert!(capacity >= 1, "trace ring needs capacity >= 1");
+        let arena = Arc::new(ShmArena::new(rings_bytes(n_tasks, capacity)).expect("ring arena"));
+        let headers = alloc_rings(&arena, n_tasks, capacity).expect("arena sized for its rings");
+        Self::resolve(&arena, headers, capacity).expect("rings just allocated")
     }
 
-    /// The ring for `task_id`, created on first use.
-    pub fn for_task(&self, task_id: u32) -> Arc<TraceRing> {
-        Arc::clone(
-            self.tasks
-                .lock()
-                .unwrap()
-                .entry(task_id)
-                .or_insert_with(|| Arc::new(TraceRing::new(task_id, self.capacity))),
-        )
+    /// The recorder over the rings `headers` names in `arena`, each ring's
+    /// cursor and slots resolved once, here. `None` when the header array
+    /// or any slot array lies outside the allocated range, or a ring holds
+    /// other than `capacity` (≥ 1) slots.
+    pub(crate) fn resolve(
+        arena: &Arc<ShmArena>,
+        headers: ShmSlice<RingHeader>,
+        capacity: usize,
+    ) -> Option<Self> {
+        // SAFETY: the one lifetime erasure behind every ring, as in
+        // `Channel::from_root`. The reference is to the `ShmArena` inside
+        // the `Arc` allocation, which each ring's `_arena` field keeps alive
+        // (segment mapped, base fixed) while the ring or any clone exists;
+        // what is resolved through it is stored only in the ring, beside
+        // that `Arc`, and never handed out.
+        let mapped: &'static ShmArena = unsafe { &*Arc::as_ptr(arena) };
+        let ring = |(h, task_id): (&'static RingHeader, u32)| {
+            let slots = h.slots;
+            if capacity == 0 || slots.len() != capacity {
+                return None;
+            }
+            Some(TraceRing {
+                _arena: Arc::clone(arena),
+                task_id,
+                cursor: h.cursor.get(),
+                slots: mapped.try_get_slice(slots).ok()?,
+            })
+        };
+        let headers = mapped.try_get_slice(headers).ok()?;
+        Some(FlightRecorder {
+            rings: headers.iter().zip(0..).map(ring).collect::<Option<_>>()?,
+        })
     }
 
-    /// Drains every ring into one time-sorted [`UnifiedTrace`]. `names`
-    /// supplies display names (`task_id`, name); tasks that recorded but
-    /// were not named get `task<N>`.
+    /// The single-writer ring of `task_id` (`None` when the recorder was
+    /// sized for fewer tasks).
+    pub fn ring(&self, task_id: u32) -> Option<TraceRing> {
+        self.rings.get(task_id as usize).cloned()
+    }
+
+    /// Drains every ring into one time-sorted [`UnifiedTrace`]: the one
+    /// drain-and-merge. `names` supplies display names; a task that
+    /// recorded but was not named gets `task<N>`.
     pub fn collect(&self, names: &[(u32, String)]) -> UnifiedTrace {
-        let rings: Vec<Arc<TraceRing>> = self.tasks.lock().unwrap().values().cloned().collect();
-        UnifiedTrace::from_rings(
-            rings.iter().map(|r| (&r.slots[..], &r.cursor, r.task_id)),
-            names,
-        )
+        let (mut records, mut dropped) = (Vec::new(), 0);
+        for ring in self.rings.iter() {
+            let (survivors, lost) = ring.survivors();
+            records.extend(survivors);
+            dropped += lost;
+        }
+        UnifiedTrace::from_parts(records, names.to_vec(), dropped)
     }
 }
 
@@ -509,22 +556,6 @@ impl UnifiedTrace {
         for id in ids {
             self.ensure_task(id);
         }
-    }
-
-    /// Drains every `(slots, cursor, task_id)` ring into one time-sorted
-    /// trace. `names` supplies display names; a task that recorded but was
-    /// not named gets `task<N>`.
-    pub(crate) fn from_rings<'a>(
-        rings: impl IntoIterator<Item = (&'a [TraceSlot], &'a AtomicU64, u32)>,
-        names: &[(u32, String)],
-    ) -> Self {
-        let (mut records, mut dropped) = (Vec::new(), 0);
-        for (slots, cursor, task_id) in rings {
-            let (survivors, lost) = drain(slots, cursor, task_id);
-            records.extend(survivors);
-            dropped += lost;
-        }
-        UnifiedTrace::from_parts(records, names.to_vec(), dropped)
     }
 
     /// Appends bridged simulator scheduling events and re-sorts.
@@ -804,9 +835,8 @@ mod tests {
     }
 
     #[test]
-    fn a_heap_ring_and_a_flight_ring_are_one_ring() {
+    fn a_private_ring_and_a_segment_ring_drain_alike() {
         use crate::telemetry::TelemetryPlane;
-        use usipc_shm::ShmArena;
         const CAP: usize = 8;
         // Below capacity, 12 records past it, and past it with one slot
         // left mid-write.
@@ -815,26 +845,26 @@ mod tests {
             (CAP as u64 + 12, None),
             (CAP as u64 + 12, Some(3)),
         ] {
-            let heap = TraceRing::new(0, CAP);
+            let private = TraceRing::new(0, CAP);
             let arena = Arc::new(ShmArena::new(TelemetryPlane::bytes_needed(0, 1, CAP)).unwrap());
             let plane = TelemetryPlane::create_in(&arena, 0, 1, CAP).unwrap();
             let flight = plane.flight().unwrap();
             let shared = flight.ring(0).unwrap();
             for i in 0..written {
                 let p = TracePoint::Sched(SchedPoint::Dispatched { cpu: i as u32 });
-                heap.record(i, p);
+                private.record(i, p);
                 shared.record(i, p);
             }
             if let Some(k) = torn {
                 // What a writer killed between its two `seq` stores leaves.
-                for slots in [&heap.slots[..], shared.view().0] {
-                    slots[k].seq.fetch_sub(1, Ordering::Relaxed);
+                for ring in [&private, &shared] {
+                    ring.slots[k].seq.fetch_sub(1, Ordering::Relaxed);
                 }
             }
             let trace = flight.collect(&[]);
             let what = format!("{written} written, slot {torn:?} torn");
-            assert_eq!(heap.drain(), trace.records, "{what}");
-            assert_eq!(heap.dropped(), trace.dropped, "{what}");
+            assert_eq!(private.drain(), trace.records, "{what}");
+            assert_eq!(private.dropped(), trace.dropped, "{what}");
             let survivors = written.min(CAP as u64) as usize - usize::from(torn.is_some());
             assert_eq!(trace.records.len(), survivors, "{what}");
         }

@@ -20,8 +20,8 @@
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use usipc::scenarios::{
-    echo_scenario, mux_scenario, ConsumerKind, Fig4Scenario, Interleaving, ProducerKind,
-    ALL_INTERLEAVINGS,
+    echo_scenario, mux_scenario, throttle_scenario, ConsumerKind, Fig4Scenario, Interleaving,
+    ProducerKind, ALL_INTERLEAVINGS,
 };
 use usipc::WaitStrategy;
 use usipc_sim::{Explorer, Outcome, ScenarioCheck, SimBuilder};
@@ -263,5 +263,30 @@ fn mux_worker_two_clients_lose_no_doorbell_over_all_schedules() {
     let walks = Explorer::random(40, 0x3D0B, 150)
         .sem_bound(1)
         .run(mux_scenario(2, 2));
+    assert!(walks.ok(), "{}", walks.summary());
+}
+
+/// The §5 throttled server's liveness claim: it never blocks with a
+/// wake-up still deferred. Every schedule at the bounded depth, at either
+/// batch size, and every deep random walk over three clients ends with
+/// each request answered once and no semaphore holding two credits. A
+/// server that flushed only one batch on an empty queue fails the walks
+/// with a lost wake-up (EXPERIMENTS.md).
+#[test]
+fn throttled_server_never_sleeps_on_a_deferred_wakeup() {
+    for wake_batch in [1, 2] {
+        let r = Explorer::dfs(6)
+            .sem_bound(1)
+            .run(throttle_scenario(2, 1, 2, wake_batch));
+        assert!(r.ok(), "wake_batch {wake_batch}: {}", r.summary());
+        assert!(
+            r.schedules > 100,
+            "space too small to mean much: {}",
+            r.summary()
+        );
+    }
+    let walks = Explorer::random(300, 0x7A11, 400)
+        .sem_bound(1)
+        .run(throttle_scenario(3, 2, 2, 1));
     assert!(walks.ok(), "{}", walks.summary());
 }
