@@ -11,7 +11,7 @@
 
 use crate::metrics::{EndpointMetrics, MetricsRegistry, ProtoEvent};
 use crate::platform::{Cost, HandoffHint, OsServices};
-use crate::sem::{CountingSem, P_SPIN_BOUND};
+use crate::sem::{CountingSem, PAUSE_NANOS};
 use crate::trace::{FlightRecorder, TracePoint, TraceRing};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -142,9 +142,11 @@ pub struct NativeOs {
     sems: SemStore,
     msgqs: Vec<NativeMsgq>,
     multiprocessor: bool,
-    /// Pre-sleep retries `sem_p` allows the semaphore: 0 if the builder had
-    /// one CPU, else its own bound — whatever `multiprocessor` ([`crate::sem`]).
-    p_spin: u32,
+    /// Whether `sem_p` lets the semaphore spin its learned wake cost before
+    /// `futex_wait` (and so ask each waking `V` for a stamp): not if the
+    /// builder had one CPU, else yes — whatever `multiprocessor`
+    /// ([`crate::sem`]).
+    spins: bool,
     full_backoff: Duration,
     metrics: Option<MetricsRegistry>,
     flight: OnceLock<FlightRecorder>,
@@ -166,7 +168,7 @@ impl NativeOs {
             // CI runner) a spin merely starves the producer of the event
             // being awaited, so degrade to yielding.
             multiprocessor: cfg.multiprocessor && cpus >= cfg.n_sems.max(1),
-            p_spin: if cpus == 1 { 0 } else { P_SPIN_BOUND },
+            spins: cpus > 1,
             full_backoff: cfg.full_backoff,
             metrics: cfg.collect_metrics.then(MetricsRegistry::new),
             flight: OnceLock::new(),
@@ -327,9 +329,6 @@ fn cpus_allowed() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// §5's 25 µs poll delay: `busy_wait`'s flat pause, `poll_pause`'s cap.
-const PAUSE_NANOS: u64 = 25_000;
-
 /// Nominal cost of one `spin_loop` hint (x86 `PAUSE`: 3–45 ns across parts).
 const HINT_NANOS: u64 = 10;
 
@@ -401,7 +400,7 @@ impl OsServices for NativeTask {
         self.record(ProtoEvent::SemP);
         // `SemP` keeps the paper's protocol-level syscall accounting;
         // `SemKernelWait` counts actual kernel entries (none: credit banked).
-        let (_, entered) = self.os.sem(sem).acquire(None, self.os.p_spin);
+        let (_, entered) = self.os.sem(sem).acquire(None, self.os.spins);
         for _ in 0..entered {
             self.record(ProtoEvent::SemKernelWait);
         }
@@ -409,7 +408,7 @@ impl OsServices for NativeTask {
 
     fn sem_p_deadline(&self, sem: u32, timeout: Duration) -> bool {
         self.record(ProtoEvent::SemP);
-        let (taken, entered) = self.os.sem(sem).acquire(Some(timeout), self.os.p_spin);
+        let (taken, entered) = self.os.sem(sem).acquire(Some(timeout), self.os.spins);
         for _ in 0..entered {
             self.record(ProtoEvent::SemKernelWait);
         }

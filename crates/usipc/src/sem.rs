@@ -9,7 +9,7 @@
 //!   compare-and-swap with **zero kernel entries**, and the kernel is
 //!   involved — via raw `futex(2)` syscalls, no libc — only when a `P`
 //!   actually has to sleep or a `V` sees a registered sleeper. Before it
-//!   sleeps, `P` may retry for a caller-given bound (see below).
+//!   sleeps, `P` may spin for as long as its sleeps have cost (see below).
 //!   This is the "Semaphores Augmented with a Waiting Array" idea the paper
 //!   cites, in its modern futex form: the wait queue lives in the kernel,
 //!   keyed by the user-space word's address.
@@ -29,17 +29,28 @@
 //!
 //! ## Spin only where it can pay
 //!
-//! Retrying before `futex_wait` is §4.2's limited spin applied to the
-//! semaphore, under §2.1's condition: the `V` lands during the spin only if
-//! its caller runs *meanwhile*. Bare [`FutexSem::p`]/[`FutexSem::p_timeout`]
-//! know no regime and retry 64 times; [`NativeOs`](crate::NativeOs) asks by
-//! the CPUs its building thread may run on (EXPERIMENTS.md, same title):
+//! Spinning before `futex_wait` is §4.2's limited spin applied to the
+//! semaphore, bounded by the classic competitive rule: spin as long as a
+//! sleep costs, then sleep. Each semaphore learns that cost for itself. A
+//! `V` that has to `futex_wake` a waiter which asked for it stamps the
+//! cache line with [`monotonic_nanos`](usipc_shm::monotonic_nanos) (one
+//! clock axis across forks) and the CPU it rang from; the woken `P` turns
+//! the stamp into a wake-latency sample and folds it into the running
+//! estimate (`fold_wake_sample`: clamped to §5's 25 µs, one outlier moves
+//! it by at most 1/16). The next `P` spins that long in *time*, never past
+//! its own timeout. §2.1's condition is measured, not inferred: a `V`
+//! lands during the spin only if its caller runs *meanwhile*, so a sample
+//! rung from the waiter's own CPU zeroes the budget. Bare
+//! [`FutexSem::p`]/[`FutexSem::p_timeout`] always learn;
+//! [`NativeOs`](crate::NativeOs) asks by the CPUs its building thread may
+//! run on (EXPERIMENTS.md, "Spin only where it can pay" and "Each semaphore
+//! spins for what its sleeps cost"):
 //!
-//! | CPUs | retries before `futex_wait` | `poll_pause` between polls |
+//! | CPUs | spin before `futex_wait` | `poll_pause` between polls |
 //! |---|---|---|
-//! | 1 | 0 — 64 cost 1–1.5 µs per sleep; the `V`'s caller cannot run | `yield` |
-//! | ≥ 2, fewer than tasks (oversubscribed) | 64 — still catch arrivals | `yield` |
-//! | ≥ 2, one per task (multiprocessor) | 64 | one `spin_loop` hint doubling to §5's 25 µs |
+//! | 1 | none, and no stamp asked: the `V`'s caller cannot run, and `P`/`V` read no clock | `yield` |
+//! | ≥ 2, fewer than tasks (oversubscribed) | the learned wake cost; 0 while the waker rings from the waiter's CPU | `yield` |
+//! | ≥ 2, one per task (multiprocessor) | the learned wake cost (6–9 µs cross-CPU on a 2-vCPU KVM guest) | one `spin_loop` hint doubling to §5's 25 µs |
 //!
 //! ## Why a lost wake-up is impossible
 //!
@@ -55,11 +66,39 @@
 
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Retries before a `P` without a caller-given bound commits to a kernel
-/// sleep: 1–1.5 µs of `PAUSE` (on a Sapphire Rapids KVM guest one `PAUSE`
-/// measures 14–23 ns and the 64 retries 1.0–1.6 µs, by the host's speed
-/// state), far less than one `futex_wait` round trip.
-pub(crate) const P_SPIN_BOUND: u32 = 64;
+/// §5's 25 µs poll delay: the native backend's `busy_wait` pause and
+/// `poll_pause` cap, and here the ceiling on every wake-latency sample, so
+/// on every pre-sleep spin.
+pub(crate) const PAUSE_NANOS: u64 = 25_000;
+
+/// Folds one wake-latency sample (nanoseconds from a `V`'s stamp to its
+/// waiter running again) into a semaphore's spin budget — the whole
+/// estimator, pure. A sample rung from the waiter's own CPU zeroes the
+/// budget: such a `V` cannot land during a spin (§2.1). Every other sample
+/// is first clamped to [`PAUSE_NANOS`]; the first one (budget 0) is taken
+/// as it is, and every later one moves the budget a sixteenth of itself
+/// toward the sample, never past it. So one outlier moves it by at most
+/// 1/16, and a stationary stream holds it near its median, where samples
+/// above and below are equally likely.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn fold_wake_sample(budget: u64, sample: u64, same_cpu: bool) -> u64 {
+    if same_cpu {
+        return 0;
+    }
+    let sample = sample.min(PAUSE_NANOS);
+    if budget == 0 {
+        return sample;
+    }
+    let step = (budget / 16).max(1);
+    if sample > budget {
+        (budget + step).min(sample)
+    } else {
+        budget.saturating_sub(step).max(sample)
+    }
+}
 
 /// The platform-selected counting semaphore used by
 /// [`NativeOs`](crate::NativeOs): futex-backed where raw futexes are
@@ -79,8 +118,9 @@ pub type CountingSem = FutexSem;
 )))]
 pub type CountingSem = PortableSem;
 
-/// Raw `futex(2)` wrappers. No libc: the workspace is dependency-free, so
-/// the two syscalls are issued with inline assembly directly.
+/// Raw `futex(2)` wrappers, and the waker's CPU number. No libc: the
+/// workspace is dependency-free, so the syscalls are issued with inline
+/// assembly directly.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -92,6 +132,10 @@ mod futex {
     const SYS_FUTEX: usize = 202;
     #[cfg(target_arch = "aarch64")]
     const SYS_FUTEX: usize = 98;
+    #[cfg(target_arch = "x86_64")]
+    const SYS_GETCPU: usize = 309;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_GETCPU: usize = 168;
 
     /// `FUTEX_WAIT`.
     const FUTEX_WAIT: usize = 0;
@@ -199,6 +243,43 @@ mod futex {
             );
         }
     }
+
+    /// The CPU the calling thread runs on: on x86_64 `rdtscp`, whose
+    /// `TSC_AUX` Linux loads with the CPU number in its low 12 bits (no
+    /// kernel entry), else `getcpu(2)`. `u32::MAX` if that fails too, which
+    /// a waiter whose own read failed takes for its own CPU: no spin.
+    pub fn current_cpu() -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        if has_rdtscp() {
+            let mut aux = 0u32;
+            // SAFETY: `has_rdtscp` guarantees the instruction exists; it
+            // writes only `aux`.
+            unsafe { core::arch::x86_64::__rdtscp(&mut aux) };
+            return aux & 0xfff;
+        }
+        let mut cpu = u32::MAX;
+        // SAFETY: `cpu` is live and writable across the call; the node and
+        // cache arguments are NULL, which the kernel skips.
+        unsafe {
+            syscall4(SYS_GETCPU, core::ptr::from_mut(&mut cpu) as usize, 0, 0, 0);
+        }
+        cpu
+    }
+
+    /// CPUID leaf `0x8000_0001`, EDX bit 27: the CPU has `rdtscp`. Asked
+    /// once per process.
+    #[cfg(target_arch = "x86_64")]
+    fn has_rdtscp() -> bool {
+        static HAS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *HAS.get_or_init(|| {
+            // SAFETY: `cpuid` exists on every x86_64 CPU, and every x86_64
+            // CPU reports extended leaf 0x8000_0001 (it holds the long-mode
+            // bit).
+            #[allow(unused_unsafe)]
+            let leaf = unsafe { core::arch::x86_64::__cpuid(0x8000_0001) };
+            leaf.edx & (1 << 27) != 0
+        })
+    }
 }
 
 /// A futex-backed counting semaphore with SysV `P`/`V` semantics, a
@@ -209,9 +290,10 @@ mod futex {
 /// stray `V`s of Fig. 4 interleavings 2/3 overflowed SEMVMX). See the
 /// [module docs](self) for the sleep/wake handshake.
 ///
-/// The struct is cache-line aligned so adjacent semaphores in the backend's
-/// array (the server's receive sem next to client 0's reply sem) never
-/// share a line.
+/// The struct is one cache line, aligned, so adjacent semaphores in the
+/// backend's array (the server's receive sem next to client 0's reply sem)
+/// never share a line, and a waiter spinning on `count` finds its wake
+/// stamp and spin budget in the line it already holds.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -232,11 +314,28 @@ pub struct FutexSem {
     /// construction; `u32` rather than `bool` to keep every field a plain
     /// word for the `ShmSafe` layout contract).
     shared: u32,
+    /// The CPU the last stamping `V` rang from (see `wake_stamp`).
+    wake_cpu: AtomicU32,
     /// Cumulative `futex_wait` entries (diagnostics).
     kernel_waits: AtomicU64,
     /// Cumulative `futex_wake` entries (diagnostics).
     kernel_wakes: AtomicU64,
+    /// [`STAMP_WANTED`] while a spinning waiter is registered and unstamped;
+    /// then the `monotonic_nanos` at which a `V` rang it; 0 once the waiter
+    /// took the stamp (or none was asked for).
+    wake_stamp: AtomicU64,
+    /// The learned pre-sleep spin, in nanoseconds ([`fold_wake_sample`];
+    /// ≤ [`PAUSE_NANOS`], 0 until the first cross-CPU sample).
+    spin_nanos: AtomicU32,
 }
+
+/// `FutexSem::wake_stamp` while a waiter asks for a stamp: never a clock
+/// reading.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+const STAMP_WANTED: u64 = u64::MAX;
 
 // SAFETY: `repr(C)` with a stable all-word layout; no host pointers — the
 // futex syscall takes the *address of the `count` field itself*, recomputed
@@ -302,8 +401,11 @@ impl FutexSem {
             max_count: AtomicU32::new(initial),
             limit,
             shared: shared as u32,
+            wake_cpu: AtomicU32::new(0),
             kernel_waits: AtomicU64::new(0),
             kernel_wakes: AtomicU64::new(0),
+            wake_stamp: AtomicU64::new(0),
+            spin_nanos: AtomicU32::new(0),
         }
     }
 
@@ -333,7 +435,7 @@ impl FutexSem {
 
     /// `P`: block until a credit is available, then take it.
     pub fn p(&self) {
-        self.acquire(None, P_SPIN_BOUND);
+        self.acquire(None, true);
     }
 
     /// `P` with a deadline: block until a credit is available or `timeout`
@@ -342,38 +444,81 @@ impl FutexSem {
     /// was consumed**: a `V` racing the expiry leaves its credit banked for
     /// the next `P`.
     pub fn p_timeout(&self, timeout: core::time::Duration) -> bool {
-        self.acquire(Some(timeout), P_SPIN_BOUND).0
+        self.acquire(Some(timeout), true).0
     }
 
     /// The one `P` loop behind [`Self::p`] and [`Self::p_timeout`]: one
-    /// attempt, up to `spin` more a `spin_loop` hint apart, then register,
-    /// re-check and sleep on the count word for at most `timeout` (`None`,
-    /// or a deadline past `Instant`'s range, is "never"). Returns whether a
-    /// credit was taken and the `futex_wait` calls made (0: the user-space
-    /// fast path). No clock is read before the slow path.
-    pub fn acquire(&self, timeout: Option<core::time::Duration>, spin: u32) -> (bool, u32) {
+    /// attempt; then, with `spin`, retries a `spin_loop` hint apart for
+    /// the learned budget ([`Self::wake_estimate_nanos`]) or `timeout`,
+    /// whichever is shorter; then register, re-check and sleep on the count
+    /// word until `timeout` (`None`, or a deadline past the clock's range,
+    /// is "never"), counted from the start of the slow path. Returns whether
+    /// a credit was taken and the `futex_wait` calls made (0: the
+    /// user-space fast path). No clock is read before the slow path, nor on
+    /// it without `spin` or `timeout`.
+    pub fn acquire(&self, timeout: Option<core::time::Duration>, spin: bool) -> (bool, u32) {
+        let (taken, entered, _) = self.acquire_counted(timeout, spin);
+        (taken, entered)
+    }
+
+    /// [`Self::acquire`], also returning the spin iterations it made.
+    fn acquire_counted(
+        &self,
+        timeout: Option<core::time::Duration>,
+        spin: bool,
+    ) -> (bool, u32, u32) {
+        /// `spin_loop` hints between two clock reads of the spin.
+        const HINTS_PER_READ: u32 = 8;
         if self.try_acquire() {
-            return (true, 0);
+            return (true, 0, 0);
         }
-        for _ in 0..spin {
-            core::hint::spin_loop();
-            if self.try_acquire() {
-                return (true, 0);
+        let budget = if spin {
+            u64::from(self.spin_nanos.load(Ordering::Relaxed))
+        } else {
+            0
+        };
+        // Anchor the deadline first: neither the spin nor the sleep may
+        // outlive it.
+        let start = (budget > 0 || timeout.is_some()).then(usipc_shm::monotonic_nanos);
+        let deadline = timeout.and_then(|t| {
+            let t = u64::try_from(t.as_nanos()).ok()?;
+            start?.checked_add(t)
+        });
+        let mut spins = 0u32;
+        let spin_end = start.map(|s| deadline.map_or(s + budget, |d| d.min(s + budget)));
+        if spin_end > start {
+            // (`None`, or an end at the start: no spin, not one attempt.)
+            loop {
+                for _ in 0..HINTS_PER_READ {
+                    core::hint::spin_loop();
+                    spins += 1;
+                    if self.try_acquire() {
+                        return (true, 0, spins);
+                    }
+                }
+                if Some(usipc_shm::monotonic_nanos()) >= spin_end {
+                    break;
+                }
             }
         }
-        let deadline = timeout.and_then(|t| std::time::Instant::now().checked_add(t));
+        if spin {
+            // Published by the registration's SeqCst RMW: a `V` that sees
+            // this waiter sees the request too.
+            self.wake_stamp.store(STAMP_WANTED, Ordering::Relaxed);
+        }
         let mut entered = 0u32;
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let acquired = loop {
             if self.try_acquire() {
                 break true;
             }
-            let left = deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()));
-            if left.is_some_and(|l| l.is_zero()) {
+            let left = deadline.map(|d| d.saturating_sub(usipc_shm::monotonic_nanos()));
+            if left == Some(0) {
                 break false;
             }
             entered += 1;
             self.kernel_waits.fetch_add(1, Ordering::Relaxed);
+            let left = left.map(core::time::Duration::from_nanos);
             futex::wait(&self.count, 0, left, self.is_shared());
         };
         self.waiters.fetch_sub(1, Ordering::SeqCst);
@@ -381,7 +526,26 @@ impl FutexSem {
         // expiry window posted its credit before our re-check could run
         // again. Taking it here converts the timeout into a success, so
         // the V/timeout race can never strand or lose a credit.
-        (acquired || self.try_acquire(), entered)
+        let taken = acquired || self.try_acquire();
+        if spin {
+            let stamp = self.wake_stamp.swap(0, Ordering::Acquire);
+            if taken && entered > 0 && stamp != STAMP_WANTED && stamp != 0 {
+                self.learn(stamp);
+            }
+        }
+        (taken, entered, spins)
+    }
+
+    /// Folds the wake this `P` just slept through, rung at `stamp`, into
+    /// the spin budget. Racing waiters may each store their fold; any of
+    /// them is a valid budget.
+    fn learn(&self, stamp: u64) {
+        let sample = usipc_shm::monotonic_nanos().saturating_sub(stamp);
+        let same_cpu = self.wake_cpu.load(Ordering::Relaxed) == futex::current_cpu();
+        let budget = u64::from(self.spin_nanos.load(Ordering::Relaxed));
+        let budget = fold_wake_sample(budget, sample, same_cpu);
+        // Lossless: the fold never exceeds `PAUSE_NANOS`.
+        self.spin_nanos.store(budget as u32, Ordering::Relaxed);
     }
 
     /// `V`: add a credit and wake one waiter; `Err(limit)` if the credit
@@ -417,6 +581,13 @@ impl FutexSem {
         // our store and this load — is harmless; a missed one is impossible
         // (module docs).
         if self.waiters.load(Ordering::SeqCst) > 0 {
+            if self.wake_stamp.load(Ordering::Relaxed) == STAMP_WANTED {
+                // A spinning waiter asked what its sleep costs: stamp the
+                // ring before the syscall, which the cost includes.
+                self.wake_cpu.store(futex::current_cpu(), Ordering::Relaxed);
+                self.wake_stamp
+                    .store(usipc_shm::monotonic_nanos(), Ordering::Release);
+            }
             self.kernel_wakes.fetch_add(1, Ordering::Relaxed);
             futex::wake(&self.count, 1, self.is_shared());
             Ok(true)
@@ -469,6 +640,14 @@ impl FutexSem {
     /// Cumulative number of `futex_wake` kernel entries.
     pub fn kernel_wakes(&self) -> u64 {
         self.kernel_wakes.load(Ordering::Relaxed)
+    }
+
+    /// The learned wake latency a spinning `P` spins for, in nanoseconds
+    /// (diagnostics): 0 until a `V` on another CPU first woke a sleeper
+    /// that asked for a stamp, and again after one on the sleeper's own
+    /// CPU; never above §5's 25 µs.
+    pub fn wake_estimate_nanos(&self) -> u64 {
+        u64::from(self.spin_nanos.load(Ordering::Relaxed))
     }
 
     /// The sim-parity snapshot of this semaphore's final/current state.
@@ -541,19 +720,19 @@ impl PortableSem {
 
     /// `P`: block until a credit is available, then take it.
     pub fn p(&self) {
-        self.acquire(None, 0);
+        self.acquire(None, false);
     }
 
     /// `P` with a deadline: block until a credit is available or `timeout`
     /// elapses. Same no-credit-lost contract as [`FutexSem::p_timeout`].
     pub fn p_timeout(&self, timeout: core::time::Duration) -> bool {
-        self.acquire(Some(timeout), 0).0
+        self.acquire(Some(timeout), false).0
     }
 
     /// The one `P` loop, as [`FutexSem::acquire`] (condvar waits stand in
     /// for kernel entries; `_spin` is ignored: a count behind a mutex has no
     /// lock-free retry). No clock is read unless the count is 0.
-    pub fn acquire(&self, timeout: Option<core::time::Duration>, _spin: u32) -> (bool, u32) {
+    pub fn acquire(&self, timeout: Option<core::time::Duration>, _spin: bool) -> (bool, u32) {
         let mut entered = 0u32;
         let mut s = self.inner.lock().unwrap();
         let deadline = timeout
@@ -649,6 +828,12 @@ impl PortableSem {
         self.kernel_wakes.load(Ordering::Relaxed)
     }
 
+    /// Always 0: this semaphore never spins, so it learns no wake latency
+    /// (see [`FutexSem::wake_estimate_nanos`]).
+    pub fn wake_estimate_nanos(&self) -> u64 {
+        0
+    }
+
     /// The sim-parity snapshot of this semaphore's final/current state.
     pub fn final_state(&self) -> usipc_sim::SemFinal {
         let s = self.inner.lock().unwrap();
@@ -688,7 +873,7 @@ mod tests {
                     let s = <$sem>::new(0);
                     assert!(!s.try_v_counted().unwrap(), "no sleeper to wake");
                     assert_eq!(
-                        s.acquire(None, 0),
+                        s.acquire(None, false),
                         (true, 0),
                         "banked credit: pure user space"
                     );
@@ -700,7 +885,7 @@ mod tests {
                 fn contended_p_blocks_in_the_kernel_and_v_wakes_it() {
                     let s = Arc::new(<$sem>::new(0));
                     let s2 = Arc::clone(&s);
-                    let t = std::thread::spawn(move || s2.acquire(None, 0));
+                    let t = std::thread::spawn(move || s2.acquire(None, false));
                     // Wait until the P caller is registered as a sleeper so
                     // the V below must take the wake path.
                     while s.waiting() == 0 {
@@ -903,7 +1088,7 @@ mod tests {
         assert!(s.is_shared());
         assert!(!FutexSem::new(0).is_shared());
         let s2 = Arc::clone(&s);
-        let t = std::thread::spawn(move || s2.acquire(None, 0));
+        let t = std::thread::spawn(move || s2.acquire(None, false));
         while s.waiting() == 0 {
             std::thread::yield_now();
         }
@@ -911,6 +1096,107 @@ mod tests {
         t.join().unwrap();
         assert_eq!(s.count(), 0);
         assert!(s.kernel_wakes() >= 1);
+    }
+
+    /// A bounded `P` spins `min(budget, timeout)`: with a zero timeout, as
+    /// `WaitSet::fsck`'s credit-banking loop asks, not one attempt even at
+    /// the 25 µs ceiling — and it fails without consuming or sleeping.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn a_zero_timeout_p_never_spins() {
+        let s = FutexSem::new(0);
+        s.spin_nanos.store(PAUSE_NANOS as u32, Ordering::Relaxed);
+        assert_eq!(s.wake_estimate_nanos(), PAUSE_NANOS);
+        let zero = Some(core::time::Duration::ZERO);
+        assert_eq!(s.acquire_counted(zero, true), (false, 0, 0));
+        assert_eq!(s.acquire_counted(zero, false), (false, 0, 0));
+        // A banked credit is still taken on the first attempt.
+        s.v();
+        assert_eq!(s.acquire_counted(zero, true), (true, 0, 0));
+        // With time left the budget is spent, and the sleep follows.
+        let short = Some(core::time::Duration::from_millis(1));
+        let (taken, entered, spins) = s.acquire_counted(short, true);
+        assert!(
+            !taken && entered >= 1 && spins > 0,
+            "{entered} waits, {spins} spins"
+        );
+        assert_eq!((s.count(), s.waiting()), (0, 0));
+    }
+
+    /// The waker-CPU rule rests on this read naming the CPU a thread is
+    /// pinned to.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn current_cpu_names_the_pinned_cpu() {
+        std::thread::spawn(|| {
+            // (A CPU outside the affinity mask refuses the pin: skip it.)
+            for cpu in 0..2 {
+                if crate::proc::pin_to_cpu(cpu).is_ok() {
+                    assert_eq!(futex::current_cpu(), cpu as u32);
+                }
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn the_wake_estimate_clamps_damps_and_tracks_the_median() {
+        // The first sample is taken, clamped to §5's 25 µs.
+        assert_eq!(fold_wake_sample(0, 6_000, false), 6_000);
+        assert_eq!(fold_wake_sample(0, 1_000_000, false), PAUSE_NANOS);
+        // A 1 ms outlier, either way, moves it by at most a sixteenth.
+        assert_eq!(fold_wake_sample(6_400, 1_000_000, false), 6_800);
+        assert_eq!(fold_wake_sample(6_400, 0, false), 6_000);
+        assert_eq!(fold_wake_sample(PAUSE_NANOS, 1_000_000, false), PAUSE_NANOS);
+        // Never past the sample, so a constant stream is matched exactly.
+        assert_eq!(fold_wake_sample(6_000, 6_100, false), 6_100);
+        // Rung from the waiter's own CPU: no spin.
+        assert_eq!(fold_wake_sample(6_000, 6_000, true), 0);
+        assert_eq!(fold_wake_sample(0, 6_000, true), 0);
+
+        // A stationary, skewed stream — 70 % of the wakes 5–7 µs, 20 %
+        // 7–15 µs, 10 % 1 ms outliers — holds the estimate near its median
+        // (≈ 6.4 µs), far below its mean.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut samples: Vec<u64> = (0..4_000)
+            .map(|_| match next() % 10 {
+                0..=6 => 5_000 + next() % 2_000,
+                7 | 8 => 7_000 + next() % 8_000,
+                _ => 1_000_000,
+            })
+            .collect();
+        let mut budget = 0;
+        for &s in &samples {
+            budget = fold_wake_sample(budget, s, false);
+        }
+        samples.sort_unstable();
+        let median = samples[samples.len() / 2];
+        let mean = samples.iter().sum::<u64>() / samples.len() as u64;
+        assert!(
+            mean > 10 * median,
+            "the stream is skewed: mean {mean}, median {median}"
+        );
+        assert!(
+            budget.abs_diff(median) * 8 <= median,
+            "budget {budget} ns is not within 1/8 of the median {median} ns"
+        );
     }
 
     #[test]
@@ -921,5 +1207,11 @@ mod tests {
         // one starts per line only if the size is also a multiple of it.
         assert_eq!(core::mem::size_of::<CountingSem>() % 64, 0);
         assert_eq!(core::mem::size_of::<PortableSem>() % 64, 0);
+        // The wake stamp and spin budget fit the count's own line.
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))]
+        assert_eq!(core::mem::size_of::<FutexSem>(), 64);
     }
 }

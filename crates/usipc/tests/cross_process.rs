@@ -33,6 +33,7 @@ fn cross_process_protocols_and_faults() {
     shared_futex_credits_conserve_across_fork();
     shared_futex_timeout_expiry_loses_no_credit_across_fork();
     shared_futex_v_racing_timeout_across_fork();
+    shared_futex_learns_the_wake_cost_across_fork();
     ring_fifo_contract_across_fork();
     two_lock_producer_kill_sweep();
     ring_producer_kill_sweep();
@@ -334,6 +335,76 @@ fn shared_futex_v_racing_timeout_across_fork() {
     );
     assert_eq!(sem.count(), 0);
     assert!(child.wait().expect("reap").success());
+}
+
+/// One clock axis across a fork: a child pinned to CPU 1 `V`s, each time
+/// after the parent, pinned to CPU 0, has gone to sleep in `P`; every wake
+/// is stamped in the child and sampled in the parent. On the shared
+/// `monotonic_nanos` axis the learned estimate is a real cross-CPU wake
+/// cost, in (0, 25 µs]; a per-process epoch would make the samples garbage.
+/// (The pinned BSW floor above is the test for the other half of the rule:
+/// a wake rung from the waiter's own CPU teaches no spin.)
+fn shared_futex_learns_the_wake_cost_across_fork() {
+    const WAKES: u32 = 50;
+    if usipc::proc::cpus_allowed().unwrap_or(1) < 2 {
+        eprintln!("skipped the cross-fork wake-cost case: needs two CPUs");
+        return;
+    }
+    let arena = Arc::new(ShmArena::new_memfd(4096).expect("arena"));
+    let sem = arena.alloc(CountingSem::new_shared(0)).expect("sem fits");
+    arena.publish_root(sem);
+    let fd = arena.backing_fd().expect("memfd");
+
+    let child = ChildProc::spawn(move || {
+        let arena = match ShmArena::attach_memfd(fd) {
+            Ok(a) => a,
+            Err(_) => return 2,
+        };
+        let sem = match arena.root::<CountingSem>() {
+            Some(p) => arena.get(p),
+            None => return 3,
+        };
+        if usipc::pin_to_cpu(1).is_err() {
+            return 4;
+        }
+        for _ in 0..WAKES {
+            // Registered means past its spin; 50 µs on, the parent is
+            // asleep in the kernel.
+            while sem.waiting() == 0 {
+                std::thread::yield_now();
+            }
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_micros(50) {
+                core::hint::spin_loop();
+            }
+            sem.v();
+        }
+        0
+    })
+    .expect("fork");
+
+    // Pin a thread, not the test's own: later cases fork from it unpinned.
+    let estimate = std::thread::scope(|s| {
+        s.spawn(|| {
+            usipc::pin_to_cpu(0).expect("pin_to_cpu(0)");
+            let sem = arena.get(arena.root::<CountingSem>().unwrap());
+            for i in 0..WAKES {
+                assert!(
+                    sem.p_timeout(Duration::from_secs(10)),
+                    "wake {i} never arrived across the fork"
+                );
+            }
+            sem.wake_estimate_nanos()
+        })
+        .join()
+        .unwrap()
+    });
+    assert!(child.wait().expect("reap").success());
+    eprintln!("cross-fork wake cost learned from {WAKES} wakes: {estimate} ns");
+    assert!(
+        (1..=25_000).contains(&estimate),
+        "wake estimate {estimate} ns outside (0, 25 µs]"
+    );
 }
 
 /// SIGKILL a child mid-barrage: the pidfd reports the death, the parent

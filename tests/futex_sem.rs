@@ -184,8 +184,9 @@ fn uncontended_p_and_v_are_kernel_free() {
     assert_eq!(os.sem(1).kernel_wakes(), 0);
 }
 
-/// A backend built by a thread that may run on exactly one CPU hands the
-/// semaphore a spin bound of 0: one attempt, then register and sleep. The
+/// A backend built by a thread that may run on exactly one CPU never lets
+/// the semaphore spin: one attempt, then register and sleep, and no `V` is
+/// asked for a wake stamp, so no estimate is ever learned. The
 /// sleep/wake accounting must be what it always was — a blocked `P` is one
 /// kernel wait, and a BSW round trip under `SCHED_BATCH` is at most 4
 /// semaphore calls of which 2 sleep and 2 wake, exactly that whenever the
@@ -219,6 +220,7 @@ fn one_cpu_build_sleeps_without_spinning_and_keeps_the_bsw_budget() {
         let reg = os.metrics().unwrap();
         assert_eq!(reg.task_snapshot(1).sem_kernel_waits, 1, "one futex_wait");
         assert_eq!(reg.task_snapshot(0).sem_kernel_wakes, 1, "one futex_wake");
+        assert_eq!(os.sem(1).wake_estimate_nanos(), 0, "no stamp asked");
 
         // What the code guarantees is checked inside; how often the host's
         // scheduler lets a round trip cost exactly the budget is reported.
@@ -295,6 +297,11 @@ fn pinned_bsw_round_trips(msgs: u64) -> std::collections::BTreeMap<(u64, u64, u6
     for (i, f) in os.sem_finals().iter().enumerate() {
         assert_eq!((f.count, f.waiting), (0, 0), "sem {i} not clean");
         assert!(f.max_count <= 1, "sem {i} banked {} credits", f.max_count);
+        assert_eq!(
+            os.sem(i as u32).wake_estimate_nanos(),
+            0,
+            "sem {i}: a one-CPU build stamped a wake"
+        );
     }
     let reg = os.metrics().unwrap();
     let t = reg.task_snapshot(0).add(&reg.task_snapshot(1));
@@ -312,10 +319,12 @@ fn pinned_bsw_round_trips(msgs: u64) -> std::collections::BTreeMap<(u64, u64, u6
     costs
 }
 
-/// A backend built with two CPUs visible keeps the pre-sleep spin: in a
-/// cross-CPU `V`/`P` ping-pong the credit lands while the waiter is still
-/// inside `P`, so most `P`s never reach `futex_wait`. The share depends on
-/// the host and is reported, not asserted; conservation is exact.
+/// A backend built with two CPUs visible keeps the pre-sleep spin: each
+/// semaphore's first sleeps teach it what a cross-CPU wake costs (an
+/// estimate in (0, 25 µs]), and from then on the credit lands while the
+/// waiter is still spinning inside `P`, so almost no `P` reaches
+/// `futex_wait`. The share depends on the host and is reported, not
+/// asserted; conservation is exact.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -357,9 +366,17 @@ fn two_cpu_build_keeps_the_spin_and_conserves_credits() {
         assert_eq!((f.count, f.waiting), (0, 0), "every V met exactly one P");
     }
     assert!(total.sem_kernel_waits <= total.sem_p);
+    let estimates = [1, 2].map(|s| os.sem(s).wake_estimate_nanos());
     eprintln!(
-        "two-CPU ping-pong: {:.1} % of {} Ps took their credit without a futex_wait",
+        "two-CPU ping-pong: {:.2} % of {} Ps took their credit without a futex_wait; \
+         learned wake costs {estimates:?} ns",
         100.0 * (total.sem_p - total.sem_kernel_waits) as f64 / total.sem_p as f64,
         total.sem_p
     );
+    for (s, e) in [1, 2].iter().zip(estimates) {
+        assert!(
+            (1..=25_000).contains(&e),
+            "sem {s}: wake estimate {e} ns outside (0, 25 µs]"
+        );
+    }
 }
