@@ -30,17 +30,28 @@
 //! ## Spin only where it can pay
 //!
 //! Spinning before `futex_wait` is §4.2's limited spin applied to the
-//! semaphore, bounded by the classic competitive rule: spin as long as a
-//! sleep costs, then sleep. Each semaphore learns that cost for itself. A
-//! `V` that has to `futex_wake` a waiter which asked for it stamps the
-//! cache line with [`monotonic_nanos`](usipc_shm::monotonic_nanos) (one
-//! clock axis across forks) and the CPU it rang from; the woken `P` turns
-//! the stamp into a wake-latency sample and folds it into the running
-//! estimate (`fold_wake_sample`: clamped to §5's 25 µs, one outlier moves
-//! it by at most 1/16). The next `P` spins that long in *time*, never past
-//! its own timeout. §2.1's condition is measured, not inferred: a `V`
-//! lands during the spin only if its caller runs *meanwhile*, so a sample
-//! rung from the waiter's own CPU zeroes the budget. Bare
+//! semaphore: spin for as long as a sleep would delay the waiter past its
+//! `V` (its wake latency), then sleep. Each semaphore measures that
+//! latency for itself. A `V` that has to `futex_wake` a waiter which asked
+//! for it stamps the cache line with
+//! [`monotonic_nanos`](usipc_shm::monotonic_nanos) (one clock axis across
+//! forks) and the CPU it rang from; the woken `P`
+//! turns the stamp into a wake-latency sample and folds it into the
+//! running estimate (`fold_wake_sample`: clamped to §5's 25 µs, one
+//! outlier moves it by at most 1/16, so it tracks the median). The next
+//! `P` spins that long in *time*, never past its own timeout.
+//!
+//! Two conditions decide whether a spin can pay at all, and both are
+//! measured, not inferred. §2.1's: a `V` lands during the spin only if its
+//! caller runs *meanwhile*, so a sample rung from the waiter's own CPU
+//! zeroes the budget. And the traffic's: a `V` that came more than 25 µs
+//! after its `P` began is one no spin could have caught, so that sleep
+//! counts as a sample of 0, and where most sleeps are such, the median
+//! sinks to 1 ns (one round of hints). Sparse arrivals therefore barely
+//! spin, although a CPU idle that long wakes slowest. The read of
+//! the waker's CPU is `rdtscp`'s `TSC_AUX` on x86_64, no kernel entry;
+//! aarch64 has no such read in user space and pays one `getcpu(2)`
+//! syscall per stamped `V` and per learning `P` (not measured). Bare
 //! [`FutexSem::p`]/[`FutexSem::p_timeout`] always learn;
 //! [`NativeOs`](crate::NativeOs) asks by the CPUs its building thread may
 //! run on (EXPERIMENTS.md, "Spin only where it can pay" and "Each semaphore
@@ -49,8 +60,8 @@
 //! | CPUs | spin before `futex_wait` | `poll_pause` between polls |
 //! |---|---|---|
 //! | 1 | none, and no stamp asked: the `V`'s caller cannot run, and `P`/`V` read no clock | `yield` |
-//! | ≥ 2, fewer than tasks (oversubscribed) | the learned wake cost; 0 while the waker rings from the waiter's CPU | `yield` |
-//! | ≥ 2, one per task (multiprocessor) | the learned wake cost (6–9 µs cross-CPU on a 2-vCPU KVM guest) | one `spin_loop` hint doubling to §5's 25 µs |
+//! | ≥ 2, fewer than tasks (oversubscribed) | the learned wake latency, as below | `yield` |
+//! | ≥ 2, one per task (multiprocessor) | the learned wake latency (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the waker rings from the waiter's CPU; 1 ns where most `V`s come later than 25 µs | one `spin_loop` hint doubling to §5's 25 µs |
 //!
 //! ## Why a lost wake-up is impossible
 //!
@@ -71,15 +82,22 @@ use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// on every pre-sleep spin.
 pub(crate) const PAUSE_NANOS: u64 = 25_000;
 
-/// Folds one wake-latency sample (nanoseconds from a `V`'s stamp to its
-/// waiter running again) into a semaphore's spin budget — the whole
-/// estimator, pure. A sample rung from the waiter's own CPU zeroes the
-/// budget: such a `V` cannot land during a spin (§2.1). Every other sample
-/// is first clamped to [`PAUSE_NANOS`]; the first one (budget 0) is taken
-/// as it is, and every later one moves the budget a sixteenth of itself
-/// toward the sample, never past it. So one outlier moves it by at most
-/// 1/16, and a stationary stream holds it near its median, where samples
-/// above and below are equally likely.
+/// Folds what one sleep says about spinning into a semaphore's spin budget
+/// — the whole estimator, pure. `sample` is the sleep's wake latency
+/// (nanoseconds from a `V`'s stamp to its waiter running again), or 0 when
+/// the `V` came more than [`PAUSE_NANOS`] after the `P` began: no spin
+/// could have caught it, and the wake of a CPU idle that long says nothing
+/// about one a spin would replace.
+///
+/// A sample rung from the waiter's own CPU zeroes the budget: such a `V`
+/// cannot land during a spin (§2.1). Every other sample is first clamped to
+/// [`PAUSE_NANOS`]; the first one (budget 0) is taken as it is, and every
+/// later one moves the budget a sixteenth of itself toward the sample,
+/// never past it and never back to 0, which means "nothing learned". So one
+/// outlier moves it by at most 1/16, and a stationary stream holds it near
+/// its median, where samples above and below are equally likely: where most
+/// sleeps outlast any spin, the budget sinks to 1 ns, a single round of
+/// hints.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -96,7 +114,7 @@ fn fold_wake_sample(budget: u64, sample: u64, same_cpu: bool) -> u64 {
     if sample > budget {
         (budget + step).min(sample)
     } else {
-        budget.saturating_sub(step).max(sample)
+        budget.saturating_sub(step).max(sample).max(1)
     }
 }
 
@@ -478,8 +496,8 @@ impl FutexSem {
             0
         };
         // Anchor the deadline first: neither the spin nor the sleep may
-        // outlive it.
-        let start = (budget > 0 || timeout.is_some()).then(usipc_shm::monotonic_nanos);
+        // outlive it. A spinning `P` also judges its wake against it.
+        let start = (spin || timeout.is_some()).then(usipc_shm::monotonic_nanos);
         let deadline = timeout.and_then(|t| {
             let t = u64::try_from(t.as_nanos()).ok()?;
             start?.checked_add(t)
@@ -527,20 +545,24 @@ impl FutexSem {
         // again. Taking it here converts the timeout into a success, so
         // the V/timeout race can never strand or lose a credit.
         let taken = acquired || self.try_acquire();
-        if spin {
+        if let Some(start) = start.filter(|_| spin) {
             let stamp = self.wake_stamp.swap(0, Ordering::Acquire);
             if taken && entered > 0 && stamp != STAMP_WANTED && stamp != 0 {
-                self.learn(stamp);
+                self.learn(start, stamp);
             }
         }
         (taken, entered, spins)
     }
 
-    /// Folds the wake this `P` just slept through, rung at `stamp`, into
-    /// the spin budget. Racing waiters may each store their fold; any of
-    /// them is a valid budget.
-    fn learn(&self, stamp: u64) {
-        let sample = usipc_shm::monotonic_nanos().saturating_sub(stamp);
+    /// Folds the wake this `P`, begun at `start`, just slept through, rung
+    /// at `stamp`, into the spin budget. Racing waiters may each store
+    /// their fold; any of them is a valid budget.
+    fn learn(&self, start: u64, stamp: u64) {
+        let sample = if stamp.saturating_sub(start) > PAUSE_NANOS {
+            0 // No spin could have caught this `V`.
+        } else {
+            usipc_shm::monotonic_nanos().saturating_sub(stamp)
+        };
         let same_cpu = self.wake_cpu.load(Ordering::Relaxed) == futex::current_cpu();
         let budget = u64::from(self.spin_nanos.load(Ordering::Relaxed));
         let budget = fold_wake_sample(budget, sample, same_cpu);
@@ -643,9 +665,10 @@ impl FutexSem {
     }
 
     /// The learned wake latency a spinning `P` spins for, in nanoseconds
-    /// (diagnostics): 0 until a `V` on another CPU first woke a sleeper
-    /// that asked for a stamp, and again after one on the sleeper's own
-    /// CPU; never above §5's 25 µs.
+    /// (diagnostics): 0 until a `V` on another CPU first woke, within 25 µs
+    /// of its `P`, a sleeper that asked for a stamp, and again after one on
+    /// the sleeper's own CPU; 1 where most sleeps outlast any spin; never
+    /// above §5's 25 µs.
     pub fn wake_estimate_nanos(&self) -> u64 {
         u64::from(self.spin_nanos.load(Ordering::Relaxed))
     }
@@ -1164,6 +1187,12 @@ mod tests {
         // Rung from the waiter's own CPU: no spin.
         assert_eq!(fold_wake_sample(6_000, 6_000, true), 0);
         assert_eq!(fold_wake_sample(0, 6_000, true), 0);
+        // A sleep no spin could have shortened (sample 0) teaches nothing
+        // to a semaphore that has learned nothing, and pulls a learned
+        // budget down a sixteenth, never below 1 ns.
+        assert_eq!(fold_wake_sample(0, 0, false), 0);
+        assert_eq!(fold_wake_sample(6_400, 0, false), 6_000);
+        assert_eq!(fold_wake_sample(1, 0, false), 1);
 
         // A stationary, skewed stream — 70 % of the wakes 5–7 µs, 20 %
         // 7–15 µs, 10 % 1 ms outliers — holds the estimate near its median
@@ -1197,6 +1226,53 @@ mod tests {
             budget.abs_diff(median) * 8 <= median,
             "budget {budget} ns is not within 1/8 of the median {median} ns"
         );
+
+        // Sparse traffic: four sleeps in five outlast any spin (sample 0),
+        // the fifth was rung 6–7 µs before its waiter ran. The median is 0,
+        // so a budget learned from the short ones sinks to the 1 ns floor
+        // and stays near it.
+        let mut budget = 0;
+        let mut highest_late = 0;
+        for i in 0..4_000 {
+            let sample = if i % 5 == 0 {
+                6_000 + next() % 1_000
+            } else {
+                0
+            };
+            budget = fold_wake_sample(budget, sample, false);
+            if i >= 2_000 {
+                highest_late = highest_late.max(budget);
+            }
+        }
+        assert!(
+            (1..=16).contains(&highest_late),
+            "sparse traffic kept a budget of {highest_late} ns"
+        );
+    }
+
+    /// A sleep whose `V` came more than 25 µs after its `P` began is a
+    /// sample of 0, whatever its wake latency; one within 25 µs is a
+    /// latency sample.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn a_wake_no_spin_could_catch_teaches_no_spin() {
+        let s = FutexSem::new(0);
+        // Never the current CPU: every sample here is a cross-CPU one.
+        s.wake_cpu.store(u32::MAX - 1, Ordering::Relaxed);
+        let now = usipc_shm::monotonic_nanos();
+        let (began, rung) = (now - 100_000, now - 10_000);
+        s.learn(began, rung);
+        assert_eq!(s.wake_estimate_nanos(), 0, "nothing learned");
+        s.spin_nanos.store(6_400, Ordering::Relaxed);
+        s.learn(began, rung);
+        assert_eq!(s.wake_estimate_nanos(), 6_000, "a sixteenth down");
+        // Rung 5 µs into the `P`, at least 10 µs ago: a sample of
+        // 10–25 µs, a sixteenth up.
+        s.learn(rung - 5_000, rung);
+        assert_eq!(s.wake_estimate_nanos(), 6_375);
     }
 
     #[test]

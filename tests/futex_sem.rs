@@ -340,25 +340,26 @@ fn two_cpu_build_keeps_the_spin_and_conserves_credits() {
     let pong = {
         let t = os.task(1);
         std::thread::spawn(move || {
-            let _ = usipc::pin_to_cpu(1);
+            let pinned = usipc::pin_to_cpu(1).is_ok();
             for _ in 0..ROUNDS {
                 t.sem_p(1);
                 t.sem_v(2);
             }
+            pinned
         })
     };
     let ping = {
         let t = os.task(2);
         std::thread::spawn(move || {
-            let _ = usipc::pin_to_cpu(0);
+            let pinned = usipc::pin_to_cpu(0).is_ok();
             for _ in 0..ROUNDS {
                 t.sem_v(1);
                 t.sem_p(2);
             }
+            pinned
         })
     };
-    ping.join().unwrap();
-    pong.join().unwrap();
+    let pinned = ping.join().unwrap() & pong.join().unwrap();
     let reg = os.metrics().unwrap();
     let total = reg.task_snapshot(1).add(&reg.task_snapshot(2));
     assert_eq!((total.sem_p, total.sem_v), (2 * ROUNDS, 2 * ROUNDS));
@@ -373,6 +374,11 @@ fn two_cpu_build_keeps_the_spin_and_conserves_credits() {
         100.0 * (total.sem_p - total.sem_kernel_waits) as f64 / total.sem_p as f64,
         total.sem_p
     );
+    if !pinned {
+        // Floating threads may meet on one CPU, whose wakes zero a budget.
+        eprintln!("skipped the estimate check: CPU 0 or 1 is outside the affinity mask");
+        return;
+    }
     for (s, e) in [1, 2].iter().zip(estimates) {
         assert!(
             (1..=25_000).contains(&e),
