@@ -142,10 +142,11 @@ pub struct NativeOs {
     sems: SemStore,
     msgqs: Vec<NativeMsgq>,
     multiprocessor: bool,
-    /// Whether `sem_p` lets the semaphore spin its learned wake cost before
-    /// `futex_wait` (and so ask each waking `V` for a stamp): not if the
-    /// builder had one CPU, else yes — whatever `multiprocessor`
-    /// ([`crate::sem`]).
+    /// Whether a waiter spins before it announces a sleep
+    /// ([`OsServices::wake_latency_nanos`] hands out the semaphore's
+    /// learned wake cost), and so whether a sleeping `P` learns that cost:
+    /// not if the builder had one CPU, else yes — whatever
+    /// `multiprocessor` ([`crate::sem`]).
     spins: bool,
     full_backoff: Duration,
     metrics: Option<MetricsRegistry>,
@@ -416,6 +417,15 @@ impl OsServices for NativeTask {
             self.record(ProtoEvent::TimedOut);
         }
         taken
+    }
+
+    #[inline]
+    fn wake_latency_nanos(&self, sem: u32) -> u64 {
+        if self.os.spins {
+            self.os.sem(sem).wake_estimate_nanos()
+        } else {
+            0
+        }
     }
 
     fn sem_v(&self, sem: u32) {

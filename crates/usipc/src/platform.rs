@@ -80,6 +80,16 @@ pub trait OsServices {
     /// Counting-semaphore up on the conventional semaphore index.
     fn sem_v(&self, sem: u32);
 
+    /// How long a waiter should spin before it announces a sleep on `sem`:
+    /// the semaphore's learned wake latency where a spin can catch a `V`
+    /// (the native backend on more than one CPU, ≤ §5's 25 µs), else 0 —
+    /// the default, and the simulator's. The one pre-sleep spin is
+    /// [`WaitSet::wait_deadline`](crate::WaitSet::wait_deadline)'s.
+    fn wake_latency_nanos(&self, sem: u32) -> u64 {
+        let _ = sem;
+        0
+    }
+
     /// Counting-semaphore down with a deadline: blocks for at most
     /// `timeout`, returning `true` iff a credit was taken. On `false`
     /// (expiry) **no credit was consumed** — a `V` racing the deadline

@@ -20,7 +20,9 @@
 //! reintroduce the historical bugs — the missing re-check of interleaving 4
 //! and the unguarded `V` whose credits "can accumulate — eventually causing
 //! an overflow of the semaphore value (this happened in our first version
-//! of the algorithm!)" (§3) — and must produce counterexamples.
+//! of the algorithm!)" (§3) — and must produce counterexamples; so must
+//! [`mux_late_clear_scenario`], the WaitSet's doorbell latch cleared after
+//! its final scan instead of before.
 //!
 //! [`Sys::mark`]: usipc_sim::Sys::mark
 
@@ -429,7 +431,7 @@ fn channel_scenario(
 /// [`MuxClient`](crate::MuxClient)s through a single WaitSet. What the
 /// explorer interleaves here is the bitmap [`notify`](crate::WaitSet::notify)
 /// (set the bit, then test the latch) against the worker's
-/// poll-then-sleep (clear the latch after `P`, then scan). A lost doorbell
+/// poll-then-sleep (clear the latch, then scan, then `P`). A lost doorbell
 /// leaves the worker asleep over a queued request until its heartbeat —
 /// 10 ms here, far beyond any fault-free run — expires and the next poll
 /// finds the bit, so the check fails any run in which a worker wait timed
@@ -438,6 +440,26 @@ fn channel_scenario(
 /// [`usipc_sim::Explorer::sem_bound`]`(1)` and no semaphore — doorbell or
 /// reply — may ever bank two credits.
 pub fn mux_scenario(n_clients: u32, msgs: u32) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    mux_cast::<true>(n_clients, msgs)
+}
+
+/// [`mux_scenario`] with the worker's wait mutated: it clears the doorbell
+/// latch *after* its final scan. A notify between the two finds the latch
+/// still held and rings nothing, and the worker sleeps over the request
+/// until its heartbeat rescues it — a lost doorbell the explorer must find.
+pub fn mux_late_clear_scenario(
+    n_clients: u32,
+    msgs: u32,
+) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    mux_cast::<false>(n_clients, msgs)
+}
+
+/// The mux cast and its check, the worker's waits
+/// [`WaitSet::wait_latched`](crate::WaitSet::wait_latched)`::<RESCAN>`.
+fn mux_cast<const RESCAN: bool>(
+    n_clients: u32,
+    msgs: u32,
+) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
     move |b: &mut SimBuilder| {
         let cfg = ShardedConfig {
             heartbeat: core::time::Duration::from_millis(10),
@@ -452,7 +474,7 @@ pub fn mux_scenario(n_clients: u32, msgs: u32) -> impl FnMut(&mut SimBuilder) ->
             n_clients,
             false,
             move |os| {
-                srv2.run_worker(os, 0, |m| m);
+                srv2.serve_shard::<_, RESCAN>(os, 0, ServerObservability::none(), |m| m);
             },
             move |os, c| echo_session(&count, msgs, c, |m| srv3.client(os, c).call(m)),
         );

@@ -8,8 +8,8 @@
 //!   `AtomicU32`; an uncontended `P` or `V` is a single user-space
 //!   compare-and-swap with **zero kernel entries**, and the kernel is
 //!   involved — via raw `futex(2)` syscalls, no libc — only when a `P`
-//!   actually has to sleep or a `V` sees a registered sleeper. Before it
-//!   sleeps, `P` may spin for as long as its sleeps have cost (see below).
+//!   actually has to sleep or a `V` sees a registered sleeper. A `P` never
+//!   spins: it sleeps, and learns what its sleeps cost (see below).
 //!   This is the "Semaphores Augmented with a Waiting Array" idea the paper
 //!   cites, in its modern futex form: the wait queue lives in the kernel,
 //!   keyed by the user-space word's address.
@@ -27,41 +27,43 @@
 //! from the protocol-level `SemP`/`SemV` accounting, which deliberately
 //! keeps the paper's "four system calls per round trip" currency stable.
 //!
-//! ## Spin only where it can pay
+//! ## What a sleep costs, learned
 //!
-//! Spinning before `futex_wait` is §4.2's limited spin applied to the
-//! semaphore: spin for as long as a sleep would delay the waiter past its
-//! `V` (its wake latency), then sleep. Each semaphore measures that
-//! latency for itself. A `V` that has to `futex_wake` a waiter which asked
-//! for it stamps the cache line with
-//! [`monotonic_nanos`](usipc_shm::monotonic_nanos) (one clock axis across
-//! forks) and the CPU it rang from; the woken `P`
-//! turns the stamp into a wake-latency sample and folds it into the
-//! running estimate (`fold_wake_sample`: clamped to §5's 25 µs, one
-//! outlier moves it by at most 1/16, so it tracks the median). The next
-//! `P` spins that long in *time*, never past its own timeout.
+//! §4.2's limited spin belongs before the blocking path: spin for as long
+//! as a sleep would delay the waiter past its `V` (its wake latency), then
+//! sleep. The semaphore does not spin itself — the one pre-sleep spin is
+//! the WaitSet's, on its ready bitmap, before the doorbell latch clears
+//! ([`WaitSet::wait_deadline`](crate::WaitSet::wait_deadline)) — but each
+//! semaphore measures the latency that spin is budgeted by. A sleeping,
+//! learning `P` asks for a stamp; the `V` that has to `futex_wake` it stamps the cache
+//! line with [`monotonic_nanos`](usipc_shm::monotonic_nanos) (one clock
+//! axis across forks) and the CPU it rang from; the woken `P` turns the
+//! stamp into a wake-latency sample and folds it into the running estimate
+//! (`fold_wake_sample`: clamped to §5's 25 µs, one outlier moves it by at
+//! most 1/16, so it tracks the median), read back, clamped again, by
+//! [`FutexSem::wake_estimate_nanos`].
 //!
 //! Two conditions decide whether a spin can pay at all, and both are
 //! measured, not inferred. §2.1's: a `V` lands during the spin only if its
 //! caller runs *meanwhile*, so a sample rung from the waiter's own CPU
 //! zeroes the budget. And the traffic's: a `V` that came more than 25 µs
-//! after its `P` began is one no spin could have caught, so that sleep
+//! after the spin began is one no spin could have caught, so that sleep
 //! counts as a sample of 0, and where most sleeps are such, the median
 //! sinks to 1 ns (one round of hints). Sparse arrivals therefore barely
 //! spin, although a CPU idle that long wakes slowest. The read of
 //! the waker's CPU is `rdtscp`'s `TSC_AUX` on x86_64, no kernel entry;
 //! aarch64 has no such read in user space and pays one `getcpu(2)`
-//! syscall per stamped `V` and per learning `P` (not measured). Bare
-//! [`FutexSem::p`]/[`FutexSem::p_timeout`] always learn;
-//! [`NativeOs`](crate::NativeOs) asks by the CPUs its building thread may
-//! run on (EXPERIMENTS.md, "Spin only where it can pay" and "Each semaphore
-//! spins for what its sleeps cost"):
+//! syscall per stamped `V` and per learning `P` (not measured).
+//! [`NativeOs`](crate::NativeOs) hands the estimate to the WaitSet by the
+//! CPUs its building thread may run on (EXPERIMENTS.md, "Spin only where
+//! it can pay", "Each semaphore spins for what its sleeps cost" and "A
+//! caught arrival rings nothing"):
 //!
-//! | CPUs | spin before `futex_wait` | `poll_pause` between polls |
-//! |---|---|---|
-//! | 1 | none, and no stamp asked: the `V`'s caller cannot run, and `P`/`V` read no clock | `yield` |
-//! | ≥ 2, fewer than tasks (oversubscribed) | the learned wake latency, as below | `yield` |
-//! | ≥ 2, one per task (multiprocessor) | the learned wake latency (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the waker rings from the waiter's CPU; 1 ns where most `V`s come later than 25 µs | one `spin_loop` hint doubling to §5's 25 µs |
+//! | CPUs | pre-sleep spin (the WaitSet's, on its ready bitmap) | `P` before `futex_wait` | `poll_pause` between polls |
+//! |---|---|---|---|
+//! | 1 | none: the notifier cannot run during it; no wake stamp is asked, so `P` and `V` read no clock | one attempt | `yield` |
+//! | ≥ 2, fewer than tasks (oversubscribed) | the doorbell's learned wake latency, as below | one attempt | `yield` |
+//! | ≥ 2, one per task (multiprocessor) | the doorbell's learned wake latency (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the waker rings from the waiter's CPU; 1 ns where most `V`s come later than 25 µs | one attempt | one `PAUSE` hint, doubling to §5's 25 µs |
 //!
 //! ## Why a lost wake-up is impossible
 //!
@@ -78,16 +80,16 @@
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// §5's 25 µs poll delay: the native backend's `busy_wait` pause and
-/// `poll_pause` cap, and here the ceiling on every wake-latency sample, so
-/// on every pre-sleep spin.
+/// `poll_pause` cap, and here the ceiling on every wake-latency sample and
+/// every read of the estimate, so on the pre-sleep spin.
 pub(crate) const PAUSE_NANOS: u64 = 25_000;
 
 /// Folds what one sleep says about spinning into a semaphore's spin budget
 /// — the whole estimator, pure. `sample` is the sleep's wake latency
 /// (nanoseconds from a `V`'s stamp to its waiter running again), or 0 when
-/// the `V` came more than [`PAUSE_NANOS`] after the `P` began: no spin
-/// could have caught it, and the wake of a CPU idle that long says nothing
-/// about one a spin would replace.
+/// the `V` came more than [`PAUSE_NANOS`] after the spin before the `P`
+/// began: no spin could have caught it, and the wake of a CPU idle that
+/// long says nothing about one a spin would replace.
 ///
 /// A sample rung from the waiter's own CPU zeroes the budget: such a `V`
 /// cannot land during a spin (§2.1). Every other sample is first clamped to
@@ -310,8 +312,8 @@ mod futex {
 ///
 /// The struct is one cache line, aligned, so adjacent semaphores in the
 /// backend's array (the server's receive sem next to client 0's reply sem)
-/// never share a line, and a waiter spinning on `count` finds its wake
-/// stamp and spin budget in the line it already holds.
+/// never share a line, and a waker stamping `wake_stamp` writes the line
+/// its sleeper is about to read anyway.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -321,7 +323,8 @@ mod futex {
 pub struct FutexSem {
     /// Credit count; doubles as the futex word sleepers key on.
     count: AtomicU32,
-    /// Number of `P` callers past the spin window (registered sleepers).
+    /// Number of `P` callers past their first attempt (registered
+    /// sleepers).
     waiters: AtomicU32,
     /// Highest credit count ever reached (the sim's `max_count` parity).
     max_count: AtomicU32,
@@ -338,12 +341,13 @@ pub struct FutexSem {
     kernel_waits: AtomicU64,
     /// Cumulative `futex_wake` entries (diagnostics).
     kernel_wakes: AtomicU64,
-    /// [`STAMP_WANTED`] while a spinning waiter is registered and unstamped;
-    /// then the `monotonic_nanos` at which a `V` rang it; 0 once the waiter
-    /// took the stamp (or none was asked for).
+    /// [`STAMP_WANTED`] while a learning waiter is registered and
+    /// unstamped; then the `monotonic_nanos` at which a `V` rang it; 0 once
+    /// the waiter took the stamp (or none was asked for).
     wake_stamp: AtomicU64,
-    /// The learned pre-sleep spin, in nanoseconds ([`fold_wake_sample`];
-    /// ≤ [`PAUSE_NANOS`], 0 until the first cross-CPU sample).
+    /// The learned wake latency, in nanoseconds ([`fold_wake_sample`]; 0
+    /// until the first cross-CPU sample). A shared word, so untrusted: read
+    /// only through [`Self::wake_estimate_nanos`], which clamps it.
     spin_nanos: AtomicU32,
 }
 
@@ -466,60 +470,22 @@ impl FutexSem {
     }
 
     /// The one `P` loop behind [`Self::p`] and [`Self::p_timeout`]: one
-    /// attempt; then, with `spin`, retries a `spin_loop` hint apart for
-    /// the learned budget ([`Self::wake_estimate_nanos`]) or `timeout`,
-    /// whichever is shorter; then register, re-check and sleep on the count
-    /// word until `timeout` (`None`, or a deadline past the clock's range,
-    /// is "never"), counted from the start of the slow path. Returns whether
-    /// a credit was taken and the `futex_wait` calls made (0: the
-    /// user-space fast path). No clock is read before the slow path, nor on
-    /// it without `spin` or `timeout`.
-    pub fn acquire(&self, timeout: Option<core::time::Duration>, spin: bool) -> (bool, u32) {
-        let (taken, entered, _) = self.acquire_counted(timeout, spin);
-        (taken, entered)
-    }
-
-    /// [`Self::acquire`], also returning the spin iterations it made.
-    fn acquire_counted(
-        &self,
-        timeout: Option<core::time::Duration>,
-        spin: bool,
-    ) -> (bool, u32, u32) {
-        /// `spin_loop` hints between two clock reads of the spin.
-        const HINTS_PER_READ: u32 = 8;
+    /// attempt; then register, re-check and sleep on the count word until
+    /// `timeout` (`None`, or a deadline past the clock's range, is
+    /// "never"), counted from the start of the slow path. With `learn` the
+    /// sleep asks its `V` for a wake stamp and folds what it cost into
+    /// [`Self::wake_estimate_nanos`]; a backend that will never spin on the
+    /// estimate (one CPU) passes `false`, and then neither side reads a
+    /// clock without a `timeout`. Returns whether a credit was taken and
+    /// the `futex_wait` calls made (0: the user-space fast path). No clock
+    /// is read on the fast path.
+    pub fn acquire(&self, timeout: Option<core::time::Duration>, learn: bool) -> (bool, u32) {
         if self.try_acquire() {
-            return (true, 0, 0);
+            return (true, 0);
         }
-        let budget = if spin {
-            u64::from(self.spin_nanos.load(Ordering::Relaxed))
-        } else {
-            0
-        };
-        // Anchor the deadline first: neither the spin nor the sleep may
-        // outlive it. A spinning `P` also judges its wake against it.
-        let start = (spin || timeout.is_some()).then(usipc_shm::monotonic_nanos);
-        let deadline = timeout.and_then(|t| {
-            let t = u64::try_from(t.as_nanos()).ok()?;
-            start?.checked_add(t)
-        });
-        let mut spins = 0u32;
-        let spin_end = start.map(|s| deadline.map_or(s + budget, |d| d.min(s + budget)));
-        if spin_end > start {
-            // (`None`, or an end at the start: no spin, not one attempt.)
-            loop {
-                for _ in 0..HINTS_PER_READ {
-                    core::hint::spin_loop();
-                    spins += 1;
-                    if self.try_acquire() {
-                        return (true, 0, spins);
-                    }
-                }
-                if Some(usipc_shm::monotonic_nanos()) >= spin_end {
-                    break;
-                }
-            }
-        }
-        if spin {
+        let start = (learn || timeout.is_some()).then(usipc_shm::monotonic_nanos);
+        let deadline = timeout.and_then(|t| start?.checked_add(u64::try_from(t.as_nanos()).ok()?));
+        if learn {
             // Published by the registration's SeqCst RMW: a `V` that sees
             // this waiter sees the request too.
             self.wake_stamp.store(STAMP_WANTED, Ordering::Relaxed);
@@ -545,28 +511,32 @@ impl FutexSem {
         // again. Taking it here converts the timeout into a success, so
         // the V/timeout race can never strand or lose a credit.
         let taken = acquired || self.try_acquire();
-        if let Some(start) = start.filter(|_| spin) {
+        if let Some(start) = start.filter(|_| learn) {
             let stamp = self.wake_stamp.swap(0, Ordering::Acquire);
             if taken && entered > 0 && stamp != STAMP_WANTED && stamp != 0 {
                 self.learn(start, stamp);
             }
         }
-        (taken, entered, spins)
+        (taken, entered)
     }
 
     /// Folds the wake this `P`, begun at `start`, just slept through, rung
-    /// at `stamp`, into the spin budget. Racing waiters may each store
-    /// their fold; any of them is a valid budget.
+    /// at `stamp`, into the spin budget. The `P` began one budget after the
+    /// spin it follows did, so a `V` stamped more than `PAUSE_NANOS −
+    /// budget` into it came more than [`PAUSE_NANOS`] after the spin began.
+    /// Racing waiters may each store their fold; any of them is a valid
+    /// budget.
     fn learn(&self, start: u64, stamp: u64) {
-        let sample = if stamp.saturating_sub(start) > PAUSE_NANOS {
+        let budget = self.wake_estimate_nanos();
+        let sample = if stamp.saturating_sub(start) > PAUSE_NANOS - budget {
             0 // No spin could have caught this `V`.
         } else {
             usipc_shm::monotonic_nanos().saturating_sub(stamp)
         };
         let same_cpu = self.wake_cpu.load(Ordering::Relaxed) == futex::current_cpu();
-        let budget = u64::from(self.spin_nanos.load(Ordering::Relaxed));
+        // Lossless: the fold never exceeds the larger of the (clamped)
+        // budget and the (clamped) sample.
         let budget = fold_wake_sample(budget, sample, same_cpu);
-        // Lossless: the fold never exceeds `PAUSE_NANOS`.
         self.spin_nanos.store(budget as u32, Ordering::Relaxed);
     }
 
@@ -604,8 +574,8 @@ impl FutexSem {
         // (module docs).
         if self.waiters.load(Ordering::SeqCst) > 0 {
             if self.wake_stamp.load(Ordering::Relaxed) == STAMP_WANTED {
-                // A spinning waiter asked what its sleep costs: stamp the
-                // ring before the syscall, which the cost includes.
+                // The sleeper asked what its sleep costs: stamp the ring
+                // before the syscall, which the cost includes.
                 self.wake_cpu.store(futex::current_cpu(), Ordering::Relaxed);
                 self.wake_stamp
                     .store(usipc_shm::monotonic_nanos(), Ordering::Release);
@@ -664,13 +634,14 @@ impl FutexSem {
         self.kernel_wakes.load(Ordering::Relaxed)
     }
 
-    /// The learned wake latency a spinning `P` spins for, in nanoseconds
-    /// (diagnostics): 0 until a `V` on another CPU first woke, within 25 µs
-    /// of its `P`, a sleeper that asked for a stamp, and again after one on
-    /// the sleeper's own CPU; 1 where most sleeps outlast any spin; never
-    /// above §5's 25 µs.
+    /// The learned wake latency, in nanoseconds — what the WaitSet's
+    /// pre-sleep spin on this doorbell lasts: 0 until a `V` on another CPU
+    /// first woke a sleeper in time for a spin to have caught it, and again
+    /// after one on the sleeper's own CPU; 1 where most sleeps outlast any
+    /// spin. The word's one read, clamped to §5's 25 µs whatever a peer
+    /// wrote there.
     pub fn wake_estimate_nanos(&self) -> u64 {
-        u64::from(self.spin_nanos.load(Ordering::Relaxed))
+        u64::from(self.spin_nanos.load(Ordering::Relaxed)).min(PAUSE_NANOS)
     }
 
     /// The sim-parity snapshot of this semaphore's final/current state.
@@ -753,9 +724,9 @@ impl PortableSem {
     }
 
     /// The one `P` loop, as [`FutexSem::acquire`] (condvar waits stand in
-    /// for kernel entries; `_spin` is ignored: a count behind a mutex has no
-    /// lock-free retry). No clock is read unless the count is 0.
-    pub fn acquire(&self, timeout: Option<core::time::Duration>, _spin: bool) -> (bool, u32) {
+    /// for kernel entries; `_learn` is ignored: this semaphore stamps no
+    /// wake). No clock is read unless the count is 0.
+    pub fn acquire(&self, timeout: Option<core::time::Duration>, _learn: bool) -> (bool, u32) {
         let mut entered = 0u32;
         let mut s = self.inner.lock().unwrap();
         let deadline = timeout
@@ -851,8 +822,9 @@ impl PortableSem {
         self.kernel_wakes.load(Ordering::Relaxed)
     }
 
-    /// Always 0: this semaphore never spins, so it learns no wake latency
-    /// (see [`FutexSem::wake_estimate_nanos`]).
+    /// Always 0: this semaphore asks for no wake stamp, so it learns no
+    /// wake latency and no spin is budgeted by it (see
+    /// [`FutexSem::wake_estimate_nanos`]).
     pub fn wake_estimate_nanos(&self) -> u64 {
         0
     }
@@ -994,8 +966,8 @@ mod tests {
                         let waiter = std::thread::spawn(move || {
                             s2.p_timeout(core::time::Duration::from_micros(u64::from(i % 97)))
                         });
-                        for _ in 0..(i % 128) {
-                            core::hint::spin_loop();
+                        for j in 0..(i % 128) {
+                            core::hint::black_box(j);
                         }
                         s.v();
                         if waiter.join().unwrap() {
@@ -1121,32 +1093,31 @@ mod tests {
         assert!(s.kernel_wakes() >= 1);
     }
 
-    /// A bounded `P` spins `min(budget, timeout)`: with a zero timeout, as
-    /// `WaitSet::fsck`'s credit-banking loop asks, not one attempt even at
-    /// the 25 µs ceiling — and it fails without consuming or sleeping.
+    /// A zero-timeout `P`, as `WaitSet::fsck`'s credit-banking loop asks,
+    /// fails without consuming or sleeping, however long the learned wake
+    /// latency; a banked credit is still taken on the first attempt.
     #[cfg(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))]
     #[test]
-    fn a_zero_timeout_p_never_spins() {
+    fn a_zero_timeout_p_never_sleeps() {
         let s = FutexSem::new(0);
         s.spin_nanos.store(PAUSE_NANOS as u32, Ordering::Relaxed);
-        assert_eq!(s.wake_estimate_nanos(), PAUSE_NANOS);
         let zero = Some(core::time::Duration::ZERO);
-        assert_eq!(s.acquire_counted(zero, true), (false, 0, 0));
-        assert_eq!(s.acquire_counted(zero, false), (false, 0, 0));
-        // A banked credit is still taken on the first attempt.
+        assert_eq!(s.acquire(zero, true), (false, 0));
         s.v();
-        assert_eq!(s.acquire_counted(zero, true), (true, 0, 0));
-        // With time left the budget is spent, and the sleep follows.
+        assert_eq!(s.acquire(zero, true), (true, 0));
+        // With time left the sleep follows at once, and expires clean.
         let short = Some(core::time::Duration::from_millis(1));
-        let (taken, entered, spins) = s.acquire_counted(short, true);
-        assert!(
-            !taken && entered >= 1 && spins > 0,
-            "{entered} waits, {spins} spins"
-        );
+        let (taken, entered) = s.acquire(short, true);
+        assert!(!taken && entered >= 1, "{entered} waits");
         assert_eq!((s.count(), s.waiting()), (0, 0));
+        assert_eq!(
+            s.wake_estimate_nanos(),
+            PAUSE_NANOS,
+            "an expiry teaches nothing"
+        );
     }
 
     /// The waker-CPU rule rests on this read naming the CPU a thread is
@@ -1275,6 +1246,34 @@ mod tests {
         assert_eq!(s.wake_estimate_nanos(), 6_375);
     }
 
+    /// The `P` begins one budget after the spin does, so the late window
+    /// shrinks by the budget: with 10 µs learned, a `V` 20 µs into the `P`
+    /// came 30 µs after the spin began (a sample of 0), one 10 µs into it
+    /// came 20 µs after (a latency sample). A scribbled estimate reads
+    /// clamped, and folds from the clamp.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn the_late_window_counts_from_the_spins_start() {
+        let s = FutexSem::new(0);
+        s.wake_cpu.store(u32::MAX - 1, Ordering::Relaxed);
+        s.spin_nanos.store(10_000, Ordering::Relaxed);
+        let now = usipc_shm::monotonic_nanos();
+        s.learn(now - 30_000, now - 10_000);
+        assert_eq!(s.wake_estimate_nanos(), 9_375, "a sixteenth down");
+        // A sample of at least 10 µs: a sixteenth up, to 9 375 + 585.
+        s.learn(now - 20_000, now - 10_000);
+        assert_eq!(s.wake_estimate_nanos(), 9_960);
+
+        s.spin_nanos.store(u32::MAX, Ordering::Relaxed);
+        assert_eq!(s.wake_estimate_nanos(), PAUSE_NANOS);
+        // With the whole 25 µs spent spinning, any later `V` is late.
+        s.learn(now - 20_000, now - 10_000);
+        assert_eq!(s.wake_estimate_nanos(), PAUSE_NANOS - PAUSE_NANOS / 16);
+    }
+
     #[test]
     fn sems_do_not_share_cache_lines() {
         assert_eq!(core::mem::align_of::<CountingSem>(), 64);
@@ -1283,7 +1282,7 @@ mod tests {
         // one starts per line only if the size is also a multiple of it.
         assert_eq!(core::mem::size_of::<CountingSem>() % 64, 0);
         assert_eq!(core::mem::size_of::<PortableSem>() % 64, 0);
-        // The wake stamp and spin budget fit the count's own line.
+        // The wake stamp and the learned latency fit the count's own line.
         #[cfg(all(
             target_os = "linux",
             any(target_arch = "x86_64", target_arch = "aarch64")

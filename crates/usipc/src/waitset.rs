@@ -29,23 +29,32 @@
 //! 1. one `fetch_or` of its bit into its ready word — only a notify that
 //!    finds the *whole word* zero (the word's 0→non-zero edge) proceeds;
 //!    a bit already set, or any neighbour bit set, is free, and
-//! 2. `swap(1)` on the shared `pending` latch — only the first edge of a
-//!    wake cycle actually Vs the doorbell.
+//! 2. `swap(1)` on the shared `pending` latch — Fig. 5's `awake` flag:
+//!    only a notify that finds it clear Vs the doorbell.
 //!
-//! The waiter clears `pending` immediately after its `P` completes and
-//! then drains ready bits round-robin, so however many sources became
-//! ready while it slept, the cycle cost exactly one `V` and one `P`. The
+//! The latch is held while the waiter is awake. The waiter clears it only
+//! when it is about to sleep, then rescans, then `P`s — Fig. 5's
+//! `awake = 0`, re-check, `P`. So an arrival that finds the waiter awake
+//! costs its producer one `fetch_or` and nothing else, and however many
+//! sources become ready while it sleeps, the cycle costs exactly one `V`
+//! and one `P`: the notifier that rang leaves the latch held, so the woken
+//! waiter stays awake until its next clear. If the rescan after a clear
+//! finds work, the waiter takes the latch back with a `swap`, and if that
+//! shows a notifier rang in between, takes its credit with a bounded `P`
+//! (Fig. 5's `if (tas(awake)) P`): no credit is left banked. The
 //! invariant is machine-checked (`doorbells_rung ≤ waitset_wakes + 1`,
-//! the `+1` being the last credit still banked at shutdown) by
-//! `tests/waitset_mux.rs`.
+//! the `+1` a ring whose credit no wait took: a bounded `P` that expired
+//! before it landed) by `tests/waitset_mux.rs`.
 //!
-//! Before it sleeps, the waiter yields once and rescans — BSWY's Receive
-//! (Fig. 7, "let clients run"). On a CPU shared with its producers that
-//! turns the doorbell sleep into a hand-off: the rescan finds the work the
-//! yield let them enqueue. Such a cycle leaves the latch held with one
-//! credit banked, which costs nothing: every notify meanwhile coalesces,
-//! and the next real `P` takes the credit without entering the kernel,
-//! clears the latch and rescans.
+//! Before it clears the latch, the waiter spins once: on the ready words,
+//! which only notifiers write (where Dice & Kogan's waiting array spins),
+//! for the doorbell's learned wake latency
+//! ([`OsServices::wake_latency_nanos`]: what a sleep would have delayed an
+//! arrival by; 0 on one CPU and on the simulator). Then it yields once and
+//! rescans — BSWY's Receive (Fig. 7, "let clients run"). On a CPU shared
+//! with its producers that yield turns the doorbell sleep into a hand-off:
+//! the rescan finds the work the yield let them enqueue, and every notify
+//! meanwhile met a held latch.
 //!
 //! ## Why no wake-up is lost
 //!
@@ -63,21 +72,20 @@
 //!   ([`fsck`](WaitSet::fsck) does both, but runs only once the waiter is
 //!   dead.)
 //!
-//! The waiter's *final scan* is the one right before its `P`: the
-//! post-yield rescan, or the rescan after a completed `P`. A bit set
-//! before that scan loaded its word was either seen or claimed, and
-//! whoever claimed it drains that source. After that load the *first*
-//! `fetch_or` on the word finds it zero, so its notifier goes on to the
-//! latch. If the waiter has cleared the latch since the last swap that
-//! rang, the earliest swap after that clear reads 0 and posts the `V` the
-//! committed `P` consumes. If it has not (a cycle was served without a
-//! `P`), that cycle's credit is still banked, or about to be, and the `P`
-//! takes it — and should it return before the `fetch_or`, the rescan after
-//! its latch clear is a new final scan, back in the first case. Either way
-//! the `P` returns, and the rescan after it finds every bit set meanwhile,
-//! including those of notifiers that saw a non-zero word and stayed
-//! silent. This is the Fig. 5 argument (set ready, then test the latch;
-//! clear the latch, then scan) applied per word.
+//! The waiter's *final scan* is the rescan right after its latch clear,
+//! and nothing but its `P` follows it. A bit set before that scan loaded
+//! its word was either seen or claimed, and whoever claimed it drains that
+//! source. After that load the *first* `fetch_or` on the word finds it
+//! zero, so its notifier goes on to the latch, and its swap comes after
+//! the clear. Only notifiers write the latch between the clear and the
+//! `P`, so the earliest swap after the clear reads 0 and posts a `V` that
+//! only the committed `P` can consume. (A credit banked earlier — a
+//! bounded `P` that expired before its `V` landed — only makes the `P`
+//! return sooner; the waiter then clears and rescans again, a new final
+//! scan.) Either way the `P` returns, and the scan after it finds every
+//! bit set meanwhile, including those of notifiers that saw a non-zero
+//! word and stayed silent. This is the Fig. 5 argument (set ready, then
+//! test the latch; clear the latch, then scan) applied per word.
 //!
 //! On top of the primitive, [`ShardedServer`] routes clients to K shards
 //! (multiplicative hash) and runs one worker per shard: the Receive/Reply
@@ -114,9 +122,10 @@ use usipc_shm::{monotonic_nanos, CacheAligned, ShmArena, ShmError, ShmPtr, ShmSa
 #[repr(C)]
 #[derive(Debug)]
 pub struct WaitSetRoot {
-    /// The wake-cycle latch: 1 while a doorbell credit is (about to be)
-    /// outstanding. Producers `swap(1)` and only the winner Vs; the
-    /// waiter clears it right after its `P` completes.
+    /// The wake-cycle latch, Fig. 5's `awake`: clear only while the waiter
+    /// is in or past its final rescan. Producers `swap(1)` and only one
+    /// that finds it clear Vs; the waiter clears it just before that
+    /// rescan, and takes it back if the rescan finds work.
     pending: CacheAligned<AtomicU32>,
     /// The ready bitmap: bit `s % 64` of word `s / 64` is set while
     /// source `s` has notified and not yet been claimed. Words are packed
@@ -152,7 +161,8 @@ impl WaitSetRoot {
         assert!(n_sources <= u32::MAX as usize, "waitset too large");
         let ready = arena.alloc_slice(n_sources.div_ceil(WORD_BITS), |_| AtomicU64::new(0))?;
         arena.alloc(WaitSetRoot {
-            pending: CacheAligned::new(AtomicU32::new(0)),
+            // Held: the waiter has not cleared it yet (`fsck` says why).
+            pending: CacheAligned::new(AtomicU32::new(1)),
             ready,
             doorbell_sem,
             n_sources: n_sources as u32,
@@ -301,35 +311,37 @@ impl<'a> WaitSet<'a> {
 
     /// Recovery-time rebuild of the waitset's wake state (the WaitSet leg
     /// of [`recover`](crate::recover)): re-derives every ready bit from
-    /// the *actual* backlog of its source, then re-establishes the
-    /// latch/credit invariant — any source ready ⇒ pending latch held and
-    /// exactly one doorbell credit banked; none ⇒ latch clear, zero
-    /// credits.
+    /// the *actual* backlog of its source, absorbs every banked doorbell
+    /// credit and leaves the pending latch held.
+    ///
+    /// The latch is Fig. 5's `awake`: latch clear ⇒ the waiter is in or
+    /// past its final rescan, so the next edge rings. The waiter the
+    /// rebuild is for, the dead one's successor, is neither: it polls
+    /// before it can clear the latch. So the rebuilt latch is held — the
+    /// value a fresh WaitSet starts with, for the same reason: its waiter
+    /// has not started. No credit is owed
+    /// either, as nobody sleeps on the doorbell: a banked one would only
+    /// wake the successor for nothing, and let a second ring bank beside
+    /// it.
     ///
     /// The caller supplies `backlog` (does source `s` have undrained
     /// messages?) because the waitset does not know what its sources are.
     /// Must only run under the recovery quiescence contract: the waiter is
     /// dead and no producer is concurrently notifying. A consistent
-    /// waitset is left untouched and reports all-zero (the banked credit
-    /// of a ready cycle is absorbed and re-posted, which nets out in both
-    /// the report and the semaphore words).
+    /// waitset (latch held, no credit, every bit over a backlog) is left
+    /// untouched and reports all-zero.
     pub fn fsck<O: OsServices>(
         &self,
         os: &O,
         mut backlog: impl FnMut(usize) -> bool,
     ) -> WaitSetFsck {
         let mut r = WaitSetFsck::default();
-        // Bank every outstanding doorbell credit: with the waiter dead,
-        // each is either the live cycle's single credit (re-posted below)
-        // or a stray that would cost the successor a spurious wake.
-        let mut banked = 0u32;
         while os.sem_p_deadline(self.doorbell_sem, Duration::ZERO) {
-            banked += 1;
+            r.credits_absorbed += 1;
+            os.record(ProtoEvent::CreditAbsorbed);
         }
-        let mut any_ready = false;
         for s in 0..self.n_sources() {
             let want = backlog(s);
-            any_ready |= want;
             let (word, bit) = self.ready_bit(s);
             let have = word.load(Ordering::SeqCst) & bit != 0;
             if want && !have {
@@ -344,46 +356,31 @@ impl<'a> WaitSet<'a> {
                 r.ready_cleared += 1;
             }
         }
-        let want_latch = any_ready;
-        if (self.root.pending.load(Ordering::SeqCst) != 0) != want_latch {
-            self.root.pending.store(want_latch as u32, Ordering::SeqCst);
-            r.latch_repaired = true;
-        }
-        let needed = u32::from(any_ready);
-        for _ in 0..needed.saturating_sub(banked) {
-            r.doorbell_rung = true; // a wake cycle had no credit banked
-        }
-        if needed > 0 {
-            os.sem_v(self.doorbell_sem);
-        }
-        r.credits_absorbed = banked.saturating_sub(needed);
-        for _ in 0..r.credits_absorbed {
-            os.record(ProtoEvent::CreditAbsorbed);
-        }
+        r.latch_repaired = self.root.pending.swap(1, Ordering::SeqCst) == 0;
         if r.repairs() > 0 {
             os.record(ProtoEvent::FsckRepair);
         }
         r
     }
 
-    /// Waiter side, blocking — the only doorbell wait, shaped as BSWY's
-    /// Receive (Fig. 7): polls; if nothing is ready, yields once ("let
-    /// clients run") and rescans; only then sleeps on the doorbell for at
-    /// most `timeout` (counted from after the yield). Each completed `P`
-    /// opens a new wake cycle (clears the pending latch) and rescans.
-    /// Returns the claimed source. Expiry returns [`IpcError::Timeout`]
-    /// without consuming a doorbell credit (the
-    /// [`sem_p_deadline`](OsServices::sem_p_deadline) no-credit-lost
-    /// contract) and without touching the pending latch, so a `V` racing
-    /// the expiry is found by the caller's next poll.
+    /// Waiter side, blocking — the only doorbell wait, Fig. 5's wait loop
+    /// in BSWY's Receive (Fig. 7): polls; if nothing is ready, spins on the
+    /// ready words for the doorbell's learned wake latency
+    /// ([`OsServices::wake_latency_nanos`], never past `timeout`), yields
+    /// once ("let clients run") and polls again — all with the pending
+    /// latch still held, so a notify meanwhile rings nothing. Only then
+    /// does it clear the latch, rescan (the *final scan* of the
+    /// no-lost-wake-up argument, module docs) and sleep on the doorbell for
+    /// at most `timeout` (counted from after the yield); after each
+    /// completed `P` it polls again, awake: the notifier that rang left the
+    /// latch held. Returns the claimed source.
     ///
-    /// On a CPU shared with the producers the yield is what lets them
-    /// produce, so the rescan finds work and the waiter never sleeps; on an
-    /// idle CPU it returns at once. The post-yield rescan is the *final
-    /// scan* of the no-lost-wake-up argument (module docs). A cycle it
-    /// serves leaves the latch held with one credit banked: the next real
-    /// `P` takes that credit without entering the kernel and rescans, and
-    /// meanwhile every notify coalesces, so `doorbells_rung` can only fall.
+    /// A rescan that finds work, or a `P` that expires, takes the latch
+    /// back; if a notifier rang after the clear, the wait takes that credit
+    /// with a `P` bounded by `timeout` (Fig. 5's `if (tas(awake)) P`), so
+    /// no wait leaves a credit banked. Expiry returns
+    /// [`IpcError::Timeout`]; the source of a notify racing it stays ready
+    /// for the caller's next wait.
     ///
     /// # Errors
     ///
@@ -395,8 +392,39 @@ impl<'a> WaitSet<'a> {
         cursor: &mut usize,
         timeout: Duration,
     ) -> Result<usize, IpcError> {
+        self.wait_latched::<O, true>(os, cursor, timeout)
+    }
+
+    /// [`Self::wait_deadline`]; with `RESCAN` false, the explorer's mutant
+    /// of it ([`mux_late_clear_scenario`](crate::scenarios::mux_late_clear_scenario)):
+    /// the latch clears *after* the final scan, so a notify in between finds
+    /// it held, rings nothing, and the `P` sleeps over its work.
+    pub(crate) fn wait_latched<O: OsServices, const RESCAN: bool>(
+        &self,
+        os: &O,
+        cursor: &mut usize,
+        timeout: Duration,
+    ) -> Result<usize, IpcError> {
+        /// `spin_loop` hints between two clock reads of the spin.
+        const HINTS_PER_READ: u32 = 8;
         if let Some(s) = self.poll(cursor) {
             return Ok(s);
+        }
+        let timeout_nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        let spin = os.wake_latency_nanos(self.doorbell_sem).min(timeout_nanos);
+        if spin > 0 {
+            let end = monotonic_nanos().saturating_add(spin);
+            loop {
+                for _ in 0..HINTS_PER_READ {
+                    core::hint::spin_loop();
+                    if let Some(s) = self.poll(cursor) {
+                        return Ok(s);
+                    }
+                }
+                if monotonic_nanos() >= end {
+                    break;
+                }
+            }
         }
         os.yield_now(); // let clients run
         let deadline = Deadline::new(timeout);
@@ -407,17 +435,40 @@ impl<'a> WaitSet<'a> {
             let Some(left) = deadline.remaining(os) else {
                 return Err(IpcError::Timeout);
             };
+            // `awake = 0`, then the re-check: the final scan.
+            os.charge(Cost::Tas);
+            self.root.pending.store(0, Ordering::SeqCst);
+            if RESCAN {
+                if let Some(s) = self.poll(cursor) {
+                    self.take_latch_back(os, timeout);
+                    return Ok(s);
+                }
+            }
             os.record(ProtoEvent::BlockEntered);
             os.trace(TracePoint::Begin(Span::Block));
             let taken = left.sem_p(os, self.doorbell_sem);
             os.trace(TracePoint::End(Span::Block));
-            if taken {
-                os.record(ProtoEvent::WaitSetWake);
-                self.root.pending.store(0, Ordering::SeqCst);
-            } else {
+            if !taken {
+                self.take_latch_back(os, timeout);
                 os.record(ProtoEvent::TimedOut);
                 return Err(IpcError::Timeout);
             }
+            // Awake again: the notifier that rang left the latch held.
+            os.record(ProtoEvent::WaitSetWake);
+        }
+    }
+
+    /// Fig. 5's `if (tas(awake)) P`, for a waiter that cleared the latch
+    /// and will not sleep after all: takes the latch back, and if a
+    /// notifier found it clear meanwhile, takes that notifier's credit —
+    /// posted, or about to be — waiting at most `bound` for it. So a wait
+    /// leaves no credit banked.
+    fn take_latch_back<O: OsServices>(&self, os: &O, bound: Duration) {
+        os.charge(Cost::Tas);
+        if self.root.pending.swap(1, Ordering::SeqCst) != 0
+            && os.sem_p_deadline(self.doorbell_sem, bound)
+        {
+            os.record(ProtoEvent::WaitSetWake);
         }
     }
 }
@@ -431,15 +482,12 @@ pub struct WaitSetFsck {
     pub ready_raised: u32,
     /// Ready bits cleared: stale bits over sources with no backlog.
     pub ready_cleared: u32,
-    /// Stray doorbell credits absorbed (beyond the single credit a ready
-    /// cycle is entitled to).
+    /// Banked doorbell credits absorbed: with the waiter dead, none is
+    /// owed.
     pub credits_absorbed: u32,
-    /// The pending latch disagreed with the rebuilt ready state.
+    /// The pending latch was clear (the waiter died in or past its final
+    /// rescan) and is held again.
     pub latch_repaired: bool,
-    /// A wake cycle was owed a doorbell credit that was not banked (the
-    /// waiter died between the latch swap and the `V`, or consumed the
-    /// credit without draining).
-    pub doorbell_rung: bool,
 }
 
 impl WaitSetFsck {
@@ -449,7 +497,6 @@ impl WaitSetFsck {
             + self.ready_cleared
             + self.credits_absorbed
             + u32::from(self.latch_repaired)
-            + u32::from(self.doorbell_rung)
     }
 
     /// Whether the pass changed anything (a consistent waitset: `false`).
@@ -669,6 +716,18 @@ impl ShardedServer {
         os: &O,
         s: usize,
         obs: ServerObservability<'_>,
+        handler: impl FnMut(Message) -> Message,
+    ) -> (ServerRun, Option<String>) {
+        self.serve_shard::<O, true>(os, s, obs, handler)
+    }
+
+    /// [`Self::run_worker_observed`], its waits
+    /// [`WaitSet::wait_latched`]`::<RESCAN>` (false: the explorer's mutant).
+    pub(crate) fn serve_shard<O: OsServices, const RESCAN: bool>(
+        &self,
+        os: &O,
+        s: usize,
+        obs: ServerObservability<'_>,
         mut handler: impl FnMut(Message) -> Message,
     ) -> (ServerRun, Option<String>) {
         // The loop's client `c` is the shard's WaitSet slot `c`, served
@@ -695,7 +754,7 @@ impl ShardedServer {
                     None => claimed = None,
                 }
             }
-            match ws.wait_deadline(os, &mut cursor, heartbeat) {
+            match ws.wait_latched::<O, RESCAN>(os, &mut cursor, heartbeat) {
                 Ok(slot) => claimed = Some((slot as u32, channel(slot as u32).receive_queue())),
                 // Expiry, the wait's only error: show every member's
                 // watcher a waiting worker, not a wedged one.
@@ -916,17 +975,18 @@ mod tests {
         let arena = ShmArena::new(WaitSetRoot::bytes_needed(4)).unwrap();
         let root = WaitSetRoot::create_in(&arena, 4, 0).unwrap();
         let ws = WaitSet::attach(&arena, root);
-        let os = native(1).task(0);
+        let nos = native(1);
+        let os = nos.task(0);
+        let rung = || nos.metrics().unwrap().task_snapshot(0).doorbells_rung;
 
-        // First edge rings; every further notify — same source (level
-        // held) or new source (latch held) — coalesces.
+        // A fresh latch is held — the waiter polls before it can sleep —
+        // so every notify, same source (level held) or new, coalesces.
         ws.notify(&os, 1);
         ws.notify(&os, 1);
         ws.notify(&os, 2);
         ws.notify(&os, 3);
         let m = os.metrics().unwrap().snapshot();
-        assert_eq!(m.doorbells_rung, 1);
-        assert_eq!(m.doorbells_coalesced, 3);
+        assert_eq!((m.doorbells_rung, m.doorbells_coalesced), (0, 4));
 
         // One pass drains all three ready sources round-robin; the wait
         // polls before sleeping, so no kernel trip is needed at all.
@@ -935,23 +995,30 @@ mod tests {
         assert_eq!(ws.poll(&mut cursor), Some(2));
         assert_eq!(ws.poll(&mut cursor), Some(3));
         assert_eq!(ws.poll(&mut cursor), None);
-        assert_eq!(os.metrics().unwrap().snapshot().waitset_wakes, 0);
 
-        // The ring's credit is still banked and the latch still held: a
-        // bounded wait absorbs it as one spurious wake (closing the
-        // cycle), then expires empty.
+        // An empty bounded wait clears the latch, sleeps, expires and
+        // takes the latch back: nothing rang, nothing is banked.
         assert_eq!(
-            ws.wait_deadline(&os, &mut cursor, Duration::from_millis(50)),
+            ws.wait_deadline(&os, &mut cursor, Duration::from_millis(5)),
             Err(IpcError::Timeout)
         );
-        let m = os.metrics().unwrap().snapshot();
-        assert_eq!(m.waitset_wakes, 1);
-        assert!(m.doorbells_rung <= m.waitset_wakes + 1);
+        assert_eq!((rung(), nos.sem(0).count()), (0, 0));
 
-        // The cycle closed: the next edge rings again and is found.
-        ws.notify(&os, 0);
-        assert_eq!(os.metrics().unwrap().snapshot().doorbells_rung, 2);
-        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(0));
+        // Asleep, the waiter is rung by the first edge, and wakes awake:
+        // the ringer left the latch held, so the next notify coalesces.
+        let woke = std::thread::scope(|sc| {
+            let waiter = sc.spawn(|| ws.wait_deadline(&nos.task(1), &mut 0, SOON));
+            while nos.sem(0).waiting() == 0 {
+                std::thread::yield_now();
+            }
+            ws.notify(&os, 0);
+            waiter.join().unwrap()
+        });
+        assert_eq!(woke, Ok(0));
+        assert_eq!(nos.metrics().unwrap().task_snapshot(1).waitset_wakes, 1);
+        ws.notify(&os, 3);
+        assert_eq!(rung(), 1);
+        assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(3));
     }
 
     #[test]
@@ -986,9 +1053,10 @@ mod tests {
             ws.wait_deadline(&os, &mut cursor, Duration::from_millis(5)),
             Err(IpcError::Timeout)
         );
-        // The expiry consumed nothing: a subsequent notify still rings
-        // and is still found.
+        // The expiry took the latch back and banked nothing: a later
+        // notify coalesces, and the next wait's poll finds it.
         ws.notify(&os, 1);
+        assert_eq!(os.metrics().unwrap().snapshot().doorbells_coalesced, 1);
         assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(1));
     }
 
@@ -998,71 +1066,54 @@ mod tests {
         let root = WaitSetRoot::create_in(&arena, 3, 0).unwrap();
         let ws = WaitSet::attach(&arena, root);
         let os = native(1).task(0);
-        // Fully closes a claimed wake cycle the way a live waiter loop
-        // does across its next block: the `P` takes the banked credit and
-        // the post-wake store clears the latch. (The wait polls first, so
-        // a claim of an already-ready source leaves both in place.)
-        let close = |expect_credit: bool| {
-            assert_eq!(
-                os.sem_p_deadline(ws.doorbell_sem(), Duration::ZERO),
-                expect_credit
-            );
-            ws.root.pending.store(0, Ordering::SeqCst);
-        };
 
         // Consistent idle waitset: strict no-op.
         assert_eq!(ws.fsck(&os, |_| false), WaitSetFsck::default());
 
-        // Consistent *ready* cycle (edge raised, latch held, one credit
-        // banked): also a no-op — the banked credit is absorbed and
-        // re-posted, netting to zero — and the cycle still works.
+        // A ready source under the held latch, no credit: also a no-op,
+        // and the cycle still works.
         ws.notify(&os, 2);
         assert_eq!(ws.fsck(&os, |s| s == 2), WaitSetFsck::default());
         let mut cursor = 0;
         assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(2));
-        close(true);
 
-        // A waiter that died between claiming the edge (its wake `P` had
-        // consumed the credit and reopened the cycle) and draining the
-        // source: ready word down, latch clear, no credit — yet the
-        // backlog is real. fsck must resurrect the whole cycle.
+        // A waiter that claimed source 1 and died before draining it, in
+        // its final rescan (latch clear), with a credit banked: fsck
+        // re-raises the bit, absorbs the credit and takes the latch back.
         ws.notify(&os, 1);
         assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(1));
-        close(true); // ...and the waiter "dies" here, backlog undrained
+        ws.root.pending.store(0, Ordering::SeqCst);
+        os.sem_v(ws.doorbell_sem());
         let r = ws.fsck(&os, |s| s == 1);
         assert_eq!(
             r,
             WaitSetFsck {
                 ready_raised: 1,
+                credits_absorbed: 1,
                 latch_repaired: true,
-                doorbell_rung: true,
                 ..WaitSetFsck::default()
             }
         );
         assert_eq!(
             ws.wait_deadline(&os, &mut cursor, SOON),
             Ok(1),
-            "resurrected cycle must wake a successor"
+            "a successor must find the resurrected backlog"
         );
-        close(true);
 
-        // A stale edge over a drained source plus its banked credit: both
-        // absorbed, latch released.
+        // A stale edge over a drained source: cleared.
         ws.notify(&os, 0);
         let r = ws.fsck(&os, |_| false);
         assert_eq!(
             r,
             WaitSetFsck {
                 ready_cleared: 1,
-                credits_absorbed: 1,
-                latch_repaired: true,
                 ..WaitSetFsck::default()
             }
         );
         // Second pass on the now-consistent state: idempotent, and no
-        // credit survived the absorption.
+        // credit survived.
         assert_eq!(ws.fsck(&os, |_| false), WaitSetFsck::default());
-        close(false);
+        assert!(!os.sem_p_deadline(ws.doorbell_sem(), Duration::ZERO));
     }
 
     /// The same rebuild on a three-word set: repairs land on the right
@@ -1092,7 +1143,7 @@ mod tests {
                 ready_cleared: 3,
                 ..WaitSetFsck::default()
             },
-            "latch held and one credit banked: only the bits were wrong"
+            "latch held and no credit banked: only the bits were wrong"
         );
         assert_eq!(ws.fsck(&os, backlog), WaitSetFsck::default(), "idempotent");
 

@@ -370,7 +370,7 @@ fn shared_futex_learns_the_wake_cost_across_fork() {
         // Unpinned, still ring every wake, so the parent can finish.
         let pinned = usipc::pin_to_cpu(1).is_ok();
         for _ in 0..WAKES {
-            // Registered means past its spin; 5 µs on, the parent is
+            // Registered means past its first attempt; 5 µs on, the parent is
             // asleep in the kernel, and this `V` still comes within the
             // 25 µs of its `P` in which a spin could have caught it.
             while sem.waiting() == 0 {

@@ -450,8 +450,9 @@ fn waitset_wait_yields_once_then_sleeps_on_the_doorbell() {
     let os = MockOs::new();
     os.on(Trigger::OnSemP(1), notifier(&arena, root, 1));
     assert_eq!(ws.wait_deadline(&os, &mut 0, LONG), Ok(1));
-    // Fig. 7 Receive: empty scan -> yield -> empty rescan -> P(doorbell);
-    // the `V` is the notifier's, made while the waiter was "blocked".
+    // Fig. 7 Receive: empty scan -> yield -> empty rescan -> latch clear
+    // -> empty final scan -> P(doorbell); the `V` is the notifier's, made
+    // while the waiter was "blocked" (the latch was clear).
     assert_eq!(
         os.calls(),
         vec![Call::Yield, Call::SemP(DOORBELL), Call::SemV(DOORBELL)]
@@ -465,9 +466,9 @@ fn waitset_wait_claims_a_notify_made_during_its_yield_without_a_p() {
     let os = MockOs::new();
     os.on(Trigger::OnYield(1), notifier(&arena, root, 0));
     assert_eq!(ws.wait_deadline(&os, &mut 0, LONG), Ok(0));
-    // The notifier rang (the latch was clear), and the rescan found its
-    // source: the credit stays banked for the next real `P`.
-    assert_eq!(os.calls(), vec![Call::Yield, Call::SemV(DOORBELL)]);
+    // The waiter was still awake (latch held): the notifier rang nothing,
+    // and the post-yield poll found its source.
+    assert_eq!(os.calls(), vec![Call::Yield]);
 }
 
 #[test]
@@ -478,15 +479,15 @@ fn waitset_wait_on_a_ready_source_costs_no_yield() {
     os.on(Trigger::Immediately, notifier(&arena, root, 1));
     let mut cursor = 0;
     assert_eq!(ws.wait_deadline(&os, &mut cursor, LONG), Ok(1));
-    assert_eq!(os.calls(), [Call::SemV(DOORBELL)], "only the notify's ring");
-    // A zero-length wait with nothing ready: yield, rescan, one
-    // zero-timeout `P` (it takes the notify's banked credit), rescan,
+    assert!(os.calls().is_empty(), "a fresh latch is held: no ring");
+    // A zero-length wait with nothing ready: yield, rescan, clear the
+    // latch, rescan, one zero-timeout `P` (the mock grants it), rescan,
     // expire.
     assert_eq!(
         ws.wait_deadline(&os, &mut cursor, Duration::ZERO),
         Err(IpcError::Timeout)
     );
-    assert_eq!(os.calls()[1..], [Call::Yield, Call::SemP(DOORBELL)]);
+    assert_eq!(os.calls(), [Call::Yield, Call::SemP(DOORBELL)]);
 }
 
 // ---- BSLS (Fig. 9) ---------------------------------------------------

@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use usipc::waitset::{WaitSet, WaitSetRoot};
 use usipc::{
-    Channel, ChannelConfig, Message, NativeConfig, NativeOs, ProtoEvent, QueueKind, Role,
-    TelemetryPlane, TracePoint,
+    monotonic_nanos, Channel, ChannelConfig, Message, NativeConfig, NativeOs, OsServices,
+    ProtoEvent, QueueKind, Role, TelemetryPlane, TracePoint,
 };
 use usipc_shm::{ShmArena, ShmError, ShmPtr};
 
@@ -392,4 +392,98 @@ fn a_scribbled_telemetry_or_flight_directory_reads_as_absent_never_a_panic() {
     let trace = live.collect(&[]);
     assert_eq!((trace.records.len(), trace.dropped), (r, u64::from(RING)));
     assert!(no_plane() && no_flight(), "and a new handle refuses them");
+}
+
+// `FutexSem`, one cache line: the words a wait reads.
+const SEM_COUNT: u32 = 0;
+const SEM_WAITERS: u32 = 4;
+const SEM_WAKE_STAMP: u32 = 40;
+const SEM_SPIN_NANOS: u32 = 48;
+
+/// The semaphore words are shared too. Whatever a peer writes into the
+/// doorbell's `count`, `waiters`, `wake_stamp` or learned `spin_nanos` —
+/// before a wait, or while a waiter sleeps — no wait panics, every request
+/// is still served, and no wait is budgeted a spin past §5's 25 µs.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+#[test]
+fn scribbled_semaphore_words_never_make_a_wait_spin_long_or_panic() {
+    use std::time::Duration;
+    const PAUSE_NANOS: u64 = 25_000;
+    let arena = Arc::new(ShmArena::new(1 << 16).expect("arena"));
+    // No metrics: each round's waiter is a fresh thread on task 1.
+    let mut cfg = NativeConfig::for_clients(0).without_metrics();
+    (cfg.n_sems, cfg.n_msgqs) = (1, 0);
+    let (os, sems) = NativeOs::new_shared(cfg, Arc::clone(&arena)).expect("sems");
+    let ws = WaitSet::attach(
+        &arena,
+        WaitSetRoot::create_in(&arena, 2, 0).expect("waitset"),
+    );
+    let sem = sems.at(0).raw();
+    let word = |off: u32| -> &AtomicU32 { arena.get(ShmPtr::from_raw(sem + off)) };
+    let stamp: &AtomicU64 = arena.get(ShmPtr::from_raw(sem + SEM_WAKE_STAMP));
+    let t = os.task(0);
+    let bounded = || {
+        assert!(os.sem(0).wake_estimate_nanos() <= PAUSE_NANOS);
+        assert!(t.wake_latency_nanos(0) <= PAUSE_NANOS);
+    };
+    // One empty wait, then one request made while a waiter sleeps (or
+    // would: a scribbled `waiters` can hide it from the `V`, and its
+    // heartbeat finds the request instead). `mid_sleep` scribbles once the
+    // waiter has registered.
+    let round = |mid_sleep: &dyn Fn()| {
+        let _ = ws.wait_deadline(&t, &mut 0, Duration::from_millis(1));
+        bounded();
+        let before = os.sem(0).waiting();
+        let got = std::thread::scope(|sc| {
+            let waiter =
+                sc.spawn(|| ws.wait_deadline(&os.task(1), &mut 0, Duration::from_millis(50)));
+            let t0 = std::time::Instant::now();
+            while os.sem(0).waiting() == before && t0.elapsed() < Duration::from_millis(20) {
+                std::thread::yield_now();
+            }
+            mid_sleep();
+            ws.notify(&t, 1);
+            waiter.join().expect("no panic in the wait")
+        });
+        assert_eq!(
+            got.ok().or_else(|| ws.poll(&mut 0)),
+            Some(1),
+            "request lost"
+        );
+        bounded();
+    };
+
+    // A count at the SEMVMX limit makes the next `V` die loudly by design
+    // (`FutexSem::v`'s overflow panic), so these stay below it.
+    for bad in [1, 7, 30_000] {
+        assert_eq!(word(SEM_COUNT).swap(bad, SeqCst), 0, "layout: count");
+        round(&|| {});
+        word(SEM_COUNT).store(0, SeqCst);
+    }
+    for bad in [7, u32::MAX] {
+        assert_eq!(word(SEM_WAITERS).swap(bad, SeqCst), 0, "layout: waiters");
+        round(&|| {});
+        word(SEM_WAITERS).store(0, SeqCst);
+    }
+    for bad in [1, u64::MAX, u64::MAX - 1, monotonic_nanos() + (1 << 40)] {
+        assert_eq!(stamp.load(SeqCst), 0, "layout: wake_stamp");
+        round(&|| stamp.store(bad, SeqCst));
+        stamp.store(0, SeqCst);
+    }
+    for bad in [PAUSE_NANOS as u32 + 1, u32::MAX] {
+        let honest = word(SEM_SPIN_NANOS).swap(bad, SeqCst);
+        assert!(u64::from(honest) <= PAUSE_NANOS, "layout: spin_nanos");
+        assert_eq!(
+            os.sem(0).wake_estimate_nanos(),
+            PAUSE_NANOS,
+            "clamped at its read"
+        );
+        round(&|| {});
+        round(&|| word(SEM_SPIN_NANOS).store(bad, SeqCst));
+        word(SEM_SPIN_NANOS).store(honest, SeqCst);
+    }
+    assert_eq!(os.sem(0).count(), 0, "every credit consumed");
 }

@@ -20,8 +20,8 @@
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use usipc::scenarios::{
-    echo_scenario, mux_scenario, throttle_scenario, ConsumerKind, Fig4Scenario, Interleaving,
-    ProducerKind, ALL_INTERLEAVINGS,
+    echo_scenario, mux_late_clear_scenario, mux_scenario, throttle_scenario, ConsumerKind,
+    Fig4Scenario, Interleaving, ProducerKind, ALL_INTERLEAVINGS,
 };
 use usipc::WaitStrategy;
 use usipc_sim::{Explorer, Outcome, ScenarioCheck, SimBuilder};
@@ -264,6 +264,30 @@ fn mux_worker_two_clients_lose_no_doorbell_over_all_schedules() {
         .sem_bound(1)
         .run(mux_scenario(2, 2));
     assert!(walks.ok(), "{}", walks.summary());
+}
+
+/// The WaitSet mutant that clears its doorbell latch *after* the final
+/// scan: a notify in between finds the latch held and rings nothing, so
+/// the worker sleeps over the request until its heartbeat. The explorer
+/// must find that lost doorbell, and its decision string must replay it.
+#[test]
+fn late_latch_clear_mutant_loses_a_doorbell_with_replayable_counterexample() {
+    let ex = Explorer::dfs(6).sem_bound(1);
+    let r = ex.run(mux_late_clear_scenario(2, 1));
+    assert!(
+        r.violations > 0,
+        "explorer failed to find the lost doorbell: {}",
+        r.summary()
+    );
+    let c = &r.counterexamples[0];
+    assert!(c.violation.contains("lost doorbell"), "{}", c.violation);
+    let decisions = usipc_sim::parse_decisions(&c.decision_string()).expect("printable");
+    assert_eq!(decisions, c.decisions);
+    let (_, verdict) = ex.replay(&decisions, mux_late_clear_scenario(2, 1));
+    assert!(
+        verdict.is_err_and(|e| e.contains("lost doorbell")),
+        "replay must reproduce the lost doorbell"
+    );
 }
 
 /// The §5 throttled server's liveness claim: it never blocks with a

@@ -354,9 +354,9 @@ fn semaphore_credits_never_accumulate_in_bsw() {
 }
 
 /// Reference model of one WaitSet driven from a single thread: the ready
-/// set, the pending latch, the doorbell credits, and the three counters
-/// the doorbell budget is stated in.
-#[derive(Default)]
+/// set, the pending latch (Fig. 5's `awake`: held from creation, cleared
+/// only inside a wait), the doorbell credits, and the three counters the
+/// doorbell budget is stated in.
 struct WaitSetModel {
     ready: BTreeSet<usize>,
     latch: bool,
@@ -364,6 +364,19 @@ struct WaitSetModel {
     rung: u64,
     coalesced: u64,
     wakes: u64,
+}
+
+impl Default for WaitSetModel {
+    fn default() -> Self {
+        WaitSetModel {
+            ready: BTreeSet::new(),
+            latch: true,
+            credits: 0,
+            rung: 0,
+            coalesced: 0,
+            wakes: 0,
+        }
+    }
 }
 
 impl WaitSetModel {
@@ -394,14 +407,20 @@ impl WaitSetModel {
         Some(s)
     }
 
-    /// A zero-length bounded wait: polls, and failing that absorbs a
-    /// banked doorbell credit (closing the wake cycle) before timing out.
+    /// A zero-length bounded wait: polls; failing that, clears the latch,
+    /// rescans (nothing: one thread) and `P`s. A banked credit is one wake
+    /// and then expiry with the latch still clear; with none the `P`
+    /// expires and the wait takes the latch back.
     fn wait_zero(&mut self, cursor: usize) -> Option<usize> {
         let got = self.poll(cursor);
-        if got.is_none() && self.credits > 0 {
-            self.credits -= 1;
-            self.wakes += 1;
-            self.latch = false;
+        if got.is_none() {
+            if self.credits > 0 {
+                self.credits -= 1;
+                self.wakes += 1;
+                self.latch = false;
+            } else {
+                self.latch = true;
+            }
         }
         got
     }
