@@ -7,7 +7,7 @@
 //! protocol rows must report **zero** counterexamples over the exhaustively
 //! enumerated bounded schedule space, and the mutant rows (the consumer
 //! without the re-check, the producer without the `tas` guard, the mux
-//! worker clearing its doorbell latch after its final scan) must report
+//! waiter clearing its doorbell latch after its final scan) must report
 //! **at least one**, each with a printed decision string that replays the
 //! violation deterministically. Either direction failing panics the
 //! experiment — a silent explorer is as much a regression as a racy
@@ -18,8 +18,8 @@ use crate::table::Table;
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use usipc::scenarios::{
-    echo_scenario, mux_late_clear_scenario, mux_scenario, ConsumerKind, Fig4Scenario, ProducerKind,
-    ALL_INTERLEAVINGS,
+    echo_scenario, mux_scenario, waitset_late_clear_scenario, ConsumerKind, Fig4Scenario,
+    ProducerKind, ALL_INTERLEAVINGS,
 };
 use usipc::WaitStrategy;
 use usipc_sim::{ExploreReport, Explorer, ScenarioCheck, SimBuilder};
@@ -136,13 +136,14 @@ pub(super) fn run(opts: RunOpts) -> ExperimentOutput {
             &Explorer::random(40, 0x3D0B, 150).sem_bound(1),
             mux_scenario(2, 2),
         ),
-        // The worker's doorbell latch cleared after its final scan, not
-        // before: a notify in between rings nothing (appended, as above).
+        // A WaitSet waiter that clears its doorbell latch after its final
+        // scan, not before: a notify in between rings nothing (appended,
+        // as above).
         explore(
-            "mutant-mux-late-clear",
+            "mutant-waitset-late-clear",
             Expect::Counterexample,
             &dfs(),
-            mux_late_clear_scenario(2, 1),
+            waitset_late_clear_scenario(1),
         ),
     ];
 

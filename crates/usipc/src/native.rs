@@ -144,9 +144,10 @@ pub struct NativeOs {
     multiprocessor: bool,
     /// Whether a waiter spins before it announces a sleep
     /// ([`OsServices::wake_latency_nanos`] hands out the semaphore's
-    /// learned wake cost), and so whether a sleeping `P` learns that cost:
-    /// not if the builder had one CPU, else yes — whatever
-    /// `multiprocessor` ([`crate::sem`]).
+    /// learned wake cost), and so whether the `P` after that spin
+    /// ([`OsServices::sem_p_learning`]) learns that cost: not if the
+    /// builder had one CPU, else yes — whatever `multiprocessor`
+    /// ([`crate::sem`]).
     spins: bool,
     full_backoff: Duration,
     metrics: Option<MetricsRegistry>,
@@ -369,6 +370,23 @@ pub struct NativeTask {
 // in the caller's crate; there a hook without `#[inline]` is an opaque call
 // on every counted event. So `charge` and the two hooks `record` calls,
 // `metrics` and `trace`, are `#[inline]`, and `trace` inlines only its test.
+impl NativeTask {
+    /// Every `P` of the backend ([`CountingSem::acquire`]).
+    /// `SemP` keeps the paper's protocol-level syscall accounting;
+    /// `SemKernelWait` counts actual kernel entries (none: credit banked).
+    fn p(&self, sem: u32, timeout: Option<Duration>, learn: bool) -> bool {
+        self.record(ProtoEvent::SemP);
+        let (taken, entered) = self.os.sem(sem).acquire(timeout, learn);
+        for _ in 0..entered {
+            self.record(ProtoEvent::SemKernelWait);
+        }
+        if !taken {
+            self.record(ProtoEvent::TimedOut);
+        }
+        taken
+    }
+}
+
 impl OsServices for NativeTask {
     fn yield_now(&self) {
         self.record(ProtoEvent::Yield);
@@ -398,25 +416,15 @@ impl OsServices for NativeTask {
     }
 
     fn sem_p(&self, sem: u32) {
-        self.record(ProtoEvent::SemP);
-        // `SemP` keeps the paper's protocol-level syscall accounting;
-        // `SemKernelWait` counts actual kernel entries (none: credit banked).
-        let (_, entered) = self.os.sem(sem).acquire(None, self.os.spins);
-        for _ in 0..entered {
-            self.record(ProtoEvent::SemKernelWait);
-        }
+        self.p(sem, None, false);
     }
 
     fn sem_p_deadline(&self, sem: u32, timeout: Duration) -> bool {
-        self.record(ProtoEvent::SemP);
-        let (taken, entered) = self.os.sem(sem).acquire(Some(timeout), self.os.spins);
-        for _ in 0..entered {
-            self.record(ProtoEvent::SemKernelWait);
-        }
-        if !taken {
-            self.record(ProtoEvent::TimedOut);
-        }
-        taken
+        self.p(sem, Some(timeout), false)
+    }
+
+    fn sem_p_learning(&self, sem: u32, timeout: Option<Duration>) -> bool {
+        self.p(sem, timeout, self.os.spins)
     }
 
     #[inline]

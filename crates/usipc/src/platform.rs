@@ -105,6 +105,22 @@ pub trait OsServices {
         true
     }
 
+    /// The `P` after a spin of [`wake_latency_nanos`](Self::wake_latency_nanos)`(sem)`:
+    /// [`sem_p_deadline`](Self::sem_p_deadline) for `Some(timeout)`,
+    /// [`sem_p`](Self::sem_p) for `None`. Where that estimate is learned
+    /// (the native backend on more than one CPU) this sleep also teaches it
+    /// what a wake costs; no other `P` pays for the wake stamp. The default,
+    /// and the simulator's, is the plain call.
+    fn sem_p_learning(&self, sem: u32, timeout: Option<core::time::Duration>) -> bool {
+        match timeout {
+            Some(t) => self.sem_p_deadline(sem, t),
+            None => {
+                self.sem_p(sem);
+                true
+            }
+        }
+    }
+
     /// The queue-full back-off (`sleep(1)` in the paper).
     fn sleep_full(&self);
 

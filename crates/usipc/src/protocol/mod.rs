@@ -371,6 +371,12 @@ impl Left {
             }
         }
     }
+
+    /// [`Self::sem_p`] through [`OsServices::sem_p_learning`]: the sleep
+    /// after a spin on `sem`'s learned wake latency.
+    pub(crate) fn sem_p_learning<O: OsServices>(self, os: &O, sem: u32) -> bool {
+        os.sem_p_learning(sem, self.0)
+    }
 }
 
 /// The blocking consumer skeleton shared by BSW, BSWY and BSLS (the wait

@@ -21,8 +21,8 @@
 //! and the unguarded `V` whose credits "can accumulate — eventually causing
 //! an overflow of the semaphore value (this happened in our first version
 //! of the algorithm!)" (§3) — and must produce counterexamples; so must
-//! [`mux_late_clear_scenario`], the WaitSet's doorbell latch cleared after
-//! its final scan instead of before.
+//! [`waitset_late_clear_scenario`], a WaitSet waiter that clears its
+//! doorbell latch after its final scan instead of before.
 //!
 //! [`Sys::mark`]: usipc_sim::Sys::mark
 
@@ -30,13 +30,13 @@ use crate::channel::{Channel, ChannelConfig};
 use crate::fault::{FaultAction, FaultPlan, IpcError};
 use crate::metrics::{MetricsRegistry, ProtoEvent};
 use crate::msg::Message;
-use crate::platform::OsServices;
+use crate::platform::{Cost, OsServices};
 use crate::protocol::{blocking_dequeue, Deadline, WaitStrategy};
 use crate::server::{
     channel_source, run_echo_server, run_throttled_server, serve, Next, ServerObservability, Source,
 };
 use crate::simulated::{SimCosts, SimIds, SimOs};
-use crate::waitset::{ShardedConfig, ShardedServer};
+use crate::waitset::{ShardedConfig, ShardedServer, WaitSet, WaitSetRoot};
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use usipc_sim::{MachineModel, ScenarioCheck, SimBuilder, SimReport};
@@ -440,26 +440,6 @@ fn channel_scenario(
 /// [`usipc_sim::Explorer::sem_bound`]`(1)` and no semaphore — doorbell or
 /// reply — may ever bank two credits.
 pub fn mux_scenario(n_clients: u32, msgs: u32) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
-    mux_cast::<true>(n_clients, msgs)
-}
-
-/// [`mux_scenario`] with the worker's wait mutated: it clears the doorbell
-/// latch *after* its final scan. A notify between the two finds the latch
-/// still held and rings nothing, and the worker sleeps over the request
-/// until its heartbeat rescues it — a lost doorbell the explorer must find.
-pub fn mux_late_clear_scenario(
-    n_clients: u32,
-    msgs: u32,
-) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
-    mux_cast::<false>(n_clients, msgs)
-}
-
-/// The mux cast and its check, the worker's waits
-/// [`WaitSet::wait_latched`](crate::WaitSet::wait_latched)`::<RESCAN>`.
-fn mux_cast<const RESCAN: bool>(
-    n_clients: u32,
-    msgs: u32,
-) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
     move |b: &mut SimBuilder| {
         let cfg = ShardedConfig {
             heartbeat: core::time::Duration::from_millis(10),
@@ -474,7 +454,7 @@ fn mux_cast<const RESCAN: bool>(
             n_clients,
             false,
             move |os| {
-                srv2.serve_shard::<_, RESCAN>(os, 0, ServerObservability::none(), |m| m);
+                srv2.run_worker(os, 0, |m| m);
             },
             move |os, c| echo_session(&count, msgs, c, |m| srv3.client(os, c).call(m)),
         );
@@ -493,6 +473,53 @@ fn mux_cast<const RESCAN: bool>(
             }
             Ok(())
         })
+    }
+}
+
+/// The explorer's mutant of [`WaitSet::wait_deadline`]: a waiter that
+/// clears the doorbell latch *after* its final scan. `n_notifiers` tasks
+/// each [`notify`](WaitSet::notify) their own source once, and the waiter
+/// polls, clears and `P`s — for at most 10 ms of virtual time, beyond any
+/// fault-free run — until it has claimed every source. A notify between
+/// the scan and the clear finds the latch still held and rings nothing,
+/// so the waiter sleeps over its bit until the bound rescues it: a lost
+/// doorbell the explorer must find. (The product's wait clears first;
+/// [`mux_scenario`] runs it and must stay clean.)
+pub fn waitset_late_clear_scenario(
+    n_notifiers: u32,
+) -> impl FnMut(&mut SimBuilder) -> ScenarioCheck {
+    move |b: &mut SimBuilder| {
+        let n = n_notifiers as usize;
+        let arena = Arc::new(usipc_shm::ShmArena::new(WaitSetRoot::bytes_needed(n)).unwrap());
+        let root = WaitSetRoot::create_in(&arena, n, 0).unwrap();
+        let waiter_arena = Arc::clone(&arena);
+        let metrics = spawn_cast(
+            b,
+            1, // the doorbell
+            n_notifiers,
+            false,
+            move |os| {
+                let ws = WaitSet::attach(&waiter_arena, root);
+                let (mut cursor, mut claimed) = (0, 0);
+                while claimed < n {
+                    if ws.poll(&mut cursor).is_some() {
+                        claimed += 1;
+                        continue;
+                    }
+                    // The mutation: `awake = 0` after the final scan.
+                    os.charge(Cost::Tas);
+                    ws.latch().store(0, Ordering::SeqCst);
+                    os.sem_p_deadline(ws.doorbell_sem(), core::time::Duration::from_millis(10));
+                }
+            },
+            move |os, c| WaitSet::attach(&arena, root).notify(os, c as usize),
+        );
+        Box::new(
+            move |_r: &SimReport| match metrics.task_snapshot(0).timed_out {
+                0 => Ok(()),
+                _ => Err("lost doorbell: the waiter was rescued by its bound".into()),
+            },
+        )
     }
 }
 

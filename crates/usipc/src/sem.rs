@@ -34,9 +34,10 @@
 //! sleep. The semaphore does not spin itself — the one pre-sleep spin is
 //! the WaitSet's, on its ready bitmap, before the doorbell latch clears
 //! ([`WaitSet::wait_deadline`](crate::WaitSet::wait_deadline)) — but each
-//! semaphore measures the latency that spin is budgeted by. A sleeping,
-//! learning `P` asks for a stamp; the `V` that has to `futex_wake` it stamps the cache
-//! line with [`monotonic_nanos`](usipc_shm::monotonic_nanos) (one clock
+//! semaphore can measure the latency that spin is budgeted by. Only the
+//! `P` that follows such a spin learns: it asks for a stamp
+//! ([`OsServices::sem_p_learning`](crate::OsServices::sem_p_learning)),
+//! and the `V` that has to `futex_wake` it stamps the cache line with [`monotonic_nanos`](usipc_shm::monotonic_nanos) (one clock
 //! axis across forks) and the CPU it rang from; the woken `P` turns the
 //! stamp into a wake-latency sample and folds it into the running estimate
 //! (`fold_wake_sample`: clamped to §5's 25 µs, one outlier moves it by at
@@ -53,9 +54,11 @@
 //! spin, although a CPU idle that long wakes slowest. The read of
 //! the waker's CPU is `rdtscp`'s `TSC_AUX` on x86_64, no kernel entry;
 //! aarch64 has no such read in user space and pays one `getcpu(2)`
-//! syscall per stamped `V` and per learning `P` (not measured).
-//! [`NativeOs`](crate::NativeOs) hands the estimate to the WaitSet by the
-//! CPUs its building thread may run on (EXPERIMENTS.md, "Spin only where
+//! syscall per stamped `V` and per learning `P` (not measured). Every
+//! other `P` — bare [`FutexSem::p`]/[`FutexSem::p_timeout`], a channel's,
+//! a client's reply wait — asks for no stamp, so neither it nor its `V`
+//! reads a clock. [`NativeOs`](crate::NativeOs) learns, and hands the
+//! estimate to the WaitSet, by the CPUs its building thread may run on (EXPERIMENTS.md, "Spin only where
 //! it can pay", "Each semaphore spins for what its sleeps cost" and "A
 //! caught arrival rings nothing"):
 //!
@@ -63,7 +66,7 @@
 //! |---|---|---|---|
 //! | 1 | none: the notifier cannot run during it; no wake stamp is asked, so `P` and `V` read no clock | one attempt | `yield` |
 //! | ≥ 2, fewer than tasks (oversubscribed) | the doorbell's learned wake latency, as below | one attempt | `yield` |
-//! | ≥ 2, one per task (multiprocessor) | the doorbell's learned wake latency (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the waker rings from the waiter's CPU; 1 ns where most `V`s come later than 25 µs | one attempt | one `PAUSE` hint, doubling to §5's 25 µs |
+//! | ≥ 2, one per task (multiprocessor) | the doorbell's learned wake latency (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the waker rings from the waiter's CPU; 1 ns where most `V`s come later than 25 µs | one attempt | one `spin_loop` hint doubling to §5's 25 µs |
 //!
 //! ## Why a lost wake-up is impossible
 //!
@@ -457,7 +460,7 @@ impl FutexSem {
 
     /// `P`: block until a credit is available, then take it.
     pub fn p(&self) {
-        self.acquire(None, true);
+        self.acquire(None, false);
     }
 
     /// `P` with a deadline: block until a credit is available or `timeout`
@@ -466,7 +469,7 @@ impl FutexSem {
     /// was consumed**: a `V` racing the expiry leaves its credit banked for
     /// the next `P`.
     pub fn p_timeout(&self, timeout: core::time::Duration) -> bool {
-        self.acquire(Some(timeout), true).0
+        self.acquire(Some(timeout), false).0
     }
 
     /// The one `P` loop behind [`Self::p`] and [`Self::p_timeout`]: one
@@ -474,9 +477,10 @@ impl FutexSem {
     /// `timeout` (`None`, or a deadline past the clock's range, is
     /// "never"), counted from the start of the slow path. With `learn` the
     /// sleep asks its `V` for a wake stamp and folds what it cost into
-    /// [`Self::wake_estimate_nanos`]; a backend that will never spin on the
-    /// estimate (one CPU) passes `false`, and then neither side reads a
-    /// clock without a `timeout`. Returns whether a credit was taken and
+    /// [`Self::wake_estimate_nanos`]. Only a `P` that a spin on that
+    /// estimate preceded passes `true` (bare [`Self::p`] and
+    /// [`Self::p_timeout`] pass `false`); without it neither side reads a
+    /// clock unless there is a `timeout`. Returns whether a credit was taken and
     /// the `futex_wait` calls made (0: the user-space fast path). No clock
     /// is read on the fast path.
     pub fn acquire(&self, timeout: Option<core::time::Duration>, learn: bool) -> (bool, u32) {
@@ -966,8 +970,8 @@ mod tests {
                         let waiter = std::thread::spawn(move || {
                             s2.p_timeout(core::time::Duration::from_micros(u64::from(i % 97)))
                         });
-                        for j in 0..(i % 128) {
-                            core::hint::black_box(j);
+                        for _ in 0..(i % 128) {
+                            core::hint::spin_loop();
                         }
                         s.v();
                         if waiter.join().unwrap() {

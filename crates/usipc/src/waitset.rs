@@ -40,11 +40,15 @@
 //! and one `P`: the notifier that rang leaves the latch held, so the woken
 //! waiter stays awake until its next clear. If the rescan after a clear
 //! finds work, the waiter takes the latch back with a `swap`, and if that
-//! shows a notifier rang in between, takes its credit with a bounded `P`
-//! (Fig. 5's `if (tas(awake)) P`): no credit is left banked. The
-//! invariant is machine-checked (`doorbells_rung ≤ waitset_wakes + 1`,
-//! the `+1` a ring whose credit no wait took: a bounded `P` that expired
-//! before it landed) by `tests/waitset_mux.rs`.
+//! shows a notifier rang in between, takes its credit with a `P` bounded
+//! by what is left of the wait's deadline (Fig. 5's `if (tas(awake)) P`).
+//! So after every wait the latch is held and no credit is banked —
+//! unless that `P` gave up before the notifier's `V` landed. Such a
+//! *stale* credit makes the next `P` return at once, with no notifier
+//! behind it to hold the latch: one spurious wake, and perhaps one
+//! spurious ring after it, both harmless. The budget is machine-checked
+//! (`doorbells_rung ≤ waitset_wakes + 1`, the `+1` a ring whose credit no
+//! wait took yet) by `tests/waitset_mux.rs`.
 //!
 //! Before it clears the latch, the waiter spins once: on the ready words,
 //! which only notifiers write (where Dice & Kogan's waiting array spins),
@@ -79,10 +83,9 @@
 //! zero, so its notifier goes on to the latch, and its swap comes after
 //! the clear. Only notifiers write the latch between the clear and the
 //! `P`, so the earliest swap after the clear reads 0 and posts a `V` that
-//! only the committed `P` can consume. (A credit banked earlier — a
-//! bounded `P` that expired before its `V` landed — only makes the `P`
-//! return sooner; the waiter then clears and rescans again, a new final
-//! scan.) Either way the `P` returns, and the scan after it finds every
+//! only the committed `P` can consume. (A stale credit — one a take-back
+//! gave up on before its `V` landed — only makes the `P` return sooner;
+//! the waiter then polls, clears and rescans again, a new final scan.) Either way the `P` returns, and the scan after it finds every
 //! bit set meanwhile, including those of notifiers that saw a non-zero
 //! word and stayed silent. This is the Fig. 5 argument (set ready, then
 //! test the latch; clear the latch, then scan) applied per word.
@@ -104,7 +107,7 @@ use crate::metrics::ProtoEvent;
 use crate::msg::Message;
 use crate::platform::{Cost, OsServices};
 use crate::protocol::{
-    blocking_dequeue, call_failed, dead_channel, enqueue_or_sleep, round_trip, Deadline,
+    blocking_dequeue, call_failed, dead_channel, enqueue_or_sleep, round_trip, Deadline, Left,
     WaitStrategy,
 };
 use crate::server::{serve, Next, ServerObservability, ServerRun, Source};
@@ -377,8 +380,13 @@ impl<'a> WaitSet<'a> {
     ///
     /// A rescan that finds work, or a `P` that expires, takes the latch
     /// back; if a notifier rang after the clear, the wait takes that credit
-    /// with a `P` bounded by `timeout` (Fig. 5's `if (tas(awake)) P`), so
-    /// no wait leaves a credit banked. Expiry returns
+    /// (Fig. 5's `if (tas(awake)) P`), waiting for it at most what is left
+    /// of the deadline — after an expiry, not at all. So the whole wait
+    /// sleeps at most `timeout`. A credit it gives up on (its notifier had
+    /// swapped the latch but not yet posted its `V`) stays banked, *stale*:
+    /// the next `P` takes it at once, and since no notifier rang for that
+    /// `P`, the latch may stay clear after it. That costs a spurious ring
+    /// and a spurious wake, never a lost one (module docs). Expiry returns
     /// [`IpcError::Timeout`]; the source of a notify racing it stays ready
     /// for the caller's next wait.
     ///
@@ -387,19 +395,6 @@ impl<'a> WaitSet<'a> {
     /// [`IpcError::Timeout`] when the deadline expires with no source
     /// ready.
     pub fn wait_deadline<O: OsServices>(
-        &self,
-        os: &O,
-        cursor: &mut usize,
-        timeout: Duration,
-    ) -> Result<usize, IpcError> {
-        self.wait_latched::<O, true>(os, cursor, timeout)
-    }
-
-    /// [`Self::wait_deadline`]; with `RESCAN` false, the explorer's mutant
-    /// of it ([`mux_late_clear_scenario`](crate::scenarios::mux_late_clear_scenario)):
-    /// the latch clears *after* the final scan, so a notify in between finds
-    /// it held, rings nothing, and the `P` sleeps over its work.
-    pub(crate) fn wait_latched<O: OsServices, const RESCAN: bool>(
         &self,
         os: &O,
         cursor: &mut usize,
@@ -438,37 +433,47 @@ impl<'a> WaitSet<'a> {
             // `awake = 0`, then the re-check: the final scan.
             os.charge(Cost::Tas);
             self.root.pending.store(0, Ordering::SeqCst);
-            if RESCAN {
-                if let Some(s) = self.poll(cursor) {
-                    self.take_latch_back(os, timeout);
-                    return Ok(s);
-                }
+            if let Some(s) = self.poll(cursor) {
+                self.take_latch_back(os, Some(left));
+                return Ok(s);
             }
             os.record(ProtoEvent::BlockEntered);
             os.trace(TracePoint::Begin(Span::Block));
-            let taken = left.sem_p(os, self.doorbell_sem);
+            let taken = left.sem_p_learning(os, self.doorbell_sem);
             os.trace(TracePoint::End(Span::Block));
             if !taken {
-                self.take_latch_back(os, timeout);
+                self.take_latch_back(os, None);
                 os.record(ProtoEvent::TimedOut);
                 return Err(IpcError::Timeout);
             }
-            // Awake again: the notifier that rang left the latch held.
+            // Awake again: the notifier that rang left the latch held
+            // (unless the credit was stale).
             os.record(ProtoEvent::WaitSetWake);
         }
+    }
+
+    /// The pending latch, for the explorer's mutant of
+    /// [`Self::wait_deadline`]
+    /// ([`waitset_late_clear_scenario`](crate::scenarios::waitset_late_clear_scenario)).
+    pub(crate) fn latch(&self) -> &AtomicU32 {
+        &self.root.pending
     }
 
     /// Fig. 5's `if (tas(awake)) P`, for a waiter that cleared the latch
     /// and will not sleep after all: takes the latch back, and if a
     /// notifier found it clear meanwhile, takes that notifier's credit —
-    /// posted, or about to be — waiting at most `bound` for it. So a wait
-    /// leaves no credit banked.
-    fn take_latch_back<O: OsServices>(&self, os: &O, bound: Duration) {
+    /// posted, or about to be — waiting for it at most `left` (`None`: the
+    /// deadline expired, so only a posted credit is taken).
+    fn take_latch_back<O: OsServices>(&self, os: &O, left: Option<Left>) {
         os.charge(Cost::Tas);
-        if self.root.pending.swap(1, Ordering::SeqCst) != 0
-            && os.sem_p_deadline(self.doorbell_sem, bound)
-        {
-            os.record(ProtoEvent::WaitSetWake);
+        if self.root.pending.swap(1, Ordering::SeqCst) != 0 {
+            let taken = match left {
+                Some(left) => left.sem_p(os, self.doorbell_sem),
+                None => os.sem_p_deadline(self.doorbell_sem, Duration::ZERO),
+            };
+            if taken {
+                os.record(ProtoEvent::WaitSetWake);
+            }
         }
     }
 }
@@ -716,18 +721,6 @@ impl ShardedServer {
         os: &O,
         s: usize,
         obs: ServerObservability<'_>,
-        handler: impl FnMut(Message) -> Message,
-    ) -> (ServerRun, Option<String>) {
-        self.serve_shard::<O, true>(os, s, obs, handler)
-    }
-
-    /// [`Self::run_worker_observed`], its waits
-    /// [`WaitSet::wait_latched`]`::<RESCAN>` (false: the explorer's mutant).
-    pub(crate) fn serve_shard<O: OsServices, const RESCAN: bool>(
-        &self,
-        os: &O,
-        s: usize,
-        obs: ServerObservability<'_>,
         mut handler: impl FnMut(Message) -> Message,
     ) -> (ServerRun, Option<String>) {
         // The loop's client `c` is the shard's WaitSet slot `c`, served
@@ -754,7 +747,7 @@ impl ShardedServer {
                     None => claimed = None,
                 }
             }
-            match ws.wait_latched::<O, RESCAN>(os, &mut cursor, heartbeat) {
+            match ws.wait_deadline(os, &mut cursor, heartbeat) {
                 Ok(slot) => claimed = Some((slot as u32, channel(slot as u32).receive_queue())),
                 // Expiry, the wait's only error: show every member's
                 // watcher a waiting worker, not a wedged one.

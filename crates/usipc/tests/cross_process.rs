@@ -338,7 +338,8 @@ fn shared_futex_v_racing_timeout_across_fork() {
 }
 
 /// One clock axis across a fork: a child pinned to CPU 1 `V`s, each time
-/// after the parent, pinned to CPU 0, has gone to sleep in `P`; every wake
+/// after the parent, pinned to CPU 0, has gone to sleep in a learning `P`
+/// (`acquire(timeout, true)`, as a WaitSet's doorbell `P` is); every wake
 /// is stamped in the child and sampled in the parent. On the shared
 /// `monotonic_nanos` axis the learned estimate is a real cross-CPU wake
 /// cost, in (0, 25 µs]; a per-process epoch would make the samples garbage.
@@ -397,7 +398,7 @@ fn shared_futex_learns_the_wake_cost_across_fork() {
             let sem = arena.get(arena.root::<CountingSem>().unwrap());
             for i in 0..WAKES {
                 assert!(
-                    sem.p_timeout(Duration::from_secs(10)),
+                    sem.acquire(Some(Duration::from_secs(10)), true).0,
                     "wake {i} never arrived across the fork"
                 );
             }

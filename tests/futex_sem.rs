@@ -323,7 +323,8 @@ fn pinned_bsw_round_trips(msgs: u64) -> std::collections::BTreeMap<(u64, u64, u6
     costs
 }
 
-/// A backend built with two CPUs visible: each semaphore's first sleeps
+/// A backend built with two CPUs visible: the first learning sleeps on
+/// each semaphore (`sem_p_learning`, the `P` a WaitSet's spin precedes)
 /// teach it what a cross-CPU wake costs (an estimate in (0, 25 µs]), which
 /// is what a WaitSet on it would spin for. The semaphore itself never
 /// spins, so in a ping-pong almost every `P` sleeps; the share is
@@ -345,7 +346,7 @@ fn two_cpu_build_learns_its_wake_cost_and_conserves_credits() {
         std::thread::spawn(move || {
             let pinned = usipc::pin_to_cpu(1).is_ok();
             for _ in 0..ROUNDS {
-                t.sem_p(1);
+                t.sem_p_learning(1, None);
                 t.sem_v(2);
             }
             pinned
@@ -357,7 +358,7 @@ fn two_cpu_build_learns_its_wake_cost_and_conserves_credits() {
             let pinned = usipc::pin_to_cpu(0).is_ok();
             for _ in 0..ROUNDS {
                 t.sem_v(1);
-                t.sem_p(2);
+                t.sem_p_learning(2, None);
             }
             pinned
         })

@@ -20,7 +20,7 @@
 use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use usipc::scenarios::{
-    echo_scenario, mux_late_clear_scenario, mux_scenario, throttle_scenario, ConsumerKind,
+    echo_scenario, mux_scenario, throttle_scenario, waitset_late_clear_scenario, ConsumerKind,
     Fig4Scenario, Interleaving, ProducerKind, ALL_INTERLEAVINGS,
 };
 use usipc::WaitStrategy;
@@ -268,12 +268,12 @@ fn mux_worker_two_clients_lose_no_doorbell_over_all_schedules() {
 
 /// The WaitSet mutant that clears its doorbell latch *after* the final
 /// scan: a notify in between finds the latch held and rings nothing, so
-/// the worker sleeps over the request until its heartbeat. The explorer
-/// must find that lost doorbell, and its decision string must replay it.
+/// the waiter sleeps over the ready bit until its bound. The explorer must
+/// find that lost doorbell, and its decision string must replay it.
 #[test]
 fn late_latch_clear_mutant_loses_a_doorbell_with_replayable_counterexample() {
     let ex = Explorer::dfs(6).sem_bound(1);
-    let r = ex.run(mux_late_clear_scenario(2, 1));
+    let r = ex.run(waitset_late_clear_scenario(2));
     assert!(
         r.violations > 0,
         "explorer failed to find the lost doorbell: {}",
@@ -283,7 +283,7 @@ fn late_latch_clear_mutant_loses_a_doorbell_with_replayable_counterexample() {
     assert!(c.violation.contains("lost doorbell"), "{}", c.violation);
     let decisions = usipc_sim::parse_decisions(&c.decision_string()).expect("printable");
     assert_eq!(decisions, c.decisions);
-    let (_, verdict) = ex.replay(&decisions, mux_late_clear_scenario(2, 1));
+    let (_, verdict) = ex.replay(&decisions, waitset_late_clear_scenario(2));
     assert!(
         verdict.is_err_and(|e| e.contains("lost doorbell")),
         "replay must reproduce the lost doorbell"
