@@ -557,6 +557,13 @@ impl QueueRef<'_> {
         self.fifo.is_empty()
     }
 
+    /// `!empty(Q)` without a `Cost::Poll`: the look a pause takes after every
+    /// hint ([`OsServices::poll_pause`]), so `PollCheck` counts paced looks.
+    #[inline]
+    pub(crate) fn has_message(&self) -> bool {
+        !self.fifo.is_empty()
+    }
+
     /// `Q->awake = 0` (consumer announcing it may sleep).
     pub fn clear_awake<O: OsServices>(&self, os: &O) {
         os.charge(Cost::Tas);

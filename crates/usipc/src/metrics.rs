@@ -63,7 +63,8 @@ pub enum ProtoEvent {
     QueueOp,
     /// One test-and-set (or store) on an `awake` flag (`Cost::Tas`).
     TasOp,
-    /// One `empty(Q)` check in a limited-spin loop (`Cost::Poll`).
+    /// One paced `empty(Q)` check in a limited-spin loop (`Cost::Poll`); a
+    /// pause's uncharged look at its queue after every hint is not counted.
     PollCheck,
     /// One request processed by a server loop (`Cost::Request`).
     RequestServed,
@@ -80,7 +81,7 @@ pub enum ProtoEvent {
     /// A `handoff` system call (or its yield fallback).
     Handoff,
     /// One `busy_wait`/`poll_queue` pacing step (a yield on uniprocessors,
-    /// a spin of at most ~25 µs on multiprocessors).
+    /// on multiprocessors a spin of ≤ ~25 µs that its awaited queue ends).
     SpinIteration,
     /// A queue-full back-off (`sleep(1)` in the paper).
     QueueFullBackoff,

@@ -79,7 +79,8 @@ pub struct NativeConfig {
     pub msgq_capacity: usize,
     /// `true` on a multiprocessor: `busy_wait` (a flat 25 µs) and
     /// `poll_pause` (one `spin_loop` hint ramping up to it) spin instead
-    /// of yielding (§2.1/§5). [`NativeOs::new`] clamps this against the
+    /// of yielding (§2.1/§5), each ending one hint after the queue it
+    /// watches turns non-empty. [`NativeOs::new`] clamps this against the
     /// CPUs its building thread may run on: with fewer than runnable tasks,
     /// spinning only starves the awaited peer, so both degrade to
     /// `yield_now`.
@@ -336,13 +337,40 @@ const HINT_NANOS: u64 = 10;
 
 /// Nominal pause after `attempt` earlier ones in the same wait: one hint —
 /// the cheapest pause the CPU has; the polled word is written only by the
-/// awaited peer, so a longer first step saves no traffic and only delays
-/// seeing the write — doubling every other attempt, [`PAUSE_NANOS`] from
-/// attempt 24 on. A reply that lands after *t* is seen within ≈ 2*t*, and
-/// `MAX_SPIN` = 50 still spans ≈ 0.73 ms (26 capped pauses) before BSLS
-/// blocks.
+/// awaited peer, so a longer first step saves no traffic — doubling every
+/// other attempt, [`PAUSE_NANOS`] from attempt 24 on. Each pause watches
+/// the queue, so a reply is seen one hint after it lands; the ramp paces
+/// the counted looks (`Cost::Poll`). At the nominal 10 ns a hint, `MAX_SPIN`
+/// = 50 spans ≈ 0.73 ms before BSLS blocks: the 24 ramp steps sum to
+/// 2 × 10 ns × (2¹² − 1) = 81.9 µs and 26 capped pauses add 650 µs.
 fn poll_pause_nanos(attempt: u32) -> u64 {
     (HINT_NANOS << (attempt / 2).min(16)).min(PAUSE_NANOS)
+}
+
+/// `spin_loop` hints per clock read in a timed [`spin`].
+const SPIN_BATCH: u64 = 64;
+
+/// The backend's one spin loop: `spin_loop` hints, each followed by a look
+/// at `ready`, until a look says yes or `nanos` are over. A `counted` spin
+/// reads no clock (a read costs more than the ramp's first steps); else it
+/// reads it once per [`SPIN_BATCH`] hints (without a vDSO, a syscall).
+fn spin(nanos: u64, counted: bool, mut ready: impl FnMut() -> bool) {
+    let (batch, start) = match counted {
+        true => (nanos / HINT_NANOS, None),
+        false => (SPIN_BATCH, Some(Instant::now())),
+    };
+    let d = Duration::from_nanos(nanos);
+    while start.is_none_or(|t| t.elapsed() < d) {
+        for _ in 0..batch {
+            core::hint::spin_loop();
+            if ready() {
+                return;
+            }
+        }
+        if counted {
+            return;
+        }
+    }
 }
 
 /// One round trip in this many is timed ([`OsServices::latency_sample_period`]).
@@ -371,6 +399,23 @@ pub struct NativeTask {
 // on every counted event. So `charge` and the two hooks `record` calls,
 // `metrics` and `trace`, are `#[inline]`, and `trace` inlines only its test.
 impl NativeTask {
+    /// [`OsServices::busy_wait`] with nothing to watch: the full nominal
+    /// pause, for a caller that times the bare pause rather than a wait.
+    pub fn busy_wait(&self) {
+        self.pause(PAUSE_NANOS, || false);
+    }
+
+    /// One pacing step of a nominal `nanos`: on a multiprocessor a [`spin`]
+    /// watching `ready`, counted below the cap; else a yield.
+    fn pause(&self, nanos: u64, ready: impl FnMut() -> bool) {
+        self.record(ProtoEvent::SpinIteration);
+        if self.os.multiprocessor {
+            spin(nanos, nanos < PAUSE_NANOS, ready);
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
     /// Every `P` of the backend ([`CountingSem::acquire`]).
     /// `SemP` keeps the paper's protocol-level syscall accounting;
     /// `SemKernelWait` counts actual kernel entries (none: credit banked).
@@ -393,26 +438,12 @@ impl OsServices for NativeTask {
         std::thread::yield_now();
     }
 
-    fn busy_wait(&self) {
-        self.record(ProtoEvent::SpinIteration);
-        if self.os.multiprocessor {
-            self.compute(PAUSE_NANOS);
-        } else {
-            std::thread::yield_now();
-        }
+    fn busy_wait(&self, ready: impl FnMut() -> bool) {
+        self.pause(PAUSE_NANOS, ready);
     }
 
-    fn poll_pause(&self, attempt: u32) {
-        let nanos = poll_pause_nanos(attempt);
-        if self.os.multiprocessor && nanos < PAUSE_NANOS {
-            // Counted hints, no clock: a read costs more than the first steps.
-            self.record(ProtoEvent::SpinIteration);
-            for _ in 0..nanos / HINT_NANOS {
-                core::hint::spin_loop();
-            }
-        } else {
-            self.busy_wait(); // the capped pause, or the uniprocessor yield
-        }
+    fn poll_pause(&self, attempt: u32, ready: impl FnMut() -> bool) {
+        self.pause(poll_pause_nanos(attempt), ready);
     }
 
     fn sem_p(&self, sem: u32) {
@@ -480,17 +511,8 @@ impl OsServices for NativeTask {
     }
 
     fn compute(&self, nanos: u64) {
-        // Only the order of magnitude matters. On hosts without a vDSO
-        // `Instant::now()` is itself a syscall, so the clock is read once
-        // per batch of spin hints rather than every iteration.
-        const SPIN_BATCH: u32 = 64;
-        let start = std::time::Instant::now();
-        let d = Duration::from_nanos(nanos);
-        while start.elapsed() < d {
-            for _ in 0..SPIN_BATCH {
-                core::hint::spin_loop();
-            }
-        }
+        // Only the order of magnitude matters.
+        spin(nanos, false, || false);
     }
 
     fn task_id(&self) -> u32 {
@@ -612,6 +634,83 @@ mod tests {
         // MAX_SPIN = 50 keeps roughly the 50 × 25 µs it always bought.
         let budget: u64 = steps.iter().sum();
         assert!((500_000..=1_250_000).contains(&budget), "{budget} ns");
+    }
+
+    /// A backend whose pauses spin (one task fits any host).
+    fn spinning() -> NativeTask {
+        let mut cfg = NativeConfig::for_clients(0);
+        cfg.multiprocessor = true;
+        let os = NativeOs::new(cfg);
+        assert!(os.effective_multiprocessor());
+        os.task(0)
+    }
+
+    /// A `ready` that answers yes on its `at`-th look, counting its looks.
+    fn yes_on(at: u32, looks: &mut u32) -> impl FnMut() -> bool + '_ {
+        move || {
+            *looks += 1;
+            *looks == at
+        }
+    }
+
+    #[test]
+    fn a_watched_pause_ends_at_the_first_yes() {
+        let t = spinning();
+        // A ramp step of 32 hints, the capped pause, and busy_wait.
+        assert_eq!(poll_pause_nanos(10), 32 * HINT_NANOS);
+        for at in [1, 5, 32] {
+            let mut looks = 0;
+            t.poll_pause(10, yes_on(at, &mut looks));
+            assert_eq!(looks, at, "ramp step, yes on look {at}");
+        }
+        // Look 65 is past the first clock read, which must not end it.
+        for at in [1, 5, 65] {
+            let mut looks = 0;
+            t.poll_pause(24, yes_on(at, &mut looks));
+            assert_eq!(looks, at, "capped pause, yes on look {at}");
+            let mut looks = 0;
+            OsServices::busy_wait(&t, yes_on(at, &mut looks));
+            assert_eq!(looks, at, "busy_wait, yes on look {at}");
+        }
+    }
+
+    #[test]
+    fn a_pause_whose_condition_never_holds_runs_its_nominal_length() {
+        let t = spinning();
+        // Counted: one look per hint, every hint of the step.
+        let mut looks = 0;
+        t.poll_pause(10, yes_on(0, &mut looks));
+        assert_eq!(u64::from(looks), poll_pause_nanos(10) / HINT_NANOS);
+        // Timed: the full 25 µs, looking after every hint of every batch.
+        let nominal = Duration::from_nanos(PAUSE_NANOS);
+        let start = Instant::now();
+        let mut looks = 0;
+        t.poll_pause(24, yes_on(0, &mut looks));
+        assert!(start.elapsed() >= nominal);
+        assert_eq!(u64::from(looks) % SPIN_BATCH, 0, "whole batches");
+        let start = Instant::now();
+        t.busy_wait(); // the unwatched pause
+        assert!(start.elapsed() >= nominal);
+        let s = t.os.metrics().unwrap().task_snapshot(0);
+        assert_eq!(s.spin_iterations, 3, "one per pause, watched or not");
+    }
+
+    #[test]
+    fn a_yielding_backend_never_looks() {
+        let mut uni = NativeConfig::for_clients(0);
+        uni.multiprocessor = false;
+        // More tasks than CPUs: clamped to yielding whatever the config.
+        let mut crowded = NativeConfig::for_clients(4 * cpus_allowed());
+        crowded.multiprocessor = true;
+        for cfg in [uni, crowded] {
+            let t = NativeOs::new(cfg).task(0);
+            let mut looks = 0;
+            for attempt in [0, 10, 24] {
+                t.poll_pause(attempt, yes_on(1, &mut looks));
+            }
+            OsServices::busy_wait(&t, yes_on(1, &mut looks));
+            assert_eq!(looks, 0);
+        }
     }
 
     #[test]

@@ -62,16 +62,19 @@ pub trait OsServices {
 
     /// The `busy_wait()` of Figs. 1/7: a yield on a uniprocessor (§2.1: "On
     /// uniprocessors `busy_wait` should be implemented as a `yield()` system
-    /// call"), one flat delay — §5's 25 µs — on a multiprocessor.
-    fn busy_wait(&self);
+    /// call"), one flat delay — §5's 25 µs — on a multiprocessor. A spinning
+    /// backend looks at `ready`, the condition the caller checks next, after
+    /// every hint (uncharged) and ends at the first yes; a yield or a
+    /// simulated delay (one scheduler event) never looks.
+    fn busy_wait(&self, ready: impl FnMut() -> bool);
 
     /// One pacing step of a poll loop that has paused `attempt` times in
-    /// this wait already (`protocol::PollLoop` owns the counter). By default
-    /// the flat [`busy_wait`](Self::busy_wait) whatever the attempt (the
-    /// simulator); the native multiprocessor backend ramps up to it.
-    fn poll_pause(&self, attempt: u32) {
+    /// this wait already (`protocol::PollLoop` owns the counter), watching
+    /// `ready` as [`busy_wait`](Self::busy_wait) does — by default that flat
+    /// pause (the simulator); the native multiprocessor backend ramps to it.
+    fn poll_pause(&self, attempt: u32, ready: impl FnMut() -> bool) {
         let _ = attempt;
-        self.busy_wait();
+        self.busy_wait(ready);
     }
 
     /// Counting-semaphore down on the conventional semaphore index.

@@ -21,7 +21,9 @@ fn spin_enqueue<O: OsServices>(
     deadline: &Deadline,
 ) -> Result<(), IpcError> {
     let mut poll = PollLoop::new(os);
-    enqueue(q, os, msg, deadline, || poll.pause() /* queue full */)
+    // Queue full. Nothing cheap says a slot came free (`FifoView` has no
+    // room check), so this pause watches nothing and runs its length.
+    enqueue(q, os, msg, deadline, || poll.pause(|| false))
 }
 
 /// Spins until `q` yields a message: the Fig. 1 loop, with the poison and
@@ -42,7 +44,7 @@ fn spin_dequeue<O: OsServices>(
         if deadline.remaining(os).is_none() {
             return Err(IpcError::Timeout);
         }
-        poll.pause(); // nothing yet
+        poll.pause(|| q.has_message()); // nothing yet
     }
 }
 

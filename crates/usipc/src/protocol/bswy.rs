@@ -24,13 +24,13 @@ pub fn send<O: OsServices>(
 ) -> Result<Message, IpcError> {
     let srv = ch.receive_queue();
     enqueue_or_sleep(&srv, os, msg, deadline)?;
+    let rq = ch.reply_queue(client);
     if !srv.tas_awake(os) {
         os.sem_v(srv.sem()); // wake-up server
-        os.busy_wait(); // and let it run
+        os.busy_wait(|| rq.has_message()); // and let it run
     }
-    let rq = ch.reply_queue(client);
     // Before each commit to sleep: try to hand off.
-    blocking_dequeue(&rq, os, deadline, || os.busy_wait())
+    blocking_dequeue(&rq, os, deadline, || os.busy_wait(|| rq.has_message()))
 }
 
 /// `Receive`: one yield on first failure ("let clients run"), then the BSW

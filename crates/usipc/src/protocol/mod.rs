@@ -284,9 +284,10 @@ impl<'a, O: OsServices> PollLoop<'a, O> {
         PollLoop { os, attempt: 0 }
     }
 
-    /// One pacing step between two checks of the awaited condition.
-    pub(crate) fn pause(&mut self) {
-        self.os.poll_pause(self.attempt);
+    /// One pacing step between two checks of the awaited condition, which
+    /// it watches (uncharged) as `ready`.
+    pub(crate) fn pause(&mut self, ready: impl FnMut() -> bool) {
+        self.os.poll_pause(self.attempt, ready);
         self.attempt = self.attempt.saturating_add(1);
     }
 }
@@ -384,7 +385,7 @@ impl Left {
 ///
 /// ```text
 /// while (!dequeue(Q, msg)) {
-///     pre_block();                  // nothing (BSW) / busy_wait (BSWY, BSLS send side)
+///     pre_block();                  // nothing (BSW) / busy_wait watching Q (BSWY, BSLS send side)
 ///     Q->awake = 0;
 ///     if (!dequeue(Q, msg)) {       // the re-check that closes Fig. 4's interleaving 4
 ///         P(Q->sem);                // sleep

@@ -66,7 +66,7 @@
 //! |---|---|---|---|
 //! | 1 | none: the notifier cannot run during it; no wake stamp is asked, so `P` and `V` read no clock | one attempt | `yield` |
 //! | ≥ 2, fewer than tasks (oversubscribed) | the doorbell's learned wake latency, as below | one attempt | `yield` |
-//! | ≥ 2, one per task (multiprocessor) | the doorbell's learned wake latency (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the waker rings from the waiter's CPU; 1 ns where most `V`s come later than 25 µs | one attempt | one `spin_loop` hint doubling to §5's 25 µs |
+//! | ≥ 2, one per task (multiprocessor) | the doorbell's learned wake latency (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the waker rings from the waiter's CPU; 1 ns where most `V`s come later than 25 µs | one attempt | one `spin_loop` hint doubling to §5's 25 µs, ended one hint after the polled queue turns non-empty |
 //!
 //! ## Why a lost wake-up is impossible
 //!

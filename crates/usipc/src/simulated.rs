@@ -116,7 +116,7 @@ impl OsServices for SimOs<'_> {
         self.sys.yield_now();
     }
 
-    fn busy_wait(&self) {
+    fn busy_wait(&self, _ready: impl FnMut() -> bool) {
         self.record(ProtoEvent::SpinIteration);
         if self.multiprocessor {
             self.sys.work(self.costs.poll_delay);

@@ -2,6 +2,8 @@
 //! paper figure prescribes, in the prescribed order. A scripted mock
 //! `OsServices` records every call and can inject a message or a WaitSet
 //! notify at a chosen trigger point (standing in for the peer process).
+//! Each pause looks at the condition it was handed once, after its trigger
+//! point, and logs the answer: which queue a pause watches is pinned too.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -15,9 +17,11 @@ use usipc_shm::{ShmArena, ShmPtr};
 #[derive(Debug, Clone, PartialEq)]
 enum Call {
     Yield,
-    BusyWait,
-    /// One paced poll step, with the attempt index the protocol handed over.
-    PollPause(u32),
+    /// One `busy_wait`, with what its `ready` answered after the trigger.
+    BusyWait(bool),
+    /// One paced poll step, with the attempt index the protocol handed over
+    /// and what its `ready` answered after the trigger.
+    PollPause(u32, bool),
     SemP(u32),
     SemV(u32),
     SleepFull,
@@ -114,7 +118,8 @@ impl MockOs {
         }
     }
 
-    fn log(&self, c: Call) {
+    /// Logs `c`; returns its index.
+    fn log(&self, c: Call) -> usize {
         let mut calls = self.calls.borrow_mut();
         calls.push(c);
         assert!(
@@ -122,6 +127,16 @@ impl MockOs {
             "protocol spun without progress; recent calls: {:?}",
             &calls[calls.len() - 10..]
         );
+        calls.len() - 1
+    }
+
+    /// Fills in what the pause logged at `at` saw when it looked at its
+    /// `ready` (after any peer action its trigger ran, which logs after it).
+    fn saw(&self, at: usize, ready: bool) {
+        match &mut self.calls.borrow_mut()[at] {
+            Call::BusyWait(seen) | Call::PollPause(_, seen) => *seen = ready,
+            c => unreachable!("not a pause: {c:?}"),
+        }
     }
 
     fn calls(&self) -> Vec<Call> {
@@ -143,17 +158,18 @@ impl OsServices for MockOs {
         };
         self.maybe_fire(Trigger::OnYield(n));
     }
-    fn busy_wait(&self) {
-        self.log(Call::BusyWait);
+    fn busy_wait(&self, mut ready: impl FnMut() -> bool) {
+        let at = self.log(Call::BusyWait(false));
         let n = {
             let mut c = self.counters.borrow_mut();
             c.0 += 1;
             c.0
         };
         self.maybe_fire(Trigger::OnBusyWait(n));
+        self.saw(at, ready());
     }
-    fn poll_pause(&self, attempt: u32) {
-        self.log(Call::PollPause(attempt));
+    fn poll_pause(&self, attempt: u32, mut ready: impl FnMut() -> bool) {
+        let at = self.log(Call::PollPause(attempt, false));
         std::thread::yield_now(); // lets a real peer thread run on one CPU
         let n = {
             let mut c = self.counters.borrow_mut();
@@ -161,6 +177,7 @@ impl OsServices for MockOs {
             c.1
         };
         self.maybe_fire(Trigger::OnPollPause(n));
+        self.saw(at, ready());
     }
     fn sem_p(&self, sem: u32) {
         self.log(Call::SemP(sem));
@@ -243,10 +260,16 @@ fn bss_busy_waits_until_reply_arrives() {
     let ans = WaitStrategy::Bss.send(&ch, &os, 0, Message::echo(0, 1.0));
     assert_eq!(ans.value, 9.0);
     // The enqueue succeeded at once (zero pauses); the reply wait is its
-    // own wait, so its attempts start at 0 and count up by one.
+    // own wait, so its attempts start at 0 and count up by one. Each pause
+    // watches the reply queue: the request waiting in the receive queue
+    // turns none of them, the reply only the one it landed in.
     assert_eq!(
         os.calls(),
-        vec![Call::PollPause(0), Call::PollPause(1), Call::PollPause(2)]
+        vec![
+            Call::PollPause(0, false),
+            Call::PollPause(1, false),
+            Call::PollPause(2, true)
+        ]
     );
 }
 
@@ -263,7 +286,11 @@ fn bss_receive_spins_never_blocks() {
     );
     let m = WaitStrategy::Bss.receive(&ch, &os);
     assert_eq!(m.value, 3.0);
-    assert_eq!(os.calls(), vec![Call::PollPause(0), Call::PollPause(1)]);
+    // Each pause watches the receive queue.
+    assert_eq!(
+        os.calls(),
+        vec![Call::PollPause(0, false), Call::PollPause(1, true)]
+    );
     // The next wait restarts the schedule, and a waiting request costs
     // zero pauses.
     os.deliver(
@@ -274,7 +301,7 @@ fn bss_receive_spins_never_blocks() {
         false,
     );
     assert_eq!(WaitStrategy::Bss.receive(&ch, &os).value, 4.0);
-    assert_eq!(os.calls()[2..], [Call::PollPause(0)]);
+    assert_eq!(os.calls()[2..], [Call::PollPause(0, true)]);
     os.deliver(
         Trigger::Immediately,
         &ch,
@@ -307,7 +334,7 @@ fn bsw_send_wakes_sleeping_server_exactly_once() {
     // And the client slept on its own semaphore (1 + client 0 = 1).
     assert!(calls.contains(&Call::SemP(1)), "{calls:?}");
     assert_eq!(
-        os.count_of(|c| matches!(c, Call::BusyWait)),
+        os.count_of(|c| matches!(c, Call::BusyWait(_))),
         0,
         "BSW never busy-waits"
     );
@@ -366,10 +393,31 @@ fn bswy_send_busy_waits_right_after_the_wakeup() {
     let ans = WaitStrategy::Bswy.send(&ch, &os, 0, Message::echo(0, 1.0));
     assert_eq!(ans.value, 4.0);
     let calls = os.calls();
-    // Fig. 7: V(srv) immediately followed by busy_wait "and let it run".
-    assert_eq!(&calls[0..2], &[Call::SemV(0), Call::BusyWait], "{calls:?}");
+    // Fig. 7: V(srv) immediately followed by busy_wait "and let it run",
+    // which sees the reply land.
+    assert_eq!(
+        &calls[0..2],
+        &[Call::SemV(0), Call::BusyWait(true)],
+        "{calls:?}"
+    );
     // Reply was ready after that hand-off: no block.
     assert_eq!(os.count_of(|c| matches!(c, Call::SemP(_))), 0);
+}
+
+#[test]
+fn bswy_busy_waits_watch_the_reply_queue_not_the_request() {
+    let ch = channel();
+    let os = MockOs::new();
+    ch.receive_queue().clear_awake(&os); // server sleeping
+    os.deliver(Trigger::OnBusyWait(2), &ch, 0, Message::echo(0, 4.0), false);
+    let ans = WaitStrategy::Bswy.send(&ch, &os, 0, Message::echo(0, 1.0));
+    assert_eq!(ans.value, 4.0);
+    // "Let it run" watches the still-empty reply queue (the request it
+    // just queued turns nothing); the pre-block busy_wait sees the reply.
+    assert_eq!(
+        os.calls(),
+        vec![Call::SemV(0), Call::BusyWait(false), Call::BusyWait(true)]
+    );
 }
 
 #[test]
@@ -505,11 +553,13 @@ fn bsls_polls_up_to_max_spin_then_blocks() {
     let polls: Vec<_> = os
         .calls()
         .into_iter()
-        .filter(|c| matches!(c, Call::PollPause(_)))
+        .filter(|c| matches!(c, Call::PollPause(..)))
         .collect();
     assert_eq!(
         polls,
-        (0..7).map(Call::PollPause).collect::<Vec<_>>(),
+        (0..7)
+            .map(|a| Call::PollPause(a, false))
+            .collect::<Vec<_>>(),
         "spin budget honoured exactly, attempts 0..max_spin in order"
     );
     assert!(
@@ -531,11 +581,56 @@ fn bsls_stops_polling_as_soon_as_the_reply_lands() {
     );
     let ans = WaitStrategy::Bsls { max_spin: 50 }.send(&ch, &os, 0, Message::echo(0, 1.0));
     assert_eq!(ans.value, 3.5);
-    assert_eq!(os.calls(), vec![Call::PollPause(0), Call::PollPause(1)]);
+    // The polls watch the reply queue, not the receive queue holding the
+    // request: only the pause the reply landed in sees it.
+    assert_eq!(
+        os.calls(),
+        vec![Call::PollPause(0, false), Call::PollPause(1, true)]
+    );
     assert_eq!(
         os.count_of(|c| matches!(c, Call::SemP(_))),
         0,
         "no block needed"
+    );
+}
+
+#[test]
+fn bsls_receive_polls_watch_the_receive_queue() {
+    let ch = channel();
+    let os = MockOs::new();
+    os.deliver(
+        Trigger::OnPollPause(2),
+        &ch,
+        u32::MAX,
+        Message::echo(1, 2.5),
+        false,
+    );
+    let m = WaitStrategy::Bsls { max_spin: 50 }.receive(&ch, &os);
+    assert_eq!(m.value, 2.5);
+    assert_eq!(
+        os.calls(),
+        vec![Call::PollPause(0, false), Call::PollPause(1, true)]
+    );
+}
+
+#[test]
+fn bsls_pre_block_busy_wait_watches_the_reply_queue() {
+    let ch = channel();
+    let os = MockOs::new();
+    os.deliver(Trigger::OnBusyWait(2), &ch, 0, Message::echo(0, 7.0), false);
+    let ans = WaitStrategy::Bsls { max_spin: 2 }.send(&ch, &os, 0, Message::echo(0, 1.0));
+    assert_eq!(ans.value, 7.0);
+    // Spin out, busy_wait, sleep (the mock grants the P at once), loop,
+    // busy_wait again: only the second busy_wait sees the reply.
+    assert_eq!(
+        os.calls(),
+        vec![
+            Call::PollPause(0, false),
+            Call::PollPause(1, false),
+            Call::BusyWait(false),
+            Call::SemP(1),
+            Call::BusyWait(true),
+        ]
     );
 }
 
@@ -545,7 +640,7 @@ fn bsls_zero_spin_goes_straight_to_the_blocking_path() {
     let os = MockOs::new();
     os.deliver(Trigger::OnSemP(1), &ch, 0, Message::echo(0, 1.5), true);
     let _ = WaitStrategy::Bsls { max_spin: 0 }.send(&ch, &os, 0, Message::echo(0, 1.0));
-    assert_eq!(os.count_of(|c| matches!(c, Call::PollPause(_))), 0);
+    assert_eq!(os.count_of(|c| matches!(c, Call::PollPause(..))), 0);
 }
 
 #[test]

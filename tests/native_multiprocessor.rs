@@ -54,8 +54,9 @@ fn paced_polling_on_two_cpus() {
     }
 
     // The ramp shortens the first polls, not the budget: a reply that takes
-    // 200 µs is still inside `MAX_SPIN` = 50 (≈ 0.9 ms), so the client never
-    // reaches the blocking path. The host can still deschedule the server
+    // 200 µs is still inside `MAX_SPIN` = 50 (≈ 0.73 ms at the nominal
+    // 10 ns a hint: 81.9 µs of ramp steps and 26 capped 25 µs pauses), so
+    // the client never reaches the blocking path. The host can still deschedule the server
     // past the budget, so the clean run must show up within 3.
     let mut blocks = Vec::new();
     for _ in 0..3 {
