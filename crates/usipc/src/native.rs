@@ -10,8 +10,8 @@
 //! elsewhere.
 
 use crate::metrics::{EndpointMetrics, MetricsRegistry, ProtoEvent};
-use crate::platform::{Cost, HandoffHint, OsServices};
-use crate::sem::{CountingSem, PAUSE_NANOS};
+use crate::platform::{Cost, HandoffHint, OsServices, PAUSE_NANOS};
+use crate::sem::CountingSem;
 use crate::trace::{FlightRecorder, TracePoint, TraceRing};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -77,14 +77,6 @@ pub struct NativeConfig {
     pub n_msgqs: usize,
     /// Capacity of each kernel message queue.
     pub msgq_capacity: usize,
-    /// `true` on a multiprocessor: `busy_wait` (a flat 25 µs) and
-    /// `poll_pause` (one `spin_loop` hint ramping up to it) spin instead
-    /// of yielding (§2.1/§5), each ending one hint after the queue it
-    /// watches turns non-empty. [`NativeOs::new`] clamps this against the
-    /// CPUs its building thread may run on: with fewer than runnable tasks,
-    /// spinning only starves the awaited peer, so both degrade to
-    /// `yield_now`.
-    pub multiprocessor: bool,
     /// Queue-full back-off. The paper sleeps a full second; tests and
     /// benches usually shorten this.
     pub full_backoff: Duration,
@@ -102,7 +94,6 @@ impl NativeConfig {
             n_sems: 1 + n_clients,
             n_msgqs: 1 + n_clients,
             msgq_capacity: 64,
-            multiprocessor: cpus_allowed() > 1,
             full_backoff: Duration::from_millis(1),
             collect_metrics: true,
         }
@@ -142,13 +133,10 @@ enum SemStore {
 pub struct NativeOs {
     sems: SemStore,
     msgqs: Vec<NativeMsgq>,
+    /// [`Self::effective_multiprocessor`].
     multiprocessor: bool,
-    /// Whether a waiter spins before it announces a sleep
-    /// ([`OsServices::wake_latency_nanos`] hands out the semaphore's
-    /// learned wake cost), and so whether the `P` after that spin
-    /// ([`OsServices::sem_p_learning`]) learns that cost: not if the
-    /// builder had one CPU, else yes — whatever `multiprocessor`
-    /// ([`crate::sem`]).
+    /// Whether [`OsServices::spin_before_sleep`] spins: not if the builder
+    /// had one CPU, else yes — whatever `multiprocessor`.
     spins: bool,
     full_backoff: Duration,
     metrics: Option<MetricsRegistry>,
@@ -164,13 +152,7 @@ impl NativeOs {
             msgqs: (0..cfg.n_msgqs)
                 .map(|_| NativeMsgq::new(cfg.msgq_capacity))
                 .collect(),
-            // Spinning between polls pays off only if the awaited peer can
-            // run *while* we spin. By the platform convention there is one
-            // task per semaphore, so `n_sems` approximates the runnable-task
-            // count; with fewer CPUs than that (an 8-way config on a 2-core
-            // CI runner) a spin merely starves the producer of the event
-            // being awaited, so degrade to yielding.
-            multiprocessor: cfg.multiprocessor && cpus >= cfg.n_sems.max(1),
+            multiprocessor: cpus > 1 && cpus >= cfg.n_sems,
             spins: cpus > 1,
             full_backoff: cfg.full_backoff,
             metrics: cfg.collect_metrics.then(MetricsRegistry::new),
@@ -272,9 +254,13 @@ impl NativeOs {
         }
     }
 
-    /// Whether `busy_wait` and `poll_pause` actually spin: the configured
-    /// `multiprocessor` flag after the clamp against the building thread's
-    /// CPU count (see [`NativeConfig::multiprocessor`]).
+    /// Whether `busy_wait` (a flat 25 µs) and `poll_pause` (one `spin_loop`
+    /// hint ramping up to it) spin instead of yielding (§2.1/§5), each
+    /// ending one hint after the queue it watches turns non-empty. A spin
+    /// pays only if the awaited peer runs *meanwhile*: so only if the thread
+    /// that built this backend may run on more than one CPU, and on one per
+    /// semaphore (a task each, by convention; an 8-way config on a 2-CPU
+    /// runner yields). No config field selects it.
     pub fn effective_multiprocessor(&self) -> bool {
         self.multiprocessor
     }
@@ -419,9 +405,9 @@ impl NativeTask {
     /// Every `P` of the backend ([`CountingSem::acquire`]).
     /// `SemP` keeps the paper's protocol-level syscall accounting;
     /// `SemKernelWait` counts actual kernel entries (none: credit banked).
-    fn p(&self, sem: u32, timeout: Option<Duration>, learn: bool) -> bool {
+    fn p(&self, sem: u32, timeout: Option<Duration>) -> bool {
         self.record(ProtoEvent::SemP);
-        let (taken, entered) = self.os.sem(sem).acquire(timeout, learn);
+        let (taken, entered) = self.os.sem(sem).acquire(timeout);
         for _ in 0..entered {
             self.record(ProtoEvent::SemKernelWait);
         }
@@ -447,24 +433,18 @@ impl OsServices for NativeTask {
     }
 
     fn sem_p(&self, sem: u32) {
-        self.p(sem, None, false);
+        self.p(sem, None);
     }
 
     fn sem_p_deadline(&self, sem: u32, timeout: Duration) -> bool {
-        self.p(sem, Some(timeout), false)
+        self.p(sem, Some(timeout))
     }
 
-    fn sem_p_learning(&self, sem: u32, timeout: Option<Duration>) -> bool {
-        self.p(sem, timeout, self.os.spins)
-    }
-
-    #[inline]
-    fn wake_latency_nanos(&self, sem: u32) -> u64 {
-        if self.os.spins {
-            self.os.sem(sem).wake_estimate_nanos()
-        } else {
-            0
+    fn spin_before_sleep(&self, nanos: u64, ready: impl FnMut() -> bool) -> bool {
+        if self.os.spins && nanos > 0 {
+            spin(nanos, false, ready);
         }
+        self.os.spins
     }
 
     fn sem_v(&self, sem: u32) {
@@ -613,15 +593,13 @@ mod tests {
     #[test]
     fn multiprocessor_clamped_to_available_cores() {
         // More runnable tasks than any host has cores: spinning must
-        // degrade to yielding no matter what the config claims.
+        // degrade to yielding.
         let cores = cpus_allowed();
-        let mut cfg = NativeConfig::for_clients(4 * cores);
-        cfg.multiprocessor = true;
-        assert!(!NativeOs::new(cfg).effective_multiprocessor());
-        // A single task always fits.
-        let mut cfg = NativeConfig::for_clients(0);
-        cfg.multiprocessor = true;
-        assert!(NativeOs::new(cfg).effective_multiprocessor());
+        let crowded = NativeOs::new(NativeConfig::for_clients(4 * cores));
+        assert!(!crowded.effective_multiprocessor());
+        // A single task fits wherever a second CPU can run its peer.
+        let single = NativeOs::new(NativeConfig::for_clients(0));
+        assert_eq!(single.effective_multiprocessor(), cores > 1);
     }
 
     #[test]
@@ -636,13 +614,14 @@ mod tests {
         assert!((500_000..=1_250_000).contains(&budget), "{budget} ns");
     }
 
-    /// A backend whose pauses spin (one task fits any host).
-    fn spinning() -> NativeTask {
-        let mut cfg = NativeConfig::for_clients(0);
-        cfg.multiprocessor = true;
-        let os = NativeOs::new(cfg);
-        assert!(os.effective_multiprocessor());
-        os.task(0)
+    /// A backend whose pauses spin (one task), or `None` on one CPU.
+    fn spinning() -> Option<NativeTask> {
+        let os = NativeOs::new(NativeConfig::for_clients(0));
+        if !os.effective_multiprocessor() {
+            eprintln!("skipped: needs two CPUs in the affinity mask");
+            return None;
+        }
+        Some(os.task(0))
     }
 
     /// A `ready` that answers yes on its `at`-th look, counting its looks.
@@ -655,7 +634,7 @@ mod tests {
 
     #[test]
     fn a_watched_pause_ends_at_the_first_yes() {
-        let t = spinning();
+        let Some(t) = spinning() else { return };
         // A ramp step of 32 hints, the capped pause, and busy_wait.
         assert_eq!(poll_pause_nanos(10), 32 * HINT_NANOS);
         for at in [1, 5, 32] {
@@ -671,12 +650,15 @@ mod tests {
             let mut looks = 0;
             OsServices::busy_wait(&t, yes_on(at, &mut looks));
             assert_eq!(looks, at, "busy_wait, yes on look {at}");
+            let mut looks = 0;
+            assert!(t.spin_before_sleep(PAUSE_NANOS, yes_on(at, &mut looks)));
+            assert_eq!(looks, at, "pre-sleep spin, yes on look {at}");
         }
     }
 
     #[test]
     fn a_pause_whose_condition_never_holds_runs_its_nominal_length() {
-        let t = spinning();
+        let Some(t) = spinning() else { return };
         // Counted: one look per hint, every hint of the step.
         let mut looks = 0;
         t.poll_pause(10, yes_on(0, &mut looks));
@@ -697,20 +679,14 @@ mod tests {
 
     #[test]
     fn a_yielding_backend_never_looks() {
-        let mut uni = NativeConfig::for_clients(0);
-        uni.multiprocessor = false;
-        // More tasks than CPUs: clamped to yielding whatever the config.
-        let mut crowded = NativeConfig::for_clients(4 * cpus_allowed());
-        crowded.multiprocessor = true;
-        for cfg in [uni, crowded] {
-            let t = NativeOs::new(cfg).task(0);
-            let mut looks = 0;
-            for attempt in [0, 10, 24] {
-                t.poll_pause(attempt, yes_on(1, &mut looks));
-            }
-            OsServices::busy_wait(&t, yes_on(1, &mut looks));
-            assert_eq!(looks, 0);
+        // More tasks than CPUs: yielding on any host.
+        let t = NativeOs::new(NativeConfig::for_clients(4 * cpus_allowed())).task(0);
+        let mut looks = 0;
+        for attempt in [0, 10, 24] {
+            t.poll_pause(attempt, yes_on(1, &mut looks));
         }
+        OsServices::busy_wait(&t, yes_on(1, &mut looks));
+        assert_eq!(looks, 0);
     }
 
     #[test]
@@ -761,7 +737,6 @@ mod tests {
             n_sems: 2,
             n_msgqs: 1,
             msgq_capacity: 4,
-            multiprocessor: false,
             full_backoff: Duration::from_millis(1),
             collect_metrics: false,
         });

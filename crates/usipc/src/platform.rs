@@ -26,6 +26,10 @@
 use crate::metrics::{EndpointMetrics, ProtoEvent};
 use crate::trace::TracePoint;
 
+/// §5's 25 µs poll delay: the native backend's `busy_wait` pause and
+/// `poll_pause` cap, and the ceiling on the WaitSet's learned spin.
+pub(crate) const PAUSE_NANOS: u64 = 25_000;
+
 /// Cost classes protocols charge to virtual time (no-ops on real hardware,
 /// where the operation itself takes the time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +87,15 @@ pub trait OsServices {
     /// Counting-semaphore up on the conventional semaphore index.
     fn sem_v(&self, sem: u32);
 
-    /// How long a waiter should spin before it announces a sleep on `sem`:
-    /// the semaphore's learned wake latency where a spin can catch a `V`
-    /// (the native backend on more than one CPU, ≤ §5's 25 µs), else 0 —
-    /// the default, and the simulator's. The one pre-sleep spin is
-    /// [`WaitSet::wait_deadline`](crate::WaitSet::wait_deadline)'s.
-    fn wake_latency_nanos(&self, sem: u32) -> u64 {
-        let _ = sem;
-        0
+    /// [`WaitSet::wait_deadline`](crate::WaitSet::wait_deadline)'s spin
+    /// before it sleeps: where a notifier can run meanwhile (native, built
+    /// on more than one CPU), at most `nanos`, looking at `ready` after
+    /// every hint and ending at the first yes. Returns whether the backend
+    /// spins, so whether the waiter learns what its sleeps cost. The
+    /// default, and the simulator's, returns `false` at once.
+    fn spin_before_sleep(&self, nanos: u64, ready: impl FnMut() -> bool) -> bool {
+        let _ = (nanos, ready);
+        false
     }
 
     /// Counting-semaphore down with a deadline: blocks for at most
@@ -106,22 +111,6 @@ pub trait OsServices {
         let _ = timeout;
         self.sem_p(sem);
         true
-    }
-
-    /// The `P` after a spin of [`wake_latency_nanos`](Self::wake_latency_nanos)`(sem)`:
-    /// [`sem_p_deadline`](Self::sem_p_deadline) for `Some(timeout)`,
-    /// [`sem_p`](Self::sem_p) for `None`. Where that estimate is learned
-    /// (the native backend on more than one CPU) this sleep also teaches it
-    /// what a wake costs; no other `P` pays for the wake stamp. The default,
-    /// and the simulator's, is the plain call.
-    fn sem_p_learning(&self, sem: u32, timeout: Option<core::time::Duration>) -> bool {
-        match timeout {
-            Some(t) => self.sem_p_deadline(sem, t),
-            None => {
-                self.sem_p(sem);
-                true
-            }
-        }
     }
 
     /// The queue-full back-off (`sleep(1)` in the paper).

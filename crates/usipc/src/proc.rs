@@ -46,6 +46,7 @@ mod sys {
         pub const SCHED_SETAFFINITY: usize = 203;
         pub const SCHED_GETAFFINITY: usize = 204;
         pub const SCHED_SETSCHEDULER: usize = 144;
+        pub const GETCPU: usize = 309;
     }
 
     #[cfg(target_arch = "aarch64")]
@@ -62,6 +63,7 @@ mod sys {
         pub const SCHED_SETAFFINITY: usize = 122;
         pub const SCHED_GETAFFINITY: usize = 123;
         pub const SCHED_SETSCHEDULER: usize = 119;
+        pub const GETCPU: usize = 168;
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -249,6 +251,36 @@ pub fn cpus_allowed() -> Option<usize> {
     };
     // The raw call returns the number of mask bytes it wrote.
     (ret > 0).then(|| mask.iter().map(|w| w.count_ones() as usize).sum())
+}
+
+/// The CPU the calling thread runs on: on x86_64 `rdtscp`, whose
+/// `TSC_AUX` Linux loads with the CPU number in its low 12 bits (no kernel
+/// entry), else `getcpu(2)`. `u32::MAX` if that fails too.
+pub fn current_cpu() -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if has_rdtscp() {
+        let mut aux = 0u32;
+        // SAFETY: `has_rdtscp` guarantees the instruction exists; it writes
+        // only `aux`.
+        unsafe { core::arch::x86_64::__rdtscp(&mut aux) };
+        return aux & 0xfff;
+    }
+    let mut cpu = u32::MAX;
+    // SAFETY: `cpu` is live and writable across the call; the node and
+    // cache arguments are NULL, which the kernel skips.
+    unsafe { syscall2(nr::GETCPU, core::ptr::from_mut(&mut cpu) as usize, 0) };
+    cpu
+}
+
+/// CPUID leaf `0x8000_0001`, EDX bit 27: the CPU has `rdtscp`. Asked once
+/// per process.
+#[cfg(target_arch = "x86_64")]
+fn has_rdtscp() -> bool {
+    static HAS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    // SAFETY: every x86_64 CPU has `cpuid` and its leaf 0x8000_0001.
+    #[allow(unused_unsafe)]
+    let leaf = || unsafe { core::arch::x86_64::__cpuid(0x8000_0001) };
+    *HAS.get_or_init(|| leaf().edx & (1 << 27) != 0)
 }
 
 /// Puts the **calling thread** under `SCHED_BATCH`
@@ -470,6 +502,22 @@ impl Drop for ChildProc {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The waker-CPU rule of the WaitSet's spin budget rests on this read
+    /// naming the CPU a thread is pinned to.
+    #[test]
+    fn current_cpu_names_the_pinned_cpu() {
+        std::thread::spawn(|| {
+            // (A CPU outside the affinity mask refuses the pin: skip it.)
+            for cpu in 0..2 {
+                if pin_to_cpu(cpu).is_ok() {
+                    assert_eq!(current_cpu(), cpu as u32);
+                }
+            }
+        })
+        .join()
+        .unwrap();
+    }
 
     #[test]
     fn child_exit_code_roundtrip() {

@@ -372,11 +372,21 @@ impl Left {
             }
         }
     }
+}
 
-    /// [`Self::sem_p`] through [`OsServices::sem_p_learning`]: the sleep
-    /// after a spin on `sem`'s learned wake latency.
-    pub(crate) fn sem_p_learning<O: OsServices>(self, os: &O, sem: u32) -> bool {
-        os.sem_p_learning(sem, self.0)
+/// Fig. 5's `if (tas(awake)) P` for every wait loop, channel and WaitSet,
+/// once the waiter that cleared its flag will not sleep on it: `tas` is
+/// the old value its `tas` of the flag returned. A raised flag means a
+/// committed `V`: take its credit, waiting at most what is left of
+/// `deadline` (not at all once it expired, without bound under
+/// [`Deadline::never`]). Returns whether a
+/// credit was taken; one given up on (its producer slow, or killed between
+/// its `tas` and its `V`) stays banked, *stale*: the next `P` returns at
+/// once.
+pub(crate) fn take_back<O: OsServices>(os: &O, tas: bool, sem: u32, deadline: &Deadline) -> bool {
+    tas && match deadline.remaining(os) {
+        Some(left) => left.sem_p(os, sem),
+        None => os.sem_p_deadline(sem, Duration::ZERO),
     }
 }
 
@@ -406,8 +416,8 @@ impl Left {
 /// * the sleep is bounded by what is left of `deadline` ([`Left::sem_p`]),
 ///   and an expired sleep has consumed no credit; and
 /// * on expiry the consumer restores its `awake` flag with a `tas` and, if
-///   the flag was already raised by a racing producer (whose `V` is then
-///   committed), absorbs the credit exactly like the stray-wake-up path —
+///   a racing producer raised it first (its `V` is then committed), absorbs
+///   the credit like a stray wake-up, within the deadline ([`take_back`]) —
 ///   so a `V` racing a timeout never leaks a credit into the semaphore.
 pub(crate) fn blocking_dequeue<O: OsServices>(
     q: &QueueRef<'_>,
@@ -430,11 +440,11 @@ pub(crate) fn blocking_dequeue<O: OsServices>(
                     // Poisoning raised `awake` and posted its broadcast V
                     // *before* our clear; restore the flag and bail rather
                     // than sleeping on a channel nobody will ever V again.
-                    restore_awake_absorbing_stray(q, os);
+                    restore_awake(q, os, deadline);
                     return Err(IpcError::Poisoned);
                 }
                 let Some(left) = deadline.remaining(os) else {
-                    restore_awake_absorbing_stray(q, os);
+                    restore_awake(q, os, deadline);
                     return Err(IpcError::Timeout);
                 };
                 os.record(ProtoEvent::BlockEntered);
@@ -447,7 +457,7 @@ pub(crate) fn blocking_dequeue<O: OsServices>(
                     // producers another iteration may be needed — or the
                     // poison broadcast; the next iteration tells them apart.
                 } else {
-                    restore_awake_absorbing_stray(q, os);
+                    restore_awake(q, os, deadline);
                     os.trace(TracePoint::End(Span::Block));
                     return Err(if q.is_poisoned() {
                         IpcError::Poisoned
@@ -461,26 +471,19 @@ pub(crate) fn blocking_dequeue<O: OsServices>(
                 // will never sleep for; absorb it so credits cannot
                 // accumulate and overflow the semaphore (the bug the
                 // authors hit).
-                if q.tas_awake(os) {
-                    os.record(ProtoEvent::StrayWakeupAbsorbed);
-                    os.sem_p(q.sem());
-                }
+                restore_awake(q, os, deadline);
                 return Ok(m);
             }
         }
     }
 }
 
-/// Exit path of a timed-out (or poison-interrupted) consumer whose `awake`
-/// flag is still clear: `tas` it back up; if a producer beat us to the
-/// flag its `V` is committed (the producer-side `wake_consumer` only posts
-/// after winning the `tas`), so consume that credit with a `P` that can
-/// only block momentarily. Net effect: every exit leaves the semaphore
-/// with exactly the credits of a wait that was served.
-fn restore_awake_absorbing_stray<O: OsServices>(q: &QueueRef<'_>, os: &O) {
-    if q.tas_awake(os) {
+/// Exit path of a consumer whose `awake` flag is still clear: `tas` it
+/// back up and, if a producer beat us to the flag (`wake_consumer` posts
+/// only after winning the `tas`), absorb its credit ([`take_back`]).
+fn restore_awake<O: OsServices>(q: &QueueRef<'_>, os: &O, deadline: &Deadline) {
+    if take_back(os, q.tas_awake(os), q.sem(), deadline) {
         os.record(ProtoEvent::StrayWakeupAbsorbed);
-        os.sem_p(q.sem());
     }
 }
 

@@ -50,15 +50,40 @@
 //! (`doorbells_rung ≤ waitset_wakes + 1`, the `+1` a ring whose credit no
 //! wait took yet) by `tests/waitset_mux.rs`.
 //!
-//! Before it clears the latch, the waiter spins once: on the ready words,
-//! which only notifiers write (where Dice & Kogan's waiting array spins),
-//! for the doorbell's learned wake latency
-//! ([`OsServices::wake_latency_nanos`]: what a sleep would have delayed an
-//! arrival by; 0 on one CPU and on the simulator). Then it yields once and
-//! rescans — BSWY's Receive (Fig. 7, "let clients run"). On a CPU shared
-//! with its producers that yield turns the doorbell sleep into a hand-off:
-//! the rescan finds the work the yield let them enqueue, and every notify
-//! meanwhile met a held latch.
+//! Before it clears the latch, the waiter spins once (below), then yields
+//! once and rescans — BSWY's Receive (Fig. 7, "let clients run"). On a CPU
+//! shared with its producers that yield turns the doorbell sleep into a
+//! hand-off: the rescan finds the work the yield let them enqueue, and
+//! every notify meanwhile met a held latch.
+//!
+//! ## What a sleep costs, learned
+//!
+//! §4.2's limited spin belongs before the blocking path: spin as long as a
+//! sleep would delay the waiter past its `V` (its wake latency), then sleep
+//! ([`OsServices::spin_before_sleep`]). It spins on the ready words, which
+//! only notifiers write (the waiting array of Dice & Kogan's "Semaphores
+//! Augmented with a Waiting Array"), so the doorbell stays a plain
+//! semaphore. The budget lives on the latch's line: a ringing notifier
+//! stamps it with [`monotonic_nanos`] (one clock axis across forks) and its
+//! CPU ([`proc::current_cpu`](crate::proc::current_cpu)) before its `V`; a
+//! waiter whose `P` took a credit folds a stamp not older than that `P`
+//! into the budget (an outlier moves it at most 1/16, so it tracks the
+//! median), read back clamped to §5's 25 µs
+//! ([`WaitSet::spin_budget_nanos`]). Two measured rules decide whether a
+//! spin can pay. §2.1's: a ring lands during the spin only if its notifier
+//! runs *meanwhile*, so one from the waiter's own CPU zeroes the budget.
+//! The traffic's: a ring more than 25 µs after the spin began is one no
+//! spin could have caught, a sample of 0, so where most are such the
+//! budget sinks to 1 ns. Whether to spin is the backend's call, by the CPUs
+//! its building thread may run on (EXPERIMENTS.md, "Spin only where it can
+//! pay", "Each semaphore spins for what its sleeps cost", "A caught arrival
+//! rings nothing"):
+//!
+//! | CPUs | pre-sleep spin (learning too) | `P` before `futex_wait` | `poll_pause` between polls |
+//! |---|---|---|---|
+//! | 1, or the simulator | none, and the waiter reads no clock | one attempt | `yield` (simulator: its poll delay) |
+//! | ≥ 2, fewer than tasks (oversubscribed) | the learned budget, as below | one attempt | `yield` |
+//! | ≥ 2, one per task (multiprocessor) | the learned budget (5–9 µs cross-CPU on a 2-vCPU KVM guest at 100 k arrivals/s); 0 while the notifier rings from the waiter's CPU; 1 ns where most rings come later than 25 µs | one attempt | one `spin_loop` hint doubling to §5's 25 µs, ended one hint after the polled queue turns non-empty |
 //!
 //! ## Why no wake-up is lost
 //!
@@ -85,8 +110,9 @@
 //! `P`, so the earliest swap after the clear reads 0 and posts a `V` that
 //! only the committed `P` can consume. (A stale credit — one a take-back
 //! gave up on before its `V` landed — only makes the `P` return sooner;
-//! the waiter then polls, clears and rescans again, a new final scan.) Either way the `P` returns, and the scan after it finds every
-//! bit set meanwhile, including those of notifiers that saw a non-zero
+//! the waiter then polls, clears and rescans again: a new final scan.)
+//! Either way the `P` returns, and the scan after it finds every bit set
+//! meanwhile, including those of notifiers that saw a non-zero
 //! word and stayed silent. This is the Fig. 5 argument (set ready, then
 //! test the latch; clear the latch, then scan) applied per word.
 //!
@@ -105,9 +131,9 @@ use crate::channel::{Channel, ChannelConfig, QueueRef};
 use crate::fault::IpcError;
 use crate::metrics::ProtoEvent;
 use crate::msg::Message;
-use crate::platform::{Cost, OsServices};
+use crate::platform::{Cost, OsServices, PAUSE_NANOS};
 use crate::protocol::{
-    blocking_dequeue, call_failed, dead_channel, enqueue_or_sleep, round_trip, Deadline, Left,
+    blocking_dequeue, call_failed, dead_channel, enqueue_or_sleep, round_trip, take_back, Deadline,
     WaitStrategy,
 };
 use crate::server::{serve, Next, ServerObservability, ServerRun, Source};
@@ -125,11 +151,8 @@ use usipc_shm::{monotonic_nanos, CacheAligned, ShmArena, ShmError, ShmPtr, ShmSa
 #[repr(C)]
 #[derive(Debug)]
 pub struct WaitSetRoot {
-    /// The wake-cycle latch, Fig. 5's `awake`: clear only while the waiter
-    /// is in or past its final rescan. Producers `swap(1)` and only one
-    /// that finds it clear Vs; the waiter clears it just before that
-    /// rescan, and takes it back if the rescan finds work.
-    pending: CacheAligned<AtomicU32>,
+    /// The latch and what the waiter learns from the notifier that rang it.
+    latch: CacheAligned<Latch>,
     /// The ready bitmap: bit `s % 64` of word `s / 64` is set while
     /// source `s` has notified and not yet been claimed. Words are packed
     /// (eight to a cache line): a saturated waiter wants one line to scan,
@@ -142,6 +165,59 @@ pub struct WaitSetRoot {
 }
 
 unsafe impl ShmSafe for WaitSetRoot {}
+
+/// The latch's cache line: a ringing notifier and the waiter write it.
+#[repr(C)]
+#[derive(Debug, Default)]
+struct Latch {
+    /// The wake-cycle latch, Fig. 5's `awake`: clear only while the waiter
+    /// is in or past its final rescan. Producers `swap(1)` and only one
+    /// that finds it clear Vs; the waiter clears it just before that
+    /// rescan, and takes it back if the rescan finds work.
+    pending: AtomicU32,
+    /// The CPU and the [`monotonic_nanos`] of the last ring.
+    ring_cpu: AtomicU32,
+    ring_stamp: AtomicU64,
+    /// The learned spin budget, in nanoseconds; untrusted, so read only
+    /// through [`WaitSet::spin_budget_nanos`], which clamps it.
+    budget: AtomicU32,
+}
+
+/// Folds one sleep's wake latency `sample` into a spin budget — the whole
+/// estimator, pure (module docs): 0 for a ring from the waiter's own CPU;
+/// else the sample clamped to [`PAUSE_NANOS`], taken as it is by an empty
+/// budget, and otherwise moving the budget a sixteenth of itself toward
+/// it, never past it and never back to 0 ("nothing learned").
+fn fold_wake_sample(budget: u64, sample: u64, same_cpu: bool) -> u64 {
+    if same_cpu {
+        return 0;
+    }
+    let sample = sample.min(PAUSE_NANOS);
+    if budget == 0 {
+        return sample;
+    }
+    let step = (budget / 16).max(1);
+    if sample > budget {
+        (budget + step).min(sample)
+    } else {
+        budget.saturating_sub(step).max(sample).max(1)
+    }
+}
+
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+use crate::proc::current_cpu;
+
+/// No CPU number: every ring reads as the waiter's own, so no spin.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn current_cpu() -> u32 {
+    u32::MAX
+}
 
 /// Sources per ready word.
 const WORD_BITS: usize = u64::BITS as usize;
@@ -164,8 +240,11 @@ impl WaitSetRoot {
         assert!(n_sources <= u32::MAX as usize, "waitset too large");
         let ready = arena.alloc_slice(n_sources.div_ceil(WORD_BITS), |_| AtomicU64::new(0))?;
         arena.alloc(WaitSetRoot {
-            // Held: the waiter has not cleared it yet (`fsck` says why).
-            pending: CacheAligned::new(AtomicU32::new(1)),
+            latch: CacheAligned::new(Latch {
+                // Held: the waiter has not cleared it yet (`fsck` says why).
+                pending: AtomicU32::new(1),
+                ..Latch::default()
+            }),
             ready,
             doorbell_sem,
             n_sources: n_sources as u32,
@@ -262,8 +341,12 @@ impl<'a> WaitSet<'a> {
         let (word, bit) = self.ready_bit(source);
         if word.fetch_or(bit, Ordering::SeqCst) == 0 {
             os.charge(Cost::Tas);
-            if self.root.pending.swap(1, Ordering::SeqCst) == 0 {
+            let latch = &self.root.latch;
+            if latch.pending.swap(1, Ordering::SeqCst) == 0 {
                 os.record(ProtoEvent::DoorbellRung);
+                // What the waiter's sleep costs is counted from here.
+                latch.ring_cpu.store(current_cpu(), Ordering::Relaxed);
+                latch.ring_stamp.store(monotonic_nanos(), Ordering::Release);
                 os.sem_v(self.doorbell_sem);
                 return;
             }
@@ -359,7 +442,7 @@ impl<'a> WaitSet<'a> {
                 r.ready_cleared += 1;
             }
         }
-        r.latch_repaired = self.root.pending.swap(1, Ordering::SeqCst) == 0;
+        r.latch_repaired = self.root.latch.pending.swap(1, Ordering::SeqCst) == 0;
         if r.repairs() > 0 {
             os.record(ProtoEvent::FsckRepair);
         }
@@ -368,27 +451,26 @@ impl<'a> WaitSet<'a> {
 
     /// Waiter side, blocking — the only doorbell wait, Fig. 5's wait loop
     /// in BSWY's Receive (Fig. 7): polls; if nothing is ready, spins on the
-    /// ready words for the doorbell's learned wake latency
-    /// ([`OsServices::wake_latency_nanos`], never past `timeout`), yields
+    /// ready words for the learned budget ([`Self::spin_budget_nanos`],
+    /// never past `timeout`; [`OsServices::spin_before_sleep`]), yields
     /// once ("let clients run") and polls again — all with the pending
     /// latch still held, so a notify meanwhile rings nothing. Only then
     /// does it clear the latch, rescan (the *final scan* of the
     /// no-lost-wake-up argument, module docs) and sleep on the doorbell for
     /// at most `timeout` (counted from after the yield); after each
-    /// completed `P` it polls again, awake: the notifier that rang left the
-    /// latch held. Returns the claimed source.
+    /// completed `P` it learns what the sleep cost (if the backend spins)
+    /// and polls again, awake: the notifier that rang left the latch held.
+    /// Returns the claimed source.
     ///
     /// A rescan that finds work, or a `P` that expires, takes the latch
-    /// back; if a notifier rang after the clear, the wait takes that credit
-    /// (Fig. 5's `if (tas(awake)) P`), waiting for it at most what is left
-    /// of the deadline — after an expiry, not at all. So the whole wait
-    /// sleeps at most `timeout`. A credit it gives up on (its notifier had
-    /// swapped the latch but not yet posted its `V`) stays banked, *stale*:
-    /// the next `P` takes it at once, and since no notifier rang for that
-    /// `P`, the latch may stay clear after it. That costs a spurious ring
-    /// and a spurious wake, never a lost one (module docs). Expiry returns
-    /// [`IpcError::Timeout`]; the source of a notify racing it stays ready
-    /// for the caller's next wait.
+    /// back, and if a notifier rang after the clear, its credit (Fig. 5's
+    /// `if (tas(awake)) P`), waiting for it at most what is left of the
+    /// deadline. So the whole wait sleeps at most `timeout`. A credit it
+    /// gives up on stays banked, *stale*: the next `P` takes it at once,
+    /// and since no notifier rang for that `P`, the latch may stay clear
+    /// after it — a spurious ring and a spurious wake, never a lost one
+    /// (module docs). Expiry returns [`IpcError::Timeout`]; the source of a
+    /// notify racing it stays ready for the caller's next wait.
     ///
     /// # Errors
     ///
@@ -400,26 +482,17 @@ impl<'a> WaitSet<'a> {
         cursor: &mut usize,
         timeout: Duration,
     ) -> Result<usize, IpcError> {
-        /// `spin_loop` hints between two clock reads of the spin.
-        const HINTS_PER_READ: u32 = 8;
         if let Some(s) = self.poll(cursor) {
             return Ok(s);
         }
-        let timeout_nanos = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-        let spin = os.wake_latency_nanos(self.doorbell_sem).min(timeout_nanos);
-        if spin > 0 {
-            let end = monotonic_nanos().saturating_add(spin);
-            loop {
-                for _ in 0..HINTS_PER_READ {
-                    core::hint::spin_loop();
-                    if let Some(s) = self.poll(cursor) {
-                        return Ok(s);
-                    }
-                }
-                if monotonic_nanos() >= end {
-                    break;
-                }
-            }
+        let spin = Duration::from_nanos(self.spin_budget_nanos()).min(timeout);
+        let mut caught = None;
+        let learns = os.spin_before_sleep(spin.as_nanos() as u64, || {
+            caught = self.poll(cursor);
+            caught.is_some()
+        });
+        if let Some(s) = caught {
+            return Ok(s);
         }
         os.yield_now(); // let clients run
         let deadline = Deadline::new(timeout);
@@ -432,19 +505,23 @@ impl<'a> WaitSet<'a> {
             };
             // `awake = 0`, then the re-check: the final scan.
             os.charge(Cost::Tas);
-            self.root.pending.store(0, Ordering::SeqCst);
+            self.root.latch.pending.store(0, Ordering::SeqCst);
             if let Some(s) = self.poll(cursor) {
-                self.take_latch_back(os, Some(left));
+                self.take_latch_back(os, &deadline);
                 return Ok(s);
             }
             os.record(ProtoEvent::BlockEntered);
             os.trace(TracePoint::Begin(Span::Block));
-            let taken = left.sem_p_learning(os, self.doorbell_sem);
+            let start = learns.then(monotonic_nanos);
+            let taken = left.sem_p(os, self.doorbell_sem);
             os.trace(TracePoint::End(Span::Block));
             if !taken {
-                self.take_latch_back(os, None);
+                self.take_latch_back(os, &deadline);
                 os.record(ProtoEvent::TimedOut);
                 return Err(IpcError::Timeout);
+            }
+            if let Some(start) = start {
+                self.learn(start);
             }
             // Awake again: the notifier that rang left the latch held
             // (unless the credit was stale).
@@ -452,28 +529,51 @@ impl<'a> WaitSet<'a> {
         }
     }
 
+    /// The learned pre-sleep spin, in nanoseconds: 0 until a ring from
+    /// another CPU woke a sleeping waiter in time for a spin to have caught
+    /// it, and again after one from the waiter's own CPU; 1 where most
+    /// sleeps outlast any spin (module docs). The word's one read, clamped
+    /// to §5's 25 µs whatever a peer wrote there.
+    pub fn spin_budget_nanos(&self) -> u64 {
+        u64::from(self.root.latch.budget.load(Ordering::Relaxed)).min(PAUSE_NANOS)
+    }
+
+    /// Folds the ring that ended a `P` begun at `start` into the budget. A
+    /// stamp older than `start` is an earlier ring's: it teaches nothing.
+    /// The `P` began one budget after its spin did, so a ring more than
+    /// `PAUSE_NANOS − budget` into it is a sample of 0.
+    fn learn(&self, start: u64) {
+        let latch = &self.root.latch;
+        let stamp = latch.ring_stamp.load(Ordering::Acquire);
+        if stamp < start {
+            return;
+        }
+        let budget = self.spin_budget_nanos();
+        let sample = if stamp - start > PAUSE_NANOS - budget {
+            0 // No spin could have caught this ring.
+        } else {
+            monotonic_nanos().saturating_sub(stamp)
+        };
+        let same_cpu = latch.ring_cpu.load(Ordering::Relaxed) == current_cpu();
+        // Lossless: the fold never exceeds the clamped budget or sample.
+        let budget = fold_wake_sample(budget, sample, same_cpu);
+        latch.budget.store(budget as u32, Ordering::Relaxed);
+    }
+
     /// The pending latch, for the explorer's mutant of
     /// [`Self::wait_deadline`]
     /// ([`waitset_late_clear_scenario`](crate::scenarios::waitset_late_clear_scenario)).
     pub(crate) fn latch(&self) -> &AtomicU32 {
-        &self.root.pending
+        &self.root.latch.pending
     }
 
-    /// Fig. 5's `if (tas(awake)) P`, for a waiter that cleared the latch
-    /// and will not sleep after all: takes the latch back, and if a
-    /// notifier found it clear meanwhile, takes that notifier's credit —
-    /// posted, or about to be — waiting for it at most `left` (`None`: the
-    /// deadline expired, so only a posted credit is taken).
-    fn take_latch_back<O: OsServices>(&self, os: &O, left: Option<Left>) {
+    /// Takes the latch back and, if a notifier found it clear meanwhile,
+    /// that notifier's credit ([`take_back`]).
+    fn take_latch_back<O: OsServices>(&self, os: &O, deadline: &Deadline) {
         os.charge(Cost::Tas);
-        if self.root.pending.swap(1, Ordering::SeqCst) != 0 {
-            let taken = match left {
-                Some(left) => left.sem_p(os, self.doorbell_sem),
-                None => os.sem_p_deadline(self.doorbell_sem, Duration::ZERO),
-            };
-            if taken {
-                os.record(ProtoEvent::WaitSetWake);
-            }
+        let raised = self.root.latch.pending.swap(1, Ordering::SeqCst) != 0;
+        if take_back(os, raised, self.doorbell_sem, deadline) {
+            os.record(ProtoEvent::WaitSetWake);
         }
     }
 }
@@ -1075,7 +1175,7 @@ mod tests {
         // re-raises the bit, absorbs the credit and takes the latch back.
         ws.notify(&os, 1);
         assert_eq!(ws.wait_deadline(&os, &mut cursor, SOON), Ok(1));
-        ws.root.pending.store(0, Ordering::SeqCst);
+        ws.latch().store(0, Ordering::SeqCst);
         os.sem_v(ws.doorbell_sem());
         let r = ws.fsck(&os, |s| s == 1);
         assert_eq!(
@@ -1145,6 +1245,164 @@ mod tests {
         assert_eq!(ws.poll(&mut cursor), Some(128));
         assert_eq!(ws.poll(&mut cursor), Some(63));
         assert_eq!(ws.poll(&mut cursor), None);
+    }
+
+    #[test]
+    fn the_wake_estimate_clamps_damps_and_tracks_the_median() {
+        // The first sample is taken, clamped to §5's 25 µs.
+        assert_eq!(fold_wake_sample(0, 6_000, false), 6_000);
+        assert_eq!(fold_wake_sample(0, 1_000_000, false), PAUSE_NANOS);
+        // A 1 ms outlier, either way, moves it by at most a sixteenth.
+        assert_eq!(fold_wake_sample(6_400, 1_000_000, false), 6_800);
+        assert_eq!(fold_wake_sample(6_400, 0, false), 6_000);
+        assert_eq!(fold_wake_sample(PAUSE_NANOS, 1_000_000, false), PAUSE_NANOS);
+        // Never past the sample, so a constant stream is matched exactly.
+        assert_eq!(fold_wake_sample(6_000, 6_100, false), 6_100);
+        // Rung from the waiter's own CPU: no spin.
+        assert_eq!(fold_wake_sample(6_000, 6_000, true), 0);
+        assert_eq!(fold_wake_sample(0, 6_000, true), 0);
+        // A sleep no spin could have shortened (sample 0) teaches nothing
+        // to a budget that has learned nothing, and pulls a learned one
+        // down a sixteenth, never below 1 ns.
+        assert_eq!(fold_wake_sample(0, 0, false), 0);
+        assert_eq!(fold_wake_sample(6_400, 0, false), 6_000);
+        assert_eq!(fold_wake_sample(1, 0, false), 1);
+
+        // A stationary, skewed stream — 70 % of the wakes 5–7 µs, 20 %
+        // 7–15 µs, 10 % 1 ms outliers — holds the budget near its median
+        // (≈ 6.4 µs), far below its mean.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut samples: Vec<u64> = (0..4_000)
+            .map(|_| match next() % 10 {
+                0..=6 => 5_000 + next() % 2_000,
+                7 | 8 => 7_000 + next() % 8_000,
+                _ => 1_000_000,
+            })
+            .collect();
+        let mut budget = 0;
+        for &s in &samples {
+            budget = fold_wake_sample(budget, s, false);
+        }
+        samples.sort_unstable();
+        let median = samples[samples.len() / 2];
+        let mean = samples.iter().sum::<u64>() / samples.len() as u64;
+        assert!(
+            mean > 10 * median,
+            "the stream is skewed: mean {mean}, median {median}"
+        );
+        assert!(
+            budget.abs_diff(median) * 8 <= median,
+            "budget {budget} ns is not within 1/8 of the median {median} ns"
+        );
+
+        // Sparse traffic: four sleeps in five outlast any spin (sample 0),
+        // the fifth was rung 6–7 µs before its waiter ran. The median is 0,
+        // so a budget learned from the short ones sinks to the 1 ns floor
+        // and stays near it.
+        let mut budget = 0;
+        let mut highest_late = 0;
+        for i in 0..4_000 {
+            let sample = if i % 5 == 0 {
+                6_000 + next() % 1_000
+            } else {
+                0
+            };
+            budget = fold_wake_sample(budget, sample, false);
+            if i >= 2_000 {
+                highest_late = highest_late.max(budget);
+            }
+        }
+        assert!(
+            (1..=16).contains(&highest_late),
+            "sparse traffic kept a budget of {highest_late} ns"
+        );
+    }
+
+    /// A one-source WaitSet whose rings read as coming from another CPU
+    /// than any test thread's, with `budget` learned and a ring at `rung`.
+    fn learning(arena: &ShmArena, budget: u32, rung: u64) -> WaitSet<'_> {
+        let ws = WaitSet::attach(arena, WaitSetRoot::create_in(arena, 1, 0).unwrap());
+        let latch = &ws.root.latch;
+        latch.ring_cpu.store(u32::MAX - 1, Ordering::Relaxed);
+        latch.ring_stamp.store(rung, Ordering::Relaxed);
+        latch.budget.store(budget, Ordering::Relaxed);
+        ws
+    }
+
+    /// A ring more than 25 µs after its `P` began is a sample of 0,
+    /// whatever its wake latency; one within 25 µs is a latency sample.
+    #[test]
+    fn a_wake_no_spin_could_catch_teaches_no_spin() {
+        let arena = ShmArena::new(4 * WaitSetRoot::bytes_needed(1)).unwrap();
+        let now = monotonic_nanos();
+        let (began, rung) = (now - 100_000, now - 10_000);
+        let ws = learning(&arena, 0, rung);
+        ws.learn(began);
+        assert_eq!(ws.spin_budget_nanos(), 0, "nothing learned");
+        let ws = learning(&arena, 6_400, rung);
+        ws.learn(began);
+        assert_eq!(ws.spin_budget_nanos(), 6_000, "a sixteenth down");
+        // Rung 5 µs into the `P`, at least 10 µs ago: a sample of
+        // 10–25 µs, a sixteenth up.
+        ws.learn(rung - 5_000);
+        assert_eq!(ws.spin_budget_nanos(), 6_375);
+    }
+
+    /// The `P` begins one budget after the spin does, so the late window
+    /// shrinks by the budget: with 10 µs learned, a ring 20 µs into the `P`
+    /// came 30 µs after the spin began (a sample of 0), one 10 µs into it
+    /// came 20 µs after (a latency sample). A scribbled budget reads
+    /// clamped, and folds from the clamp.
+    #[test]
+    fn the_late_window_counts_from_the_spins_start() {
+        let arena = ShmArena::new(2 * WaitSetRoot::bytes_needed(1)).unwrap();
+        let now = monotonic_nanos();
+        let ws = learning(&arena, 10_000, now - 10_000);
+        ws.learn(now - 30_000);
+        assert_eq!(ws.spin_budget_nanos(), 9_375, "a sixteenth down");
+        // A sample of at least 10 µs: a sixteenth up, to 9 375 + 585.
+        ws.learn(now - 20_000);
+        assert_eq!(ws.spin_budget_nanos(), 9_960);
+
+        let ws = learning(&arena, u32::MAX, now - 10_000);
+        assert_eq!(ws.spin_budget_nanos(), PAUSE_NANOS);
+        // With the whole 25 µs spent spinning, any later ring is late.
+        ws.learn(now - 20_000);
+        assert_eq!(ws.spin_budget_nanos(), PAUSE_NANOS - PAUSE_NANOS / 16);
+    }
+
+    /// A `P` whose credit was posted before it began teaches nothing: the
+    /// stamp is an earlier ring's, which no sleep of this `P` waited for.
+    #[test]
+    fn a_p_whose_credit_was_posted_before_it_began_teaches_nothing() {
+        let arena = ShmArena::new(2 * WaitSetRoot::bytes_needed(1)).unwrap();
+        let ws = learning(&arena, 6_400, monotonic_nanos());
+        ws.learn(monotonic_nanos() + 1);
+        assert_eq!(ws.spin_budget_nanos(), 6_400);
+
+        // The same through a wait: a ring banks its credit while nobody
+        // sleeps (its source then claimed), and the next wait's `P` takes
+        // it at once. Were it learned, this thread's own ring would zero
+        // the budget.
+        let nos = native(1);
+        let os = nos.task(0);
+        let ws = learning(&arena, 6_400, 0);
+        ws.latch().store(0, Ordering::SeqCst);
+        ws.notify(&os, 0);
+        assert_eq!(ws.poll(&mut 0), Some(0));
+        assert_eq!(
+            ws.wait_deadline(&os, &mut 0, Duration::from_millis(5)),
+            Err(IpcError::Timeout)
+        );
+        let m = os.metrics().unwrap().snapshot();
+        assert_eq!((m.doorbells_rung, m.waitset_wakes), (1, 1));
+        assert_eq!(ws.spin_budget_nanos(), 6_400);
     }
 
     fn native_for(srv: &ShardedServer) -> Arc<NativeOs> {

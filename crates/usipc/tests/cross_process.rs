@@ -15,10 +15,13 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use usipc::{ChildProc, CountingSem, ExitStatus, IpcError, QueueKind, WaitStrategy};
+use usipc::waitset::{WaitSet, WaitSetRoot};
+use usipc::{
+    ChildProc, CountingSem, ExitStatus, IpcError, NativeConfig, NativeOs, QueueKind, WaitStrategy,
+};
 use usipc_lab::{ProcExperiment, ProcTakeoverResult};
 use usipc_queue::{RingMode, RingReclaim, ShmQueue, ShmRing};
-use usipc_shm::ShmArena;
+use usipc_shm::{ShmArena, ShmPtr, ShmSlice};
 
 const MSGS: u64 = 200;
 
@@ -33,7 +36,7 @@ fn cross_process_protocols_and_faults() {
     shared_futex_credits_conserve_across_fork();
     shared_futex_timeout_expiry_loses_no_credit_across_fork();
     shared_futex_v_racing_timeout_across_fork();
-    shared_futex_learns_the_wake_cost_across_fork();
+    waitset_learns_the_wake_cost_across_fork();
     ring_fifo_contract_across_fork();
     two_lock_producer_kill_sweep();
     ring_producer_kill_sweep();
@@ -337,16 +340,29 @@ fn shared_futex_v_racing_timeout_across_fork() {
     assert!(child.wait().expect("reap").success());
 }
 
-/// One clock axis across a fork: a child pinned to CPU 1 `V`s, each time
-/// after the parent, pinned to CPU 0, has gone to sleep in a learning `P`
-/// (`acquire(timeout, true)`, as a WaitSet's doorbell `P` is); every wake
-/// is stamped in the child and sampled in the parent. On the shared
-/// `monotonic_nanos` axis the learned estimate is a real cross-CPU wake
-/// cost, in (0, 25 µs]; a per-process epoch would make the samples garbage.
-/// (The pinned BSW floor above is the test for the other half of the rule:
-/// a wake rung from the waiter's own CPU teaches no spin.) Skipped when
-/// CPU 0 or 1 refuses the pin: floating, the two may share a CPU.
-fn shared_futex_learns_the_wake_cost_across_fork() {
+/// What a forked notifier needs to ring the parent's WaitSet.
+#[repr(C)]
+struct WakeRoot {
+    sems: ShmSlice<CountingSem>,
+    waitset: ShmPtr<WaitSetRoot>,
+    /// Waits the parent has returned from.
+    served: std::sync::atomic::AtomicU32,
+}
+
+// SAFETY: two arena handles, plain words; no host pointers.
+unsafe impl usipc_shm::ShmSafe for WakeRoot {}
+
+/// One clock axis across a fork: a child pinned to CPU 1 rings a WaitSet
+/// in a memfd arena, each time after its waiter — the parent, pinned to
+/// CPU 0 — has gone to sleep on the process-shared doorbell; every ring is
+/// stamped in the child and learned from in the parent. On the shared
+/// `monotonic_nanos` axis the learned spin budget is a real cross-CPU wake
+/// cost, in (0, 25 µs]; a per-process epoch would make the samples
+/// garbage. (The pinned BSW floor above is the test for the other half of
+/// the rule: a ring from the waiter's own CPU teaches no spin.) Skipped
+/// when CPU 0 or 1 refuses the pin: floating, the two may share a CPU.
+fn waitset_learns_the_wake_cost_across_fork() {
+    use std::sync::atomic::Ordering;
     /// The child's exit code when CPU 1 refused it.
     const CHILD_UNPINNED: i32 = 4;
     const WAKES: u32 = 50;
@@ -354,34 +370,49 @@ fn shared_futex_learns_the_wake_cost_across_fork() {
         eprintln!("skipped the cross-fork wake-cost case: needs two CPUs");
         return;
     }
-    let arena = Arc::new(ShmArena::new_memfd(4096).expect("arena"));
-    let sem = arena.alloc(CountingSem::new_shared(0)).expect("sem fits");
-    arena.publish_root(sem);
+    let arena = Arc::new(ShmArena::new_memfd(1 << 16).expect("arena"));
+    let mut cfg = NativeConfig::for_clients(0);
+    (cfg.n_sems, cfg.n_msgqs) = (1, 0);
+    let (os, sems) = NativeOs::new_shared(cfg.clone(), Arc::clone(&arena)).expect("sems");
+    let waitset = WaitSetRoot::create_in(&arena, 1, 0).expect("waitset");
+    let served = std::sync::atomic::AtomicU32::new(0);
+    let root = arena
+        .alloc(WakeRoot {
+            sems,
+            waitset,
+            served,
+        })
+        .expect("root fits");
+    arena.publish_root(root);
     let fd = arena.backing_fd().expect("memfd");
 
     let child = ChildProc::spawn(move || {
-        let arena = match ShmArena::attach_memfd(fd) {
-            Ok(a) => a,
-            Err(_) => return 2,
+        let Ok(arena) = ShmArena::attach_memfd(fd) else {
+            return 2;
         };
-        let sem = match arena.root::<CountingSem>() {
-            Some(p) => arena.get(p),
-            None => return 3,
+        let arena = Arc::new(arena);
+        let Some(root) = arena.root::<WakeRoot>() else {
+            return 3;
         };
+        let root = arena.get(root);
+        let os = NativeOs::attach_shared(cfg, Arc::clone(&arena), root.sems);
+        let ws = WaitSet::attach(&arena, root.waitset);
+        let t = os.task(1);
         // Unpinned, still ring every wake, so the parent can finish.
         let pinned = usipc::pin_to_cpu(1).is_ok();
-        for _ in 0..WAKES {
-            // Registered means past its first attempt; 5 µs on, the parent is
-            // asleep in the kernel, and this `V` still comes within the
-            // 25 µs of its `P` in which a spin could have caught it.
-            while sem.waiting() == 0 {
+        for i in 0..WAKES {
+            // Registered after its last wait returned means past its next
+            // `P`'s first attempt; 5 µs on, the parent is asleep in the
+            // kernel, and this ring still comes within the 25 µs of its spin
+            // in which one could have caught it.
+            while root.served.load(Ordering::Acquire) != i || os.sem(0).waiting() == 0 {
                 std::thread::yield_now();
             }
-            let t = Instant::now();
-            while t.elapsed() < Duration::from_micros(5) {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(5) {
                 core::hint::spin_loop();
             }
-            sem.v();
+            ws.notify(&t, 0);
         }
         if pinned {
             0
@@ -392,17 +423,21 @@ fn shared_futex_learns_the_wake_cost_across_fork() {
     .expect("fork");
 
     // Pin a thread, not the test's own: later cases fork from it unpinned.
-    let (pinned, estimate) = std::thread::scope(|s| {
+    let ws = WaitSet::attach(&arena, waitset);
+    let served = &arena.get(root).served;
+    let (pinned, budget) = std::thread::scope(|s| {
         s.spawn(|| {
             let pinned = usipc::pin_to_cpu(0).is_ok();
-            let sem = arena.get(arena.root::<CountingSem>().unwrap());
+            let t = os.task(0);
             for i in 0..WAKES {
-                assert!(
-                    sem.acquire(Some(Duration::from_secs(10)), true).0,
-                    "wake {i} never arrived across the fork"
+                assert_eq!(
+                    ws.wait_deadline(&t, &mut 0, Duration::from_secs(10)),
+                    Ok(0),
+                    "ring {i} never arrived across the fork"
                 );
+                served.fetch_add(1, Ordering::Release);
             }
-            (pinned, sem.wake_estimate_nanos())
+            (pinned, ws.spin_budget_nanos())
         })
         .join()
         .unwrap()
@@ -413,10 +448,10 @@ fn shared_futex_learns_the_wake_cost_across_fork() {
         return;
     }
     assert!(status.success(), "child: {status:?}");
-    eprintln!("cross-fork wake cost learned from {WAKES} wakes: {estimate} ns");
+    eprintln!("cross-fork wake cost learned from {WAKES} rings: {budget} ns");
     assert!(
-        (1..=25_000).contains(&estimate),
-        "wake estimate {estimate} ns outside (0, 25 µs]"
+        (1..=25_000).contains(&budget),
+        "spin budget {budget} ns outside (0, 25 µs]"
     );
 }
 

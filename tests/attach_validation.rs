@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use usipc::waitset::{WaitSet, WaitSetRoot};
 use usipc::{
-    monotonic_nanos, Channel, ChannelConfig, Message, NativeConfig, NativeOs, OsServices,
-    ProtoEvent, QueueKind, Role, TelemetryPlane, TracePoint,
+    monotonic_nanos, Channel, ChannelConfig, Message, NativeConfig, NativeOs, ProtoEvent,
+    QueueKind, Role, TelemetryPlane, TracePoint,
 };
 use usipc_shm::{ShmArena, ShmError, ShmPtr};
 
@@ -394,16 +394,18 @@ fn a_scribbled_telemetry_or_flight_directory_reads_as_absent_never_a_panic() {
     assert!(no_plane() && no_flight(), "and a new handle refuses them");
 }
 
-// `FutexSem`, one cache line: the words a wait reads.
+// `FutexSem`'s words a wait reads, and the `WaitSetRoot` latch line's
+// words the spin before it reads.
 const SEM_COUNT: u32 = 0;
 const SEM_WAITERS: u32 = 4;
-const SEM_WAKE_STAMP: u32 = 40;
-const SEM_SPIN_NANOS: u32 = 48;
+const WS_RING_STAMP: u32 = 8;
+const WS_BUDGET: u32 = 16;
 
-/// The semaphore words are shared too. Whatever a peer writes into the
-/// doorbell's `count`, `waiters`, `wake_stamp` or learned `spin_nanos` —
-/// before a wait, or while a waiter sleeps — no wait panics, every request
-/// is still served, and no wait is budgeted a spin past §5's 25 µs.
+/// The semaphore and latch words are shared too. Whatever a peer writes
+/// into the doorbell's `count` or `waiters`, or into the WaitSet's ring
+/// stamp or learned spin budget — before a wait, or while a waiter sleeps
+/// — no wait panics, every request is still served, and no wait is
+/// budgeted a spin past §5's 25 µs.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -417,18 +419,13 @@ fn scribbled_semaphore_words_never_make_a_wait_spin_long_or_panic() {
     let mut cfg = NativeConfig::for_clients(0).without_metrics();
     (cfg.n_sems, cfg.n_msgqs) = (1, 0);
     let (os, sems) = NativeOs::new_shared(cfg, Arc::clone(&arena)).expect("sems");
-    let ws = WaitSet::attach(
-        &arena,
-        WaitSetRoot::create_in(&arena, 2, 0).expect("waitset"),
-    );
-    let sem = sems.at(0).raw();
-    let word = |off: u32| -> &AtomicU32 { arena.get(ShmPtr::from_raw(sem + off)) };
-    let stamp: &AtomicU64 = arena.get(ShmPtr::from_raw(sem + SEM_WAKE_STAMP));
+    let root = WaitSetRoot::create_in(&arena, 2, 0).expect("waitset");
+    let ws = WaitSet::attach(&arena, root);
+    let word = |at: u32| -> &AtomicU32 { arena.get(ShmPtr::from_raw(at)) };
+    let (sem, latch) = (sems.at(0).raw(), root.raw());
+    let stamp: &AtomicU64 = arena.get(ShmPtr::from_raw(latch + WS_RING_STAMP));
     let t = os.task(0);
-    let bounded = || {
-        assert!(os.sem(0).wake_estimate_nanos() <= PAUSE_NANOS);
-        assert!(t.wake_latency_nanos(0) <= PAUSE_NANOS);
-    };
+    let bounded = || assert!(ws.spin_budget_nanos() <= PAUSE_NANOS);
     // One empty wait, then one request made while a waiter sleeps (or
     // would: a scribbled `waiters` can hide it from the `V`, and its
     // heartbeat finds the request instead). `mid_sleep` scribbles once the
@@ -459,31 +456,38 @@ fn scribbled_semaphore_words_never_make_a_wait_spin_long_or_panic() {
     // A count at the SEMVMX limit makes the next `V` die loudly by design
     // (`FutexSem::v`'s overflow panic), so these stay below it.
     for bad in [1, 7, 30_000] {
-        assert_eq!(word(SEM_COUNT).swap(bad, SeqCst), 0, "layout: count");
+        assert_eq!(word(sem + SEM_COUNT).swap(bad, SeqCst), 0, "layout: count");
         round(&|| {});
-        word(SEM_COUNT).store(0, SeqCst);
+        word(sem + SEM_COUNT).store(0, SeqCst);
     }
     for bad in [7, u32::MAX] {
-        assert_eq!(word(SEM_WAITERS).swap(bad, SeqCst), 0, "layout: waiters");
+        let waiters = word(sem + SEM_WAITERS);
+        assert_eq!(waiters.swap(bad, SeqCst), 0, "layout: waiters");
         round(&|| {});
-        word(SEM_WAITERS).store(0, SeqCst);
+        waiters.store(0, SeqCst);
     }
+    // The rounds above rang: the stamp is a reading of the shared clock.
+    let honest = stamp.load(SeqCst);
+    assert!(
+        (1..=monotonic_nanos()).contains(&honest),
+        "layout: ring_stamp"
+    );
     for bad in [1, u64::MAX, u64::MAX - 1, monotonic_nanos() + (1 << 40)] {
-        assert_eq!(stamp.load(SeqCst), 0, "layout: wake_stamp");
+        // A credit no ring stamped: the wait that takes it learns from
+        // the scribbled stamp.
+        stamp.store(bad, SeqCst);
+        word(sem + SEM_COUNT).store(1, SeqCst);
+        round(&|| {});
         round(&|| stamp.store(bad, SeqCst));
-        stamp.store(0, SeqCst);
     }
     for bad in [PAUSE_NANOS as u32 + 1, u32::MAX] {
-        let honest = word(SEM_SPIN_NANOS).swap(bad, SeqCst);
-        assert!(u64::from(honest) <= PAUSE_NANOS, "layout: spin_nanos");
-        assert_eq!(
-            os.sem(0).wake_estimate_nanos(),
-            PAUSE_NANOS,
-            "clamped at its read"
-        );
+        let budget = word(latch + WS_BUDGET);
+        let honest = budget.swap(bad, SeqCst);
+        assert!(u64::from(honest) <= PAUSE_NANOS, "layout: budget");
+        assert_eq!(ws.spin_budget_nanos(), PAUSE_NANOS, "clamped at its read");
         round(&|| {});
-        round(&|| word(SEM_SPIN_NANOS).store(bad, SeqCst));
-        word(SEM_SPIN_NANOS).store(honest, SeqCst);
+        round(&|| budget.store(bad, SeqCst));
+        budget.store(honest, SeqCst);
     }
     assert_eq!(os.sem(0).count(), 0, "every credit consumed");
 }

@@ -279,6 +279,45 @@ fn unbounded_server_and_call_end_when_the_channel_is_poisoned_under_them() {
     );
 }
 
+/// A producer killed between its `tas(awake)` and its `V` must not wedge
+/// a bounded wait. The test thread plays that producer on a client's reply
+/// queue: once the client sleeps in `send_deadline`, it enqueues the reply
+/// and raises the client's `awake` flag, and never posts the `V`. The
+/// client's `P` expires; the flag it then takes back was raised, so it
+/// waits for the promised credit — at most what is left of its deadline,
+/// which is nothing. An unbounded wait there never returns.
+#[test]
+fn a_producer_dead_between_its_tas_and_its_v_cannot_wedge_a_deadline() {
+    const TIMEOUT: Duration = Duration::from_millis(50);
+    let ch = Channel::create(&ChannelConfig::new(1)).expect("channel");
+    let os = NativeOs::new(NativeConfig::for_clients(1));
+    let client = {
+        let (ch, t) = (ch.clone(), os.task(1));
+        std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            let verdict =
+                WaitStrategy::Bsw.send_deadline(&ch, &t, 0, Message::echo(0, 1.0), TIMEOUT);
+            (verdict, started.elapsed())
+        })
+    };
+    let rq = ch.reply_queue(0);
+    until_parked(&os, rq.sem());
+    let producer = os.task(0);
+    assert!(rq.try_enqueue(&producer, Message::echo(0, 1.0)));
+    assert!(
+        !rq.tas_awake(&producer),
+        "the sleeping client cleared its flag"
+    );
+    // ... and here the producer dies: no `V`.
+    let (verdict, took) = Watchdog::new(MUST_END)
+        .join(vec![("client".into(), 1, client)])
+        .remove(0);
+    assert_eq!(verdict, Err(IpcError::Timeout));
+    assert!(took < TIMEOUT * 10, "the deadline held only after {took:?}");
+    let f = &os.sem_finals()[rq.sem() as usize];
+    assert_eq!((f.count, f.waiting), (0, 0), "no credit was minted");
+}
+
 /// No silent reply loss. The client posts four requests and never drains
 /// its two-deep reply queue: the server delivers two replies, holds each
 /// of the other two for one heartbeat, then drops it — and says so, in

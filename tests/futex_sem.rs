@@ -7,9 +7,9 @@
 //! the wait-loop shape correct over *simulated* interleavings; these tests
 //! drive the same cast — one consumer running the Fig. 5 wait loop, two
 //! producers running the `tas`-guarded wake-up — against the native
-//! backend, where the semaphore's credit CAS, `futex_wait` and wake stamp
-//! are an additional layer the sim never exercises, as is the WaitSet's
-//! pre-sleep spin on its ready bitmap.
+//! backend, where the semaphore's credit CAS and `futex_wait` are an
+//! additional layer the sim never exercises, as are the WaitSet's
+//! pre-sleep spin on its ready bitmap and the wake cost it learns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,13 +187,12 @@ fn uncontended_p_and_v_are_kernel_free() {
 }
 
 /// A backend built by a thread that may run on exactly one CPU spins
-/// nowhere: a semaphore's `P` is one attempt, then register and sleep, no
-/// `V` is asked for a wake stamp, so no estimate is ever learned, and a
-/// WaitSet on it would spin for 0. The
-/// sleep/wake accounting must be what it always was — a blocked `P` is one
-/// kernel wait, and a BSW round trip under `SCHED_BATCH` is at most 4
-/// semaphore calls of which 2 sleep and 2 wake, exactly that whenever the
-/// scheduler leaves the pair alone.
+/// nowhere: a semaphore's `P` is one attempt, then register and sleep, and
+/// a WaitSet on it neither spins nor learns a spin budget. The sleep/wake
+/// accounting must be what it always was — a blocked `P` is one kernel
+/// wait, and a BSW round trip under `SCHED_BATCH` is at most 4 semaphore
+/// calls of which 2 sleep and 2 wake, exactly that whenever the scheduler
+/// leaves the pair alone.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -223,8 +222,25 @@ fn one_cpu_build_sleeps_without_spinning_and_keeps_the_bsw_budget() {
         let reg = os.metrics().unwrap();
         assert_eq!(reg.task_snapshot(1).sem_kernel_waits, 1, "one futex_wait");
         assert_eq!(reg.task_snapshot(0).sem_kernel_wakes, 1, "one futex_wake");
-        assert_eq!(os.sem(1).wake_estimate_nanos(), 0, "no stamp asked");
-        assert_eq!(os.task(1).wake_latency_nanos(1), 0, "no spin on one CPU");
+
+        // A WaitSet on doorbell 0: its sleeping waiter is rung, and learns
+        // no budget.
+        let arena = usipc_shm::ShmArena::new(WaitSetRoot::bytes_needed(1)).expect("arena");
+        let ws = WaitSet::attach(
+            &arena,
+            WaitSetRoot::create_in(&arena, 1, 0).expect("waitset"),
+        );
+        let five_s = std::time::Duration::from_secs(5);
+        std::thread::scope(|sc| {
+            let waiter = sc.spawn(|| ws.wait_deadline(&os.task(2), &mut 0, five_s));
+            while os.sem(0).waiting() == 0 {
+                std::thread::yield_now();
+            }
+            ws.notify(&os.task(3), 0);
+            assert_eq!(waiter.join().unwrap(), Ok(0));
+        });
+        assert_eq!(reg.task_snapshot(3).doorbells_rung, 1);
+        assert_eq!(ws.spin_budget_nanos(), 0, "no spin on one CPU");
 
         // What the code guarantees is checked inside; how often the host's
         // scheduler lets a round trip cost exactly the budget is reported.
@@ -301,11 +317,6 @@ fn pinned_bsw_round_trips(msgs: u64) -> std::collections::BTreeMap<(u64, u64, u6
     for (i, f) in os.sem_finals().iter().enumerate() {
         assert_eq!((f.count, f.waiting), (0, 0), "sem {i} not clean");
         assert!(f.max_count <= 1, "sem {i} banked {} credits", f.max_count);
-        assert_eq!(
-            os.sem(i as u32).wake_estimate_nanos(),
-            0,
-            "sem {i}: a one-CPU build stamped a wake"
-        );
     }
     let reg = os.metrics().unwrap();
     let t = reg.task_snapshot(0).add(&reg.task_snapshot(1));
@@ -323,82 +334,97 @@ fn pinned_bsw_round_trips(msgs: u64) -> std::collections::BTreeMap<(u64, u64, u6
     costs
 }
 
-/// A backend built with two CPUs visible: the first learning sleeps on
-/// each semaphore (`sem_p_learning`, the `P` a WaitSet's spin precedes)
-/// teach it what a cross-CPU wake costs (an estimate in (0, 25 µs]), which
-/// is what a WaitSet on it would spin for. The semaphore itself never
-/// spins, so in a ping-pong almost every `P` sleeps; the share is
-/// reported, not asserted. Conservation is exact.
+/// A backend built with two CPUs visible, a WaitSet ping-pong across two
+/// CPUs: each side's first sleeps on its doorbell teach its WaitSet what a
+/// cross-CPU wake costs (a spin budget in (0, 25 µs]), and the spin on that
+/// budget catches some of the peer's notifies before it sleeps (how many
+/// is reported, not asserted). Conservation is exact: every doorbell `V`
+/// met exactly one `P`, and no doorbell rang more than once per wake.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 #[test]
 fn two_cpu_build_learns_its_wake_cost_and_conserves_credits() {
+    use std::sync::atomic::AtomicBool;
     if usipc::proc::cpus_allowed().unwrap_or(1) < 2 {
         eprintln!("skipped: needs two CPUs in the affinity mask");
         return;
     }
-    const ROUNDS: u64 = 50_000;
+    const ROUNDS: u64 = 20_000;
+    let arena = usipc_shm::ShmArena::new(2 * WaitSetRoot::bytes_needed(1)).expect("arena");
+    let ws = [1, 2].map(|doorbell| {
+        let root = WaitSetRoot::create_in(&arena, 1, doorbell).expect("waitset");
+        WaitSet::attach(&arena, root)
+    });
     let os = NativeOs::new(NativeConfig::for_clients(2));
-    let pong = {
-        let t = os.task(1);
-        std::thread::spawn(move || {
-            let pinned = usipc::pin_to_cpu(1).is_ok();
-            for _ in 0..ROUNDS {
-                t.sem_p_learning(1, None);
-                t.sem_v(2);
-            }
-            pinned
-        })
-    };
-    let ping = {
-        let t = os.task(2);
-        std::thread::spawn(move || {
-            let pinned = usipc::pin_to_cpu(0).is_ok();
-            for _ in 0..ROUNDS {
-                t.sem_v(1);
-                t.sem_p_learning(2, None);
-            }
-            pinned
-        })
-    };
-    let pinned = ping.join().unwrap() & pong.join().unwrap();
+    let pinned = AtomicBool::new(true);
+    // Task 1 waits on `ws[0]` and rings `ws[1]`, task 2 the other way.
+    // Nothing asserts inside the scope: a panicking side would leave the
+    // other waiting out its deadline every round.
+    let served = std::thread::scope(|sc| {
+        let side = |task: u32, cpu: usize, mine: usize| {
+            let (os, ws, pinned) = (&os, &ws, &pinned);
+            sc.spawn(move || {
+                pinned.fetch_and(usipc::pin_to_cpu(cpu).is_ok(), Ordering::Relaxed);
+                let t = os.task(task);
+                let mut served = 0u64;
+                for _ in 0..ROUNDS {
+                    if mine == 1 {
+                        ws[0].notify(&t, 0);
+                    }
+                    let wait =
+                        ws[mine].wait_deadline(&t, &mut 0, std::time::Duration::from_secs(5));
+                    served += u64::from(wait == Ok(0));
+                    if mine == 0 {
+                        ws[1].notify(&t, 0);
+                    }
+                }
+                served
+            })
+        };
+        let (pong, ping) = (side(1, 1, 0), side(2, 0, 1));
+        [pong.join().unwrap(), ping.join().unwrap()]
+    });
+    assert_eq!(served, [ROUNDS; 2], "a wait expired");
     let reg = os.metrics().unwrap();
-    let total = reg.task_snapshot(1).add(&reg.task_snapshot(2));
-    assert_eq!((total.sem_p, total.sem_v), (2 * ROUNDS, 2 * ROUNDS));
+    let (pong, ping) = (reg.task_snapshot(1), reg.task_snapshot(2));
+    let total = pong.add(&ping);
+    assert_eq!(total.sem_p, total.sem_v, "every V met exactly one P");
     for f in &os.sem_finals()[1..] {
-        assert_eq!((f.count, f.waiting), (0, 0), "every V met exactly one P");
+        assert_eq!((f.count, f.waiting), (0, 0), "a doorbell credit left over");
     }
-    assert!(total.sem_kernel_waits <= total.sem_p);
-    let estimates = [1, 2].map(|s| os.sem(s).wake_estimate_nanos());
+    assert!(ping.doorbells_rung <= pong.waitset_wakes + 1);
+    assert!(pong.doorbells_rung <= ping.waitset_wakes + 1);
+    let budgets = ws.map(|w| w.spin_budget_nanos());
     eprintln!(
-        "two-CPU ping-pong: {:.2} % of {} Ps took their credit without a futex_wait; \
-         learned wake costs {estimates:?} ns",
-        100.0 * (total.sem_p - total.sem_kernel_waits) as f64 / total.sem_p as f64,
-        total.sem_p
+        "two-CPU WaitSet ping-pong: {} of {} waits slept ({} kernel waits); learned \
+         spin budgets {budgets:?} ns",
+        total.blocks_entered,
+        2 * ROUNDS,
+        total.sem_kernel_waits
     );
-    if !pinned {
-        // Floating threads may meet on one CPU, whose wakes zero a budget.
-        eprintln!("skipped the estimate check: CPU 0 or 1 is outside the affinity mask");
+    if !pinned.load(Ordering::Relaxed) {
+        // Floating threads may meet on one CPU, whose rings zero a budget.
+        eprintln!("skipped the budget check: CPU 0 or 1 is outside the affinity mask");
         return;
     }
-    for (s, e) in [1, 2].iter().zip(estimates) {
+    for (s, b) in [1, 2].iter().zip(budgets) {
         assert!(
-            (1..=25_000).contains(&e),
-            "sem {s}: wake estimate {e} ns outside (0, 25 µs]"
+            (1..=25_000).contains(&b),
+            "doorbell {s}: spin budget {b} ns outside (0, 25 µs]"
         );
     }
 }
 
 /// The one pre-sleep spin is the WaitSet's, on its ready bitmap, with the
-/// doorbell latch still held. On two CPUs the doorbell first learns what a
+/// doorbell latch still held. On two CPUs the WaitSet first learns what a
 /// cross-CPU wake costs (a notifier rings 5 µs after the waiter sleeps);
 /// then every notify made — and returned — within that budget of the
 /// waiter's call is served with no doorbell `V` and no kernel wait: the
 /// waiter was still awake, so the notify rang nothing, and the spin's
 /// poll claimed it. How many notifies landed inside is reported; one must,
-/// once the doorbell has learned a budget of 2 µs or more.
+/// once the WaitSet has learned a budget of 2 µs or more.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -441,7 +467,7 @@ fn two_cpu_waitset_catches_a_notify_inside_its_budget_without_ringing() {
             }
             let caught: Vec<_> = (1..=CATCH)
                 .map(|i| {
-                    let (budget, before) = (t.wake_latency_nanos(0), waits());
+                    let (budget, before) = (ws.spin_budget_nanos(), waits());
                     let called = monotonic_nanos();
                     armed.store(i, Ordering::Release);
                     ok.push(wait());
@@ -483,13 +509,13 @@ fn two_cpu_waitset_catches_a_notify_inside_its_budget_without_ringing() {
         (ok, waited.into_iter().zip(notified).collect())
     });
     assert!(served_ok.iter().all(|r| *r == Ok(0)), "a wait failed");
-    let estimate = os.sem(0).wake_estimate_nanos();
+    let estimate = ws.spin_budget_nanos();
     let inside: Vec<_> = rounds
         .iter()
         .filter(|&&((budget, called, _), (returned, _))| returned < called + budget)
         .collect();
     eprintln!(
-        "two-CPU WaitSet: doorbell learned {estimate} ns; {} of {CATCH} notifies returned \
+        "two-CPU WaitSet: learned a {estimate} ns spin; {} of {CATCH} notifies returned \
          inside the waiter's budget",
         inside.len()
     );
